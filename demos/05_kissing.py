@@ -27,11 +27,11 @@ verts = np.vstack(locus["polylines"])
 print(f"locus: {len(locus['polylines'])} branch(es), "
       f"{len(verts)} vertices, max |g| residual "
       f"{np.abs(ki.cross_field(f1, f2, verts)).max():.2e}")
-for r1 in (2.0, 3.0):
-    pt, r2 = ki.osculation_point(f1, f2, r1, locus=locus)
+kisses = [ki.osculation_point(f1, f2, r1, locus=locus) for r1 in (2.0, 3.0)]
+for r1, (pt, r2) in zip((2.0, 3.0), kisses):
     print(f"  level {r1:.1f} of family 1 kisses level {r2:.3f} of "
           f"family 2 at ({pt[0]:+.3f}, {pt[1]:+.3f})")
-scene = render.figure("kiss_locus", f1, f2, bbox=bbox,
+scene = render.figure("kiss_locus", f1, f2, bbox, locus=locus, kisses=kisses,
                       title="locus of osculation")
 with open(os.path.join(OUT, "kiss_locus.svg"), "w") as f:
     f.write(render.render_scene(scene))

@@ -458,10 +458,8 @@ def cmd_kiss(args):
              else np.empty((0, 2)))
     resid = (float(np.abs(kissing.cross_field(f1, f2, verts)).max())
              if len(verts) else 0.0)
-    marks = []
-    for r1 in args.mark:
-        pt, r2 = kissing.osculation_point(f1, f2, r1, locus=locus)
-        marks.append({"radius1": r1, "point": pt, "radius2": r2})
+    kisses = [kissing.osculation_point(f1, f2, r1, locus=locus)
+              for r1 in args.mark]
     payload = {
         "m1": f1.m, "m2": f2.m, "a1": f1.a_mat, "a2": f2.a_mat,
         "bbox": list(bbox),
@@ -474,10 +472,10 @@ def cmd_kiss(args):
         if len(verts) else float("inf"),
         "dist_to_m2": float(np.linalg.norm(verts - f2.m, axis=1).min())
         if len(verts) else float("inf"),
-        "osculation": marks,
+        "osculation": [{"radius1": r1, "point": pt, "radius2": r2}
+                       for r1, (pt, r2) in zip(args.mark, kisses)],
     }
-    scene = render.build_kiss_locus(f1, f2, mark_radii=tuple(args.mark),
-                                    bbox=bbox, resolution=args.resolution,
+    scene = render.build_kiss_locus(f1, f2, bbox, locus=locus, kisses=kisses,
                                     title="locus of osculation")
     _emit(args, payload, scene)
     return 0

@@ -61,29 +61,134 @@ def cross_field(f1, f2, x):
 
 def _cross_gradient(f1, f2, x):
     b = f2.a_mat.T @ SKEW @ f1.a_mat
-    return b @ (x - f1.m) + b.T @ (x - f2.m)
+    return (x - f1.m) @ b.T + (x - f2.m) @ b
 
 
-def _newton_refine(f1, f2, x, steps=1):
+# Corners of cell (i, j) in marching order, as offsets from node (i, j);
+# edge k of a cell runs from corner k to corner _NEXT[k].
+_CELL = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+_NEXT = [1, 2, 3, 0]
+
+
+def _cell_segments(f1, f2, xs, ys, vals):
+    """Marching-squares segments of the cells whose corners change sign or
+    touch a zero, in row-major cell order.
+
+    On each cell edge a zero start corner contributes itself and a sign
+    change (< 0 against >= 0) its linear interpolant; an edge with two
+    zero ends contributes nothing. A cell with two points gives one
+    segment, a saddle cell with four gives two, joined by the sign of its
+    centre value; any other count gives none. Returns the endpoints,
+    shape (S, 2, 2), and their keys, shape (S, 2): a crossing's grid edge,
+    or the node of a zero corner or of a crossing ending on one, so
+    neighbouring cells' segments share a key where they share an endpoint.
+    """
+    n = len(ys)
+    neg = vals < 0
+    n_neg = (neg[:-1, :-1].astype(np.int8) + neg[1:, :-1] + neg[1:, 1:]
+             + neg[:-1, 1:])
+    zero = vals == 0
+    any_zero = zero[:-1, :-1] | zero[1:, :-1] | zero[1:, 1:] | zero[:-1, 1:]
+    ci, cj = np.nonzero(((n_neg > 0) & (n_neg < 4)) | any_zero)
+    ii = ci[:, None] + _CELL[:, 0]
+    jj = cj[:, None] + _CELL[:, 1]
+    va = vals[ii, jj]
+    vb = va[:, _NEXT]
+    corner = (va == 0) & (vb != 0)
+    crossing = (va != 0) & ((va < 0) != (vb < 0))
+    t = np.divide(va, va - vb, out=np.zeros_like(va), where=crossing)
+    corners = np.stack([xs[ii], ys[jj]], axis=-1)
+    points = corners + t[..., None] * (corners[:, _NEXT] - corners)
+    node_a = ii * n + jj
+    node_b = node_a[:, _NEXT]
+    # undirected edge id: its lower node, offset by the edge's axis
+    edge = np.minimum(node_a, node_b) + n * n * np.array([1, 2, 1, 2])
+    keys = np.where(corner, node_a, np.where(vb == 0, node_b, edge))
+
+    has = corner | crossing
+    count = has.sum(axis=1)
+    saddle = count == 4
+    joined = np.zeros(len(count), dtype=bool)
+    if saddle.any():
+        centre = 0.25 * corners[saddle].sum(axis=1)
+        joined[saddle] = ((cross_field(f1, f2, centre) < 0)
+                          == (va[saddle, 0] < 0))
+    order = np.argsort(~has, axis=1, kind="stable")
+    pairs = np.where(joined[:, None, None], [[0, 3], [1, 2]],
+                     [[0, 1], [2, 3]])
+    keep = np.stack([(count == 2) | saddle, saddle], axis=1)
+    cell = np.nonzero(keep)[0][:, None]
+    ends = order[cell, pairs[keep]]
+    return points[cell, ends], keys[cell, ends]
+
+
+def _chain(keys):
+    """Join segments, given as pairs of endpoint keys, into polylines in
+    the growth order trace_locus documents. Returns, per polyline, indices
+    into the flattened endpoints (segment s has endpoints 2s and 2s + 1).
+    """
+    touching = {}
+    for s, ends in enumerate(keys):
+        for k in ends:
+            touching.setdefault(k, []).append(s)
+    used = [False] * len(keys)
+    chains = []
+    for start in range(len(keys) - 1, -1, -1):
+        if used[start]:
+            continue
+        used[start] = True
+        head, tail = keys[start]
+        front, back = [], []
+        while True:
+            s = min((s for s in touching[tail] + touching[head]
+                     if not used[s]), default=None)
+            if s is None:
+                break
+            used[s] = True
+            c, d = keys[s]
+            if c == tail:
+                back.append(2 * s + 1)
+                tail = d
+            elif d == tail:
+                back.append(2 * s)
+                tail = c
+            elif c == head:
+                front.append(2 * s + 1)
+                head = d
+            else:
+                front.append(2 * s)
+                head = c
+        chains.append(front[::-1] + [2 * start, 2 * start + 1] + back)
+    return chains
+
+
+def _newton_rows(f1, f2, x, steps):
+    # Newton steps of each row of x onto the zero set of the cross field;
+    # a row stops for good where the field's gradient vanishes.
+    live = np.ones(len(x), dtype=bool)
     for _ in range(steps):
         g = cross_field(f1, f2, x)
         grad = _cross_gradient(f1, f2, x)
-        nrm2 = float(grad @ grad)
-        if nrm2 <= 0:
-            break
-        x = x - g * grad / nrm2
+        nrm2 = np.einsum("ij,ij->i", grad, grad)
+        live &= nrm2 > 0
+        x[live] -= g[live, None] * grad[live] / nrm2[live, None]
     return x
 
 
 def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
     """Zero contour of the cross field by marching squares.
 
-    bbox is (xmin, xmax, ymin, ymax); each cell edge with a sign change
-    contributes a linearly interpolated crossing, cell segments are
-    chained into polylines, and every vertex gets a few Newton steps onto
-    the exact zero set. Returns {'polylines': [...], 'scale': ...} where
-    scale is the max |g| over the grid (the reference for vertex
-    residuals).
+    bbox is (xmin, xmax, ymin, ymax). Only cells whose corners change sign
+    or touch a zero are visited (see _cell_segments), so beyond one
+    vectorized pass over the grid the cost grows with the cells the locus
+    crosses. Segments are chained through endpoint identity, not
+    distance: a crossing is its grid edge, a zero corner its node. Each
+    polyline starts from the last unused segment and grows by the
+    lowest-numbered unused segment touching its tail or its head, the tail
+    first. Every vertex then gets newton_steps Newton steps onto the exact
+    zero set, and the polylines are stably sorted longest first. Returns
+    {'polylines': [...], 'scale': ...} where scale is the max |g| over the
+    grid (the reference for vertex residuals).
     """
     if resolution < 32:
         raise ValueError("resolution must be >= 32")
@@ -91,74 +196,15 @@ def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
     xs = np.linspace(xmin, xmax, resolution + 1)
     ys = np.linspace(ymin, ymax, resolution + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    grid = np.stack([gx, gy], axis=-1)
-    vals = cross_field(f1, f2, grid)
+    vals = cross_field(f1, f2, np.stack([gx, gy], axis=-1))
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         return {"polylines": [], "scale": 0.0}
-
-    def interp(p_a, v_a, p_b, v_b):
-        t = v_a / (v_a - v_b)
-        return p_a + t * (p_b - p_a)
-
-    segments = []
-    for i in range(resolution):
-        for j in range(resolution):
-            corners = [grid[i, j], grid[i + 1, j],
-                       grid[i + 1, j + 1], grid[i, j + 1]]
-            cv = [vals[i, j], vals[i + 1, j],
-                  vals[i + 1, j + 1], vals[i, j + 1]]
-            pts = []
-            for k in range(4):
-                a, b = k, (k + 1) % 4
-                va, vb = cv[a], cv[b]
-                if va == 0.0 and vb == 0.0:
-                    continue
-                if va == 0.0:
-                    pts.append(np.array(corners[a]))
-                elif (va < 0) != (vb < 0):
-                    pts.append(interp(corners[a], va, corners[b], vb))
-            if len(pts) == 2:
-                segments.append((pts[0], pts[1]))
-            elif len(pts) == 4:
-                # saddle cell: break the ambiguity with the center value
-                center = 0.25 * sum(np.asarray(c) for c in corners)
-                cval = cross_field(f1, f2, center)
-                if (cval < 0) == (cv[0] < 0):
-                    segments.append((pts[0], pts[3]))
-                    segments.append((pts[1], pts[2]))
-                else:
-                    segments.append((pts[0], pts[1]))
-                    segments.append((pts[2], pts[3]))
-
-    # chain segments sharing endpoints into polylines
-    tol = 1e-9 * max(xmax - xmin, ymax - ymin)
-    unused = list(segments)
-    polylines = []
-    while unused:
-        a, b = unused.pop()
-        chain = [a, b]
-        grown = True
-        while grown:
-            grown = False
-            for idx, (c, d) in enumerate(unused):
-                if np.linalg.norm(chain[-1] - c) < tol:
-                    chain.append(d)
-                elif np.linalg.norm(chain[-1] - d) < tol:
-                    chain.append(c)
-                elif np.linalg.norm(chain[0] - c) < tol:
-                    chain.insert(0, d)
-                elif np.linalg.norm(chain[0] - d) < tol:
-                    chain.insert(0, c)
-                else:
-                    continue
-                unused.pop(idx)
-                grown = True
-                break
-        refined = np.array([_newton_refine(f1, f2, p, newton_steps)
-                            for p in chain])
-        polylines.append(refined)
-    polylines.sort(key=lambda pl: -len(pl))
+    points, keys = _cell_segments(f1, f2, xs, ys, vals)
+    flat = points.reshape(-1, 2)
+    polylines = [_newton_rows(f1, f2, flat[chain], newton_steps)
+                 for chain in _chain(keys.tolist())]
+    polylines.sort(key=len, reverse=True)
     return {"polylines": polylines, "scale": scale}
 
 
@@ -168,26 +214,26 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
 
     Candidate vertices are locus points where the two gradients are
     antiparallel (ellipses touching from outside, as on the branch
-    running between the centers); the one closest in f1-level is polished
-    with a 2 x 2 Newton iteration on (cross_field, f1 - radius1^2).
-    Returns the point and the f2 radius at which the families touch
-    there.
+    running between the centers); the first one closest in f1-level, in
+    polyline order, is polished with a 2 x 2 Newton iteration on
+    (cross_field, f1 - radius1^2). Returns the point and the f2 radius at
+    which the families touch there.
     """
     if locus is None:
         if bbox is None:
             raise ValueError("need a traced locus or a bbox")
         locus = trace_locus(f1, f2, bbox, resolution)
-    best, best_err = None, np.inf
-    for pl in locus["polylines"]:
-        for pt in pl:
-            if f1.gradient(pt) @ f2.gradient(pt) >= 0:
-                continue
-            err = abs(f1.value(pt) - radius1 ** 2)
-            if err < best_err:
-                best, best_err = pt.copy(), err
-    if best is None:
+    verts = (np.vstack(locus["polylines"]) if locus["polylines"]
+             else np.empty((0, 2)))
+    d1 = verts - f1.m
+    g1 = d1 @ f1.a_mat
+    external = np.einsum("ij,ij->i", g1, (verts - f2.m) @ f2.a_mat) < 0
+    err = np.where(external,
+                   np.abs(np.einsum("ij,ij->i", g1, d1) - radius1 ** 2),
+                   np.inf)
+    if not external.any():
         raise ValueError("no external osculation candidates on the locus")
-    x = best
+    x = verts[np.argmin(err)].copy()
     for _ in range(40):
         r = np.array([cross_field(f1, f2, x),
                       f1.value(x) - radius1 ** 2])
@@ -375,18 +421,20 @@ class MixedSpec:
             raise ValueError("no residual degrees of freedom for sigma^2")
         return rss / df
 
-    def r_mat(self, i):
+    def r_mat(self, i, sigma2):
+        """R_i: the given matrix, else sigma2 I."""
         if self.r_mats is not None:
             return np.asarray(self.r_mats[i], dtype=float)
-        return self.error_variance() * np.eye(self.clusters[i].n)
+        return sigma2 * np.eye(self.clusters[i].n)
 
 
 def gls_fixed(spec):
     """Mixed-model GLS fixed effects with V_i = Z_i G Z_i' + R_i."""
+    s2 = spec.error_variance() if spec.r_mats is None else None
     a = None
     b = None
     for i, c in enumerate(spec.clusters):
-        v = c.z @ spec.g_mat @ c.z.T + spec.r_mat(i)
+        v = c.z @ spec.g_mat @ c.z.T + spec.r_mat(i, s2)
         sv = np.linalg.svd(v, compute_uv=False)
         if sv[-1] <= 1e-12 * sv[0]:
             raise ValueError(f"cluster {i}: V is singular")
@@ -421,14 +469,18 @@ def cluster_blues(spec):
 def blup(beta_blue, s_mat, beta_gls, g_mat):
     """Inverse-variance weighted combination of a BLUE with the GLS pool.
 
-    (S^{-1} + G^{-1})^{-1} (S^{-1} beta_blue + G^{-1} beta_gls): complete
+    beta_gls + G (S + G)^{-1} (beta_blue - beta_gls) with covariance
+    G - G (S + G)^{-1} G: equal to (S^{-1} + G^{-1})^{-1} (S^{-1} beta_blue
+    + G^{-1} beta_gls) for a nonsingular G, and defined without inverting
+    G, so a singular G pools completely along its null space. Complete
     pooling as G -> 0, no pooling as G -> infinity.
     """
-    s_inv = np.linalg.inv(nk.check_symmetric(s_mat))
-    g_inv = np.linalg.inv(nk.check_symmetric(g_mat))
-    w = np.linalg.inv(s_inv + g_inv)
-    beta = w @ (s_inv @ np.asarray(beta_blue, dtype=float)
-                + g_inv @ np.asarray(beta_gls, dtype=float))
+    s_mat = nk.check_symmetric(s_mat)
+    g_mat = nk.check_symmetric(g_mat)
+    beta_gls = np.asarray(beta_gls, dtype=float)
+    gain = np.linalg.solve(s_mat + g_mat, g_mat).T     # G (S + G)^{-1}
+    beta = beta_gls + gain @ (np.asarray(beta_blue, dtype=float) - beta_gls)
+    w = g_mat - gain @ g_mat
     return {"beta": beta, "cov": 0.5 * (w + w.T)}
 
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import distributions as dist
 from . import gellipsoid as ge
-from . import kissing
 from . import linmod
 from . import mlm as mlm_mod
 from . import statellipse as st
@@ -537,34 +536,29 @@ def build_ridge_trace(trace, names=("b1", "b2"), title=""):
     return Scene(layers=layers, title=title)
 
 
-def build_kiss_locus(f1, f2, radii1=(1.0, 2.0, 3.0), radii2=None,
-                     mark_radii=(2.0, 3.0), bbox=None, resolution=96,
-                     title=""):
-    """Two concentric families, the traced locus, and marked kiss points."""
-    if bbox is None:
-        span = np.linalg.norm(f2.m - f1.m) + 4.0
-        cx, cy = 0.5 * (f1.m + f2.m)
-        bbox = (cx - span, cx + span, cy - span, cy + span)
-    locus = kissing.trace_locus(f1, f2, bbox, resolution)
+def build_kiss_locus(f1, f2, bbox, locus, kisses=(), radii1=(1.0, 2.0, 3.0),
+                     radii2=None, title=""):
+    """Two concentric families, a traced locus, and marked kiss points.
+
+    locus is a kissing.trace_locus result over bbox, the viewport; kisses
+    are (point, f2 radius) pairs from kissing.osculation_point. The f2
+    levels drawn default to 1 and the radii of the kisses.
+    """
     layers = [AxisLayer()]
     for r in radii1:
         layers.append(EllipseLayer(f1.level_ellipse(r),
                                    Style(stroke=PALETTE["h"], width=1.1)))
     if radii2 is None:
-        radii2 = [kissing.osculation_point(f1, f2, r, locus=locus)[1]
-                  for r in mark_radii]
-        radii2 = [1.0] + [float(r) for r in radii2]
+        radii2 = [1.0] + [float(r2) for _, r2 in kisses]
     for r in radii2:
         layers.append(EllipseLayer(f2.level_ellipse(r),
                                    Style(stroke=PALETTE["e"], width=1.1)))
     for pl in locus["polylines"]:
         layers.append(PolylineLayer(pl, Style(stroke=PALETTE["data"],
                                               width=1.8)))
-    marks = np.array([kissing.osculation_point(f1, f2, r, locus=locus)[0]
-                      for r in mark_radii])
-    if marks.size:
-        layers.append(PointsLayer(marks, Style(stroke=PALETTE["data"],
-                                               width=1.4),
+    if len(kisses):
+        layers.append(PointsLayer(np.array([pt for pt, _ in kisses]),
+                                  Style(stroke=PALETTE["data"], width=1.4),
                                   marker="square", size=3.5))
     layers.append(PointsLayer(np.array([f1.m, f2.m]),
                               Style(stroke=PALETTE["data"]), marker="dot",

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ellipstat import cli
+from ellipstat import cli, datasets
 
 
 def run_cli(argv):
@@ -276,6 +278,27 @@ def test_blup_subcommand(tmp_path):
     assert d["n_clusters"] == 20
     assert d["relative_shrinkage_slope"] > \
         d["relative_shrinkage_intercept"]
+
+
+def test_blup_moment_g_matches_formula(tmp_path):
+    # the moment G of hsb-sample has an exact zero eigenvalue; each BLUP
+    # is b_gls + G (S + G)^{-1} (b - b_gls) with S = sigma^2 (X'X)^{-1}
+    out = tmp_path / "b.json"
+    assert run_cli(["blup", "--data", "hsb-sample", "--group", "school",
+                    "--x", "cses", "--response", "mathach",
+                    "--json", str(out)]) == 0
+    d = read_json(out)
+    g_mat = np.array(d["g_matrix"])
+    gls = np.array(d["gls_beta"])
+    rows = list(csv.reader(io.StringIO(datasets.hsb_sample())))[1:]
+    for c in d["clusters"]:
+        x = np.array([float(r[1]) for r in rows if r[0] == c["label"]])
+        design = np.column_stack([np.ones(len(x)), x])
+        s_mat = d["sigma2"] * np.linalg.inv(design.T @ design)
+        blue = np.array(c["blue"])
+        want = gls + g_mat @ np.linalg.solve(s_mat + g_mat, blue - gls)
+        assert np.abs(np.array(c["blup"]) - want).max() <= \
+            1e-8 * np.abs(want).max()
 
 
 def test_avp_synthetic_coffee(tmp_path):

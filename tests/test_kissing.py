@@ -3,8 +3,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as hs
 
-from ellipstat import datasets, kissing as ki
+from ellipstat import cli, datasets, kissing as ki
 from ellipstat import statellipse as st
 
 from conftest import random_pd
@@ -75,6 +77,201 @@ def test_trace_locus_resolution_floor_and_empty():
     far = (100.0, 101.0, 100.0, 101.0)
     locus = ki.trace_locus(DEMO_F1, DEMO_F2, far, 32)
     assert locus["polylines"] == []
+
+
+# ---------------------------------------------------- tracer vs reference
+
+def _reference_trace_locus(f1, f2, bbox, resolution, newton_steps=3):
+    # The cell-by-cell tracer with quadratic, distance-tolerance chaining
+    # and per-vertex Newton steps that trace_locus replaced: slow, kept as
+    # the reference for polyline structure, order and direction.
+    xmin, xmax, ymin, ymax = bbox
+    xs = np.linspace(xmin, xmax, resolution + 1)
+    ys = np.linspace(ymin, ymax, resolution + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    grid = np.stack([gx, gy], axis=-1)
+    vals = ki.cross_field(f1, f2, grid)
+    if np.abs(vals).max() == 0.0:
+        return []
+    segments = []
+    for i in range(resolution):
+        for j in range(resolution):
+            corners = [grid[i, j], grid[i + 1, j],
+                       grid[i + 1, j + 1], grid[i, j + 1]]
+            cv = [vals[i, j], vals[i + 1, j],
+                  vals[i + 1, j + 1], vals[i, j + 1]]
+            pts = []
+            for k in range(4):
+                a, b = k, (k + 1) % 4
+                va, vb = cv[a], cv[b]
+                if va == 0.0 and vb == 0.0:
+                    continue
+                if va == 0.0:
+                    pts.append(np.array(corners[a]))
+                elif (va < 0) != (vb < 0):
+                    t = va / (va - vb)
+                    pts.append(corners[a] + t * (corners[b] - corners[a]))
+            if len(pts) == 2:
+                segments.append((pts[0], pts[1]))
+            elif len(pts) == 4:
+                center = 0.25 * sum(np.asarray(c) for c in corners)
+                if (ki.cross_field(f1, f2, center) < 0) == (cv[0] < 0):
+                    segments += [(pts[0], pts[3]), (pts[1], pts[2])]
+                else:
+                    segments += [(pts[0], pts[1]), (pts[2], pts[3])]
+    tol = 1e-9 * max(xmax - xmin, ymax - ymin)
+    b_mat = f2.a_mat.T @ ki.SKEW @ f1.a_mat
+    unused = list(segments)
+    polylines = []
+    while unused:
+        a, b = unused.pop()
+        chain = [a, b]
+        grown = True
+        while grown:
+            grown = False
+            for idx, (c, d) in enumerate(unused):
+                if np.linalg.norm(chain[-1] - c) < tol:
+                    chain.append(d)
+                elif np.linalg.norm(chain[-1] - d) < tol:
+                    chain.append(c)
+                elif np.linalg.norm(chain[0] - c) < tol:
+                    chain.insert(0, d)
+                elif np.linalg.norm(chain[0] - d) < tol:
+                    chain.insert(0, c)
+                else:
+                    continue
+                unused.pop(idx)
+                grown = True
+                break
+        refined = []
+        for x in chain:
+            for _ in range(newton_steps):
+                grad = b_mat @ (x - f1.m) + b_mat.T @ (x - f2.m)
+                nrm2 = float(grad @ grad)
+                if nrm2 <= 0:
+                    break
+                x = x - ki.cross_field(f1, f2, x) * grad / nrm2
+            refined.append(x)
+        polylines.append(np.array(refined))
+    polylines.sort(key=lambda pl: -len(pl))
+    return polylines
+
+
+def _assert_matches_reference(f1, f2, bbox, resolution):
+    got = ki.trace_locus(f1, f2, bbox, resolution)["polylines"]
+    want = _reference_trace_locus(f1, f2, bbox, resolution)
+    assert [len(pl) for pl in got] == [len(pl) for pl in want]
+    span = max(bbox[1] - bbox[0], bbox[3] - bbox[2])
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-9 * span
+    return got
+
+
+@hs.composite
+def _pd_family(draw):
+    coord = hs.floats(-4.0, 4.0, allow_nan=False)
+    m = [draw(coord), draw(coord)]
+    a, c = draw(hs.floats(0.3, 2.0)), draw(hs.floats(0.3, 2.0))
+    b = draw(hs.floats(-1.5, 1.5))
+    low = np.array([[a, 0.0], [b, c]])
+    return ki.QuadFamily(m, low @ low.T)
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_pd_family(), _pd_family(), hs.integers(32, 48))
+def test_trace_locus_matches_reference_tracer(f1, f2, resolution):
+    bbox = (-8.0, 8.0, -6.0, 10.0)
+    # distinct centres: with m1 = m2 and proportional shapes the field is
+    # zero up to rounding and both tracers follow noise
+    assume(np.linalg.norm(f1.m - f2.m) >= 1.0)
+    # a node value below 1e-6 of the grid maximum, but not zero, puts
+    # distinct crossings within the reference's 1e-9 * span merging
+    # distance (see test_trace_locus_centre_near_grid_node)
+    xs = np.linspace(bbox[0], bbox[1], resolution + 1)
+    ys = np.linspace(bbox[2], bbox[3], resolution + 1)
+    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    vals = np.abs(ki.cross_field(f1, f2, grid))
+    assume(not ((vals > 0) & (vals < 1e-6 * vals.max())).any())
+    _assert_matches_reference(f1, f2, bbox, resolution)
+
+
+def test_trace_locus_centre_on_grid_node():
+    # at resolution 64 both demo centres are grid nodes, where the field
+    # is exactly zero: the zero-corner path keeps the node itself
+    xs = np.linspace(DEMO_BBOX[0], DEMO_BBOX[1], 65)
+    ys = np.linspace(DEMO_BBOX[2], DEMO_BBOX[3], 65)
+    for m in (DEMO_F1.m, DEMO_F2.m):
+        assert m[0] in xs and m[1] in ys
+    got = _assert_matches_reference(DEMO_F1, DEMO_F2, DEMO_BBOX, 64)
+    verts = np.vstack(got)
+    assert np.linalg.norm(verts - DEMO_F1.m, axis=1).min() == 0.0
+    assert np.linalg.norm(verts - DEMO_F2.m, axis=1).min() == 0.0
+
+
+def test_trace_locus_centre_near_grid_node():
+    # a centre 1e-12 off a node: the locus cuts that node's cell corner in
+    # a segment far shorter than the reference's merging distance, which
+    # chains past it and leaves it as a 2-vertex stub; edge keys keep it
+    # inside one continuous polyline
+    bbox = (-8.0, 8.0, -6.0, 10.0)
+    node = np.array([np.linspace(-8.0, 8.0, 41)[10],
+                     np.linspace(-6.0, 10.0, 41)[12]])
+    f1 = ki.QuadFamily(node + [1e-12, -1e-12], [[1.0, 0.3], [0.3, 0.8]])
+    f2 = ki.QuadFamily(node + [2.3, 1.7], [[0.6, -0.2], [-0.2, 1.4]])
+    got = ki.trace_locus(f1, f2, bbox, 40)["polylines"]
+    want = _reference_trace_locus(f1, f2, bbox, 40)
+    assert min(len(pl) for pl in want) == 2
+    assert len(got) == len(want) - 1
+    assert min(len(pl) for pl in got) > 2
+    cell = 16.0 / 40 * np.sqrt(2)
+    for pl in got:
+        assert np.linalg.norm(np.diff(pl, axis=0), axis=1).max() < cell
+
+
+@pytest.mark.parametrize("m", [(0.1, 0.05), (0.2, 0.05)])
+def test_trace_locus_saddle_cell(m):
+    # concentric families whose locus is the two axes through m, crossing
+    # inside the cell [0, 0.25]^2: its corners alternate in sign, and the
+    # centre value joins them one way for each m
+    f1 = ki.QuadFamily(m, np.eye(2))
+    f2 = ki.QuadFamily(m, np.diag([2.0, 1.0]))
+    bbox = (-4.0, 4.0, -4.0, 4.0)
+    corners = np.array([[0.0, 0.0], [0.25, 0.0], [0.25, 0.25], [0.0, 0.25]])
+    signs = np.sign(ki.cross_field(f1, f2, corners))
+    assert list(signs) in ([1, -1, 1, -1], [-1, 1, -1, 1])
+    got = _assert_matches_reference(f1, f2, bbox, 32)
+    assert len(got) == 2
+    d = np.vstack(got) - np.asarray(m)
+    assert np.abs(d[:, 0] * d[:, 1]).max() < 1e-12
+
+
+def test_trace_locus_resolution_384():
+    locus = ki.trace_locus(DEMO_F1, DEMO_F2, DEMO_BBOX, 384)
+    verts = np.vstack(locus["polylines"])
+    assert np.abs(ki.cross_field(DEMO_F1, DEMO_F2, verts)).max() <= \
+        1e-6 * locus["scale"]
+    cell = (DEMO_BBOX[1] - DEMO_BBOX[0]) / 384 * np.sqrt(2)
+    assert np.linalg.norm(verts - DEMO_F1.m, axis=1).min() < cell
+    assert np.linalg.norm(verts - DEMO_F2.m, axis=1).min() < cell
+
+
+def test_kiss_traces_once_and_solves_each_mark_once(monkeypatch, tmp_path):
+    calls = {"trace_locus": 0, "osculation_point": 0}
+
+    def counted(name):
+        fn = getattr(ki, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ki, name, counted(name))
+    assert cli.main(["kiss", "--mark", "1.5,2,3",
+                     "--svg", str(tmp_path / "k.svg")]) == 0
+    assert calls == {"trace_locus": 1, "osculation_point": 3}
 
 
 def test_osculation_points_lie_on_locus_and_levels():
@@ -366,6 +563,28 @@ def test_blup_limits_and_identity():
     assert near_blue == pytest.approx(blue, abs=1e-6)
     near_gls = ki.blup(blue, s_mat, gls, 1e-9 * np.eye(2))["beta"]
     assert near_gls == pytest.approx(gls, abs=1e-6)
+
+
+def test_blup_zero_g_is_gls():
+    rng = np.random.default_rng(13)
+    s_mat = random_pd(rng, 2)
+    blue, gls = rng.standard_normal(2), rng.standard_normal(2)
+    out = ki.blup(blue, s_mat, gls, np.zeros((2, 2)))
+    assert np.array_equal(out["beta"], gls)
+    assert np.array_equal(out["cov"], np.zeros((2, 2)))
+
+
+def test_blup_singular_g_pools_slope_completely():
+    rng = np.random.default_rng(14)
+    s_mat = random_pd(rng, 2)
+    blue, gls = rng.standard_normal(2), rng.standard_normal(2)
+    out = ki.blup(blue, s_mat, gls, np.diag([3.0, 0.0]))
+    assert out["beta"][1] == gls[1]
+    assert out["cov"][1] == pytest.approx([0.0, 0.0], abs=1e-15)
+    # the limit of nonsingular G = diag(3, eps)
+    near = ki.blup(blue, s_mat, gls, np.diag([3.0, 1e-12]))
+    assert out["beta"] == pytest.approx(near["beta"], abs=1e-9)
+    assert out["cov"] == pytest.approx(near["cov"], abs=1e-9)
 
 
 def test_hsb_sample_slope_shrinks_more_than_intercept():

@@ -114,6 +114,11 @@ def test_figure_dispatch_unknown_kind():
 def test_figure_builders_produce_valid_scenes(iris_grouped, galton_sample,
                                               longley, berkey_studies):
     hdr, x, y = longley
+    f1 = ki.QuadFamily([-2.0, 2.0], [[1.0, 0.5], [0.5, 1.5]])
+    f2 = ki.QuadFamily([2.0, 6.0], [[1.5, -0.3], [-0.3, 1.0]])
+    bbox = (-8.0, 8.0, -4.0, 12.0)
+    locus = ki.trace_locus(f1, f2, bbox, 96)
+    kisses = [ki.osculation_point(f1, f2, r, locus=locus) for r in (2, 3)]
     scenes = [
         render.figure("data_ellipse_panel", galton_sample),
         render.figure("scatterplot_matrix", iris_grouped),
@@ -122,10 +127,8 @@ def test_figure_builders_produce_valid_scenes(iris_grouped, galton_sample,
                       ki.ridge_trace(x, y, [0.0, 0.01, 0.08],
                                      coords=(1, 2)),
                       names=("GNP", "Unemployed")),
-        render.figure("kiss_locus",
-                      ki.QuadFamily([-2.0, 2.0], [[1.0, 0.5], [0.5, 1.5]]),
-                      ki.QuadFamily([2.0, 6.0], [[1.5, -0.3], [-0.3, 1.0]]),
-                      bbox=(-8.0, 8.0, -4.0, 12.0)),
+        render.figure("kiss_locus", f1, f2, bbox, locus=locus,
+                      kisses=kisses),
         render.figure("meta_panel", berkey_studies,
                       ki.meta_fixed(berkey_studies)),
     ]
