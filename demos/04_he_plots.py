@@ -53,7 +53,7 @@ print(f"canonical percents: {np.round(can.percent, 2)}")
 print("structure coefficients (responses vs canonical scores):")
 for name, row in zip(gs.names, can.structure):
     print(f"  {name:12s} {row[0]:+.3f} {row[1]:+.3f}")
-scene = render.figure("canonical_he", gs,
+scene = render.figure("canonical_he", gs, can,
                       title="iris in canonical space")
 with open(os.path.join(OUT, "iris_canonical.svg"), "w") as f:
     f.write(render.render_scene(scene))

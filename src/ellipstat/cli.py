@@ -19,6 +19,9 @@ from . import statellipse as st
 from . import numkernel as nk
 
 
+FLAT_SPREAD_TOL = 1e-10     # relative sd of cluster BLUEs taken as zero
+
+
 class InputError(Exception):
     """Bad file, flag or column; maps to exit status 2."""
 
@@ -437,7 +440,7 @@ def cmd_canonical(args):
     }
     scene = None
     if can.scores.shape[1] >= 2:
-        scene = render.build_canonical_he(gs, title="canonical HE plot")
+        scene = render.build_canonical_he(gs, can, title="canonical HE plot")
     _emit(args, payload, scene)
     return 0
 
@@ -561,6 +564,19 @@ def cmd_bayes(args):
     return 0
 
 
+def _relative_shrinkage(blue, blup):
+    """Per coefficient, mean |BLUE - BLUP| over the sd of the BLUEs.
+
+    nan where the BLUEs have no spread: an sd below FLAT_SPREAD_TOL times
+    the largest |BLUE| is rounding noise, and so would be the ratio.
+    """
+    spread = blue.std(axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(blue - blup).mean(axis=0) / spread
+    rel[spread <= FLAT_SPREAD_TOL * np.abs(blue).max(axis=0)] = np.nan
+    return rel
+
+
 def cmd_blup(args):
     table = resolve_data(args.data)
     y = table.numeric(args.response)
@@ -589,7 +605,7 @@ def cmd_blup(args):
              for e in blues["estimates"]]
     bb = np.array([e["beta"] for e in blues["estimates"]])
     bp = np.array([b["beta"] for b in blups])
-    rel = np.abs(bb - bp).mean(axis=0) / bb.std(axis=0, ddof=1)
+    rel = _relative_shrinkage(bb, bp)
     payload = {
         "group": args.group,
         "x": args.x,
@@ -721,6 +737,11 @@ def cmd_fixtures(args):
 # ----------------------------------------------------------------- parser
 
 def build_parser():
+    """A new parser for the `ellip` command line.
+
+    Every default is immutable, so one parser can serve any number of
+    parse_args calls (see main).
+    """
     parser = argparse.ArgumentParser(
         prog="ellip",
         description="Ellipsoid calculus for linear and multivariate "
@@ -732,7 +753,6 @@ def build_parser():
         p.set_defaults(func=func)
         p.add_argument("--json", help="write the JSON payload here")
         p.add_argument("--svg", help="write the SVG figure here")
-        p.add_argument("--seed", type=int, default=0)
         return p
 
     p = add("data-ellipse", cmd_data_ellipse,
@@ -770,6 +790,7 @@ def build_parser():
     p.add_argument("--x", required=True)
     p.add_argument("--deltas", type=_floats_arg)
     p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
 
     p = add("heplot", cmd_heplot, help="hypothesis-error test summary")
     p.add_argument("--data", required=True)
@@ -795,15 +816,15 @@ def build_parser():
     p.add_argument("--columns")
 
     p = add("kiss", cmd_kiss, help="trace a locus of osculation")
-    p.add_argument("--m1", type=_floats_arg, default=[-2.0, 2.0])
-    p.add_argument("--m2", type=_floats_arg, default=[2.0, 6.0])
+    p.add_argument("--m1", type=_floats_arg, default=(-2.0, 2.0))
+    p.add_argument("--m2", type=_floats_arg, default=(2.0, 6.0))
     p.add_argument("--a1", type=_matrix_arg,
-                   default=np.array([[1.0, 0.5], [0.5, 1.5]]))
+                   default=((1.0, 0.5), (0.5, 1.5)))
     p.add_argument("--a2", type=_matrix_arg,
-                   default=np.array([[1.5, -0.3], [-0.3, 1.0]]))
+                   default=((1.5, -0.3), (-0.3, 1.0)))
     p.add_argument("--bbox", type=_floats_arg)
     p.add_argument("--resolution", type=int, default=96)
-    p.add_argument("--mark", type=_floats_arg, default=[2.0, 3.0],
+    p.add_argument("--mark", type=_floats_arg, default=(2.0, 3.0),
                    help="f1 radii whose kiss points are marked")
 
     p = add("lda", cmd_lda, help="two-group discriminant axis")
@@ -872,10 +893,19 @@ def run(args):
         return 3
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(args)
+    """Run the `ellip` command line; returns the exit status.
+
+    The parser is built on the first call and reused by later calls in
+    the same process.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    return run(_parser.parse_args(argv))
 
 
 if __name__ == "__main__":

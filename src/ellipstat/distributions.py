@@ -1,30 +1,11 @@
-# Quantiles of chi-square, F and t, inverted by bisection on the
-# regularized incomplete gamma/beta functions. No quantile tables, no
-# dependence on scipy.stats distribution objects; scipy.special supplies
-# only the incomplete-function evaluations.
+# Quantiles and distribution functions of chi-square, F and t from the
+# regularized incomplete gamma/beta functions of scipy.special and their
+# inverses. No quantile tables, no dependence on scipy.stats
+# distribution objects.
 
 import math
 
 from scipy import special
-
-_BISECT_TOL = 1e-12
-_MAX_ITER = 200
-
-
-def _bisect_increasing(f, target, lo, hi):
-    """Solve f(x) = target for increasing f on [lo, hi] to ~1e-12."""
-    flo, fhi = f(lo), f(hi)
-    if not (flo <= target <= fhi):
-        raise ValueError(f"target {target} not bracketed by [{flo}, {fhi}]")
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
 
 
 def chi2_cdf(x, df):
@@ -37,10 +18,7 @@ def chi2_quantile(level, df):
     """x with P(chi2_df <= x) = level."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    hi = df + 10.0
-    while chi2_cdf(hi, df) < level:
-        hi *= 2.0
-    return _bisect_increasing(lambda x: chi2_cdf(x, df), level, 0.0, hi)
+    return 2.0 * float(special.gammaincinv(df / 2.0, level))
 
 
 def f_cdf(x, d1, d2):
@@ -56,12 +34,7 @@ def f_quantile(level, d1, d2):
         raise ValueError("level must be in (0, 1)")
     if d1 <= 0 or d2 <= 0:
         raise ValueError("degrees of freedom must be positive")
-    hi = 10.0
-    while f_cdf(hi, d1, d2) < level:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("F quantile does not converge")
-    return _bisect_increasing(lambda x: f_cdf(x, d1, d2), level, 0.0, hi)
+    return float(special.fdtri(d1, d2, level))
 
 
 def t_cdf(x, df):
@@ -74,14 +47,7 @@ def t_quantile(level, df):
     """x with P(t_df <= x) = level."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    if level == 0.5:
-        return 0.0
-    if level < 0.5:
-        return -t_quantile(1.0 - level, df)
-    hi = 2.0
-    while t_cdf(hi, df) < level:
-        hi *= 2.0
-    return _bisect_increasing(lambda x: t_cdf(x, df), level, 0.0, hi)
+    return float(special.stdtrit(df, level))
 
 
 def f_sf(x, d1, d2):

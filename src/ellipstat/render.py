@@ -480,10 +480,12 @@ def build_he_plot(h, e, df_e, df_h, center, coords=(0, 1), names=("y1", "y2"),
     return Scene(layers=layers, title=title)
 
 
-def build_canonical_he(gs, alpha=0.05, level=0.68, vector_scale=None,
+def build_canonical_he(gs, can, alpha=0.05, level=0.68, vector_scale=None,
                        title=""):
-    """HE plot in canonical score space plus structure-coefficient vectors."""
-    can = mlm_mod.canonical(gs)
+    """HE plot in canonical score space plus structure-coefficient vectors.
+
+    can is the mlm.canonical result of the grouped sample gs.
+    """
     if can.scores.shape[1] < 2:
         raise ValueError("need at least two canonical dimensions")
     x, _, _ = mlm_mod.manova_design(gs)

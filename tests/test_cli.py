@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ellipstat import cli, datasets
+from ellipstat import cli, datasets, mlm
 
 
 def run_cli(argv):
@@ -133,6 +134,79 @@ def test_seeded_subcommand_bit_reproducible(tmp_path):
     assert run_cli(argv + [str(a)]) == 0
     assert run_cli(argv + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_seed_only_on_measure_error():
+    parser = cli.build_parser()
+    for argv in (["fixtures", "--seed", "1"],
+                 ["gell", "--matrix", "1,0;0,1", "--seed", "1"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+    args = parser.parse_args(["measure-error", "--data", "galton",
+                              "--response", "child", "--x", "parent"])
+    assert args.seed == 0
+
+
+def test_main_builds_parser_once(monkeypatch, capsys):
+    calls = []
+    build = cli.build_parser
+
+    def counting_build():
+        calls.append(1)
+        return build()
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for _ in range(4):
+        assert run_cli(["fixtures"]) == 0
+    assert len(calls) == 1
+
+
+def _immutable(value):
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def test_parser_defaults_immutable():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        for action in p._actions:
+            assert _immutable(action.default), (name, action.dest)
+        for dest, value in p._defaults.items():
+            assert _immutable(value), (name, dest)
+
+
+def test_kiss_defaults_after_custom_kiss(tmp_path):
+    # a reused parser hands its defaults to every call: a custom kiss must
+    # leave the defaults of the next call as a fresh process sees them
+    base = ["kiss", "--resolution", "48", "--json"]
+    fresh = tmp_path / "fresh.json"
+    proc = subprocess.run([sys.executable, "-m", "ellipstat", *base,
+                           str(fresh)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    custom, after = tmp_path / "custom.json", tmp_path / "after.json"
+    assert run_cli(["kiss", "--resolution", "48", "--m1=-1,1",
+                    "--a1", "2,0.3;0.3,1", "--mark", "1.5,2.5,3",
+                    "--json", str(custom)]) == 0
+    assert run_cli(base + [str(after)]) == 0
+    assert after.read_bytes() == fresh.read_bytes()
+    assert custom.read_bytes() != fresh.read_bytes()
+
+
+def test_blup_moment_g_after_given_g(tmp_path):
+    argv = ["blup", "--data", "hsb-sample", "--group", "school",
+            "--x", "cses", "--response", "mathach", "--json"]
+    first, given, after = (tmp_path / f"{k}.json" for k in "abc")
+    assert run_cli(argv + [str(first)]) == 0
+    assert run_cli(argv + [str(given), "--g-diag", "6,0.05"]) == 0
+    assert run_cli(argv + [str(after)]) == 0
+    assert after.read_bytes() == first.read_bytes()
+    assert read_json(given)["g_matrix"] == [[6.0, 0.0], [0.0, 0.05]]
 
 
 def test_canonical_iris(tmp_path):
@@ -280,6 +354,45 @@ def test_blup_subcommand(tmp_path):
         d["relative_shrinkage_intercept"]
 
 
+@pytest.mark.parametrize("g_diag,intercept,slope", [
+    ([], 0.105226441775, 0.831039332129),
+    (["--g-diag", "6,0.05"], 0.101652087952, 0.797651595072)])
+def test_blup_relative_shrinkage_hsb(tmp_path, g_diag, intercept, slope):
+    out = tmp_path / "b.json"
+    assert run_cli(["blup", "--data", "hsb-sample", "--group", "school",
+                    "--x", "cses", "--response", "mathach", *g_diag,
+                    "--json", str(out)]) == 0
+    d = read_json(out)
+    assert d["relative_shrinkage_intercept"] == intercept
+    assert d["relative_shrinkage_slope"] == slope
+
+
+def test_blup_relative_shrinkage_nan_without_spread(tmp_path):
+    # residuals (c, -c, -c, c) at x = (-a, -b, b, a) are orthogonal to
+    # each cluster's design, so every BLUE slope is the common slope 2.25
+    # (to rounding) while the intercepts vary
+    rng = np.random.default_rng(23)
+    lines = ["cluster,x,y"]
+    for i in range(8):
+        b0 = int(rng.integers(120, 260)) / 16
+        for _ in range(3):
+            a, b = np.sort(rng.integers(1, 24, 2)) / 16
+            c = int(rng.integers(-96, 97)) / 16
+            for x, e in ((-a, c), (-b, -c), (b, -c), (a, c)):
+                x, y = float(x), float(b0 + 2.25 * x + e)
+                lines.append(f"c{i},{x!r},{y!r}")
+    src = tmp_path / "orthogonal.csv"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "b.json"
+    assert run_cli(["blup", "--data", str(src), "--group", "cluster",
+                    "--x", "x", "--response", "y", "--json", str(out)]) == 0
+    d = read_json(out)
+    assert all(c["blue"][1] == pytest.approx(2.25, rel=1e-12)
+               for c in d["clusters"])
+    assert d["relative_shrinkage_slope"] == "nan"
+    assert 0.0 <= d["relative_shrinkage_intercept"] < 1.0
+
+
 def test_blup_moment_g_matches_formula(tmp_path):
     # the moment G of hsb-sample has an exact zero eigenvalue; each BLUP
     # is b_gls + G (S + G)^{-1} (b - b_gls) with S = sigma^2 (X'X)^{-1}
@@ -310,6 +423,21 @@ def test_avp_synthetic_coffee(tmp_path):
     assert d["slope"] < 0                       # conditionally protective
     assert d["residual_match"] < 1e-10
     assert d["slope_matches_full_model"] < 1e-10
+
+
+def test_canonical_computed_once(tmp_path, monkeypatch):
+    calls = []
+    canonical = mlm.canonical
+
+    def counting_canonical(gs):
+        calls.append(1)
+        return canonical(gs)
+    monkeypatch.setattr(mlm, "canonical", counting_canonical)
+    assert run_cli(["canonical", "--data", "iris", "--group", "Species",
+                    "--json", str(tmp_path / "c.json"),
+                    "--svg", str(tmp_path / "c.svg")]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "c.svg").read_text().startswith("<?xml")
 
 
 def test_betaspace_synthetic_coffee(tmp_path):

@@ -5,9 +5,9 @@ import scipy.stats
 from ellipstat import distributions as dist
 
 
-# scipy.stats quantiles serve as an independent oracle for the bisection
-# implementations (the package itself only uses scipy.special incomplete
-# functions).
+# scipy.stats quantiles serve as an independent oracle for the quantiles
+# (the package itself only uses scipy.special incomplete functions and
+# their inverses).
 
 @pytest.mark.parametrize("level,df", [(0.95, 2), (0.68, 2), (0.40, 2),
                                       (0.99, 1), (0.5, 7), (0.975, 10)])

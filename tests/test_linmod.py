@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ellipstat import distributions as dist
 from ellipstat import gellipsoid as ge
@@ -280,6 +282,61 @@ def test_attenuation_half_at_unit_delta():
     y = 3.0 * x + rng.standard_normal(10 ** 5) * 0.3
     out = linmod.attenuation_curve(x, y, [1.0], reps=20, seed=6)
     assert out["mean_ratio"][0] == pytest.approx(0.5, abs=0.05)
+
+
+def _attenuation_ratios_refit(x, y, deltas, reps, seed):
+    """Slow reference: attenuation_curve's mean ratios with a full OLS
+    refit per draw, from the same random stream."""
+    base = linmod.ols_fit(x, y).coef[1]
+    rng = np.random.default_rng(seed)
+    sd = x.std(ddof=1)
+    out = []
+    for delta in deltas:
+        if delta == 0:
+            out.append(1.0)
+            continue
+        acc = 0.0
+        for _ in range(reps):
+            noise = rng.normal(0.0, delta * sd, size=x.size)
+            noise -= noise.mean()
+            acc += linmod.ols_fit(x + noise, y).coef[1] / base
+        out.append(float(acc / reps))
+    return out
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(hs.integers(0, 2 ** 32 - 1), hs.integers(5, 200),
+       hs.floats(-100.0, 100.0), hs.floats(0.01, 100.0),
+       hs.floats(0.5, 5.0), hs.floats(0.0, 1.0),
+       hs.lists(hs.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]), min_size=1,
+                max_size=4),
+       hs.integers(1, 5), hs.integers(0, 2 ** 32 - 1))
+def test_attenuation_curve_matches_refit_per_draw(data_seed, n, x_mean,
+                                                  x_sd, slope, noise_sd,
+                                                  deltas, reps, seed):
+    rng = np.random.default_rng(data_seed)
+    x = x_mean + x_sd * rng.standard_normal(n)
+    y = 1.0 + slope * x + noise_sd * x_sd * slope * rng.standard_normal(n)
+    got = linmod.attenuation_curve(x, y, deltas, reps=reps, seed=seed)
+    want = _attenuation_ratios_refit(x, y, deltas, reps, seed)
+    assert got["mean_ratio"] == pytest.approx(want, rel=1e-12)
+
+
+def test_attenuation_curve_fits_ols_once(monkeypatch):
+    calls = []
+    ols_fit = linmod.ols_fit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return ols_fit(*args, **kwargs)
+    monkeypatch.setattr(linmod, "ols_fit", counting_fit)
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal(50)
+    y = 2.0 * x + rng.standard_normal(50)
+    for reps in (1, 7, 40):
+        calls.clear()
+        linmod.attenuation_curve(x, y, [0.0, 0.5, 1.0], reps=reps, seed=3)
+        assert len(calls) == 1
 
 
 def test_confidence_ellipse_dual_of_data_ellipse():

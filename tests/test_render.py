@@ -122,7 +122,8 @@ def test_figure_builders_produce_valid_scenes(iris_grouped, galton_sample,
     scenes = [
         render.figure("data_ellipse_panel", galton_sample),
         render.figure("scatterplot_matrix", iris_grouped),
-        render.figure("canonical_he", iris_grouped),
+        render.figure("canonical_he", iris_grouped,
+                      mlm.canonical(iris_grouped)),
         render.figure("ridge_trace",
                       ki.ridge_trace(x, y, [0.0, 0.01, 0.08],
                                      coords=(1, 2)),
