@@ -1,9 +1,11 @@
 # Bundled example data and seeded generators. CSV fixtures ship with the
 # package; the generated fixtures are deterministic functions of their
-# seeds and are materialized on demand. ELLIP_FIXTURES overrides the
-# directory searched for the CSV files.
+# seeds, materialized on first demand and kept for the process (their
+# text is immutable). ELLIP_FIXTURES overrides the directory searched for
+# the CSV files, so those are read afresh on every call.
 
 import csv
+import functools
 import io
 import os
 from importlib import resources
@@ -57,6 +59,7 @@ def _csv_text(rows, header):
     return buf.getvalue()
 
 
+@functools.cache
 def synthetic_coffee(seed=3, n=20):
     """Contrived coffee/stress/heart sample.
 
@@ -74,6 +77,7 @@ def synthetic_coffee(seed=3, n=20):
     return _csv_text(rows, ["Coffee", "Stress", "Heart"])
 
 
+@functools.cache
 def hsb_sample(seed=31, n_schools=20):
     """School-clustered achievement sample in the HSB style.
 

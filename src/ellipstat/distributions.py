@@ -1,35 +1,27 @@
-# Quantiles and distribution functions of chi-square, F and t from the
+# Quantiles and tail probabilities of chi-square, F and t from the
 # regularized incomplete gamma/beta functions of scipy.special and their
 # inverses. No quantile tables, no dependence on scipy.stats
 # distribution objects.
+#
+# scipy.special is imported inside the functions that call it, so that
+# `import ellipstat` does not load it: its import costs more than the
+# rest of the package's, and most subcommands never compute a quantile.
+# The first quantile or tail probability in a process pays it once.
 
 import math
-
-from scipy import special
-
-
-def chi2_cdf(x, df):
-    if x <= 0:
-        return 0.0
-    return float(special.gammainc(df / 2.0, x / 2.0))
 
 
 def chi2_quantile(level, df):
     """x with P(chi2_df <= x) = level."""
+    from scipy import special
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     return 2.0 * float(special.gammaincinv(df / 2.0, level))
 
 
-def f_cdf(x, d1, d2):
-    if x <= 0:
-        return 0.0
-    z = d1 * x / (d1 * x + d2)
-    return float(special.betainc(d1 / 2.0, d2 / 2.0, z))
-
-
 def f_quantile(level, d1, d2):
     """x with P(F_{d1,d2} <= x) = level."""
+    from scipy import special
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if d1 <= 0 or d2 <= 0:
@@ -37,14 +29,9 @@ def f_quantile(level, d1, d2):
     return float(special.fdtri(d1, d2, level))
 
 
-def t_cdf(x, df):
-    z = df / (df + x * x)
-    half_tail = 0.5 * float(special.betainc(df / 2.0, 0.5, z))
-    return 1.0 - half_tail if x >= 0 else half_tail
-
-
 def t_quantile(level, df):
     """x with P(t_df <= x) = level."""
+    from scipy import special
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     return float(special.stdtrit(df, level))
@@ -52,6 +39,7 @@ def t_quantile(level, df):
 
 def f_sf(x, d1, d2):
     """Upper tail P(F_{d1,d2} > x)."""
+    from scipy import special
     if x <= 0:
         return 1.0
     z = d2 / (d1 * x + d2)

@@ -53,19 +53,22 @@ def ols_fit(x, y, names=None):
         raise ValueError("x and y lengths differ")
     if n <= q:
         raise ValueError(f"need n > {q} observations")
-    sv = np.linalg.svd(xd, compute_uv=False)
+    _, sv, vt = np.linalg.svd(xd, full_matrices=False)
     if sv[-1] <= RANK_TOL * sv[0]:
         raise ValueError(
             f"design is rank deficient: min singular value {sv[-1]:.3e}")
+    # (X'X)^{-1} = V diag(s^-2) V^T, formed as W W^T with W = V diag(1/s):
+    # symmetric by construction. Inverting X'X itself leaves an asymmetry
+    # beyond SYM_TOL when X is ill-conditioned (Longley: cond(X'X) 5.7e14).
+    w = vt.T / sv
     coef, _, _, _ = np.linalg.lstsq(xd, y, rcond=None)
     fitted = xd @ coef
     resid = y - fitted
     df = n - q
     s2 = float(resid @ resid / df)
-    xtx = xd.T @ xd
     if names is None:
         names = ["intercept"] + [f"x{i}" for i in range(1, q)]
-    return LinearFit(coef=coef, xtx=xtx, xtx_inv=np.linalg.inv(xtx),
+    return LinearFit(coef=coef, xtx=xd.T @ xd, xtx_inv=w @ w.T,
                      s2=s2, df=df, n=n, names=tuple(names),
                      residuals=resid, fitted=fitted)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -451,6 +452,47 @@ def test_betaspace_synthetic_coffee(tmp_path):
     assert lo < 0 < hi                          # coffee not significant
 
 
+def _exact_ols(x_rows, y):
+    """Coefficients, diag((X'X)^-1) and s2 in exact rational arithmetic."""
+    q = len(x_rows[0])
+    aug = [[sum(r[i] * r[j] for r in x_rows) for j in range(q)]
+           + [Fraction(int(i == j)) for j in range(q)]
+           + [sum(r[i] * v for r, v in zip(x_rows, y))] for i in range(q)]
+    for c in range(q):                          # Gauss-Jordan elimination
+        p = next(r for r in range(c, q) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(q):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    coef = [row[2 * q] for row in aug]
+    resid = [v - sum(b * xi for b, xi in zip(coef, r))
+             for r, v in zip(x_rows, y)]
+    s2 = sum(e * e for e in resid) / (len(y) - q)
+    return coef, [aug[i][q + i] for i in range(q)], s2
+
+
+def test_betaspace_longley_matches_exact_ols(tmp_path):
+    # cond(X'X) is about 5.7e14; the fit must stay accurate and its
+    # (X'X)^-1 symmetric enough for the confidence ellipse.
+    rows = list(csv.reader(io.StringIO(datasets.fixture_csv_text("longley"))))
+    x = [[Fraction(1)] + [Fraction(v) for v in r[:6]] for r in rows[1:]]
+    y = [Fraction(r[6]) for r in rows[1:]]
+    coef, inv_diag, s2 = _exact_ols(x, y)
+    out = tmp_path / "longley.json"
+    assert run_cli(["betaspace", "--data", "longley", "--response",
+                    "Employed", "--json", str(out)]) == 0
+    d = read_json(out)
+    names = ["intercept"] + rows[0][:6]
+    assert list(d["coef"]) == names
+    for name, c, v in zip(names, coef, inv_diag):
+        assert d["coef"][name] == pytest.approx(float(c), rel=1e-8)
+        assert d["se"][name] == pytest.approx(
+            float(s2 * v) ** 0.5, rel=1e-8)
+    assert d["s2"] == pytest.approx(float(s2), rel=1e-8)
+
+
 def test_fixtures_listing(capsys):
     assert run_cli(["fixtures"]) == 0
     d = json.loads(capsys.readouterr().out)
@@ -469,6 +511,28 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
     monkeypatch.setenv("ELLIP_FIXTURES", str(alt))
     table = cli.resolve_data("galton")
     assert table.n == 4
+
+
+def test_generated_fixtures_made_once(tmp_path, monkeypatch):
+    for gen in (datasets.hsb_sample, datasets.synthetic_coffee):
+        first = gen()
+        assert gen() is first
+        assert gen.__wrapped__() == first
+    argv = ["blup", "--data", "hsb-sample", "--group", "school", "--x",
+            "cses", "--response", "mathach", "--json"]
+    assert run_cli(argv + [str(tmp_path / "cached.json")]) == 0
+    datasets.hsb_sample.cache_clear()
+    assert run_cli(argv + [str(tmp_path / "fresh.json")]) == 0
+    assert ((tmp_path / "cached.json").read_text()
+            == (tmp_path / "fresh.json").read_text())
+    # files on disk are read on every call: ELLIP_FIXTURES may change
+    alt = tmp_path / "fixtures"
+    alt.mkdir()
+    monkeypatch.setenv("ELLIP_FIXTURES", str(alt))
+    (alt / "galton.csv").write_text("parent,child\n1,1\n2,2\n3,2\n")
+    assert cli.resolve_data("galton").n == 3
+    (alt / "galton.csv").write_text("parent,child\n1,1\n2,2\n3,2\n4,5\n")
+    assert cli.resolve_data("galton").n == 4
 
 
 def test_console_entrypoint_smoke(tmp_path):
