@@ -43,13 +43,13 @@ scene = render.figure("beta_space_panel", fit, [1, 2],
 with open(os.path.join(OUT, "coffee_beta_space.svg"), "w") as f:
     f.write(render.render_scene(scene))
 
-scene = render.figure("avp_marginal_overlay", x, heart, 0,
+res = linmod.avp(x, heart, 0)
+scene = render.figure("avp_marginal_overlay", x, heart, 0, res,
                       names=("Coffee", "Heart"),
                       title="added-variable vs marginal view of Coffee")
 with open(os.path.join(OUT, "coffee_avp_overlay.svg"), "w") as f:
     f.write(render.render_scene(scene))
 
-res = linmod.avp(x, heart, 0)
 infl = linmod.vif(x, 0)
 print(f"AVP slope = {res['slope']:+.4f} "
       f"(= joint-model coefficient {fit.coef[1]:+.4f})")

@@ -200,11 +200,10 @@ def _grouped(table, group_col, value_cols):
     labels = table.categorical(group_col)
     mat = np.column_stack([table.numeric(c) for c in value_cols])
     by = {}
-    for lab, row in zip(labels, mat):
-        by.setdefault(lab, []).append(row)
-    return st.GroupedSample({lab: st.Sample(np.array(rows),
-                                            tuple(value_cols))
-                             for lab, rows in sorted(by.items())})
+    for i, lab in enumerate(labels):
+        by.setdefault(lab, []).append(i)
+    return st.GroupedSample({lab: st.Sample(mat[idx], tuple(value_cols))
+                             for lab, idx in sorted(by.items())})
 
 
 def _design_response(table, args):
@@ -326,7 +325,7 @@ def cmd_avp(args):
         "vif_geometric": infl["geometric"],
     }
     scene = render.build_avp_marginal_overlay(
-        x, y, k, names=(args.k, args.response),
+        x, y, k, res, names=(args.k, args.response),
         title=f"added-variable: {args.k}")
     _emit(args, payload, scene)
     return 0

@@ -494,9 +494,7 @@ def estimate_g_moments(spec):
     dev = betas - betas.mean(axis=0)
     raw = dev.T @ dev / (betas.shape[0] - 1)
     raw -= sum(e["s_mat"] for e in blues["estimates"]) / betas.shape[0]
-    dec = nk.sym_eig(0.5 * (raw + raw.T))
-    lam = np.clip(dec.eigvals, 0.0, None)
-    return (dec.eigvecs * lam) @ dec.eigvecs.T
+    return nk.clip_psd(raw)
 
 
 # ------------------------------------------------------------------ meta
@@ -588,6 +586,4 @@ def estimate_delta_mom(studies):
     g = len(studies)
     dev = ys - ys.mean(axis=0)
     raw = dev.T @ dev / (g - 1) - sum(s.s_mat for s in studies) / g
-    dec = nk.sym_eig(0.5 * (raw + raw.T))
-    lam = np.clip(dec.eigvals, 0.0, None)
-    return (dec.eigvecs * lam) @ dec.eigvecs.T
+    return nk.clip_psd(raw)

@@ -146,6 +146,14 @@ def psd_eigvals(w):
     return np.clip(dec.eigvals, 0.0, None), dec.eigvecs
 
 
+def clip_psd(w):
+    """The symmetric part of w with its negative eigenvalues set to zero."""
+    a = as_matrix(w)
+    dec = sym_eig(0.5 * (a + a.T))
+    lam = np.clip(dec.eigvals, 0.0, None)
+    return (dec.eigvecs * lam) @ dec.eigvecs.T
+
+
 def gen_eig(h, e):
     """Generalized symmetric-definite eigenproblem det(H - lam E) = 0.
 

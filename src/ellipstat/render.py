@@ -2,7 +2,10 @@
 # primitives (ellipses, points, polylines, arrows, text, axes) plus a
 # viewport; rendering applies one affine data-to-pixel transform (y
 # flipped) and writes plain SVG 1.1 text. Identical input produces
-# byte-identical output.
+# byte-identical output. Coordinates are transformed and formatted a
+# column at a time, per layer (all the arrows of a scene at once), with
+# the same float operations and the same per-number rule (_fmt) as one
+# element at a time, so the output is unchanged.
 
 import math
 from dataclasses import dataclass
@@ -107,6 +110,14 @@ def _fmt(v):
     return "0.0000" if s == "-0.0000" else s
 
 
+def _fmt_all(values):
+    """_fmt of every element of a float array, in row-major order."""
+    toks = [f"{v:.4f}" for v in np.ravel(values).tolist()]
+    if "-0.0000" in toks:
+        toks = ["0.0000" if s == "-0.0000" else s for s in toks]
+    return toks
+
+
 def _escape(text):
     return (str(text).replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;"))
@@ -123,24 +134,35 @@ def ellipse_path(e, n=64):
     return e.center + (circle * e.radii) @ e.frame.T
 
 
-def _layer_bounds(layer):
-    if isinstance(layer, EllipseLayer):
-        pts = ellipse_path(layer.ellipse, 32)
-    elif isinstance(layer, (PointsLayer, PolylineLayer)):
-        pts = np.asarray(layer.points, dtype=float)
-    elif isinstance(layer, ArrowLayer):
-        pts = np.array([layer.tail, layer.head], dtype=float)
-    elif isinstance(layer, TextLayer):
-        pts = np.array([layer.pos], dtype=float)
-    else:
-        return None
+def _arrow_ends(layers):
+    """The ArrowLayers of layers, in order, and their ends as one array:
+    tail, head, tail, head, ..."""
+    arrows = [layer for layer in layers if isinstance(layer, ArrowLayer)]
+    if not arrows:
+        return arrows, np.empty((0, 2))
+    ends = np.array([(a.tail, a.head) for a in arrows], dtype=float)
+    return arrows, ends.reshape(2 * len(arrows), -1)
+
+
+def _bounds(pts):
     if pts.size == 0:
         return None
     return (pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max())
 
 
-def _auto_viewport(layers):
-    bounds = [b for b in (_layer_bounds(l) for l in layers) if b is not None]
+def _layer_bounds(layer):
+    if isinstance(layer, EllipseLayer):
+        return _bounds(ellipse_path(layer.ellipse, 32))
+    if isinstance(layer, (PointsLayer, PolylineLayer)):
+        return _bounds(np.asarray(layer.points, dtype=float))
+    if isinstance(layer, TextLayer):
+        return _bounds(np.array([layer.pos], dtype=float))
+    return None                 # axes; arrows are bounded all at once
+
+
+def _auto_viewport(layers, arrow_ends):
+    bounds = [_layer_bounds(l) for l in layers] + [_bounds(arrow_ends)]
+    bounds = [b for b in bounds if b is not None]
     if not bounds:
         return (0.0, 1.0, 0.0, 1.0)
     xmin = min(b[0] for b in bounds)
@@ -180,7 +202,11 @@ MARGIN = {"left": 54.0, "right": 16.0, "top": 28.0, "bottom": 44.0}
 
 
 def scene_transform(scene):
-    viewport = scene.viewport or _auto_viewport(scene.layers)
+    return _scene_transform(scene, _arrow_ends(scene.layers)[1])
+
+
+def _scene_transform(scene, arrow_ends):
+    viewport = scene.viewport or _auto_viewport(scene.layers, arrow_ends)
     xmin, xmax, ymin, ymax = (float(v) for v in viewport)
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"viewport has no area: {viewport}")
@@ -268,50 +294,73 @@ def _render_axis(layer, tr, viewport, out):
 
 
 def _polyline_svg(pts_px, style, closed):
-    coords = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in pts_px)
+    it = iter(_fmt_all(pts_px))
+    coords = " ".join(map(",".join, zip(it, it)))
     tag = "polygon" if closed else "polyline"
     return f'<{tag} points="{coords}" {style.svg()}/>'
 
 
+def _filled(style):
+    """The stroke colour as a fill: the style of dots and arrow tips."""
+    return Style(stroke="none", fill=style.stroke, opacity=style.opacity)
+
+
 def _render_points(layer, tr, out):
-    pts = tr.to_pixel(layer.points)
     r = layer.size
-    for p in pts:
-        if layer.marker == "square":
-            out.append(f'<rect x="{_fmt(p[0] - r)}" y="{_fmt(p[1] - r)}" '
-                       f'width="{_fmt(2 * r)}" height="{_fmt(2 * r)}" '
-                       f'{layer.style.svg()}/>')
-        elif layer.marker == "dot":
-            st_ = Style(stroke="none", fill=layer.style.stroke,
-                        opacity=layer.style.opacity)
-            out.append(f'<circle cx="{_fmt(p[0])}" cy="{_fmt(p[1])}" '
-                       f'r="{_fmt(r)}" {st_.svg()}/>')
-        else:
-            out.append(f'<circle cx="{_fmt(p[0])}" cy="{_fmt(p[1])}" '
-                       f'r="{_fmt(r)}" {layer.style.svg()}/>')
+    pts = tr.to_pixel(layer.points)
+    if layer.marker == "square":
+        toks = _fmt_all(pts - r)
+        rest = (f'" width="{_fmt(2 * r)}" height="{_fmt(2 * r)}" '
+                f'{layer.style.svg()}/>')
+        out.extend([f'<rect x="{x}" y="{y}{rest}'
+                    for x, y in zip(toks[0::2], toks[1::2])])
+        return
+    style = _filled(layer.style) if layer.marker == "dot" else layer.style
+    toks = _fmt_all(pts)
+    rest = f'" r="{_fmt(r)}" {style.svg()}/>'
+    out.extend([f'<circle cx="{x}" cy="{y}{rest}'
+                for x, y in zip(toks[0::2], toks[1::2])])
 
 
-def _render_arrow(layer, tr, out):
-    tail, head = tr.to_pixel([layer.tail, layer.head])
-    out.append(f'<line x1="{_fmt(tail[0])}" y1="{_fmt(tail[1])}" '
-               f'x2="{_fmt(head[0])}" y2="{_fmt(head[1])}" '
-               f'{layer.style.svg()}/>')
+def _render_arrows(arrows, ends, tr):
+    """The SVG of each arrow: its shaft, then its tip unless it is shorter
+    than 1e-9 px. Elementwise the same float operations as one arrow at a
+    time."""
+    px = tr.to_pixel(ends)
+    tail, head = px[0::2], px[1::2]
     d = head - tail
-    nrm = float(np.hypot(*d))
-    if nrm > 1e-9:
-        u = d / nrm
-        left = head - 7.0 * u + 3.5 * np.array([-u[1], u[0]])
-        right = head - 7.0 * u - 3.5 * np.array([-u[1], u[0]])
-        tip = Style(stroke="none", fill=layer.style.stroke,
-                    opacity=layer.style.opacity)
-        pts = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}"
-                       for p in (head, left, right))
-        out.append(f'<polygon points="{pts}" {tip.svg()}/>')
+    nrm = np.hypot(d[:, 0], d[:, 1])
+    has_tip = nrm > 1e-9
+    u = d[has_tip] / nrm[has_tip, None]
+    normal = 3.5 * np.column_stack([-u[:, 1], u[:, 0]])
+    back = head[has_tip] - 7.0 * u
+    it = iter(_fmt_all(np.column_stack([back + normal, back - normal])))
+    xy = map(",".join, zip(it, it))
+    barbs = map(" ".join, zip(xy, xy))          # left, right
+    svgs = {}                                   # id(style) -> shaft, tip
+    for arrow in arrows:
+        if id(arrow.style) not in svgs:
+            svgs[id(arrow.style)] = (arrow.style.svg(),
+                                     _filled(arrow.style).svg())
+    elements = []
+    it = iter(_fmt_all(px))
+    for arrow, x1, y1, x2, y2, tip in zip(arrows, it, it, it, it,
+                                          has_tip.tolist()):
+        shaft_svg, tip_svg = svgs[id(arrow.style)]
+        element = (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                   f'{shaft_svg}/>')
+        if tip:
+            element += (f'\n<polygon points="{x2},{y2} {next(barbs)}" '
+                        f'{tip_svg}/>')
+        elements.append(element)
+    return elements
 
 
 def render_scene(scene):
     """Render a scene to SVG 1.1 text (pure function of its input)."""
-    tr, viewport = scene_transform(scene)
+    arrows, ends = _arrow_ends(scene.layers)
+    tr, viewport = _scene_transform(scene, ends)
+    arrow_svg = iter(_render_arrows(arrows, ends, tr))
     w, h = scene.size
     out = ['<?xml version="1.0" encoding="UTF-8" standalone="no"?>',
            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -337,7 +386,7 @@ def render_scene(scene):
         elif isinstance(layer, PointsLayer):
             _render_points(layer, tr, out)
         elif isinstance(layer, ArrowLayer):
-            _render_arrow(layer, tr, out)
+            out.append(next(arrow_svg))
         elif isinstance(layer, TextLayer):
             p = tr.to_pixel([layer.pos])[0]
             out.append(f'<text x="{_fmt(p[0])}" y="{_fmt(p[1])}" '
@@ -579,10 +628,9 @@ def build_meta_panel(studies, pooled, level=0.40, blups=None, delta=None,
     c2 = dist.chi2_quantile(level, 2)
     layers = [AxisLayer(label_x=names[0], label_y=names[1])]
     pts = np.array([s.y for s in studies])
+    study = Style(stroke=PALETTE["h"], width=1.0, dash="5,3")
     for s in studies:
-        layers.append(EllipseLayer(ge.from_moment(c2 * s.s_mat, s.y),
-                                   Style(stroke=PALETTE["h"], width=1.0,
-                                         dash="5,3")))
+        layers.append(EllipseLayer(ge.from_moment(c2 * s.s_mat, s.y), study))
     layers.append(PointsLayer(pts, Style(stroke=PALETTE["h"]),
                               marker="dot", size=2.5))
     for s in studies:
@@ -601,14 +649,12 @@ def build_meta_panel(studies, pooled, level=0.40, blups=None, delta=None,
                                    Style(stroke=PALETTE["accent"],
                                          width=1.4, dash="2,3")))
     if blups is not None:
+        arrow = Style(stroke=PALETTE["muted"], width=0.9)
+        shrunk = Style(stroke=PALETTE["h"], width=1.0)
         for s, b in zip(studies, blups):
-            layers.append(ArrowLayer(tuple(s.y), tuple(b["beta"]),
-                                     Style(stroke=PALETTE["muted"],
-                                           width=0.9)))
+            layers.append(ArrowLayer(tuple(s.y), tuple(b["beta"]), arrow))
             layers.append(EllipseLayer(ge.from_moment(c2 * b["cov"],
-                                                      b["beta"]),
-                                       Style(stroke=PALETTE["h"],
-                                             width=1.0)))
+                                                      b["beta"]), shrunk))
     return Scene(layers=layers, title=title)
 
 
@@ -629,30 +675,29 @@ def build_avp_panel(avpres, level=0.50, names=("x | others", "y | others"),
     return Scene(layers=layers, title=title)
 
 
-def build_avp_marginal_overlay(x, y, k, level=0.50, names=None, title=""):
+def build_avp_marginal_overlay(x, y, k, avpres, level=0.50, names=None,
+                               title=""):
     """Added-variable view with the mean-centered marginal view overlaid.
 
-    Open circles are the centered marginal points, filled dots the
-    residual points, with arrows joining each pair; both coverage
-    ellipses are drawn.
+    avpres is the linmod.avp result for predictor k of x. Open circles
+    are the centered marginal points, filled dots the residual points,
+    with arrows joining each pair; both coverage ellipses are drawn.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    res = linmod.avp(x, y, k)
     if names is None:
         names = (f"x{k + 1}", "y")
     marg = np.column_stack([x[:, k] - x[:, k].mean(), y - y.mean()])
-    cond = np.column_stack([res["x_star"], res["y_star"]])
+    cond = np.column_stack([avpres["x_star"], avpres["y_star"]])
     ell_m = st.data_ellipsoid(st.Sample(marg, names),
                               st.CoverageSpec.chisq(level))
     ell_c = st.data_ellipsoid(st.Sample(cond, names),
                               st.CoverageSpec.chisq(level))
     layers = [AxisLayer(label_x=names[0] + " (centered | residual)",
                         label_y=names[1])]
-    for a, b in zip(marg, cond):
-        layers.append(ArrowLayer(tuple(a), tuple(b),
-                                 Style(stroke=PALETTE["muted"],
-                                       width=0.7)))
+    arrow = Style(stroke=PALETTE["muted"], width=0.7)
+    layers.extend(ArrowLayer(tuple(a), tuple(b), arrow)
+                  for a, b in zip(marg.tolist(), cond.tolist()))
     layers.append(PointsLayer(marg, Style(stroke=PALETTE["e"], width=0.8),
                               marker="circle", size=2.2))
     layers.append(PointsLayer(cond, Style(stroke=PALETTE["h"]),
@@ -668,8 +713,8 @@ def build_avp_marginal_overlay(x, y, k, level=0.50, names=None, title=""):
         np.array([[-span, -span * slope_m], [span, span * slope_m]]),
         Style(stroke=PALETTE["e"], width=1.2, dash="5,3")))
     layers.append(PolylineLayer(
-        np.array([[-span, -span * res["slope"]],
-                  [span, span * res["slope"]]]),
+        np.array([[-span, -span * avpres["slope"]],
+                  [span, span * avpres["slope"]]]),
         Style(stroke=PALETTE["h"], width=1.2)))
     return Scene(layers=layers, title=title)
 

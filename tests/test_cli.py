@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellipstat import cli, datasets, mlm
+from ellipstat import cli, datasets, linmod, mlm
 
 
 def run_cli(argv):
@@ -439,6 +439,43 @@ def test_canonical_computed_once(tmp_path, monkeypatch):
                     "--svg", str(tmp_path / "c.svg")]) == 0
     assert len(calls) == 1
     assert (tmp_path / "c.svg").read_text().startswith("<?xml")
+
+
+def test_avp_fitted_once(tmp_path, monkeypatch):
+    calls = []
+    avp = linmod.avp
+
+    def counting_avp(x, y, k):
+        calls.append(1)
+        return avp(x, y, k)
+    monkeypatch.setattr(linmod, "avp", counting_avp)
+    assert run_cli(["avp", "--data", "synthetic-coffee", "--response",
+                    "Heart", "--k", "Coffee", "--json",
+                    str(tmp_path / "a.json"), "--svg",
+                    str(tmp_path / "a.svg")]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "a.svg").read_text().count("<line") > 20
+
+
+def test_grouped_matches_row_by_row_grouping():
+    rng = np.random.default_rng(5)
+    labels = [f"g{k}" for k in rng.integers(0, 4, 60)] + ["b", "a", "b", "a"]
+    vals = rng.standard_normal((len(labels), 3))
+    text = "grp,u,v,w\n" + "".join(
+        f"{lab},{a!r},{b!r},{c!r}\n"
+        for lab, (a, b, c) in zip(labels, vals.tolist()))
+    table = cli._parse_table(text, "test")
+    gs = cli._grouped(table, "grp", ["w", "u"])
+    # reference: one list of rows per label, labels sorted
+    mat = np.column_stack([table.numeric("w"), table.numeric("u")])
+    by = {}
+    for lab, row in zip(labels, mat):
+        by.setdefault(lab, []).append(row)
+    assert list(gs.samples) == sorted(by)
+    for lab, rows in by.items():
+        got = gs.samples[lab]
+        assert got.names == ("w", "u")
+        assert np.array_equal(got.data, np.array(rows))
 
 
 def test_betaspace_synthetic_coffee(tmp_path):

@@ -153,3 +153,26 @@ def test_svd_singulars_equal_eigvals_for_psd():
         m = random_pd(rng, p)
         assert nk.svd(m).singulars == pytest.approx(
             nk.sym_eig(m).eigvals, rel=1e-9)
+
+
+def test_clip_psd():
+    # PSD input comes back unchanged, up to rounding
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert nk.clip_psd(a) == pytest.approx(a, abs=1e-14)
+    # an indefinite matrix loses its negative eigenvalue
+    q = np.array([[0.6, -0.8], [0.8, 0.6]])
+    w = q @ np.diag([3.0, -2.0]) @ q.T
+    clipped = nk.clip_psd(w)
+    assert clipped == pytest.approx(3.0 * np.outer(q[:, 0], q[:, 0]),
+                                    abs=1e-14)
+    assert np.linalg.eigvalsh(clipped).min() >= -1e-15
+    # the symmetric part of a slightly asymmetric input, the same float
+    # operations as the inline copies it replaced
+    rng = np.random.default_rng(4)
+    raw = rng.standard_normal((3, 3))
+    raw = raw @ raw.T - 1.5 * np.eye(3)
+    raw[0, 1] += 1e-15
+    dec = nk.sym_eig(0.5 * (raw + raw.T))
+    lam = np.clip(dec.eigvals, 0.0, None)
+    assert np.array_equal(nk.clip_psd(raw),
+                          (dec.eigvecs * lam) @ dec.eigvecs.T)
