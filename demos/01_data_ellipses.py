@@ -41,9 +41,11 @@ lo, hi = st.univariate_shadow(ell, np.array([1.0, 0.0]))
 print(f"radius-1 shadow on the parent axis: half-width "
       f"{(hi - lo) / 2:.3f} (= sd)")
 
-scene = render.figure("data_ellipse_panel", sample,
-                      levels=(0.40, 0.68, 0.95),
-                      title="Galton heights with 40/68/95% data ellipses")
+ellipses = [st.data_ellipsoid(sample, st.CoverageSpec.chisq(level))
+            for level in (0.40, 0.68, 0.95)]
+scene = render.build_data_ellipse_panel(
+    sample, mean, cov, ellipses,
+    title="Galton heights with 40/68/95% data ellipses")
 path = os.path.join(OUT, "galton_data_ellipses.svg")
 with open(path, "w") as f:
     f.write(render.render_scene(scene))

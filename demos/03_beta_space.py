@@ -15,6 +15,7 @@ import os
 import numpy as np
 
 from ellipstat import datasets, linmod, render
+from ellipstat import statellipse as st
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -31,22 +32,33 @@ fit = linmod.ols_fit(x, heart, names=["intercept", "Coffee", "Stress"])
 print(f"marginal slopes: coffee {marg_c:+.3f}, stress {marg_s:+.3f}")
 print(f"joint model:     coffee {fit.coef[1]:+.3f}, "
       f"stress {fit.coef[2]:+.3f}")
+cis = []
 for j, name in ((1, "Coffee"), (2, "Stress")):
     c = np.zeros(3)
     c[j] = 1.0
     lo, hi = linmod.shadow_interval(fit, c, linmod.ConfidenceSpec("ci"))
+    cis.append((lo, hi))
     verdict = "excludes" if lo > 0 or hi < 0 else "covers"
     print(f"  95% CI for {name}: [{lo:+.3f}, {hi:+.3f}] ({verdict} 0)")
 
-scene = render.figure("beta_space_panel", fit, [1, 2],
-                      title="joint 95% (green) and CI (red) ellipses")
+joint = linmod.confidence_ellipsoid(fit, [1, 2])
+ci = linmod.confidence_ellipsoid(fit, [1, 2], linmod.ConfidenceSpec("ci"))
+scene = render.build_beta_space_panel(
+    joint, ci, cis, ("Coffee", "Stress"),
+    title="joint 95% (green) and CI (red) ellipses")
 with open(os.path.join(OUT, "coffee_beta_space.svg"), "w") as f:
     f.write(render.render_scene(scene))
 
 res = linmod.avp(x, heart, 0)
-scene = render.figure("avp_marginal_overlay", x, heart, 0, res,
-                      names=("Coffee", "Heart"),
-                      title="added-variable vs marginal view of Coffee")
+marg = np.column_stack([coffee - coffee.mean(), heart - heart.mean()])
+cond = np.column_stack([res["x_star"], res["y_star"]])
+half = st.CoverageSpec.chisq(0.50)
+slope_m = float(np.cov(marg.T, ddof=1)[0, 1] / np.var(marg[:, 0], ddof=1))
+scene = render.build_avp_marginal_overlay(
+    marg, cond, st.data_ellipsoid(st.Sample(marg), half),
+    st.data_ellipsoid(st.Sample(cond), half), slope_m, res["slope"],
+    names=("Coffee", "Heart"),
+    title="added-variable vs marginal view of Coffee")
 with open(os.path.join(OUT, "coffee_avp_overlay.svg"), "w") as f:
     f.write(render.render_scene(scene))
 

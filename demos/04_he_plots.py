@@ -33,10 +33,11 @@ print(f"Roy critical value at 0.05: {crit:.4f}; protrusion ratio "
       f"{res.roy / crit:.1f} (H sticks far outside E)")
 
 _, means, _ = st.group_means(gs)
-scene = render.figure("he_plot", h, e, fit.df_e, gs.g - 1, fit.y_mean,
-                      coords=(0, 2), names=(gs.names[0], gs.names[2]),
-                      means=means, labels=labels,
-                      title="iris HE plot (Roy significance scaling)")
+ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=(0, 2),
+                               center=fit.y_mean, df_h=gs.g - 1)
+scene = render.build_he_plot(ell_h, ell_e, names=(gs.names[0], gs.names[2]),
+                             means=means[:, [0, 2]], labels=labels,
+                             title="iris HE plot (Roy significance scaling)")
 with open(os.path.join(OUT, "iris_he.svg"), "w") as f:
     f.write(render.render_scene(scene))
 
@@ -53,13 +54,15 @@ print(f"canonical percents: {np.round(can.percent, 2)}")
 print("structure coefficients (responses vs canonical scores):")
 for name, row in zip(gs.names, can.structure):
     print(f"  {name:12s} {row[0]:+.3f} {row[1]:+.3f}")
-scene = render.figure("canonical_he", gs, can,
-                      title="iris in canonical space")
+ell_h, ell_e = mlm.canonical_he_ellipses(gs, can)
+scene = render.build_canonical_he(ell_h, ell_e, can, gs.names,
+                                  title="iris in canonical space")
 with open(os.path.join(OUT, "iris_canonical.svg"), "w") as f:
     f.write(render.render_scene(scene))
 
-scene = render.figure("scatterplot_matrix", gs,
-                      title="iris pairwise 68% ellipses by species")
+scene = render.build_scatterplot_matrix(
+    gs, st.pairwise_data_ellipsoids(gs, st.CoverageSpec.chisq(0.68)),
+    title="iris pairwise 68% ellipses by species")
 with open(os.path.join(OUT, "iris_pairs.svg"), "w") as f:
     f.write(render.render_scene(scene))
 print("wrote", OUT)

@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from ellipstat import datasets, kissing as ki, render
+from ellipstat import distributions as dist
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -31,8 +32,8 @@ kisses = [ki.osculation_point(f1, f2, r1, locus=locus) for r1 in (2.0, 3.0)]
 for r1, (pt, r2) in zip((2.0, 3.0), kisses):
     print(f"  level {r1:.1f} of family 1 kisses level {r2:.3f} of "
           f"family 2 at ({pt[0]:+.3f}, {pt[1]:+.3f})")
-scene = render.figure("kiss_locus", f1, f2, bbox, locus=locus, kisses=kisses,
-                      title="locus of osculation")
+scene = render.build_kiss_locus(f1, f2, bbox, locus=locus, kisses=kisses,
+                                title="locus of osculation")
 with open(os.path.join(OUT, "kiss_locus.svg"), "w") as f:
     f.write(render.render_scene(scene))
 
@@ -47,8 +48,9 @@ for t in trace:
     r = t["result"]
     print(f"  k = {t['k']:5.3f}  |beta| = {np.linalg.norm(r.beta):7.3f}  "
           f"gen.var = {np.linalg.det(r.cov):.3e}")
-scene = render.figure("ridge_trace", trace, names=("GNP", "Unemployed"),
-                      title="bivariate ridge trace (half-radius ellipses)")
+scene = render.build_ridge_trace(
+    trace, names=("GNP", "Unemployed"),
+    title="bivariate ridge trace (half-radius ellipses)")
 with open(os.path.join(OUT, "ridge_trace.svg"), "w") as f:
     f.write(render.render_scene(scene))
 
@@ -74,9 +76,10 @@ print(f"fixed-effect pool:  ({fixed['beta'][0]:+.3f}, "
 print(f"random-effect pool: ({re['beta'][0]:+.3f}, {re['beta'][1]:+.3f}) "
       f"with between-study corr "
       f"{delta[0, 1] / np.sqrt(delta[0, 0] * delta[1, 1]):.2f}")
-scene = render.figure("meta_panel", studies, re, blups=blups, delta=delta,
-                      names=("PD effect", "AL effect"),
-                      title="random-effects meta-analysis with BLUPs")
+scene = render.build_meta_panel(
+    studies, re, dist.chi2_quantile(0.40, 2), blups=blups, delta=delta,
+    names=("PD effect", "AL effect"),
+    title="random-effects meta-analysis with BLUPs")
 with open(os.path.join(OUT, "meta_random.svg"), "w") as f:
     f.write(render.render_scene(scene))
 

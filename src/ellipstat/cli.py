@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datasets, gellipsoid as ge, kissing, linmod, mlm, render
+from . import distributions as dist
 from . import statellipse as st
 from . import numkernel as nk
 
@@ -243,8 +244,11 @@ def cmd_data_ellipse(args):
         "shadow_y": sh_y,
         "area": ge.volume(ell),
     }
+    ellipses = [ell if level == args.level
+                else st.data_ellipsoid(sample, st.CoverageSpec.chisq(level))
+                for level in sorted({0.40, 0.68, args.level})]
     scene = render.build_data_ellipse_panel(
-        sample, levels=tuple(sorted({0.40, 0.68, args.level})),
+        sample, mean, cov, ellipses,
         title=f"data ellipses: {names[0]} vs {names[1]}")
     _emit(args, payload, scene)
     return 0
@@ -271,8 +275,11 @@ def cmd_betaspace(args):
               if args.coords else [1, 2])
     if len(coords) != 2:
         raise InputError("--coords needs exactly two coefficient names")
+    names = [fit.names[c] for c in coords]
     joint = linmod.confidence_ellipsoid(
         fit, coords, linmod.ConfidenceSpec("joint", args.alpha, d=2))
+    ci = linmod.confidence_ellipsoid(
+        fit, coords, linmod.ConfidenceSpec("ci", args.alpha))
     ci_ival = {}
     scheffe = {}
     for c in coords:
@@ -290,14 +297,14 @@ def cmd_betaspace(args):
         "se": dict(zip(fit.names, fit.se())),
         "df": fit.df,
         "s2": fit.s2,
-        "coords": [fit.names[c] for c in coords],
+        "coords": names,
         "joint_ellipse": _ellipsoid_payload(joint),
         "ci_intervals": ci_ival,
         "scheffe_intervals": scheffe,
         "joint_test_rejects_zero": not inside,
     }
     scene = render.build_beta_space_panel(
-        fit, coords, alpha=args.alpha,
+        joint, ci, [ci_ival[name] for name in names], names,
         title=f"coefficient space: {args.response}")
     _emit(args, payload, scene)
     return 0
@@ -324,8 +331,16 @@ def cmd_avp(args):
         "vif_algebraic": infl["algebraic"],
         "vif_geometric": infl["geometric"],
     }
+    names = (args.k, args.response)
+    marg = np.column_stack([x[:, k] - x[:, k].mean(), y - y.mean()])
+    cond = np.column_stack([res["x_star"], res["y_star"]])
+    spec = st.CoverageSpec.chisq(0.50)
+    slope_m = float(np.cov(marg.T, ddof=1)[0, 1] / np.var(marg[:, 0],
+                                                          ddof=1))
     scene = render.build_avp_marginal_overlay(
-        x, y, k, res, names=(args.k, args.response),
+        marg, cond, st.data_ellipsoid(st.Sample(marg, names), spec),
+        st.data_ellipsoid(st.Sample(cond, names), spec), slope_m,
+        res["slope"], names=names,
         title=f"added-variable: {args.k}")
     _emit(args, payload, scene)
     return 0
@@ -382,11 +397,13 @@ def cmd_heplot(args):
     }
     coords = ([names.index(c) for c in _columns_arg(args.coords)]
               if args.coords else [0, 1])
+    ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=coords,
+                                   center=fit.y_mean, scaling=args.scaling,
+                                   alpha=args.alpha, df_h=gs.g - 1)
     _, means, _ = st.group_means(gs)
     scene = render.build_he_plot(
-        h, e, fit.df_e, gs.g - 1, fit.y_mean, coords=tuple(coords),
-        names=(names[coords[0]], names[coords[1]]), alpha=args.alpha,
-        scaling=args.scaling, means=means, labels=labels,
+        ell_h, ell_e, names=(names[coords[0]], names[coords[1]]),
+        means=means[:, coords], labels=labels,
         title=f"HE plot ({args.scaling} scaling)")
     _emit(args, payload, scene)
     return 0
@@ -439,7 +456,9 @@ def cmd_canonical(args):
     }
     scene = None
     if can.scores.shape[1] >= 2:
-        scene = render.build_canonical_he(gs, can, title="canonical HE plot")
+        ell_h, ell_e = mlm.canonical_he_ellipses(gs, can)
+        scene = render.build_canonical_he(ell_h, ell_e, can, gs.names,
+                                          title="canonical HE plot")
     _emit(args, payload, scene)
     return 0
 
@@ -590,16 +609,16 @@ def cmd_blup(args):
         design = np.column_stack([np.ones(len(arr)), arr[:, 0]])
         clusters.append(kissing.Cluster(design, arr[:, 1]))
         names.append(lab)
-    spec0 = kissing.MixedSpec(clusters, np.zeros((2, 2)))
+    if args.g_diag and len(args.g_diag) != 2:
+        raise InputError("--g-diag needs two entries")
+    blues = kissing.cluster_blues(
+        kissing.MixedSpec(clusters, np.zeros((2, 2))))
     if args.g_diag:
-        if len(args.g_diag) != 2:
-            raise InputError("--g-diag needs two entries")
         g_mat = np.diag(args.g_diag)
     else:
-        g_mat = kissing.estimate_g_moments(spec0)
-    spec = kissing.MixedSpec(clusters, g_mat)
-    gls = kissing.gls_fixed(spec)
-    blues = kissing.cluster_blues(spec)
+        g_mat = kissing.estimate_g_moments(blues)
+    gls = kissing.gls_fixed(
+        kissing.MixedSpec(clusters, g_mat, sigma2=blues["sigma2"]))
     blups = [kissing.blup(e["beta"], e["s_mat"], gls["beta"], g_mat)
              for e in blues["estimates"]]
     bb = np.array([e["beta"] for e in blues["estimates"]])
@@ -651,11 +670,12 @@ def cmd_meta(args):
         "beta_fixed": fixed["beta"],
         "cov_fixed": fixed["cov"],
     }
+    c2 = dist.chi2_quantile(0.40, 2)    # 40% coverage: radius ~1 ellipses
     scene = None
     if args.model == "fixed":
         payload["beta"] = fixed["beta"]
         payload["cov"] = fixed["cov"]
-        scene = render.build_meta_panel(studies, fixed,
+        scene = render.build_meta_panel(studies, fixed, c2,
                                         names=("PD effect", "AL effect"),
                                         title="fixed-effect pooling")
     else:
@@ -675,7 +695,7 @@ def cmd_meta(args):
             "blups": [{"label": b["label"], "beta": b["beta"],
                        "cov": b["cov"]} for b in blups],
         })
-        scene = render.build_meta_panel(studies, re, blups=blups,
+        scene = render.build_meta_panel(studies, re, c2, blups=blups,
                                         delta=delta,
                                         names=("PD effect", "AL effect"),
                                         title="random-effects pooling")

@@ -8,8 +8,6 @@
 # rest of the package's, and most subcommands never compute a quantile.
 # The first quantile or tail probability in a process pays it once.
 
-import math
-
 
 def chi2_quantile(level, df):
     """x with P(chi2_df <= x) = level."""
@@ -45,11 +43,3 @@ def f_sf(x, d1, d2):
     z = d2 / (d1 * x + d2)
     return float(special.betainc(d2 / 2.0, d1 / 2.0, z))
 
-
-def norm_cdf(x):
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def norm_coverage(k):
-    """Two-sided normal coverage of mean +/- k standard deviations."""
-    return 2.0 * norm_cdf(k) - 1.0

@@ -430,7 +430,10 @@ class MixedSpec:
 
 def gls_fixed(spec):
     """Mixed-model GLS fixed effects with V_i = Z_i G Z_i' + R_i."""
-    s2 = spec.error_variance() if spec.r_mats is None else None
+    s2 = None
+    if spec.r_mats is None:     # R_i = sigma^2 I, sigma^2 given or estimated
+        s2 = (spec.error_variance() if spec.sigma2 is None
+              else float(spec.sigma2))
     a = None
     b = None
     for i, c in enumerate(spec.clusters):
@@ -484,10 +487,9 @@ def blup(beta_blue, s_mat, beta_gls, g_mat):
     return {"beta": beta, "cov": 0.5 * (w + w.T)}
 
 
-def estimate_g_moments(spec):
-    """Moment-matching G: covariance of the BLUEs minus their average S_i,
-    eigen-clipped to PSD."""
-    blues = cluster_blues(spec)
+def estimate_g_moments(blues):
+    """Moment-matching G from a cluster_blues result: covariance of the
+    BLUEs minus their average S_i, eigen-clipped to PSD."""
     betas = np.array([e["beta"] for e in blues["estimates"]])
     if betas.shape[0] < 2:
         raise ValueError("need at least two full-rank clusters")

@@ -334,6 +334,22 @@ def canonical(gs):
                            df_e=fit.df_e)
 
 
+def canonical_he_ellipses(gs, can, level=0.68):
+    """Effect-scaled H and E ellipses of the first two canonical scores.
+
+    can is the canonical result of gs; the scores are refitted on the
+    one-way design of gs and the overall hypothesis tested on them.
+    """
+    if can.scores.shape[1] < 2:
+        raise ValueError("need at least two canonical dimensions")
+    x, _, _ = manova_design(gs)
+    fit_z = mlm_fit(x, can.scores, names=("can1", "can2"))
+    hyp = overall_hypothesis(gs.g)
+    h_z, e_z = hypothesis_matrices(fit_z, hyp)
+    return he_ellipses(h_z, e_z, fit_z.df_e, coords=(0, 1),
+                       center=fit_z.y_mean, scaling="effect", level=level)
+
+
 def mtest_geometry(lam1, lam2):
     """Edge lengths of the canonical (H+E) ellipse and the Pillai identity.
 

@@ -5,18 +5,16 @@
 # byte-identical output. Coordinates are transformed and formatted a
 # column at a time, per layer (all the arrows of a scene at once), with
 # the same float operations and the same per-number rule (_fmt) as one
-# element at a time, so the output is unchanged.
+# element at a time, so the output is unchanged. The scene builders draw
+# the ellipsoids, intervals and quantiles they are given and compute no
+# statistics; gellipsoid is the only package module imported here.
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import distributions as dist
 from . import gellipsoid as ge
-from . import linmod
-from . import mlm as mlm_mod
-from . import statellipse as st
 
 # Default palette: hypothesis ellipses red, error ellipses blue (the HE
 # convention used throughout), groups cycled blue/red/green/....
@@ -409,21 +407,23 @@ def _regression_segment(mean, slope, half_span_x):
                      [x1, mean[1] + slope * (x1 - mean[0])]])
 
 
-def build_data_ellipse_panel(sample, levels=(0.40, 0.68, 0.95), title=""):
-    """Scatter with nested coverage ellipses and both regression lines."""
+def build_data_ellipse_panel(sample, mean, cov, ellipses, title=""):
+    """Scatter with nested coverage ellipses and both regression lines.
+
+    mean and cov are the sample's moments (statellipse.mean_cov) and
+    ellipses its data ellipses by increasing level; the regression
+    segments span the major radius of the last one.
+    """
     if sample.p != 2:
         raise ValueError("data ellipse panels are bivariate")
-    mean, cov = st.mean_cov(sample)
     layers = [AxisLayer(label_x=sample.names[0], label_y=sample.names[1])]
     layers.append(PointsLayer(sample.data,
                               Style(stroke=PALETTE["muted"], width=0.6),
                               marker="circle", size=2.0))
-    for level in sorted(levels):
-        ell = st.data_ellipsoid(sample, st.CoverageSpec.chisq(level))
+    for ell in ellipses:
         layers.append(EllipseLayer(ell, Style(stroke=PALETTE["e"],
                                               width=1.4)))
-    big = st.data_ellipsoid(sample, st.CoverageSpec.chisq(max(levels)))
-    span = big.radii[0]
+    span = ellipses[-1].radii[0]
     b_yx = cov[0, 1] / cov[0, 0]
     b_xy = cov[0, 1] / cov[1, 1]     # x on y, drawn in the same panel
     layers.append(PolylineLayer(_regression_segment(mean, b_yx, span),
@@ -447,11 +447,13 @@ def _cell_map(data_bounds, cell_origin, cell_size):
     return mat, off
 
 
-def build_scatterplot_matrix(gs, level=0.68, show_points=True, title=""):
+def build_scatterplot_matrix(gs, ellipses, show_points=True, title=""):
     """All pairwise panels with per-group coverage ellipses.
 
-    Each cell maps its variable pair into a unit tile of a p x p grid;
-    ellipses ride along through the same affine map.
+    ellipses[(j, i)] lists the groups' ellipses on columns j (x) and i
+    (y), in group order (statellipse.pairwise_data_ellipsoids). Each cell
+    maps its variable pair into a unit tile of a p x p grid; ellipses
+    ride along through the same affine map.
     """
     p = gs.p
     pad = 0.08
@@ -483,16 +485,14 @@ def build_scatterplot_matrix(gs, level=0.68, show_points=True, title=""):
             bounds = (lo[0] - 0.1 * span[0], hi[0] + 0.1 * span[0],
                       lo[1] - 0.1 * span[1], hi[1] + 0.1 * span[1])
             mat, off = _cell_map(bounds, origin, size)
-            for gidx, (lab, samp) in enumerate(gs.samples.items()):
+            for gidx, (samp, ell) in enumerate(zip(gs.samples.values(),
+                                                   ellipses[cols])):
                 color = PALETTE["groups"][gidx % len(PALETTE["groups"])]
-                sub = st.Sample(samp.data[:, cols], (gs.names[cols[0]],
-                                                     gs.names[cols[1]]))
                 if show_points:
-                    pts = sub.data @ mat.T + off
+                    pts = samp.data[:, cols] @ mat.T + off
                     layers.append(PointsLayer(pts, Style(stroke=color,
                                                          width=0.5),
                                               marker="circle", size=1.2))
-                ell = st.data_ellipsoid(sub, st.CoverageSpec.chisq(level))
                 moved = ge.linear_image(ell, mat)
                 moved = ge.GEllipsoid(center=moved.center + off,
                                       frame=moved.frame, radii=moved.radii)
@@ -502,13 +502,10 @@ def build_scatterplot_matrix(gs, level=0.68, show_points=True, title=""):
                  size=(640, 640), title=title)
 
 
-def build_he_plot(h, e, df_e, df_h, center, coords=(0, 1), names=("y1", "y2"),
-                  scaling="significance", alpha=0.05, level=0.68,
-                  means=None, labels=None, title=""):
-    """HE plot: significance- or effect-scaled H ellipse over the E ellipse."""
-    ell_h, ell_e = mlm_mod.he_ellipses(h, e, df_e, coords=coords,
-                                       center=center, scaling=scaling,
-                                       alpha=alpha, df_h=df_h, level=level)
+def build_he_plot(ell_h, ell_e, names=("y1", "y2"), means=None, labels=None,
+                  title=""):
+    """HE plot: the H ellipse over the E ellipse (mlm.he_ellipses), with
+    the group means, given in the plot's two coordinates, as dots."""
     layers = [AxisLayer(label_x=names[0], label_y=names[1]),
               EllipseLayer(ell_e, Style(stroke=PALETTE["e"], width=1.6)),
               EllipseLayer(ell_h, Style(stroke=PALETTE["h"], width=1.6)),
@@ -518,7 +515,7 @@ def build_he_plot(h, e, df_e, df_h, center, coords=(0, 1), names=("y1", "y2"),
                               ell_h.frame[:, 0] * 0.7), "H",
                         Style(stroke="none", fill=PALETTE["h"]), size=12.0)]
     if means is not None:
-        pts = np.asarray(means, dtype=float)[:, list(coords)]
+        pts = np.asarray(means, dtype=float)
         layers.append(PointsLayer(pts, Style(stroke=PALETTE["data"]),
                                   marker="dot", size=2.5))
         if labels is not None:
@@ -529,22 +526,13 @@ def build_he_plot(h, e, df_e, df_h, center, coords=(0, 1), names=("y1", "y2"),
     return Scene(layers=layers, title=title)
 
 
-def build_canonical_he(gs, can, alpha=0.05, level=0.68, vector_scale=None,
+def build_canonical_he(ell_h, ell_e, can, names, vector_scale=None,
                        title=""):
     """HE plot in canonical score space plus structure-coefficient vectors.
 
-    can is the mlm.canonical result of the grouped sample gs.
+    can is an mlm.canonical result, names its response names, and ell_h,
+    ell_e its score-space H and E ellipses (mlm.canonical_he_ellipses).
     """
-    if can.scores.shape[1] < 2:
-        raise ValueError("need at least two canonical dimensions")
-    x, _, _ = mlm_mod.manova_design(gs)
-    fit_z = mlm_mod.mlm_fit(x, can.scores,
-                            names=("can1", "can2"))
-    hyp = mlm_mod.overall_hypothesis(gs.g)
-    h_z, e_z = mlm_mod.hypothesis_matrices(fit_z, hyp)
-    ell_h, ell_e = mlm_mod.he_ellipses(h_z, e_z, fit_z.df_e, coords=(0, 1),
-                                       center=fit_z.y_mean,
-                                       scaling="effect", level=level)
     if vector_scale is None:
         vector_scale = 0.9 * float(ell_h.radii[0])
     layers = [AxisLayer(label_x=f"canonical 1 ({can.percent[0]:.1f}%)",
@@ -558,7 +546,7 @@ def build_canonical_he(gs, can, alpha=0.05, level=0.68, vector_scale=None,
         layers.append(TextLayer((pt[0], pt[1]), str(lab),
                                 Style(stroke="none", fill="#000000"),
                                 size=10.0))
-    for name, row in zip(gs.names, can.structure):
+    for name, row in zip(names, can.structure):
         head = (vector_scale * row[0], vector_scale * row[1])
         layers.append(ArrowLayer((0.0, 0.0), head,
                                  Style(stroke=PALETTE["accent"],
@@ -617,15 +605,16 @@ def build_kiss_locus(f1, f2, bbox, locus, kisses=(), radii1=(1.0, 2.0, 3.0),
     return Scene(layers=layers, viewport=bbox, title=title)
 
 
-def build_meta_panel(studies, pooled, level=0.40, blups=None, delta=None,
+def build_meta_panel(studies, pooled, c2, blups=None, delta=None,
                      names=("effect 1", "effect 2"), title=""):
     """Study estimates with covariance ellipses plus the pooled summary.
 
-    With blups/delta supplied it shows the random-effects view: BLUP
-    points, their covariance ellipses, the between-study ellipse and
-    arrows from each study estimate to its BLUP.
+    Every ellipse is its covariance matrix scaled by c2, the squared
+    radius (a chi-square_2 quantile gives a coverage level). With
+    blups/delta supplied it shows the random-effects view: BLUP points,
+    their covariance ellipses, the between-study ellipse and arrows from
+    each study estimate to its BLUP.
     """
-    c2 = dist.chi2_quantile(level, 2)
     layers = [AxisLayer(label_x=names[0], label_y=names[1])]
     pts = np.array([s.y for s in studies])
     study = Style(stroke=PALETTE["h"], width=1.0, dash="5,3")
@@ -658,41 +647,16 @@ def build_meta_panel(studies, pooled, level=0.40, blups=None, delta=None,
     return Scene(layers=layers, title=title)
 
 
-def build_avp_panel(avpres, level=0.50, names=("x | others", "y | others"),
-                    title=""):
-    """Added-variable scatter with its coverage ellipse and fitted line."""
-    pts = np.column_stack([avpres["x_star"], avpres["y_star"]])
-    sample = st.Sample(pts, names)
-    ell = st.data_ellipsoid(sample, st.CoverageSpec.chisq(level))
-    span = float(ell.radii[0]) * 1.2
-    line = np.array([[-span, -span * avpres["slope"]],
-                     [span, span * avpres["slope"]]])
-    layers = [AxisLayer(label_x=names[0], label_y=names[1]),
-              PointsLayer(pts, Style(stroke=PALETTE["data"], width=0.6),
-                          marker="circle", size=2.0),
-              EllipseLayer(ell, Style(stroke=PALETTE["h"], width=1.5)),
-              PolylineLayer(line, Style(stroke=PALETTE["data"], width=1.4))]
-    return Scene(layers=layers, title=title)
-
-
-def build_avp_marginal_overlay(x, y, k, avpres, level=0.50, names=None,
-                               title=""):
+def build_avp_marginal_overlay(marg, cond, ell_m, ell_c, slope_m, slope_c,
+                               names=("x", "y"), title=""):
     """Added-variable view with the mean-centered marginal view overlaid.
 
-    avpres is the linmod.avp result for predictor k of x. Open circles
-    are the centered marginal points, filled dots the residual points,
-    with arrows joining each pair; both coverage ellipses are drawn.
+    marg holds the centered marginal (x_k, y) points, cond the residual
+    points of linmod.avp, ell_m and ell_c their coverage ellipses and
+    slope_m, slope_c their regression slopes. Open circles are the
+    marginal points, filled dots the residual points, with arrows joining
+    each pair.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if names is None:
-        names = (f"x{k + 1}", "y")
-    marg = np.column_stack([x[:, k] - x[:, k].mean(), y - y.mean()])
-    cond = np.column_stack([avpres["x_star"], avpres["y_star"]])
-    ell_m = st.data_ellipsoid(st.Sample(marg, names),
-                              st.CoverageSpec.chisq(level))
-    ell_c = st.data_ellipsoid(st.Sample(cond, names),
-                              st.CoverageSpec.chisq(level))
     layers = [AxisLayer(label_x=names[0] + " (centered | residual)",
                         label_y=names[1])]
     arrow = Style(stroke=PALETTE["muted"], width=0.7)
@@ -706,29 +670,23 @@ def build_avp_marginal_overlay(x, y, k, avpres, level=0.50, names=None,
                                             width=1.5)))
     layers.append(EllipseLayer(ell_c, Style(stroke=PALETTE["h"],
                                             width=1.5)))
-    slope_m = float(np.cov(marg.T, ddof=1)[0, 1] / np.var(marg[:, 0],
-                                                          ddof=1))
     span = float(ell_m.radii[0]) * 1.1
     layers.append(PolylineLayer(
         np.array([[-span, -span * slope_m], [span, span * slope_m]]),
         Style(stroke=PALETTE["e"], width=1.2, dash="5,3")))
     layers.append(PolylineLayer(
-        np.array([[-span, -span * avpres["slope"]],
-                  [span, span * avpres["slope"]]]),
+        np.array([[-span, -span * slope_c], [span, span * slope_c]]),
         Style(stroke=PALETTE["h"], width=1.2)))
     return Scene(layers=layers, title=title)
 
 
-def build_beta_space_panel(fit, coords, alpha=0.05, names=None, title=""):
-    """Joint confidence ellipse, CI-generating ellipse and axis shadows."""
-    coords = list(coords)
-    joint = linmod.confidence_ellipsoid(
-        fit, coords, linmod.ConfidenceSpec(kind="joint", alpha=alpha,
-                                           d=len(coords)))
-    ci = linmod.confidence_ellipsoid(
-        fit, coords, linmod.ConfidenceSpec(kind="ci", alpha=alpha))
-    if names is None:
-        names = tuple(fit.names[c] for c in coords)
+def build_beta_space_panel(joint, ci, shadows, names, title=""):
+    """Joint confidence ellipse, CI-generating ellipse and axis shadows.
+
+    joint and ci are linmod.confidence_ellipsoid results for one pair of
+    coefficients; shadows are the two CI intervals, drawn as bars below
+    and left of the joint ellipse.
+    """
     layers = [AxisLayer(label_x=names[0], label_y=names[1]),
               EllipseLayer(joint, Style(stroke=PALETTE["accent"],
                                         width=1.6)),
@@ -739,35 +697,10 @@ def build_beta_space_panel(fit, coords, alpha=0.05, names=None, title=""):
               PointsLayer(np.array([[0.0, 0.0]]),
                           Style(stroke=PALETTE["data"], width=1.2),
                           marker="square", size=2.5)]
-    lo0, hi0 = st.univariate_shadow(ci, np.array([1.0, 0.0]))
-    lo1, hi1 = st.univariate_shadow(ci, np.array([0.0, 1.0]))
+    (lo0, hi0), (lo1, hi1) = shadows
     base = joint.center - 1.25 * joint.radii[0]
     layers.append(PolylineLayer(np.array([[lo0, base[1]], [hi0, base[1]]]),
                                 Style(stroke=PALETTE["h"], width=3.0)))
     layers.append(PolylineLayer(np.array([[base[0], lo1], [base[0], hi1]]),
                                 Style(stroke=PALETTE["h"], width=3.0)))
     return Scene(layers=layers, title=title)
-
-
-_FIGURE_BUILDERS = {
-    "data_ellipse_panel": build_data_ellipse_panel,
-    "scatterplot_matrix": build_scatterplot_matrix,
-    "he_plot": build_he_plot,
-    "canonical_he": build_canonical_he,
-    "ridge_trace": build_ridge_trace,
-    "kiss_locus": build_kiss_locus,
-    "meta_panel": build_meta_panel,
-    "avp_panel": build_avp_panel,
-    "avp_marginal_overlay": build_avp_marginal_overlay,
-    "beta_space_panel": build_beta_space_panel,
-}
-
-
-def figure(kind, *args, **kwargs):
-    """Build a named figure scene; see _FIGURE_BUILDERS for the catalog."""
-    try:
-        builder = _FIGURE_BUILDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown figure kind {kind!r}; expected one of "
-                         f"{sorted(_FIGURE_BUILDERS)}") from None
-    return builder(*args, **kwargs)

@@ -147,6 +147,15 @@ def data_ellipsoid(sample, spec=CoverageSpec.stddev(1.0)):
     return ge.from_moment(c * c * s, ybar)
 
 
+def pairwise_data_ellipsoids(gs, spec):
+    """{(j, i): the groups' data ellipses on columns j and i, in group
+    order} for every ordered pair of distinct columns."""
+    return {(j, i): [data_ellipsoid(Sample(s.data[:, (j, i)],
+                                           (gs.names[j], gs.names[i])), spec)
+                     for s in gs.samples.values()]
+            for i in range(gs.p) for j in range(gs.p) if i != j}
+
+
 def univariate_shadow(e, direction):
     """Interval shadow of an ellipsoid on a unit direction.
 

@@ -10,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellipstat import cli, datasets, linmod, mlm
+from ellipstat import cli, datasets, kissing, linmod, mlm
+from ellipstat import statellipse as st
 
 
 def run_cli(argv):
@@ -455,6 +456,45 @@ def test_avp_fitted_once(tmp_path, monkeypatch):
                     str(tmp_path / "a.svg")]) == 0
     assert len(calls) == 1
     assert (tmp_path / "a.svg").read_text().count("<line") > 20
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Calls of owner.name from here on, in a list that grows per call."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("extra", [[], ["--g-diag", "6.25,0.64"]],
+                         ids=["moment-g", "given-g"])
+def test_blup_fits_clusters_once(tmp_path, monkeypatch, extra):
+    sigma2 = _count_calls(monkeypatch, kissing.MixedSpec, "error_variance")
+    blues = _count_calls(monkeypatch, kissing, "cluster_blues")
+    out = tmp_path / "b.json"
+    assert run_cli(["blup", "--data", "hsb-sample", "--group", "school",
+                    "--x", "cses", "--response", "mathach", "--json",
+                    str(out)] + extra) == 0
+    assert (len(sigma2), len(blues)) == (1, 1)
+    assert read_json(out)["n_clusters"] == 20
+
+
+def test_figure_statistics_computed_once(tmp_path, monkeypatch):
+    # the scene reuses the payload's ellipsoids instead of refitting them
+    ells = _count_calls(monkeypatch, st, "data_ellipsoid")
+    assert run_cli(["data-ellipse", "--data", "galton", "--level", "0.95",
+                    "--json", str(tmp_path / "d.json"),
+                    "--svg", str(tmp_path / "d.svg")]) == 0
+    assert len(ells) == 3               # one per drawn level
+    conf = _count_calls(monkeypatch, linmod, "confidence_ellipsoid")
+    assert run_cli(["betaspace", "--data", "synthetic-coffee", "--response",
+                    "Heart", "--json", str(tmp_path / "b.json"),
+                    "--svg", str(tmp_path / "b.svg")]) == 0
+    assert len(conf) == 2               # the joint and the CI ellipse
 
 
 def test_grouped_matches_row_by_row_grouping():

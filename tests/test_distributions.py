@@ -56,13 +56,6 @@ def test_level_bounds_rejected():
         dist.f_quantile(0.0, 2, 3)
 
 
-def test_univariate_shadow_coverages():
-    # one-sd, 1.5-sd and 2.45-sd shadows of a bivariate normal
-    assert dist.norm_coverage(1.0) == pytest.approx(0.68, abs=0.005)
-    assert dist.norm_coverage(1.5) == pytest.approx(0.87, abs=0.005)
-    assert dist.norm_coverage(2.45) == pytest.approx(0.986, abs=0.001)
-
-
 def test_bivariate_radius_coverages():
     # chi-square_2 coverage of radius c is 1 - exp(-c^2/2)
     for c, cov in ((1.0, 0.40), (1.5, 0.68), (2.45, 0.95)):

@@ -97,3 +97,33 @@ def test_no_top_level_scipy_import(path):
             continue
         assert not any(n.split(".")[0] == "scipy" for n in names), \
             f"{path.name}:{node.lineno} imports scipy at import time"
+
+
+def _package_imports(path):
+    """Names of the ellipstat modules that the module at path imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:         # absolute: only ellipstat counts
+                if module.split(".")[0] != "ellipstat":
+                    continue
+                module = module.partition(".")[2]
+            found.update([module.split(".")[0]] if module
+                         else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("ellipstat."))
+    return found
+
+
+def test_render_imports_only_gellipsoid():
+    # scene builders draw the results they are given: no fits, quantiles
+    # or data ellipsoids inside render
+    assert _package_imports(PACKAGE / "render.py") == {"gellipsoid"}
+
+
+def test_only_cli_and_init_import_render():
+    importers = {path.name for path in PACKAGE.glob("*.py")
+                 if "render" in _package_imports(path)}
+    assert importers == {"cli.py", "__init__.py"}

@@ -8,7 +8,7 @@ from hypothesis import strategies as hs
 from ellipstat import cli
 from ellipstat import gellipsoid as ge
 from ellipstat import kissing as ki
-from ellipstat import mlm, render
+from ellipstat import linmod, mlm, render
 from ellipstat import statellipse as st
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -18,11 +18,13 @@ def iris_he_scene(iris_grouped):
     fit, labels = mlm.manova_fit(iris_grouped)
     hyp = mlm.overall_hypothesis(iris_grouped.g)
     h, e = mlm.hypothesis_matrices(fit, hyp)
+    ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=(0, 2),
+                                   center=fit.y_mean,
+                                   df_h=iris_grouped.g - 1)
     _, means, _ = st.group_means(iris_grouped)
-    return render.figure(
-        "he_plot", h, e, fit.df_e, iris_grouped.g - 1, fit.y_mean,
-        coords=(0, 2), names=(iris_grouped.names[0], iris_grouped.names[2]),
-        means=means, labels=labels, title="iris HE")
+    return render.build_he_plot(
+        ell_h, ell_e, names=(iris_grouped.names[0], iris_grouped.names[2]),
+        means=means[:, [0, 2]], labels=labels, title="iris HE")
 
 
 def test_ellipse_path_square_vertices():
@@ -114,19 +116,26 @@ def test_golden_iris_he(iris_grouped):
       "--k", "Coffee"], "avp_coffee.svg"),
     (["meta", "--data", "berkey", "--model", "random"],
      "meta_berkey_random.svg"),
+    (["meta", "--data", "berkey", "--model", "fixed"],
+     "meta_berkey_fixed.svg"),
+    (["data-ellipse", "--data", "galton"], "data_ellipse_galton.svg"),
+    (["betaspace", "--data", "synthetic-coffee", "--response", "Heart"],
+     "betaspace_coffee.svg"),
+    (["heplot", "--data", "iris", "--group", "Species"], "heplot_iris.svg"),
+    (["canonical", "--data", "iris", "--group", "Species"],
+     "canonical_iris.svg"),
+    (["kiss"], "kiss_default.svg"),
+    (["ridge-trace", "--data", "longley", "--response", "Employed"],
+     "ridge_trace_longley.svg"),
 ])
 def test_golden_cli_svg(tmp_path, capsys, argv, golden):
-    # arrows, dots, open circles, dashed and solid ellipse polygons
+    # every SVG-emitting subcommand; the goldens pin arrows, dots, open
+    # circles, squares, text, dashed and solid polylines and polygons
     out = tmp_path / "out.svg"
     assert cli.main(argv + ["--svg", str(out)]) == 0
     capsys.readouterr()
     with open(os.path.join(GOLDEN_DIR, golden), encoding="utf-8") as f:
         assert f.read() == out.read_text(encoding="utf-8")
-
-
-def test_figure_dispatch_unknown_kind():
-    with pytest.raises(ValueError, match="unknown figure kind"):
-        render.figure("nope")
 
 
 def test_figure_builders_produce_valid_scenes(iris_grouped, galton_sample,
@@ -137,29 +146,40 @@ def test_figure_builders_produce_valid_scenes(iris_grouped, galton_sample,
     bbox = (-8.0, 8.0, -4.0, 12.0)
     locus = ki.trace_locus(f1, f2, bbox, 96)
     kisses = [ki.osculation_point(f1, f2, r, locus=locus) for r in (2, 3)]
+    mean, cov = st.mean_cov(galton_sample)
+    can = mlm.canonical(iris_grouped)
+    ell_h, ell_e = mlm.canonical_he_ellipses(iris_grouped, can)
     scenes = [
-        render.figure("data_ellipse_panel", galton_sample),
-        render.figure("scatterplot_matrix", iris_grouped),
-        render.figure("canonical_he", iris_grouped,
-                      mlm.canonical(iris_grouped)),
-        render.figure("ridge_trace",
-                      ki.ridge_trace(x, y, [0.0, 0.01, 0.08],
-                                     coords=(1, 2)),
-                      names=("GNP", "Unemployed")),
-        render.figure("kiss_locus", f1, f2, bbox, locus=locus,
-                      kisses=kisses),
-        render.figure("meta_panel", berkey_studies,
-                      ki.meta_fixed(berkey_studies)),
+        render.build_data_ellipse_panel(
+            galton_sample, mean, cov,
+            [st.data_ellipsoid(galton_sample, st.CoverageSpec.chisq(lv))
+             for lv in (0.40, 0.68, 0.95)]),
+        render.build_scatterplot_matrix(
+            iris_grouped, st.pairwise_data_ellipsoids(
+                iris_grouped, st.CoverageSpec.chisq(0.68))),
+        render.build_canonical_he(ell_h, ell_e, can, iris_grouped.names),
+        render.build_ridge_trace(
+            ki.ridge_trace(x, y, [0.0, 0.01, 0.08], coords=(1, 2)),
+            names=("GNP", "Unemployed")),
+        render.build_kiss_locus(f1, f2, bbox, locus=locus, kisses=kisses),
+        render.build_meta_panel(berkey_studies, ki.meta_fixed(berkey_studies),
+                                1.0),
     ]
     rng = np.random.default_rng(3)
     x2 = rng.standard_normal((30, 2)) @ (np.eye(2) + 0.5 * np.ones((2, 2)))
     y2 = x2 @ np.array([1.0, -0.5]) + rng.standard_normal(30)
-    from ellipstat import linmod
-    scenes.append(render.figure("avp_panel", linmod.avp(x2, y2, 0)))
-    scenes.append(render.figure("avp_marginal_overlay", x2, y2, 0,
-                                linmod.avp(x2, y2, 0)))
-    scenes.append(render.figure("beta_space_panel",
-                                linmod.ols_fit(x2, y2), [1, 2]))
+    res = linmod.avp(x2, y2, 0)
+    marg = np.column_stack([x2[:, 0] - x2[:, 0].mean(), y2 - y2.mean()])
+    cond = np.column_stack([res["x_star"], res["y_star"]])
+    half = st.CoverageSpec.chisq(0.50)
+    scenes.append(render.build_avp_marginal_overlay(
+        marg, cond, st.data_ellipsoid(st.Sample(marg), half),
+        st.data_ellipsoid(st.Sample(cond), half), 1.0, res["slope"]))
+    fit = linmod.ols_fit(x2, y2)
+    ci = linmod.confidence_ellipsoid(fit, [1, 2], linmod.ConfidenceSpec("ci"))
+    scenes.append(render.build_beta_space_panel(
+        linmod.confidence_ellipsoid(fit, [1, 2]), ci,
+        [st.univariate_shadow(ci, d) for d in np.eye(2)], ("b1", "b2")))
     for scene in scenes:
         svg = render.render_scene(scene)
         assert svg.count("<svg") == 1
