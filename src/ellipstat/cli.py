@@ -17,14 +17,10 @@ import numpy as np
 from . import datasets, gellipsoid as ge, kissing, linmod, mlm, render
 from . import distributions as dist
 from . import statellipse as st
-from . import numkernel as nk
+from .numkernel import InputError
 
 
 FLAT_SPREAD_TOL = 1e-10     # relative sd of cluster BLUEs taken as zero
-
-
-class InputError(Exception):
-    """Bad file, flag or column; maps to exit status 2."""
 
 
 # ------------------------------------------------------------- data table
@@ -185,6 +181,16 @@ def _matrix_arg(value):
     return np.array(rows)
 
 
+def _coords(names, value, default):
+    """Positions in names of the two names listed in --coords, else default."""
+    if not value:
+        return default
+    wanted = _columns_arg(value)
+    if len(wanted) != 2 or not set(wanted) <= set(names):
+        raise InputError(f"--coords needs two of {list(names)}")
+    return [names.index(c) for c in wanted]
+
+
 def _xy_columns(table, args, need=2):
     if args.x and args.y:
         names = [args.x, args.y]
@@ -271,10 +277,7 @@ def cmd_betaspace(args):
     table = resolve_data(args.data)
     x_names, x, y = _design_response(table, args)
     fit = linmod.ols_fit(x, y, names=["intercept"] + x_names)
-    coords = ([fit.names.index(c) for c in _columns_arg(args.coords)]
-              if args.coords else [1, 2])
-    if len(coords) != 2:
-        raise InputError("--coords needs exactly two coefficient names")
+    coords = _coords(fit.names, args.coords, [1, 2])
     names = [fit.names[c] for c in coords]
     joint = linmod.confidence_ellipsoid(
         fit, coords, linmod.ConfidenceSpec("joint", args.alpha, d=2))
@@ -318,7 +321,6 @@ def cmd_avp(args):
     k = x_names.index(args.k)
     res = linmod.avp(x, y, k)
     fit = linmod.ols_fit(x, y, names=["intercept"] + x_names)
-    infl = linmod.vif(x, k)
     payload = {
         "response": args.response,
         "predictor": args.k,
@@ -328,8 +330,8 @@ def cmd_avp(args):
         "partial_corr": res["partial_corr"],
         "residual_match": float(np.abs(res["residuals"]
                                        - fit.residuals).max()),
-        "vif_algebraic": infl["algebraic"],
-        "vif_geometric": infl["geometric"],
+        "vif_algebraic": res["vif"]["algebraic"],
+        "vif_geometric": res["vif"]["geometric"],
     }
     names = (args.k, args.response)
     marg = np.column_stack([x[:, k] - x[:, k].mean(), y - y.mean()])
@@ -395,8 +397,7 @@ def cmd_heplot(args):
         "protrusion_ratio": res.roy / crit,
         "mtest_geometry": geometry,
     }
-    coords = ([names.index(c) for c in _columns_arg(args.coords)]
-              if args.coords else [0, 1])
+    coords = _coords(names, args.coords, [0, 1])
     ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=coords,
                                    center=fit.y_mean, scaling=args.scaling,
                                    alpha=args.alpha, df_h=gs.g - 1)
@@ -416,10 +417,10 @@ def cmd_contrasts(args):
         raise InputError("give at least one --contrast")
     hyps = []
     for i, spec in enumerate(args.contrast):
-        row = np.array(_floats_arg(spec))
+        row = np.array(spec)
         if row.size != gs.g:
             raise InputError(
-                f"contrast {spec!r} needs {gs.g} entries (one per group)")
+                f"contrast {i + 1} needs {gs.g} entries (one per group)")
         hyps.append(mlm.Hypothesis(row[None, :], label=f"c{i + 1}"))
     dec = mlm.contrast_decompose(fit, hyps,
                                  overall=mlm.overall_hypothesis(gs.g))
@@ -529,8 +530,7 @@ def cmd_ridge_trace(args):
     table = resolve_data(args.data)
     x_names, x, y = _design_response(table, args)
     ks = args.ks or [0.0, 0.005, 0.01, 0.02, 0.04, 0.08]
-    coords = ([x_names.index(c) for c in _columns_arg(args.coords)]
-              if args.coords else [0, 1])
+    coords = _coords(x_names, args.coords, [0, 1])
     trace = kissing.ridge_trace(x, y, ks, coords=tuple(coords))
     norms = [float(np.linalg.norm(t["result"].beta)) for t in trace]
     dets = [float(np.linalg.det(t["result"].cov)) for t in trace]
@@ -825,7 +825,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--group", required=True)
     p.add_argument("--columns")
-    p.add_argument("--contrast", action="append",
+    p.add_argument("--contrast", action="append", type=_floats_arg,
                    help="comma list of per-group weights; repeatable")
 
     p = add("canonical", cmd_canonical,
@@ -906,8 +906,7 @@ def run(args):
     except InputError as exc:
         print(f"ellip: input error: {exc}", file=sys.stderr)
         return 2
-    except (nk.NotSymmetricError, nk.NotPositiveDefiniteError,
-            nk.IndefiniteError, np.linalg.LinAlgError, ValueError) as exc:
+    except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"ellip: numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -8,12 +8,14 @@
 # rest of the package's, and most subcommands never compute a quantile.
 # The first quantile or tail probability in a process pays it once.
 
+from .numkernel import InputError
+
 
 def chi2_quantile(level, df):
     """x with P(chi2_df <= x) = level."""
     from scipy import special
     if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
+        raise InputError("level must be in (0, 1)")
     return 2.0 * float(special.gammaincinv(df / 2.0, level))
 
 
@@ -21,9 +23,9 @@ def f_quantile(level, d1, d2):
     """x with P(F_{d1,d2} <= x) = level."""
     from scipy import special
     if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
+        raise InputError("level must be in (0, 1)")
     if d1 <= 0 or d2 <= 0:
-        raise ValueError("degrees of freedom must be positive")
+        raise InputError("degrees of freedom must be positive")
     return float(special.fdtri(d1, d2, level))
 
 
@@ -31,7 +33,7 @@ def t_quantile(level, df):
     """x with P(t_df <= x) = level."""
     from scipy import special
     if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
+        raise InputError("level must be in (0, 1)")
     return float(special.stdtrit(df, level))
 
 

@@ -36,17 +36,18 @@ class GEllipsoid:
         radii = np.asarray(self.radii, dtype=float).ravel()
         p = center.size
         if frame.shape != (p, p):
-            raise ValueError(f"frame shape {frame.shape} != ({p}, {p})")
+            raise nk.InputError(f"frame shape {frame.shape} != ({p}, {p})")
         if radii.size != p:
-            raise ValueError("radii length does not match dimension")
+            raise nk.InputError("radii length does not match dimension")
         if np.any(np.isnan(radii)) or np.any(radii < 0):
-            raise ValueError("radii must be nonnegative (inf allowed)")
+            raise nk.InputError("radii must be nonnegative (inf allowed)")
         dev = np.abs(frame.T @ frame - np.eye(p)).max()
         if dev > FRAME_TOL:
-            raise ValueError(f"frame is not orthogonal (deviation {dev:.2e})")
+            raise nk.InputError(
+                f"frame is not orthogonal (deviation {dev:.2e})")
         finite = radii[np.isfinite(radii)]
         if finite.size > 1 and np.any(np.diff(finite) > 1e-9 * (1 + finite[0])):
-            raise ValueError("radii must be sorted descending")
+            raise nk.InputError("radii must be sorted descending")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "radii", radii)
@@ -100,7 +101,7 @@ def from_generator(a, center=None):
     """
     a = nk.as_matrix(a)
     if a.ndim != 2:
-        raise ValueError("generator must be a matrix")
+        raise nk.InputError("generator must be a matrix")
     p = a.shape[0]
     if center is None:
         center = np.zeros(p)
@@ -145,7 +146,8 @@ def linear_image(e, l_mat):
     """
     l_mat = nk.as_matrix(l_mat)
     if l_mat.ndim != 2 or l_mat.shape[1] != e.dim:
-        raise ValueError(f"map shape {l_mat.shape} does not act on R^{e.dim}")
+        raise nk.InputError(
+            f"map shape {l_mat.shape} does not act on R^{e.dim}")
     m = l_mat.shape[0]
     center = l_mat @ e.center
 
@@ -181,7 +183,7 @@ def project(e, p_mat, tol=1e-10):
     p_mat = nk.as_matrix(p_mat)
     dev = np.abs(p_mat @ p_mat - p_mat).max()
     if dev > tol * max(1.0, np.abs(p_mat).max()):
-        raise ValueError(f"matrix is not idempotent: |P^2 - P| = {dev:.2e}")
+        raise nk.InputError(f"matrix is not idempotent: |P^2 - P| = {dev:.2e}")
     return linear_image(e, p_mat)
 
 
@@ -193,7 +195,7 @@ def contains(e, x, tol=1e-9):
     """
     x = np.asarray(x, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
-        raise ValueError("point must be finite")
+        raise nk.InputError("point must be finite")
     z = e.frame.T @ (x - e.center)
     finite = e.radii[np.isfinite(e.radii)]
     scale = max(finite.max(), 1.0) if finite.size else 1.0
@@ -300,20 +302,20 @@ def conjugate_axes(w, kind="principal", given=None):
     w = nk.check_symmetric(w)
     if kind == "given":
         if given is None:
-            raise ValueError("kind='given' requires the factor")
+            raise nk.InputError("kind='given' requires the factor")
         a = nk.as_matrix(given)
-        resid = np.abs(a @ a.T - w).max()
+        resid = (np.abs(a @ a.T - w).max() if a.shape == w.shape
+                 else np.inf)
         if resid > 1e-8 * max(np.abs(w).max(), 1e-300):
-            raise ValueError(f"given factor does not reproduce W ({resid:.2e})")
+            raise nk.InputError(
+                f"given factor does not reproduce W ({resid:.2e})")
     elif kind == "cholesky":
         a = nk.cholesky(w)
     elif kind == "principal":
-        _, a = nk.psd_sqrt(w)
-        lam, _ = nk.psd_eigvals(w)
-        if lam[-1] <= 0:
-            raise nk.NotPositiveDefiniteError(int(np.argmin(lam)), lam[-1])
+        lam, vecs = nk.require_pd(w)
+        a = vecs * np.sqrt(lam)
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise nk.InputError(f"unknown kind {kind!r}")
     return ConjugateAxes(axes=a, kind=kind)
 
 
@@ -324,10 +326,10 @@ def tangent_plane(e, x_boundary, tol=1e-9):
     normal is proportional to C (x - mu) for the precision matrix C.
     """
     if signature(e).as_tuple() != (e.dim, 0, 0):
-        raise ValueError("tangent plane requires a proper ellipsoid")
+        raise nk.InputError("tangent plane requires a proper ellipsoid")
     status = contains(e, x_boundary, tol)
     if status != "boundary":
-        raise ValueError(f"point is {status}, not on the boundary")
+        raise nk.InputError(f"point is {status}, not on the boundary")
     x = np.asarray(x_boundary, dtype=float).ravel()
     c_mat = (e.frame / e.radii ** 2) @ e.frame.T
     normal = c_mat @ (x - e.center)
@@ -342,7 +344,7 @@ def boundary_points(e, n=256, seed=0):
     lattice mapped through the frame.
     """
     if np.any(np.isinf(e.radii)):
-        raise ValueError("boundary sampling requires a bounded ellipsoid")
+        raise nk.InputError("boundary sampling requires a bounded ellipsoid")
     p = e.dim
     if p == 1:
         sphere = np.array([[1.0], [-1.0]])

@@ -23,10 +23,8 @@ class QuadFamily:
         m = np.asarray(self.m, dtype=float).ravel()
         a = nk.check_symmetric(self.a_mat)
         if m.size != 2 or a.shape != (2, 2):
-            raise ValueError("quad families are two-dimensional")
-        lam, _ = nk.psd_eigvals(a)
-        if lam[-1] <= 0:
-            raise ValueError("shape matrix must be positive definite")
+            raise nk.InputError("quad families are two-dimensional")
+        nk.require_pd(a)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "a_mat", a)
 
@@ -191,7 +189,7 @@ def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
     grid (the reference for vertex residuals).
     """
     if resolution < 32:
-        raise ValueError("resolution must be >= 32")
+        raise nk.InputError("resolution must be >= 32")
     xmin, xmax, ymin, ymax = bbox
     xs = np.linspace(xmin, xmax, resolution + 1)
     ys = np.linspace(ymin, ymax, resolution + 1)
@@ -221,7 +219,7 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
     """
     if locus is None:
         if bbox is None:
-            raise ValueError("need a traced locus or a bbox")
+            raise nk.InputError("need a traced locus or a bbox")
         locus = trace_locus(f1, f2, bbox, resolution)
     verts = (np.vstack(locus["polylines"]) if locus["polylines"]
              else np.empty((0, 2)))
@@ -256,9 +254,7 @@ def lda_axis(m1, m2, s_pooled):
     families.
     """
     s_pooled = nk.check_symmetric(s_pooled)
-    lam, _ = nk.psd_eigvals(s_pooled)
-    if lam[-1] <= 1e-12 * max(lam[0], 1e-300):
-        raise nk.NotPositiveDefiniteError(int(np.argmin(lam)), lam[-1])
+    nk.require_pd(s_pooled)
     m1 = np.asarray(m1, dtype=float).ravel()
     m2 = np.asarray(m2, dtype=float).ravel()
     b = np.linalg.solve(s_pooled, m1 - m2)
@@ -302,7 +298,7 @@ def ridge(x, y, k, penalty_matrix=None):
     k = 0 reproduces OLS.
     """
     if k < 0:
-        raise ValueError("ridge constant must be nonnegative")
+        raise nk.InputError("ridge constant must be nonnegative")
     xs, yc, lengths, _, _ = _standardize_columns(x, y)
     q = xs.shape[1]
     pen = k * np.eye(q) if penalty_matrix is None else \
@@ -357,6 +353,8 @@ def bayes_posterior(x, y, beta_prior, a_mat, standardize=True):
         yc = np.asarray(y, dtype=float).ravel()
     beta_prior = np.asarray(beta_prior, dtype=float).ravel()
     xtx = xs.T @ xs
+    if a_mat.shape != xtx.shape:
+        raise nk.InputError(f"prior precision must have shape {xtx.shape}")
     xty = xs.T @ yc
     beta_ols = np.linalg.solve(xtx, xty)
     total = xtx + a_mat
@@ -385,7 +383,7 @@ class Cluster:
         y = np.asarray(self.y, dtype=float).ravel()
         z = x if self.z is None else np.asarray(self.z, dtype=float)
         if x.shape[0] != y.size or z.shape[0] != y.size:
-            raise ValueError("cluster dimensions disagree")
+            raise nk.InputError("cluster dimensions disagree")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
@@ -404,7 +402,7 @@ class MixedSpec:
 
     def __post_init__(self):
         if not self.clusters:
-            raise ValueError("need at least one cluster")
+            raise nk.InputError("need at least one cluster")
         object.__setattr__(self, "g_mat",
                            nk.check_symmetric(self.g_mat))
 
@@ -418,7 +416,7 @@ class MixedSpec:
             rss += float(r @ r)
             df += c.n - c.x.shape[1]
         if df <= 0:
-            raise ValueError("no residual degrees of freedom for sigma^2")
+            raise nk.InputError("no residual degrees of freedom for sigma^2")
         return rss / df
 
     def r_mat(self, i, sigma2):
@@ -511,13 +509,11 @@ class MetaStudy:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).ravel()
         s = nk.check_symmetric(self.s_mat)
-        lam, _ = nk.psd_eigvals(s)
-        if lam[-1] <= 0:
-            raise ValueError("within-study covariance must be PD")
+        nk.require_pd(s)
         x = np.eye(y.size) if self.x_mat is None else \
             np.asarray(self.x_mat, dtype=float)
         if x.shape[0] != y.size:
-            raise ValueError("design rows must match the outcome length")
+            raise nk.InputError("design rows must match the outcome length")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "s_mat", s)
         object.__setattr__(self, "x_mat", x)
@@ -542,7 +538,7 @@ def _meta_gls(studies, extra=None):
 def meta_fixed(studies):
     """Fixed-effect GLS pool: inverse-variance weighting by S_i alone."""
     if not studies:
-        raise ValueError("need at least one study")
+        raise nk.InputError("need at least one study")
     return _meta_gls(studies)
 
 
@@ -553,7 +549,9 @@ def meta_random(studies, delta):
     covariance is the inverse of the accumulated precision.
     """
     delta = nk.check_symmetric(delta)
-    lam, _ = nk.psd_eigvals(delta)
+    if studies and delta.shape != studies[0].s_mat.shape:
+        raise nk.InputError("Delta must match the within-study covariances")
+    nk.psd_eigvals(delta)       # rejects a materially indefinite Delta
     return _meta_gls(studies, extra=delta)
 
 
@@ -583,7 +581,7 @@ def estimate_delta_mom(studies):
     intercept-only designs.
     """
     if len(studies) < 2:
-        raise ValueError("need at least two studies")
+        raise nk.InputError("need at least two studies")
     ys = np.array([s.y for s in studies])
     g = len(studies)
     dev = ys - ys.mean(axis=0)

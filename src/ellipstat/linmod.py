@@ -9,6 +9,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import gellipsoid as ge
+from . import numkernel as nk
 
 RANK_TOL = 1e-10
 
@@ -50,9 +51,9 @@ def ols_fit(x, y, names=None):
     y = np.asarray(y, dtype=float).ravel()
     n, q = xd.shape
     if y.size != n:
-        raise ValueError("x and y lengths differ")
+        raise nk.InputError("x and y lengths differ")
     if n <= q:
-        raise ValueError(f"need n > {q} observations")
+        raise nk.InputError(f"need n > {q} observations")
     _, sv, vt = np.linalg.svd(xd, full_matrices=False)
     if sv[-1] <= RANK_TOL * sv[0]:
         raise ValueError(
@@ -82,11 +83,11 @@ class ConfidenceSpec:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+            raise nk.InputError("alpha must be in (0, 1)")
         if self.d < 1 or self.m < 1:
-            raise ValueError("d and m must be >= 1")
+            raise nk.InputError("d and m must be >= 1")
         if self.kind not in ("joint", "ci", "scheffe", "bonferroni"):
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise nk.InputError(f"unknown kind {self.kind!r}")
 
     def radius(self, df):
         if self.kind in ("joint", "scheffe"):
@@ -106,7 +107,7 @@ def confidence_ellipsoid(fit, coords, spec=None):
     """
     coords = list(coords)
     if any(c < 0 or c >= fit.q for c in coords):
-        raise ValueError(f"coordinates out of range 0..{fit.q - 1}")
+        raise nk.InputError(f"coordinates out of range 0..{fit.q - 1}")
     if spec is None:
         spec = ConfidenceSpec(kind="joint", d=len(coords))
     r = spec.radius(fit.df)
@@ -121,7 +122,7 @@ def shadow_interval(fit, combo, spec=None):
     """
     c = np.asarray(combo, dtype=float).ravel()
     if c.size != fit.q or not np.any(c):
-        raise ValueError("combination must be a nonzero q-vector")
+        raise nk.InputError("combination must be a nonzero q-vector")
     if spec is None:
         spec = ConfidenceSpec(kind="ci")
     r = spec.radius(fit.df)
@@ -142,7 +143,7 @@ def visual_ci_slope(x, y, alpha=0.05):
     y = np.asarray(y, dtype=float).ravel()
     n = x.size
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise nk.InputError("need n >= 3")
     sx = x.std(ddof=1)
     if sx <= 0:
         raise ValueError("x has zero variance")
@@ -174,14 +175,16 @@ def avp(x, y, k):
     Both the response and x_k are residualized on the remaining
     predictors (plus intercept); the simple through-origin slope of the
     residual scatter equals the full-model coefficient of x_k, and its
-    residuals equal the full-model residuals.
+    residuals equal the full-model residuals. 'vif' is vif(x, k), read
+    off the same residualized x_k.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     y = np.asarray(y, dtype=float).ravel()
     if not 0 <= k < x.shape[1]:
-        raise ValueError(f"k must index a predictor column 0..{x.shape[1] - 1}")
+        raise nk.InputError(
+            f"k must index a predictor column 0..{x.shape[1] - 1}")
     others = np.delete(x, k, axis=1)
     x_star = _residualize(x[:, k], others)
     y_star = _residualize(y, others)
@@ -198,6 +201,7 @@ def avp(x, y, k):
         "slope": slope,
         "residuals": resid,
         "partial_corr": partial_corr,
+        "vif": _inflation(x[:, k], x_star),
     }
 
 
@@ -209,9 +213,11 @@ def vif(x, k):
     The two coincide identically; both are returned.
     """
     x = np.asarray(x, dtype=float)
-    xk = x[:, k]
-    others = np.delete(x, k, axis=1)
-    x_star = _residualize(xk, others)
+    return _inflation(x[:, k], _residualize(x[:, k], np.delete(x, k, axis=1)))
+
+
+def _inflation(xk, x_star):
+    # vif from x_k and its residual x_star on the other predictors
     tss = float(((xk - xk.mean()) ** 2).sum())
     rss = float((x_star ** 2).sum())
     if tss <= 0:
@@ -227,27 +233,6 @@ def vif(x, k):
     }
 
 
-def perturb_predictor(x, k, delta, seed=0):
-    """Add N(0, (delta * SD_k)^2) noise to column k, preserving its mean.
-
-    The realized noise is recentred so the column mean is unchanged
-    exactly.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    x = np.asarray(x, dtype=float).copy()
-    if x.ndim == 1:
-        x = x[:, None]
-    if delta == 0:
-        return x
-    rng = np.random.default_rng(seed)
-    sd = x[:, k].std(ddof=1)
-    noise = rng.normal(0.0, delta * sd, size=x.shape[0])
-    noise -= noise.mean()
-    x[:, k] = x[:, k] + noise
-    return x
-
-
 def attenuation_curve(x, y, deltas, reps=100, seed=0):
     """Mean slope ratio slope(delta)/slope(0) under predictor noise.
 
@@ -257,7 +242,7 @@ def attenuation_curve(x, y, deltas, reps=100, seed=0):
     made one n-vector at a time, so memory stays O(n) whatever reps is.
     """
     if reps < 1:
-        raise ValueError("reps must be >= 1")
+        raise nk.InputError("reps must be >= 1")
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     base = ols_fit(x, y).coef[1]

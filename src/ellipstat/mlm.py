@@ -37,7 +37,7 @@ class Hypothesis:
         l_mat = np.atleast_2d(np.asarray(self.l_mat, dtype=float))
         sv = np.linalg.svd(l_mat, compute_uv=False)
         if sv[-1] <= 1e-10 * sv[0]:
-            raise ValueError("contrast rows are linearly dependent")
+            raise nk.InputError("contrast rows are linearly dependent")
         object.__setattr__(self, "l_mat", l_mat)
 
     @property
@@ -67,7 +67,7 @@ def mlm_fit(x_design, y, names=None):
     n, q = x.shape
     p = y.shape[1]
     if y.shape[0] != n:
-        raise ValueError("X and Y row counts differ")
+        raise nk.InputError("X and Y row counts differ")
     sv = np.linalg.svd(x, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
         raise ValueError(
@@ -114,7 +114,7 @@ def hypothesis_matrices(fit, hyp):
     """H = (L B)^T [L (X^T X)^{-1} L^T]^{-1} (L B), paired with E."""
     l_mat = hyp.l_mat
     if l_mat.shape[1] != fit.q:
-        raise ValueError("contrast width does not match the design")
+        raise nk.InputError("contrast width does not match the design")
     lb = l_mat @ fit.coef
     core = l_mat @ fit.xtx_inv @ l_mat.T
     h = lb.T @ np.linalg.solve(core, lb)
@@ -193,11 +193,11 @@ def roy_critical(df_h, df_e, p, alpha=0.05, strict_paper=False):
     df1 = max(df_h, df_e) exactly as printed in the source formula.
     """
     if df_h < 1 or df_e < 1:
-        raise ValueError("degrees of freedom must be positive")
+        raise nk.InputError("degrees of freedom must be positive")
     df1 = max(df_h, df_e) if strict_paper else max(p, df_h)
     df2 = df_e - df1 + df_h
     if df2 <= 0:
-        raise ValueError(f"df2 = {df2} is not positive")
+        raise nk.InputError(f"df2 = {df2} is not positive")
     return float(df1 / df2 * dist.f_quantile(1 - alpha, df1, df2))
 
 
@@ -223,7 +223,7 @@ def he_ellipses(h, e, df_e, coords=(0, 1), center=None, scaling="significance",
     """
     coords = list(coords)
     if len(coords) != 2:
-        raise ValueError("HE plots are drawn for coordinate pairs")
+        raise nk.InputError("HE plots are drawn for coordinate pairs")
     p = h.shape[0]
     if center is None:
         center = np.zeros(p)
@@ -231,12 +231,12 @@ def he_ellipses(h, e, df_e, coords=(0, 1), center=None, scaling="significance",
     c = np.sqrt(2 * dist.f_quantile(level, 2, df_e))
     if scaling == "significance":
         if df_h is None:
-            raise ValueError("significance scaling needs df_h")
+            raise nk.InputError("significance scaling needs df_h")
         h_scaled = h / (roy_critical(df_h, df_e, p, alpha) * df_e)
     elif scaling == "effect":
         h_scaled = h / df_e
     else:
-        raise ValueError(f"unknown scaling {scaling!r}")
+        raise nk.InputError(f"unknown scaling {scaling!r}")
     e_scaled = e / df_e
     sub = np.ix_(coords, coords)
     ell_h = ge.from_moment(c * c * h_scaled[sub], center[coords])
@@ -290,7 +290,7 @@ def canonical(gs):
     largest-magnitude structure coefficient is positive.
     """
     if gs.g < 2:
-        raise ValueError("canonical analysis needs at least two groups")
+        raise nk.InputError("canonical analysis needs at least two groups")
     fit, labels = manova_fit(gs)
     hyp = overall_hypothesis(gs.g)
     h, e = hypothesis_matrices(fit, hyp)
@@ -341,7 +341,7 @@ def canonical_he_ellipses(gs, can, level=0.68):
     one-way design of gs and the overall hypothesis tested on them.
     """
     if can.scores.shape[1] < 2:
-        raise ValueError("need at least two canonical dimensions")
+        raise nk.InputError("need at least two canonical dimensions")
     x, _, _ = manova_design(gs)
     fit_z = mlm_fit(x, can.scores, names=("can1", "can2"))
     hyp = overall_hypothesis(gs.g)
@@ -358,7 +358,7 @@ def mtest_geometry(lam1, lam2):
     diagonal. For two dimensions 2 - d^{-2} equals the Pillai trace.
     """
     if lam1 < lam2 or lam2 < 0:
-        raise ValueError("need lam1 >= lam2 >= 0")
+        raise nk.InputError("need lam1 >= lam2 >= 0")
     a = np.sqrt(lam1 + 1.0)
     b = np.sqrt(lam2 + 1.0)
     c = np.sqrt(a * a + b * b)

@@ -11,7 +11,15 @@ SYM_TOL = 1e-12        # relative asymmetry accepted by sym_eig
 PSD_CLIP = 1e-10       # eigenvalues in [-PSD_CLIP*lam_max, 0] clip to zero
 
 
-class NotSymmetricError(ValueError):
+class InputError(ValueError):
+    """A caller's argument is out of range, misshapen or of an unknown kind.
+
+    A plain ValueError means the computation met degenerate data instead,
+    such as a singular, indefinite or rank-deficient matrix.
+    """
+
+
+class NotSymmetricError(InputError):
     def __init__(self, asymmetry, scale):
         self.asymmetry = asymmetry
         super().__init__(
@@ -57,7 +65,7 @@ def as_matrix(m):
 def check_symmetric(m, tol=SYM_TOL):
     a = as_matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
     scale = max(np.abs(a).max(), 1e-300)
     asym = np.abs(a - a.T).max()
     if asym > tol * scale:
@@ -98,22 +106,28 @@ def svd(a):
 
 
 def cholesky(w):
-    """Lower-triangular B with B @ B.T = w.
+    """Lower-triangular B with B @ B.T = w, from LAPACK.
 
-    Hand-rolled so a failing pivot is reported by index; fine for the
-    small matrices this package works with.
+    A pivot B[j, j]^2 at or below 1e-14 * max|w| is rejected and reported
+    by its index j. LAPACK accepts any positive pivot, so the elimination
+    is redone by hand, to find the failing pivot, only when LAPACK fails
+    or leaves a diagonal that small.
     """
     a = check_symmetric(w)
-    p = a.shape[0]
-    scale = max(np.abs(a).max(), 1e-300)
+    tol = 1e-14 * max(np.abs(a).max(), 1e-300)
+    try:
+        b = np.linalg.cholesky(a)
+        if np.all(np.diag(b) ** 2 > tol):
+            return b
+    except np.linalg.LinAlgError:
+        pass
     b = np.zeros_like(a)
-    for j in range(p):
+    for j in range(a.shape[0]):
         d = a[j, j] - b[j, :j] @ b[j, :j]
-        if d <= 1e-14 * scale:
+        if d <= tol:
             raise NotPositiveDefiniteError(j, d)
         b[j, j] = np.sqrt(d)
-        for i in range(j + 1, p):
-            b[i, j] = (a[i, j] - b[i, :j] @ b[j, :j]) / b[j, j]
+        b[j + 1:, j] = (a[j + 1:, j] - b[j + 1:, :j] @ b[j, :j]) / b[j, j]
     return b
 
 
@@ -121,29 +135,33 @@ def psd_sqrt(w):
     """Symmetric principal square root and spectral factor of a PSD matrix.
 
     Returns (root, factor) with root = factor @ factor.T symmetric and
-    factor = eigvecs @ diag(sqrt(eigvals)). Slightly negative eigenvalues
-    within the PSD tolerance are clipped to zero; anything lower is an
-    error.
+    factor = eigvecs @ diag(sqrt(eigvals)), eigenvalues clipped as in
+    psd_eigvals.
     """
-    dec = sym_eig(w)
-    lam_max = max(dec.eigvals[0], 0.0)
-    floor = -PSD_CLIP * max(lam_max, 1e-300)
-    if dec.eigvals[-1] < floor:
-        raise IndefiniteError(dec.eigvals[-1])
-    lam = np.clip(dec.eigvals, 0.0, None)
-    factor = dec.eigvecs * np.sqrt(lam)
-    root = factor @ dec.eigvecs.T
+    lam, vecs = psd_eigvals(w)
+    factor = vecs * np.sqrt(lam)
+    root = factor @ vecs.T
     return 0.5 * (root + root.T), factor
 
 
 def psd_eigvals(w):
     """Eigen-decomposition with PSD clipping applied; raises if indefinite."""
     dec = sym_eig(w)
-    lam_max = max(dec.eigvals[0], 0.0)
-    floor = -PSD_CLIP * max(lam_max, 1e-300)
-    if dec.eigvals[-1] < floor:
+    if dec.eigvals[-1] < -PSD_CLIP * max(dec.eigvals[0], 1e-300):
         raise IndefiniteError(dec.eigvals[-1])
     return np.clip(dec.eigvals, 0.0, None), dec.eigvecs
+
+
+def require_pd(w):
+    """psd_eigvals(w) of a positive-definite w: (eigvals descending, eigvecs).
+
+    Raises NotPositiveDefiniteError when lam_min <= 1e-12 * lam_max. The
+    threshold is relative, so the verdict does not change when w is scaled.
+    """
+    lam, vecs = psd_eigvals(w)
+    if lam[-1] <= 1e-12 * max(lam[0], 1e-300):
+        raise NotPositiveDefiniteError(int(np.argmin(lam)), lam[-1])
+    return lam, vecs
 
 
 def clip_psd(w):
@@ -162,9 +180,7 @@ def gen_eig(h, e):
     the normalization V.T @ E @ V = I.
     """
     h = check_symmetric(h)
-    e_vals, e_vecs = psd_eigvals(e)
-    if e_vals[-1] <= 1e-12 * max(e_vals[0], 1e-300):
-        raise NotPositiveDefiniteError(int(np.argmin(e_vals)), e_vals[-1])
+    e_vals, e_vecs = require_pd(e)
     inv_root = e_vecs * (1.0 / np.sqrt(e_vals))          # E^{-1/2} factor
     h_star = inv_root.T @ h @ inv_root
     dec = sym_eig(0.5 * (h_star + h_star.T))

@@ -199,10 +199,6 @@ class Transform:
 MARGIN = {"left": 54.0, "right": 16.0, "top": 28.0, "bottom": 44.0}
 
 
-def scene_transform(scene):
-    return _scene_transform(scene, _arrow_ends(scene.layers)[1])
-
-
 def _scene_transform(scene, arrow_ends):
     viewport = scene.viewport or _auto_viewport(scene.layers, arrow_ends)
     xmin, xmax, ymin, ymax = (float(v) for v in viewport)

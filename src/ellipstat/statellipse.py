@@ -23,11 +23,11 @@ class Sample:
         if not np.all(np.isfinite(data)):
             raise ValueError("sample has non-finite entries")
         if data.shape[0] < 2:
-            raise ValueError("a sample needs at least two rows")
+            raise nk.InputError("a sample needs at least two rows")
         names = tuple(self.names) if self.names else tuple(
             f"x{i + 1}" for i in range(data.shape[1]))
         if len(names) != data.shape[1]:
-            raise ValueError("names length does not match columns")
+            raise nk.InputError("names length does not match columns")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "names", names)
 
@@ -46,13 +46,13 @@ class GroupedSample:
 
     def __post_init__(self):
         if not self.samples:
-            raise ValueError("need at least one group")
+            raise nk.InputError("need at least one group")
         ps = {s.p for s in self.samples.values()}
         if len(ps) != 1:
-            raise ValueError("groups must share the same columns")
+            raise nk.InputError("groups must share the same columns")
         names = {s.names for s in self.samples.values()}
         if len(names) != 1:
-            raise ValueError("groups must share variable names")
+            raise nk.InputError("groups must share variable names")
 
     @property
     def g(self):
@@ -83,12 +83,12 @@ class CoverageSpec:
     def __post_init__(self):
         if self.kind in ("chisq", "f_small_sample"):
             if not 0.0 < self.value < 1.0:
-                raise ValueError("coverage level must be in (0, 1)")
+                raise nk.InputError("coverage level must be in (0, 1)")
         elif self.kind == "stddev_multiple":
             if self.value <= 0:
-                raise ValueError("multiple must be positive")
+                raise nk.InputError("multiple must be positive")
         else:
-            raise ValueError(f"unknown coverage kind {self.kind!r}")
+            raise nk.InputError(f"unknown coverage kind {self.kind!r}")
 
     @classmethod
     def chisq(cls, level):
@@ -121,9 +121,7 @@ def correlation(sample):
 def mahalanobis(y, ybar, s_mat):
     """Squared Mahalanobis distance (y - ybar)^T S^{-1} (y - ybar)."""
     s_mat = nk.check_symmetric(s_mat)
-    lam, _ = nk.psd_eigvals(s_mat)
-    if lam[-1] <= 1e-12 * max(lam[0], 1e-300):
-        raise nk.NotPositiveDefiniteError(int(np.argmin(lam)), lam[-1])
+    nk.require_pd(s_mat)
     d = np.asarray(y, dtype=float) - np.asarray(ybar, dtype=float)
     return float(d @ np.linalg.solve(s_mat, d))
 
@@ -134,7 +132,7 @@ def coverage_radius(p, n, spec):
         return float(np.sqrt(dist.chi2_quantile(spec.value, p)))
     if spec.kind == "f_small_sample":
         if n <= p:
-            raise ValueError("small-sample radius needs n > p")
+            raise nk.InputError("small-sample radius needs n > p")
         f_q = dist.f_quantile(spec.value, p, n - p)
         return float(np.sqrt(p * (n - 1) / (n - p) * f_q))
     return float(spec.value)
@@ -165,7 +163,7 @@ def univariate_shadow(e, direction):
     d = np.asarray(direction, dtype=float).ravel()
     nrm = np.linalg.norm(d)
     if not np.isclose(nrm, 1.0, atol=1e-8):
-        raise ValueError("direction must be a unit vector")
+        raise nk.InputError("direction must be a unit vector")
     comps = e.frame.T @ d
     inf_mask = np.isinf(e.radii)
     if np.any(inf_mask & (np.abs(comps) > 1e-12)):
@@ -179,7 +177,7 @@ def pooled_within_cov(gs):
     """(N - g)^{-1} sum over groups of (n_i - 1) S_i."""
     n_total = gs.total_n
     if n_total - gs.g < 1:
-        raise ValueError("pooled covariance needs N - g >= 1")
+        raise nk.InputError("pooled covariance needs N - g >= 1")
     acc = np.zeros((gs.p, gs.p))
     for s in gs.samples.values():
         _, si = mean_cov(s)
@@ -202,7 +200,7 @@ def between_cov(gs, weighted=True):
     g - 1). weighted=False: the plain g-1 divisor covariance of the means.
     """
     if gs.g < 2:
-        raise ValueError("between-group covariance needs g >= 2")
+        raise nk.InputError("between-group covariance needs g >= 2")
     _, means, ns = group_means(gs)
     if weighted:
         grand = (ns[:, None] * means).sum(axis=0) / ns.sum()
@@ -229,7 +227,7 @@ def marginal_decomposition(gs, x_index=0, y_index=1):
     average).
     """
     if gs.g < 2:
-        raise ValueError("decomposition needs g >= 2")
+        raise nk.InputError("decomposition needs g >= 2")
     s_w = pooled_within_cov(gs)
     s_b = between_cov(gs, weighted=True)
     _, s_t = mean_cov(gs.pooled_sample())
@@ -252,7 +250,7 @@ def exact_cov_sample(rng, n, mean, cov):
     """
     p = len(mean)
     if n <= p:
-        raise ValueError("need n > p for an exact-covariance draw")
+        raise nk.InputError("need n > p for an exact-covariance draw")
     z = rng.standard_normal((n, p))
     z -= z.mean(axis=0)
     sz = z.T @ z / (n - 1)

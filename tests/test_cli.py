@@ -78,6 +78,44 @@ def test_numerical_failure_is_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["data-ellipse", "--data", "galton", "--level", "1.5"],
+    ["kiss", "--resolution", "10"],
+    ["measure-error", "--data", "galton", "--response", "child",
+     "--x", "parent", "--reps", "0"],
+    ["ridge-trace", "--data", "longley", "--response", "Employed",
+     "--ks=-1"],
+    ["gell", "--matrix", "1,2;3,4"],
+    ["ridge-trace", "--data", "longley", "--response", "Employed",
+     "--coords", "GNP,nosuch"],
+    ["heplot", "--data", "iris", "--group", "Species",
+     "--coords", "SepalLength"],
+    ["bayes", "--data", "longley", "--response", "Employed",
+     "--precision-matrix", "1,0;0,1"],
+    ["meta", "--data", "berkey", "--model", "random",
+     "--delta", "1,0,0;0,1,0;0,0,1"],
+], ids=["level", "resolution", "reps", "ridge-k", "asymmetric", "coords",
+        "one-coord", "precision-shape", "delta-shape"])
+def test_bad_argument_is_exit_2(tmp_path, capsys, argv):
+    code = run_cli(argv + ["--json", str(tmp_path / "out.json")])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_singular_cholesky_is_exit_3(tmp_path, capsys):
+    code = run_cli(["gell", "--matrix", "1,0;0,0", "--conjugate",
+                    "cholesky", "--json", str(tmp_path / "out.json")])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_numeric_contrast_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["contrasts", "--data", "iris", "--group", "Species",
+                 "--contrast", "a,b,c"])
+    assert exc.value.code == 2
+
+
 def test_json_float_formatting():
     text = cli.dump_json({"a": 1 / 3, "b": [np.inf, -np.inf],
                           "c": True, "d": np.arange(3)})
@@ -481,6 +519,20 @@ def test_blup_fits_clusters_once(tmp_path, monkeypatch, extra):
                     str(out)] + extra) == 0
     assert (len(sigma2), len(blues)) == (1, 1)
     assert read_json(out)["n_clusters"] == 20
+
+
+def test_avp_regresses_three_times(tmp_path, monkeypatch):
+    # x_k and y on the other predictors, then the full model; the VIF
+    # reuses the residualized x_k
+    fits = _count_calls(monkeypatch, linmod, "ols_fit")
+    out = tmp_path / "a.json"
+    assert run_cli(["avp", "--data", "synthetic-coffee", "--response",
+                    "Heart", "--k", "Coffee", "--json", str(out)]) == 0
+    assert len(fits) == 3
+    x = np.column_stack([cli.resolve_data("synthetic-coffee").numeric(c)
+                         for c in ("Coffee", "Stress")])
+    assert read_json(out)["vif_algebraic"] == pytest.approx(
+        linmod.vif(x, 0)["algebraic"], rel=1e-12)
 
 
 def test_figure_statistics_computed_once(tmp_path, monkeypatch):

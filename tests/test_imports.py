@@ -127,3 +127,19 @@ def test_only_cli_and_init_import_render():
     importers = {path.name for path in PACKAGE.glob("*.py")
                  if "render" in _package_imports(path)}
     assert importers == {"cli.py", "__init__.py"}
+
+
+def _raised_names(path):
+    """Names of the exceptions that the module at path raises."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            yield ast.unparse(exc).rpartition(".")[2]
+
+
+def test_only_numkernel_raises_not_positive_definite():
+    # one PD check: every other module calls numkernel.require_pd
+    raisers = {path.name for path in PACKAGE.glob("*.py")
+               if "NotPositiveDefiniteError" in set(_raised_names(path))}
+    assert raisers == {"numkernel.py"}

@@ -241,28 +241,6 @@ def test_vif_algebraic_equals_geometric():
                                                  rel=1e-9)
 
 
-def test_perturb_predictor_preserves_mean():
-    rng = np.random.default_rng(15)
-    x = rng.standard_normal((10 ** 4, 2))
-    out = linmod.perturb_predictor(x, 0, 0.0)
-    assert np.array_equal(out, x)
-    out = linmod.perturb_predictor(x, 0, 0.8, seed=3)
-    assert out[:, 0].mean() == pytest.approx(x[:, 0].mean(), abs=1e-12)
-    noise = out[:, 0] - x[:, 0]
-    assert noise.std(ddof=1) == pytest.approx(0.8 * x[:, 0].std(ddof=1),
-                                              rel=0.02)
-    assert np.array_equal(out[:, 1], x[:, 1])
-
-
-@pytest.mark.parametrize("grid", [(0.75, 1.0, 1.5), (0.0, 0.2, 0.4, 0.8)])
-def test_perturb_predictor_delta_grids(grid):
-    rng = np.random.default_rng(16)
-    x = rng.standard_normal((200, 2))
-    for delta in grid:
-        out = linmod.perturb_predictor(x, 1, delta, seed=1)
-        assert out.shape == x.shape
-
-
 def test_attenuation_curve_delta_zero_and_monotone():
     rng = np.random.default_rng(17)
     x = rng.standard_normal(10 ** 4)

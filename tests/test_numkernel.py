@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from ellipstat import gellipsoid as ge
+from ellipstat import kissing as ki
 from ellipstat import numkernel as nk
+from ellipstat import statellipse as st
 
 from conftest import random_pd
 
@@ -78,6 +83,17 @@ def test_cholesky_reports_failing_pivot():
     with pytest.raises(nk.NotPositiveDefiniteError) as err:
         nk.cholesky(bad)
     assert err.value.index == 1
+
+
+def test_cholesky_rejects_a_small_pivot_lapack_accepts():
+    # the second pivot is 1 + 1e-15 - 1, rounded: positive, so LAPACK
+    # factors the matrix, but under 1e-14 * max|w|
+    w = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    assert np.linalg.cholesky(w)[1, 1] > 0
+    with pytest.raises(nk.NotPositiveDefiniteError) as err:
+        nk.cholesky(w)
+    assert err.value.index == 1
+    assert 0 < err.value.value <= 1e-14
 
 
 def test_psd_sqrt_boundary_and_identity():
@@ -176,3 +192,50 @@ def test_clip_psd():
     lam = np.clip(dec.eigvals, 0.0, None)
     assert np.array_equal(nk.clip_psd(raw),
                           (dec.eigvecs * lam) @ dec.eigvecs.T)
+
+
+def _with_spectrum(seed, lam):
+    """Q diag(lam) Q^T for a random orthogonal Q drawn from seed."""
+    p = len(lam)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
+    w = (q * lam) @ q.T
+    return 0.5 * (w + w.T)
+
+
+def _is_pd(w):
+    try:
+        nk.require_pd(w)
+    except nk.NotPositiveDefiniteError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(hs.integers(0, 2 ** 32 - 1), hs.integers(2, 5),
+       hs.one_of(hs.floats(0.0, 10.0), hs.floats(14.0, 20.0)),
+       hs.floats(-150.0, 150.0))
+def test_require_pd_verdict_is_scale_free(seed, p, log_cond, log_s):
+    # condition numbers kept two decades from the 1e12 threshold, so
+    # rounding in the eigenvalues cannot decide the verdict
+    w = _with_spectrum(seed, np.logspace(0.0, -log_cond, p))
+    assert _is_pd(w) == _is_pd(10.0 ** log_s * w) == (log_cond < 12)
+
+
+PD_SITES = {
+    "QuadFamily": lambda w: ki.QuadFamily([0.0, 0.0], w),
+    "lda_axis": lambda w: ki.lda_axis([1.0, 0.0], [0.0, 1.0], w),
+    "MetaStudy": lambda w: ki.MetaStudy([0.0, 0.0], w),
+    "mahalanobis": lambda w: st.mahalanobis([1.0, 0.0], [0.0, 0.0], w),
+    "gen_eig": lambda w: nk.gen_eig(np.eye(2), w),
+    "conjugate_axes": lambda w: ge.conjugate_axes(w, "principal"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PD_SITES))
+@settings(max_examples=25, deadline=None, database=None)
+@given(hs.integers(0, 2 ** 32 - 1), hs.floats(-150.0, 150.0))
+def test_every_pd_site_has_the_same_threshold(site, seed, log_s):
+    s = 10.0 ** log_s
+    with pytest.raises(nk.NotPositiveDefiniteError):
+        PD_SITES[site](s * _with_spectrum(seed, [1.0, 0.9e-12]))
+    PD_SITES[site](s * _with_spectrum(seed, [1.0, 1.1e-12]))

@@ -73,11 +73,17 @@ def test_render_rejects_zero_area_viewport():
         render.render_scene(scene)
 
 
+def _transform(scene):
+    # the transform and viewport render_scene draws the scene with
+    return render._scene_transform(scene,
+                                   render._arrow_ends(scene.layers)[1])
+
+
 def test_unit_circle_pixel_bounding_box():
     scene = render.Scene(
         layers=[render.EllipseLayer(ge.from_moment(np.eye(2)))],
         viewport=(-1.0, 1.0, -1.0, 1.0), size=(400, 400), aspect="equal")
-    tr, viewport = render.scene_transform(scene)
+    tr, viewport = _transform(scene)
     pts = tr.to_pixel(render.ellipse_path(ge.from_moment(np.eye(2)), 256))
     # data square maps into the margins-adjusted box
     assert pts[:, 0].min() == pytest.approx(
@@ -90,7 +96,7 @@ def test_unit_circle_pixel_bounding_box():
 
 def test_transform_roundtrip(iris_grouped):
     scene = iris_he_scene(iris_grouped)
-    tr, _ = render.scene_transform(scene)
+    tr, _ = _transform(scene)
     rng = np.random.default_rng(2)
     pts = rng.uniform(-10, 10, size=(200, 2))
     back = tr.to_data(tr.to_pixel(pts))
