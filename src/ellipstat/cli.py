@@ -10,7 +10,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,16 +162,23 @@ def _columns_arg(value):
     return [c.strip() for c in value.split(",") if c.strip()]
 
 
+def _finite(v):
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {v.strip()!r}")
+    return x
+
+
 def _floats_arg(value):
     try:
-        return [float(v) for v in value.split(",") if v.strip()]
+        return [_finite(v) for v in value.split(",") if v.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 def _matrix_arg(value):
     try:
-        rows = [[float(v) for v in row.split(",")]
+        rows = [[_finite(v) for v in row.split(",")]
                 for row in value.split(";")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
@@ -599,30 +606,32 @@ def cmd_blup(args):
     table = resolve_data(args.data)
     y = table.numeric(args.response)
     x = table.numeric(args.x)
-    labels = table.categorical(args.group)
-    by = {}
-    for lab, xi, yi in zip(labels, x, y):
-        by.setdefault(lab, []).append((xi, yi))
-    clusters, names = [], []
-    for lab in sorted(by):
-        arr = np.array(by[lab])
-        design = np.column_stack([np.ones(len(arr)), arr[:, 0]])
-        clusters.append(kissing.Cluster(design, arr[:, 1]))
-        names.append(lab)
     if args.g_diag and len(args.g_diag) != 2:
         raise InputError("--g-diag needs two entries")
-    blues = kissing.cluster_blues(
-        kissing.MixedSpec(clusters, np.zeros((2, 2))))
+    if args.g_diag and min(args.g_diag) < 0:
+        raise InputError("--g-diag entries are variances and must be >= 0")
+    by = {}
+    for i, lab in enumerate(table.categorical(args.group)):
+        by.setdefault(lab, []).append(i)
+    names = sorted(by)
+    rows = np.concatenate([by[lab] for lab in names])
+    ends = np.cumsum([len(by[lab]) for lab in names])[:-1]
+    design = np.column_stack([np.ones(table.n), x])[rows]
+    clusters = [kissing.Cluster(d, r) for d, r in
+                zip(np.split(design, ends), np.split(y[rows], ends))]
+    spec = kissing.MixedSpec(clusters, np.zeros((2, 2)))
+    blues = kissing.cluster_blues(spec)
+    if not blues["estimates"]:
+        raise ValueError("no cluster has a full-rank design")
     if args.g_diag:
         g_mat = np.diag(args.g_diag)
     else:
         g_mat = kissing.estimate_g_moments(blues)
-    gls = kissing.gls_fixed(
-        kissing.MixedSpec(clusters, g_mat, sigma2=blues["sigma2"]))
-    blups = [kissing.blup(e["beta"], e["s_mat"], gls["beta"], g_mat)
-             for e in blues["estimates"]]
+    gls = kissing.gls_fixed(replace(spec, g_mat=g_mat,
+                                    sigma2=blues["sigma2"]))
     bb = np.array([e["beta"] for e in blues["estimates"]])
-    bp = np.array([b["beta"] for b in blups])
+    bp = kissing.blup(bb, np.array([e["s_mat"] for e in blues["estimates"]]),
+                      gls["beta"], g_mat)["beta"]
     rel = _relative_shrinkage(bb, bp)
     payload = {
         "group": args.group,
@@ -634,8 +643,8 @@ def cmd_blup(args):
         "gls_beta": gls["beta"],
         "gls_cov": gls["cov"],
         "clusters": [{"label": names[e["index"]], "blue": e["beta"],
-                      "blup": b["beta"]}
-                     for e, b in zip(blues["estimates"], blups)],
+                      "blup": b}
+                     for e, b in zip(blues["estimates"], bp)],
         "skipped": [names[i] for i in blues["skipped"]],
         "relative_shrinkage_intercept": float(rel[0]),
         "relative_shrinkage_slope": float(rel[1]),

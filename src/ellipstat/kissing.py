@@ -3,7 +3,7 @@
 # axis, ridge regression, Bayes posterior combination, mixed-model
 # GLS/BLUE/BLUP, and multivariate meta-analysis.
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -372,21 +372,25 @@ def bayes_posterior(x, y, beta_prior, a_mat, standardize=True):
 
 # ----------------------------------------------------------------- mixed
 
+# A design has full column rank when, with its columns scaled to unit
+# length, its smallest singular value exceeds RANK_TOL times its largest.
+RANK_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class Cluster:
     x: np.ndarray
     y: np.ndarray
-    z: np.ndarray = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float).ravel()
-        z = x if self.z is None else np.asarray(self.z, dtype=float)
-        if x.shape[0] != y.size or z.shape[0] != y.size:
+        if x.ndim != 2 or x.shape[0] != y.size:
             raise nk.InputError("cluster dimensions disagree")
+        if y.size == 0:
+            raise nk.InputError("a cluster needs at least one row")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
 
     @property
     def n(self):
@@ -394,77 +398,149 @@ class Cluster:
 
 
 @dataclass(frozen=True)
+class _ClusterQR:
+    """Thin QR factors X_i = Q_i R_i of every cluster, stacked.
+
+    r[i] is R_i and qty[i] is Q_i'y_i, both padded with zero rows to p
+    rows when n_i < p; rss[i] is the residual sum of squares of y_i on
+    the column space of X_i; full[i] says whether X_i has full column
+    rank (see RANK_TOL).
+    """
+    clusters: list
+    n: np.ndarray
+    r: np.ndarray
+    qty: np.ndarray
+    rss: np.ndarray
+    full: np.ndarray
+
+
+def _factor(clusters):
+    """_ClusterQR of the clusters: one stacked QR per distinct cluster size."""
+    p = clusters[0].x.shape[1]
+    if any(c.x.shape[1] != p for c in clusters):
+        raise nk.InputError("clusters have different numbers of columns")
+    n = np.array([c.n for c in clusters])
+    order = np.argsort(n, kind="stable")
+    x = np.concatenate([clusters[i].x for i in order])
+    y = np.concatenate([clusters[i].y for i in order])
+    r = np.zeros((len(n), p, p))
+    qty = np.zeros((len(n), p))
+    rss = np.empty(len(n))
+    at = row = 0
+    for size, k in zip(*np.unique(n[order], return_counts=True)):
+        idx = order[at:at + k]
+        y_k = y[row:row + k * size].reshape(k, size)
+        q, r_k = np.linalg.qr(x[row:row + k * size].reshape(k, size, p))
+        c = (y_k[:, None, :] @ q)[:, 0]
+        resid = y_k - (q @ c[..., None])[..., 0]
+        r[idx, :r_k.shape[1]] = r_k
+        qty[idx, :r_k.shape[1]] = c
+        rss[idx] = np.einsum("kn,kn->k", resid, resid)
+        at += k
+        row += k * size
+    norms = np.linalg.norm(r, axis=1)
+    scaled = r / np.where(norms > 0, norms, 1.0)[:, None, :]
+    u, sv, _ = np.linalg.svd(scaled)
+    dropped = sv <= RANK_TOL * sv[:, :1]
+    full = ~dropped[:, -1]
+    # Q_i spans more than the columns of a rank-deficient X_i: the part of
+    # Q_i'y_i along the left singular vectors dropped from R_i is residual too
+    lost = np.einsum("kij,ki->kj", u, qty)
+    rss += np.where(dropped, lost * lost, 0.0).sum(axis=1)
+    return _ClusterQR(clusters, n, r, qty, rss, full)
+
+
+@dataclass(frozen=True)
 class MixedSpec:
     clusters: list
     g_mat: np.ndarray           # between-cluster covariance of random effects
     sigma2: float = None        # error variance; estimated if omitted
-    r_mats: list = None         # per-cluster error covariance, default s2 I
+    # _factor(clusters), made on first use; dataclasses.replace hands it
+    # on to a spec with the same clusters and another G or sigma^2
+    _qr: _ClusterQR = field(default=None, repr=False, compare=False,
+                            kw_only=True)
 
     def __post_init__(self):
         if not self.clusters:
             raise nk.InputError("need at least one cluster")
-        object.__setattr__(self, "g_mat",
-                           nk.check_symmetric(self.g_mat))
+        g_mat = nk.check_symmetric(self.g_mat)
+        nk.psd_eigvals(g_mat)       # rejects a materially indefinite G
+        object.__setattr__(self, "g_mat", g_mat)
+
+    def _factors(self):
+        if self._qr is None or self._qr.clusters is not self.clusters:
+            object.__setattr__(self, "_qr", _factor(self.clusters))
+        return self._qr
 
     def error_variance(self):
         if self.sigma2 is not None:
             return float(self.sigma2)
-        rss, df = 0.0, 0
-        for c in self.clusters:
-            coef, _, _, _ = np.linalg.lstsq(c.x, c.y, rcond=None)
-            r = c.y - c.x @ coef
-            rss += float(r @ r)
-            df += c.n - c.x.shape[1]
+        qr = self._factors()
+        df = int(qr.n.sum()) - qr.r.shape[0] * qr.r.shape[2]
         if df <= 0:
             raise nk.InputError("no residual degrees of freedom for sigma^2")
-        return rss / df
+        return float(qr.rss.sum()) / df
 
-    def r_mat(self, i, sigma2):
-        """R_i: the given matrix, else sigma2 I."""
-        if self.r_mats is not None:
-            return np.asarray(self.r_mats[i], dtype=float)
-        return sigma2 * np.eye(self.clusters[i].n)
+
+def _gls(blocks):
+    """GLS pool of a list of stacks (X_i, Sigma_i, y_i): beta and its cov.
+
+    Least squares on the whitened blocks L_i^{-1} [X_i, y_i], L_i L_i' =
+    Sigma_i, through one thin QR of their stack, Q R: beta = R^{-1} Q'z
+    and cov = W W' with W = R^{-1}. The normal equations
+    sum X_i' Sigma_i^{-1} X_i would square the condition of the design.
+    """
+    white = np.concatenate([
+        np.linalg.solve(np.linalg.cholesky(sigma),
+                        np.concatenate([x, y[..., None]], axis=-1))
+        .reshape(-1, x.shape[-1] + 1) for x, sigma, y in blocks])
+    q, r = np.linalg.qr(white[:, :-1])
+    w = np.linalg.inv(r)
+    return {"beta": w @ (q.T @ white[:, -1]), "cov": w @ w.T}
 
 
 def gls_fixed(spec):
-    """Mixed-model GLS fixed effects with V_i = Z_i G Z_i' + R_i."""
-    s2 = None
-    if spec.r_mats is None:     # R_i = sigma^2 I, sigma^2 given or estimated
-        s2 = (spec.error_variance() if spec.sigma2 is None
-              else float(spec.sigma2))
-    a = None
-    b = None
-    for i, c in enumerate(spec.clusters):
-        v = c.z @ spec.g_mat @ c.z.T + spec.r_mat(i, s2)
-        sv = np.linalg.svd(v, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise ValueError(f"cluster {i}: V is singular")
-        vi_x = np.linalg.solve(v, c.x)
-        if a is None:
-            a = np.zeros((c.x.shape[1], c.x.shape[1]))
-            b = np.zeros(c.x.shape[1])
-        a += c.x.T @ vi_x
-        b += vi_x.T @ c.y
-    cov = np.linalg.inv(a)
-    return {"beta": cov @ b, "cov": 0.5 * (cov + cov.T)}
+    """Mixed-model GLS fixed effects with V_i = X_i G X_i' + sigma^2 I.
+
+    With X_i = Q_i R_i, X_i'V_i^{-1}X_i = R_i'M_i^{-1}R_i and X_i'V_i^{-1}y_i
+    = R_i'M_i^{-1}Q_i'y_i with the p x p M_i = sigma^2 I + R_i G R_i', so
+    the GLS pool of the p-row blocks (R_i, M_i, Q_i'y_i) is that of the
+    clusters. V_i has the eigenvalues of M_i and, when n_i > p, sigma^2;
+    it is singular when the smallest magnitude is at most 1e-12 times the
+    largest.
+    """
+    qr = spec._factors()
+    s2 = spec.error_variance() if spec.sigma2 is None else float(spec.sigma2)
+    p = qr.r.shape[2]
+    m = s2 * np.eye(p) + qr.r @ spec.g_mat @ qr.r.swapaxes(1, 2)
+    # pad the diagonal of a cluster with n_i < p with M_i[0, 0]: a diagonal
+    # entry lies within the spectrum of M_i's real block, so the singular
+    # test is unchanged, and the zero rows of R_i keep it out of the GLS
+    d = np.arange(p)
+    m[:, d, d] = np.where(d >= qr.n[:, None], m[:, :1, 0], m[:, d, d])
+    lam = np.abs(np.linalg.eigvalsh(m))
+    lam = np.column_stack([lam, np.where(qr.n > p, abs(s2), lam[:, 0])])
+    singular = np.flatnonzero(lam.min(axis=1) <= 1e-12 * lam.max(axis=1))
+    if singular.size:
+        raise ValueError(f"cluster {singular[0]}: V is singular")
+    return _gls([(qr.r, m, qr.qty)])
 
 
 def cluster_blues(spec):
-    """Per-cluster OLS estimates with S_i = sigma^2 (X_i'X_i)^{-1}.
+    """Per-cluster OLS estimates beta_i = R_i^{-1} Q_i'y_i with
+    S_i = sigma^2 W_i W_i', W_i = R_i^{-1} (symmetric by construction).
 
     Rank-deficient clusters are skipped and reported rather than fitted.
     """
+    qr = spec._factors()
     s2 = spec.error_variance()
-    estimates, skipped = [], []
-    for i, c in enumerate(spec.clusters):
-        sv = np.linalg.svd(c.x, compute_uv=False)
-        if c.n < c.x.shape[1] or sv[-1] <= 1e-10 * sv[0]:
-            skipped.append(i)
-            continue
-        xtx_inv = np.linalg.inv(c.x.T @ c.x)
-        beta = xtx_inv @ c.x.T @ c.y
-        estimates.append({"index": i, "beta": beta, "s_mat": s2 * xtx_inv})
-    return {"estimates": estimates, "skipped": skipped, "sigma2": s2}
+    idx = np.flatnonzero(qr.full)
+    w = np.linalg.inv(qr.r[idx])
+    beta = np.einsum("kij,kj->ki", w, qr.qty[idx])
+    s_mat = s2 * (w @ w.swapaxes(1, 2))
+    return {"estimates": [{"index": i, "beta": b, "s_mat": s}
+                          for i, b, s in zip(idx.tolist(), beta, s_mat)],
+            "skipped": np.flatnonzero(~qr.full).tolist(), "sigma2": s2}
 
 
 def blup(beta_blue, s_mat, beta_gls, g_mat):
@@ -474,15 +550,20 @@ def blup(beta_blue, s_mat, beta_gls, g_mat):
     G - G (S + G)^{-1} G: equal to (S^{-1} + G^{-1})^{-1} (S^{-1} beta_blue
     + G^{-1} beta_gls) for a nonsingular G, and defined without inverting
     G, so a singular G pools completely along its null space. Complete
-    pooling as G -> 0, no pooling as G -> infinity.
+    pooling as G -> 0, no pooling as G -> infinity. Stacks of BLUEs and
+    S matrices, shapes (..., p) and (..., p, p), give stacked results.
     """
     s_mat = nk.check_symmetric(s_mat)
     g_mat = nk.check_symmetric(g_mat)
     beta_gls = np.asarray(beta_gls, dtype=float)
-    gain = np.linalg.solve(s_mat + g_mat, g_mat).T     # G (S + G)^{-1}
-    beta = beta_gls + gain @ (np.asarray(beta_blue, dtype=float) - beta_gls)
+    total = s_mat + g_mat
+    # b is a stack of matrices, not of vectors, on numpy 1.x too
+    gain = np.linalg.solve(total, np.broadcast_to(g_mat, total.shape))
+    gain = gain.swapaxes(-1, -2)
+    beta = beta_gls + np.einsum("...ij,...j->...i", gain,
+                                np.asarray(beta_blue, dtype=float) - beta_gls)
     w = g_mat - gain @ g_mat
-    return {"beta": beta, "cov": 0.5 * (w + w.T)}
+    return {"beta": beta, "cov": 0.5 * (w + w.swapaxes(-1, -2))}
 
 
 def estimate_g_moments(blues):
@@ -493,7 +574,7 @@ def estimate_g_moments(blues):
         raise ValueError("need at least two full-rank clusters")
     dev = betas - betas.mean(axis=0)
     raw = dev.T @ dev / (betas.shape[0] - 1)
-    raw -= sum(e["s_mat"] for e in blues["estimates"]) / betas.shape[0]
+    raw -= np.array([e["s_mat"] for e in blues["estimates"]]).mean(axis=0)
     return nk.clip_psd(raw)
 
 
@@ -519,27 +600,21 @@ class MetaStudy:
         object.__setattr__(self, "x_mat", x)
 
 
-def _meta_gls(studies, extra=None):
-    a = None
-    b = None
+def _study_blocks(studies, extra=0.0):
+    """(X_i, S_i + extra, y_i) of the studies, stacked by design shape."""
+    by_shape = {}
     for s in studies:
-        sigma = s.s_mat if extra is None else s.s_mat + extra
-        si_x = np.linalg.solve(sigma, s.x_mat)
-        if a is None:
-            k = s.x_mat.shape[1]
-            a = np.zeros((k, k))
-            b = np.zeros(k)
-        a += s.x_mat.T @ si_x
-        b += si_x.T @ s.y
-    cov = np.linalg.inv(a)
-    return {"beta": cov @ b, "cov": 0.5 * (cov + cov.T)}
+        by_shape.setdefault(s.x_mat.shape, []).append(s)
+    return [(np.stack([s.x_mat for s in group]),
+             np.stack([s.s_mat for s in group]) + extra,
+             np.stack([s.y for s in group])) for group in by_shape.values()]
 
 
 def meta_fixed(studies):
     """Fixed-effect GLS pool: inverse-variance weighting by S_i alone."""
     if not studies:
         raise nk.InputError("need at least one study")
-    return _meta_gls(studies)
+    return _gls(_study_blocks(studies))
 
 
 def meta_random(studies, delta):
@@ -552,7 +627,7 @@ def meta_random(studies, delta):
     if studies and delta.shape != studies[0].s_mat.shape:
         raise nk.InputError("Delta must match the within-study covariances")
     nk.psd_eigvals(delta)       # rejects a materially indefinite Delta
-    return _meta_gls(studies, extra=delta)
+    return _gls(_study_blocks(studies, delta))
 
 
 def meta_blup(studies, beta_re, v_cov, delta):
@@ -563,15 +638,19 @@ def meta_blup(studies, beta_re, v_cov, delta):
     """
     delta = nk.check_symmetric(delta)
     beta_re = np.asarray(beta_re, dtype=float).ravel()
-    out = []
-    for s in studies:
-        sigma = s.s_mat + delta
-        mean_i = s.x_mat @ beta_re
-        adj = delta @ np.linalg.solve(sigma, s.y - mean_i)
-        cov_i = v_cov + delta - delta @ np.linalg.solve(sigma, delta)
-        out.append({"label": s.label, "beta": mean_i + adj,
-                    "cov": 0.5 * (cov_i + cov_i.T)})
-    return out
+    if not studies:
+        return []
+    [(x, sigma, y)] = _study_blocks(studies, delta)
+    mean = x @ beta_re
+    p = delta.shape[0]
+    sol = np.linalg.solve(sigma, np.concatenate(
+        [np.broadcast_to(delta, sigma.shape), (y - mean)[..., None]],
+        axis=-1))
+    beta = mean + np.einsum("ij,nj->ni", delta, sol[..., p])
+    cov = v_cov + delta - delta @ sol[..., :p]
+    cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    return [{"label": s.label, "beta": b, "cov": c}
+            for s, b, c in zip(studies, beta, cov)]
 
 
 def estimate_delta_mom(studies):

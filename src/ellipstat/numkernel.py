@@ -63,14 +63,19 @@ def as_matrix(m):
 
 
 def check_symmetric(m, tol=SYM_TOL):
+    """The symmetric part of a square matrix, or of each in a stack of them,
+    after checking that its asymmetry is within tol of its own scale."""
     a = as_matrix(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(np.abs(a).max(), 1e-300)
-    asym = np.abs(a - a.T).max()
-    if asym > tol * scale:
-        raise NotSymmetricError(asym, scale)
-    return 0.5 * (a + a.T)
+    at = a.swapaxes(-1, -2)
+    scale = np.abs(a).max(axis=(-2, -1), initial=1e-300)
+    asym = np.abs(a - at).max(axis=(-2, -1))
+    bad = asym > tol * scale
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NotSymmetricError(asym[first], scale[first])
+    return 0.5 * (a + at)
 
 
 def _fix_signs(vecs):

@@ -78,6 +78,10 @@ def test_numerical_failure_is_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+BLUP_HSB = ["blup", "--data", "hsb-sample", "--group", "school", "--x",
+            "cses", "--response", "mathach"]
+
+
 @pytest.mark.parametrize("argv", [
     ["data-ellipse", "--data", "galton", "--level", "1.5"],
     ["kiss", "--resolution", "10"],
@@ -94,10 +98,20 @@ def test_numerical_failure_is_exit_3(tmp_path, capsys):
      "--precision-matrix", "1,0;0,1"],
     ["meta", "--data", "berkey", "--model", "random",
      "--delta", "1,0,0;0,1,0;0,0,1"],
+    BLUP_HSB + ["--g-diag=-1,1"],
+    ["gell", "--matrix", "nan,0;0,1"],
+    BLUP_HSB + ["--g-diag=inf,1"],
 ], ids=["level", "resolution", "reps", "ridge-k", "asymmetric", "coords",
-        "one-coord", "precision-shape", "delta-shape"])
+        "one-coord", "precision-shape", "delta-shape", "negative-g",
+        "nan-matrix", "inf-floats"])
 def test_bad_argument_is_exit_2(tmp_path, capsys, argv):
-    code = run_cli(argv + ["--json", str(tmp_path / "out.json")])
+    try:
+        code = run_cli(argv + ["--json", str(tmp_path / "out.json")])
+    except SystemExit as exc:
+        # a non-finite number is rejected while the flags are parsed
+        assert "non-finite number" in capsys.readouterr().err
+        assert exc.code == 2
+        return
     assert code == 2
     assert "input error" in capsys.readouterr().err
 
@@ -519,6 +533,26 @@ def test_blup_fits_clusters_once(tmp_path, monkeypatch, extra):
                     str(out)] + extra) == 0
     assert (len(sigma2), len(blues)) == (1, 1)
     assert read_json(out)["n_clusters"] == 20
+
+
+@pytest.mark.parametrize("extra", [[], ["--g-diag", "6.25,0.64"]],
+                         ids=["moment-g", "given-g"])
+def test_blup_factors_each_cluster_once(tmp_path, monkeypatch, extra):
+    # one thin QR per cluster, in stacks of equal-sized clusters
+    stacks = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    assert run_cli(BLUP_HSB + ["--json", str(tmp_path / "b.json")]
+                   + extra) == 0
+    stacked = [s for s in stacks if len(s) == 3]
+    assert sum(s[0] for s in stacked) == 20
+    assert sum(s[0] * s[1] for s in stacked) == \
+        cli.resolve_data("hsb-sample").n
+    assert len({s[1] for s in stacked}) == len(stacked)
 
 
 def test_avp_regresses_three_times(tmp_path, monkeypatch):

@@ -1,12 +1,14 @@
-import io
 import csv
+import dataclasses
+import io
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as hs
 
 from ellipstat import cli, datasets, kissing as ki
+from ellipstat import numkernel as nk
 from ellipstat import statellipse as st
 
 from conftest import random_pd
@@ -491,7 +493,7 @@ def test_gls_single_cluster():
     spec = ki.MixedSpec(clusters, g_mat, sigma2=1.0)
     out = ki.gls_fixed(spec)
     c = clusters[0]
-    v = c.z @ g_mat @ c.z.T + np.eye(c.n)
+    v = c.x @ g_mat @ c.x.T + np.eye(c.n)
     direct = np.linalg.solve(c.x.T @ np.linalg.solve(v, c.x),
                              c.x.T @ np.linalg.solve(v, c.y))
     assert out["beta"] == pytest.approx(direct, rel=1e-10)
@@ -510,7 +512,7 @@ def test_gls_blockwise_equals_stacked():
     v_all = 1.3 * np.eye(n_all)
     at = 0
     for c in clusters:
-        v_all[at:at + c.n, at:at + c.n] += c.z @ g_mat @ c.z.T
+        v_all[at:at + c.n, at:at + c.n] += c.x @ g_mat @ c.x.T
         at += c.n
     vi_x = np.linalg.solve(v_all, x_all)
     beta = np.linalg.solve(x_all.T @ vi_x, vi_x.T @ y_all)
@@ -587,6 +589,26 @@ def test_blup_singular_g_pools_slope_completely():
     assert out["cov"] == pytest.approx(near["cov"], abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 20])
+def test_blup_stack_matches_one_at_a_time(k):
+    # k = p = 2 is the stack numpy 1.x's solve would read G as k vectors of
+    rng = np.random.default_rng(16)
+    s_mats = np.array([random_pd(rng, 2) for _ in range(k)])
+    blues = rng.standard_normal((k, 2))
+    gls, g_mat = rng.standard_normal(2), random_pd(rng, 2)
+    out = ki.blup(blues, s_mats, gls, g_mat)
+    for i in range(k):
+        one = ki.blup(blues[i], s_mats[i], gls, g_mat)
+        assert out["beta"][i] == pytest.approx(one["beta"], rel=1e-14)
+        assert out["cov"][i] == pytest.approx(one["cov"], rel=1e-14)
+
+
+def test_mixed_spec_takes_no_fourth_positional_argument():
+    clusters = _toy_clusters(np.random.default_rng(17), m=3)
+    with pytest.raises(TypeError):
+        ki.MixedSpec(clusters, np.eye(2), 1.0, [np.eye(3)] * 3)
+
+
 def test_hsb_sample_slope_shrinks_more_than_intercept():
     rows = list(csv.reader(io.StringIO(datasets.hsb_sample())))
     by = {}
@@ -607,6 +629,257 @@ def test_hsb_sample_slope_shrinks_more_than_intercept():
     bp = np.array([b["beta"] for b in blups])
     rel = np.abs(bb - bp).mean(axis=0) / bb.std(axis=0, ddof=1)
     assert rel[1] > rel[0]
+
+
+def test_mixed_spec_rejects_an_indefinite_g():
+    rng = np.random.default_rng(15)
+    clusters = _toy_clusters(rng, m=3)
+    with pytest.raises(nk.IndefiniteError):
+        ki.MixedSpec(clusters, np.diag([-1.0, 1.0]))
+    ki.MixedSpec(clusters, np.diag([0.0, 1.0]))       # PSD is enough
+
+
+@pytest.mark.parametrize("sizes,sigma2,singular", [
+    ([1, 2, 2], 0.0, False), ([1, 2, 3], 0.0, True), ([1, 3, 5], 1.0, False)])
+def test_gls_singular_v(sizes, sigma2, singular):
+    # with sigma^2 = 0, V_i = X_i G X_i' is singular exactly when n_i > p;
+    # a one-row cluster's V_i is a positive scalar
+    rng = np.random.default_rng(16)
+    clusters = _mixed_clusters(rng, sizes, 0.0, 1.0, 0.5)
+    g_mat = random_pd(rng, 2, scale=0.5)
+    spec = ki.MixedSpec(clusters, g_mat, sigma2=sigma2)
+    if singular:
+        with pytest.raises(ValueError, match="cluster 2: V is singular"):
+            ki.gls_fixed(spec)
+        return
+    x_all = np.vstack([c.x for c in clusters])
+    v_all = sigma2 * np.eye(len(x_all))
+    at = 0
+    for c in clusters:
+        v_all[at:at + c.n, at:at + c.n] += c.x @ g_mat @ c.x.T
+        at += c.n
+    vi_x = np.linalg.solve(v_all, x_all)
+    want = np.linalg.solve(x_all.T @ vi_x,
+                           vi_x.T @ np.concatenate([c.y for c in clusters]))
+    _close(ki.gls_fixed(spec)["beta"], want, 1e-10)
+
+
+# Slow per-cluster copies of MixedSpec.error_variance, cluster_blues,
+# gls_fixed and blup as they were before the stacked QR: the oracle for
+# the stacked rewrite.
+
+def _reference_mixed(clusters, g_mat=None):
+    rss, df = 0.0, 0
+    for c in clusters:
+        coef, _, _, _ = np.linalg.lstsq(c.x, c.y, rcond=None)
+        r = c.y - c.x @ coef
+        rss += float(r @ r)
+        df += c.n - c.x.shape[1]
+    if df <= 0:
+        raise ValueError("no residual degrees of freedom for sigma^2")
+    s2 = rss / df
+    index, blues, s_mats = [], [], []
+    for i, c in enumerate(clusters):
+        sv = np.linalg.svd(c.x, compute_uv=False)
+        if c.n < c.x.shape[1] or sv[-1] <= 1e-10 * sv[0]:
+            continue
+        xtx_inv = np.linalg.inv(c.x.T @ c.x)
+        index.append(i)
+        blues.append(xtx_inv @ c.x.T @ c.y)
+        s_mats.append(s2 * xtx_inv)
+    if g_mat is None:
+        betas = np.array(blues)
+        if betas.shape[0] < 2:
+            raise ValueError("need at least two full-rank clusters")
+        dev = betas - betas.mean(axis=0)
+        raw = dev.T @ dev / (betas.shape[0] - 1)
+        raw -= sum(s_mats) / betas.shape[0]
+        g_mat = nk.clip_psd(raw)
+    a = None
+    b = None
+    for i, c in enumerate(clusters):
+        v = c.x @ g_mat @ c.x.T + s2 * np.eye(c.n)
+        sv = np.linalg.svd(v, compute_uv=False)
+        if sv[-1] <= 1e-12 * sv[0]:
+            raise ValueError(f"cluster {i}: V is singular")
+        vi_x = np.linalg.solve(v, c.x)
+        if a is None:
+            a = np.zeros((c.x.shape[1], c.x.shape[1]))
+            b = np.zeros(c.x.shape[1])
+        a += c.x.T @ vi_x
+        b += vi_x.T @ c.y
+    cov = np.linalg.inv(a)
+    gls = cov @ b
+    blups = []
+    for beta, s_mat in zip(blues, s_mats):
+        gain = np.linalg.solve(s_mat + g_mat, g_mat).T
+        blups.append(gls + gain @ (beta - gls))
+    return {"sigma2": s2, "index": index,
+            "blues": np.array(blues).reshape(-1, 2),
+            "s_mats": np.array(s_mats).reshape(-1, 2, 2), "g_mat": g_mat,
+            "gls": gls, "gls_cov": 0.5 * (cov + cov.T),
+            "blups": np.array(blups).reshape(-1, 2)}
+
+
+def _fit_mixed(clusters, g_mat=None):
+    """The blup subcommand's path through the library."""
+    spec = ki.MixedSpec(clusters, np.zeros((2, 2)))
+    blues = ki.cluster_blues(spec)
+    if g_mat is None:
+        g_mat = ki.estimate_g_moments(blues)
+    gls = ki.gls_fixed(dataclasses.replace(spec, g_mat=g_mat,
+                                           sigma2=blues["sigma2"]))
+    est = blues["estimates"]
+    b = np.array([e["beta"] for e in est]).reshape(-1, 2)
+    s_mats = np.array([e["s_mat"] for e in est]).reshape(-1, 2, 2)
+    return {"sigma2": blues["sigma2"], "index": [e["index"] for e in est],
+            "skipped": blues["skipped"], "blues": b, "s_mats": s_mats,
+            "g_mat": g_mat, "gls": gls["beta"], "gls_cov": gls["cov"],
+            "blups": ki.blup(b, s_mats, gls["beta"], g_mat)["beta"]}
+
+
+def _close(got, want, rel, scale=0.0):
+    """got == want within rel times the larger of scale and max|want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= \
+        rel * np.abs(want).max(initial=scale)
+
+
+def _mixed_clusters(rng, sizes, centre, spread, slope_sd, constant=()):
+    """Clusters of y = b_i0 + b_i1 x + e with the given sizes; the
+    clusters listed in constant have one x value repeated."""
+    clusters = []
+    for i, n in enumerate(sizes):
+        x = centre + spread * rng.standard_normal(n)
+        if i in constant:
+            x[:] = x[0]
+        b = [10.0 + 2.0 * rng.standard_normal(),
+             1.0 + slope_sd * rng.standard_normal()]
+        y = b[0] + b[1] * x + rng.standard_normal(n)
+        clusters.append(ki.Cluster(np.column_stack([np.ones(n), x]), y))
+    return clusters
+
+
+def _rank_ratio(x, scaled):
+    if scaled:
+        x = x / np.where(np.linalg.norm(x, axis=0) > 0,
+                         np.linalg.norm(x, axis=0), 1.0)
+    sv = np.linalg.svd(x, compute_uv=False)
+    return sv[-1] / sv[0] if len(sv) == x.shape[1] else 0.0
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1),
+       sizes=hs.lists(hs.integers(1, 16), min_size=3, max_size=12),
+       constant=hs.sets(hs.integers(0, 11), max_size=2),
+       g_kind=hs.sampled_from(["moment", "zero", "singular", "given"]))
+def test_mixed_fits_match_per_cluster_reference(seed, sizes, constant,
+                                                g_kind):
+    rng = np.random.default_rng(seed)
+    clusters = _mixed_clusters(rng, sizes, rng.normal(0.0, 3.0),
+                               rng.uniform(0.3, 3.0), 0.5, constant)
+    g_mat = {"moment": None, "zero": np.zeros((2, 2)),
+             "singular": np.diag([rng.uniform(0.1, 5.0), 0.0]),
+             "given": random_pd(rng, 2, scale=0.5)}[g_kind]
+    # the two rank tests (unscaled before, column-scaled now) agree away
+    # from their common 1e-10 threshold
+    for c in clusters:
+        for scaled in (False, True):
+            assume(not 1e-13 < _rank_ratio(c.x, scaled) < 1e-7)
+    try:
+        want = _reference_mixed(clusters, g_mat)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        with pytest.raises((ValueError, np.linalg.LinAlgError)):
+            _fit_mixed(clusters, g_mat)
+        return
+    got = _fit_mixed(clusters, g_mat)
+    assert got["index"] == want["index"]
+    assert got["skipped"] == sorted(set(range(len(clusters)))
+                                    - set(want["index"]))
+    _close(got["sigma2"], want["sigma2"], 1e-12)
+    # the reference inverts X_i'X_i, so its error grows as cond(X_i)^2
+    kappa = max([np.linalg.cond(clusters[i].x) ** 2 for i in want["index"]],
+                default=1.0)
+    for key in ("blues", "s_mats", "g_mat", "gls", "gls_cov", "blups"):
+        _close(got[key], want[key], 1e-12 * max(kappa, 1e3))
+    # S_i = sigma^2 W W' is symmetric by construction
+    assert np.array_equal(got["s_mats"], got["s_mats"].swapaxes(1, 2))
+
+
+def _moment_raw_g(clusters):
+    fit = _reference_mixed(clusters, np.zeros((2, 2)))
+    dev = fit["blues"] - fit["blues"].mean(axis=0)
+    return dev.T @ dev / (len(dev) - 1) - fit["s_mats"].mean(axis=0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1),
+       log_s=hs.floats(-150.0, 150.0),
+       moment=hs.booleans())
+def test_mixed_fits_scale_with_x(seed, log_s, moment):
+    # x -> s x scales each slope by 1/s and the G and GLS covariances by
+    # D^-1 . D^-1 with D = diag(1, s); sigma^2 does not move
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(4, 16, size=10)
+    clusters = _mixed_clusters(rng, sizes, rng.normal(0.0, 1.0),
+                               rng.uniform(0.5, 2.0), 1.0)
+    g_mat = random_pd(rng, 2, scale=0.5)
+    if moment:
+        # eigen-clipping an indefinite moment G is not equivariant
+        lam = np.linalg.eigvalsh(_moment_raw_g(clusters))
+        assume(lam[0] > 1e-3 * lam[1])
+        g_mat = None
+    s = 10.0 ** log_s
+    d = np.array([1.0, s])
+    scaled = [ki.Cluster(c.x * d, c.y) for c in clusters]
+    base = _fit_mixed(clusters, g_mat)
+    got = _fit_mixed(scaled, None if moment else g_mat / np.outer(d, d))
+    _close(got["sigma2"], base["sigma2"], 2e-14)
+    _close(got["blues"] * d, base["blues"], 2e-14)
+    _close(got["g_mat"] * np.outer(d, d), base["g_mat"], 2e-14)
+    _close(got["gls"] * d, base["gls"], 2e-14)
+    _close(got["gls_cov"] * np.outer(d, d), base["gls_cov"], 2e-14)
+    # the LU of the graded S + G pivots differently as s varies
+    _close(got["blups"] * d, base["blups"], 1e-13)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1),
+       shift=hs.floats(-1e3, 1e3),
+       moment=hs.booleans())
+@example(seed=600, shift=-950.9555356427719, moment=False)
+@example(seed=7811467, shift=-999.0, moment=True)
+def test_mixed_fits_shift_with_x(seed, shift, moment):
+    # x -> x + c leaves every slope, sigma^2 and the slope variance of G
+    # unchanged and moves each intercept to b0 - c b1. The two examples
+    # put the GLS slope 4e-9 and 1e-9 off when it is solved from the
+    # accumulated normal equations sum X_i'V_i^{-1}X_i (1e-12 as least
+    # squares on the whitened blocks).
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(4, 16, size=10)
+    sd = rng.uniform(0.5, 2.0)
+    clusters = _mixed_clusters(rng, sizes, rng.normal(0.0, 1.0), sd, 1.0)
+    g_mat = random_pd(rng, 2, scale=0.5)
+    if moment:
+        lam = np.linalg.eigvalsh(_moment_raw_g(clusters))
+        assume(lam[0] > 1e-3 * lam[1])
+        g_mat = None
+    c = shift * sd
+    t_inv = np.array([[1.0, -c], [0.0, 1.0]])
+    shifted = [ki.Cluster(k.x + [0.0, c], k.y) for k in clusters]
+    base = _fit_mixed(clusters, g_mat)
+    got = _fit_mixed(shifted, None if moment else t_inv @ g_mat @ t_inv.T)
+    _close(got["sigma2"], base["sigma2"], 1e-9)
+    for key in ("blues", "gls", "blups"):
+        _close(got[key][..., 1], base[key][..., 1], 1e-9)
+        # the intercept at the old origin, x + c = c
+        at_origin = got[key][..., 0] + c * got[key][..., 1]
+        scale = np.abs(base[key][..., 0]) + np.abs(c * base[key][..., 1])
+        assert np.all(np.abs(at_origin - base[key][..., 0])
+                      <= 1e-9 * scale.max())
+    _close(got["g_mat"][1, 1], base["g_mat"][1, 1], 1e-9)
+    _close(got["gls_cov"][1, 1], base["gls_cov"][1, 1], 1e-9)
 
 
 # ------------------------------------------------------------------- meta
@@ -679,6 +952,88 @@ def test_meta_blup_degenerate_cases(berkey_studies):
     delta = np.eye(2)
     out = ki.meta_blup([tiny], [0.0, 0.0], np.zeros((2, 2)), delta)
     assert out[0]["beta"] == pytest.approx([5.0, -1.0], abs=1e-9)
+
+
+# Slow per-study copies of the meta-analysis GLS and BLUPs as they were
+# before the stacked solves: the oracle for the rewrite.
+
+def _reference_meta_gls(studies, extra=None):
+    a = None
+    b = None
+    for s in studies:
+        sigma = s.s_mat if extra is None else s.s_mat + extra
+        si_x = np.linalg.solve(sigma, s.x_mat)
+        if a is None:
+            k = s.x_mat.shape[1]
+            a = np.zeros((k, k))
+            b = np.zeros(k)
+        a += s.x_mat.T @ si_x
+        b += si_x.T @ s.y
+    cov = np.linalg.inv(a)
+    return {"beta": cov @ b, "cov": 0.5 * (cov + cov.T)}
+
+
+def _reference_meta_blup(studies, beta_re, v_cov, delta):
+    out = []
+    for s in studies:
+        sigma = s.s_mat + delta
+        mean_i = s.x_mat @ beta_re
+        adj = delta @ np.linalg.solve(sigma, s.y - mean_i)
+        cov_i = v_cov + delta - delta @ np.linalg.solve(sigma, delta)
+        out.append({"label": s.label, "beta": mean_i + adj,
+                    "cov": 0.5 * (cov_i + cov_i.T)})
+    return out
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1), n=hs.integers(1, 10),
+       p=hs.integers(1, 3), design=hs.booleans(),
+       delta_kind=hs.sampled_from(["zero", "singular", "pd"]))
+def test_meta_fits_match_per_study_reference(seed, n, p, design,
+                                             delta_kind):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, p + 1)) if design else p
+    studies = [ki.MetaStudy(2.0 * rng.standard_normal(p),
+                            random_pd(rng, p, scale=0.3),
+                            rng.standard_normal((p, k)) if design else None,
+                            label=f"s{i}") for i in range(n)]
+    assume(n * p >= k)
+    root = rng.standard_normal((p, 1 if delta_kind == "singular" else p))
+    delta = 0.0 if delta_kind == "zero" else 1.0
+    delta = delta * root @ root.T
+    # a pooled estimate near zero is the difference of larger effects
+    size = np.abs([s.y for s in studies]).max()
+    for got, want in ((ki.meta_fixed(studies),
+                       _reference_meta_gls(studies)),
+                      (ki.meta_random(studies, delta),
+                       _reference_meta_gls(studies, delta))):
+        cond = np.linalg.cond(want["cov"])
+        assume(cond < 1e8)
+        _close(got["beta"], want["beta"], 1e-13 * cond, size)
+        _close(got["cov"], want["cov"], 1e-13 * cond)
+    if k != p:
+        return          # the BLUP covariance V + Delta needs k = p
+    got = ki.meta_blup(studies, want["beta"], want["cov"], delta)
+    ref = _reference_meta_blup(studies, want["beta"], want["cov"], delta)
+    assert [b["label"] for b in got] == [b["label"] for b in ref]
+    for g, w in zip(got, ref):
+        _close(g["beta"], w["beta"], 1e-10, size)
+        _close(g["cov"], w["cov"], 1e-10)
+
+
+def test_meta_fixed_studies_of_different_lengths():
+    # studies reporting one or two outcomes on a common two-column design
+    rng = np.random.default_rng(17)
+    studies = [ki.MetaStudy(rng.standard_normal(2), random_pd(rng, 2)),
+               ki.MetaStudy(rng.standard_normal(1), [[0.5]],
+                            x_mat=[[1.0, 0.0]]),
+               ki.MetaStudy(rng.standard_normal(2), random_pd(rng, 2)),
+               ki.MetaStudy(rng.standard_normal(1), [[0.7]],
+                            x_mat=[[0.0, 1.0]])]
+    got = ki.meta_fixed(studies)
+    want = _reference_meta_gls(studies)
+    _close(got["beta"], want["beta"], 1e-12)
+    _close(got["cov"], want["cov"], 1e-12)
 
 
 def test_estimate_delta_mom_cases():
