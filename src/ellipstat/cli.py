@@ -571,6 +571,8 @@ def cmd_bayes(args):
         raise InputError(f"--prior needs {q} entries")
     if args.precision_matrix is not None:
         a_mat = args.precision_matrix
+    elif args.precision < 0:
+        raise InputError("--precision is a prior precision and must be >= 0")
     else:
         a_mat = args.precision * np.eye(q)
     out = kissing.bayes_posterior(x, y, prior, a_mat)

@@ -71,7 +71,7 @@ def from_moment(w, center=None):
     if center is None:
         center = np.zeros(p)
     radii = np.sqrt(lam)
-    radii[lam <= ZERO_RADIUS_TOL * max(lam[0], 1.0)] = 0.0
+    radii[lam <= ZERO_RADIUS_TOL * lam[0]] = 0.0
     vecs, radii = _sorted_frame(vecs, radii)
     return GEllipsoid(center=center, frame=vecs, radii=radii)
 
@@ -87,7 +87,7 @@ def from_precision(c, center=None):
     if center is None:
         center = np.zeros(p)
     radii = np.empty(p)
-    zero = lam <= ZERO_RADIUS_TOL * max(lam[0], 1.0)
+    zero = lam <= ZERO_RADIUS_TOL * lam[0]
     radii[~zero] = 1.0 / np.sqrt(lam[~zero])
     radii[zero] = np.inf
     vecs, radii = _sorted_frame(vecs, radii)
@@ -109,7 +109,7 @@ def from_generator(a, center=None):
     radii = np.zeros(p)
     k = min(p, dec.singulars.size)
     radii[:k] = dec.singulars[:k]
-    radii[radii <= ZERO_RADIUS_TOL * max(radii[0], 1.0)] = 0.0
+    radii[radii <= ZERO_RADIUS_TOL * radii[0]] = 0.0
     return GEllipsoid(center=center, frame=dec.left, radii=radii)
 
 
@@ -127,10 +127,8 @@ def dual(e):
 
 def signature(e):
     radii = e.radii
-    scale = 1.0
     finite = radii[np.isfinite(radii)]
-    if finite.size:
-        scale = max(finite.max(), 1.0)
+    scale = finite.max(initial=0.0)
     n_inf = int(np.sum(np.isinf(radii)))
     n_zero = int(np.sum(radii <= ZERO_RADIUS_TOL * scale))
     return Signature(n_pos=radii.size - n_inf - n_zero, n_zero=n_zero,
@@ -197,8 +195,7 @@ def contains(e, x, tol=1e-9):
     if not np.all(np.isfinite(x)):
         raise nk.InputError("point must be finite")
     z = e.frame.T @ (x - e.center)
-    finite = e.radii[np.isfinite(e.radii)]
-    scale = max(finite.max(), 1.0) if finite.size else 1.0
+    scale = e.radii[np.isfinite(e.radii)].max(initial=0.0)
     total = 0.0
     for zi, ri in zip(z, e.radii):
         if np.isinf(ri):

@@ -258,25 +258,49 @@ def lda_axis(m1, m2, s_pooled):
     m1 = np.asarray(m1, dtype=float).ravel()
     m2 = np.asarray(m2, dtype=float).ravel()
     b = np.linalg.solve(s_pooled, m1 - m2)
-
-    def boundary(cut):
-        return {"normal": b, "offset": float(cut)}
-
     midpoint_cut = float(b @ (m1 + m2) / 2.0)
-    return {"coef": b, "boundary": boundary, "midpoint_cut": midpoint_cut}
+    return {"coef": b, "midpoint_cut": midpoint_cut}
 
 
-def _standardize_columns(x, y):
+def _standardized_ols(x, y):
+    """The data on the ridge scale, centered with unit-length predictor
+    columns, and their OLS fit: (xs, yc, lengths, beta_ols, s2)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    x_center = x.mean(axis=0)
-    xc = x - x_center
+    xc = x - x.mean(axis=0)
     lengths = np.linalg.norm(xc, axis=0)
     if np.any(lengths <= 0):
         raise ValueError("constant predictor column")
-    xs = xc / lengths
-    y_center = y.mean()
-    return xs, y - y_center, lengths, x_center, y_center
+    xs, yc = xc / lengths, y - y.mean()
+    beta_ols, _, _ = _lstsq(xs, yc)
+    resid = yc - xs @ beta_ols
+    s2 = float(resid @ resid / (xs.shape[0] - xs.shape[1] - 1))
+    return xs, yc, lengths, beta_ols, s2
+
+
+def _lstsq(a, z):
+    """Least squares of z on the columns of a through one thin QR, a = QR.
+
+    Returns (b, W, Q) with W = R^{-1} and b = W Q'z; (a'a)^{-1} = W W' is
+    symmetric by construction, and a'a is never formed.
+    """
+    q, r = np.linalg.qr(a)
+    w = np.linalg.inv(r)
+    return w @ (q.T @ z), w, q
+
+
+def _shrink(xs, yc, root, prior_mean):
+    """The data block (xs, yc) pooled with the prior's pseudo-observations
+    (A^{1/2}, A^{1/2} beta_0): (beta_post, W, Q_1) with (X'X + A)^{-1} =
+    W W' and Q_1 the data rows of Q, so (X'X + A)^{-1} X'X (X'X + A)^{-1}
+    = B B', B = W Q_1'. X'X + A is singular when lam_min <= 1e-12 lam_max
+    of R'R, read from the singular values of W = R^{-1}."""
+    beta, w, q = _lstsq(np.vstack([xs, root]),
+                        np.concatenate([yc, root @ prior_mean]))
+    sv = np.linalg.svd(w, compute_uv=False)
+    if sv[-1] ** 2 <= 1e-12 * sv[0] ** 2:
+        raise ValueError("X'X + A is singular")
+    return beta, w, q[:yc.size]
 
 
 @dataclass(frozen=True)
@@ -285,88 +309,68 @@ class RidgeResult:
     beta: np.ndarray          # standardized scale
     beta_original: np.ndarray  # original predictor units
     cov: np.ndarray           # sampling covariance on the standardized scale
-    gls_shrink: np.ndarray    # G with beta = G beta_ols
     beta_ols: np.ndarray
     s2: float
 
 
-def ridge(x, y, k, penalty_matrix=None):
-    """Ridge regression on the centered, unit-length predictor scale.
-
-    beta(k) = (X'X + K)^{-1} X'y with K = k I (or a supplied PSD penalty
-    matrix); sampling covariance s^2 (X'X + K)^{-1} X'X (X'X + K)^{-1}.
-    k = 0 reproduces OLS.
-    """
+def _ridge(data, k):
     if k < 0:
         raise nk.InputError("ridge constant must be nonnegative")
-    xs, yc, lengths, _, _ = _standardize_columns(x, y)
-    q = xs.shape[1]
-    pen = k * np.eye(q) if penalty_matrix is None else \
-        nk.check_symmetric(penalty_matrix)
-    xtx = xs.T @ xs
-    xty = xs.T @ yc
-    beta_ols = np.linalg.solve(xtx, xty)
-    core = np.linalg.inv(xtx + pen)
-    beta = core @ xty
-    n = xs.shape[0]
-    df = n - q - 1
-    resid = yc - xs @ beta_ols
-    s2 = float(resid @ resid / df)
-    cov = s2 * core @ xtx @ core
-    shrink = core @ xtx
+    xs, yc, lengths, beta_ols, s2 = data
+    p = xs.shape[1]
+    beta, w, q1 = _shrink(xs, yc, np.sqrt(k) * np.eye(p), np.zeros(p))
+    b = w @ q1.T
     return RidgeResult(k=float(k), beta=beta, beta_original=beta / lengths,
-                       cov=0.5 * (cov + cov.T), gls_shrink=shrink,
-                       beta_ols=beta_ols, s2=s2)
+                       cov=s2 * (b @ b.T), beta_ols=beta_ols, s2=s2)
 
 
-def ridge_trace(x, y, ks, coords=(0, 1), radius_factor=0.5):
+def ridge(x, y, k):
+    """Ridge regression on the centered, unit-length predictor scale.
+
+    beta(k) = (X'X + k I)^{-1} X'y, the conjugate-Bayes posterior mean
+    with prior precision k I and prior mean 0: least squares on the data
+    and the pseudo-observations sqrt(k) I of response 0. Sampling
+    covariance s^2 (X'X + k I)^{-1} X'X (X'X + k I)^{-1}. k = 0
+    reproduces OLS.
+    """
+    return _ridge(_standardized_ols(x, y), k)
+
+
+def ridge_trace(x, y, ks, coords=(0, 1)):
     """Coefficient path with a variance ellipse per ridge constant.
 
     Each entry carries the coefficient pair and its covariance ellipse,
-    drawn at radius_factor times the standard radius.
+    drawn at half the standard radius. The OLS fit is shared by all ks.
     """
     coords = list(coords)
+    data = _standardized_ols(x, y)
     out = []
     for k in ks:
-        r = ridge(x, y, k)
+        r = _ridge(data, k)
         sub = r.cov[np.ix_(coords, coords)]
-        ell = ge.from_moment(radius_factor ** 2 * sub, r.beta[coords])
+        ell = ge.from_moment(0.25 * sub, r.beta[coords])
         out.append({"k": float(k), "beta": r.beta[coords], "ellipse": ell,
                     "result": r})
     return out
 
 
-def bayes_posterior(x, y, beta_prior, a_mat, standardize=True):
+def bayes_posterior(x, y, beta_prior, a_mat):
     """Posterior mean under a conjugate normal prior with precision A.
 
-    beta_post = (X'X + A)^{-1} (X'X beta_ols + A beta_prior); the
-    covariance is reported both unscaled, (X'X + A)^{-1}, and multiplied
-    by the residual variance. With standardize=True the computation runs
-    on the same centered unit-length scale as ridge, so A = k I and a
-    zero prior reproduce ridge exactly.
+    beta_post = (X'X + A)^{-1} (X'y + A beta_prior), on the same centered
+    unit-length scale as ridge, so A = k I and a zero prior is ridge(k).
+    The covariance is reported both unscaled, (X'X + A)^{-1}, and
+    multiplied by the residual variance. A must be PSD.
     """
     a_mat = nk.check_symmetric(a_mat)
-    if standardize:
-        xs, yc, _, _, _ = _standardize_columns(x, y)
-    else:
-        xs = np.asarray(x, dtype=float)
-        yc = np.asarray(y, dtype=float).ravel()
-    beta_prior = np.asarray(beta_prior, dtype=float).ravel()
-    xtx = xs.T @ xs
-    if a_mat.shape != xtx.shape:
-        raise nk.InputError(f"prior precision must have shape {xtx.shape}")
-    xty = xs.T @ yc
-    beta_ols = np.linalg.solve(xtx, xty)
-    total = xtx + a_mat
-    sv = np.linalg.svd(total, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise ValueError("X'X + A is singular")
-    beta_post = np.linalg.solve(total, xtx @ beta_ols + a_mat @ beta_prior)
-    n, q = xs.shape
-    resid = yc - xs @ beta_ols
-    s2 = float(resid @ resid / (n - q - (1 if standardize else 0)))
-    cov_unit = np.linalg.inv(total)
-    return {"beta_post": beta_post, "beta_ols": beta_ols,
+    p = np.shape(x)[1]
+    if a_mat.shape != (p, p):
+        raise nk.InputError(f"prior precision must have shape {(p, p)}")
+    root, _ = nk.psd_sqrt(a_mat)
+    xs, yc, _, beta_ols, s2 = _standardized_ols(x, y)
+    beta, w, _ = _shrink(xs, yc, root, np.ravel(beta_prior).astype(float))
+    cov_unit = w @ w.T
+    return {"beta_post": beta, "beta_ols": beta_ols,
             "cov_unit": cov_unit, "cov": s2 * cov_unit, "s2": s2}
 
 
@@ -494,9 +498,8 @@ def _gls(blocks):
         np.linalg.solve(np.linalg.cholesky(sigma),
                         np.concatenate([x, y[..., None]], axis=-1))
         .reshape(-1, x.shape[-1] + 1) for x, sigma, y in blocks])
-    q, r = np.linalg.qr(white[:, :-1])
-    w = np.linalg.inv(r)
-    return {"beta": w @ (q.T @ white[:, -1]), "cov": w @ w.T}
+    beta, w, _ = _lstsq(white[:, :-1], white[:, -1])
+    return {"beta": beta, "cov": w @ w.T}
 
 
 def gls_fixed(spec):

@@ -17,7 +17,6 @@ RANK_TOL = 1e-10
 @dataclass(frozen=True)
 class LinearFit:
     coef: np.ndarray        # includes the intercept as coefficient 0
-    xtx: np.ndarray         # q x q cross-product of the full design
     xtx_inv: np.ndarray
     s2: float               # residual variance, RSS / df
     df: int                 # n - q
@@ -69,7 +68,7 @@ def ols_fit(x, y, names=None):
     s2 = float(resid @ resid / df)
     if names is None:
         names = ["intercept"] + [f"x{i}" for i in range(1, q)]
-    return LinearFit(coef=coef, xtx=xd.T @ xd, xtx_inv=w @ w.T,
+    return LinearFit(coef=coef, xtx_inv=w @ w.T,
                      s2=s2, df=df, n=n, names=tuple(names),
                      residuals=resid, fitted=fitted)
 
@@ -245,11 +244,13 @@ def attenuation_curve(x, y, deltas, reps=100, seed=0):
         raise nk.InputError("reps must be >= 1")
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    base = ols_fit(x, y).coef[1]
-    rng = np.random.default_rng(seed)
-    sd = x.std(ddof=1)
     xc = x - x.mean()
     yc = y - y.mean()
+    # the base slope from centred x and y, as every draw's: on the raw
+    # data the fit loses digits as |mean| / sd grows
+    base = ols_fit(xc, yc).coef[1]
+    rng = np.random.default_rng(seed)
+    sd = x.std(ddof=1)
     out = []
     for delta in deltas:
         if delta == 0:

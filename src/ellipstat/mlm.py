@@ -19,7 +19,6 @@ class MlmFit:
     coef: np.ndarray        # q x p
     e_mat: np.ndarray       # p x p residual SSCP
     df_e: int
-    xtx: np.ndarray
     xtx_inv: np.ndarray
     n: int
     p: int
@@ -78,8 +77,8 @@ def mlm_fit(x_design, y, names=None):
     if names is None:
         names = tuple(f"y{i + 1}" for i in range(p))
     return MlmFit(coef=coef, e_mat=0.5 * (e_mat + e_mat.T), df_e=n - q,
-                  xtx=x.T @ x, xtx_inv=np.linalg.inv(x.T @ x), n=n, p=p,
-                  q=q, y_mean=y.mean(axis=0), names=tuple(names))
+                  xtx_inv=np.linalg.inv(x.T @ x), n=n, p=p, q=q,
+                  y_mean=y.mean(axis=0), names=tuple(names))
 
 
 def manova_design(gs):

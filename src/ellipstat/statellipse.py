@@ -192,23 +192,17 @@ def group_means(gs):
     return labels, means, ns
 
 
-def between_cov(gs, weighted=True):
-    """Covariance of the group means.
-
-    weighted=True: sum n_i (m_i - grand)(m_i - grand)^T / (g - 1) with the
-    n-weighted grand mean (the hypothesis SSCP of a one-way design over
-    g - 1). weighted=False: the plain g-1 divisor covariance of the means.
+def between_cov(gs):
+    """Covariance of the group means: sum n_i (m_i - grand)(m_i - grand)^T
+    / (g - 1) with the n-weighted grand mean (the hypothesis SSCP of a
+    one-way design over g - 1).
     """
     if gs.g < 2:
         raise nk.InputError("between-group covariance needs g >= 2")
     _, means, ns = group_means(gs)
-    if weighted:
-        grand = (ns[:, None] * means).sum(axis=0) / ns.sum()
-        dev = means - grand
-        b = (ns[:, None] * dev).T @ dev / (gs.g - 1)
-    else:
-        dev = means - means.mean(axis=0)
-        b = dev.T @ dev / (gs.g - 1)
+    grand = (ns[:, None] * means).sum(axis=0) / ns.sum()
+    dev = means - grand
+    b = (ns[:, None] * dev).T @ dev / (gs.g - 1)
     return 0.5 * (b + b.T)
 
 
@@ -229,7 +223,7 @@ def marginal_decomposition(gs, x_index=0, y_index=1):
     if gs.g < 2:
         raise nk.InputError("decomposition needs g >= 2")
     s_w = pooled_within_cov(gs)
-    s_b = between_cov(gs, weighted=True)
+    s_b = between_cov(gs)
     _, s_t = mean_cov(gs.pooled_sample())
     b_w, r_w = _slope_corr(s_w, x_index, y_index)
     b_b, r_b = _slope_corr(s_b, x_index, y_index)

@@ -101,9 +101,11 @@ BLUP_HSB = ["blup", "--data", "hsb-sample", "--group", "school", "--x",
     BLUP_HSB + ["--g-diag=-1,1"],
     ["gell", "--matrix", "nan,0;0,1"],
     BLUP_HSB + ["--g-diag=inf,1"],
+    ["bayes", "--data", "longley", "--response", "Employed",
+     "--precision=-5"],
 ], ids=["level", "resolution", "reps", "ridge-k", "asymmetric", "coords",
         "one-coord", "precision-shape", "delta-shape", "negative-g",
-        "nan-matrix", "inf-floats"])
+        "nan-matrix", "inf-floats", "negative-precision"])
 def test_bad_argument_is_exit_2(tmp_path, capsys, argv):
     try:
         code = run_cli(argv + ["--json", str(tmp_path / "out.json")])
@@ -121,6 +123,18 @@ def test_singular_cholesky_is_exit_3(tmp_path, capsys):
                     "cholesky", "--json", str(tmp_path / "out.json")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_indefinite_precision_matrix_is_exit_3(tmp_path, capsys):
+    # a data-dependent failure: the matrix is well formed, but no prior
+    # has a negative precision
+    a_mat = ";".join(",".join("-1" if i == j == 5 else str(int(i == j))
+                              for j in range(6)) for i in range(6))
+    code = run_cli(["bayes", "--data", "longley", "--response", "Employed",
+                    "--precision-matrix", a_mat,
+                    "--json", str(tmp_path / "out.json")])
+    assert code == 3
+    assert "materially indefinite" in capsys.readouterr().err
 
 
 def test_non_numeric_contrast_is_a_usage_error(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ellipstat import gellipsoid as ge
 from ellipstat import numkernel as nk
@@ -298,3 +300,74 @@ def test_axis_endpoint_tangent_normal():
     e = ge.from_precision(np.diag([0.25, 1.0]))   # radii (2, 1)
     normal, _ = ge.tangent_plane(e, [2.0, 0.0])
     assert np.abs(normal) == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
+def _same_up_to_scale(e, e_s, s):
+    # radii scale by s, to 1e-9 of the largest finite radius; the zero and
+    # infinite radii stay where they are, and so does the signature
+    assert ge.signature(e_s) == ge.signature(e)
+    finite = np.isfinite(e.radii)
+    assert np.array_equal(np.isfinite(e_s.radii), finite)
+    assert np.array_equal(e_s.radii == 0, e.radii == 0)
+    top = e.radii[finite].max(initial=0.0)
+    assert np.abs(e_s.radii[finite] / s - e.radii[finite]).max(
+        initial=0.0) <= 1e-9 * top
+
+
+def _contains_is_scale_free(e, e_s, s):
+    # on an axis of radius r: 0.5 r is inside, r on the boundary, 2 r
+    # outside; off a zero-radius axis by 1e-3 of the largest finite radius
+    # is outside; any distance along an infinite axis is inside
+    top = e.radii[np.isfinite(e.radii)].max(initial=0.0)
+    for j, r in enumerate(e.radii):
+        if np.isinf(r):
+            cases = [(1e6 * top, "inside")]
+        elif r == 0:
+            cases = [(1e-3 * top, "outside")]
+        else:
+            cases = [(0.5 * r, "inside"), (r, "boundary"),
+                     (2.0 * r, "outside")]
+        for t, want in cases:
+            assert ge.contains(e, e.center + t * e.frame[:, j]) == want
+            got = ge.contains(e_s, e_s.center + s * t * e.frame[:, j])
+            assert got == want
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(hs.integers(0, 2 ** 32 - 1), hs.integers(2, 4), hs.integers(1, 4),
+       hs.integers(0, 3), hs.floats(-150.0, 150.0))
+def test_zero_tolerances_are_scale_free(seed, p, n_pos, n_zero, log_s):
+    # from_moment, from_precision, from_generator, signature and contains
+    # decide zero against the ellipsoid's own scale: scaling every length
+    # by s changes no decision, for s from 1e-150 to 1e150
+    n_pos = min(n_pos, p)
+    n_zero = min(n_zero, p - n_pos)
+    s = 10.0 ** log_s
+    rng = np.random.default_rng(seed)
+    frame, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    # positive radii within three decades, away from the 1e-12 tolerances
+    radii = np.zeros(p)
+    radii[:n_pos] = 10.0 ** rng.uniform(-3.0, 0.0, n_pos)
+    center = rng.standard_normal(p)
+
+    moment = (frame * radii ** 2) @ frame.T
+    e, e_s = ge.from_moment(moment, center), \
+        ge.from_moment(s * s * moment, s * center)
+    _same_up_to_scale(e, e_s, s)
+    _contains_is_scale_free(e, e_s, s)
+
+    inv = np.zeros(p)
+    inv[:n_pos] = 1.0 / radii[:n_pos] ** 2
+    precision = (frame * inv) @ frame.T
+    e, e_s = ge.from_precision(precision, center), \
+        ge.from_precision(precision / (s * s), s * center)
+    _same_up_to_scale(e, e_s, s)
+    _contains_is_scale_free(e, e_s, s)
+
+    m = p + n_zero
+    right, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    gen = (frame * radii) @ right[:p]
+    e, e_s = ge.from_generator(gen, center), \
+        ge.from_generator(s * gen, s * center)
+    _same_up_to_scale(e, e_s, s)
+    _contains_is_scale_free(e, e_s, s)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -343,7 +344,7 @@ def test_ridge_zero_equals_ols(longley):
     _, x, y = longley
     r = ki.ridge(x, y, 0.0)
     assert np.abs(r.beta - r.beta_ols).max() < 1e-10
-    xs, yc, *_ = ki._standardize_columns(x, y)
+    xs, yc, *_ = ki._standardized_ols(x, y)
     direct = np.linalg.solve(xs.T @ xs, xs.T @ yc)
     assert r.beta == pytest.approx(direct, rel=1e-9)
     assert r.cov == pytest.approx(r.s2 * np.linalg.inv(xs.T @ xs),
@@ -380,7 +381,7 @@ def test_ridge_kiss_condition_two_predictors(longley):
     # to the gradient of the squared-norm constraint
     _, x, y = longley
     x2 = x[:, [1, 2]]                   # GNP, Unemployed
-    xs, yc, *_ = ki._standardize_columns(x2, y)
+    xs, yc, *_ = ki._standardized_ols(x2, y)
     for k in (0.005, 0.01, 0.02, 0.04, 0.08):
         r = ki.ridge(x2, y, k)
         grad_rss = 2.0 * (xs.T @ xs @ r.beta - xs.T @ yc)
@@ -410,22 +411,13 @@ def test_ridge_equals_ols_on_supplemented_data(longley):
     # appending q fictitious orthogonal observations sqrt(k) I with zero
     # responses turns plain OLS into the ridge solution
     _, x, y = longley
-    xs, yc, *_ = ki._standardize_columns(x, y)
+    xs, yc, *_ = ki._standardized_ols(x, y)
     for k in (0.01, 0.08):
         x_aug = np.vstack([xs, np.sqrt(k) * np.eye(6)])
         y_aug = np.concatenate([yc, np.zeros(6)])
         beta_aug = np.linalg.lstsq(x_aug, y_aug, rcond=None)[0]
         assert beta_aug == pytest.approx(ki.ridge(x, y, k).beta,
                                          rel=1e-10)
-
-
-def test_ridge_matrix_penalty(longley):
-    # a diagonal penalty matrix k I reproduces the scalar-k path
-    _, x, y = longley
-    k = 0.02
-    with_matrix = ki.ridge(x, y, 0.0, penalty_matrix=k * np.eye(6))
-    assert with_matrix.beta == pytest.approx(ki.ridge(x, y, k).beta,
-                                             rel=1e-12)
 
 
 # ------------------------------------------------------------------ bayes
@@ -456,10 +448,207 @@ def test_bayes_residual_identity(longley):
     prior = rng.standard_normal(6)
     a_mat = random_pd(rng, 6, scale=0.1)
     out = ki.bayes_posterior(x, y, prior, a_mat)
-    xs, yc, *_ = ki._standardize_columns(x, y)
+    xs, yc, *_ = ki._standardized_ols(x, y)
     resid = xs.T @ xs @ (out["beta_post"] - out["beta_ols"]) \
         + a_mat @ (out["beta_post"] - prior)
     assert np.abs(resid).max() < 1e-9
+
+
+# ------------------------------------------- ridge and bayes on generated data
+
+EPS = np.finfo(float).eps
+
+
+def _regression(seed, n, q, log_cond, log_noise):
+    """x with condition number 10**log_cond before its columns get units
+    and origins spread over six decades; y in the span of x, plus noise
+    10**log_noise times the fit."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, q)))
+    v, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    x = (u * np.logspace(0.0, -log_cond, q)) @ v.T
+    x = x * 10.0 ** rng.uniform(-3.0, 3.0, q) \
+        + 10.0 ** rng.uniform(-3.0, 3.0, q) * rng.standard_normal(q)
+    y = u @ rng.standard_normal(q) + 10.0 ** log_noise * rng.standard_normal(n)
+    return rng, x, y
+
+
+def _exact_posterior(xs, yc, a_mat, prior):
+    """The posterior of standardized data, solved in 40 digits."""
+    to_float = (lambda m: np.array(m.tolist(), dtype=float))
+    with mp.workdps(40):
+        n, q = xs.shape
+        x, y = mp.matrix(xs.tolist()), mp.matrix(yc.tolist())
+        a = mp.matrix(a_mat.tolist())
+        xtx, xty = x.T * x, x.T * y
+        beta_ols = mp.lu_solve(xtx, xty)
+        s2 = sum(r ** 2 for r in y - x * beta_ols) / (n - q - 1)
+        core = mp.inverse(xtx + a)
+        return {"beta": to_float(core * (xty + a * mp.matrix(prior.tolist())))
+                .ravel(),
+                "beta_ols": to_float(beta_ols).ravel(), "s2": float(s2),
+                "cov_unit": to_float(core),
+                "sandwich": to_float(core * xtx * core)}
+
+
+def _rel_err(got, want):
+    # relative to the largest entry of the reference
+    return np.abs(np.asarray(got) - want).max() / np.abs(want).max()
+
+
+def _tan(a, z, beta):
+    fit = a @ beta
+    return np.linalg.norm(z - fit) / np.linalg.norm(fit)
+
+
+def _conditioning(xs, yc, root, a_mat, prior, exact):
+    """Error bounds, in units of eps, that a backward-stable solution
+    meets: cond(a) (1 + cond(a) tan theta) for least squares on a with
+    residual angle theta; cond(a) for (a'a)^{-1}; and, for the rounding of
+    A itself, ||A|| / lam_min(X'X + A). The normal equations, which work
+    with cond(X'X) = cond(X)^2, meet them with cond(X)^2 for cond(a)."""
+    aug = np.vstack([xs, root])
+    sv = np.linalg.svd(aug, compute_uv=False)
+    c_aug, c_x = sv[0] / sv[-1], np.linalg.cond(xs)
+    t_aug = _tan(aug, np.concatenate([yc, root @ prior]), exact["beta"])
+    t_x = _tan(xs, yc, exact["beta_ols"])
+    k_a = np.linalg.norm(a_mat, 2) / sv[-1] ** 2
+    shift = np.linalg.norm(prior - exact["beta"]) / np.linalg.norm(
+        exact["beta"])
+    # s2 from residuals of size |y| tan theta, rounded at eps |X| |beta|
+    k_s2 = c_x + np.linalg.norm(xs, 2) * np.linalg.norm(
+        exact["beta_ols"]) / np.sqrt(exact["s2"] * (xs.shape[0] - xs.shape[1]
+                                                     - 1))
+    return {"beta": c_aug * (1 + c_aug * t_aug) + k_a * shift,
+            "cov": c_aug + k_a, "beta_ols": c_x * (1 + c_x * t_x),
+            "s2": k_s2,
+            "ne_beta": c_x ** 2 * (1 + t_aug) + k_a * shift,
+            "ne_cov": c_x ** 2 + k_a, "ne_beta_ols": c_x ** 2 * (1 + t_x)}
+
+
+def _verdict(xs, root):
+    """'singular' or 'regular' for X'X + A, or None within a decade of the
+    1e-12 threshold, where rounding may decide."""
+    sv = np.linalg.svd(np.vstack([xs, root]), compute_uv=False)
+    ratio = (sv[-1] / sv[0]) ** 2
+    return "singular" if ratio < 1e-13 else \
+        "regular" if ratio > 1e-11 else None
+
+
+# Slow copies of the normal-equation ridge and bayes_posterior that the QR
+# path replaced, on standardized data: a second reference, accurate to
+# about cond(X'X) eps.
+
+def _ridge_normal_equations(xs, yc, k):
+    q = xs.shape[1]
+    xtx, xty = xs.T @ xs, xs.T @ yc
+    core = np.linalg.inv(xtx + k * np.eye(q))
+    return {"beta": core @ xty, "sandwich": core @ xtx @ core,
+            "beta_ols": np.linalg.solve(xtx, xty)}
+
+
+def _bayes_normal_equations(xs, yc, prior, a_mat):
+    xtx, xty = xs.T @ xs, xs.T @ yc
+    beta_ols = np.linalg.solve(xtx, xty)
+    total = xtx + a_mat
+    beta = np.linalg.solve(total, xtx @ beta_ols + a_mat @ prior)
+    return {"beta": beta, "cov_unit": np.linalg.inv(total),
+            "beta_ols": beta_ols}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1), q=hs.integers(1, 6),
+       extra=hs.integers(2, 30), log_cond=hs.floats(0.0, 6.0),
+       log_noise=hs.floats(-6.0, 0.0),
+       k=hs.one_of(hs.just(0.0),
+                   hs.floats(-8.0, 3.0).map(lambda e: 10.0 ** e)))
+def test_ridge_matches_exact_least_squares(seed, q, extra, log_cond,
+                                           log_noise, k):
+    _, x, y = _regression(seed, q + extra, q, log_cond, log_noise)
+    xs, yc, lengths, *_ = ki._standardized_ols(x, y)
+    root = np.sqrt(k) * np.eye(q)
+    verdict = _verdict(xs, root)
+    assume(verdict is not None)
+    if verdict == "singular":
+        with pytest.raises(ValueError, match="singular"):
+            ki.ridge(x, y, k)
+        return
+    a_mat, prior = k * np.eye(q), np.zeros(q)
+    exact = _exact_posterior(xs, yc, a_mat, prior)
+    bound = _conditioning(xs, yc, root, a_mat, prior, exact)
+    r = ki.ridge(x, y, k)
+    assert np.array_equal(r.cov, r.cov.T)
+    assert np.array_equal(r.beta_original, r.beta / lengths)
+    for got, want, key in [(r.beta, exact["beta"], "beta"),
+                           (r.cov / r.s2, exact["sandwich"], "cov"),
+                           (r.beta_ols, exact["beta_ols"], "beta_ols")]:
+        assert _rel_err(got, want) <= 100 * EPS * bound[key], key
+    assert abs(r.s2 - exact["s2"]) <= 100 * EPS * bound["s2"] * exact["s2"]
+    ref = _ridge_normal_equations(xs, yc, k)
+    for got, key, ne in [(r.beta, "beta", "ne_beta"),
+                         (r.cov / r.s2, "sandwich", "ne_cov"),
+                         (r.beta_ols, "beta_ols", "ne_beta_ols")]:
+        assert _rel_err(got, ref[key]) <= 100 * EPS * bound[ne], key
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1), q=hs.integers(1, 6),
+       extra=hs.integers(2, 30), log_cond=hs.floats(0.0, 6.0),
+       log_noise=hs.floats(-6.0, 0.0), rank=hs.integers(0, 6),
+       log_scale=hs.floats(-3.0, 3.0))
+def test_bayes_posterior_matches_exact_solution(seed, q, extra, log_cond,
+                                                log_noise, rank, log_scale):
+    # A = L L' of rank min(rank, q): zero, singular or positive definite
+    rng, x, y = _regression(seed, q + extra, q, log_cond, log_noise)
+    factor = rng.standard_normal((q, min(rank, q)))
+    a_mat = nk.check_symmetric(10.0 ** log_scale * (factor @ factor.T))
+    prior = rng.standard_normal(q)
+    xs, yc, *_ = ki._standardized_ols(x, y)
+    root, _ = nk.psd_sqrt(a_mat)
+    verdict = _verdict(xs, root)
+    assume(verdict is not None)
+    if verdict == "singular":
+        with pytest.raises(ValueError, match="singular"):
+            ki.bayes_posterior(x, y, prior, a_mat)
+        return
+    exact = _exact_posterior(xs, yc, a_mat, prior)
+    bound = _conditioning(xs, yc, root, a_mat, prior, exact)
+    out = ki.bayes_posterior(x, y, prior, a_mat)
+    assert np.array_equal(out["cov_unit"], out["cov_unit"].T)
+    assert np.array_equal(out["cov"], out["s2"] * out["cov_unit"])
+    for got, want, key in [(out["beta_post"], exact["beta"], "beta"),
+                           (out["cov_unit"], exact["cov_unit"], "cov"),
+                           (out["beta_ols"], exact["beta_ols"], "beta_ols")]:
+        assert _rel_err(got, want) <= 100 * EPS * bound[key], key
+    assert abs(out["s2"] - exact["s2"]) <= \
+        100 * EPS * bound["s2"] * exact["s2"]
+    ref = _bayes_normal_equations(xs, yc, prior, a_mat)
+    for got, key, ne in [(out["beta_post"], "beta", "ne_beta"),
+                         (out["cov_unit"], "cov_unit", "ne_cov"),
+                         (out["beta_ols"], "beta_ols", "ne_beta_ols")]:
+        assert _rel_err(got, ref[key]) <= 100 * EPS * bound[ne], key
+
+
+@pytest.mark.parametrize("ratio", [0.9e-12, 1.1e-12])
+def test_singular_verdict_threshold(ratio):
+    # X'X + A is singular when lam_min <= 1e-12 lam_max: two centered unit
+    # columns at cosine c = (1 - ratio) / (1 + ratio) have X'X
+    # eigenvalues 1 + c and 1 - c
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((12, 2))
+    u, _ = np.linalg.qr(z - z.mean(axis=0))
+    x = np.column_stack([u[:, 0], ((1 - ratio) * u[:, 0]
+                                   + 2 * np.sqrt(ratio) * u[:, 1])
+                         / (1 + ratio)])
+    y = rng.standard_normal(12)
+    if ratio < 1e-12:
+        with pytest.raises(ValueError, match="singular"):
+            ki.ridge(x, y, 0.0)
+        with pytest.raises(ValueError, match="singular"):
+            ki.bayes_posterior(x, y, np.zeros(2), np.zeros((2, 2)))
+    else:
+        ki.ridge(x, y, 0.0)
+        ki.bayes_posterior(x, y, np.zeros(2), np.zeros((2, 2)))
 
 
 # ------------------------------------------------------------------ mixed

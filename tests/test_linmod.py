@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from ellipstat import distributions as dist
@@ -262,10 +264,21 @@ def test_attenuation_half_at_unit_delta():
     assert out["mean_ratio"][0] == pytest.approx(0.5, abs=0.05)
 
 
-def _attenuation_ratios_refit(x, y, deltas, reps, seed):
-    """Slow reference: attenuation_curve's mean ratios with a full OLS
-    refit per draw, from the same random stream."""
-    base = linmod.ols_fit(x, y).coef[1]
+def _exact_slope(x, y):
+    """Simple-regression slope of the data, in exact arithmetic."""
+    x = [Fraction(v) for v in x]
+    y = [Fraction(v) for v in y]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    return sum((a - mx) * (b - my) for a, b in zip(x, y)) \
+        / sum((a - mx) ** 2 for a in x)
+
+
+def _attenuation_ratios_exact(x, y, deltas, reps, seed):
+    """Slow reference: attenuation_curve's mean ratios from the same random
+    stream, with every slope, the base and each draw's, taken exactly on
+    the centred x the draws are made around."""
+    xc = x - x.mean()
+    base = _exact_slope(xc, y)
     rng = np.random.default_rng(seed)
     sd = x.std(ddof=1)
     out = []
@@ -273,11 +286,12 @@ def _attenuation_ratios_refit(x, y, deltas, reps, seed):
         if delta == 0:
             out.append(1.0)
             continue
-        acc = 0.0
+        acc = Fraction(0)
         for _ in range(reps):
             noise = rng.normal(0.0, delta * sd, size=x.size)
             noise -= noise.mean()
-            acc += linmod.ols_fit(x + noise, y).coef[1] / base
+            drawn = [Fraction(a) + Fraction(b) for a, b in zip(xc, noise)]
+            acc += _exact_slope(drawn, y) / base
         out.append(float(acc / reps))
     return out
 
@@ -289,6 +303,13 @@ def _attenuation_ratios_refit(x, y, deltas, reps, seed):
        hs.lists(hs.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]), min_size=1,
                 max_size=4),
        hs.integers(1, 5), hs.integers(0, 2 ** 32 - 1))
+# x 3000 sd from zero: an OLS refit per draw on uncentred x misses the
+# exact mean ratio by 1.3e-12 here
+@example(0, 5, 49.0, 0.015625, 1.0, 1.0, [0.5], 2, 137)
+# a weak slope, x 700 sd from zero: with the base slope fit to uncentred
+# x and y the mean ratio is 1.5e-11 off, fit to centred x and y 7e-15
+@example(844136122, 5, 75.75406537938255, 0.11064062308295963,
+         1.8724822842189734, 0.9431770493886503, [0.5], 2, 2057625882)
 def test_attenuation_curve_matches_refit_per_draw(data_seed, n, x_mean,
                                                   x_sd, slope, noise_sd,
                                                   deltas, reps, seed):
@@ -296,7 +317,7 @@ def test_attenuation_curve_matches_refit_per_draw(data_seed, n, x_mean,
     x = x_mean + x_sd * rng.standard_normal(n)
     y = 1.0 + slope * x + noise_sd * x_sd * slope * rng.standard_normal(n)
     got = linmod.attenuation_curve(x, y, deltas, reps=reps, seed=seed)
-    want = _attenuation_ratios_refit(x, y, deltas, reps, seed)
+    want = _attenuation_ratios_exact(x, y, deltas, reps, seed)
     assert got["mean_ratio"] == pytest.approx(want, rel=1e-12)
 
 
