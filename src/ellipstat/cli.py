@@ -662,13 +662,11 @@ def _berkey_studies(table):
             raise InputError(f"meta table needs column {c!r}")
     labels = (table.categorical("trial") if "trial" in table.columns
               else [f"study{i + 1}" for i in range(table.n)])
-    studies = []
-    for i in range(table.n):
-        y = [table.numeric("effect_PD")[i], table.numeric("effect_AL")[i]]
-        s_mat = [[table.numeric("var_PD")[i], table.numeric("cov_PD_AL")[i]],
-                 [table.numeric("cov_PD_AL")[i], table.numeric("var_AL")[i]]]
-        studies.append(kissing.MetaStudy(y, s_mat, label=labels[i]))
-    return studies
+    ys = np.column_stack([table.numeric(c) for c in need[:2]])
+    v_pd, cov, v_al = (table.numeric(c) for c in need[2:])
+    s_mats = np.stack([v_pd, cov, cov, v_al], axis=-1).reshape(-1, 2, 2)
+    return [kissing.MetaStudy(y, s_mat, label=label)
+            for y, s_mat, label in zip(ys, s_mats, labels)]
 
 
 def cmd_meta(args):

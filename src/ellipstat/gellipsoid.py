@@ -34,20 +34,7 @@ class GEllipsoid:
         center = np.asarray(self.center, dtype=float).ravel()
         frame = np.asarray(self.frame, dtype=float)
         radii = np.asarray(self.radii, dtype=float).ravel()
-        p = center.size
-        if frame.shape != (p, p):
-            raise nk.InputError(f"frame shape {frame.shape} != ({p}, {p})")
-        if radii.size != p:
-            raise nk.InputError("radii length does not match dimension")
-        if np.any(np.isnan(radii)) or np.any(radii < 0):
-            raise nk.InputError("radii must be nonnegative (inf allowed)")
-        dev = np.abs(frame.T @ frame - np.eye(p)).max()
-        if dev > FRAME_TOL:
-            raise nk.InputError(
-                f"frame is not orthogonal (deviation {dev:.2e})")
-        finite = radii[np.isfinite(radii)]
-        if finite.size > 1 and np.any(np.diff(finite) > 1e-9 * (1 + finite[0])):
-            raise nk.InputError("radii must be sorted descending")
+        _check(center, frame, radii)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "radii", radii)
@@ -57,6 +44,39 @@ class GEllipsoid:
         return self.center.size
 
 
+def _check(centers, frames, radii):
+    """Raise InputError unless each (center, frame, radii) of the stacks
+    (..., p), (..., p, p) and (..., p) is a generalized ellipsoid: an
+    orthogonal frame and radii in [0, inf], descending to within 1e-9 of
+    its largest finite radius (inf counts as the largest)."""
+    p = centers.shape[-1]
+    if frames.shape != centers.shape + (p,):
+        raise nk.InputError(
+            f"frame shape {frames.shape} != {centers.shape + (p,)}")
+    if radii.shape != centers.shape:
+        raise nk.InputError("radii length does not match dimension")
+    if not (radii >= 0).all():
+        raise nk.InputError("radii must be nonnegative (inf allowed)")
+    dev = np.abs(frames.swapaxes(-1, -2) @ frames - np.eye(p))
+    dev = dev.max(initial=0.0)
+    if dev > FRAME_TOL:
+        raise nk.InputError(
+            f"frame is not orthogonal (deviation {dev:.2e})")
+    if (radii[..., 1:] > radii[..., :-1]).any():
+        top = np.where(np.isfinite(radii), radii, 0.0).max(axis=-1,
+                                                            keepdims=True)
+        rise = np.diff(np.minimum(radii, np.finfo(float).max), axis=-1)
+        if (rise > 1e-9 * top).any():
+            raise nk.InputError("radii must be sorted descending")
+
+
+def _checked(center, frame, radii):
+    """A GEllipsoid of parts that _check has passed, as one of a stack."""
+    e = object.__new__(GEllipsoid)
+    e.__dict__.update(center=center, frame=frame, radii=radii)
+    return e
+
+
 def _sorted_frame(frame, radii):
     # inf sorts first, then finite descending, zeros last
     key = np.where(np.isinf(radii), np.inf, radii)
@@ -64,16 +84,29 @@ def _sorted_frame(frame, radii):
     return frame[:, order], radii[order]
 
 
+def from_moments(ws, centers=None):
+    """from_moment of each PSD matrix of a stack (k, p, p) about its center
+    (k, p), the origin if omitted: a list of k ellipsoids from one
+    eigen-decomposition and one check of the stack."""
+    lam, vecs = nk.psd_eigvals(ws)
+    radii = np.sqrt(lam)
+    # lam is descending, so zeroing its small tail keeps the radii sorted
+    radii[lam <= ZERO_RADIUS_TOL * lam[..., :1]] = 0.0
+    centers = np.zeros_like(radii) if centers is None else \
+        np.asarray(centers, dtype=float)
+    if centers.size == radii.size:
+        centers = centers.reshape(radii.shape)
+    _check(centers, vecs, radii)
+    p = radii.shape[-1]
+    return [_checked(c, f, r) for c, f, r in
+            zip(centers.reshape(-1, p), vecs.reshape(-1, p, p),
+                radii.reshape(-1, p))]
+
+
 def from_moment(w, center=None):
     """Ellipsoid of a PSD moment (covariance-like) matrix: radii sqrt(eig)."""
-    lam, vecs = nk.psd_eigvals(w)
-    p = lam.size
-    if center is None:
-        center = np.zeros(p)
-    radii = np.sqrt(lam)
-    radii[lam <= ZERO_RADIUS_TOL * lam[0]] = 0.0
-    vecs, radii = _sorted_frame(vecs, radii)
-    return GEllipsoid(center=center, frame=vecs, radii=radii)
+    [e] = from_moments(w, center)
+    return e
 
 
 def from_precision(c, center=None):

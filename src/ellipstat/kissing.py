@@ -585,6 +585,9 @@ def estimate_g_moments(blues):
 
 @dataclass(frozen=True)
 class MetaStudy:
+    """One study's effects and within-study covariance S_i. The pooling
+    functions check every S_i, symmetric and positive definite, in one
+    stacked call (_study_blocks)."""
     y: np.ndarray           # p outcome effects
     s_mat: np.ndarray       # p x p within-study covariance
     x_mat: np.ndarray = None  # study design; identity when omitted
@@ -592,8 +595,9 @@ class MetaStudy:
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).ravel()
-        s = nk.check_symmetric(self.s_mat)
-        nk.require_pd(s)
+        s = np.asarray(self.s_mat, dtype=float)
+        if s.shape != (y.size, y.size):
+            raise nk.InputError("S_i must be p x p for p outcomes")
         x = np.eye(y.size) if self.x_mat is None else \
             np.asarray(self.x_mat, dtype=float)
         if x.shape[0] != y.size:
@@ -603,14 +607,28 @@ class MetaStudy:
         object.__setattr__(self, "x_mat", x)
 
 
-def _study_blocks(studies, extra=0.0):
-    """(X_i, S_i + extra, y_i) of the studies, stacked by design shape."""
+def _study_blocks(studies, outcomes=None):
+    """(X_i, S_i, y_i) of the studies, stacked by design shape, with each
+    stack of S_i symmetrised and checked positive definite in one call.
+
+    Random-effects pooling passes the outcome length of its Delta, which
+    every study must have.
+    """
     by_shape = {}
     for s in studies:
         by_shape.setdefault(s.x_mat.shape, []).append(s)
-    return [(np.stack([s.x_mat for s in group]),
-             np.stack([s.s_mat for s in group]) + extra,
-             np.stack([s.y for s in group])) for group in by_shape.values()]
+    lengths = sorted({p for p, _ in by_shape})
+    if outcomes is not None and lengths != [outcomes]:
+        raise nk.InputError(
+            f"random-effects pooling needs every study to have {outcomes} "
+            f"outcomes, as Delta does; outcome lengths are {lengths}")
+    blocks = []
+    for group in by_shape.values():
+        s_mats = nk.check_symmetric(np.stack([s.s_mat for s in group]))
+        nk.require_pd(s_mats)
+        blocks.append((np.stack([s.x_mat for s in group]), s_mats,
+                       np.stack([s.y for s in group])))
+    return blocks
 
 
 def meta_fixed(studies):
@@ -627,10 +645,9 @@ def meta_random(studies, delta):
     covariance is the inverse of the accumulated precision.
     """
     delta = nk.check_symmetric(delta)
-    if studies and delta.shape != studies[0].s_mat.shape:
-        raise nk.InputError("Delta must match the within-study covariances")
+    blocks = _study_blocks(studies, delta.shape[0])
     nk.psd_eigvals(delta)       # rejects a materially indefinite Delta
-    return _gls(_study_blocks(studies, delta))
+    return _gls([(x, s + delta, y) for x, s, y in blocks])
 
 
 def meta_blup(studies, beta_re, v_cov, delta):
@@ -643,7 +660,8 @@ def meta_blup(studies, beta_re, v_cov, delta):
     beta_re = np.asarray(beta_re, dtype=float).ravel()
     if not studies:
         return []
-    [(x, sigma, y)] = _study_blocks(studies, delta)
+    [(x, s_mats, y)] = _study_blocks(studies, delta.shape[0])
+    sigma = s_mats + delta
     mean = x @ beta_re
     p = delta.shape[0]
     sol = np.linalg.solve(sigma, np.concatenate(
@@ -664,8 +682,8 @@ def estimate_delta_mom(studies):
     """
     if len(studies) < 2:
         raise nk.InputError("need at least two studies")
-    ys = np.array([s.y for s in studies])
+    [(_, s_mats, ys)] = _study_blocks(studies, studies[0].y.size)
     g = len(studies)
     dev = ys - ys.mean(axis=0)
-    raw = dev.T @ dev / (g - 1) - sum(s.s_mat for s in studies) / g
+    raw = dev.T @ dev / (g - 1) - s_mats.sum(axis=0) / g
     return nk.clip_psd(raw)

@@ -57,9 +57,14 @@ class SvdDecomp:
 
 def as_matrix(m):
     a = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
+
+
+def _first(bad):
+    """Index of the first True of a boolean stack that has one."""
+    return np.unravel_index(np.argmax(bad), bad.shape)
 
 
 def check_symmetric(m, tol=SYM_TOL):
@@ -73,28 +78,29 @@ def check_symmetric(m, tol=SYM_TOL):
     asym = np.abs(a - at).max(axis=(-2, -1))
     bad = asym > tol * scale
     if bad.any():
-        first = np.unravel_index(np.argmax(bad), bad.shape)
+        first = _first(bad)
         raise NotSymmetricError(asym[first], scale[first])
     return 0.5 * (a + at)
 
 
 def _fix_signs(vecs):
-    # Deterministic convention: largest-magnitude component positive.
-    idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
+    # Deterministic convention: largest-magnitude component positive, for
+    # each column of a matrix or of each matrix in a stack.
+    stack = vecs.reshape(-1, *vecs.shape[-2:])
+    top = np.abs(stack).argmax(axis=1)
+    signs = np.sign(stack[np.arange(len(stack))[:, None], top,
+                          np.arange(stack.shape[2])])
     signs[signs == 0] = 1.0
-    return vecs * signs, signs
+    signs = signs.reshape(vecs.shape[:-2] + vecs.shape[-1:])
+    return vecs * signs[..., None, :], signs
 
 
 def sym_eig(m, tol=SYM_TOL):
-    """Spectral decomposition of a symmetric matrix, eigenvalues descending."""
-    a = check_symmetric(m, tol)
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
-    v, _ = _fix_signs(v)
-    return SpectralDecomp(eigvals=w, eigvecs=v)
+    """Spectral decomposition of a symmetric matrix, or of each in a stack
+    (..., p, p), eigenvalues descending."""
+    w, v = np.linalg.eigh(check_symmetric(m, tol))
+    v, _ = _fix_signs(v[..., ::-1])         # eigh's order is ascending
+    return SpectralDecomp(eigvals=w[..., ::-1].copy(), eigvecs=v)
 
 
 def svd(a):
@@ -150,21 +156,30 @@ def psd_sqrt(w):
 
 
 def psd_eigvals(w):
-    """Eigen-decomposition with PSD clipping applied; raises if indefinite."""
+    """Eigen-decomposition with PSD clipping applied; raises if indefinite.
+
+    A stack (..., p, p) is decomposed at once; the first indefinite matrix
+    raises the error a call on it alone would.
+    """
     dec = sym_eig(w)
-    if dec.eigvals[-1] < -PSD_CLIP * max(dec.eigvals[0], 1e-300):
-        raise IndefiniteError(dec.eigvals[-1])
-    return np.clip(dec.eigvals, 0.0, None), dec.eigvecs
+    lam = dec.eigvals
+    bad = lam[..., -1] < -PSD_CLIP * np.maximum(lam[..., 0], 1e-300)
+    if bad.any():
+        raise IndefiniteError(lam[_first(bad)][-1])
+    return np.maximum(lam, 0.0), dec.eigvecs
 
 
 def require_pd(w):
     """psd_eigvals(w) of a positive-definite w: (eigvals descending, eigvecs).
 
-    Raises NotPositiveDefiniteError when lam_min <= 1e-12 * lam_max. The
-    threshold is relative, so the verdict does not change when w is scaled.
+    Raises NotPositiveDefiniteError when lam_min <= 1e-12 * lam_max, for
+    the first such matrix of a stack. The threshold is relative, so the
+    verdict does not change when w is scaled.
     """
     lam, vecs = psd_eigvals(w)
-    if lam[-1] <= 1e-12 * max(lam[0], 1e-300):
+    bad = lam[..., -1] <= 1e-12 * np.maximum(lam[..., 0], 1e-300)
+    if bad.any():
+        lam = lam[_first(bad)]
         raise NotPositiveDefiniteError(int(np.argmin(lam)), lam[-1])
     return lam, vecs
 

@@ -3,12 +3,14 @@
 # viewport; rendering applies one affine data-to-pixel transform (y
 # flipped) and writes plain SVG 1.1 text. Identical input produces
 # byte-identical output. Coordinates are transformed and formatted a
-# column at a time, per layer (all the arrows of a scene at once), with
-# the same float operations and the same per-number rule (_fmt) as one
-# element at a time, so the output is unchanged. The scene builders draw
+# column at a time, per layer (all the arrows of a scene at once, and all
+# its ellipses, traced with one matmul per vertex count), with the same
+# float operations and the same per-number rule (_fmt) as one element at
+# a time, so the output is unchanged. The scene builders draw
 # the ellipsoids, intervals and quantiles they are given and compute no
 # statistics; gellipsoid is the only package module imported here.
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -72,6 +74,8 @@ class PolylineLayer:
 
 @dataclass(frozen=True)
 class ArrowLayer:
+    """One arrow from tail to head, or k arrows from the rows of (k, 2)
+    tail and head arrays, all in one style."""
     tail: tuple
     head: tuple
     style: Style = Style()
@@ -121,52 +125,54 @@ def _escape(text):
             .replace(">", "&gt;"))
 
 
-def ellipse_path(e, n=64):
-    """Closed boundary polygon of a bounded 2D ellipsoid in data space."""
-    if e.dim != 2:
+def _ellipse_paths(ellipses, n):
+    """The n-vertex boundary polygons of bounded 2D ellipsoids, shape
+    (k, n, 2), from one matmul."""
+    if any(e.dim != 2 for e in ellipses):
         raise ValueError("ellipse paths are two-dimensional")
-    if np.any(np.isinf(e.radii)):
+    radii = np.array([e.radii for e in ellipses]).reshape(-1, 1, 2)
+    if np.isinf(radii).any():
         raise ValueError("cannot close the path of an unbounded ellipsoid")
+    centers = np.array([e.center for e in ellipses]).reshape(-1, 1, 2)
+    frames = np.array([e.frame for e in ellipses]).reshape(-1, 2, 2)
     theta = 2.0 * np.pi * np.arange(n) / n
     circle = np.column_stack([np.cos(theta), np.sin(theta)])
-    return e.center + (circle * e.radii) @ e.frame.T
+    return centers + (circle * radii) @ frames.swapaxes(1, 2)
 
 
-def _arrow_ends(layers):
-    """The ArrowLayers of layers, in order, and their ends as one array:
-    tail, head, tail, head, ..."""
-    arrows = [layer for layer in layers if isinstance(layer, ArrowLayer)]
+def ellipse_path(e, n=64):
+    """Closed boundary polygon of a bounded 2D ellipsoid in data space."""
+    return _ellipse_paths([e], n)[0]
+
+
+def _scene_parts(layers):
+    """What a scene draws all at once: its EllipseLayers and ArrowLayers,
+    in order, the ends of the arrows as one array (tail, head, tail,
+    head, ...) and the number of arrows in each ArrowLayer."""
+    ellipses = [l for l in layers if isinstance(l, EllipseLayer)]
+    arrows = [l for l in layers if isinstance(l, ArrowLayer)]
     if not arrows:
-        return arrows, np.empty((0, 2))
-    ends = np.array([(a.tail, a.head) for a in arrows], dtype=float)
-    return arrows, ends.reshape(2 * len(arrows), -1)
+        return ellipses, arrows, np.empty((0, 2)), []
+    tails = [np.reshape(a.tail, (-1, 2)) for a in arrows]
+    heads = [np.reshape(a.head, (-1, 2)) for a in arrows]
+    ends = np.concatenate([np.concatenate(tails, dtype=float),
+                           np.concatenate(heads, dtype=float)], axis=1)
+    return ellipses, arrows, ends.reshape(-1, 2), [len(t) for t in tails]
 
 
-def _bounds(pts):
+def _auto_viewport(layers, ellipses, arrow_ends):
+    """The padded bounds of the points of every layer but the axes, an
+    ellipse's being the vertices of its 32-vertex path."""
+    pts = [np.asarray(l.points, dtype=float).reshape(-1, 2) for l in layers
+           if isinstance(l, (PointsLayer, PolylineLayer))]
+    pts += [np.array([l.pos], dtype=float) for l in layers
+            if isinstance(l, TextLayer)]
+    pts += [_ellipse_paths([l.ellipse for l in ellipses], 32).reshape(-1, 2),
+            arrow_ends]
+    pts = np.concatenate(pts)
     if pts.size == 0:
-        return None
-    return (pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max())
-
-
-def _layer_bounds(layer):
-    if isinstance(layer, EllipseLayer):
-        return _bounds(ellipse_path(layer.ellipse, 32))
-    if isinstance(layer, (PointsLayer, PolylineLayer)):
-        return _bounds(np.asarray(layer.points, dtype=float))
-    if isinstance(layer, TextLayer):
-        return _bounds(np.array([layer.pos], dtype=float))
-    return None                 # axes; arrows are bounded all at once
-
-
-def _auto_viewport(layers, arrow_ends):
-    bounds = [_layer_bounds(l) for l in layers] + [_bounds(arrow_ends)]
-    bounds = [b for b in bounds if b is not None]
-    if not bounds:
         return (0.0, 1.0, 0.0, 1.0)
-    xmin = min(b[0] for b in bounds)
-    xmax = max(b[1] for b in bounds)
-    ymin = min(b[2] for b in bounds)
-    ymax = max(b[3] for b in bounds)
+    (xmin, ymin), (xmax, ymax) = pts.min(axis=0), pts.max(axis=0)
     dx = (xmax - xmin) or 1.0
     dy = (ymax - ymin) or 1.0
     pad = 0.05
@@ -184,10 +190,13 @@ class Transform:
     height: float
 
     def to_pixel(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        px = self.x0 + self.sx * pts[:, 0]
-        py = self.height - (self.y0 + self.sy * pts[:, 1])
-        return np.column_stack([px, py])
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim < 2:
+            pts = pts.reshape(1, -1)
+        px = np.empty((len(pts), 2))
+        px[:, 0] = self.x0 + self.sx * pts[:, 0]
+        px[:, 1] = self.height - (self.y0 + self.sy * pts[:, 1])
+        return px
 
     def to_data(self, pix):
         pix = np.atleast_2d(np.asarray(pix, dtype=float))
@@ -199,8 +208,10 @@ class Transform:
 MARGIN = {"left": 54.0, "right": 16.0, "top": 28.0, "bottom": 44.0}
 
 
-def _scene_transform(scene, arrow_ends):
-    viewport = scene.viewport or _auto_viewport(scene.layers, arrow_ends)
+def _scene_transform(scene, parts):
+    ellipses, _, arrow_ends, _ = parts
+    viewport = scene.viewport or _auto_viewport(scene.layers, ellipses,
+                                                arrow_ends)
     xmin, xmax, ymin, ymax = (float(v) for v in viewport)
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"viewport has no area: {viewport}")
@@ -287,11 +298,29 @@ def _render_axis(layer, tr, viewport, out):
                    f'{_escape(layer.label_y)}</text>')
 
 
-def _polyline_svg(pts_px, style, closed):
-    it = iter(_fmt_all(pts_px))
+def _polyline_svg(toks, style_svg, closed):
+    it = iter(toks)
     coords = " ".join(map(",".join, zip(it, it)))
     tag = "polygon" if closed else "polyline"
-    return f'<{tag} points="{coords}" {style.svg()}/>'
+    return f'<{tag} points="{coords}" {style_svg}/>'
+
+
+def _render_ellipses(layers, tr):
+    """Yield the polygon of each EllipseLayer, in order: the layers of one
+    vertex count traced with one matmul, all transformed and formatted at
+    once."""
+    groups = {}
+    for layer in layers:
+        groups.setdefault(layer.n, []).append(layer.ellipse)
+    paths = {n: iter(_ellipse_paths(group, n)) for n, group in groups.items()}
+    toks = _fmt_all(tr.to_pixel(np.concatenate(
+        [next(paths[layer.n]) for layer in layers])))
+    styles = _style_svgs(layers)
+    at = 0
+    for layer in layers:
+        yield _polyline_svg(toks[at:at + 2 * layer.n],
+                            styles[id(layer.style)], closed=True)
+        at += 2 * layer.n
 
 
 def _filled(style):
@@ -316,10 +345,16 @@ def _render_points(layer, tr, out):
                 for x, y in zip(toks[0::2], toks[1::2])])
 
 
-def _render_arrows(arrows, ends, tr):
-    """The SVG of each arrow: its shaft, then its tip unless it is shorter
-    than 1e-9 px. Elementwise the same float operations as one arrow at a
-    time."""
+def _style_svgs(layers):
+    """Style.svg() of each distinct style instance of layers, by id."""
+    styles = {id(layer.style): layer.style for layer in layers}
+    return {key: style.svg() for key, style in styles.items()}
+
+
+def _render_arrows(arrows, counts, ends, tr):
+    """Yield the SVG of the arrows of each ArrowLayer, in order: per arrow
+    its shaft, then its tip unless it is shorter than 1e-9 px. Elementwise
+    the same float operations as one arrow at a time."""
     px = tr.to_pixel(ends)
     tail, head = px[0::2], px[1::2]
     d = head - tail
@@ -331,30 +366,29 @@ def _render_arrows(arrows, ends, tr):
     it = iter(_fmt_all(np.column_stack([back + normal, back - normal])))
     xy = map(",".join, zip(it, it))
     barbs = map(" ".join, zip(xy, xy))          # left, right
-    svgs = {}                                   # id(style) -> shaft, tip
-    for arrow in arrows:
-        if id(arrow.style) not in svgs:
-            svgs[id(arrow.style)] = (arrow.style.svg(),
-                                     _filled(arrow.style).svg())
-    elements = []
-    it = iter(_fmt_all(px))
-    for arrow, x1, y1, x2, y2, tip in zip(arrows, it, it, it, it,
-                                          has_tip.tolist()):
-        shaft_svg, tip_svg = svgs[id(arrow.style)]
-        element = (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                   f'{shaft_svg}/>')
-        if tip:
-            element += (f'\n<polygon points="{x2},{y2} {next(barbs)}" '
-                        f'{tip_svg}/>')
-        elements.append(element)
-    return elements
+    shafts = _style_svgs(arrows)
+    tips = {id(a.style): _filled(a.style).svg() for a in arrows}
+    coords = iter(_fmt_all(px))
+    ends_tip = zip(coords, coords, coords, coords, has_tip.tolist())
+    for arrow, k in zip(arrows, counts):
+        shaft_svg, tip_svg = shafts[id(arrow.style)], tips[id(arrow.style)]
+        elements = []
+        for x1, y1, x2, y2, tip in itertools.islice(ends_tip, k):
+            elements.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
+                            f'y2="{y2}" {shaft_svg}/>')
+            if tip:
+                elements.append(f'<polygon points="{x2},{y2} '
+                                f'{next(barbs)}" {tip_svg}/>')
+        yield elements
 
 
 def render_scene(scene):
     """Render a scene to SVG 1.1 text (pure function of its input)."""
-    arrows, ends = _arrow_ends(scene.layers)
-    tr, viewport = _scene_transform(scene, ends)
-    arrow_svg = iter(_render_arrows(arrows, ends, tr))
+    parts = _scene_parts(scene.layers)
+    ellipses, arrows, ends, counts = parts
+    tr, viewport = _scene_transform(scene, parts)
+    arrow_svg = _render_arrows(arrows, counts, ends, tr)
+    ellipse_svg = _render_ellipses(ellipses, tr)
     w, h = scene.size
     out = ['<?xml version="1.0" encoding="UTF-8" standalone="no"?>',
            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -370,17 +404,16 @@ def render_scene(scene):
         if isinstance(layer, AxisLayer):
             _render_axis(layer, tr, viewport, out)
         elif isinstance(layer, EllipseLayer):
-            pts = tr.to_pixel(ellipse_path(layer.ellipse, layer.n))
-            out.append(_polyline_svg(pts, layer.style, closed=True))
+            out.append(next(ellipse_svg))
         elif isinstance(layer, PolylineLayer):
             pts = np.asarray(layer.points, dtype=float)
             if len(pts) >= 2:
-                out.append(_polyline_svg(tr.to_pixel(pts), layer.style,
-                                         layer.closed))
+                out.append(_polyline_svg(_fmt_all(tr.to_pixel(pts)),
+                                         layer.style.svg(), layer.closed))
         elif isinstance(layer, PointsLayer):
             _render_points(layer, tr, out)
         elif isinstance(layer, ArrowLayer):
-            out.append(next(arrow_svg))
+            out.extend(next(arrow_svg))
         elif isinstance(layer, TextLayer):
             p = tr.to_pixel([layer.pos])[0]
             out.append(f'<text x="{_fmt(p[0])}" y="{_fmt(p[1])}" '
@@ -612,10 +645,11 @@ def build_meta_panel(studies, pooled, c2, blups=None, delta=None,
     each study estimate to its BLUP.
     """
     layers = [AxisLayer(label_x=names[0], label_y=names[1])]
-    pts = np.array([s.y for s in studies])
+    pts = np.array([s.y for s in studies]).reshape(-1, 2)
+    s_mats = np.array([s.s_mat for s in studies]).reshape(-1, 2, 2)
     study = Style(stroke=PALETTE["h"], width=1.0, dash="5,3")
-    for s in studies:
-        layers.append(EllipseLayer(ge.from_moment(c2 * s.s_mat, s.y), study))
+    layers.extend(EllipseLayer(e, study)
+                  for e in ge.from_moments(c2 * s_mats, pts))
     layers.append(PointsLayer(pts, Style(stroke=PALETTE["h"]),
                               marker="dot", size=2.5))
     for s in studies:
@@ -636,10 +670,11 @@ def build_meta_panel(studies, pooled, c2, blups=None, delta=None,
     if blups is not None:
         arrow = Style(stroke=PALETTE["muted"], width=0.9)
         shrunk = Style(stroke=PALETTE["h"], width=1.0)
-        for s, b in zip(studies, blups):
-            layers.append(ArrowLayer(tuple(s.y), tuple(b["beta"]), arrow))
-            layers.append(EllipseLayer(ge.from_moment(c2 * b["cov"],
-                                                      b["beta"]), shrunk))
+        betas = np.array([b["beta"] for b in blups]).reshape(-1, 2)
+        covs = np.array([b["cov"] for b in blups]).reshape(-1, 2, 2)
+        for y, beta, e in zip(pts, betas, ge.from_moments(c2 * covs, betas)):
+            layers.append(ArrowLayer(y, beta, arrow))
+            layers.append(EllipseLayer(e, shrunk))
     return Scene(layers=layers, title=title)
 
 
@@ -656,8 +691,7 @@ def build_avp_marginal_overlay(marg, cond, ell_m, ell_c, slope_m, slope_c,
     layers = [AxisLayer(label_x=names[0] + " (centered | residual)",
                         label_y=names[1])]
     arrow = Style(stroke=PALETTE["muted"], width=0.7)
-    layers.extend(ArrowLayer(tuple(a), tuple(b), arrow)
-                  for a, b in zip(marg.tolist(), cond.tolist()))
+    layers.append(ArrowLayer(marg, cond, arrow))
     layers.append(PointsLayer(marg, Style(stroke=PALETTE["e"], width=0.8),
                               marker="circle", size=2.2))
     layers.append(PointsLayer(cond, Style(stroke=PALETTE["h"]),

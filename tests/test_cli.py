@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellipstat import cli, datasets, kissing, linmod, mlm
+from ellipstat import cli, datasets, kissing, linmod, mlm, render
 from ellipstat import statellipse as st
 
 
@@ -305,6 +305,50 @@ def test_meta_fixed_and_random(tmp_path):
                     "--delta", "0,0;0,0", "--json", str(out)]) == 0
     d0 = read_json(out)
     assert d0["beta"] == pytest.approx(d0["beta_fixed"], abs=1e-12)
+
+
+def _meta_table(path, n):
+    """A Berkey-style table of n studies with seeded effects and S_i."""
+    rng = np.random.default_rng(n)
+    rows = ["trial,effect_PD,effect_AL,var_PD,cov_PD_AL,var_AL"]
+    for i in range(n):
+        a = rng.standard_normal((2, 2))
+        s = 0.01 * (a @ a.T + np.eye(2))
+        y = rng.standard_normal(2) * 0.3 + [0.3, -0.4]
+        values = [y[0], y[1], s[0, 0], s[0, 1], s[1, 1]]
+        rows.append(",".join([f"t{i}"] + [repr(float(v)) for v in values]))
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_meta_geometry_runs_once_per_stack(tmp_path, monkeypatch):
+    # every S_i, BLUP covariance and ellipse path of a study is computed in
+    # a stack, so the number of eigen-decompositions and path matmuls does
+    # not grow with the number of studies, and each ellipse is traced once
+    # per vertex count: 32 to bound the scene, 64 to draw it
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    traced = []
+    trace = render._ellipse_paths
+
+    def counting_trace(ellipses, n):
+        traced.append((n, len(ellipses)))
+        return trace(ellipses, n)
+    monkeypatch.setattr(render, "_ellipse_paths", counting_trace)
+    counts = {}
+    for n in (20, 200):
+        eighs.clear()
+        traced.clear()
+        svg = tmp_path / f"m{n}.svg"
+        assert run_cli(["meta", "--data", _meta_table(tmp_path / f"m{n}.csv",
+                                                      n),
+                        "--model", "random", "--svg", str(svg),
+                        "--json", str(tmp_path / f"m{n}.json")]) == 0
+        n_ellipses = sum(line.startswith("<polygon") and 'fill="none"' in line
+                         for line in svg.read_text().splitlines())
+        assert n_ellipses == 2 * n + 2      # studies, BLUPs, pool, Delta
+        assert sorted(traced) == [(32, n_ellipses), (64, n_ellipses)]
+        counts[n] = len(eighs)
+    assert counts[20] == counts[200]
 
 
 def test_heplot_iris(tmp_path):

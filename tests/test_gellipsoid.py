@@ -371,3 +371,29 @@ def test_zero_tolerances_are_scale_free(seed, p, n_pos, n_zero, log_s):
         ge.from_generator(s * gen, s * center)
     _same_up_to_scale(e, e_s, s)
     _contains_is_scale_free(e, e_s, s)
+
+
+@pytest.mark.parametrize("radii", [[1e-12, 2e-12], [1.0, 2.0],
+                                   [1.0, np.inf]])
+def test_ascending_radii_are_rejected_at_any_scale(radii):
+    # the tolerance is 1e-9 of the largest finite radius, with no floor;
+    # an infinite radius is the largest of all
+    with pytest.raises(nk.InputError, match="sorted descending"):
+        ge.GEllipsoid(np.zeros(2), np.eye(2), radii)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(hs.lists(hs.floats(0.0, 1e3), min_size=1, max_size=4),
+       hs.integers(0, 2), hs.floats(-150.0, 150.0))
+def test_sorted_radii_are_accepted_at_any_scale(radii, n_inf, log_s):
+    # descending finite radii, zeros included, behind any infinite ones;
+    # reversed, a spread of more than 1e-9 of the largest is rejected
+    s = 10.0 ** log_s
+    finite = s * np.sort(radii)[::-1]
+    p = n_inf + finite.size
+    radii = np.concatenate([np.full(n_inf, np.inf), finite])
+    e = ge.GEllipsoid(np.zeros(p), np.eye(p), radii)
+    assert np.array_equal(e.radii, radii)
+    if finite[0] - finite[-1] > 1e-9 * finite[0]:
+        with pytest.raises(nk.InputError, match="sorted descending"):
+            ge.GEllipsoid(np.zeros(p), np.eye(p), radii[::-1])

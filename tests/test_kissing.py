@@ -1225,6 +1225,33 @@ def test_meta_fixed_studies_of_different_lengths():
     _close(got["cov"], want["cov"], 1e-12)
 
 
+def _mixed_length_studies(short_first):
+    rng = np.random.default_rng(23)
+    long_ = [ki.MetaStudy(rng.standard_normal(2), random_pd(rng, 2))
+             for _ in range(3)]
+    short = ki.MetaStudy(rng.standard_normal(1), [[0.5]], x_mat=[[1.0, 0.0]])
+    return [short] + long_ if short_first else long_ + [short]
+
+
+RANDOM_EFFECTS_FITS = {
+    "meta_random": lambda studies: ki.meta_random(studies, 0.3 * np.eye(2)),
+    "meta_blup": lambda studies: ki.meta_blup(studies, np.zeros(2),
+                                              np.eye(2), 0.3 * np.eye(2)),
+    "estimate_delta_mom": ki.estimate_delta_mom,
+}
+
+
+@pytest.mark.parametrize("short_first", [False, True])
+@pytest.mark.parametrize("fit", sorted(RANDOM_EFFECTS_FITS))
+def test_random_effects_reject_studies_of_different_lengths(fit,
+                                                            short_first):
+    # meta_fixed pools them; Delta needs one outcome length
+    studies = _mixed_length_studies(short_first)
+    ki.meta_fixed(studies)
+    with pytest.raises(nk.InputError, match="outcome lengths are \\[1, 2\\]"):
+        RANDOM_EFFECTS_FITS[fit](studies)
+
+
 def test_estimate_delta_mom_cases():
     rng = np.random.default_rng(11)
     # duplicated studies with tiny S: MoM recovers the sample covariance

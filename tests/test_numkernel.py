@@ -224,7 +224,8 @@ def test_require_pd_verdict_is_scale_free(seed, p, log_cond, log_s):
 PD_SITES = {
     "QuadFamily": lambda w: ki.QuadFamily([0.0, 0.0], w),
     "lda_axis": lambda w: ki.lda_axis([1.0, 0.0], [0.0, 1.0], w),
-    "MetaStudy": lambda w: ki.MetaStudy([0.0, 0.0], w),
+    # S_i is checked where the studies are pooled, all S_i in one call
+    "MetaStudy": lambda w: ki.meta_fixed([ki.MetaStudy([0.0, 0.0], w)]),
     "mahalanobis": lambda w: st.mahalanobis([1.0, 0.0], [0.0, 0.0], w),
     "gen_eig": lambda w: nk.gen_eig(np.eye(2), w),
     "conjugate_axes": lambda w: ge.conjugate_axes(w, "principal"),
@@ -239,3 +240,112 @@ def test_every_pd_site_has_the_same_threshold(site, seed, log_s):
     with pytest.raises(nk.NotPositiveDefiniteError):
         PD_SITES[site](s * _with_spectrum(seed, [1.0, 0.9e-12]))
     PD_SITES[site](s * _with_spectrum(seed, [1.0, 1.1e-12]))
+
+
+# ------------------------------------------- stacks against one at a time
+# sym_eig, psd_eigvals, require_pd and from_moments take a stack (k, p, p)
+# and must give, bit for bit, what a loop of one-matrix calls gives; a
+# stack with a bad matrix raises the error of the matrix a loop reports
+# first among those failing the earliest check.
+
+def _sym_eig_by_argsort(m):
+    # sym_eig as it was for one matrix: eigh's order reversed by argsort
+    w, v = np.linalg.eigh(nk.check_symmetric(m))
+    order = np.argsort(w)[::-1]
+    w, v = w[order], v[:, order]
+    idx = np.argmax(np.abs(v), axis=0)
+    signs = np.sign(v[idx, np.arange(v.shape[1])])
+    signs[signs == 0] = 1.0
+    return w, v * signs
+
+
+def _bits(*arrays):
+    return [(a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays]
+
+
+def _spectral(dec):
+    return dec.eigvals, dec.eigvecs
+
+
+def _parts(e):
+    return e.center, e.frame, e.radii
+
+
+# name: (the stack at once, one matrix), each as per-matrix arrays
+KERNELS = {
+    "sym_eig": (lambda ws, cs: zip(*_spectral(nk.sym_eig(ws))),
+                lambda w, c: _spectral(nk.sym_eig(w))),
+    "psd_eigvals": (lambda ws, cs: zip(*nk.psd_eigvals(ws)),
+                    lambda w, c: nk.psd_eigvals(w)),
+    "require_pd": (lambda ws, cs: zip(*nk.require_pd(ws)),
+                   lambda w, c: nk.require_pd(w)),
+    "from_moments": (lambda ws, cs: map(_parts, ge.from_moments(ws, cs)),
+                     lambda w, c: _parts(ge.from_moment(w, c))),
+}
+CHECK_ORDER = [ValueError, nk.NotSymmetricError, nk.IndefiniteError,
+               nk.NotPositiveDefiniteError]
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except ValueError as exc:
+        return None, exc
+
+
+@hs.composite
+def _stack_with_one_bad(draw):
+    k, p = draw(hs.integers(1, 50)), draw(hs.integers(1, 4))
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    psd = draw(hs.booleans())
+    mats = []
+    for _ in range(k):
+        lam = 10.0 ** rng.uniform(-4.0, 4.0, p)
+        if psd:
+            lam[rng.random(p) < 0.4] = 0.0      # zero radii
+        mats.append(_with_spectrum(int(rng.integers(2 ** 32)), lam))
+    stack = 10.0 ** draw(hs.floats(-150.0, 150.0)) * np.array(mats)
+    at = draw(hs.integers(0, k - 1))
+    bad = draw(hs.sampled_from(["none", "asymmetric", "indefinite",
+                                "singular", "nan"]))
+    if bad == "asymmetric" and p > 1:
+        stack[at, 0, -1] += 1e-6 * np.abs(stack[at]).max()
+    elif bad == "indefinite":
+        stack[at] -= 0.5 * np.linalg.eigvalsh(stack[at])[-1] * np.eye(p)
+    elif bad == "singular":
+        lam = np.linalg.eigvalsh(stack[at])
+        stack[at] -= lam[0] * np.eye(p)         # exact zero not promised
+    elif bad == "nan":
+        stack[at, -1, -1] = np.nan
+    centers = rng.standard_normal((k, p))
+    return stack, centers
+
+
+def _same_error(got, want):
+    assert type(got) is type(want)
+    assert got.args == want.args
+    assert vars(got) == vars(want)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@settings(max_examples=80, deadline=None, database=None)
+@given(_stack_with_one_bad())
+def test_stacked_kernels_match_one_matrix_at_a_time(kernel, case):
+    stack, centers = case
+    at_once, one = KERNELS[kernel]
+    got, err = _outcome(lambda: [_bits(*r) for r in at_once(stack, centers)])
+    loop = [_outcome(lambda: _bits(*one(w, c)))
+            for w, c in zip(stack, centers)]
+    errors = [(CHECK_ORDER.index(type(e)), i, e)
+              for i, (_, e) in enumerate(loop) if e is not None]
+    if errors:
+        assert got is None
+        _same_error(err, min(errors, key=lambda t: t[:2])[2])
+    else:
+        assert err is None
+        assert got == [want for want, _ in loop]
+    if kernel == "sym_eig":
+        # one matrix: the same floats as reversing eigh's order by argsort
+        for (want, e), m in zip(loop, stack):
+            if e is None:
+                assert want == _bits(*_sym_eig_by_argsort(m))

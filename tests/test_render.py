@@ -76,7 +76,7 @@ def test_render_rejects_zero_area_viewport():
 def _transform(scene):
     # the transform and viewport render_scene draws the scene with
     return render._scene_transform(scene,
-                                   render._arrow_ends(scene.layers)[1])
+                                   render._scene_parts(scene.layers))
 
 
 def test_unit_circle_pixel_bounding_box():
@@ -207,16 +207,29 @@ def test_style_table_and_escape():
 
 # ------------------------------------------- per-element reference renderer
 # The renderer as it was when it formatted one element at a time: every
-# number through render._fmt, one to_pixel per arrow, one bound per arrow.
-# render_scene must reproduce its output byte for byte.
+# number through render._fmt, one to_pixel per arrow, one bound per arrow,
+# one path per ellipse and per bound. render_scene must reproduce its
+# output byte for byte.
+
+def _ref_ellipse_path(e, n):
+    theta = 2.0 * np.pi * np.arange(n) / n
+    circle = np.column_stack([np.cos(theta), np.sin(theta)])
+    return e.center + (circle * e.radii) @ e.frame.T
+
+
+def _ref_arrows(layer):
+    """(tail, head) of each arrow of an ArrowLayer of one or k arrows."""
+    return list(zip(np.reshape(layer.tail, (-1, 2)).tolist(),
+                    np.reshape(layer.head, (-1, 2)).tolist()))
+
 
 def _ref_layer_bounds(layer):
     if isinstance(layer, render.EllipseLayer):
-        pts = render.ellipse_path(layer.ellipse, 32)
+        pts = _ref_ellipse_path(layer.ellipse, 32)
     elif isinstance(layer, (render.PointsLayer, render.PolylineLayer)):
         pts = np.asarray(layer.points, dtype=float)
     elif isinstance(layer, render.ArrowLayer):
-        pts = np.array([layer.tail, layer.head], dtype=float)
+        pts = np.array(_ref_arrows(layer), dtype=float).reshape(-1, 2)
     elif isinstance(layer, render.TextLayer):
         pts = np.array([layer.pos], dtype=float)
     else:
@@ -291,20 +304,20 @@ def _ref_render_points(layer, tr, out):
                        f'r="{fmt(r)}" {layer.style.svg()}/>')
 
 
-def _ref_render_arrow(layer, tr, out):
+def _ref_render_arrow(tail, head, style, tr, out):
     fmt = render._fmt
-    tail, head = tr.to_pixel([layer.tail, layer.head])
+    tail, head = tr.to_pixel([tail, head])
     out.append(f'<line x1="{fmt(tail[0])}" y1="{fmt(tail[1])}" '
                f'x2="{fmt(head[0])}" y2="{fmt(head[1])}" '
-               f'{layer.style.svg()}/>')
+               f'{style.svg()}/>')
     d = head - tail
     nrm = float(np.hypot(*d))
     if nrm > 1e-9:
         u = d / nrm
         left = head - 7.0 * u + 3.5 * np.array([-u[1], u[0]])
         right = head - 7.0 * u - 3.5 * np.array([-u[1], u[0]])
-        tip = render.Style(stroke="none", fill=layer.style.stroke,
-                           opacity=layer.style.opacity)
+        tip = render.Style(stroke="none", fill=style.stroke,
+                           opacity=style.opacity)
         pts = " ".join(f"{fmt(p[0])},{fmt(p[1])}"
                        for p in (head, left, right))
         out.append(f'<polygon points="{pts}" {tip.svg()}/>')
@@ -328,7 +341,7 @@ def reference_render_scene(scene):
         if isinstance(layer, render.AxisLayer):
             render._render_axis(layer, tr, viewport, out)
         elif isinstance(layer, render.EllipseLayer):
-            pts = tr.to_pixel(render.ellipse_path(layer.ellipse, layer.n))
+            pts = tr.to_pixel(_ref_ellipse_path(layer.ellipse, layer.n))
             out.append(_ref_polyline_svg(pts, layer.style, closed=True))
         elif isinstance(layer, render.PolylineLayer):
             pts = np.asarray(layer.points, dtype=float)
@@ -338,7 +351,8 @@ def reference_render_scene(scene):
         elif isinstance(layer, render.PointsLayer):
             _ref_render_points(layer, tr, out)
         elif isinstance(layer, render.ArrowLayer):
-            _ref_render_arrow(layer, tr, out)
+            for tail, head in _ref_arrows(layer):
+                _ref_render_arrow(tail, head, layer.style, tr, out)
         elif isinstance(layer, render.TextLayer):
             p = tr.to_pixel([layer.pos])[0]
             out.append(f'<text x="{fmt(p[0])}" y="{fmt(p[1])}" '
@@ -380,12 +394,16 @@ def _ellipse_layer(draw):
     a = np.array(draw(hs.lists(hs.floats(-30.0, 30.0), min_size=4,
                                max_size=4))).reshape(2, 2)
     center = np.array(draw(_point))
-    ell = ge.from_moment(a @ a.T + np.eye(2), center)
-    return render.EllipseLayer(ell, draw(_style), n=draw(hs.integers(3, 40)))
+    if draw(hs.booleans()):
+        ell = ge.from_moment(a @ a.T + np.eye(2), center)
+    else:                               # flat: radii (r, 0)
+        ell = ge.from_moment(np.outer(a[0], a[0]), center)
+    n = draw(hs.one_of(hs.integers(3, 40), hs.sampled_from([32, 64])))
+    return render.EllipseLayer(ell, draw(_style), n=n)
 
 
 @hs.composite
-def _arrow(draw):
+def _arrow_ends(draw):
     tail = draw(_point)
     kind = draw(hs.sampled_from(["any", "zero", "tiny"]))
     if kind == "zero":
@@ -394,7 +412,21 @@ def _arrow(draw):
         head = (tail[0] + 1e-12, tail[1])
     else:
         head = draw(_point)
-    return render.ArrowLayer(tail, head, draw(_style))
+    return tail, head
+
+
+def _arrow():
+    return hs.builds(lambda ends, style: render.ArrowLayer(*ends, style),
+                     _arrow_ends(), _style)
+
+
+@hs.composite
+def _arrow_array(draw):
+    # k arrows in one layer, as (k, 2) tail and head arrays
+    ends = draw(hs.lists(_arrow_ends(), max_size=6))
+    tails = np.array([t for t, _ in ends], dtype=float).reshape(-1, 2)
+    heads = np.array([h for _, h in ends], dtype=float).reshape(-1, 2)
+    return render.ArrowLayer(tails, heads, draw(_style))
 
 
 _layer = hs.one_of(
@@ -406,6 +438,8 @@ _layer = hs.one_of(
               closed=hs.booleans()),
     _arrow().map(lambda a: [a]),
     hs.lists(_arrow(), min_size=2, max_size=6),
+    _arrow_array(),
+    hs.lists(_ellipse_layer(), min_size=5, max_size=40),
     hs.builds(render.TextLayer, _point, hs.sampled_from(["a", "<b> & c"]),
               size=hs.sampled_from([9.0, 12])),
     hs.just(render.AxisLayer(label_x="x", label_y="y")),
