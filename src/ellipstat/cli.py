@@ -239,9 +239,8 @@ def cmd_data_ellipse(args):
     sample = st.Sample(mat, tuple(names))
     mean, cov = st.mean_cov(sample)
     r = cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1])
-    spec = st.CoverageSpec.chisq(args.level)
-    ell = st.data_ellipsoid(sample, spec)
-    c = st.coverage_radius(2, sample.n, spec)
+    c = st.coverage_radius(2, sample.n, st.CoverageSpec.chisq(args.level))
+    ell = st.data_ellipsoid(sample, st.CoverageSpec.stddev(c))
     sh_x = st.univariate_shadow(ell, np.array([1.0, 0.0]))
     sh_y = st.univariate_shadow(ell, np.array([0.0, 1.0]))
     payload = {
@@ -286,18 +285,17 @@ def cmd_betaspace(args):
     fit = linmod.ols_fit(x, y, names=["intercept"] + x_names)
     coords = _coords(fit.names, args.coords, [1, 2])
     names = [fit.names[c] for c in coords]
-    joint = linmod.confidence_ellipsoid(
-        fit, coords, linmod.ConfidenceSpec("joint", args.alpha, d=2))
-    ci = linmod.confidence_ellipsoid(
-        fit, coords, linmod.ConfidenceSpec("ci", args.alpha))
+    r_joint = linmod.ConfidenceSpec("joint", args.alpha, d=2).radius(fit.df)
+    r_ci = linmod.ConfidenceSpec("ci", args.alpha).radius(fit.df)
+    joint = linmod.confidence_ellipsoid(fit, coords, radius=r_joint)
+    ci = linmod.confidence_ellipsoid(fit, coords, radius=r_ci)
     ci_ival = {}
     scheffe = {}
     for c in coords:
         e_c = [1.0 if i == c else 0.0 for i in range(fit.q)]
-        ci_ival[fit.names[c]] = linmod.shadow_interval(
-            fit, e_c, linmod.ConfidenceSpec("ci", args.alpha))
-        scheffe[fit.names[c]] = linmod.shadow_interval(
-            fit, e_c, linmod.ConfidenceSpec("joint", args.alpha, d=2))
+        ci_ival[fit.names[c]] = linmod.shadow_interval(fit, e_c, radius=r_ci)
+        scheffe[fit.names[c]] = linmod.shadow_interval(fit, e_c,
+                                                       radius=r_joint)
     dev = joint.frame.T @ (np.zeros(2) - joint.center)
     inside = float(np.sum((dev / joint.radii) ** 2)) <= 1.0
     payload = {
@@ -343,12 +341,13 @@ def cmd_avp(args):
     names = (args.k, args.response)
     marg = np.column_stack([x[:, k] - x[:, k].mean(), y - y.mean()])
     cond = np.column_stack([res["x_star"], res["y_star"]])
-    spec = st.CoverageSpec.chisq(0.50)
+    half = st.CoverageSpec.stddev(
+        st.coverage_radius(2, len(marg), st.CoverageSpec.chisq(0.50)))
     slope_m = float(np.cov(marg.T, ddof=1)[0, 1] / np.var(marg[:, 0],
                                                           ddof=1))
     scene = render.build_avp_marginal_overlay(
-        marg, cond, st.data_ellipsoid(st.Sample(marg, names), spec),
-        st.data_ellipsoid(st.Sample(cond, names), spec), slope_m,
+        marg, cond, st.data_ellipsoid(st.Sample(marg, names), half),
+        st.data_ellipsoid(st.Sample(cond, names), half), slope_m,
         res["slope"], names=names,
         title=f"added-variable: {args.k}")
     _emit(args, payload, scene)
@@ -407,7 +406,7 @@ def cmd_heplot(args):
     coords = _coords(names, args.coords, [0, 1])
     ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=coords,
                                    center=fit.y_mean, scaling=args.scaling,
-                                   alpha=args.alpha, df_h=gs.g - 1)
+                                   crit=crit)
     _, means, _ = st.group_means(gs)
     scene = render.build_he_plot(
         ell_h, ell_e, names=(names[coords[0]], names[coords[1]]),

@@ -173,7 +173,10 @@ def linear_image(e, l_mat):
 
     Finite part maps through the SVD of L U diag(radii); unbounded
     directions map to the span of their images (the image stays infinite
-    unless L annihilates the direction).
+    unless L annihilates the direction). What the map can reach sets the
+    roundoff scale: an unbounded axis whose image is within ZERO_RADIUS_TOL
+    of |L| is annihilated, and so is a radius within ZERO_RADIUS_TOL of
+    |L| times the largest finite radius.
     """
     l_mat = nk.as_matrix(l_mat)
     if l_mat.ndim != 2 or l_mat.shape[1] != e.dim:
@@ -181,31 +184,28 @@ def linear_image(e, l_mat):
             f"map shape {l_mat.shape} does not act on R^{e.dim}")
     m = l_mat.shape[0]
     center = l_mat @ e.center
-
     inf_mask = np.isinf(e.radii)
     fin_gen = l_mat @ (e.frame[:, ~inf_mask] * e.radii[~inf_mask])
-
-    if not inf_mask.any():
-        return from_generator(fin_gen, center)
-
-    # Orthonormal basis of the image of the unbounded directions.
-    img = l_mat @ e.frame[:, inf_mask]
-    q, r = np.linalg.qr(img)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(np.abs(r).max(), 1e-300)
-    q = q[:, keep]
-    k = q.shape[1]
+    reach = np.linalg.norm(l_mat)
+    # Orthonormal basis of the image of the unbounded directions, from the
+    # rank-revealing SVD (an unpivoted QR hides a column behind a zero one).
+    dec = nk.svd(l_mat @ e.frame[:, inf_mask])
+    k = int(np.sum(dec.singulars > ZERO_RADIUS_TOL * reach))
     if k == 0:
-        return from_generator(fin_gen, center)
-
-    # The cylinder swallows any finite extent along its axis directions:
-    # project the finite generator onto the orthogonal complement.
-    proj = np.eye(m) - q @ q.T
-    rest = from_generator(proj @ fin_gen, np.zeros(m))
-    frame = np.column_stack([q, rest.frame[:, :m - k]])
-    # Re-orthonormalize the complement part against q (kills roundoff and
-    # any zero-radius axes of `rest` that leaked into span(q)).
-    frame, _ = np.linalg.qr(frame)
-    radii = np.concatenate([np.full(k, np.inf), rest.radii[:m - k]])
+        image = from_generator(fin_gen, center)
+        frame, radii = image.frame, image.radii
+    else:
+        # The cylinder swallows any finite extent along its axis
+        # directions: project the finite generator onto the orthogonal
+        # complement.
+        q = dec.left[:, :k]
+        rest = from_generator(fin_gen - q @ (q.T @ fin_gen), np.zeros(m))
+        # Re-orthonormalize the complement part against q (kills roundoff
+        # and any zero-radius axes of `rest` that leaked into span(q)).
+        frame, _ = np.linalg.qr(np.column_stack([q, rest.frame[:, :m - k]]))
+        radii = np.concatenate([np.full(k, np.inf), rest.radii[:m - k]])
+    top = reach * e.radii[~inf_mask].max(initial=0.0)
+    radii[radii <= ZERO_RADIUS_TOL * top] = 0.0
     return GEllipsoid(center=center, frame=frame, radii=radii)
 
 
@@ -261,6 +261,8 @@ def size_measures(e):
         avg_var = float(np.sum(lam))
     if np.any(lam == 0):
         avg_prec = 0.0
+    elif np.all(np.isinf(lam)):
+        avg_prec = math.inf
     else:
         avg_prec = float(1.0 / np.sum(1.0 / lam))
     max_var = float(lam[0])

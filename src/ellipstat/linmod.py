@@ -97,36 +97,37 @@ class ConfidenceSpec:
         return float(dist.t_quantile(1 - self.alpha / (2 * self.m), df))
 
 
-def confidence_ellipsoid(fit, coords, spec=None):
+def confidence_ellipsoid(fit, coords, spec=None, radius=None):
     """Confidence ellipsoid for selected coefficients.
 
     Centered at the estimates, with moment matrix
     radius^2 * s^2 * (X^T X)^{-1}[coords, coords]; the radius follows the
-    spec kind (joint F, per-coordinate t, or Bonferroni t).
+    spec kind (joint F, per-coordinate t, or Bonferroni t). A caller that
+    already holds spec.radius(fit.df) passes it as radius instead.
     """
     coords = list(coords)
     if any(c < 0 or c >= fit.q for c in coords):
         raise nk.InputError(f"coordinates out of range 0..{fit.q - 1}")
-    if spec is None:
-        spec = ConfidenceSpec(kind="joint", d=len(coords))
-    r = spec.radius(fit.df)
+    if radius is None:
+        spec = spec or ConfidenceSpec(kind="joint", d=len(coords))
+        radius = spec.radius(fit.df)
     sub = fit.xtx_inv[np.ix_(coords, coords)]
-    return ge.from_moment(r * r * fit.s2 * sub, fit.coef[coords])
+    return ge.from_moment(radius * radius * fit.s2 * sub, fit.coef[coords])
 
 
-def shadow_interval(fit, combo, spec=None):
+def shadow_interval(fit, combo, spec=None, radius=None):
     """Confidence interval for a linear combination c^T beta.
 
-    Equals the shadow of the matching confidence ellipsoid along c.
+    Equals the shadow of the matching confidence ellipsoid along c. A
+    caller that already holds spec.radius(fit.df) passes it as radius.
     """
     c = np.asarray(combo, dtype=float).ravel()
     if c.size != fit.q or not np.any(c):
         raise nk.InputError("combination must be a nonzero q-vector")
-    if spec is None:
-        spec = ConfidenceSpec(kind="ci")
-    r = spec.radius(fit.df)
+    if radius is None:
+        radius = (spec or ConfidenceSpec(kind="ci")).radius(fit.df)
     mid = float(c @ fit.coef)
-    half = r * float(np.sqrt(fit.s2 * c @ fit.xtx_inv @ c))
+    half = radius * float(np.sqrt(fit.s2 * c @ fit.xtx_inv @ c))
     return (mid - half, mid + half)
 
 

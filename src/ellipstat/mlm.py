@@ -212,13 +212,14 @@ def protrusion_ratio(h, e, df_h, df_e, alpha=0.05):
 
 
 def he_ellipses(h, e, df_e, coords=(0, 1), center=None, scaling="significance",
-                alpha=0.05, df_h=None, level=0.68):
+                alpha=0.05, df_h=None, level=0.68, crit=None):
     """H and E ellipses for one coordinate pair of an HE plot.
 
     E is drawn as the level-coverage ellipse of E/df_e at the response
     means. H uses the same radius on H/df_e (effect scaling) or
     H/(lam_alpha df_e) (significance scaling, so protrusion outside E is
-    Roy's test).
+    Roy's test). lam_alpha is roy_critical(df_h, df_e, p, alpha), or crit
+    when the caller already holds it.
     """
     coords = list(coords)
     if len(coords) != 2:
@@ -229,9 +230,11 @@ def he_ellipses(h, e, df_e, coords=(0, 1), center=None, scaling="significance",
     center = np.asarray(center, dtype=float)
     c = np.sqrt(2 * dist.f_quantile(level, 2, df_e))
     if scaling == "significance":
-        if df_h is None:
-            raise nk.InputError("significance scaling needs df_h")
-        h_scaled = h / (roy_critical(df_h, df_e, p, alpha) * df_e)
+        if crit is None:
+            if df_h is None:
+                raise nk.InputError("significance scaling needs df_h")
+            crit = roy_critical(df_h, df_e, p, alpha)
+        h_scaled = h / (crit * df_e)
     elif scaling == "effect":
         h_scaled = h / df_e
     else:

@@ -3,6 +3,7 @@
 # wrappers do the heavy lifting; this module adds the validation, ordering
 # and sign conventions everything downstream relies on.
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,7 @@ def check_symmetric(m, tol=SYM_TOL):
 def _fix_signs(vecs):
     # Deterministic convention: largest-magnitude component positive, for
     # each column of a matrix or of each matrix in a stack.
-    stack = vecs.reshape(-1, *vecs.shape[-2:])
+    stack = vecs.reshape(math.prod(vecs.shape[:-2]), *vecs.shape[-2:])
     top = np.abs(stack).argmax(axis=1)
     signs = np.sign(stack[np.arange(len(stack))[:, None], top,
                           np.arange(stack.shape[2])])

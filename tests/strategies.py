@@ -1,0 +1,87 @@
+"""Hypothesis strategies shared by the property tests.
+
+Each strategy draws a seed and the sizes, then builds the arrays with a
+seeded numpy generator, so a failing example shrinks to small sizes and
+replays from its seed.
+"""
+
+import numpy as np
+from hypothesis import strategies as hs
+
+from ellipstat import gellipsoid as ge
+
+seeds = hs.integers(0, 2 ** 32 - 1)
+
+
+def orthogonal(rng, p):
+    """A Haar-random p x p orthogonal matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((p, p)))
+    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+
+
+@hs.composite
+def pd_matrices(draw, p=hs.integers(1, 4), log_cond=hs.floats(0.0, 8.0),
+                log_scale=hs.floats(-100.0, 100.0)):
+    """(w, cond, scale): a p x p positive-definite matrix in a random frame
+    whose eigenvalues fall geometrically from scale to scale / cond."""
+    p = draw(p)
+    cond, scale = 10.0 ** draw(log_cond), 10.0 ** draw(log_scale)
+    rng = np.random.default_rng(draw(seeds))
+    frame = orthogonal(rng, p)
+    lam = scale * np.logspace(0.0, -np.log10(cond), p)
+    w = (frame * lam) @ frame.T
+    return 0.5 * (w + w.T), cond, scale
+
+
+@hs.composite
+def ellipsoids(draw, p=hs.integers(1, 4)):
+    """A generalized ellipsoid of any signature: infinite, positive and zero
+    radii in a random orthonormal or coordinate-permutation frame."""
+    p = draw(p)
+    n_inf = draw(hs.integers(0, p))
+    n_zero = draw(hs.integers(0, p - n_inf))
+    rng = np.random.default_rng(draw(seeds))
+    frame = (np.eye(p)[rng.permutation(p)] if draw(hs.booleans())
+             else orthogonal(rng, p))
+    radii = np.zeros(p)
+    radii[:n_inf] = np.inf
+    n_pos = p - n_inf - n_zero
+    radii[n_inf:n_inf + n_pos] = np.sort(10.0 ** rng.uniform(-1, 1, n_pos))[::-1]
+    return ge.GEllipsoid(rng.standard_normal(p), frame, radii)
+
+
+@hs.composite
+def linear_maps(draw, p, m=hs.integers(1, 4)):
+    """An m x p map: dense, of deficient rank, or a coordinate selection."""
+    m = draw(m)
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(hs.sampled_from(["dense", "low_rank", "select"]))
+    if kind == "dense":
+        return rng.standard_normal((m, p))
+    if kind == "low_rank":
+        r = draw(hs.integers(0, min(m, p)))
+        return rng.standard_normal((m, r)) @ rng.standard_normal((r, p))
+    return np.eye(p)[rng.integers(0, p, m)] * rng.integers(0, 2, (m, 1))
+
+
+@hs.composite
+def projections(draw, p):
+    """A p x p symmetric idempotent: a coordinate projection, or the
+    orthogonal projection onto a random subspace."""
+    rng = np.random.default_rng(draw(seeds))
+    if draw(hs.booleans()):
+        return np.diag(rng.integers(0, 2, p).astype(float))
+    q = orthogonal(rng, p)[:, :draw(hs.integers(0, p))]
+    return q @ q.T
+
+
+@hs.composite
+def regression_designs(draw, n=hs.integers(6, 40), q=hs.integers(2, 4),
+                       log_scale=hs.floats(-6.0, 6.0)):
+    """(x, y): n rows of q - 1 predictors (the fit adds the intercept) on
+    scales up to 1e6 apart, and a response with normal noise."""
+    n, q, s = draw(n), draw(q), abs(draw(log_scale))
+    rng = np.random.default_rng(draw(seeds))
+    x = rng.standard_normal((n, q - 1)) * 10.0 ** rng.uniform(-s, s, q - 1)
+    y = x @ rng.standard_normal(q - 1) + rng.standard_normal(n)
+    return x, y

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ellipstat import cli, datasets, kissing, linmod, mlm, render
+from ellipstat import distributions as dist
 from ellipstat import statellipse as st
 
 
@@ -639,6 +641,54 @@ def test_figure_statistics_computed_once(tmp_path, monkeypatch):
                     "Heart", "--json", str(tmp_path / "b.json"),
                     "--svg", str(tmp_path / "b.svg")]) == 0
     assert len(conf) == 2               # the joint and the CI ellipse
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["data-ellipse", "--data", "galton"], {"chi2_quantile": 2}),
+    (["avp", "--data", "synthetic-coffee", "--response", "Heart", "--k",
+      "Coffee"], {"chi2_quantile": 1}),
+    (["betaspace", "--data", "synthetic-coffee", "--response", "Heart"],
+     {"f_quantile": 1, "t_quantile": 1}),
+    (["heplot", "--data", "iris", "--group", "Species"],
+     {"f_quantile": 2, "f_sf": 4}),
+], ids=["data-ellipse", "avp", "betaspace", "heplot"])
+def test_each_quantile_once_per_operation(tmp_path, monkeypatch, argv,
+                                          counts):
+    # the caller computes each (level, df) once and hands the value down:
+    # the 0.68 and 0.40 data ellipses, one 50% radius for both avp
+    # ellipses, one F and one t for betaspace's ellipses and intervals,
+    # and Roy's critical value and the E radius for heplot next to the
+    # four test statistics' tails
+    calls = {}
+    for name in ("chi2_quantile", "f_quantile", "t_quantile", "f_sf"):
+        def recording(*args, _fn=getattr(dist, name),
+                      _calls=calls.setdefault(name, [])):
+            _calls.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(dist, name, recording)
+    assert run_cli(argv + ["--json", str(tmp_path / "o.json"),
+                           "--svg", str(tmp_path / "o.svg")]) == 0
+    assert {name: len(c) for name, c in calls.items() if c} == counts
+    quantiles = [(name, args) for name, c in calls.items()
+                 if name != "f_sf" for args in c]
+    assert len(set(quantiles)) == len(quantiles)
+
+
+@pytest.mark.parametrize("matrix, project, signature", [
+    ("0,0;0,0", "1,0;0,0", [0, 1, 1]),
+    ("0,0,0;0,0,0;0,0,1", "1,0,0;0,0,0;0,0,0", [0, 2, 1]),
+], ids=["all-unbounded", "hidden-unbounded-axis"])
+def test_gell_projects_unbounded_ellipsoids(tmp_path, matrix, project,
+                                            signature):
+    # every radius infinite; then the slab |z| <= 1, whose shadow on the
+    # x axis is the whole axis: no error, no warning, and the signature
+    # (positive, zero, infinite) of that shadow
+    out = tmp_path / "g.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["gell", "--matrix", matrix, "--form", "precision",
+                        "--project", project, "--json", str(out)]) == 0
+    assert read_json(out)["projected_signature"] == signature
 
 
 def test_grouped_matches_row_by_row_grouping():

@@ -6,6 +6,7 @@ from hypothesis import strategies as hs
 from ellipstat import gellipsoid as ge
 from ellipstat import numkernel as nk
 
+import strategies
 from conftest import random_pd
 
 C1 = np.array([[6.0, 2.0, 1.0],
@@ -397,3 +398,54 @@ def test_sorted_radii_are_accepted_at_any_scale(radii, n_inf, log_s):
     if finite[0] - finite[-1] > 1e-9 * finite[0]:
         with pytest.raises(nk.InputError, match="sorted descending"):
             ge.GEllipsoid(np.zeros(p), np.eye(p), radii[::-1])
+
+
+# ------------------------------------- closure under linear maps (Dempster)
+
+def _unbounded_basis(e):
+    return e.frame[:, np.isinf(e.radii)]
+
+
+def _same_ellipsoid(a, b):
+    # the same signature, the same unbounded span, and the same centre and
+    # finite moment matrix on the complement of that span
+    assert ge.signature(a) == ge.signature(b)
+    qa, qb = _unbounded_basis(a), _unbounded_basis(b)
+    assert np.abs(qa @ qa.T - qb @ qb.T).max(initial=0.0) < 1e-8
+    comp = np.eye(a.dim) - qa @ qa.T
+
+    def finite_moment(e):
+        fin = np.isfinite(e.radii)
+        return (e.frame[:, fin] * e.radii[fin] ** 2) @ e.frame[:, fin].T
+
+    wa, wb = comp @ finite_moment(a) @ comp, comp @ finite_moment(b) @ comp
+    assert np.abs(wa - wb).max() <= 1e-8 * max(1.0, np.abs(wa).max())
+    assert np.abs(comp @ (a.center - b.center)).max() <= \
+        1e-8 * max(1.0, np.abs(a.center).max())
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(hs.data())
+def test_image_of_image_is_image_of_product(data):
+    # L(M(E)) = (LM)(E) for every signature, including ellipsoids whose
+    # radii are all infinite and maps that annihilate some of their axes
+    e = data.draw(strategies.ellipsoids())
+    m = data.draw(strategies.linear_maps(e.dim))
+    l_map = data.draw(strategies.linear_maps(m.shape[0]))
+    _same_ellipsoid(ge.linear_image(ge.linear_image(e, m), l_map),
+                    ge.linear_image(e, l_map @ m))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(hs.data())
+def test_projection_keeps_the_rank_of_the_unbounded_directions(data):
+    # n_inf(P E) = rank(P U_inf): a coordinate frame puts exact zero
+    # columns in P U_inf, which a rank count must see past
+    e = data.draw(strategies.ellipsoids())
+    p_mat = data.draw(strategies.projections(e.dim))
+    shadow = ge.project(e, p_mat)
+    u_inf = _unbounded_basis(e)
+    rank = np.linalg.matrix_rank(p_mat @ u_inf) if u_inf.size else 0
+    assert ge.signature(shadow).n_inf == rank
+    assert ge.signature(shadow).as_tuple()[0] + \
+        ge.signature(shadow).n_zero + rank == e.dim

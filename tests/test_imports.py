@@ -1,7 +1,7 @@
-"""Import cost: scipy loads with the first quantile, not with the package.
+"""Import cost and dependencies: no subcommand loads scipy.
 
-Each check runs in a fresh interpreter, because the test process itself
-has scipy loaded already.
+The run-time checks use a fresh interpreter, because the test process
+itself has scipy loaded already (it is the tests' oracle).
 """
 
 import ast
@@ -12,42 +12,40 @@ import os
 import pathlib
 import subprocess
 import sys
+import tomllib
 
 import pytest
-import scipy.stats
 
 import ellipstat
-from ellipstat import cli
+from ellipstat import cli, datasets
 
 PACKAGE = pathlib.Path(ellipstat.__file__).parent
 
-# Runs `cli.main(argv)` (or only the import, for argv None) and prints the
-# JSON payload, then the scipy modules loaded, on the last line.
+# Runs cli.main on each argv of a JSON list in one interpreter, then prints
+# the payloads and the scipy modules loaded as one JSON line.
 _PROBE = """
 import contextlib, io, json, sys
 import ellipstat
-argv = json.loads(sys.argv[1])
-out = io.StringIO()
-if argv is not None:
+payloads = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = ellipstat.cli.main(argv)
-    assert code == 0, code
-print(out.getvalue())
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "scipy")))
+        assert ellipstat.cli.main(argv) == 0, argv
+    payloads.append(out.getvalue())
+print(json.dumps([payloads, sorted(m for m in sys.modules
+                                   if m.split(".")[0] == "scipy")]))
 """
 
 
-def _fresh_run(argv):
-    """(stdout payload, scipy modules) of argv in a fresh interpreter."""
+def _fresh_run(argvs):
+    """(stdout payloads, scipy modules) of argvs in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argvs)],
                           capture_output=True, text=True, env=env,
                           check=True)
-    payload, _, loaded = proc.stdout.rstrip("\n").rpartition("\n")
-    return payload.strip(), json.loads(loaded)
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -57,38 +55,74 @@ def _fresh_run(argv):
     ["kiss"],
 ], ids=["import", "gell", "fixtures", "kiss"])
 def test_no_scipy_without_a_quantile(argv):
-    _, loaded = _fresh_run(argv)
+    _, loaded = _fresh_run([argv] if argv else [])
     assert loaded == []
 
 
-def test_first_quantile_loads_scipy_special():
-    argv = ["data-ellipse", "--data", "galton"]
-    payload, loaded = _fresh_run(argv)
-    assert "scipy.special" in loaded
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):       # scipy already loaded here
-        assert cli.main(argv) == 0
-    assert payload == out.getvalue().strip()
-    assert json.loads(payload)["c_squared"] == pytest.approx(
-        scipy.stats.chi2.ppf(0.40, 2), rel=1e-11)   # 12 printed digits
+# One run of each of the 16 subcommands on the bundled fixtures; lda needs
+# two groups, so it reads a two-species subset written by the test.
+SUBCOMMANDS = [
+    ["data-ellipse", "--data", "galton", "--level", "0.68"],
+    ["decompose", "--data", "iris", "--group", "Species"],
+    ["betaspace", "--data", "synthetic-coffee", "--response", "Heart",
+     "--coords", "Coffee,Stress"],
+    ["avp", "--data", "synthetic-coffee", "--response", "Heart",
+     "--k", "Coffee"],
+    ["measure-error", "--data", "galton", "--response", "child",
+     "--x", "parent", "--reps", "20"],
+    ["heplot", "--data", "iris", "--group", "Species"],
+    ["contrasts", "--data", "iris", "--group", "Species",
+     "--contrast=-2,1,1", "--contrast=0,1,-1"],
+    ["canonical", "--data", "iris", "--group", "Species"],
+    ["kiss"],
+    ["lda", "--data", "{two_species}", "--group", "Species"],
+    ["ridge-trace", "--data", "longley", "--response", "Employed"],
+    ["bayes", "--data", "longley", "--response", "Employed",
+     "--precision", "0.02"],
+    ["blup", "--data", "hsb-sample", "--group", "school", "--x", "cses",
+     "--response", "mathach", "--g-diag", "6.25,0.64"],
+    ["meta", "--data", "berkey", "--model", "random"],
+    ["gell", "--matrix", "6,2,1;2,3,0;1,0,2", "--project",
+     "1,0,0;0,1,0;0,0,0", "--conjugate", "cholesky"],
+    ["fixtures"],
+]
 
 
-def _import_time_nodes(tree):
-    """Nodes that run when the module is imported (not function bodies)."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
+def test_no_subcommand_loads_scipy(tmp_path):
+    # every subcommand, the six that compute a quantile included, runs
+    # without loading any scipy module, and prints what it prints here
+    text = datasets.fixture_csv_text("iris")
+    lines = text.splitlines()
+    subset = tmp_path / "two_species.csv"
+    subset.write_text("\n".join([lines[0]] + [r for r in lines[1:]
+                                              if "setosa" not in r]) + "\n")
+    argvs = [[a.format(two_species=subset) for a in argv]
+             for argv in SUBCOMMANDS]
+    assert len({argv[0] for argv in argvs}) == 16
+    payloads, loaded = _fresh_run(argvs)
+    assert loaded == []
+    for argv, fresh in zip(argvs, payloads):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):   # scipy is loaded here
+            assert cli.main(argv) == 0
+        assert fresh == out.getvalue(), argv[0]
+
+
+def test_runtime_dependency_is_numpy_alone():
+    meta = tomllib.loads((PACKAGE.parent.parent / "pyproject.toml")
+                         .read_text(encoding="utf-8"))["project"]
+    assert [d.split(">")[0] for d in meta["dependencies"]] == ["numpy"]
+    extras = {name: [d.split(">")[0] for d in deps]
+              for name, deps in meta["optional-dependencies"].items()}
+    assert [name for name, deps in extras.items() if "scipy" in deps] \
+        == ["test"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_top_level_scipy_import(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    for node in _import_time_nodes(tree):
+    # nor anywhere else in the module: function bodies are banned too
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -96,7 +130,7 @@ def test_no_top_level_scipy_import(path):
         else:
             continue
         assert not any(n.split(".")[0] == "scipy" for n in names), \
-            f"{path.name}:{node.lineno} imports scipy at import time"
+            f"{path.name}:{node.lineno} imports scipy"
 
 
 def _package_imports(path):

@@ -10,6 +10,8 @@ from ellipstat import gellipsoid as ge
 from ellipstat import linmod
 from ellipstat import statellipse as st
 
+import strategies
+
 
 def _random_regression(rng, n=40, q=3):
     x = rng.standard_normal((n, q)) @ (np.eye(q)
@@ -416,3 +418,34 @@ def test_joint_ellipse_test_equals_f_test():
         f_stat = fit.coef[1:] @ sub @ fit.coef[1:] / (2 * fit.s2)
         f_crit = dist.f_quantile(0.95, 2, fit.df)
         assert outside == (f_stat > f_crit)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(strategies.regression_designs(), hs.data())
+def test_confidence_ellipsoid_shadows_are_the_intervals(design, data):
+    # the shadow of the joint ellipsoid of d coefficients on a unit
+    # direction u is the Scheffe interval for u'beta, and the shadow of the
+    # individual (t) ellipsoid is the t interval; their radii sqrt(d F)
+    # and t are the quantiles of their levels
+    fit = linmod.ols_fit(*design)
+    d = data.draw(hs.integers(1, fit.q))
+    coords = sorted(data.draw(hs.permutations(range(fit.q)))[:d])
+    alpha = data.draw(hs.sampled_from([0.01, 0.05, 0.32]))
+    u = np.random.default_rng(data.draw(strategies.seeds)).standard_normal(d)
+    u /= np.linalg.norm(u)
+    combo = np.zeros(fit.q)
+    combo[coords] = u
+    for spec in (linmod.ConfidenceSpec("joint", alpha, d=d),
+                 linmod.ConfidenceSpec("ci", alpha)):
+        ell = linmod.confidence_ellipsoid(fit, coords, spec)
+        top = ell.radii.max()
+        shadow = st.univariate_shadow(ell, u)
+        interval = linmod.shadow_interval(fit, combo, spec)
+        assert np.abs(np.subtract(shadow, interval)).max() <= \
+            1e-9 * (top + abs(interval[0] + interval[1]))
+    r_joint = linmod.ConfidenceSpec("joint", alpha, d=d).radius(fit.df)
+    assert dist.f_cdf(r_joint ** 2 / d, d, fit.df, upper=True) == \
+        pytest.approx(alpha, rel=1e-12)
+    r_t = linmod.ConfidenceSpec("ci", alpha).radius(fit.df)
+    assert dist.t_cdf(r_t, fit.df, upper=True) == \
+        pytest.approx(alpha / 2, rel=1e-12)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from ellipstat import distributions as dist
 from ellipstat import gellipsoid as ge
 from ellipstat import statellipse as st
 
+import strategies
 from conftest import random_pd
 
 
@@ -229,3 +233,27 @@ def test_exact_cov_sample_moments():
     mean, got = st.mean_cov(s)
     assert mean == pytest.approx([1.0, -2.0], abs=1e-10)
     assert got == pytest.approx(cov, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(strategies.pd_matrices(), hs.integers(6, 60),
+       hs.sampled_from([0.4, 0.68, 0.95, 0.99]), strategies.seeds)
+def test_data_ellipse_shadows_are_mean_plus_minus_c_sd(pd, n, level, seed):
+    # the coordinate shadows of the level data ellipsoid are mean +- c sd,
+    # c^2 the chi-square quantile of the level, for covariances of any
+    # scale and condition number up to 1e8
+    w, _, _ = pd
+    p = w.shape[0]
+    rng = np.random.default_rng(seed)
+    sample = st.Sample(rng.standard_normal((n, p)) @ np.linalg.cholesky(w).T
+                       + rng.standard_normal(p) * np.sqrt(w.trace()))
+    spec = st.CoverageSpec.chisq(level)
+    c = st.coverage_radius(p, n, spec)
+    assert dist.chi2_cdf(c * c, p) == pytest.approx(level, rel=1e-13)
+    ell = st.data_ellipsoid(sample, spec)
+    mean, cov = st.mean_cov(sample)
+    sd = np.sqrt(np.diag(cov))
+    for j in range(p):
+        lo, hi = st.univariate_shadow(ell, np.eye(p)[j])
+        assert abs(lo - (mean[j] - c * sd[j])) <= 1e-9 * c * sd.max()
+        assert abs(hi - (mean[j] + c * sd[j])) <= 1e-9 * c * sd.max()
