@@ -60,13 +60,10 @@ print(f"bayes(A = 0.02 I, prior 0) equals ridge(0.02): "
       f"{np.abs(bayes['beta_post'] - ki.ridge(x, y, 0.02).beta).max():.1e}")
 
 # 3. multivariate meta-analysis of the periodontal trials
-rows = list(csv.reader(io.StringIO(datasets.fixture_csv_text("berkey"))))
-studies = []
-for r in rows[1:]:
-    studies.append(ki.MetaStudy(
-        [float(r[3]), float(r[4])],
-        [[float(r[5]), float(r[6])], [float(r[6]), float(r[7])]],
-        label=r[0]))
+rows = list(csv.reader(io.StringIO(datasets.fixture_csv_text("berkey"))))[1:]
+arr = np.array([[float(v) for v in r[3:8]] for r in rows])
+studies = ki.StudyStack(arr[:, :2], arr[:, [2, 3, 3, 4]].reshape(-1, 2, 2),
+                        labels=[r[0] for r in rows])
 fixed = ki.meta_fixed(studies)
 delta = ki.estimate_delta_mom(studies)
 re = ki.meta_random(studies, delta)

@@ -210,14 +210,22 @@ def _xy_columns(table, args, need=2):
     return names, np.column_stack([table.numeric(c) for c in names])
 
 
-def _grouped(table, group_col, value_cols):
-    labels = table.categorical(group_col)
-    mat = np.column_stack([table.numeric(c) for c in value_cols])
+def _group_rows(table, group_col):
+    """The sorted labels of a group column, the row indices ordered by
+    label (table order within a label), and where each label's rows end."""
     by = {}
-    for i, lab in enumerate(labels):
+    for i, lab in enumerate(table.categorical(group_col)):
         by.setdefault(lab, []).append(i)
+    names = sorted(by)
+    return (names, np.concatenate([by[lab] for lab in names]),
+            np.cumsum([len(by[lab]) for lab in names])[:-1])
+
+
+def _grouped(table, group_col, value_cols):
+    names, rows, ends = _group_rows(table, group_col)
+    mat = np.column_stack([table.numeric(c) for c in value_cols])
     return st.GroupedSample({lab: st.Sample(mat[idx], tuple(value_cols))
-                             for lab, idx in sorted(by.items())})
+                             for lab, idx in zip(names, np.split(rows, ends))})
 
 
 def _design_response(table, args):
@@ -611,12 +619,7 @@ def cmd_blup(args):
         raise InputError("--g-diag needs two entries")
     if args.g_diag and min(args.g_diag) < 0:
         raise InputError("--g-diag entries are variances and must be >= 0")
-    by = {}
-    for i, lab in enumerate(table.categorical(args.group)):
-        by.setdefault(lab, []).append(i)
-    names = sorted(by)
-    rows = np.concatenate([by[lab] for lab in names])
-    ends = np.cumsum([len(by[lab]) for lab in names])[:-1]
+    names, rows, ends = _group_rows(table, args.group)
     design = np.column_stack([np.ones(table.n), x])[rows]
     clusters = [kissing.Cluster(d, r) for d, r in
                 zip(np.split(design, ends), np.split(y[rows], ends))]
@@ -655,44 +658,35 @@ def cmd_blup(args):
 
 
 def _berkey_studies(table):
-    need = ["effect_PD", "effect_AL", "var_PD", "cov_PD_AL", "var_AL"]
-    for c in need:
-        if c not in table.columns:
-            raise InputError(f"meta table needs column {c!r}")
-    labels = (table.categorical("trial") if "trial" in table.columns
-              else [f"study{i + 1}" for i in range(table.n)])
-    ys = np.column_stack([table.numeric(c) for c in need[:2]])
-    v_pd, cov, v_al = (table.numeric(c) for c in need[2:])
+    # a missing column is an input error that names it
+    y_pd, y_al, v_pd, cov, v_al = (table.numeric(c) for c in (
+        "effect_PD", "effect_AL", "var_PD", "cov_PD_AL", "var_AL"))
     s_mats = np.stack([v_pd, cov, cov, v_al], axis=-1).reshape(-1, 2, 2)
-    return [kissing.MetaStudy(y, s_mat, label=label)
-            for y, s_mat, label in zip(ys, s_mats, labels)]
+    return kissing.StudyStack(np.column_stack([y_pd, y_al]), s_mats, labels=(
+        table.categorical("trial") if "trial" in table.columns else None))
 
 
 def cmd_meta(args):
     table = resolve_data(args.data)
-    studies = _berkey_studies(table)
-    fixed = kissing.meta_fixed(studies)
+    stack = _berkey_studies(table)
+    fixed = kissing.meta_fixed(stack)
     payload = {
-        "n_studies": len(studies),
+        "n_studies": len(stack.labels),
         "model": args.model,
         "beta_fixed": fixed["beta"],
         "cov_fixed": fixed["cov"],
     }
     c2 = dist.chi2_quantile(0.40, 2)    # 40% coverage: radius ~1 ellipses
-    scene = None
     if args.model == "fixed":
-        payload["beta"] = fixed["beta"]
-        payload["cov"] = fixed["cov"]
-        scene = render.build_meta_panel(studies, fixed, c2,
+        payload.update(beta=fixed["beta"], cov=fixed["cov"])
+        scene = render.build_meta_panel(stack, fixed, c2,
                                         names=("PD effect", "AL effect"),
                                         title="fixed-effect pooling")
     else:
-        if args.delta is not None:
-            delta = args.delta
-        else:
-            delta = kissing.estimate_delta_mom(studies)
-        re = kissing.meta_random(studies, delta)
-        blups = kissing.meta_blup(studies, re["beta"], re["cov"], delta)
+        delta = args.delta if args.delta is not None \
+            else kissing.estimate_delta_mom(stack)
+        re = kissing.meta_random(stack, delta)
+        blups = kissing.meta_blup(stack, re["beta"], re["cov"], delta)
         corr = float(delta[0, 1] / np.sqrt(delta[0, 0] * delta[1, 1])) \
             if delta[0, 0] > 0 and delta[1, 1] > 0 else 0.0
         payload.update({
@@ -700,10 +694,10 @@ def cmd_meta(args):
             "delta_corr": corr,
             "beta": re["beta"],
             "cov": re["cov"],
-            "blups": [{"label": b["label"], "beta": b["beta"],
-                       "cov": b["cov"]} for b in blups],
+            "blups": [{"label": lab, "beta": b, "cov": c} for lab, b, c
+                      in zip(stack.labels, blups["beta"], blups["cov"])],
         })
-        scene = render.build_meta_panel(studies, re, c2, blups=blups,
+        scene = render.build_meta_panel(stack, re, c2, blups=blups,
                                         delta=delta,
                                         names=("PD effect", "AL effect"),
                                         title="random-effects pooling")

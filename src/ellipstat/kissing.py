@@ -584,106 +584,96 @@ def estimate_g_moments(blues):
 # ------------------------------------------------------------------ meta
 
 @dataclass(frozen=True)
-class MetaStudy:
-    """One study's effects and within-study covariance S_i. The pooling
-    functions check every S_i, symmetric and positive definite, in one
-    stacked call (_study_blocks)."""
-    y: np.ndarray           # p outcome effects
-    s_mat: np.ndarray       # p x p within-study covariance
-    x_mat: np.ndarray = None  # study design; identity when omitted
-    label: str = ""
+class StudyStack:
+    """k studies of p outcomes: effects y (k, p), within-study covariances
+    S (k, p, p), designs X (k, p, q), the identity when omitted, and
+    labels, study1 to studyk when omitted. Every S_i is symmetrised and
+    checked positive definite here, once per stack; a bad S_i is named by
+    its study's label."""
+    y: np.ndarray
+    s_mat: np.ndarray
+    x_mat: np.ndarray = None
+    labels: tuple = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).ravel()
+        y = np.asarray(self.y, dtype=float)
         s = np.asarray(self.s_mat, dtype=float)
-        if s.shape != (y.size, y.size):
-            raise nk.InputError("S_i must be p x p for p outcomes")
-        x = np.eye(y.size) if self.x_mat is None else \
-            np.asarray(self.x_mat, dtype=float)
-        if x.shape[0] != y.size:
+        if y.ndim != 2 or not y.size or s.shape != y.shape + y.shape[1:]:
+            raise nk.InputError("need y (k, p), k > 0, and S (k, p, p)")
+        k, p = y.shape
+        x = np.broadcast_to(np.eye(p), (k, p, p)) if self.x_mat is None \
+            else np.asarray(self.x_mat, dtype=float)
+        if x.ndim != 3 or x.shape[:2] != (k, p):
             raise nk.InputError("design rows must match the outcome length")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "s_mat", s)
-        object.__setattr__(self, "x_mat", x)
+        labels = tuple(f"study{i + 1}" for i in range(k)) \
+            if self.labels is None else tuple(self.labels)
+        if len(labels) != k:
+            raise nk.InputError("need one label per study")
+        try:
+            s = nk.check_symmetric(s)
+            nk.require_pd(s)
+        except nk.MatrixError as err:
+            err.name = f"S_i of study {labels[err.at[0]]}"
+            raise
+        for name, value in (("y", y), ("s_mat", s), ("x_mat", x),
+                            ("labels", labels)):
+            object.__setattr__(self, name, value)
 
 
-def _study_blocks(studies, outcomes=None):
-    """(X_i, S_i, y_i) of the studies, stacked by design shape, with each
-    stack of S_i symmetrised and checked positive definite in one call.
-
-    Random-effects pooling passes the outcome length of its Delta, which
-    every study must have.
-    """
-    by_shape = {}
-    for s in studies:
-        by_shape.setdefault(s.x_mat.shape, []).append(s)
-    lengths = sorted({p for p, _ in by_shape})
-    if outcomes is not None and lengths != [outcomes]:
-        raise nk.InputError(
-            f"random-effects pooling needs every study to have {outcomes} "
-            f"outcomes, as Delta does; outcome lengths are {lengths}")
-    blocks = []
-    for group in by_shape.values():
-        s_mats = nk.check_symmetric(np.stack([s.s_mat for s in group]))
-        nk.require_pd(s_mats)
-        blocks.append((np.stack([s.x_mat for s in group]), s_mats,
-                       np.stack([s.y for s in group])))
-    return blocks
+def meta_fixed(stack, *more):
+    """Fixed-effect GLS pool of one or more study stacks (one per design
+    shape): inverse-variance weighting by S_i alone."""
+    return _gls([(s.x_mat, s.s_mat, s.y) for s in (stack, *more)])
 
 
-def meta_fixed(studies):
-    """Fixed-effect GLS pool: inverse-variance weighting by S_i alone."""
-    if not studies:
-        raise nk.InputError("need at least one study")
-    return _gls(_study_blocks(studies))
+def _delta(stack, delta):
+    delta = nk.check_symmetric(delta)
+    if delta.shape != stack.s_mat.shape[1:]:
+        raise nk.InputError("Delta must be {} x {}, as S_i is".format(
+            *stack.s_mat.shape[1:]))
+    return delta
 
 
-def meta_random(studies, delta):
+def meta_random(stack, delta):
     """Random-effects pool with Sigma_i = S_i + Delta.
 
     Delta = 0 reduces exactly to the fixed-effect estimate; the returned
     covariance is the inverse of the accumulated precision.
     """
-    delta = nk.check_symmetric(delta)
-    blocks = _study_blocks(studies, delta.shape[0])
+    delta = _delta(stack, delta)
     nk.psd_eigvals(delta)       # rejects a materially indefinite Delta
-    return _gls([(x, s + delta, y) for x, s, y in blocks])
+    return _gls([(stack.x_mat, stack.s_mat + delta, stack.y)])
 
 
-def meta_blup(studies, beta_re, v_cov, delta):
-    """Per-study BLUPs beta_re + Delta Sigma_i^{-1} (y_i - X_i beta_re).
+def meta_blup(stack, beta_re, v_cov, delta):
+    """Per-study BLUPs beta_re + Delta Sigma_i^{-1} (y_i - X_i beta_re),
+    stacked: beta (k, p) and cov (k, p, p).
 
     Each covariance is V + (Delta - Delta Sigma_i^{-1} Delta), never
     smaller than V in the PSD order.
     """
-    delta = nk.check_symmetric(delta)
+    delta = _delta(stack, delta)
+    if np.shape(v_cov) != delta.shape:
+        raise nk.InputError("V must be p x p, as Delta is: q = p columns")
     beta_re = np.asarray(beta_re, dtype=float).ravel()
-    if not studies:
-        return []
-    [(x, s_mats, y)] = _study_blocks(studies, delta.shape[0])
-    sigma = s_mats + delta
-    mean = x @ beta_re
-    p = delta.shape[0]
+    sigma = stack.s_mat + delta
+    mean = stack.x_mat @ beta_re
     sol = np.linalg.solve(sigma, np.concatenate(
-        [np.broadcast_to(delta, sigma.shape), (y - mean)[..., None]],
+        [np.broadcast_to(delta, sigma.shape), (stack.y - mean)[..., None]],
         axis=-1))
-    beta = mean + np.einsum("ij,nj->ni", delta, sol[..., p])
-    cov = v_cov + delta - delta @ sol[..., :p]
-    cov = 0.5 * (cov + cov.swapaxes(1, 2))
-    return [{"label": s.label, "beta": b, "cov": c}
-            for s, b, c in zip(studies, beta, cov)]
+    beta = mean + np.einsum("ij,nj->ni", delta, sol[..., -1])
+    cov = v_cov + delta - delta @ sol[..., :-1]
+    return {"beta": beta, "cov": 0.5 * (cov + cov.swapaxes(1, 2))}
 
 
-def estimate_delta_mom(studies):
+def estimate_delta_mom(stack):
     """Method-of-moments between-study covariance, eigen-clipped to PSD.
 
     (g-1)^{-1} sum (y_i - ybar)(y_i - ybar)^T - g^{-1} sum S_i, for
     intercept-only designs.
     """
-    if len(studies) < 2:
+    g = stack.y.shape[0]
+    if g < 2:
         raise nk.InputError("need at least two studies")
-    [(_, s_mats, ys)] = _study_blocks(studies, studies[0].y.size)
-    g = len(studies)
-    dev = ys - ys.mean(axis=0)
-    raw = dev.T @ dev / (g - 1) - s_mats.sum(axis=0) / g
-    return nk.clip_psd(raw)
+    dev = stack.y - stack.y.mean(axis=0)
+    return nk.clip_psd(dev.T @ dev / (g - 1) - stack.s_mat.sum(axis=0) / g)

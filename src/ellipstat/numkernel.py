@@ -20,27 +20,40 @@ class InputError(ValueError):
     """
 
 
-class NotSymmetricError(InputError):
-    def __init__(self, asymmetry, scale):
+class MatrixError(ValueError):
+    """A check failed on the matrix at index `at` of a stack (() for a lone
+    matrix). `name` starts the message; a caller may rename the matrix."""
+
+    def __init__(self, detail, at=()):
+        super().__init__(detail)
+        self.at = at
+        self.name = "matrix" + "".join(f"[{i}]" for i in at)
+
+    def __str__(self):
+        return f"{self.name} {self.args[0]}"
+
+
+class NotSymmetricError(InputError, MatrixError):
+    def __init__(self, asymmetry, scale, at=()):
         self.asymmetry = asymmetry
         super().__init__(
-            f"matrix is not symmetric: max|M - M^T| = {asymmetry:.3e} "
-            f"exceeds {SYM_TOL:.0e} * max|M| = {SYM_TOL * scale:.3e}")
+            f"is not symmetric: max|M - M^T| = {asymmetry:.3e} "
+            f"exceeds {SYM_TOL:.0e} * max|M| = {SYM_TOL * scale:.3e}", at)
 
 
-class NotPositiveDefiniteError(ValueError):
-    def __init__(self, index, value):
+class NotPositiveDefiniteError(MatrixError):
+    def __init__(self, index, value, kind="pivot", at=()):
         self.index = index
         self.value = value
         super().__init__(
-            f"matrix is not positive definite: pivot {index} is {value:.3e}")
+            f"is not positive definite: {kind} {index} is {value:.3e}", at)
 
 
-class IndefiniteError(ValueError):
-    def __init__(self, value):
+class IndefiniteError(MatrixError):
+    def __init__(self, value, at=()):
         self.value = value
         super().__init__(
-            f"matrix is materially indefinite: eigenvalue {value:.3e}")
+            f"is materially indefinite: eigenvalue {value:.3e}", at)
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,7 @@ def check_symmetric(m, tol=SYM_TOL):
     bad = asym > tol * scale
     if bad.any():
         first = _first(bad)
-        raise NotSymmetricError(asym[first], scale[first])
+        raise NotSymmetricError(asym[first], scale[first], first)
     return 0.5 * (a + at)
 
 
@@ -160,28 +173,30 @@ def psd_eigvals(w):
     """Eigen-decomposition with PSD clipping applied; raises if indefinite.
 
     A stack (..., p, p) is decomposed at once; the first indefinite matrix
-    raises the error a call on it alone would.
+    raises the error a call on it alone would, with its index in `at`.
     """
     dec = sym_eig(w)
     lam = dec.eigvals
     bad = lam[..., -1] < -PSD_CLIP * np.maximum(lam[..., 0], 1e-300)
     if bad.any():
-        raise IndefiniteError(lam[_first(bad)][-1])
+        at = _first(bad)
+        raise IndefiniteError(lam[at][-1], at)
     return np.maximum(lam, 0.0), dec.eigvecs
 
 
 def require_pd(w):
     """psd_eigvals(w) of a positive-definite w: (eigvals descending, eigvecs).
 
-    Raises NotPositiveDefiniteError when lam_min <= 1e-12 * lam_max, for
-    the first such matrix of a stack. The threshold is relative, so the
-    verdict does not change when w is scaled.
+    Raises NotPositiveDefiniteError, naming the smallest eigenvalue, when
+    lam_min <= 1e-12 * lam_max, for the first such matrix of a stack. The
+    threshold is relative, so the verdict does not change when w is scaled.
     """
     lam, vecs = psd_eigvals(w)
     bad = lam[..., -1] <= 1e-12 * np.maximum(lam[..., 0], 1e-300)
     if bad.any():
-        lam = lam[_first(bad)]
-        raise NotPositiveDefiniteError(int(np.argmin(lam)), lam[-1])
+        at = _first(bad)
+        raise NotPositiveDefiniteError(int(np.argmin(lam[at])), lam[at][-1],
+                                       "eigenvalue", at)
     return lam, vecs
 
 

@@ -634,27 +634,26 @@ def build_kiss_locus(f1, f2, bbox, locus, kisses=(), radii1=(1.0, 2.0, 3.0),
     return Scene(layers=layers, viewport=bbox, title=title)
 
 
-def build_meta_panel(studies, pooled, c2, blups=None, delta=None,
+def build_meta_panel(stack, pooled, c2, blups=None, delta=None,
                      names=("effect 1", "effect 2"), title=""):
     """Study estimates with covariance ellipses plus the pooled summary.
 
-    Every ellipse is its covariance matrix scaled by c2, the squared
-    radius (a chi-square_2 quantile gives a coverage level). With
-    blups/delta supplied it shows the random-effects view: BLUP points,
-    their covariance ellipses, the between-study ellipse and arrows from
-    each study estimate to its BLUP.
+    stack is a kissing.StudyStack of two outcomes. Every ellipse is its
+    covariance matrix scaled by c2, the squared radius (a chi-square_2
+    quantile gives a coverage level). With blups/delta supplied (the
+    stacked kissing.meta_blup result) it shows the random-effects view:
+    BLUP points, their covariance ellipses, the between-study ellipse and
+    arrows from each study estimate to its BLUP.
     """
     layers = [AxisLayer(label_x=names[0], label_y=names[1])]
-    pts = np.array([s.y for s in studies]).reshape(-1, 2)
-    s_mats = np.array([s.s_mat for s in studies]).reshape(-1, 2, 2)
     study = Style(stroke=PALETTE["h"], width=1.0, dash="5,3")
     layers.extend(EllipseLayer(e, study)
-                  for e in ge.from_moments(c2 * s_mats, pts))
-    layers.append(PointsLayer(pts, Style(stroke=PALETTE["h"]),
+                  for e in ge.from_moments(c2 * stack.s_mat, stack.y))
+    layers.append(PointsLayer(stack.y, Style(stroke=PALETTE["h"]),
                               marker="dot", size=2.5))
-    for s in studies:
-        if s.label:
-            layers.append(TextLayer((s.y[0], s.y[1]), " " + s.label,
+    for y, label in zip(stack.y, stack.labels):
+        if label:
+            layers.append(TextLayer((y[0], y[1]), " " + label,
                                     Style(stroke="none", fill="#000000"),
                                     size=9.0))
     beta = np.asarray(pooled["beta"], dtype=float)
@@ -670,9 +669,9 @@ def build_meta_panel(studies, pooled, c2, blups=None, delta=None,
     if blups is not None:
         arrow = Style(stroke=PALETTE["muted"], width=0.9)
         shrunk = Style(stroke=PALETTE["h"], width=1.0)
-        betas = np.array([b["beta"] for b in blups]).reshape(-1, 2)
-        covs = np.array([b["cov"] for b in blups]).reshape(-1, 2, 2)
-        for y, beta, e in zip(pts, betas, ge.from_moments(c2 * covs, betas)):
+        betas = blups["beta"]
+        for y, beta, e in zip(stack.y, betas,
+                              ge.from_moments(c2 * blups["cov"], betas)):
             layers.append(ArrowLayer(y, beta, arrow))
             layers.append(EllipseLayer(e, shrunk))
     return Scene(layers=layers, title=title)

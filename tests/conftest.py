@@ -31,12 +31,10 @@ def longley():
 @pytest.fixture(scope="session")
 def berkey_studies():
     rows = list(csv.reader(io.StringIO(datasets.fixture_csv_text("berkey"))))
-    studies = []
-    for r in rows[1:]:
-        y = [float(r[3]), float(r[4])]
-        s_mat = [[float(r[5]), float(r[6])], [float(r[6]), float(r[7])]]
-        studies.append(kissing.MetaStudy(y, s_mat, label=r[0]))
-    return studies
+    arr = np.array([[float(v) for v in r[3:8]] for r in rows[1:]])
+    s_mats = arr[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
+    return kissing.StudyStack(arr[:, :2], s_mats,
+                              labels=[r[0] for r in rows[1:]])
 
 
 def random_pd(rng, p, scale=1.0):

@@ -13,6 +13,7 @@ import pytest
 
 from ellipstat import cli, datasets, kissing, linmod, mlm, render
 from ellipstat import distributions as dist
+from ellipstat import numkernel as nk
 from ellipstat import statellipse as st
 
 
@@ -327,8 +328,18 @@ def test_meta_geometry_runs_once_per_stack(tmp_path, monkeypatch):
     # every S_i, BLUP covariance and ellipse path of a study is computed in
     # a stack, so the number of eigen-decompositions and path matmuls does
     # not grow with the number of studies, and each ellipse is traced once
-    # per vertex count: 32 to bound the scene, 64 to draw it
+    # per vertex count: 32 to bound the scene, 64 to draw it. The S_i are
+    # checked once, in one require_pd call on their stack; the other six
+    # eigh calls are Delta's clip and check and the four ellipse stacks
+    # of the scene (studies, pool, Delta, BLUPs)
     eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    checked = []
+    require_pd = nk.require_pd
+
+    def recording_require_pd(w):
+        checked.append(np.shape(w))
+        return require_pd(w)
+    monkeypatch.setattr(nk, "require_pd", recording_require_pd)
     traced = []
     trace = render._ellipse_paths
 
@@ -340,6 +351,7 @@ def test_meta_geometry_runs_once_per_stack(tmp_path, monkeypatch):
     for n in (20, 200):
         eighs.clear()
         traced.clear()
+        checked.clear()
         svg = tmp_path / f"m{n}.svg"
         assert run_cli(["meta", "--data", _meta_table(tmp_path / f"m{n}.csv",
                                                       n),
@@ -349,8 +361,23 @@ def test_meta_geometry_runs_once_per_stack(tmp_path, monkeypatch):
                          for line in svg.read_text().splitlines())
         assert n_ellipses == 2 * n + 2      # studies, BLUPs, pool, Delta
         assert sorted(traced) == [(32, n_ellipses), (64, n_ellipses)]
+        assert checked == [(n, 2, 2)]
         counts[n] = len(eighs)
-    assert counts[20] == counts[200]
+    assert counts == {20: 7, 200: 7}
+
+
+def test_meta_names_a_study_whose_s_is_not_pd(tmp_path, capsys):
+    # t2's S_i = 0.01 [[1, 1], [1, 1]] is singular: exit 3, naming t2
+    path = tmp_path / "t.csv"
+    path.write_text("trial,effect_PD,effect_AL,var_PD,cov_PD_AL,var_AL\n"
+                    "t1,0.3,-0.4,0.02,0.005,0.03\n"
+                    "t2,0.2,-0.3,0.01,0.01,0.01\n"
+                    "t3,0.4,-0.5,0.03,0.004,0.02\n")
+    for model in ("fixed", "random"):
+        assert run_cli(["meta", "--data", str(path), "--model", model,
+                        "--json", str(tmp_path / "m.json")]) == 3
+        assert "S_i of study t2 is not positive definite: eigenvalue 1" \
+            in capsys.readouterr().err
 
 
 def test_heplot_iris(tmp_path):
@@ -691,7 +718,7 @@ def test_gell_projects_unbounded_ellipsoids(tmp_path, matrix, project,
     assert read_json(out)["projected_signature"] == signature
 
 
-def test_grouped_matches_row_by_row_grouping():
+def test_grouped_matches_row_by_row_grouping(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     labels = [f"g{k}" for k in rng.integers(0, 4, 60)] + ["b", "a", "b", "a"]
     vals = rng.standard_normal((len(labels), 3))
@@ -710,6 +737,27 @@ def test_grouped_matches_row_by_row_grouping():
         got = gs.samples[lab]
         assert got.names == ("w", "u")
         assert np.array_equal(got.data, np.array(rows))
+    # blup's clusters, design (1, u) and response w, in the same grouping
+    specs = []
+    mixed_spec = kissing.MixedSpec
+
+    def recording_spec(clusters, *args, **kwargs):
+        specs.append(clusters)
+        return mixed_spec(clusters, *args, **kwargs)
+    monkeypatch.setattr(kissing, "MixedSpec", recording_spec)
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    out = tmp_path / "b.json"
+    assert run_cli(["blup", "--data", str(path), "--group", "grp", "--x",
+                    "u", "--response", "w", "--g-diag", "1,1",
+                    "--json", str(out)]) == 0
+    [clusters] = specs
+    assert [c["label"] for c in read_json(out)["clusters"]] == sorted(by)
+    for cluster, lab in zip(clusters, sorted(by)):
+        rows = np.array(by[lab])
+        assert np.array_equal(cluster.y, rows[:, 0])
+        assert np.array_equal(cluster.x, np.column_stack(
+            [np.ones(len(rows)), rows[:, 1]]))
 
 
 def test_betaspace_synthetic_coffee(tmp_path):

@@ -12,6 +12,7 @@ from ellipstat import cli, datasets, kissing as ki
 from ellipstat import numkernel as nk
 from ellipstat import statellipse as st
 
+import strategies
 from conftest import random_pd
 
 DEMO_F1 = ki.QuadFamily([-2.0, 2.0], [[1.0, 0.5], [0.5, 1.5]])
@@ -1074,16 +1075,16 @@ def test_mixed_fits_shift_with_x(seed, shift, moment):
 # ------------------------------------------------------------------- meta
 
 def test_meta_fixed_single_study(berkey_studies):
-    one = ki.meta_fixed(berkey_studies[:1])
-    assert one["beta"] == pytest.approx(berkey_studies[0].y)
-    assert one["cov"] == pytest.approx(berkey_studies[0].s_mat)
+    one = ki.meta_fixed(ki.StudyStack(berkey_studies.y[:1],
+                                      berkey_studies.s_mat[:1]))
+    assert one["beta"] == pytest.approx(berkey_studies.y[0])
+    assert one["cov"] == pytest.approx(berkey_studies.s_mat[0])
 
 
 def test_meta_fixed_equal_covariances():
     s_mat = np.array([[1.0, 0.3], [0.3, 2.0]])
-    studies = [ki.MetaStudy([1.0, 0.0], s_mat),
-               ki.MetaStudy([3.0, 4.0], s_mat)]
-    out = ki.meta_fixed(studies)
+    out = ki.meta_fixed(ki.StudyStack([[1.0, 0.0], [3.0, 4.0]],
+                                      [s_mat, s_mat]))
     assert out["beta"] == pytest.approx([2.0, 2.0])
 
 
@@ -1102,7 +1103,7 @@ def test_meta_random_reductions(berkey_studies):
     assert np.abs(eps["beta"] - fixed["beta"]).max() < 1e-5
     # equal-weight limit
     big = ki.meta_random(berkey_studies, 1e9 * np.eye(2))
-    ybar = np.mean([s.y for s in berkey_studies], axis=0)
+    ybar = berkey_studies.y.mean(axis=0)
     assert big["beta"] == pytest.approx(ybar, abs=1e-6)
 
 
@@ -1119,13 +1120,14 @@ def test_meta_blup_properties(berkey_studies):
     delta = ki.estimate_delta_mom(berkey_studies)
     re = ki.meta_random(berkey_studies, delta)
     blups = ki.meta_blup(berkey_studies, re["beta"], re["cov"], delta)
-    for s, b in zip(berkey_studies, blups):
+    for y, s_mat, beta, cov in zip(berkey_studies.y, berkey_studies.s_mat,
+                                   blups["beta"], blups["cov"]):
         # matrix-weighted average identity
-        resid = np.linalg.solve(s.s_mat, b["beta"] - s.y) \
-            + np.linalg.solve(delta, b["beta"] - re["beta"])
+        resid = np.linalg.solve(s_mat, beta - y) \
+            + np.linalg.solve(delta, beta - re["beta"])
         assert np.abs(resid).max() < 1e-9
         # cov_i dominates V in the PSD order
-        lam = np.linalg.eigvalsh(b["cov"] - re["cov"])
+        lam = np.linalg.eigvalsh(cov - re["cov"])
         assert lam.min() > -1e-12
 
 
@@ -1133,44 +1135,82 @@ def test_meta_blup_degenerate_cases(berkey_studies):
     re = ki.meta_fixed(berkey_studies)
     blups = ki.meta_blup(berkey_studies, re["beta"], re["cov"],
                          np.zeros((2, 2)))
-    for b in blups:
-        assert b["beta"] == pytest.approx(re["beta"])
-        assert b["cov"] == pytest.approx(re["cov"])
+    for beta, cov in zip(blups["beta"], blups["cov"]):
+        assert beta == pytest.approx(re["beta"])
+        assert cov == pytest.approx(re["cov"])
     # a perfectly measured study keeps its own estimate
-    tiny = ki.MetaStudy([5.0, -1.0], 1e-12 * np.eye(2))
+    tiny = ki.StudyStack([[5.0, -1.0]], [1e-12 * np.eye(2)])
     delta = np.eye(2)
-    out = ki.meta_blup([tiny], [0.0, 0.0], np.zeros((2, 2)), delta)
-    assert out[0]["beta"] == pytest.approx([5.0, -1.0], abs=1e-9)
+    out = ki.meta_blup(tiny, [0.0, 0.0], np.zeros((2, 2)), delta)
+    assert out["beta"][0] == pytest.approx([5.0, -1.0], abs=1e-9)
+
+
+def test_study_stack_names_a_bad_study():
+    s_mats = np.array([np.eye(2), [[0.01, 0.01], [0.01, 0.01]], np.eye(2)])
+    with pytest.raises(nk.NotPositiveDefiniteError,
+                       match="^S_i of study t2 is not positive definite: "
+                             "eigenvalue 1 ") as err:
+        ki.StudyStack(np.zeros((3, 2)), s_mats, labels=["t1", "t2", "t3"])
+    assert err.value.at == (1,)
+    s_mats[1] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(nk.IndefiniteError, match="^S_i of study t2 is "):
+        ki.StudyStack(np.zeros((3, 2)), s_mats, labels=["t1", "t2", "t3"])
+    s_mats[1] = [[1.0, 0.5], [0.0, 1.0]]
+    with pytest.raises(nk.NotSymmetricError, match="^S_i of study study2 "):
+        ki.StudyStack(np.zeros((3, 2)), s_mats)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"y": np.zeros(2), "s_mat": np.eye(2)[None]}, "y \\(k, p\\)"),
+    ({"y": np.zeros((0, 2)), "s_mat": np.zeros((0, 2, 2))}, "k > 0"),
+    ({"y": np.zeros((3, 2)), "s_mat": np.eye(2)[None]}, "S \\(k, p, p\\)"),
+    ({"y": np.zeros((1, 2)), "s_mat": np.eye(2)[None],
+      "x_mat": np.eye(3)[None]}, "design rows"),
+    ({"y": np.zeros((1, 2)), "s_mat": np.eye(2)[None],
+      "labels": ["a", "b"]}, "one label per study"),
+])
+def test_study_stack_rejects_misshapen_input(kwargs, message):
+    with pytest.raises(nk.InputError, match=message):
+        ki.StudyStack(**kwargs)
+
+
+def test_meta_blup_rejects_a_design_of_fewer_columns():
+    # V is q x q and Delta p x p: with q < p, V + Delta would broadcast
+    stack = ki.StudyStack([[1.0, 2.0], [0.5, 1.0]], [np.eye(2), np.eye(2)],
+                          x_mat=np.ones((2, 2, 1)))
+    pool = ki.meta_random(stack, np.eye(2))
+    with pytest.raises(nk.InputError, match="V must be p x p"):
+        ki.meta_blup(stack, pool["beta"], pool["cov"], np.eye(2))
 
 
 # Slow per-study copies of the meta-analysis GLS and BLUPs as they were
 # before the stacked solves: the oracle for the rewrite.
 
-def _reference_meta_gls(studies, extra=None):
+def _reference_meta_gls(stacks, extra=None):
     a = None
     b = None
-    for s in studies:
-        sigma = s.s_mat if extra is None else s.s_mat + extra
-        si_x = np.linalg.solve(sigma, s.x_mat)
-        if a is None:
-            k = s.x_mat.shape[1]
-            a = np.zeros((k, k))
-            b = np.zeros(k)
-        a += s.x_mat.T @ si_x
-        b += si_x.T @ s.y
+    for stack in stacks:
+        for y, s_mat, x_mat in zip(stack.y, stack.s_mat, stack.x_mat):
+            sigma = s_mat if extra is None else s_mat + extra
+            si_x = np.linalg.solve(sigma, x_mat)
+            if a is None:
+                k = x_mat.shape[1]
+                a = np.zeros((k, k))
+                b = np.zeros(k)
+            a += x_mat.T @ si_x
+            b += si_x.T @ y
     cov = np.linalg.inv(a)
     return {"beta": cov @ b, "cov": 0.5 * (cov + cov.T)}
 
 
-def _reference_meta_blup(studies, beta_re, v_cov, delta):
+def _reference_meta_blup(stack, beta_re, v_cov, delta):
     out = []
-    for s in studies:
-        sigma = s.s_mat + delta
-        mean_i = s.x_mat @ beta_re
-        adj = delta @ np.linalg.solve(sigma, s.y - mean_i)
+    for y, s_mat, x_mat in zip(stack.y, stack.s_mat, stack.x_mat):
+        sigma = s_mat + delta
+        mean_i = x_mat @ beta_re
+        adj = delta @ np.linalg.solve(sigma, y - mean_i)
         cov_i = v_cov + delta - delta @ np.linalg.solve(sigma, delta)
-        out.append({"label": s.label, "beta": mean_i + adj,
-                    "cov": 0.5 * (cov_i + cov_i.T)})
+        out.append({"beta": mean_i + adj, "cov": 0.5 * (cov_i + cov_i.T)})
     return out
 
 
@@ -1182,85 +1222,162 @@ def test_meta_fits_match_per_study_reference(seed, n, p, design,
                                              delta_kind):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, p + 1)) if design else p
-    studies = [ki.MetaStudy(2.0 * rng.standard_normal(p),
-                            random_pd(rng, p, scale=0.3),
-                            rng.standard_normal((p, k)) if design else None,
-                            label=f"s{i}") for i in range(n)]
+    ys, s_mats, x_mats = [], [], []
+    for _ in range(n):
+        ys.append(2.0 * rng.standard_normal(p))
+        s_mats.append(random_pd(rng, p, scale=0.3))
+        if design:
+            x_mats.append(rng.standard_normal((p, k)))
+    stack = ki.StudyStack(ys, s_mats, x_mats if design else None)
     assume(n * p >= k)
     root = rng.standard_normal((p, 1 if delta_kind == "singular" else p))
     delta = 0.0 if delta_kind == "zero" else 1.0
     delta = delta * root @ root.T
     # a pooled estimate near zero is the difference of larger effects
-    size = np.abs([s.y for s in studies]).max()
-    for got, want in ((ki.meta_fixed(studies),
-                       _reference_meta_gls(studies)),
-                      (ki.meta_random(studies, delta),
-                       _reference_meta_gls(studies, delta))):
+    size = np.abs(stack.y).max()
+    for got, want in ((ki.meta_fixed(stack),
+                       _reference_meta_gls([stack])),
+                      (ki.meta_random(stack, delta),
+                       _reference_meta_gls([stack], delta))):
         cond = np.linalg.cond(want["cov"])
         assume(cond < 1e8)
         _close(got["beta"], want["beta"], 1e-13 * cond, size)
         _close(got["cov"], want["cov"], 1e-13 * cond)
     if k != p:
         return          # the BLUP covariance V + Delta needs k = p
-    got = ki.meta_blup(studies, want["beta"], want["cov"], delta)
-    ref = _reference_meta_blup(studies, want["beta"], want["cov"], delta)
-    assert [b["label"] for b in got] == [b["label"] for b in ref]
-    for g, w in zip(got, ref):
-        _close(g["beta"], w["beta"], 1e-10, size)
-        _close(g["cov"], w["cov"], 1e-10)
+    got = ki.meta_blup(stack, want["beta"], want["cov"], delta)
+    ref = _reference_meta_blup(stack, want["beta"], want["cov"], delta)
+    assert got["beta"].shape == (n, p) and got["cov"].shape == (n, p, p)
+    for i, w in enumerate(ref):
+        _close(got["beta"][i], w["beta"], 1e-10, size)
+        _close(got["cov"][i], w["cov"], 1e-10)
+
+
+# The meta laws on generated stacks: S_i of set condition number and scale,
+# with identity or random designs
+
+EPS = np.finfo(float).eps
+SQUARE_DESIGNS = hs.sampled_from(["identity", "square"])
+
+
+def _between_study(data, stack, log_cond=hs.floats(0.0, 3.0)):
+    """A positive-definite D for the stack, within 1e3 of the S_i's scale."""
+    p = stack.y.shape[1]
+    log_s = float(np.log10(np.abs(stack.s_mat).max()))
+    d_mat, _, _ = data.draw(strategies.pd_matrices(
+        p=hs.just(p), log_cond=log_cond,
+        log_scale=hs.floats(log_s - 3.0, log_s + 3.0)))
+    return d_mat
+
+
+def _norms(a):
+    return np.linalg.norm(a, axis=-1)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(strategies.study_stacks())
+def test_meta_random_with_zero_delta_is_meta_fixed(stack):
+    p = stack.y.shape[1]
+    fixed = ki.meta_fixed(stack)
+    re0 = ki.meta_random(stack, np.zeros((p, p)))
+    for key in ("beta", "cov"):
+        assert re0[key].tobytes() == fixed[key].tobytes()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(strategies.study_stacks(design=SQUARE_DESIGNS), hs.data())
+def test_meta_blup_limits_in_the_scale_of_delta(stack, data):
+    # with Delta = t D the BLUP moves from X_i beta_re (t -> 0) to y_i
+    # (t -> infinity): |BLUP_i - X_i beta_re| <= t |D| |S_i^-1| |r_i| and
+    # |BLUP_i - y_i| <= |S_i| |r_i| / (t lam_min(D)), r_i = y_i - X_i
+    # beta_re, up to rounding in the solve with S_i + t D
+    d_mat = _between_study(data, stack)
+    re = ki.meta_random(stack, d_mat)
+    mean = stack.x_mat @ re["beta"]
+    r = _norms(stack.y - mean)
+    lam_s = np.linalg.eigvalsh(stack.s_mat)
+    lam_d = np.linalg.eigvalsh(d_mat)
+    for t in (1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e12):
+        got = ki.meta_blup(stack, re["beta"], re["cov"], t * d_mat)["beta"]
+        rounding = 8 * EPS * np.linalg.cond(stack.s_mat + t * d_mat) \
+            * (r + _norms(mean) + _norms(stack.y))
+        if t < 1:
+            bound = t * lam_d[-1] / lam_s[:, 0] * r
+            assert np.all(_norms(got - mean) <= bound + rounding)
+        else:
+            bound = lam_s[:, -1] / (t * lam_d[0]) * r
+            assert np.all(_norms(got - stack.y) <= bound + rounding)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(strategies.study_stacks(design=SQUARE_DESIGNS), hs.data())
+def test_meta_blup_covariance_dominates_v(stack, data):
+    # cov_i - V = Delta - Delta Sigma_i^-1 Delta is PSD, Sigma_i = S_i +
+    # Delta, up to rounding in V + Delta and in the solve with Sigma_i
+    d_mat = _between_study(data, stack, log_cond=hs.floats(0.0, 6.0))
+    re = ki.meta_random(stack, d_mat)
+    cov = ki.meta_blup(stack, re["beta"], re["cov"], d_mat)["cov"]
+    lam = np.linalg.eigvalsh(cov - re["cov"])[:, 0]
+    norm_d = np.linalg.norm(d_mat, 2)
+    tol = 16 * EPS * (np.linalg.norm(re["cov"], 2) + norm_d
+                      * np.linalg.cond(stack.s_mat + d_mat))
+    assert np.all(lam >= -tol)
 
 
 def test_meta_fixed_studies_of_different_lengths():
-    # studies reporting one or two outcomes on a common two-column design
+    # studies reporting one or two outcomes on a common two-column design:
+    # one stack per outcome length
     rng = np.random.default_rng(17)
-    studies = [ki.MetaStudy(rng.standard_normal(2), random_pd(rng, 2)),
-               ki.MetaStudy(rng.standard_normal(1), [[0.5]],
-                            x_mat=[[1.0, 0.0]]),
-               ki.MetaStudy(rng.standard_normal(2), random_pd(rng, 2)),
-               ki.MetaStudy(rng.standard_normal(1), [[0.7]],
-                            x_mat=[[0.0, 1.0]])]
-    got = ki.meta_fixed(studies)
-    want = _reference_meta_gls(studies)
+    draws = [(rng.standard_normal(2), random_pd(rng, 2)),
+             rng.standard_normal(1),
+             (rng.standard_normal(2), random_pd(rng, 2)),
+             rng.standard_normal(1)]
+    long_ = ki.StudyStack([draws[0][0], draws[2][0]],
+                          [draws[0][1], draws[2][1]])
+    short = ki.StudyStack([draws[1], draws[3]], [[[0.5]], [[0.7]]],
+                          x_mat=[[[1.0, 0.0]], [[0.0, 1.0]]])
+    got = ki.meta_fixed(long_, short)
+    want = _reference_meta_gls([long_, short])
     _close(got["beta"], want["beta"], 1e-12)
     _close(got["cov"], want["cov"], 1e-12)
 
 
-def _mixed_length_studies(short_first):
-    rng = np.random.default_rng(23)
-    long_ = [ki.MetaStudy(rng.standard_normal(2), random_pd(rng, 2))
-             for _ in range(3)]
-    short = ki.MetaStudy(rng.standard_normal(1), [[0.5]], x_mat=[[1.0, 0.0]])
-    return [short] + long_ if short_first else long_ + [short]
-
-
 RANDOM_EFFECTS_FITS = {
-    "meta_random": lambda studies: ki.meta_random(studies, 0.3 * np.eye(2)),
-    "meta_blup": lambda studies: ki.meta_blup(studies, np.zeros(2),
-                                              np.eye(2), 0.3 * np.eye(2)),
-    "estimate_delta_mom": ki.estimate_delta_mom,
+    "meta_random": lambda stack, delta: ki.meta_random(stack, delta),
+    "meta_blup": lambda stack, delta: ki.meta_blup(stack, np.zeros(2),
+                                                   np.eye(2), delta),
+    "cli": lambda stack, delta: cli.main([
+        "meta", "--data", "berkey", "--model", "random", "--delta",
+        ";".join(",".join(f"{v:g}" for v in row) for row in delta)]),
 }
 
 
-@pytest.mark.parametrize("short_first", [False, True])
+@pytest.mark.parametrize("larger", [False, True])
 @pytest.mark.parametrize("fit", sorted(RANDOM_EFFECTS_FITS))
-def test_random_effects_reject_studies_of_different_lengths(fit,
-                                                            short_first):
-    # meta_fixed pools them; Delta needs one outcome length
-    studies = _mixed_length_studies(short_first)
-    ki.meta_fixed(studies)
-    with pytest.raises(nk.InputError, match="outcome lengths are \\[1, 2\\]"):
-        RANDOM_EFFECTS_FITS[fit](studies)
+def test_random_effects_reject_studies_of_different_lengths(fit, larger):
+    # a stack has one outcome length p, so random-effects pooling can only
+    # meet a length mismatch in Delta: p - 1 or p + 1 square is an input
+    # error, exit 2 on the command line
+    rng = np.random.default_rng(23)
+    stack = ki.StudyStack(rng.standard_normal((3, 2)),
+                          [random_pd(rng, 2) for _ in range(3)])
+    delta = 0.3 * np.eye(3 if larger else 1)
+    if fit == "cli":
+        assert RANDOM_EFFECTS_FITS[fit](stack, delta) == 2
+        return
+    with pytest.raises(nk.InputError, match="Delta must be 2 x 2"):
+        RANDOM_EFFECTS_FITS[fit](stack, delta)
 
 
 def test_estimate_delta_mom_cases():
     rng = np.random.default_rng(11)
     # duplicated studies with tiny S: MoM recovers the sample covariance
     ys = rng.standard_normal((6, 2)) * 2.0
-    studies = [ki.MetaStudy(y, 1e-8 * np.eye(2)) for y in ys]
-    delta = ki.estimate_delta_mom(studies)
+    stack = ki.StudyStack(ys, np.broadcast_to(1e-8 * np.eye(2), (6, 2, 2)))
+    delta = ki.estimate_delta_mom(stack)
     assert delta == pytest.approx(np.cov(ys.T, ddof=1), abs=1e-6)
     with pytest.raises(ValueError):
-        ki.estimate_delta_mom(studies[:1])
+        ki.estimate_delta_mom(ki.StudyStack(ys[:1], stack.s_mat[:1]))
 
 
 def test_estimate_delta_mom_null_truth():
@@ -1270,7 +1387,7 @@ def test_estimate_delta_mom_null_truth():
     for _ in range(100):
         s_mat = np.eye(2)
         ys = rng.multivariate_normal([0.0, 0.0], s_mat, size=8)
-        studies = [ki.MetaStudy(y, s_mat) for y in ys]
-        delta = ki.estimate_delta_mom(studies)
+        delta = ki.estimate_delta_mom(
+            ki.StudyStack(ys, np.broadcast_to(s_mat, (8, 2, 2))))
         med.append(np.linalg.eigvalsh(delta).max())
     assert np.median(med) < 0.6

@@ -224,8 +224,8 @@ def test_require_pd_verdict_is_scale_free(seed, p, log_cond, log_s):
 PD_SITES = {
     "QuadFamily": lambda w: ki.QuadFamily([0.0, 0.0], w),
     "lda_axis": lambda w: ki.lda_axis([1.0, 0.0], [0.0, 1.0], w),
-    # S_i is checked where the studies are pooled, all S_i in one call
-    "MetaStudy": lambda w: ki.meta_fixed([ki.MetaStudy([0.0, 0.0], w)]),
+    # every S_i of a stack is checked in one call, where it is built
+    "StudyStack": lambda w: ki.StudyStack([[0.0, 0.0]], [w]),
     "mahalanobis": lambda w: st.mahalanobis([1.0, 0.0], [0.0, 0.0], w),
     "gen_eig": lambda w: nk.gen_eig(np.eye(2), w),
     "conjugate_axes": lambda w: ge.conjugate_axes(w, "principal"),
@@ -246,7 +246,7 @@ def test_every_pd_site_has_the_same_threshold(site, seed, log_s):
 # sym_eig, psd_eigvals, require_pd and from_moments take a stack (k, p, p)
 # and must give, bit for bit, what a loop of one-matrix calls gives; a
 # stack with a bad matrix raises the error of the matrix a loop reports
-# first among those failing the earliest check.
+# first among those failing the earliest check, with that matrix's index.
 
 def _sym_eig_by_argsort(m):
     # sym_eig as it was for one matrix: eigh's order reversed by argsort
@@ -321,10 +321,16 @@ def _stack_with_one_bad(draw):
     return stack, centers
 
 
-def _same_error(got, want):
+def _same_error(got, want, at):
+    # the stack's error is the lone matrix's, with the matrix's index
     assert type(got) is type(want)
     assert got.args == want.args
-    assert vars(got) == vars(want)
+    if isinstance(want, nk.MatrixError):
+        assert (want.at, want.name) == ((), "matrix")
+        want = {**vars(want), "at": (at,), "name": f"matrix[{at}]"}
+    else:
+        want = vars(want)
+    assert vars(got) == want
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -340,7 +346,8 @@ def test_stacked_kernels_match_one_matrix_at_a_time(kernel, case):
               for i, (_, e) in enumerate(loop) if e is not None]
     if errors:
         assert got is None
-        _same_error(err, min(errors, key=lambda t: t[:2])[2])
+        _, at, want = min(errors, key=lambda t: t[:2])
+        _same_error(err, want, at)
     else:
         assert err is None
         assert got == [want for want, _ in loop]
