@@ -14,6 +14,7 @@ import numpy as np
 
 from ellipstat import datasets, render
 from ellipstat import statellipse as st
+from ellipstat.numkernel import cov_to_corr
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -23,7 +24,7 @@ data = np.array([[float(v) for v in r] for r in rows[1:]])
 sample = st.Sample(data, ("parent height (in)", "child height (in)"))
 
 mean, cov = st.mean_cov(sample)
-r = cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1])
+r = cov_to_corr(cov)[0, 1]
 print(f"n = {sample.n} pairs")
 print(f"means: parent {mean[0]:.2f}, child {mean[1]:.2f}")
 print(f"sds:   parent {np.sqrt(cov[0, 0]):.3f}, child "
@@ -44,7 +45,7 @@ print(f"radius-1 shadow on the parent axis: half-width "
 ellipses = [st.data_ellipsoid(sample, st.CoverageSpec.chisq(level))
             for level in (0.40, 0.68, 0.95)]
 scene = render.build_data_ellipse_panel(
-    sample, mean, cov, ellipses,
+    sample, mean, st.regression_slopes(cov), ellipses,
     title="Galton heights with 40/68/95% data ellipses")
 path = os.path.join(OUT, "galton_data_ellipses.svg")
 with open(path, "w") as f:

@@ -50,13 +50,13 @@ with open(os.path.join(OUT, "coffee_beta_space.svg"), "w") as f:
     f.write(render.render_scene(scene))
 
 res = linmod.avp(x, heart, 0)
-marg = np.column_stack([coffee - coffee.mean(), heart - heart.mean()])
+marg = res["marginal"]
 cond = np.column_stack([res["x_star"], res["y_star"]])
 half = st.CoverageSpec.chisq(0.50)
-slope_m = float(np.cov(marg.T, ddof=1)[0, 1] / np.var(marg[:, 0], ddof=1))
 scene = render.build_avp_marginal_overlay(
     marg, cond, st.data_ellipsoid(st.Sample(marg), half),
-    st.data_ellipsoid(st.Sample(cond), half), slope_m, res["slope"],
+    st.data_ellipsoid(st.Sample(cond), half), res["marginal_slope"],
+    res["slope"],
     names=("Coffee", "Heart"),
     title="added-variable vs marginal view of Coffee")
 with open(os.path.join(OUT, "coffee_avp_overlay.svg"), "w") as f:
@@ -64,7 +64,7 @@ with open(os.path.join(OUT, "coffee_avp_overlay.svg"), "w") as f:
 
 infl = linmod.vif(x, 0)
 print(f"AVP slope = {res['slope']:+.4f} "
-      f"(= joint-model coefficient {fit.coef[1]:+.4f})")
+      f"(= joint-model coefficient {res['full_model_coef']:+.4f})")
 print(f"VIF for coffee: {infl['algebraic']:.2f}")
 
 # visual CI for a simple regression slope

@@ -15,6 +15,7 @@ import numpy as np
 
 from ellipstat import datasets, kissing as ki, render
 from ellipstat import distributions as dist
+from ellipstat.numkernel import cov_to_corr
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -24,10 +25,10 @@ f1 = ki.QuadFamily([-2.0, 2.0], [[1.0, 0.5], [0.5, 1.5]])
 f2 = ki.QuadFamily([2.0, 6.0], [[1.5, -0.3], [-0.3, 1.0]])
 bbox = (-8.0, 8.0, -4.0, 12.0)
 locus = ki.trace_locus(f1, f2, bbox, 96)
-verts = np.vstack(locus["polylines"])
+fit = ki.locus_summary(f1, f2, locus)
 print(f"locus: {len(locus['polylines'])} branch(es), "
-      f"{len(verts)} vertices, max |g| residual "
-      f"{np.abs(ki.cross_field(f1, f2, verts)).max():.2e}")
+      f"{fit['n_vertices']} vertices, max |g| residual "
+      f"{fit['max_abs_g']:.2e}")
 kisses = [ki.osculation_point(f1, f2, r1, locus=locus) for r1 in (2.0, 3.0)]
 for r1, (pt, r2) in zip((2.0, 3.0), kisses):
     print(f"  level {r1:.1f} of family 1 kisses level {r2:.3f} of "
@@ -43,11 +44,11 @@ arr = np.array([[float(v) for v in r] for r in rows[1:]])
 x, y = arr[:, :6], arr[:, 6]
 ks = [0.0, 0.005, 0.01, 0.02, 0.04, 0.08]
 trace = ki.ridge_trace(x, y, ks, coords=(1, 2))
+path = ki.ridge_path_summary(trace)
 print("ridge on Longley (standardized scale):")
-for t in trace:
-    r = t["result"]
-    print(f"  k = {t['k']:5.3f}  |beta| = {np.linalg.norm(r.beta):7.3f}  "
-          f"gen.var = {np.linalg.det(r.cov):.3e}")
+for k, nrm, det in zip(ks, path["coef_norms"],
+                       path["cov_generalized_variance"]):
+    print(f"  k = {k:5.3f}  |beta| = {nrm:7.3f}  gen.var = {det:.3e}")
 scene = render.build_ridge_trace(
     trace, names=("GNP", "Unemployed"),
     title="bivariate ridge trace (half-radius ellipses)")
@@ -71,8 +72,7 @@ blups = ki.meta_blup(studies, re["beta"], re["cov"], delta)
 print(f"fixed-effect pool:  ({fixed['beta'][0]:+.3f}, "
       f"{fixed['beta'][1]:+.3f})")
 print(f"random-effect pool: ({re['beta'][0]:+.3f}, {re['beta'][1]:+.3f}) "
-      f"with between-study corr "
-      f"{delta[0, 1] / np.sqrt(delta[0, 0] * delta[1, 1]):.2f}")
+      f"with between-study corr {cov_to_corr(delta)[0, 1]:.2f}")
 scene = render.build_meta_panel(
     studies, re, dist.chi2_quantile(0.40, 2), blups=blups, delta=delta,
     names=("PD effect", "AL effect"),
@@ -92,11 +92,8 @@ g_mat = np.diag([6.0, 0.05])
 spec = ki.MixedSpec(clusters, g_mat)
 gls = ki.gls_fixed(spec)
 blues = ki.cluster_blues(spec)
-school_blups = [ki.blup(b["beta"], b["s_mat"], gls["beta"], g_mat)
-                for b in blues["estimates"]]
-bb = np.array([b["beta"] for b in blues["estimates"]])
-bp = np.array([b["beta"] for b in school_blups])
-rel = np.abs(bb - bp).mean(axis=0) / bb.std(axis=0, ddof=1)
+bp = ki.blup(blues["beta"], blues["s_mat"], gls["beta"], g_mat)["beta"]
+rel = ki.relative_shrinkage(blues["beta"], bp)
 print(f"school BLUPs: relative shrinkage intercept {rel[0]:.2f}, "
       f"slope {rel[1]:.2f} (slopes pool much harder)")
 print("wrote", OUT)

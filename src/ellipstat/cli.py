@@ -17,10 +17,7 @@ import numpy as np
 from . import datasets, gellipsoid as ge, kissing, linmod, mlm, render
 from . import distributions as dist
 from . import statellipse as st
-from .numkernel import InputError
-
-
-FLAT_SPREAD_TOL = 1e-10     # relative sd of cluster BLUEs taken as zero
+from .numkernel import InputError, cov_to_corr
 
 
 # ------------------------------------------------------------- data table
@@ -142,14 +139,17 @@ def dump_json(obj):
 
 
 def _emit(args, payload, scene=None):
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as f:
-            f.write(dump_json(payload))
-    else:
-        sys.stdout.write(dump_json(payload))
+    # every text is made before any is written, so an operation that
+    # fails leaves no output behind
+    texts = [(getattr(args, "json", None), dump_json(payload))]
     if scene is not None and getattr(args, "svg", None):
-        with open(args.svg, "w", encoding="utf-8") as f:
-            f.write(render.render_scene(scene))
+        texts.append((args.svg, render.render_scene(scene)))
+    for path, text in texts:
+        if not path:
+            sys.stdout.write(text)
+            continue
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 def _ellipsoid_payload(e):
@@ -246,7 +246,6 @@ def cmd_data_ellipse(args):
     names, mat = _xy_columns(table, args)
     sample = st.Sample(mat, tuple(names))
     mean, cov = st.mean_cov(sample)
-    r = cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1])
     c = st.coverage_radius(2, sample.n, st.CoverageSpec.chisq(args.level))
     ell = st.data_ellipsoid(sample, st.CoverageSpec.stddev(c))
     sh_x = st.univariate_shadow(ell, np.array([1.0, 0.0]))
@@ -258,7 +257,7 @@ def cmd_data_ellipse(args):
         "c_squared": c * c,
         "mean": mean,
         "cov": cov,
-        "r": float(r),
+        "r": float(cov_to_corr(cov)[0, 1]),
         "radii": ell.radii,
         "shadow_x": sh_x,
         "shadow_y": sh_y,
@@ -268,7 +267,7 @@ def cmd_data_ellipse(args):
                 else st.data_ellipsoid(sample, st.CoverageSpec.chisq(level))
                 for level in sorted({0.40, 0.68, args.level})]
     scene = render.build_data_ellipse_panel(
-        sample, mean, cov, ellipses,
+        sample, mean, st.regression_slopes(cov), ellipses,
         title=f"data ellipses: {names[0]} vs {names[1]}")
     _emit(args, payload, scene)
     return 0
@@ -304,8 +303,7 @@ def cmd_betaspace(args):
         ci_ival[fit.names[c]] = linmod.shadow_interval(fit, e_c, radius=r_ci)
         scheffe[fit.names[c]] = linmod.shadow_interval(fit, e_c,
                                                        radius=r_joint)
-    dev = joint.frame.T @ (np.zeros(2) - joint.center)
-    inside = float(np.sum((dev / joint.radii) ** 2)) <= 1.0
+    inside = ge.scaled_sq_distance(joint, np.zeros(2)) <= 1.0
     payload = {
         "response": args.response,
         "predictors": x_names,
@@ -333,30 +331,26 @@ def cmd_avp(args):
         raise InputError(f"--k must be one of {x_names}")
     k = x_names.index(args.k)
     res = linmod.avp(x, y, k)
-    fit = linmod.ols_fit(x, y, names=["intercept"] + x_names)
     payload = {
         "response": args.response,
         "predictor": args.k,
         "slope": res["slope"],
-        "full_model_coef": float(fit.coef[k + 1]),
-        "slope_matches_full_model": abs(res["slope"] - fit.coef[k + 1]),
+        "full_model_coef": res["full_model_coef"],
+        "slope_matches_full_model": res["slope_matches_full_model"],
         "partial_corr": res["partial_corr"],
-        "residual_match": float(np.abs(res["residuals"]
-                                       - fit.residuals).max()),
+        "residual_match": res["residual_match"],
         "vif_algebraic": res["vif"]["algebraic"],
         "vif_geometric": res["vif"]["geometric"],
     }
     names = (args.k, args.response)
-    marg = np.column_stack([x[:, k] - x[:, k].mean(), y - y.mean()])
+    marg = res["marginal"]
     cond = np.column_stack([res["x_star"], res["y_star"]])
     half = st.CoverageSpec.stddev(
         st.coverage_radius(2, len(marg), st.CoverageSpec.chisq(0.50)))
-    slope_m = float(np.cov(marg.T, ddof=1)[0, 1] / np.var(marg[:, 0],
-                                                          ddof=1))
     scene = render.build_avp_marginal_overlay(
         marg, cond, st.data_ellipsoid(st.Sample(marg, names), half),
-        st.data_ellipsoid(st.Sample(cond, names), half), slope_m,
-        res["slope"], names=names,
+        st.data_ellipsoid(st.Sample(cond, names), half),
+        res["marginal_slope"], res["slope"], names=names,
         title=f"added-variable: {args.k}")
     _emit(args, payload, scene)
     return 0
@@ -446,8 +440,7 @@ def cmd_contrasts(args):
         "h_overall": dec["h_overall"],
         "h_parts": dec["h_parts"],
         "additivity_residual": dec["residual"],
-        "additivity_relative": dec["residual"]
-        / float(np.abs(dec["h_overall"]).max()),
+        "additivity_relative": dec["relative"],
     }
     _emit(args, payload)
     return 0
@@ -481,19 +474,10 @@ def cmd_canonical(args):
 def cmd_kiss(args):
     f1 = kissing.QuadFamily(args.m1, args.a1)
     f2 = kissing.QuadFamily(args.m2, args.a2)
-    if args.bbox:
-        bbox = tuple(args.bbox)
-        if len(bbox) != 4:
-            raise InputError("--bbox needs xmin,xmax,ymin,ymax")
-    else:
-        span = float(np.linalg.norm(f2.m - f1.m)) + 4.0
-        cx, cy = 0.5 * (f1.m + f2.m)
-        bbox = (cx - span, cx + span, cy - span, cy + span)
+    bbox = tuple(args.bbox) if args.bbox else kissing.default_bbox(f1, f2)
+    if len(bbox) != 4:
+        raise InputError("--bbox needs xmin,xmax,ymin,ymax")
     locus = kissing.trace_locus(f1, f2, bbox, args.resolution)
-    verts = (np.vstack(locus["polylines"]) if locus["polylines"]
-             else np.empty((0, 2)))
-    resid = (float(np.abs(kissing.cross_field(f1, f2, verts)).max())
-             if len(verts) else 0.0)
     kisses = [kissing.osculation_point(f1, f2, r1, locus=locus)
               for r1 in args.mark]
     payload = {
@@ -501,13 +485,7 @@ def cmd_kiss(args):
         "bbox": list(bbox),
         "resolution": args.resolution,
         "n_polylines": len(locus["polylines"]),
-        "n_vertices": int(len(verts)),
-        "scale": locus["scale"],
-        "max_abs_g": resid,
-        "dist_to_m1": float(np.linalg.norm(verts - f1.m, axis=1).min())
-        if len(verts) else float("inf"),
-        "dist_to_m2": float(np.linalg.norm(verts - f2.m, axis=1).min())
-        if len(verts) else float("inf"),
+        **kissing.locus_summary(f1, f2, locus),
         "osculation": [{"radius1": r1, "point": pt, "radius2": r2}
                        for r1, (pt, r2) in zip(args.mark, kisses)],
     }
@@ -546,8 +524,6 @@ def cmd_ridge_trace(args):
     ks = args.ks or [0.0, 0.005, 0.01, 0.02, 0.04, 0.08]
     coords = _coords(x_names, args.coords, [0, 1])
     trace = kissing.ridge_trace(x, y, ks, coords=tuple(coords))
-    norms = [float(np.linalg.norm(t["result"].beta)) for t in trace]
-    dets = [float(np.linalg.det(t["result"].cov)) for t in trace]
     payload = {
         "response": args.response,
         "predictors": x_names,
@@ -555,12 +531,7 @@ def cmd_ridge_trace(args):
         "ks": [float(k) for k in ks],
         "beta_path": [t["result"].beta for t in trace],
         "beta_original_units": [t["result"].beta_original for t in trace],
-        "coef_norms": norms,
-        "cov_generalized_variance": dets,
-        "norm_monotone_nonincreasing":
-            all(b <= a + 1e-12 for a, b in zip(norms, norms[1:])),
-        "genvar_strictly_decreasing":
-            all(b < a for a, b in zip(dets, dets[1:])),
+        **kissing.ridge_path_summary(trace),
     }
     scene = render.build_ridge_trace(
         trace, names=(x_names[coords[0]], x_names[coords[1]]),
@@ -598,19 +569,6 @@ def cmd_bayes(args):
     return 0
 
 
-def _relative_shrinkage(blue, blup):
-    """Per coefficient, mean |BLUE - BLUP| over the sd of the BLUEs.
-
-    nan where the BLUEs have no spread: an sd below FLAT_SPREAD_TOL times
-    the largest |BLUE| is rounding noise, and so would be the ratio.
-    """
-    spread = blue.std(axis=0, ddof=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(blue - blup).mean(axis=0) / spread
-    rel[spread <= FLAT_SPREAD_TOL * np.abs(blue).max(axis=0)] = np.nan
-    return rel
-
-
 def cmd_blup(args):
     table = resolve_data(args.data)
     y = table.numeric(args.response)
@@ -625,7 +583,7 @@ def cmd_blup(args):
                 zip(np.split(design, ends), np.split(y[rows], ends))]
     spec = kissing.MixedSpec(clusters, np.zeros((2, 2)))
     blues = kissing.cluster_blues(spec)
-    if not blues["estimates"]:
+    if not blues["index"]:
         raise ValueError("no cluster has a full-rank design")
     if args.g_diag:
         g_mat = np.diag(args.g_diag)
@@ -633,10 +591,9 @@ def cmd_blup(args):
         g_mat = kissing.estimate_g_moments(blues)
     gls = kissing.gls_fixed(replace(spec, g_mat=g_mat,
                                     sigma2=blues["sigma2"]))
-    bb = np.array([e["beta"] for e in blues["estimates"]])
-    bp = kissing.blup(bb, np.array([e["s_mat"] for e in blues["estimates"]]),
-                      gls["beta"], g_mat)["beta"]
-    rel = _relative_shrinkage(bb, bp)
+    bp = kissing.blup(blues["beta"], blues["s_mat"], gls["beta"],
+                      g_mat)["beta"]
+    rel = kissing.relative_shrinkage(blues["beta"], bp)
     payload = {
         "group": args.group,
         "x": args.x,
@@ -646,9 +603,8 @@ def cmd_blup(args):
         "g_matrix": g_mat,
         "gls_beta": gls["beta"],
         "gls_cov": gls["cov"],
-        "clusters": [{"label": names[e["index"]], "blue": e["beta"],
-                      "blup": b}
-                     for e, b in zip(blues["estimates"], bp)],
+        "clusters": [{"label": names[i], "blue": b, "blup": p} for i, b, p
+                     in zip(blues["index"], blues["beta"], bp)],
         "skipped": [names[i] for i in blues["skipped"]],
         "relative_shrinkage_intercept": float(rel[0]),
         "relative_shrinkage_slope": float(rel[1]),
@@ -687,11 +643,9 @@ def cmd_meta(args):
             else kissing.estimate_delta_mom(stack)
         re = kissing.meta_random(stack, delta)
         blups = kissing.meta_blup(stack, re["beta"], re["cov"], delta)
-        corr = float(delta[0, 1] / np.sqrt(delta[0, 0] * delta[1, 1])) \
-            if delta[0, 0] > 0 and delta[1, 1] > 0 else 0.0
         payload.update({
             "delta": delta,
-            "delta_corr": corr,
+            "delta_corr": float(cov_to_corr(delta, undefined=0.0)[0, 1]),
             "beta": re["beta"],
             "cov": re["cov"],
             "blups": [{"label": lab, "beta": b, "cov": c} for lab, b, c
@@ -734,12 +688,10 @@ def cmd_gell(args):
         if args.form != "moment":
             raise InputError("--conjugate applies to the moment form")
         axes = ge.conjugate_axes(mat, args.conjugate, given=args.factor)
-        gram = axes.axes.T @ np.linalg.inv(mat) @ axes.axes
         payload["conjugate"] = {
             "kind": args.conjugate,
             "axes": axes.axes,
-            "gram_residual": float(np.abs(gram
-                                          - np.eye(mat.shape[0])).max()),
+            "gram_residual": axes.gram_residual(mat),
             "parallelogram_area": axes.area(),
             "sum_sq_diameters": axes.sum_sq_diameters(),
         }

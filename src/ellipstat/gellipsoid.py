@@ -218,27 +218,30 @@ def project(e, p_mat, tol=1e-10):
     return linear_image(e, p_mat)
 
 
-def contains(e, x, tol=1e-9):
-    """Classify a point as 'inside', 'boundary' or 'outside'.
+def scaled_sq_distance(e, x, tol=1e-9):
+    """Sum of (z_i / r_i)^2 over the positive finite radii r_i, z the
+    coordinates of x - center in the frame: at most 1 inside the ellipsoid.
 
-    Infinite radii impose no constraint; zero radii require membership in
-    the flat within tol (scaled by the largest finite radius).
+    Infinite radii impose no constraint; a zero radius gives inf unless x
+    lies in the flat within tol (scaled by the largest finite radius).
     """
     x = np.asarray(x, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise nk.InputError("point must be finite")
     z = e.frame.T @ (x - e.center)
-    scale = e.radii[np.isfinite(e.radii)].max(initial=0.0)
-    total = 0.0
-    for zi, ri in zip(z, e.radii):
-        if np.isinf(ri):
-            continue
-        if ri <= ZERO_RADIUS_TOL * scale:
-            if abs(zi) > tol * scale:
-                return "outside"
-            continue
-        total += (zi / ri) ** 2
-    norm = math.sqrt(total)
+    finite = np.isfinite(e.radii)
+    scale = e.radii[finite].max(initial=0.0)
+    flat = e.radii <= ZERO_RADIUS_TOL * scale
+    if np.any(np.abs(z[flat]) > tol * scale):
+        return math.inf
+    pos = finite & ~flat
+    return float(np.sum((z[pos] / e.radii[pos]) ** 2))
+
+
+def contains(e, x, tol=1e-9):
+    """Classify a point as 'inside', 'boundary' or 'outside' by its
+    scaled_sq_distance, to within tol."""
+    norm = math.sqrt(scaled_sq_distance(e, x, tol))
     if abs(norm - 1.0) <= tol:
         return "boundary"
     return "inside" if norm < 1.0 else "outside"
@@ -300,6 +303,12 @@ class ConjugateAxes:
                               for i in range(p)])
             corners.append(center + self.axes @ signs)
         return np.array(corners)
+
+    def gram_residual(self, w):
+        """max |A' W^-1 A - I| for the W that A factors: zero for conjugate
+        axes, up to rounding."""
+        gram = self.axes.T @ np.linalg.solve(w, self.axes)
+        return float(np.abs(gram - np.eye(len(gram))).max())
 
     def area(self):
         """Volume of the bounding parallelepiped: 2^p |det A|."""

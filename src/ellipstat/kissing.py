@@ -185,7 +185,8 @@ def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
     lowest-numbered unused segment touching its tail or its head, the tail
     first. Every vertex then gets newton_steps Newton steps onto the exact
     zero set, and the polylines are stably sorted longest first. Returns
-    {'polylines': [...], 'scale': ...} where scale is the max |g| over the
+    {'polylines': [...], 'vertices': ..., 'scale': ...}: the polylines,
+    their vertices stacked in one (m, 2) array, and the max |g| over the
     grid (the reference for vertex residuals).
     """
     if resolution < 32:
@@ -197,13 +198,36 @@ def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
     vals = cross_field(f1, f2, np.stack([gx, gy], axis=-1))
     scale = float(np.abs(vals).max())
     if scale == 0.0:
-        return {"polylines": [], "scale": 0.0}
+        return {"polylines": [], "scale": 0.0, "vertices": np.empty((0, 2))}
     points, keys = _cell_segments(f1, f2, xs, ys, vals)
     flat = points.reshape(-1, 2)
     polylines = [_newton_rows(f1, f2, flat[chain], newton_steps)
                  for chain in _chain(keys.tolist())]
     polylines.sort(key=len, reverse=True)
-    return {"polylines": polylines, "scale": scale}
+    return {"polylines": polylines, "scale": scale,
+            "vertices": np.vstack(polylines or [np.empty((0, 2))])}
+
+
+def default_bbox(f1, f2):
+    """(xmin, xmax, ymin, ymax): a square about the midpoint of the centres,
+    reaching |m2 - m1| + 4 from it each way."""
+    span = float(np.linalg.norm(f2.m - f1.m)) + 4.0
+    cx, cy = 0.5 * (f1.m + f2.m)
+    return (cx - span, cx + span, cy - span, cy + span)
+
+
+def locus_summary(f1, f2, locus):
+    """A traced locus's vertex count and grid scale, the max |g| of the
+    cross field over its vertices (0 if none) and their least distances
+    to m1 and to m2 (inf if none)."""
+    verts = locus["vertices"]
+    g = np.abs(cross_field(f1, f2, verts))
+    d1 = np.linalg.norm(verts - f1.m, axis=1)
+    d2 = np.linalg.norm(verts - f2.m, axis=1)
+    return {"n_vertices": len(verts), "scale": locus["scale"],
+            "max_abs_g": float(g.max(initial=0.0)),
+            "dist_to_m1": float(d1.min(initial=np.inf)),
+            "dist_to_m2": float(d2.min(initial=np.inf))}
 
 
 def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
@@ -221,8 +245,7 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
         if bbox is None:
             raise nk.InputError("need a traced locus or a bbox")
         locus = trace_locus(f1, f2, bbox, resolution)
-    verts = (np.vstack(locus["polylines"]) if locus["polylines"]
-             else np.empty((0, 2)))
+    verts = locus["vertices"]
     d1 = verts - f1.m
     g1 = d1 @ f1.a_mat
     external = np.einsum("ij,ij->i", g1, (verts - f2.m) @ f2.a_mat) < 0
@@ -354,6 +377,19 @@ def ridge_trace(x, y, ks, coords=(0, 1)):
     return out
 
 
+def ridge_path_summary(trace):
+    """The coefficient norms |beta(k)| and generalized variances det cov(k)
+    of a ridge_trace, and whether the norms never rise (to within 1e-12 of
+    the previous norm) and the generalized variances strictly fall."""
+    norms = [float(np.linalg.norm(t["result"].beta)) for t in trace]
+    dets = [float(np.linalg.det(t["result"].cov)) for t in trace]
+    return {"coef_norms": norms, "cov_generalized_variance": dets,
+            "norm_monotone_nonincreasing":
+                all(b <= a + 1e-12 * a for a, b in zip(norms, norms[1:])),
+            "genvar_strictly_decreasing":
+                all(b < a for a, b in zip(dets, dets[1:]))}
+
+
 def bayes_posterior(x, y, beta_prior, a_mat):
     """Posterior mean under a conjugate normal prior with precision A.
 
@@ -379,6 +415,7 @@ def bayes_posterior(x, y, beta_prior, a_mat):
 # A design has full column rank when, with its columns scaled to unit
 # length, its smallest singular value exceeds RANK_TOL times its largest.
 RANK_TOL = 1e-10
+FLAT_SPREAD_TOL = 1e-10     # relative sd of cluster BLUEs taken as zero
 
 
 @dataclass(frozen=True)
@@ -531,7 +568,9 @@ def gls_fixed(spec):
 
 def cluster_blues(spec):
     """Per-cluster OLS estimates beta_i = R_i^{-1} Q_i'y_i with
-    S_i = sigma^2 W_i W_i', W_i = R_i^{-1} (symmetric by construction).
+    S_i = sigma^2 W_i W_i', W_i = R_i^{-1} (symmetric by construction),
+    stacked: 'beta' (k, p) and 's_mat' (k, p, p) for the clusters listed
+    in 'index'.
 
     Rank-deficient clusters are skipped and reported rather than fitted.
     """
@@ -541,8 +580,7 @@ def cluster_blues(spec):
     w = np.linalg.inv(qr.r[idx])
     beta = np.einsum("kij,kj->ki", w, qr.qty[idx])
     s_mat = s2 * (w @ w.swapaxes(1, 2))
-    return {"estimates": [{"index": i, "beta": b, "s_mat": s}
-                          for i, b, s in zip(idx.tolist(), beta, s_mat)],
+    return {"index": idx.tolist(), "beta": beta, "s_mat": s_mat,
             "skipped": np.flatnonzero(~qr.full).tolist(), "sigma2": s2}
 
 
@@ -569,15 +607,29 @@ def blup(beta_blue, s_mat, beta_gls, g_mat):
     return {"beta": beta, "cov": 0.5 * (w + w.swapaxes(-1, -2))}
 
 
+def relative_shrinkage(blues, blups):
+    """Per coefficient, mean |BLUE - BLUP| over the sd of the BLUEs, for
+    stacks (k, p) of cluster BLUEs and their BLUPs.
+
+    nan where the BLUEs have no spread: an sd below FLAT_SPREAD_TOL times
+    the largest |BLUE| is rounding noise, and so would be the ratio.
+    """
+    spread = blues.std(axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(blues - blups).mean(axis=0) / spread
+    rel[spread <= FLAT_SPREAD_TOL * np.abs(blues).max(axis=0)] = np.nan
+    return rel
+
+
 def estimate_g_moments(blues):
     """Moment-matching G from a cluster_blues result: covariance of the
     BLUEs minus their average S_i, eigen-clipped to PSD."""
-    betas = np.array([e["beta"] for e in blues["estimates"]])
+    betas = blues["beta"]
     if betas.shape[0] < 2:
         raise ValueError("need at least two full-rank clusters")
     dev = betas - betas.mean(axis=0)
     raw = dev.T @ dev / (betas.shape[0] - 1)
-    raw -= np.array([e["s_mat"] for e in blues["estimates"]]).mean(axis=0)
+    raw -= blues["s_mat"].mean(axis=0)
     return nk.clip_psd(raw)
 
 
@@ -647,14 +699,18 @@ def meta_random(stack, delta):
 
 def meta_blup(stack, beta_re, v_cov, delta):
     """Per-study BLUPs beta_re + Delta Sigma_i^{-1} (y_i - X_i beta_re),
-    stacked: beta (k, p) and cov (k, p, p).
+    stacked: beta (k, p) and cov (k, p, p), for the pool beta_re and its
+    q x q covariance V.
 
-    Each covariance is V + (Delta - Delta Sigma_i^{-1} Delta), never
-    smaller than V in the PSD order.
+    Each covariance is X_i V X_i' + (Delta - Delta Sigma_i^{-1} Delta),
+    never smaller than X_i V X_i', the covariance of X_i beta_re, in the
+    PSD order.
     """
     delta = _delta(stack, delta)
-    if np.shape(v_cov) != delta.shape:
-        raise nk.InputError("V must be p x p, as Delta is: q = p columns")
+    q = stack.x_mat.shape[2]
+    if np.shape(v_cov) != (q, q):
+        raise nk.InputError(f"V must be {q} x {q}, as the designs have "
+                            f"{q} columns")
     beta_re = np.asarray(beta_re, dtype=float).ravel()
     sigma = stack.s_mat + delta
     mean = stack.x_mat @ beta_re
@@ -662,7 +718,8 @@ def meta_blup(stack, beta_re, v_cov, delta):
         [np.broadcast_to(delta, sigma.shape), (stack.y - mean)[..., None]],
         axis=-1))
     beta = mean + np.einsum("ij,nj->ni", delta, sol[..., -1])
-    cov = v_cov + delta - delta @ sol[..., :-1]
+    cov = stack.x_mat @ v_cov @ stack.x_mat.swapaxes(1, 2) + delta \
+        - delta @ sol[..., :-1]
     return {"beta": beta, "cov": 0.5 * (cov + cov.swapaxes(1, 2))}
 
 
@@ -670,10 +727,13 @@ def estimate_delta_mom(stack):
     """Method-of-moments between-study covariance, eigen-clipped to PSD.
 
     (g-1)^{-1} sum (y_i - ybar)(y_i - ybar)^T - g^{-1} sum S_i, for
-    intercept-only designs.
+    intercept-only designs: a stack with other designs is an InputError.
     """
-    g = stack.y.shape[0]
+    g, p = stack.y.shape
     if g < 2:
         raise nk.InputError("need at least two studies")
+    if stack.x_mat.shape[2] != p or np.any(stack.x_mat != np.eye(p)):
+        raise nk.InputError("the moment estimate of Delta needs identity "
+                            "designs")
     dev = stack.y - stack.y.mean(axis=0)
     return nk.clip_psd(dev.T @ dev / (g - 1) - stack.s_mat.sum(axis=0) / g)

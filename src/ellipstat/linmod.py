@@ -44,7 +44,8 @@ def ols_fit(x, y, names=None):
     """OLS with an intercept always included; x holds the predictors only.
 
     Rejects rank-deficient designs, reporting the offending singular
-    value.
+    value. The verdict is on the design's unit-length columns, so the
+    units of a predictor do not change it.
     """
     xd = design_matrix(x)
     y = np.asarray(y, dtype=float).ravel()
@@ -54,9 +55,16 @@ def ols_fit(x, y, names=None):
     if n <= q:
         raise nk.InputError(f"need n > {q} observations")
     _, sv, vt = np.linalg.svd(xd, full_matrices=False)
-    if sv[-1] <= RANK_TOL * sv[0]:
-        raise ValueError(
-            f"design is rank deficient: min singular value {sv[-1]:.3e}")
+    # with unit-length columns the condition number is at most sqrt(q)
+    # times this one (van der Sluis): only a design near the threshold
+    # needs them
+    if sv[-1] <= np.sqrt(q) * RANK_TOL * sv[0]:
+        norms = np.linalg.norm(xd, axis=0)
+        unit = np.linalg.svd(xd / np.where(norms > 0, norms, 1.0),
+                             compute_uv=False)
+        if unit[-1] <= RANK_TOL * unit[0]:
+            raise ValueError("design is rank deficient: min singular value "
+                             f"{unit[-1]:.3e} of its unit-length columns")
     # (X'X)^{-1} = V diag(s^-2) V^T, formed as W W^T with W = V diag(1/s):
     # symmetric by construction. Inverting X'X itself leaves an asymmetry
     # beyond SYM_TOL when X is ill-conditioned (Longley: cond(X'X) 5.7e14).
@@ -175,8 +183,12 @@ def avp(x, y, k):
     Both the response and x_k are residualized on the remaining
     predictors (plus intercept); the simple through-origin slope of the
     residual scatter equals the full-model coefficient of x_k, and its
-    residuals equal the full-model residuals. 'vif' is vif(x, k), read
-    off the same residualized x_k.
+    residuals equal the full-model residuals. The full model is fitted to
+    report both laws: 'full_model_coef', and the gaps
+    'slope_matches_full_model' and 'residual_match' (max abs). 'marginal'
+    holds the centred (x_k, y) points and 'marginal_slope' their simple
+    regression slope. 'vif' is vif(x, k), read off the same residualized
+    x_k.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -195,6 +207,8 @@ def avp(x, y, k):
     resid = y_star - slope * x_star
     denom = float(np.sqrt(sxx * (y_star @ y_star)))
     partial_corr = float(x_star @ y_star / denom) if denom > 0 else 0.0
+    full = ols_fit(x, y)
+    marg = np.column_stack([x[:, k] - x[:, k].mean(), y - y.mean()])
     return {
         "x_star": x_star,
         "y_star": y_star,
@@ -202,6 +216,12 @@ def avp(x, y, k):
         "residuals": resid,
         "partial_corr": partial_corr,
         "vif": _inflation(x[:, k], x_star),
+        "full_model_coef": float(full.coef[k + 1]),
+        "slope_matches_full_model": abs(slope - full.coef[k + 1]),
+        "residual_match": float(np.abs(resid - full.residuals).max()),
+        "marginal": marg,
+        "marginal_slope": float(np.cov(marg.T, ddof=1)[0, 1]
+                                / np.var(marg[:, 0], ddof=1)),
     }
 
 

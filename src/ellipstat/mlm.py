@@ -251,7 +251,8 @@ def contrast_decompose(fit, hyps, overall=None):
 
     Pairwise orthogonal rank-one contrasts in a balanced design decompose
     the overall hypothesis SSCP additively; otherwise only the residual
-    norm is reported (with a warning).
+    norm is reported (with a warning). 'residual' is max |sum H_i - H|,
+    and 'relative' is that over max |H|.
     """
     h_list = [hypothesis_matrices(fit, hyp)[0] for hyp in hyps]
     orthogonal = True
@@ -268,6 +269,7 @@ def contrast_decompose(fit, hyps, overall=None):
         warnings.warn("contrasts are not pairwise orthogonal; "
                       "additivity is not guaranteed", stacklevel=2)
     return {"h_parts": h_list, "h_overall": h_all, "residual": resid,
+            "relative": resid / float(np.abs(h_all).max()),
             "orthogonal": orthogonal}
 
 

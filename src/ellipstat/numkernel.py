@@ -76,6 +76,17 @@ def as_matrix(m):
     return a
 
 
+def cov_to_corr(s, undefined=np.nan):
+    """The correlations s_ij / sqrt(s_ii s_jj) of a covariance matrix; an
+    entry whose row or column variance is not positive is `undefined`."""
+    s = as_matrix(s)
+    d = np.diag(s)
+    ok = d > 0
+    out = np.full(s.shape, float(undefined))
+    return np.divide(s, np.sqrt(np.outer(d, d)), out=out,
+                     where=np.outer(ok, ok))
+
+
 def _first(bad):
     """Index of the first True of a boolean stack that has one."""
     return np.unravel_index(np.argmax(bad), bad.shape)

@@ -436,12 +436,13 @@ def _regression_segment(mean, slope, half_span_x):
                      [x1, mean[1] + slope * (x1 - mean[0])]])
 
 
-def build_data_ellipse_panel(sample, mean, cov, ellipses, title=""):
+def build_data_ellipse_panel(sample, mean, slopes, ellipses, title=""):
     """Scatter with nested coverage ellipses and both regression lines.
 
-    mean and cov are the sample's moments (statellipse.mean_cov) and
-    ellipses its data ellipses by increasing level; the regression
-    segments span the major radius of the last one.
+    mean is the sample's mean, slopes its regression slopes of y on x and
+    of x on y (statellipse.regression_slopes) and ellipses its data
+    ellipses by increasing level; the regression segments span the major
+    radius of the last one, and a nan slope draws no segment.
     """
     if sample.p != 2:
         raise ValueError("data ellipse panels are bivariate")
@@ -453,14 +454,15 @@ def build_data_ellipse_panel(sample, mean, cov, ellipses, title=""):
         layers.append(EllipseLayer(ell, Style(stroke=PALETTE["e"],
                                               width=1.4)))
     span = ellipses[-1].radii[0]
-    b_yx = cov[0, 1] / cov[0, 0]
-    b_xy = cov[0, 1] / cov[1, 1]     # x on y, drawn in the same panel
-    layers.append(PolylineLayer(_regression_segment(mean, b_yx, span),
-                                Style(stroke=PALETTE["data"], width=1.6)))
-    inv_seg = np.array([[mean[0] + b_xy * (-span), mean[1] - span],
-                        [mean[0] + b_xy * span, mean[1] + span]])
-    layers.append(PolylineLayer(inv_seg,
-                                Style(stroke=PALETTE["muted"], width=1.6)))
+    b_yx, b_xy = slopes              # x on y is drawn in the same panel
+    if not np.isnan(b_yx):
+        layers.append(PolylineLayer(_regression_segment(mean, b_yx, span),
+                                    Style(stroke=PALETTE["data"], width=1.6)))
+    if not np.isnan(b_xy):
+        inv_seg = np.array([[mean[0] + b_xy * (-span), mean[1] - span],
+                            [mean[0] + b_xy * span, mean[1] + span]])
+        layers.append(PolylineLayer(inv_seg,
+                                    Style(stroke=PALETTE["muted"], width=1.6)))
     layers.append(PointsLayer(np.array([mean]),
                               Style(stroke=PALETTE["data"]), marker="dot",
                               size=2.5))

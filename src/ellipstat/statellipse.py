@@ -113,9 +113,14 @@ def mean_cov(sample):
 
 
 def correlation(sample):
-    _, s = mean_cov(sample)
-    d = np.sqrt(np.diag(s))
-    return s / np.outer(d, d)
+    return nk.cov_to_corr(mean_cov(sample)[1])
+
+
+def regression_slopes(s):
+    """Slopes (y on x, x on y) of a 2 x 2 covariance of (x, y): s_xy / s_xx
+    and s_xy / s_yy, nan where the regressor has no variance."""
+    return (s[0, 1] / s[0, 0] if s[0, 0] > 0 else np.nan,
+            s[0, 1] / s[1, 1] if s[1, 1] > 0 else np.nan)
 
 
 def mahalanobis(y, ybar, s_mat):
@@ -210,7 +215,7 @@ def _slope_corr(s, ix, iy):
     sxx, syy, sxy = s[ix, ix], s[iy, iy], s[ix, iy]
     if sxx <= 0 or syy <= 0:
         raise ValueError("slope undefined: zero variance")
-    return sxy / sxx, sxy / np.sqrt(sxx * syy)
+    return sxy / sxx, nk.cov_to_corr(s)[ix, iy]
 
 
 def marginal_decomposition(gs, x_index=0, y_index=1):

@@ -170,6 +170,34 @@ def test_data_ellipse_galton(tmp_path):
     assert svg.read_text().startswith("<?xml")
 
 
+def test_data_ellipse_of_a_constant_column(tmp_path, capsys):
+    # x has no variance: r is nan, the regression of y on x is undefined
+    # and not drawn, and the figure of the flat ellipse is still written
+    data = tmp_path / "c.csv"
+    data.write_text("a,b\n1,2\n1,3\n1,5\n1,4\n")
+    svg = tmp_path / "c.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["data-ellipse", "--data", str(data), "--svg",
+                        str(svg)]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["r"] == "nan" and d["area"] == 0
+    assert svg.read_text().count("<polyline") == 1
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["json", "stdout"])
+def test_failed_render_writes_nothing(tmp_path, capsys, monkeypatch,
+                                      to_file):
+    def failing(scene):
+        raise ValueError("viewport has no area")
+    monkeypatch.setattr(render, "render_scene", failing)
+    out, svg = tmp_path / "g.json", tmp_path / "g.svg"
+    argv = ["data-ellipse", "--data", "galton", "--svg", str(svg)]
+    assert run_cli(argv + (["--json", str(out)] if to_file else [])) == 3
+    assert capsys.readouterr().out == ""
+    assert not out.exists() and not svg.exists()
+
+
 def test_json_schema_stable_and_reproducible(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["data-ellipse", "--data", "galton", "--level", "0.68",

@@ -265,6 +265,27 @@ def test_conjugate_parallelogram_invariants():
     assert diag2[0] == pytest.approx(8 * np.trace(W_DEMO), rel=1e-12)
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(strategies.pd_matrices(log_cond=hs.floats(0.0, 3.0)), strategies.seeds,
+       hs.sampled_from(["given", "cholesky", "principal"]))
+def test_conjugate_axes_laws(w_cond_scale, seed, kind):
+    # any factor A of W = A A' has A' W^-1 A = I, sum |a_i|^2 = tr W (so
+    # the 2^(p-1) diameters add up to 2^(p+1) tr W) and |det A| = prod r_i,
+    # r_i the radii of the ellipsoid of W (the parallelepiped's volume is
+    # 2^p of it), for W of condition up to 1e3 at scales 1e-100 to 1e100
+    w, _, _ = w_cond_scale
+    p = len(w)
+    given = np.linalg.cholesky(w) @ strategies.orthogonal(
+        np.random.default_rng(seed), p)
+    axes = ge.conjugate_axes(w, kind, given=given)
+    assert axes.gram_residual(w) <= 1e-12
+    assert np.sum(axes.axes ** 2) == pytest.approx(np.trace(w), rel=1e-13)
+    assert axes.sum_sq_diameters() == pytest.approx(
+        2 ** (p + 1) * np.trace(w), rel=1e-13)
+    assert axes.area() == pytest.approx(
+        2 ** p * np.prod(ge.from_moment(w).radii), rel=1e-12)
+
+
 def test_conjugate_axis_endpoints_on_ellipsoid():
     e = ge.from_moment(W_DEMO)
     axes = ge.conjugate_axes(W_DEMO, "given", given=A_DEMO)

@@ -177,3 +177,47 @@ def test_only_numkernel_raises_not_positive_definite():
     raisers = {path.name for path in PACKAGE.glob("*.py")
                if "NotPositiveDefiniteError" in set(_raised_names(path))}
     assert raisers == {"numkernel.py"}
+
+
+
+# The numpy calls the command line may make: building arrays from its
+# input and checking them. Every statistic is the library's.
+CLI_NUMPY_CALLS = {"array", "column_stack", "stack", "concatenate", "split",
+                   "cumsum", "zeros", "ones", "eye", "diag", "isfinite",
+                   "all", "flatnonzero"}
+
+
+def _numpy_chains(path):
+    """(line, name, called) of each outermost np.<...> attribute chain in
+    the module at path; called says whether a call applies it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    inner = {id(n.value) for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        root = node
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id == "np":
+            yield node.lineno, ast.unparse(node), id(node) in called
+
+
+def test_cli_computes_nothing():
+    # cli.py parses, calls the library and emits: it names no np.linalg
+    # function (it catches LinAlgError) and calls numpy only to build and
+    # check arrays
+    for line, name, called in _numpy_chains(PACKAGE / "cli.py"):
+        if name.startswith("np.linalg."):
+            assert name == "np.linalg.LinAlgError", f"cli.py:{line}: {name}"
+        assert not called or name[3:] in CLI_NUMPY_CALLS, \
+            f"cli.py:{line} calls {name}"
+
+
+@pytest.mark.parametrize("path", sorted((PACKAGE.parent.parent / "demos")
+                                        .glob("*.py")), ids=lambda p: p.name)
+def test_demos_compute_no_statistics_by_hand(path):
+    for line, name, _ in _numpy_chains(path):
+        assert name.split(".")[1] not in ("linalg", "cov", "var"), \
+            f"{path.name}:{line} uses {name}"

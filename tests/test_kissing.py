@@ -371,6 +371,19 @@ def test_ridge_longley_grid_monotonicity(longley):
     assert all(b < a for a, b in zip(dets, dets[1:]))
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(log_s=hs.floats(-100.0, 100.0), k=hs.floats(1e-4, 0.1))
+def test_ridge_norm_verdict_is_scale_free(longley, log_s, k):
+    # the response times s scales every ridge coefficient by s, so the
+    # verdict on the norms holds at any s, also over ks a rounding apart
+    _, x, y = longley
+    ks = [0.0] + [k * (1 + 4e-16 * i) for i in range(8)] + [2 * k]
+    for s in (1.0, 10.0 ** log_s):
+        with np.errstate(over="ignore", under="ignore"):
+            out = ki.ridge_path_summary(ki.ridge_trace(x, s * y, ks))
+        assert out["norm_monotone_nonincreasing"]
+
+
 def test_ridge_negative_k_rejected(longley):
     _, x, y = longley
     with pytest.raises(ValueError):
@@ -717,9 +730,9 @@ def test_cluster_blues_match_per_group_oracle():
     spec = ki.MixedSpec(clusters, np.eye(2))
     out = ki.cluster_blues(spec)
     assert not out["skipped"]
-    for entry, c in zip(out["estimates"], clusters):
+    for beta, c in zip(out["beta"], clusters):
         direct = np.linalg.lstsq(c.x, c.y, rcond=None)[0]
-        assert entry["beta"] == pytest.approx(direct, rel=1e-9)
+        assert beta == pytest.approx(direct, rel=1e-9)
 
 
 def test_cluster_blues_identical_clusters():
@@ -727,7 +740,7 @@ def test_cluster_blues_identical_clusters():
     base = _toy_clusters(rng, m=1)[0]
     spec = ki.MixedSpec([base, base, base], np.eye(2))
     out = ki.cluster_blues(spec)
-    betas = np.array([e["beta"] for e in out["estimates"]])
+    betas = out["beta"]
     assert np.abs(betas - betas[0]).max() < 1e-12
 
 
@@ -738,7 +751,7 @@ def test_cluster_blues_flags_rank_deficient():
     spec = ki.MixedSpec(good + [bad], np.eye(2))
     out = ki.cluster_blues(spec)
     assert out["skipped"] == [2]
-    assert len(out["estimates"]) == 2
+    assert out["index"] == [0, 1] and len(out["beta"]) == 2
 
 
 def test_blup_limits_and_identity():
@@ -813,11 +826,8 @@ def test_hsb_sample_slope_shrinks_more_than_intercept():
     spec = ki.MixedSpec(clusters, g_mat)
     gls = ki.gls_fixed(spec)
     blues = ki.cluster_blues(spec)
-    blups = [ki.blup(e["beta"], e["s_mat"], gls["beta"], g_mat)
-             for e in blues["estimates"]]
-    bb = np.array([e["beta"] for e in blues["estimates"]])
-    bp = np.array([b["beta"] for b in blups])
-    rel = np.abs(bb - bp).mean(axis=0) / bb.std(axis=0, ddof=1)
+    bp = ki.blup(blues["beta"], blues["s_mat"], gls["beta"], g_mat)["beta"]
+    rel = ki.relative_shrinkage(blues["beta"], bp)
     assert rel[1] > rel[0]
 
 
@@ -919,10 +929,8 @@ def _fit_mixed(clusters, g_mat=None):
         g_mat = ki.estimate_g_moments(blues)
     gls = ki.gls_fixed(dataclasses.replace(spec, g_mat=g_mat,
                                            sigma2=blues["sigma2"]))
-    est = blues["estimates"]
-    b = np.array([e["beta"] for e in est]).reshape(-1, 2)
-    s_mats = np.array([e["s_mat"] for e in est]).reshape(-1, 2, 2)
-    return {"sigma2": blues["sigma2"], "index": [e["index"] for e in est],
+    b, s_mats = blues["beta"], blues["s_mat"]
+    return {"sigma2": blues["sigma2"], "index": blues["index"],
             "skipped": blues["skipped"], "blues": b, "s_mats": s_mats,
             "g_mat": g_mat, "gls": gls["beta"], "gls_cov": gls["cov"],
             "blups": ki.blup(b, s_mats, gls["beta"], g_mat)["beta"]}
@@ -1174,13 +1182,49 @@ def test_study_stack_rejects_misshapen_input(kwargs, message):
         ki.StudyStack(**kwargs)
 
 
-def test_meta_blup_rejects_a_design_of_fewer_columns():
-    # V is q x q and Delta p x p: with q < p, V + Delta would broadcast
+def test_meta_blup_maps_v_through_a_design_of_fewer_columns():
+    # V is q x q and Delta p x p: the fixed part X_i beta_re of a BLUP has
+    # covariance X_i V X_i', p x p; a V of any other shape is rejected
     stack = ki.StudyStack([[1.0, 2.0], [0.5, 1.0]], [np.eye(2), np.eye(2)],
                           x_mat=np.ones((2, 2, 1)))
     pool = ki.meta_random(stack, np.eye(2))
-    with pytest.raises(nk.InputError, match="V must be p x p"):
-        ki.meta_blup(stack, pool["beta"], pool["cov"], np.eye(2))
+    out = ki.meta_blup(stack, pool["beta"], pool["cov"], 1e-12 * np.eye(2))
+    assert out["cov"] == pytest.approx(
+        np.broadcast_to(pool["cov"][0, 0], (2, 2, 2)), rel=1e-9)
+    with pytest.raises(nk.InputError, match="V must be 1 x 1"):
+        ki.meta_blup(stack, pool["beta"], np.eye(2), np.eye(2))
+
+
+def test_meta_blup_covariance_of_a_square_design():
+    # X_i = 2I, S_i = 0.2I and Delta ~ 0: each BLUP is 2 beta_re, with
+    # covariance 4V
+    rng = np.random.default_rng(29)
+    stack = ki.StudyStack(rng.standard_normal((6, 2)),
+                          np.broadcast_to(0.2 * np.eye(2), (6, 2, 2)),
+                          x_mat=np.broadcast_to(2.0 * np.eye(2), (6, 2, 2)))
+    delta = 1e-12 * np.eye(2)
+    pool = ki.meta_random(stack, delta)
+    out = ki.meta_blup(stack, pool["beta"], pool["cov"], delta)
+    assert pool["cov"] == pytest.approx(0.2 / 24 * np.eye(2), rel=1e-9)
+    for beta, cov in zip(out["beta"], out["cov"]):
+        assert beta == pytest.approx(2.0 * pool["beta"], abs=1e-10)
+        assert cov == pytest.approx(4.0 * pool["cov"], rel=1e-9)
+
+
+def test_estimate_delta_mom_needs_identity_designs():
+    # 40 studies y_i = X_i beta + 0.01 e_i with random designs and no
+    # between-study spread: the spread of the y_i is that of X_i beta, not
+    # Delta, so the moment estimate is refused
+    rng = np.random.default_rng(31)
+    x_mats = rng.standard_normal((40, 2, 2))
+    ys = x_mats @ np.ones(2) + 0.01 * rng.standard_normal((40, 2))
+    s_mats = np.broadcast_to(1e-4 * np.eye(2), (40, 2, 2))
+    with pytest.raises(nk.InputError, match="identity designs"):
+        ki.estimate_delta_mom(ki.StudyStack(ys, s_mats, x_mats))
+    explicit = ki.StudyStack(ys, s_mats, np.broadcast_to(np.eye(2),
+                                                         (40, 2, 2)))
+    assert ki.estimate_delta_mom(explicit).tobytes() == \
+        ki.estimate_delta_mom(ki.StudyStack(ys, s_mats)).tobytes()
 
 
 # Slow per-study copies of the meta-analysis GLS and BLUPs as they were
@@ -1209,7 +1253,8 @@ def _reference_meta_blup(stack, beta_re, v_cov, delta):
         sigma = s_mat + delta
         mean_i = x_mat @ beta_re
         adj = delta @ np.linalg.solve(sigma, y - mean_i)
-        cov_i = v_cov + delta - delta @ np.linalg.solve(sigma, delta)
+        cov_i = x_mat @ v_cov @ x_mat.T + delta \
+            - delta @ np.linalg.solve(sigma, delta)
         out.append({"beta": mean_i + adj, "cov": 0.5 * (cov_i + cov_i.T)})
     return out
 
@@ -1243,8 +1288,6 @@ def test_meta_fits_match_per_study_reference(seed, n, p, design,
         assume(cond < 1e8)
         _close(got["beta"], want["beta"], 1e-13 * cond, size)
         _close(got["cov"], want["cov"], 1e-13 * cond)
-    if k != p:
-        return          # the BLUP covariance V + Delta needs k = p
     got = ki.meta_blup(stack, want["beta"], want["cov"], delta)
     ref = _reference_meta_blup(stack, want["beta"], want["cov"], delta)
     assert got["beta"].shape == (n, p) and got["cov"].shape == (n, p, p)
@@ -1312,14 +1355,16 @@ def test_meta_blup_limits_in_the_scale_of_delta(stack, data):
 @settings(max_examples=40, deadline=None, database=None)
 @given(strategies.study_stacks(design=SQUARE_DESIGNS), hs.data())
 def test_meta_blup_covariance_dominates_v(stack, data):
-    # cov_i - V = Delta - Delta Sigma_i^-1 Delta is PSD, Sigma_i = S_i +
-    # Delta, up to rounding in V + Delta and in the solve with Sigma_i
+    # cov_i - X_i V X_i' = Delta - Delta Sigma_i^-1 Delta is PSD, Sigma_i
+    # = S_i + Delta, up to rounding in X_i V X_i' + Delta and in the solve
+    # with Sigma_i
     d_mat = _between_study(data, stack, log_cond=hs.floats(0.0, 6.0))
     re = ki.meta_random(stack, d_mat)
     cov = ki.meta_blup(stack, re["beta"], re["cov"], d_mat)["cov"]
-    lam = np.linalg.eigvalsh(cov - re["cov"])[:, 0]
+    xvx = stack.x_mat @ re["cov"] @ stack.x_mat.swapaxes(1, 2)
+    lam = np.linalg.eigvalsh(cov - xvx)[:, 0]
     norm_d = np.linalg.norm(d_mat, 2)
-    tol = 16 * EPS * (np.linalg.norm(re["cov"], 2) + norm_d
+    tol = 16 * EPS * (np.linalg.norm(xvx, 2, axis=(1, 2)) + norm_d
                       * np.linalg.cond(stack.s_mat + d_mat))
     assert np.all(lam >= -tol)
 

@@ -12,6 +12,8 @@ from ellipstat import statellipse as st
 
 import strategies
 
+EPS = np.finfo(float).eps
+
 
 def _random_regression(rng, n=40, q=3):
     x = rng.standard_normal((n, q)) @ (np.eye(q)
@@ -41,6 +43,25 @@ def test_rank_deficiency_rejected():
     x[:, 1] = 2.0       # both columns constant -> collinear with intercept
     with pytest.raises(ValueError, match="rank deficient"):
         linmod.ols_fit(x, np.arange(10.0))
+
+
+@pytest.mark.parametrize("log_s", [-6.0, 0.0, 6.0])
+def test_rank_verdict_ignores_the_units_of_the_predictors(log_s):
+    # two unrelated predictors in units 10^s and 10^-s, where the design's
+    # singular values span up to 1e12, are accepted, and the first again
+    # plus a multiple of the second is rejected, at every s. (The solve on
+    # the unscaled design loses digits as eps times that span.)
+    rng = np.random.default_rng(3)
+    units = np.array([10.0 ** log_s, 10.0 ** -log_s])
+    x = rng.standard_normal((20, 2))
+    y = rng.standard_normal(20)
+    fit = linmod.ols_fit(x * units, y)
+    assert fit.coef[1:] * units == pytest.approx(
+        linmod.ols_fit(x, y).coef[1:], rel=1e-3)
+    collinear = np.column_stack([x, x[:, 0] + 2.0 * x[:, 1]]) \
+        * units[[0, 1, 0]]
+    with pytest.raises(ValueError, match="rank deficient"):
+        linmod.ols_fit(collinear, y)
 
 
 def test_longley_against_extended_precision_normal_equations(longley):
@@ -449,3 +470,37 @@ def test_confidence_ellipsoid_shadows_are_the_intervals(design, data):
     r_t = linmod.ConfidenceSpec("ci", alpha).radius(fit.df)
     assert dist.t_cdf(r_t, fit.df, upper=True) == \
         pytest.approx(alpha / 2, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(strategies.regression_designs(), hs.data())
+def test_added_variable_laws(design, data):
+    # the added-variable slope is the full-model coefficient and its
+    # residuals are the full-model residuals, to rounding in the fits
+    # (eps cond(X)); the marginal slope is the simple-regression slope. A
+    # design that ols_fit rejects is rejected by avp too.
+    x, y = design
+    k = data.draw(hs.integers(0, x.shape[1] - 1))
+    try:
+        full = linmod.ols_fit(x, y)
+    except ValueError:
+        with pytest.raises(ValueError):
+            linmod.avp(x, y, k)
+        return
+    res = linmod.avp(x, y, k)
+    coef = full.coef[k + 1]
+    assert res["full_model_coef"] == coef
+    assert res["slope_matches_full_model"] == abs(res["slope"] - coef)
+    tol = 64 * EPS * np.linalg.cond(linmod.design_matrix(x))
+    y_size = np.linalg.norm(y)
+    assert res["slope_matches_full_model"] <= tol * (
+        abs(coef) + y_size / np.linalg.norm(res["x_star"]))
+    assert res["residual_match"] == np.abs(res["residuals"]
+                                           - full.residuals).max()
+    assert res["residual_match"] <= tol * y_size
+    xc = x[:, k] - x[:, k].mean()
+    assert np.array_equal(res["marginal"], np.column_stack([xc,
+                                                            y - y.mean()]))
+    simple = linmod.ols_fit(x[:, k], y).coef[1]
+    assert abs(res["marginal_slope"] - simple) <= 1e-12 * (
+        abs(simple) + y_size / np.linalg.norm(xc))

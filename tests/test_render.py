@@ -157,7 +157,7 @@ def test_figure_builders_produce_valid_scenes(iris_grouped, galton_sample,
     ell_h, ell_e = mlm.canonical_he_ellipses(iris_grouped, can)
     scenes = [
         render.build_data_ellipse_panel(
-            galton_sample, mean, cov,
+            galton_sample, mean, st.regression_slopes(cov),
             [st.data_ellipsoid(galton_sample, st.CoverageSpec.chisq(lv))
              for lv in (0.40, 0.68, 0.95)]),
         render.build_scatterplot_matrix(
