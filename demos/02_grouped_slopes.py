@@ -33,15 +33,14 @@ for sign, label in ((+1, "positive"), (-1, "negative")):
     # draw the per-group ellipses, the pooled-within ellipse centered at
     # the grand mean, and the between-means ellipse
     layers = [render.AxisLayer(label_x="x", label_y="y")]
-    pooled = gs.pooled_sample()
-    grand, _ = st.mean_cov(pooled)
-    c2 = st.coverage_radius(2, pooled.n, st.CoverageSpec.chisq(0.68)) ** 2
-    for i, (lab, s) in enumerate(gs.samples.items()):
+    grand, _ = st.mean_cov(st.Sample(gs.data))
+    c2 = st.coverage_radius(2, gs.total_n, st.CoverageSpec.chisq(0.68)) ** 2
+    for i, rows in enumerate(gs.split()):
         color = render.PALETTE["groups"][i % 6]
         layers.append(render.PointsLayer(
-            s.data, render.Style(stroke=color, width=0.6), size=1.6))
+            rows, render.Style(stroke=color, width=0.6), size=1.6))
         layers.append(render.EllipseLayer(
-            st.data_ellipsoid(s, st.CoverageSpec.chisq(0.68)),
+            st.data_ellipsoid(st.Sample(rows), st.CoverageSpec.chisq(0.68)),
             render.Style(stroke=color, width=1.0, dash="4,3")))
     layers.append(render.EllipseLayer(
         ge.from_moment(c2 * st.pooled_within_cov(gs), grand),

@@ -210,22 +210,15 @@ def _xy_columns(table, args, need=2):
     return names, np.column_stack([table.numeric(c) for c in names])
 
 
-def _group_rows(table, group_col):
-    """The sorted labels of a group column, the row indices ordered by
-    label (table order within a label), and where each label's rows end."""
-    by = {}
-    for i, lab in enumerate(table.categorical(group_col)):
-        by.setdefault(lab, []).append(i)
-    names = sorted(by)
-    return (names, np.concatenate([by[lab] for lab in names]),
-            np.cumsum([len(by[lab]) for lab in names])[:-1])
-
-
-def _grouped(table, group_col, value_cols):
-    names, rows, ends = _group_rows(table, group_col)
-    mat = np.column_stack([table.numeric(c) for c in value_cols])
-    return st.GroupedSample({lab: st.Sample(mat[idx], tuple(value_cols))
-                             for lab, idx in zip(names, np.split(rows, ends))})
+def _grouped(table, args, count=None):
+    """The GroupedSample of the --columns, by default the first count
+    numeric columns (all when count is None), grouped by --group."""
+    names = (_columns_arg(args.columns) if args.columns
+             else table.numeric_names()[:count])
+    groups = table.categorical(args.group)
+    return st.GroupedSample(
+        np.column_stack([table.numeric(c) for c in names]), groups,
+        tuple(names))
 
 
 def _design_response(table, args):
@@ -275,11 +268,9 @@ def cmd_data_ellipse(args):
 
 def cmd_decompose(args):
     table = resolve_data(args.data)
-    names = _columns_arg(args.columns) if args.columns else \
-        table.numeric_names()[:2]
-    gs = _grouped(table, args.group, names)
+    gs = _grouped(table, args, 2)
     out = st.marginal_decomposition(gs, 0, 1)
-    payload = {"columns": names, "group": args.group, "g": gs.g,
+    payload = {"columns": gs.names, "group": args.group, "g": gs.g,
                "n": gs.total_n}
     payload.update(out)
     _emit(args, payload)
@@ -371,13 +362,11 @@ def cmd_measure_error(args):
 
 
 def _manova_pieces(table, args):
-    names = _columns_arg(args.columns) if args.columns else \
-        table.numeric_names()
-    gs = _grouped(table, args.group, names)
+    gs = _grouped(table, args)
     fit, labels = mlm.manova_fit(gs)
     hyp = mlm.overall_hypothesis(gs.g)
     h, e = mlm.hypothesis_matrices(fit, hyp)
-    return names, gs, fit, labels, h, e
+    return gs.names, gs, fit, labels, h, e
 
 
 def cmd_heplot(args):
@@ -448,17 +437,15 @@ def cmd_contrasts(args):
 
 def cmd_canonical(args):
     table = resolve_data(args.data)
-    names = _columns_arg(args.columns) if args.columns else \
-        table.numeric_names()
-    gs = _grouped(table, args.group, names)
+    gs = _grouped(table, args)
     can = mlm.canonical(gs)
     payload = {
-        "columns": names,
+        "columns": gs.names,
         "groups": can.group_labels,
         "lambdas": can.lambdas,
         "percent": can.percent,
         "structure": {name: can.structure[j]
-                      for j, name in enumerate(names)},
+                      for j, name in enumerate(gs.names)},
         "group_means": {lab: can.group_means[i]
                         for i, lab in enumerate(can.group_labels)},
     }
@@ -497,16 +484,14 @@ def cmd_kiss(args):
 
 def cmd_lda(args):
     table = resolve_data(args.data)
-    names = _columns_arg(args.columns) if args.columns else \
-        table.numeric_names()
-    gs = _grouped(table, args.group, names)
+    gs = _grouped(table, args)
     if gs.g != 2:
         raise InputError(f"lda needs exactly two groups, found {gs.g}")
     labels, means, _ = st.group_means(gs)
     pooled = st.pooled_within_cov(gs)
     out = kissing.lda_axis(means[0], means[1], pooled)
     payload = {
-        "columns": names,
+        "columns": gs.names,
         "groups": labels,
         "mean_1": means[0],
         "mean_2": means[1],
@@ -577,10 +562,10 @@ def cmd_blup(args):
         raise InputError("--g-diag needs two entries")
     if args.g_diag and min(args.g_diag) < 0:
         raise InputError("--g-diag entries are variances and must be >= 0")
-    names, rows, ends = _group_rows(table, args.group)
+    names, rows, ends = st.group_rows(table.categorical(args.group))
     design = np.column_stack([np.ones(table.n), x])[rows]
     clusters = [kissing.Cluster(d, r) for d, r in
-                zip(np.split(design, ends), np.split(y[rows], ends))]
+                zip(np.split(design, ends[:-1]), np.split(y[rows], ends[:-1]))]
     spec = kissing.MixedSpec(clusters, np.zeros((2, 2)))
     blues = kissing.cluster_blues(spec)
     if not blues["index"]:

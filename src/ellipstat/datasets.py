@@ -118,12 +118,7 @@ def fixture_csv_text(name):
 
 
 def load_iris_grouped():
-    """The iris fixture as a GroupedSample keyed by species."""
-    text = fixture_csv_text("iris")
-    rows = list(csv.reader(io.StringIO(text)))
-    hdr = rows[0]
-    by = {}
-    for r in rows[1:]:
-        by.setdefault(r[4], []).append([float(v) for v in r[:4]])
-    return st.GroupedSample({k: st.Sample(np.array(v), tuple(hdr[:4]))
-                             for k, v in sorted(by.items())})
+    """The iris fixture as a GroupedSample of the species."""
+    hdr, *rows = csv.reader(io.StringIO(fixture_csv_text("iris")))
+    return st.GroupedSample([[float(v) for v in r[:4]] for r in rows],
+                            [r[4] for r in rows], tuple(hdr[:4]))

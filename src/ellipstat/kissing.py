@@ -380,14 +380,18 @@ def ridge_trace(x, y, ks, coords=(0, 1)):
 def ridge_path_summary(trace):
     """The coefficient norms |beta(k)| and generalized variances det cov(k)
     of a ridge_trace, and whether the norms never rise (to within 1e-12 of
-    the previous norm) and the generalized variances strictly fall."""
+    the previous norm) and the generalized variances strictly fall. The
+    second verdict is on log-determinants, so that it holds where det
+    itself overflows or underflows."""
     norms = [float(np.linalg.norm(t["result"].beta)) for t in trace]
-    dets = [float(np.linalg.det(t["result"].cov)) for t in trace]
-    return {"coef_norms": norms, "cov_generalized_variance": dets,
+    covs = np.array([t["result"].cov for t in trace])
+    signs, logdets = np.linalg.slogdet(covs)
+    return {"coef_norms": norms,
+            "cov_generalized_variance": np.linalg.det(covs).tolist(),
             "norm_monotone_nonincreasing":
                 all(b <= a + 1e-12 * a for a, b in zip(norms, norms[1:])),
             "genvar_strictly_decreasing":
-                all(b < a for a, b in zip(dets, dets[1:]))}
+                bool((signs > 0).all() and (np.diff(logdets) < 0).all())}
 
 
 def bayes_posterior(x, y, beta_prior, a_mat):
@@ -412,9 +416,6 @@ def bayes_posterior(x, y, beta_prior, a_mat):
 
 # ----------------------------------------------------------------- mixed
 
-# A design has full column rank when, with its columns scaled to unit
-# length, its smallest singular value exceeds RANK_TOL times its largest.
-RANK_TOL = 1e-10
 FLAT_SPREAD_TOL = 1e-10     # relative sd of cluster BLUEs taken as zero
 
 
@@ -445,7 +446,7 @@ class _ClusterQR:
     r[i] is R_i and qty[i] is Q_i'y_i, both padded with zero rows to p
     rows when n_i < p; rss[i] is the residual sum of squares of y_i on
     the column space of X_i; full[i] says whether X_i has full column
-    rank (see RANK_TOL).
+    rank (see numkernel.RANK_TOL).
     """
     clusters: list
     n: np.ndarray
@@ -482,7 +483,7 @@ def _factor(clusters):
     norms = np.linalg.norm(r, axis=1)
     scaled = r / np.where(norms > 0, norms, 1.0)[:, None, :]
     u, sv, _ = np.linalg.svd(scaled)
-    dropped = sv <= RANK_TOL * sv[:, :1]
+    dropped = sv <= nk.RANK_TOL * sv[:, :1]
     full = ~dropped[:, -1]
     # Q_i spans more than the columns of a rank-deficient X_i: the part of
     # Q_i'y_i along the left singular vectors dropped from R_i is residual too

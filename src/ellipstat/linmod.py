@@ -11,8 +11,6 @@ from . import distributions as dist
 from . import gellipsoid as ge
 from . import numkernel as nk
 
-RANK_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class LinearFit:
@@ -55,16 +53,7 @@ def ols_fit(x, y, names=None):
     if n <= q:
         raise nk.InputError(f"need n > {q} observations")
     _, sv, vt = np.linalg.svd(xd, full_matrices=False)
-    # with unit-length columns the condition number is at most sqrt(q)
-    # times this one (van der Sluis): only a design near the threshold
-    # needs them
-    if sv[-1] <= np.sqrt(q) * RANK_TOL * sv[0]:
-        norms = np.linalg.norm(xd, axis=0)
-        unit = np.linalg.svd(xd / np.where(norms > 0, norms, 1.0),
-                             compute_uv=False)
-        if unit[-1] <= RANK_TOL * unit[0]:
-            raise ValueError("design is rank deficient: min singular value "
-                             f"{unit[-1]:.3e} of its unit-length columns")
+    nk.require_full_rank(xd, sv)
     # (X'X)^{-1} = V diag(s^-2) V^T, formed as W W^T with W = V diag(1/s):
     # symmetric by construction. Inverting X'X itself leaves an asymmetry
     # beyond SYM_TOL when X is ill-conditioned (Longley: cond(X'X) 5.7e14).

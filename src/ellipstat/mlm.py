@@ -67,10 +67,7 @@ def mlm_fit(x_design, y, names=None):
     p = y.shape[1]
     if y.shape[0] != n:
         raise nk.InputError("X and Y row counts differ")
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise ValueError(
-            f"design is rank deficient: min singular value {sv[-1]:.3e}")
+    nk.require_full_rank(x)
     coef, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ coef
     e_mat = resid.T @ resid
@@ -82,31 +79,20 @@ def mlm_fit(x_design, y, names=None):
 
 
 def manova_design(gs):
-    """Cell-means one-way design: one indicator column per group."""
-    labels = list(gs.samples)
-    blocks, ys = [], []
-    for j, lab in enumerate(labels):
-        ni = gs.samples[lab].n
-        block = np.zeros((ni, len(labels)))
-        block[:, j] = 1.0
-        blocks.append(block)
-        ys.append(gs.samples[lab].data)
-    return np.vstack(blocks), np.vstack(ys), labels
+    """Cell-means one-way design of the rows of gs.data: one indicator
+    column per group."""
+    return np.repeat(np.eye(gs.g), gs.counts, axis=0)
 
 
 def manova_fit(gs):
-    x, y, labels = manova_design(gs)
-    fit = mlm_fit(x, y, names=gs.names)
-    return fit, labels
+    """The one-way MANOVA fit of a grouped sample, and its group labels."""
+    return mlm_fit(manova_design(gs), gs.data, names=gs.names), list(gs.labels)
 
 
 def overall_hypothesis(n_groups):
     """Successive-difference contrasts spanning 'all group means equal'."""
-    l_mat = np.zeros((n_groups - 1, n_groups))
-    for i in range(n_groups - 1):
-        l_mat[i, i] = 1.0
-        l_mat[i, i + 1] = -1.0
-    return Hypothesis(l_mat, label="overall")
+    return Hypothesis(np.eye(n_groups - 1, n_groups)
+                      - np.eye(n_groups - 1, n_groups, 1), label="overall")
 
 
 def hypothesis_matrices(fit, hyp):
@@ -303,38 +289,24 @@ def canonical(gs):
     lam = np.clip(lam_all[:s], 0.0, None)
     w = v[:, :s] * np.sqrt(fit.df_e)
 
-    x, y, _ = manova_design(gs)
-    centered = y - fit.y_mean
+    centered = gs.data - fit.y_mean
     scores = centered @ w
 
     # structure = correlations between responses and scores
-    structure = np.empty((gs.p, s))
     y_sd = centered.std(axis=0, ddof=1)
     z_sd = scores.std(axis=0, ddof=1)
-    for j in range(gs.p):
-        for k in range(s):
-            cov = centered[:, j] @ scores[:, k] / (len(y) - 1)
-            structure[j, k] = cov / (y_sd[j] * z_sd[k])
+    structure, signs = nk.fix_signs(np.array([
+        [centered[:, j] @ scores[:, k] / (gs.total_n - 1)
+         / (y_sd[j] * z_sd[k]) for k in range(s)] for j in range(gs.p)]))
+    scores *= signs
+    w *= signs
 
-    # deterministic axis orientation
-    for k in range(s):
-        jmax = int(np.argmax(np.abs(structure[:, k])))
-        if structure[jmax, k] < 0:
-            structure[:, k] *= -1
-            scores[:, k] *= -1
-            w[:, k] *= -1
-
-    means = []
-    start = 0
-    for lab in labels:
-        ni = gs.samples[lab].n
-        means.append(scores[start:start + ni].mean(axis=0))
-        start += ni
+    means = np.array([z.mean(axis=0) for z in gs.split(scores)])
     total = lam.sum()
     percent = 100.0 * lam / total if total > 0 else np.zeros_like(lam)
     return CanonicalResult(scores=scores, coeffs=w, lambdas=lam,
                            percent=percent, structure=structure,
-                           group_means=np.array(means), group_labels=labels,
+                           group_means=means, group_labels=labels,
                            df_e=fit.df_e)
 
 
@@ -346,8 +318,7 @@ def canonical_he_ellipses(gs, can, level=0.68):
     """
     if can.scores.shape[1] < 2:
         raise nk.InputError("need at least two canonical dimensions")
-    x, _, _ = manova_design(gs)
-    fit_z = mlm_fit(x, can.scores, names=("can1", "can2"))
+    fit_z = mlm_fit(manova_design(gs), can.scores, names=("can1", "can2"))
     hyp = overall_hypothesis(gs.g)
     h_z, e_z = hypothesis_matrices(fit_z, hyp)
     return he_ellipses(h_z, e_z, fit_z.df_e, coords=(0, 1),

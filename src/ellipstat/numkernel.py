@@ -10,6 +10,9 @@ import numpy as np
 
 SYM_TOL = 1e-12        # relative asymmetry accepted by sym_eig
 PSD_CLIP = 1e-10       # eigenvalues in [-PSD_CLIP*lam_max, 0] clip to zero
+# A design has full column rank when, with its columns scaled to unit
+# length, its smallest singular value exceeds RANK_TOL times its largest.
+RANK_TOL = 1e-10
 
 
 class InputError(ValueError):
@@ -108,9 +111,10 @@ def check_symmetric(m, tol=SYM_TOL):
     return 0.5 * (a + at)
 
 
-def _fix_signs(vecs):
-    # Deterministic convention: largest-magnitude component positive, for
-    # each column of a matrix or of each matrix in a stack.
+def fix_signs(vecs):
+    """The deterministic sign convention: each column of a matrix, or of
+    each matrix in a stack, times the sign (+1 for zero) of its
+    largest-magnitude component. Returns (signed columns, signs)."""
     stack = vecs.reshape(math.prod(vecs.shape[:-2]), *vecs.shape[-2:])
     top = np.abs(stack).argmax(axis=1)
     signs = np.sign(stack[np.arange(len(stack))[:, None], top,
@@ -124,7 +128,7 @@ def sym_eig(m, tol=SYM_TOL):
     """Spectral decomposition of a symmetric matrix, or of each in a stack
     (..., p, p), eigenvalues descending."""
     w, v = np.linalg.eigh(check_symmetric(m, tol))
-    v, _ = _fix_signs(v[..., ::-1])         # eigh's order is ascending
+    v, _ = fix_signs(v[..., ::-1])          # eigh's order is ascending
     return SpectralDecomp(eigvals=w[..., ::-1].copy(), eigvecs=v)
 
 
@@ -133,7 +137,7 @@ def svd(a):
     a = as_matrix(a)
     u, s, vt = np.linalg.svd(a, full_matrices=True)
     k = s.size
-    u_k, signs = _fix_signs(u[:, :k])
+    u_k, signs = fix_signs(u[:, :k])
     u = u.copy()
     u[:, :k] = u_k
     v = vt.T.copy()
@@ -211,6 +215,24 @@ def require_pd(w):
     return lam, vecs
 
 
+def require_full_rank(x, sv=None):
+    """Raise ValueError unless the design x has full column rank (RANK_TOL);
+    sv, when given, are the singular values of x, descending."""
+    if sv is None:
+        sv = np.linalg.svd(x, compute_uv=False)
+    # with unit-length columns the condition number is at most sqrt(q)
+    # times this one (van der Sluis): only a design near the threshold
+    # needs them
+    if sv[-1] > np.sqrt(x.shape[1]) * RANK_TOL * sv[0]:
+        return
+    norms = np.linalg.norm(x, axis=0)
+    unit = np.linalg.svd(x / np.where(norms > 0, norms, 1.0),
+                         compute_uv=False)
+    if unit[-1] <= RANK_TOL * unit[0]:
+        raise ValueError("design is rank deficient: min singular value "
+                         f"{unit[-1]:.3e} of its unit-length columns")
+
+
 def clip_psd(w):
     """The symmetric part of w with its negative eigenvalues set to zero."""
     a = as_matrix(w)
@@ -232,5 +254,5 @@ def gen_eig(h, e):
     h_star = inv_root.T @ h @ inv_root
     dec = sym_eig(0.5 * (h_star + h_star.T))
     v = inv_root @ dec.eigvecs
-    v, _ = _fix_signs(v)
+    v, _ = fix_signs(v)
     return dec.eigvals, v

@@ -489,7 +489,6 @@ def build_scatterplot_matrix(gs, ellipses, show_points=True, title=""):
     p = gs.p
     pad = 0.08
     layers = [AxisLayer(ticks=0)]
-    pooled = gs.pooled_sample().data
     for i in range(p):          # row: y variable, drawn top to bottom
         for j in range(p):      # column: x variable
             origin = (j + pad, (p - 1 - i) + pad)
@@ -510,17 +509,17 @@ def build_scatterplot_matrix(gs, ellipses, show_points=True, title=""):
                                         size=12.0, anchor="middle"))
                 continue
             cols = (j, i)
-            lo = pooled[:, cols].min(axis=0)
-            hi = pooled[:, cols].max(axis=0)
+            lo = gs.data[:, cols].min(axis=0)
+            hi = gs.data[:, cols].max(axis=0)
             span = np.where(hi > lo, hi - lo, 1.0)
             bounds = (lo[0] - 0.1 * span[0], hi[0] + 0.1 * span[0],
                       lo[1] - 0.1 * span[1], hi[1] + 0.1 * span[1])
             mat, off = _cell_map(bounds, origin, size)
-            for gidx, (samp, ell) in enumerate(zip(gs.samples.values(),
+            for gidx, (rows, ell) in enumerate(zip(gs.split(),
                                                    ellipses[cols])):
                 color = PALETTE["groups"][gidx % len(PALETTE["groups"])]
                 if show_points:
-                    pts = samp.data[:, cols] @ mat.T + off
+                    pts = rows[:, cols] @ mat.T + off
                     layers.append(PointsLayer(pts, Style(stroke=color,
                                                          width=0.5),
                                               marker="circle", size=1.2))

@@ -3,6 +3,7 @@
 # decompositions and the within/between/marginal slope triad.
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -40,39 +41,72 @@ class Sample:
         return self.data.shape[1]
 
 
+def group_rows(labels):
+    """The grouping rule for one label per row: the distinct labels in
+    sorted order, the row indices ordered by label (input order within a
+    label), and where each label's rows end."""
+    by = {}
+    for i, lab in enumerate(labels):
+        by.setdefault(lab, []).append(i)
+    names = sorted(by)
+    rows = chain.from_iterable(by[lab] for lab in names)
+    return (names, np.fromiter(rows, np.intp, len(labels)),
+            np.cumsum([len(by[lab]) for lab in names]))
+
+
 @dataclass(frozen=True)
 class GroupedSample:
-    samples: dict = field(default_factory=dict)   # label -> Sample
+    """A sample whose rows carry group labels, held as one matrix.
+
+    Construction sorts the rows of data, and their labels in groups, by
+    label (group_rows). labels are then the distinct labels in that order
+    and ends[k] is where the rows of group labels[k] end. Every group needs
+    at least two rows.
+    """
+    data: np.ndarray            # n x p
+    groups: tuple               # one label per row
+    names: tuple = ()
+    labels: tuple = field(init=False)
+    ends: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.samples:
-            raise nk.InputError("need at least one group")
-        ps = {s.p for s in self.samples.values()}
-        if len(ps) != 1:
-            raise nk.InputError("groups must share the same columns")
-        names = {s.names for s in self.samples.values()}
-        if len(names) != 1:
-            raise nk.InputError("groups must share variable names")
+        if len(self.groups) != len(self.data):
+            raise nk.InputError("need one group label per row")
+        labels, rows, ends = group_rows(self.groups)
+        counts = np.diff(ends, prepend=0).tolist()
+        for lab, n_i in zip(labels, counts):
+            if n_i < 2:
+                raise nk.InputError(f"group {str(lab)!r} has 1 row; "
+                                    "a group needs at least two")
+        whole = Sample(self.data, self.names)
+        groups = tuple(chain.from_iterable(
+            repeat(lab, n_i) for lab, n_i in zip(labels, counts)))
+        for name, value in (("data", whole.data[rows]), ("groups", groups),
+                            ("names", whole.names), ("labels", tuple(labels)),
+                            ("ends", ends)):
+            object.__setattr__(self, name, value)
 
     @property
     def g(self):
-        return len(self.samples)
+        return len(self.labels)
 
     @property
     def p(self):
-        return next(iter(self.samples.values())).p
-
-    @property
-    def names(self):
-        return next(iter(self.samples.values())).names
+        return self.data.shape[1]
 
     @property
     def total_n(self):
-        return sum(s.n for s in self.samples.values())
+        return self.data.shape[0]
 
-    def pooled_sample(self):
-        return Sample(np.vstack([s.data for s in self.samples.values()]),
-                      self.names)
+    @property
+    def counts(self):
+        return np.diff(self.ends, prepend=0)
+
+    def split(self, rows=None):
+        """The rows of data, or of an array row-aligned with it, cut into
+        the groups: slices, in label order."""
+        rows = self.data if rows is None else rows
+        return [rows[a:b] for a, b in zip(self.ends - self.counts, self.ends)]
 
 
 @dataclass(frozen=True)
@@ -105,10 +139,13 @@ class CoverageSpec:
 
 def mean_cov(sample):
     """Column means and the n-1 divisor covariance matrix."""
-    y = sample.data
+    return _mean_cov(sample.data)
+
+
+def _mean_cov(y):
     ybar = y.mean(axis=0)
     dev = y - ybar
-    s = dev.T @ dev / (sample.n - 1)
+    s = dev.T @ dev / (y.shape[0] - 1)
     return ybar, 0.5 * (s + s.T)
 
 
@@ -153,9 +190,9 @@ def data_ellipsoid(sample, spec=CoverageSpec.stddev(1.0)):
 def pairwise_data_ellipsoids(gs, spec):
     """{(j, i): the groups' data ellipses on columns j and i, in group
     order} for every ordered pair of distinct columns."""
-    return {(j, i): [data_ellipsoid(Sample(s.data[:, (j, i)],
+    return {(j, i): [data_ellipsoid(Sample(y[:, (j, i)],
                                            (gs.names[j], gs.names[i])), spec)
-                     for s in gs.samples.values()]
+                     for y in gs.split()]
             for i in range(gs.p) for j in range(gs.p) if i != j}
 
 
@@ -180,21 +217,16 @@ def univariate_shadow(e, direction):
 
 def pooled_within_cov(gs):
     """(N - g)^{-1} sum over groups of (n_i - 1) S_i."""
-    n_total = gs.total_n
-    if n_total - gs.g < 1:
-        raise nk.InputError("pooled covariance needs N - g >= 1")
     acc = np.zeros((gs.p, gs.p))
-    for s in gs.samples.values():
-        _, si = mean_cov(s)
-        acc += (s.n - 1) * si
-    return acc / (n_total - gs.g)
+    for y in gs.split():
+        acc += (y.shape[0] - 1) * _mean_cov(y)[1]
+    return acc / (gs.total_n - gs.g)
 
 
 def group_means(gs):
-    labels = list(gs.samples)
-    means = np.array([gs.samples[k].data.mean(axis=0) for k in labels])
-    ns = np.array([gs.samples[k].n for k in labels])
-    return labels, means, ns
+    """The labels, the (g, p) group means and the group sizes."""
+    return (list(gs.labels), np.array([y.mean(axis=0) for y in gs.split()]),
+            gs.counts)
 
 
 def between_cov(gs):
@@ -229,7 +261,7 @@ def marginal_decomposition(gs, x_index=0, y_index=1):
         raise nk.InputError("decomposition needs g >= 2")
     s_w = pooled_within_cov(gs)
     s_b = between_cov(gs)
-    _, s_t = mean_cov(gs.pooled_sample())
+    _, s_t = _mean_cov(gs.data)
     b_w, r_w = _slope_corr(s_w, x_index, y_index)
     b_b, r_b = _slope_corr(s_b, x_index, y_index)
     b_m, r_m = _slope_corr(s_t, x_index, y_index)
@@ -269,10 +301,11 @@ def grouped_slopes_demo(cov_sign=+1, seed=13, n_per_group=10, n_groups=5):
     """
     rng = np.random.default_rng(seed)
     cov = np.array([[6.0, 3.0 * cov_sign], [3.0 * cov_sign, 2.0]])
-    groups = {}
-    for i in range(1, n_groups + 1):
+    data = np.empty((n_groups, n_per_group, 2))
+    for i, block in enumerate(data, start=1):
         mx = 2.0 * i + rng.uniform(-0.4, 0.4)
         my = mx + rng.normal(0.0, 0.5)
-        data = exact_cov_sample(rng, n_per_group, (mx, my), cov)
-        groups[f"g{i}"] = Sample(data, ("x", "y"))
-    return GroupedSample(groups)
+        block[:] = exact_cov_sample(rng, n_per_group, (mx, my), cov)
+    return GroupedSample(data.reshape(-1, 2),
+                         [f"g{i}" for i in range(1, n_groups + 1)
+                          for _ in range(n_per_group)], ("x", "y"))

@@ -37,6 +37,13 @@ def berkey_studies():
                               labels=[r[0] for r in rows[1:]])
 
 
+def grouped(arrays, names=()):
+    """The GroupedSample of {label: (n_i, p) rows}."""
+    return st.GroupedSample(np.vstack(list(arrays.values())),
+                            [lab for lab, a in arrays.items()
+                             for _ in range(len(a))], names)
+
+
 def random_pd(rng, p, scale=1.0):
     a = rng.standard_normal((p, p))
     return scale * (a @ a.T + p * np.eye(p))

@@ -10,6 +10,7 @@ from hypothesis import strategies as hs
 
 from ellipstat import gellipsoid as ge
 from ellipstat import kissing as ki
+from ellipstat import statellipse as st
 
 seeds = hs.integers(0, 2 ** 32 - 1)
 
@@ -110,3 +111,26 @@ def study_stacks(draw, k=hs.integers(1, 12), p=hs.integers(1, 3),
     x = None if design == "identity" else rng.standard_normal((k, p, q))
     return ki.StudyStack(y, 0.5 * (s_mats + s_mats.swapaxes(1, 2)), x,
                          [f"s{i}" for i in range(k)])
+
+
+@hs.composite
+def grouped_samples(draw, g=hs.integers(2, 5), p=hs.integers(1, 4),
+                    log_scale=hs.floats(-100.0, 100.0),
+                    log_effect=hs.floats(-2.0, 1.0), balanced=False):
+    """A statellipse.GroupedSample of g groups of p columns, built from rows
+    interleaved at random. The group sizes are at least 2, equal when
+    balanced and drawn apart otherwise; the within-group spread is of scale
+    10^log_scale in a random frame, and the group means lie about
+    10^log_effect spreads apart."""
+    g, p = draw(g), draw(p)
+    scale, effect = 10.0 ** draw(log_scale), 10.0 ** draw(log_effect)
+    rng = np.random.default_rng(draw(seeds))
+    sizes = (np.full(g, rng.integers(2, 13)) if balanced
+             else rng.integers(2, 13, g))
+    groups = rng.permutation(np.repeat(np.arange(g), sizes))
+    spread = orthogonal(rng, p) * 10.0 ** rng.uniform(-1.0, 1.0, p)
+    means = effect * rng.standard_normal((g, p))
+    data = scale * (rng.standard_normal((groups.size, p)) @ spread.T
+                    + means[groups])
+    labels = [f"g{k}" for k in rng.permutation(g)]
+    return st.GroupedSample(data, [labels[k] for k in groups])

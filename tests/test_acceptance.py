@@ -14,6 +14,8 @@ from ellipstat import linmod, mlm
 from ellipstat import numkernel as nk
 from ellipstat import statellipse as st
 
+from conftest import grouped
+
 
 def criterion(number, description):
     def deco(fn):
@@ -238,9 +240,9 @@ def test_acceptance_14_marginal_interval():
             center = rng.uniform(-4, 4, 2)
             data = center + rng.standard_normal((n_i, 2)) * \
                 rng.uniform(0.5, 2.0, 2)
-            groups[f"g{i}"] = st.Sample(data)
+            groups[f"g{i}"] = data
         try:
-            d = st.marginal_decomposition(st.GroupedSample(groups))
+            d = st.marginal_decomposition(grouped(groups))
         except ValueError:
             continue
         lo = min(d["beta_within"], d["beta_between"]) - 1e-9

@@ -483,8 +483,8 @@ def test_decompose_synthetic(tmp_path):
     from ellipstat import statellipse as st
     gs = st.grouped_slopes_demo()
     rows = ["x,y,group"]
-    for lab, s in gs.samples.items():
-        rows.extend(f"{a},{b},{lab}" for a, b in s.data)
+    for lab, s in zip(gs.labels, gs.split()):
+        rows.extend(f"{a},{b},{lab}" for a, b in s)
     src.write_text("\n".join(rows) + "\n")
     out = tmp_path / "d.json"
     assert run_cli(["decompose", "--data", str(src), "--group", "group",
@@ -494,6 +494,16 @@ def test_decompose_synthetic(tmp_path):
     assert min(d["beta_within"], d["beta_between"]) - 1e-9 <= \
         d["beta_marginal"] <= max(d["beta_within"],
                                   d["beta_between"]) + 1e-9
+
+
+@pytest.mark.parametrize("sub", ["heplot", "decompose"])
+def test_a_group_of_one_row_is_named(tmp_path, capsys, sub):
+    path = tmp_path / "g.csv"
+    path.write_text("grp,u,v\na,1,2\na,2,1\na,3,5\nlone,4,4\n"
+                    "c,0,1\nc,2,2\nc,1,0\n")
+    assert run_cli([sub, "--data", str(path), "--group", "grp",
+                    "--json", str(tmp_path / "o.json")]) == 2
+    assert "group 'lone' has 1 row" in capsys.readouterr().err
 
 
 def test_lda_two_groups(tmp_path):
@@ -754,17 +764,16 @@ def test_grouped_matches_row_by_row_grouping(tmp_path, monkeypatch):
         f"{lab},{a!r},{b!r},{c!r}\n"
         for lab, (a, b, c) in zip(labels, vals.tolist()))
     table = cli._parse_table(text, "test")
-    gs = cli._grouped(table, "grp", ["w", "u"])
+    gs = cli._grouped(table, argparse.Namespace(group="grp", columns="w,u"))
     # reference: one list of rows per label, labels sorted
     mat = np.column_stack([table.numeric("w"), table.numeric("u")])
     by = {}
     for lab, row in zip(labels, mat):
         by.setdefault(lab, []).append(row)
-    assert list(gs.samples) == sorted(by)
-    for lab, rows in by.items():
-        got = gs.samples[lab]
-        assert got.names == ("w", "u")
-        assert np.array_equal(got.data, np.array(rows))
+    assert list(gs.labels) == sorted(by)
+    assert gs.names == ("w", "u")
+    for lab, got in zip(gs.labels, gs.split()):
+        assert np.array_equal(got, np.array(by[lab]))
     # blup's clusters, design (1, u) and response w, in the same grouping
     specs = []
     mixed_spec = kissing.MixedSpec

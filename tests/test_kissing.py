@@ -384,6 +384,19 @@ def test_ridge_norm_verdict_is_scale_free(longley, log_s, k):
         assert out["norm_monotone_nonincreasing"]
 
 
+@pytest.mark.parametrize("s", [1e-100, 1e-30, 1e30, 1e100])
+def test_ridge_genvar_verdict_is_scale_free(longley, s):
+    # det cov(k) scales by s^12 and overflows or underflows at these
+    # response scales; the verdict on the log-determinants is the same
+    _, x, y = longley
+    ks = [0.0, 0.005, 0.01, 0.02, 0.04, 0.08]
+    unscaled = ki.ridge_path_summary(ki.ridge_trace(x, y, ks))
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = ki.ridge_path_summary(ki.ridge_trace(x, s * y, ks))
+    assert scaled["genvar_strictly_decreasing"] is \
+        unscaled["genvar_strictly_decreasing"] is True
+
+
 def test_ridge_negative_k_rejected(longley):
     _, x, y = longley
     with pytest.raises(ValueError):

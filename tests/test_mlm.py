@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings, target
+from hypothesis import strategies as hs
 
 from ellipstat import linmod, mlm
 from ellipstat import numkernel as nk
 from ellipstat import statellipse as st
 
-from conftest import random_pd
+import strategies
+from conftest import grouped, random_pd
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +58,8 @@ def test_null_effect_roy_p_values_roughly_uniform():
     rng = np.random.default_rng(3)
     pvals = []
     for _ in range(200):
-        groups = {f"g{i}": st.Sample(rng.standard_normal((10, 2)))
-                  for i in range(3)}
-        gs = st.GroupedSample(groups)
+        gs = grouped({f"g{i}": rng.standard_normal((10, 2))
+                      for i in range(3)})
         fit, _ = mlm.manova_fit(gs)
         h, e = mlm.hypothesis_matrices(fit, mlm.overall_hypothesis(3))
         res = mlm.test_stats(h, e, 2, fit.df_e)
@@ -65,6 +67,23 @@ def test_null_effect_roy_p_values_roughly_uniform():
     # Wilks F is exact for s = 2: p-values uniform under the null
     assert np.median(pvals) == pytest.approx(0.5, abs=0.1)
     assert (np.array(pvals) < 0.05).mean() == pytest.approx(0.05, abs=0.04)
+
+
+def test_mlm_rank_verdict_ignores_the_units_of_the_columns():
+    # columns in units 1e12 apart are independent: accepted, as ols_fit
+    # accepts them; a column that combines two others is still rejected
+    rng = np.random.default_rng(8)
+    x1, x2 = rng.standard_normal((2, 30))
+    y = rng.standard_normal((30, 2))
+    units = np.array([1.0, 1e6, 1e-6])
+    fit = mlm.mlm_fit(np.column_stack([np.ones(30), x1, x2]) * units, y)
+    for j in range(2):
+        assert fit.coef[:, j] * units == pytest.approx(
+            linmod.ols_fit(np.column_stack([x1, x2]), y[:, j]).coef,
+            rel=1e-6)
+    with pytest.raises(ValueError, match="rank deficient"):
+        mlm.mlm_fit(np.column_stack([np.ones(30), x1, x2, x1 - 2 * x2])
+                    * np.append(units, 1e3), y)
 
 
 def test_hypothesis_rejects_dependent_rows():
@@ -216,13 +235,43 @@ def test_single_contrast_identity(iris_fit):
 
 
 def test_permuted_group_labels_same_overall_h(iris_grouped):
-    relabeled = st.GroupedSample(dict(
-        zip(["z", "m", "a"], iris_grouped.samples.values())))
+    relabeled = grouped(dict(zip(["z", "m", "a"], iris_grouped.split())))
     fit1, _ = mlm.manova_fit(iris_grouped)
     fit2, _ = mlm.manova_fit(relabeled)
     h1, _ = mlm.hypothesis_matrices(fit1, mlm.overall_hypothesis(3))
     h2, _ = mlm.hypothesis_matrices(fit2, mlm.overall_hypothesis(3))
     assert h1 == pytest.approx(h2, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(strategies.grouped_samples(balanced=True))
+def test_helmert_contrasts_add_up_to_the_overall_h(gs):
+    # in a balanced one-way design the g - 1 Helmert contrasts (each group
+    # against the mean of those before it) split H into orthogonal parts
+    g = gs.g
+    helmert = [mlm.Hypothesis([[1.0] * k + [-float(k)] + [0.0] * (g - k - 1)])
+               for k in range(1, g)]
+    fit, _ = mlm.manova_fit(gs)
+    dec = mlm.contrast_decompose(fit, helmert,
+                                 overall=mlm.overall_hypothesis(g))
+    assert dec["orthogonal"]
+    assert dec["relative"] <= 1e-10
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(strategies.grouped_samples(), hs.sampled_from([0.01, 0.05, 0.1, 0.5]))
+def test_protrusion_beyond_one_is_roys_rejection(gs, alpha):
+    # the significance-scaled H pokes outside E exactly when the Roy F
+    # test rejects at level alpha
+    df_h, df_e = gs.g - 1, gs.total_n - gs.g
+    assume(df_e > gs.p)
+    fit, _ = mlm.manova_fit(gs)
+    h, e = mlm.hypothesis_matrices(fit, mlm.overall_hypothesis(gs.g))
+    ratio = mlm.protrusion_ratio(h, e, df_h, df_e, alpha)
+    assume(abs(ratio - 1.0) >= 1e-9)
+    target(-abs(np.log(ratio)))     # seek cases near the boundary
+    p_value = mlm.test_stats(h, e, df_h, df_e).f_stats["roy"][3]
+    assert (ratio > 1.0) == (p_value < alpha)
 
 
 def test_nonorthogonal_contrasts_warn(iris_fit):
@@ -234,9 +283,9 @@ def test_nonorthogonal_contrasts_warn(iris_fit):
 
 def test_canonical_two_groups_is_lda_axis():
     rng = np.random.default_rng(6)
-    gs = st.GroupedSample({
-        "a": st.Sample(rng.standard_normal((30, 3)) + [0.0, 0.0, 0.0]),
-        "b": st.Sample(rng.standard_normal((30, 3)) + [2.0, 1.0, 0.0]),
+    gs = grouped({
+        "a": rng.standard_normal((30, 3)) + [0.0, 0.0, 0.0],
+        "b": rng.standard_normal((30, 3)) + [2.0, 1.0, 0.0],
     })
     can = mlm.canonical(gs)
     assert can.scores.shape[1] == 1
@@ -267,8 +316,7 @@ def test_canonical_scores_uncorrelated_unit_within(iris_grouped):
                                                  * total_cov[1, 1])
     pooled = np.zeros((2, 2))
     start = 0
-    for lab in can.group_labels:
-        n_i = iris_grouped.samples[lab].n
+    for n_i in iris_grouped.counts:
         zc = z[start:start + n_i] - z[start:start + n_i].mean(axis=0)
         pooled += zc.T @ zc
         start += n_i
@@ -282,8 +330,7 @@ def test_canonical_manova_equivalence(iris_grouped):
     res_y = mlm.test_stats(h, e, 2, fit.df_e)
 
     can = mlm.canonical(iris_grouped)
-    x, _, _ = mlm.manova_design(iris_grouped)
-    fit_z = mlm.mlm_fit(x, can.scores)
+    fit_z = mlm.mlm_fit(mlm.manova_design(iris_grouped), can.scores)
     h_z, e_z = mlm.hypothesis_matrices(fit_z, mlm.overall_hypothesis(3))
     res_z = mlm.test_stats(h_z, e_z, 2, fit_z.df_e)
     assert res_z.wilks == pytest.approx(res_y.wilks, rel=1e-8)
@@ -298,7 +345,7 @@ def test_structure_coefficients_are_correlations(iris_grouped):
     # each response and each score column (np.corrcoef as oracle), so a
     # vector's squared length is the sum of its squared correlations
     can = mlm.canonical(iris_grouped)
-    y = np.vstack([s.data for s in iris_grouped.samples.values()])
+    y = iris_grouped.data
     for j in range(4):
         for k in range(2):
             oracle = np.corrcoef(y[:, j], can.scores[:, k])[0, 1]

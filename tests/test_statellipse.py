@@ -5,10 +5,11 @@ from hypothesis import strategies as hs
 
 from ellipstat import distributions as dist
 from ellipstat import gellipsoid as ge
+from ellipstat import mlm
 from ellipstat import statellipse as st
 
 import strategies
-from conftest import random_pd
+from conftest import grouped, random_pd
 
 
 def test_mean_cov_two_points():
@@ -118,14 +119,11 @@ def test_unit_covariance_sample_shadow():
 def test_pooled_within_cov_basics():
     rng = np.random.default_rng(9)
     data = rng.standard_normal((30, 2))
-    single = st.GroupedSample({"a": st.Sample(data)})
+    single = grouped({"a": data})
     _, s = st.mean_cov(st.Sample(data))
     assert st.pooled_within_cov(single) == pytest.approx(s)
 
-    shifted = st.GroupedSample({
-        "a": st.Sample(data),
-        "b": st.Sample(data + np.array([5.0, -3.0])),
-    })
+    shifted = grouped({"a": data, "b": data + np.array([5.0, -3.0])})
     assert st.pooled_within_cov(shifted) == pytest.approx(s)
 
 
@@ -135,17 +133,11 @@ def test_between_cov_cases():
     base -= base.mean(axis=0)
     other = rng.standard_normal((20, 2))
     other -= other.mean(axis=0)
-    equal_means = st.GroupedSample({
-        "a": st.Sample(base + 1.0),
-        "b": st.Sample(other + 1.0),
-    })
+    equal_means = grouped({"a": base + 1.0, "b": other + 1.0})
     b = st.between_cov(equal_means)
     assert np.abs(b).max() < 1e-12
 
-    two = st.GroupedSample({
-        "a": st.Sample(base),
-        "b": st.Sample(base + np.array([2.0, 2.0])),
-    })
+    two = grouped({"a": base, "b": base + np.array([2.0, 2.0])})
     b = st.between_cov(two)
     lam, vecs = np.linalg.eigh(b)
     assert lam[0] == pytest.approx(0.0, abs=1e-12)
@@ -153,17 +145,50 @@ def test_between_cov_cases():
     assert np.abs(top) == pytest.approx([1.0, 1.0] / np.sqrt(2.0))
 
     with pytest.raises(ValueError):
-        st.between_cov(st.GroupedSample({"a": st.Sample(base)}))
+        st.between_cov(grouped({"a": base}))
 
 
 def test_anova_identity():
     gs = st.grouped_slopes_demo()
     n_total, g = gs.total_n, gs.g
-    _, s_total = st.mean_cov(gs.pooled_sample())
+    _, s_total = st.mean_cov(st.Sample(gs.data))
     lhs = (n_total - g) * st.pooled_within_cov(gs) \
         + (g - 1) * st.between_cov(gs)
     assert np.abs(lhs - (n_total - 1) * s_total).max() < 1e-10 * \
         np.abs(s_total).max() * n_total
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(strategies.grouped_samples())
+def test_total_scatter_is_within_plus_between(gs):
+    # (N - 1) S_total = (N - g) S_within + (g - 1) S_between for groups of
+    # any sizes, spread and scale
+    n, g = gs.total_n, gs.g
+    _, s_total = st.mean_cov(st.Sample(gs.data))
+    total = (n - 1) * s_total
+    parts = (n - g) * st.pooled_within_cov(gs) + (g - 1) * st.between_cov(gs)
+    assert np.abs(parts - total).max() <= 1e-12 * n * np.abs(total).max()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(strategies.grouped_samples(), strategies.seeds)
+def test_interleaving_of_the_rows_changes_nothing(gs, seed):
+    # the groups' rows dealt into another interleaving, each group's rows
+    # in their own order, make the same stack: the group summaries and the
+    # one-way fit are bit-identical
+    codes = np.random.default_rng(seed).permutation(
+        np.repeat(np.arange(gs.g), gs.counts))
+    data = np.empty_like(gs.data)
+    data[np.argsort(codes, kind="stable")] = gs.data
+    other = st.GroupedSample(data, [gs.labels[k] for k in codes], gs.names)
+    for a, b in zip(st.group_means(gs), st.group_means(other)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(st.pooled_within_cov(gs),
+                          st.pooled_within_cov(other))
+    (fit_a, labels_a), (fit_b, labels_b) = map(mlm.manova_fit, (gs, other))
+    assert labels_a == labels_b
+    for field in ("coef", "e_mat", "xtx_inv", "y_mean"):
+        assert np.array_equal(getattr(fit_a, field), getattr(fit_b, field))
 
 
 def test_marginal_decomposition_demo():
@@ -183,10 +208,8 @@ def test_marginal_decomposition_limits():
     base -= base.mean(axis=0)
     cov = np.array([[2.0, 1.0], [1.0, 2.0]])
     shaped = st.exact_cov_sample(rng, 30, (0.0, 0.0), cov)
-    equal_means = st.GroupedSample({
-        "a": st.Sample(shaped),
-        "b": st.Sample(st.exact_cov_sample(rng, 30, (0.0, 0.0), cov)),
-    })
+    equal_means = grouped({
+        "a": shaped, "b": st.exact_cov_sample(rng, 30, (0.0, 0.0), cov)})
     d = st.marginal_decomposition(equal_means)
     assert d["beta_marginal"] == pytest.approx(d["beta_within"], abs=1e-9)
 
@@ -201,8 +224,8 @@ def test_marginal_between_within_interval_randomized():
             center = rng.uniform(-5, 5, 2)
             data = center + rng.standard_normal((n_i, 2)) * \
                 rng.uniform(0.5, 2.0, 2)
-            groups[f"g{i}"] = st.Sample(data)
-        gs = st.GroupedSample(groups)
+            groups[f"g{i}"] = data
+        gs = grouped(groups)
         try:
             d = st.marginal_decomposition(gs)
         except ValueError:
