@@ -81,16 +81,13 @@ with open(os.path.join(OUT, "meta_random.svg"), "w") as f:
     f.write(render.render_scene(scene))
 
 # 4. BLUPs shrink school-level fits toward the GLS pool
-rows = list(csv.reader(io.StringIO(datasets.hsb_sample())))
-by = {}
-for r in rows[1:]:
-    by.setdefault(r[0], []).append((float(r[1]), float(r[2])))
-clusters = [ki.Cluster(np.column_stack([np.ones(len(v)),
-                                        np.array(v)[:, 0]]),
-                       np.array(v)[:, 1]) for v in by.values()]
+school, cses, mathach = zip(
+    *list(csv.reader(io.StringIO(datasets.hsb_sample())))[1:])
+spec = ki.MixedSpec(
+    np.column_stack([np.ones(len(cses)), np.array(cses, dtype=float)]),
+    np.array(mathach, dtype=float), school)
 g_mat = np.diag([6.0, 0.05])
-spec = ki.MixedSpec(clusters, g_mat)
-gls = ki.gls_fixed(spec)
+gls = ki.gls_fixed(spec, g_mat)
 blues = ki.cluster_blues(spec)
 bp = ki.blup(blues["beta"], blues["s_mat"], gls["beta"], g_mat)["beta"]
 rel = ki.relative_shrinkage(blues["beta"], bp)

@@ -10,7 +10,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,12 @@ class DataTable:
         return col
 
     def categorical(self, name):
+        """The column's entries as text; a column of numbers gives each in
+        its shortest form, a whole number without a decimal point ("1",
+        "2.5")."""
         col = self._get(name)
         if isinstance(col, np.ndarray):
-            return [str(v) for v in col]
+            return [repr(v).removesuffix(".0") for v in col.tolist()]
         return col
 
     def _get(self, name):
@@ -212,9 +215,10 @@ def _xy_columns(table, args, need=2):
 
 def _grouped(table, args, count=None):
     """The GroupedSample of the --columns, by default the first count
-    numeric columns (all when count is None), grouped by --group."""
-    names = (_columns_arg(args.columns) if args.columns
-             else table.numeric_names()[:count])
+    numeric columns other than --group (all when count is None), grouped
+    by --group."""
+    names = (_columns_arg(args.columns) if args.columns else
+             [c for c in table.numeric_names() if c != args.group][:count])
     groups = table.categorical(args.group)
     return st.GroupedSample(
         np.column_stack([table.numeric(c) for c in names]), groups,
@@ -562,11 +566,8 @@ def cmd_blup(args):
         raise InputError("--g-diag needs two entries")
     if args.g_diag and min(args.g_diag) < 0:
         raise InputError("--g-diag entries are variances and must be >= 0")
-    names, rows, ends = st.group_rows(table.categorical(args.group))
-    design = np.column_stack([np.ones(table.n), x])[rows]
-    clusters = [kissing.Cluster(d, r) for d, r in
-                zip(np.split(design, ends[:-1]), np.split(y[rows], ends[:-1]))]
-    spec = kissing.MixedSpec(clusters, np.zeros((2, 2)))
+    spec = kissing.MixedSpec(np.column_stack([np.ones(table.n), x]), y,
+                             table.categorical(args.group))
     blues = kissing.cluster_blues(spec)
     if not blues["index"]:
         raise ValueError("no cluster has a full-rank design")
@@ -574,8 +575,7 @@ def cmd_blup(args):
         g_mat = np.diag(args.g_diag)
     else:
         g_mat = kissing.estimate_g_moments(blues)
-    gls = kissing.gls_fixed(replace(spec, g_mat=g_mat,
-                                    sigma2=blues["sigma2"]))
+    gls = kissing.gls_fixed(spec, g_mat, blues["sigma2"])
     bp = kissing.blup(blues["beta"], blues["s_mat"], gls["beta"],
                       g_mat)["beta"]
     rel = kissing.relative_shrinkage(blues["beta"], bp)
@@ -583,14 +583,14 @@ def cmd_blup(args):
         "group": args.group,
         "x": args.x,
         "response": args.response,
-        "n_clusters": len(clusters),
+        "n_clusters": len(spec.labels),
         "sigma2": blues["sigma2"],
         "g_matrix": g_mat,
         "gls_beta": gls["beta"],
         "gls_cov": gls["cov"],
-        "clusters": [{"label": names[i], "blue": b, "blup": p} for i, b, p
-                     in zip(blues["index"], blues["beta"], bp)],
-        "skipped": [names[i] for i in blues["skipped"]],
+        "clusters": [{"label": spec.labels[i], "blue": b, "blup": p}
+                     for i, b, p in zip(blues["index"], blues["beta"], bp)],
+        "skipped": [spec.labels[i] for i in blues["skipped"]],
         "relative_shrinkage_intercept": float(rel[0]),
         "relative_shrinkage_slope": float(rel[1]),
     }

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import gellipsoid as ge
 from . import numkernel as nk
+from . import statellipse as st
 
 SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -420,108 +421,82 @@ FLAT_SPREAD_TOL = 1e-10     # relative sd of cluster BLUEs taken as zero
 
 
 @dataclass(frozen=True)
-class Cluster:
-    x: np.ndarray
-    y: np.ndarray
+class MixedSpec:
+    """Clustered regression y_i = X_i (beta + u_i) + e_i, held as one stack:
+    the design x (n, p), the response y (n,) and one cluster label per row.
+
+    Construction sorts the rows, and their labels in groups, by label
+    (statellipse.group_rows). labels are then the distinct labels in that
+    order and ends[k] is where the rows of cluster labels[k] end. It then
+    factors every cluster once, X_k = Q_k R_k, one stacked QR per distinct
+    cluster size: r[k] is R_k and qty[k] is Q_k'y_k, both padded with zero
+    rows to p rows when n_k < p; rss[k] is the residual sum of squares of
+    y_k on the column space of X_k; full[k] says whether X_k has full
+    column rank (see numkernel.RANK_TOL).
+    """
+    x: np.ndarray               # n x p
+    y: np.ndarray               # n
+    groups: tuple               # one label per row
+    labels: tuple = field(init=False)
+    ends: np.ndarray = field(init=False)
+    r: np.ndarray = field(init=False, repr=False)
+    qty: np.ndarray = field(init=False, repr=False)
+    rss: np.ndarray = field(init=False, repr=False)
+    full: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float).ravel()
         if x.ndim != 2 or x.shape[0] != y.size:
-            raise nk.InputError("cluster dimensions disagree")
+            raise nk.InputError("design and response rows disagree")
+        if len(self.groups) != y.size:
+            raise nk.InputError("need one cluster label per row")
         if y.size == 0:
-            raise nk.InputError("a cluster needs at least one row")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+            raise nk.InputError("need at least one cluster")
+        labels, rows, ends = st.group_rows(self.groups)
+        x, y = x[rows], y[rows]
+        counts = np.diff(ends, prepend=0)
+        k, p = len(labels), x.shape[1]
+        r = np.zeros((k, p, p))
+        qty = np.zeros((k, p))
+        rss = np.empty(k)
+        for size in sorted(set(counts.tolist())):
+            idx = np.flatnonzero(counts == size)
+            at = (ends[idx] - size)[:, None] + np.arange(size)
+            y_k = y[at]
+            q, r_k = np.linalg.qr(x[at])
+            c = (y_k[:, None, :] @ q)[:, 0]
+            resid = y_k - (q @ c[..., None])[..., 0]
+            r[idx, :r_k.shape[1]] = r_k
+            qty[idx, :r_k.shape[1]] = c
+            rss[idx] = np.einsum("kn,kn->k", resid, resid)
+        norms = np.linalg.norm(r, axis=1)
+        scaled = r / np.where(norms > 0, norms, 1.0)[:, None, :]
+        u, sv, _ = np.linalg.svd(scaled)
+        dropped = sv <= nk.RANK_TOL * sv[:, :1]
+        # Q_k spans more than the columns of a rank-deficient X_k: the part
+        # of Q_k'y_k along the left singular vectors dropped from R_k is
+        # residual too
+        lost = np.einsum("kij,ki->kj", u, qty)
+        rss += np.where(dropped, lost * lost, 0.0).sum(axis=1)
+        groups = tuple(self.groups[i] for i in rows)
+        for name, value in (("x", x), ("y", y), ("groups", groups),
+                            ("labels", tuple(labels)), ("ends", ends),
+                            ("r", r), ("qty", qty), ("rss", rss),
+                            ("full", ~dropped[:, -1])):
+            object.__setattr__(self, name, value)
 
     @property
-    def n(self):
-        return self.y.size
-
-
-@dataclass(frozen=True)
-class _ClusterQR:
-    """Thin QR factors X_i = Q_i R_i of every cluster, stacked.
-
-    r[i] is R_i and qty[i] is Q_i'y_i, both padded with zero rows to p
-    rows when n_i < p; rss[i] is the residual sum of squares of y_i on
-    the column space of X_i; full[i] says whether X_i has full column
-    rank (see numkernel.RANK_TOL).
-    """
-    clusters: list
-    n: np.ndarray
-    r: np.ndarray
-    qty: np.ndarray
-    rss: np.ndarray
-    full: np.ndarray
-
-
-def _factor(clusters):
-    """_ClusterQR of the clusters: one stacked QR per distinct cluster size."""
-    p = clusters[0].x.shape[1]
-    if any(c.x.shape[1] != p for c in clusters):
-        raise nk.InputError("clusters have different numbers of columns")
-    n = np.array([c.n for c in clusters])
-    order = np.argsort(n, kind="stable")
-    x = np.concatenate([clusters[i].x for i in order])
-    y = np.concatenate([clusters[i].y for i in order])
-    r = np.zeros((len(n), p, p))
-    qty = np.zeros((len(n), p))
-    rss = np.empty(len(n))
-    at = row = 0
-    for size, k in zip(*np.unique(n[order], return_counts=True)):
-        idx = order[at:at + k]
-        y_k = y[row:row + k * size].reshape(k, size)
-        q, r_k = np.linalg.qr(x[row:row + k * size].reshape(k, size, p))
-        c = (y_k[:, None, :] @ q)[:, 0]
-        resid = y_k - (q @ c[..., None])[..., 0]
-        r[idx, :r_k.shape[1]] = r_k
-        qty[idx, :r_k.shape[1]] = c
-        rss[idx] = np.einsum("kn,kn->k", resid, resid)
-        at += k
-        row += k * size
-    norms = np.linalg.norm(r, axis=1)
-    scaled = r / np.where(norms > 0, norms, 1.0)[:, None, :]
-    u, sv, _ = np.linalg.svd(scaled)
-    dropped = sv <= nk.RANK_TOL * sv[:, :1]
-    full = ~dropped[:, -1]
-    # Q_i spans more than the columns of a rank-deficient X_i: the part of
-    # Q_i'y_i along the left singular vectors dropped from R_i is residual too
-    lost = np.einsum("kij,ki->kj", u, qty)
-    rss += np.where(dropped, lost * lost, 0.0).sum(axis=1)
-    return _ClusterQR(clusters, n, r, qty, rss, full)
-
-
-@dataclass(frozen=True)
-class MixedSpec:
-    clusters: list
-    g_mat: np.ndarray           # between-cluster covariance of random effects
-    sigma2: float = None        # error variance; estimated if omitted
-    # _factor(clusters), made on first use; dataclasses.replace hands it
-    # on to a spec with the same clusters and another G or sigma^2
-    _qr: _ClusterQR = field(default=None, repr=False, compare=False,
-                            kw_only=True)
-
-    def __post_init__(self):
-        if not self.clusters:
-            raise nk.InputError("need at least one cluster")
-        g_mat = nk.check_symmetric(self.g_mat)
-        nk.psd_eigvals(g_mat)       # rejects a materially indefinite G
-        object.__setattr__(self, "g_mat", g_mat)
-
-    def _factors(self):
-        if self._qr is None or self._qr.clusters is not self.clusters:
-            object.__setattr__(self, "_qr", _factor(self.clusters))
-        return self._qr
+    def counts(self):
+        return np.diff(self.ends, prepend=0)
 
     def error_variance(self):
-        if self.sigma2 is not None:
-            return float(self.sigma2)
-        qr = self._factors()
-        df = int(qr.n.sum()) - qr.r.shape[0] * qr.r.shape[2]
+        """sigma^2: the clusters' pooled residual sum of squares over
+        n - k p degrees of freedom."""
+        df = self.y.size - self.r.shape[0] * self.r.shape[2]
         if df <= 0:
             raise nk.InputError("no residual degrees of freedom for sigma^2")
-        return float(qr.rss.sum()) / df
+        return float(self.rss.sum()) / df
 
 
 def _gls(blocks):
@@ -540,49 +515,53 @@ def _gls(blocks):
     return {"beta": beta, "cov": w @ w.T}
 
 
-def gls_fixed(spec):
-    """Mixed-model GLS fixed effects with V_i = X_i G X_i' + sigma^2 I.
+def gls_fixed(spec, g_mat, sigma2=None):
+    """Mixed-model GLS fixed effects with V_i = X_i G X_i' + sigma^2 I, for
+    a PSD between-cluster covariance G of the random effects and the error
+    variance sigma^2, spec.error_variance() when omitted.
 
     With X_i = Q_i R_i, X_i'V_i^{-1}X_i = R_i'M_i^{-1}R_i and X_i'V_i^{-1}y_i
     = R_i'M_i^{-1}Q_i'y_i with the p x p M_i = sigma^2 I + R_i G R_i', so
     the GLS pool of the p-row blocks (R_i, M_i, Q_i'y_i) is that of the
     clusters. V_i has the eigenvalues of M_i and, when n_i > p, sigma^2;
     it is singular when the smallest magnitude is at most 1e-12 times the
-    largest.
+    largest, and the error names the cluster's label.
     """
-    qr = spec._factors()
-    s2 = spec.error_variance() if spec.sigma2 is None else float(spec.sigma2)
-    p = qr.r.shape[2]
-    m = s2 * np.eye(p) + qr.r @ spec.g_mat @ qr.r.swapaxes(1, 2)
+    g_mat = nk.check_symmetric(g_mat)
+    nk.psd_eigvals(g_mat)       # rejects a materially indefinite G
+    s2 = spec.error_variance() if sigma2 is None else float(sigma2)
+    n = spec.counts
+    p = spec.r.shape[2]
+    m = s2 * np.eye(p) + spec.r @ g_mat @ spec.r.swapaxes(1, 2)
     # pad the diagonal of a cluster with n_i < p with M_i[0, 0]: a diagonal
     # entry lies within the spectrum of M_i's real block, so the singular
     # test is unchanged, and the zero rows of R_i keep it out of the GLS
     d = np.arange(p)
-    m[:, d, d] = np.where(d >= qr.n[:, None], m[:, :1, 0], m[:, d, d])
+    m[:, d, d] = np.where(d >= n[:, None], m[:, :1, 0], m[:, d, d])
     lam = np.abs(np.linalg.eigvalsh(m))
-    lam = np.column_stack([lam, np.where(qr.n > p, abs(s2), lam[:, 0])])
+    lam = np.column_stack([lam, np.where(n > p, abs(s2), lam[:, 0])])
     singular = np.flatnonzero(lam.min(axis=1) <= 1e-12 * lam.max(axis=1))
     if singular.size:
-        raise ValueError(f"cluster {singular[0]}: V is singular")
-    return _gls([(qr.r, m, qr.qty)])
+        raise ValueError(f"cluster {spec.labels[singular[0]]}: "
+                         "V is singular")
+    return _gls([(spec.r, m, spec.qty)])
 
 
 def cluster_blues(spec):
     """Per-cluster OLS estimates beta_i = R_i^{-1} Q_i'y_i with
     S_i = sigma^2 W_i W_i', W_i = R_i^{-1} (symmetric by construction),
     stacked: 'beta' (k, p) and 's_mat' (k, p, p) for the clusters listed
-    in 'index'.
+    in 'index' (positions in spec.labels).
 
     Rank-deficient clusters are skipped and reported rather than fitted.
     """
-    qr = spec._factors()
     s2 = spec.error_variance()
-    idx = np.flatnonzero(qr.full)
-    w = np.linalg.inv(qr.r[idx])
-    beta = np.einsum("kij,kj->ki", w, qr.qty[idx])
+    idx = np.flatnonzero(spec.full)
+    w = np.linalg.inv(spec.r[idx])
+    beta = np.einsum("kij,kj->ki", w, spec.qty[idx])
     s_mat = s2 * (w @ w.swapaxes(1, 2))
     return {"index": idx.tolist(), "beta": beta, "s_mat": s_mat,
-            "skipped": np.flatnonzero(~qr.full).tolist(), "sigma2": s2}
+            "skipped": np.flatnonzero(~spec.full).tolist(), "sigma2": s2}
 
 
 def blup(beta_blue, s_mat, beta_gls, g_mat):

@@ -2,6 +2,7 @@
 # moments, Mahalanobis distance, coverage radii, pooled within/between
 # decompositions and the within/between/marginal slope triad.
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -44,11 +45,18 @@ class Sample:
 def group_rows(labels):
     """The grouping rule for one label per row: the distinct labels in
     sorted order, the row indices ordered by label (input order within a
-    label), and where each label's rows end."""
+    label), and where each label's rows end. Labels that are all finite
+    numbers, or their text, sort by value, so "2" comes before "10"."""
     by = {}
     for i, lab in enumerate(labels):
         by.setdefault(lab, []).append(i)
-    names = sorted(by)
+    try:
+        value = {lab: float(lab) for lab in by}
+        numeric = all(map(math.isfinite, value.values()))
+    except (TypeError, ValueError):
+        numeric = False
+    names = (sorted(by, key=lambda lab: (value[lab], lab)) if numeric
+             else sorted(by))
     rows = chain.from_iterable(by[lab] for lab in names)
     return (names, np.fromiter(rows, np.intp, len(labels)),
             np.cumsum([len(by[lab]) for lab in names]))

@@ -134,3 +134,30 @@ def grouped_samples(draw, g=hs.integers(2, 5), p=hs.integers(1, 4),
                     + means[groups])
     labels = [f"g{k}" for k in rng.permutation(g)]
     return st.GroupedSample(data, [labels[k] for k in groups])
+
+
+@hs.composite
+def clustered_data(draw, k=hs.integers(2, 10),
+                   log_scale=hs.floats(-100.0, 100.0)):
+    """(x, y, groups): k clusters of rows (1, x) and responses
+    10^log_scale (b_i0 + b_i1 x + e), each cluster with its own intercept
+    and slope, the rows interleaved at random and labelled by text or by
+    numbers written as text. Fewer than half of the clusters have one row
+    and the others 3 to 12, so at least two have full-rank designs and
+    n > 2k leaves residual degrees of freedom for sigma^2."""
+    k = draw(k)
+    n_single = draw(hs.integers(0, (k - 1) // 2))
+    scale = 10.0 ** draw(log_scale)
+    numbered = draw(hs.booleans())
+    rng = np.random.default_rng(draw(seeds))
+    sizes = rng.integers(3, 13, k)
+    sizes[:n_single] = 1
+    codes = rng.permutation(np.repeat(np.arange(k), sizes))
+    x = rng.normal(0.0, 3.0) + rng.uniform(0.3, 3.0) * rng.standard_normal(
+        codes.size)
+    b = [10.0, 1.0] + rng.standard_normal((k, 2)) * [2.0, 1.0]
+    y = scale * (b[codes, 0] + b[codes, 1] * x
+                 + rng.standard_normal(codes.size))
+    labels = [str(i + 1) if numbered else f"c{i}" for i in rng.permutation(k)]
+    return (np.column_stack([np.ones(codes.size), x]), y,
+            [labels[c] for c in codes])

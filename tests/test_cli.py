@@ -28,11 +28,14 @@ def read_json(path):
 
 def test_load_csv_types(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("a,b,c\n1,x,2.5\n2,y,3.5\n")
+    p.write_text("a,b,c\n1,x,2.5\n2,y,3.50\n")
     table = cli.load_csv(str(p))
     assert table.n == 2
     assert table.numeric_names() == ["a", "c"]
     assert table.categorical("b") == ["x", "y"]
+    # numbers as labels: shortest form, whole numbers without ".0"
+    assert table.categorical("a") == ["1", "2"]
+    assert table.categorical("c") == ["2.5", "3.5"]
 
 
 def test_load_csv_ragged_row_reports_line(tmp_path):
@@ -778,9 +781,9 @@ def test_grouped_matches_row_by_row_grouping(tmp_path, monkeypatch):
     specs = []
     mixed_spec = kissing.MixedSpec
 
-    def recording_spec(clusters, *args, **kwargs):
-        specs.append(clusters)
-        return mixed_spec(clusters, *args, **kwargs)
+    def recording_spec(*args):
+        specs.append(mixed_spec(*args))
+        return specs[-1]
     monkeypatch.setattr(kissing, "MixedSpec", recording_spec)
     path = tmp_path / "g.csv"
     path.write_text(text)
@@ -788,13 +791,57 @@ def test_grouped_matches_row_by_row_grouping(tmp_path, monkeypatch):
     assert run_cli(["blup", "--data", str(path), "--group", "grp", "--x",
                     "u", "--response", "w", "--g-diag", "1,1",
                     "--json", str(out)]) == 0
-    [clusters] = specs
+    [spec] = specs
+    assert list(spec.labels) == sorted(by)
     assert [c["label"] for c in read_json(out)["clusters"]] == sorted(by)
-    for cluster, lab in zip(clusters, sorted(by)):
+    for a, b, lab in zip(spec.ends - spec.counts, spec.ends, sorted(by)):
         rows = np.array(by[lab])
-        assert np.array_equal(cluster.y, rows[:, 0])
-        assert np.array_equal(cluster.x, np.column_stack(
+        assert np.array_equal(spec.y[a:b], rows[:, 0])
+        assert np.array_equal(spec.x[a:b], np.column_stack(
             [np.ones(len(rows)), rows[:, 1]]))
+
+
+def _numbered_groups(tmp_path):
+    """A CSV of 11 groups coded 1 to 11, rows interleaved, with columns u
+    and v whose means move with the group; its path and the rows of each
+    code."""
+    rng = np.random.default_rng(11)
+    codes = rng.permutation(np.repeat(np.arange(1, 12), 5))
+    vals = codes[:, None] * [1.0, -0.5] + rng.standard_normal((55, 2))
+    path = tmp_path / "t.csv"
+    path.write_text("grp,u,v\n" + "".join(
+        f"{c},{a!r},{b!r}\n" for c, (a, b) in zip(codes, vals.tolist())))
+    return path, {c: vals[codes == c] for c in range(1, 12)}
+
+
+@pytest.mark.parametrize("sub", ["decompose", "canonical", "heplot"])
+def test_default_columns_leave_out_a_numeric_group(tmp_path, sub):
+    # the group codes are not a response: without --columns the analysis
+    # takes u and v alone, and the groups come in numeric order
+    path, _ = _numbered_groups(tmp_path)
+    out = tmp_path / "o.json"
+    assert run_cli([sub, "--data", str(path), "--group", "grp",
+                    "--json", str(out)]) == 0
+    got = read_json(out)
+    assert got["columns"] == ["u", "v"]
+    if sub == "canonical":
+        assert got["groups"] == [str(c) for c in range(1, 12)]
+
+
+def test_contrast_weights_follow_numeric_group_order(tmp_path):
+    # groups 1..11 as written, sorted by value: weights +1 and -1 in
+    # places 2 and 10 contrast groups 2 and 10, whose H is d d' over
+    # (1/n_2 + 1/n_10) for the difference d of their means
+    path, rows = _numbered_groups(tmp_path)
+    weights = ",".join(["0", "1"] + ["0"] * 7 + ["-1", "0"])
+    out = tmp_path / "c.json"
+    assert run_cli(["contrasts", "--data", str(path), "--group", "grp",
+                    f"--contrast={weights}", "--json", str(out)]) == 0
+    got = read_json(out)
+    assert got["groups"] == [str(c) for c in range(1, 12)]
+    d = rows[2].mean(axis=0) - rows[10].mean(axis=0)
+    want = np.outer(d, d) / (1 / len(rows[2]) + 1 / len(rows[10]))
+    assert np.array(got["h_parts"][0]) == pytest.approx(want, rel=1e-9)
 
 
 def test_betaspace_synthetic_coffee(tmp_path):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 
 import mpmath as mp
@@ -681,77 +680,82 @@ def test_singular_verdict_threshold(ratio):
 # ------------------------------------------------------------------ mixed
 
 def _toy_clusters(rng, m=8, beta=(1.0, 2.0), g_scale=0.5, n_range=(8, 15)):
-    clusters = []
-    for _ in range(m):
+    """(x, y, groups): m clusters of y = x (beta + u_i) + e, stacked in
+    cluster order and labelled 0 to m - 1."""
+    xs, ys, groups = [], [], []
+    for i in range(m):
         n = int(rng.integers(*n_range))
         x = np.column_stack([np.ones(n), rng.standard_normal(n)])
         u = rng.standard_normal(2) * g_scale
-        y = x @ (np.array(beta) + u) + rng.standard_normal(n)
-        clusters.append(ki.Cluster(x, y))
-    return clusters
+        xs.append(x)
+        ys.append(x @ (np.array(beta) + u) + rng.standard_normal(n))
+        groups += [i] * n
+    return np.vstack(xs), np.concatenate(ys), groups
+
+
+def _blocks(spec):
+    """(X_i, y_i) of each cluster of a MixedSpec, in label order."""
+    return [(spec.x[a:b], spec.y[a:b])
+            for a, b in zip(spec.ends - spec.counts, spec.ends)]
+
+
+def _block_v(blocks, g_mat, sigma2):
+    """The block-diagonal V of the stacked clusters."""
+    v_all = sigma2 * np.eye(sum(len(y) for _, y in blocks))
+    at = 0
+    for x, y in blocks:
+        v_all[at:at + len(y), at:at + len(y)] += x @ g_mat @ x.T
+        at += len(y)
+    return v_all
 
 
 def test_gls_zero_g_equals_pooled_ols():
     rng = np.random.default_rng(4)
-    clusters = _toy_clusters(rng)
-    spec = ki.MixedSpec(clusters, np.zeros((2, 2)), sigma2=1.0)
-    out = ki.gls_fixed(spec)
-    x_all = np.vstack([c.x for c in clusters])
-    y_all = np.concatenate([c.y for c in clusters])
-    pooled = np.linalg.lstsq(x_all, y_all, rcond=None)[0]
+    x, y, groups = _toy_clusters(rng)
+    out = ki.gls_fixed(ki.MixedSpec(x, y, groups), np.zeros((2, 2)), 1.0)
+    pooled = np.linalg.lstsq(x, y, rcond=None)[0]
     assert out["beta"] == pytest.approx(pooled, rel=1e-9)
 
 
 def test_gls_single_cluster():
     rng = np.random.default_rng(5)
-    clusters = _toy_clusters(rng, m=1)
+    x, y, groups = _toy_clusters(rng, m=1)
     g_mat = np.diag([0.3, 0.2])
-    spec = ki.MixedSpec(clusters, g_mat, sigma2=1.0)
-    out = ki.gls_fixed(spec)
-    c = clusters[0]
-    v = c.x @ g_mat @ c.x.T + np.eye(c.n)
-    direct = np.linalg.solve(c.x.T @ np.linalg.solve(v, c.x),
-                             c.x.T @ np.linalg.solve(v, c.y))
+    out = ki.gls_fixed(ki.MixedSpec(x, y, groups), g_mat, 1.0)
+    v = x @ g_mat @ x.T + np.eye(len(y))
+    direct = np.linalg.solve(x.T @ np.linalg.solve(v, x),
+                             x.T @ np.linalg.solve(v, y))
     assert out["beta"] == pytest.approx(direct, rel=1e-10)
 
 
 def test_gls_blockwise_equals_stacked():
     rng = np.random.default_rng(6)
-    clusters = _toy_clusters(rng, m=5)
+    spec = ki.MixedSpec(*_toy_clusters(rng, m=5))
     g_mat = random_pd(rng, 2, scale=0.2)
-    spec = ki.MixedSpec(clusters, g_mat, sigma2=1.3)
-    out = ki.gls_fixed(spec)
+    out = ki.gls_fixed(spec, g_mat, 1.3)
     # stacked whole-matrix oracle
-    x_all = np.vstack([c.x for c in clusters])
-    y_all = np.concatenate([c.y for c in clusters])
-    n_all = len(y_all)
-    v_all = 1.3 * np.eye(n_all)
-    at = 0
-    for c in clusters:
-        v_all[at:at + c.n, at:at + c.n] += c.x @ g_mat @ c.x.T
-        at += c.n
-    vi_x = np.linalg.solve(v_all, x_all)
-    beta = np.linalg.solve(x_all.T @ vi_x, vi_x.T @ y_all)
+    vi_x = np.linalg.solve(_block_v(_blocks(spec), g_mat, 1.3), spec.x)
+    beta = np.linalg.solve(spec.x.T @ vi_x, vi_x.T @ spec.y)
     assert out["beta"] == pytest.approx(beta, rel=1e-9)
-    assert out["cov"] == pytest.approx(np.linalg.inv(x_all.T @ vi_x),
+    assert out["cov"] == pytest.approx(np.linalg.inv(spec.x.T @ vi_x),
                                        rel=1e-9)
 
 
 def test_cluster_blues_match_per_group_oracle():
     rng = np.random.default_rng(7)
-    clusters = _toy_clusters(rng, m=6)
-    spec = ki.MixedSpec(clusters, np.eye(2))
+    spec = ki.MixedSpec(*_toy_clusters(rng, m=6))
     out = ki.cluster_blues(spec)
     assert not out["skipped"]
-    for beta, c in zip(out["beta"], clusters):
-        direct = np.linalg.lstsq(c.x, c.y, rcond=None)[0]
+    for beta, (x, y) in zip(out["beta"], _blocks(spec)):
+        direct = np.linalg.lstsq(x, y, rcond=None)[0]
         assert beta == pytest.approx(direct, rel=1e-9)
 
 
 def test_cluster_blues_identical_clusters():
     rng = np.random.default_rng(8)
-    base = _toy_clusters(rng, m=1)[0]
-    spec = ki.MixedSpec([base, base, base], np.eye(2))
+    x, y, _ = _toy_clusters(rng, m=1)
+    spec = ki.MixedSpec(np.tile(x, (3, 1)), np.tile(y, 3),
+                        np.repeat([0, 1, 2], len(y)))
     out = ki.cluster_blues(spec)
     betas = out["beta"]
     assert np.abs(betas - betas[0]).max() < 1e-12
@@ -759,9 +763,11 @@ def test_cluster_blues_identical_clusters():
 
 def test_cluster_blues_flags_rank_deficient():
     rng = np.random.default_rng(9)
-    good = _toy_clusters(rng, m=2)
-    bad = ki.Cluster(np.ones((5, 2)), np.arange(5.0))   # collinear columns
-    spec = ki.MixedSpec(good + [bad], np.eye(2))
+    x, y, groups = _toy_clusters(rng, m=2)
+    # cluster 2 has collinear columns
+    spec = ki.MixedSpec(np.vstack([x, np.ones((5, 2))]),
+                        np.concatenate([y, np.arange(5.0)]),
+                        groups + [2] * 5)
     out = ki.cluster_blues(spec)
     assert out["skipped"] == [2]
     assert out["index"] == [0, 1] and len(out["beta"]) == 2
@@ -819,37 +825,26 @@ def test_blup_stack_matches_one_at_a_time(k):
         assert out["cov"][i] == pytest.approx(one["cov"], rel=1e-14)
 
 
-def test_mixed_spec_takes_no_fourth_positional_argument():
-    clusters = _toy_clusters(np.random.default_rng(17), m=3)
-    with pytest.raises(TypeError):
-        ki.MixedSpec(clusters, np.eye(2), 1.0, [np.eye(3)] * 3)
-
-
 def test_hsb_sample_slope_shrinks_more_than_intercept():
-    rows = list(csv.reader(io.StringIO(datasets.hsb_sample())))
-    by = {}
-    for r in rows[1:]:
-        by.setdefault(r[0], []).append((float(r[1]), float(r[2])))
-    clusters = []
-    for k in sorted(by):
-        arr = np.array(by[k])
-        clusters.append(ki.Cluster(
-            np.column_stack([np.ones(len(arr)), arr[:, 0]]), arr[:, 1]))
+    school, cses, mathach = zip(
+        *list(csv.reader(io.StringIO(datasets.hsb_sample())))[1:])
+    spec = ki.MixedSpec(
+        np.column_stack([np.ones(len(cses)), np.array(cses, dtype=float)]),
+        np.array(mathach, dtype=float), school)
     g_mat = np.diag([6.0, 0.05])        # intercepts vary, slopes barely
-    spec = ki.MixedSpec(clusters, g_mat)
-    gls = ki.gls_fixed(spec)
+    gls = ki.gls_fixed(spec, g_mat)
     blues = ki.cluster_blues(spec)
     bp = ki.blup(blues["beta"], blues["s_mat"], gls["beta"], g_mat)["beta"]
     rel = ki.relative_shrinkage(blues["beta"], bp)
     assert rel[1] > rel[0]
 
 
-def test_mixed_spec_rejects_an_indefinite_g():
+def test_gls_fixed_rejects_an_indefinite_g():
     rng = np.random.default_rng(15)
-    clusters = _toy_clusters(rng, m=3)
+    spec = ki.MixedSpec(*_toy_clusters(rng, m=3))
     with pytest.raises(nk.IndefiniteError):
-        ki.MixedSpec(clusters, np.diag([-1.0, 1.0]))
-    ki.MixedSpec(clusters, np.diag([0.0, 1.0]))       # PSD is enough
+        ki.gls_fixed(spec, np.diag([-1.0, 1.0]))
+    ki.gls_fixed(spec, np.diag([0.0, 1.0]))       # PSD is enough
 
 
 @pytest.mark.parametrize("sizes,sigma2,singular", [
@@ -858,47 +853,46 @@ def test_gls_singular_v(sizes, sigma2, singular):
     # with sigma^2 = 0, V_i = X_i G X_i' is singular exactly when n_i > p;
     # a one-row cluster's V_i is a positive scalar
     rng = np.random.default_rng(16)
-    clusters = _mixed_clusters(rng, sizes, 0.0, 1.0, 0.5)
+    x, y, groups = _mixed_clusters(rng, sizes, 0.0, 1.0, 0.5)
     g_mat = random_pd(rng, 2, scale=0.5)
-    spec = ki.MixedSpec(clusters, g_mat, sigma2=sigma2)
+    spec = ki.MixedSpec(x, y, groups)
     if singular:
         with pytest.raises(ValueError, match="cluster 2: V is singular"):
-            ki.gls_fixed(spec)
+            ki.gls_fixed(spec, g_mat, sigma2)
+        # the same clusters under text labels name the singular one, now
+        # first in label order, by its label
+        named = ki.MixedSpec(x, y, [("c", "b", "a")[k] for k in groups])
+        with pytest.raises(ValueError, match="cluster a: V is singular"):
+            ki.gls_fixed(named, g_mat, sigma2)
         return
-    x_all = np.vstack([c.x for c in clusters])
-    v_all = sigma2 * np.eye(len(x_all))
-    at = 0
-    for c in clusters:
-        v_all[at:at + c.n, at:at + c.n] += c.x @ g_mat @ c.x.T
-        at += c.n
-    vi_x = np.linalg.solve(v_all, x_all)
-    want = np.linalg.solve(x_all.T @ vi_x,
-                           vi_x.T @ np.concatenate([c.y for c in clusters]))
-    _close(ki.gls_fixed(spec)["beta"], want, 1e-10)
+    vi_x = np.linalg.solve(_block_v(_blocks(spec), g_mat, sigma2), x)
+    want = np.linalg.solve(x.T @ vi_x, vi_x.T @ y)
+    _close(ki.gls_fixed(spec, g_mat, sigma2)["beta"], want, 1e-10)
 
 
 # Slow per-cluster copies of MixedSpec.error_variance, cluster_blues,
 # gls_fixed and blup as they were before the stacked QR: the oracle for
 # the stacked rewrite.
 
-def _reference_mixed(clusters, g_mat=None):
+def _reference_mixed(blocks, g_mat=None):
+    """The fits of the clusters given as a list of (X_i, y_i)."""
     rss, df = 0.0, 0
-    for c in clusters:
-        coef, _, _, _ = np.linalg.lstsq(c.x, c.y, rcond=None)
-        r = c.y - c.x @ coef
+    for x, y in blocks:
+        coef, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
+        r = y - x @ coef
         rss += float(r @ r)
-        df += c.n - c.x.shape[1]
+        df += len(y) - x.shape[1]
     if df <= 0:
         raise ValueError("no residual degrees of freedom for sigma^2")
     s2 = rss / df
     index, blues, s_mats = [], [], []
-    for i, c in enumerate(clusters):
-        sv = np.linalg.svd(c.x, compute_uv=False)
-        if c.n < c.x.shape[1] or sv[-1] <= 1e-10 * sv[0]:
+    for i, (x, y) in enumerate(blocks):
+        sv = np.linalg.svd(x, compute_uv=False)
+        if len(y) < x.shape[1] or sv[-1] <= 1e-10 * sv[0]:
             continue
-        xtx_inv = np.linalg.inv(c.x.T @ c.x)
+        xtx_inv = np.linalg.inv(x.T @ x)
         index.append(i)
-        blues.append(xtx_inv @ c.x.T @ c.y)
+        blues.append(xtx_inv @ x.T @ y)
         s_mats.append(s2 * xtx_inv)
     if g_mat is None:
         betas = np.array(blues)
@@ -910,17 +904,17 @@ def _reference_mixed(clusters, g_mat=None):
         g_mat = nk.clip_psd(raw)
     a = None
     b = None
-    for i, c in enumerate(clusters):
-        v = c.x @ g_mat @ c.x.T + s2 * np.eye(c.n)
+    for i, (x, y) in enumerate(blocks):
+        v = x @ g_mat @ x.T + s2 * np.eye(len(y))
         sv = np.linalg.svd(v, compute_uv=False)
         if sv[-1] <= 1e-12 * sv[0]:
             raise ValueError(f"cluster {i}: V is singular")
-        vi_x = np.linalg.solve(v, c.x)
+        vi_x = np.linalg.solve(v, x)
         if a is None:
-            a = np.zeros((c.x.shape[1], c.x.shape[1]))
-            b = np.zeros(c.x.shape[1])
-        a += c.x.T @ vi_x
-        b += vi_x.T @ c.y
+            a = np.zeros((x.shape[1], x.shape[1]))
+            b = np.zeros(x.shape[1])
+        a += x.T @ vi_x
+        b += vi_x.T @ y
     cov = np.linalg.inv(a)
     gls = cov @ b
     blups = []
@@ -934,14 +928,12 @@ def _reference_mixed(clusters, g_mat=None):
             "blups": np.array(blups).reshape(-1, 2)}
 
 
-def _fit_mixed(clusters, g_mat=None):
+def _fit_mixed(spec, g_mat=None):
     """The blup subcommand's path through the library."""
-    spec = ki.MixedSpec(clusters, np.zeros((2, 2)))
     blues = ki.cluster_blues(spec)
     if g_mat is None:
         g_mat = ki.estimate_g_moments(blues)
-    gls = ki.gls_fixed(dataclasses.replace(spec, g_mat=g_mat,
-                                           sigma2=blues["sigma2"]))
+    gls = ki.gls_fixed(spec, g_mat, blues["sigma2"])
     b, s_mats = blues["beta"], blues["s_mat"]
     return {"sigma2": blues["sigma2"], "index": blues["index"],
             "skipped": blues["skipped"], "blues": b, "s_mats": s_mats,
@@ -958,18 +950,20 @@ def _close(got, want, rel, scale=0.0):
 
 
 def _mixed_clusters(rng, sizes, centre, spread, slope_sd, constant=()):
-    """Clusters of y = b_i0 + b_i1 x + e with the given sizes; the
-    clusters listed in constant have one x value repeated."""
-    clusters = []
+    """(x, y, groups): clusters of y = b_i0 + b_i1 x + e with the given
+    sizes, stacked in cluster order and labelled 0, 1, ...; the clusters
+    listed in constant have one x value repeated."""
+    xs, ys, groups = [], [], []
     for i, n in enumerate(sizes):
         x = centre + spread * rng.standard_normal(n)
         if i in constant:
             x[:] = x[0]
         b = [10.0 + 2.0 * rng.standard_normal(),
              1.0 + slope_sd * rng.standard_normal()]
-        y = b[0] + b[1] * x + rng.standard_normal(n)
-        clusters.append(ki.Cluster(np.column_stack([np.ones(n), x]), y))
-    return clusters
+        ys.append(b[0] + b[1] * x + rng.standard_normal(n))
+        xs.append(np.column_stack([np.ones(n), x]))
+        groups += [i] * int(n)
+    return np.vstack(xs), np.concatenate(ys), groups
 
 
 def _rank_ratio(x, scaled):
@@ -988,29 +982,31 @@ def _rank_ratio(x, scaled):
 def test_mixed_fits_match_per_cluster_reference(seed, sizes, constant,
                                                 g_kind):
     rng = np.random.default_rng(seed)
-    clusters = _mixed_clusters(rng, sizes, rng.normal(0.0, 3.0),
-                               rng.uniform(0.3, 3.0), 0.5, constant)
+    spec = ki.MixedSpec(*_mixed_clusters(rng, sizes, rng.normal(0.0, 3.0),
+                                         rng.uniform(0.3, 3.0), 0.5,
+                                         constant))
+    blocks = _blocks(spec)
     g_mat = {"moment": None, "zero": np.zeros((2, 2)),
              "singular": np.diag([rng.uniform(0.1, 5.0), 0.0]),
              "given": random_pd(rng, 2, scale=0.5)}[g_kind]
     # the two rank tests (unscaled before, column-scaled now) agree away
     # from their common 1e-10 threshold
-    for c in clusters:
+    for x, _ in blocks:
         for scaled in (False, True):
-            assume(not 1e-13 < _rank_ratio(c.x, scaled) < 1e-7)
+            assume(not 1e-13 < _rank_ratio(x, scaled) < 1e-7)
     try:
-        want = _reference_mixed(clusters, g_mat)
+        want = _reference_mixed(blocks, g_mat)
     except (ValueError, np.linalg.LinAlgError) as exc:
         with pytest.raises((ValueError, np.linalg.LinAlgError)):
-            _fit_mixed(clusters, g_mat)
+            _fit_mixed(spec, g_mat)
         return
-    got = _fit_mixed(clusters, g_mat)
+    got = _fit_mixed(spec, g_mat)
     assert got["index"] == want["index"]
-    assert got["skipped"] == sorted(set(range(len(clusters)))
+    assert got["skipped"] == sorted(set(range(len(blocks)))
                                     - set(want["index"]))
     _close(got["sigma2"], want["sigma2"], 1e-12)
     # the reference inverts X_i'X_i, so its error grows as cond(X_i)^2
-    kappa = max([np.linalg.cond(clusters[i].x) ** 2 for i in want["index"]],
+    kappa = max([np.linalg.cond(blocks[i][0]) ** 2 for i in want["index"]],
                 default=1.0)
     for key in ("blues", "s_mats", "g_mat", "gls", "gls_cov", "blups"):
         _close(got[key], want[key], 1e-12 * max(kappa, 1e3))
@@ -1018,8 +1014,8 @@ def test_mixed_fits_match_per_cluster_reference(seed, sizes, constant,
     assert np.array_equal(got["s_mats"], got["s_mats"].swapaxes(1, 2))
 
 
-def _moment_raw_g(clusters):
-    fit = _reference_mixed(clusters, np.zeros((2, 2)))
+def _moment_raw_g(spec):
+    fit = _reference_mixed(_blocks(spec), np.zeros((2, 2)))
     dev = fit["blues"] - fit["blues"].mean(axis=0)
     return dev.T @ dev / (len(dev) - 1) - fit["s_mats"].mean(axis=0)
 
@@ -1033,19 +1029,20 @@ def test_mixed_fits_scale_with_x(seed, log_s, moment):
     # D^-1 . D^-1 with D = diag(1, s); sigma^2 does not move
     rng = np.random.default_rng(seed)
     sizes = rng.integers(4, 16, size=10)
-    clusters = _mixed_clusters(rng, sizes, rng.normal(0.0, 1.0),
-                               rng.uniform(0.5, 2.0), 1.0)
+    x, y, groups = _mixed_clusters(rng, sizes, rng.normal(0.0, 1.0),
+                                   rng.uniform(0.5, 2.0), 1.0)
+    spec = ki.MixedSpec(x, y, groups)
     g_mat = random_pd(rng, 2, scale=0.5)
     if moment:
         # eigen-clipping an indefinite moment G is not equivariant
-        lam = np.linalg.eigvalsh(_moment_raw_g(clusters))
+        lam = np.linalg.eigvalsh(_moment_raw_g(spec))
         assume(lam[0] > 1e-3 * lam[1])
         g_mat = None
     s = 10.0 ** log_s
     d = np.array([1.0, s])
-    scaled = [ki.Cluster(c.x * d, c.y) for c in clusters]
-    base = _fit_mixed(clusters, g_mat)
-    got = _fit_mixed(scaled, None if moment else g_mat / np.outer(d, d))
+    base = _fit_mixed(spec, g_mat)
+    got = _fit_mixed(ki.MixedSpec(x * d, y, groups),
+                     None if moment else g_mat / np.outer(d, d))
     _close(got["sigma2"], base["sigma2"], 2e-14)
     _close(got["blues"] * d, base["blues"], 2e-14)
     _close(got["g_mat"] * np.outer(d, d), base["g_mat"], 2e-14)
@@ -1070,17 +1067,19 @@ def test_mixed_fits_shift_with_x(seed, shift, moment):
     rng = np.random.default_rng(seed)
     sizes = rng.integers(4, 16, size=10)
     sd = rng.uniform(0.5, 2.0)
-    clusters = _mixed_clusters(rng, sizes, rng.normal(0.0, 1.0), sd, 1.0)
+    x, y, groups = _mixed_clusters(rng, sizes, rng.normal(0.0, 1.0), sd,
+                                   1.0)
+    spec = ki.MixedSpec(x, y, groups)
     g_mat = random_pd(rng, 2, scale=0.5)
     if moment:
-        lam = np.linalg.eigvalsh(_moment_raw_g(clusters))
+        lam = np.linalg.eigvalsh(_moment_raw_g(spec))
         assume(lam[0] > 1e-3 * lam[1])
         g_mat = None
     c = shift * sd
     t_inv = np.array([[1.0, -c], [0.0, 1.0]])
-    shifted = [ki.Cluster(k.x + [0.0, c], k.y) for k in clusters]
-    base = _fit_mixed(clusters, g_mat)
-    got = _fit_mixed(shifted, None if moment else t_inv @ g_mat @ t_inv.T)
+    base = _fit_mixed(spec, g_mat)
+    got = _fit_mixed(ki.MixedSpec(x + [0.0, c], y, groups),
+                     None if moment else t_inv @ g_mat @ t_inv.T)
     _close(got["sigma2"], base["sigma2"], 1e-9)
     for key in ("blues", "gls", "blups"):
         _close(got[key][..., 1], base[key][..., 1], 1e-9)
@@ -1091,6 +1090,77 @@ def test_mixed_fits_shift_with_x(seed, shift, moment):
                       <= 1e-9 * scale.max())
     _close(got["g_mat"][1, 1], base["g_mat"][1, 1], 1e-9)
     _close(got["gls_cov"][1, 1], base["gls_cov"][1, 1], 1e-9)
+
+
+def _s_dist(s_mats, d):
+    """sqrt(d_i' S_i^-1 d_i) per cluster: a scale-free length of d_i."""
+    d = np.broadcast_to(d, s_mats.shape[:2])
+    return np.sqrt(np.einsum("ki,ki->k", d,
+                             np.linalg.solve(s_mats, d[..., None])[..., 0]))
+
+
+def _blups_at(spec, blues, t):
+    """The GLS pool and the full-rank clusters' BLUPs for G = t I."""
+    g_mat = t * np.eye(2)
+    gls = ki.gls_fixed(spec, g_mat, blues["sigma2"])["beta"]
+    return gls, ki.blup(blues["beta"], blues["s_mat"], gls, g_mat)["beta"]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=strategies.clustered_data())
+def test_blup_tends_to_the_blue_as_g_grows(data):
+    # with G = t I, |BLUP - BLUE| <= lam_max / (lam_max + t) |GLS - BLUE|
+    # in the metric of S_i, whose largest eigenvalue is lam_max. t is as
+    # large as keeps V_i = t X_i X_i' + sigma^2 I nonsingular: 1e10 sigma^2
+    # over the largest |X_i|^2
+    spec = ki.MixedSpec(*data)
+    blues = ki.cluster_blues(spec)
+    s_mats, blue = blues["s_mat"], blues["beta"]
+    t = 1e10 * blues["sigma2"] / (
+        np.linalg.norm(spec.r, ord=2, axis=(1, 2)) ** 2).max()
+    gls, bp = _blups_at(spec, blues, t)
+    lam = np.linalg.eigvalsh(s_mats)[:, -1]
+    assert np.all(_s_dist(s_mats, bp - blue)
+                  <= (lam / (lam + t) + 1e-6) * _s_dist(s_mats, gls - blue)
+                  + 1e-10 * _s_dist(s_mats, gls))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=strategies.clustered_data())
+def test_blup_tends_to_the_gls_as_g_vanishes(data):
+    # with G = t I, |BLUP - GLS| <= t / (lam_min + t) |BLUE - GLS| in the
+    # metric of S_i, whose smallest eigenvalue is lam_min; t is 1e-8 times
+    # the smallest lam_min
+    spec = ki.MixedSpec(*data)
+    blues = ki.cluster_blues(spec)
+    s_mats, blue = blues["s_mat"], blues["beta"]
+    lam = np.linalg.eigvalsh(s_mats)[:, 0]
+    t = 1e-8 * lam.min()
+    gls, bp = _blups_at(spec, blues, t)
+    assert np.all(_s_dist(s_mats, bp - gls)
+                  <= (t / (lam + t) + 1e-6) * _s_dist(s_mats, blue - gls)
+                  + 1e-10 * _s_dist(s_mats, gls))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=strategies.clustered_data(), seed=strategies.seeds)
+def test_interleaving_of_the_cluster_rows_changes_nothing(data, seed):
+    # the clusters' rows dealt into another interleaving, each cluster's
+    # rows in their own order, make the same stack: the BLUEs, sigma^2,
+    # the moment G and the GLS pool are bit-identical
+    spec = ki.MixedSpec(*data)
+    codes = np.random.default_rng(seed).permutation(
+        np.repeat(np.arange(len(spec.labels)), spec.counts))
+    order = np.argsort(codes, kind="stable")
+    x, y = np.empty_like(spec.x), np.empty_like(spec.y)
+    x[order], y[order] = spec.x, spec.y
+    other = ki.MixedSpec(x, y, [spec.labels[k] for k in codes])
+    assert other.labels == spec.labels
+    got, want = _fit_mixed(other), _fit_mixed(spec)
+    assert got["index"] == want["index"]
+    for key in ("sigma2", "blues", "s_mats", "g_mat", "gls", "gls_cov",
+                "blups"):
+        assert np.array_equal(got[key], want[key]), key
 
 
 # ------------------------------------------------------------------- meta
