@@ -288,43 +288,32 @@ def lda_axis(m1, m2, s_pooled):
 
 def _standardized_ols(x, y):
     """The data on the ridge scale, centered with unit-length predictor
-    columns, and their OLS fit: (xs, yc, lengths, beta_ols, s2)."""
+    columns, and their OLS fit: (r, lengths, beta_ols, s2), with r the
+    block [R_x | R_xy] of the R factor of those data [xs | yc]."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     xc = x - x.mean(axis=0)
     lengths = np.linalg.norm(xc, axis=0)
     if np.any(lengths <= 0):
         raise ValueError("constant predictor column")
-    xs, yc = xc / lengths, y - y.mean()
-    beta_ols, _, _ = _lstsq(xs, yc)
-    resid = yc - xs @ beta_ols
-    s2 = float(resid @ resid / (xs.shape[0] - xs.shape[1] - 1))
-    return xs, yc, lengths, beta_ols, s2
+    beta_ols, _, r = nk.qr_lstsq(xc / lengths, y - y.mean())
+    s2 = float(r[-1, -1] ** 2 / (y.size - r.shape[1]))
+    return r[:-1], lengths, beta_ols, s2
 
 
-def _lstsq(a, z):
-    """Least squares of z on the columns of a through one thin QR, a = QR.
-
-    Returns (b, W, Q) with W = R^{-1} and b = W Q'z; (a'a)^{-1} = W W' is
-    symmetric by construction, and a'a is never formed.
-    """
-    q, r = np.linalg.qr(a)
-    w = np.linalg.inv(r)
-    return w @ (q.T @ z), w, q
-
-
-def _shrink(xs, yc, root, prior_mean):
-    """The data block (xs, yc) pooled with the prior's pseudo-observations
-    (A^{1/2}, A^{1/2} beta_0): (beta_post, W, Q_1) with (X'X + A)^{-1} =
-    W W' and Q_1 the data rows of Q, so (X'X + A)^{-1} X'X (X'X + A)^{-1}
-    = B B', B = W Q_1'. X'X + A is singular when lam_min <= 1e-12 lam_max
-    of R'R, read from the singular values of W = R^{-1}."""
-    beta, w, q = _lstsq(np.vstack([xs, root]),
-                        np.concatenate([yc, root @ prior_mean]))
+def _shrink(r, root, prior_mean):
+    """The data block r = [R_x | R_xy] pooled with the prior's rows
+    [A^{1/2} | A^{1/2} beta_0]: (beta_post, W, B') with (X'X + A)^{-1} =
+    W W' and B' = R_x W W', so (X'X + A)^{-1} X'X (X'X + A)^{-1} = B B'.
+    X'X + A is singular when lam_min <= 1e-12 lam_max of R'R, read from
+    the singular values of W = R^{-1}."""
+    p = root.shape[0]
+    beta, w, _ = nk.qr_lstsq(np.vstack([r[:, :p], root]),
+                             np.concatenate([r[:, p], root @ prior_mean]))
     sv = np.linalg.svd(w, compute_uv=False)
     if sv[-1] ** 2 <= 1e-12 * sv[0] ** 2:
         raise ValueError("X'X + A is singular")
-    return beta, w, q[:yc.size]
+    return beta, w, r[:, :p] @ w @ w.T
 
 
 @dataclass(frozen=True)
@@ -340,12 +329,11 @@ class RidgeResult:
 def _ridge(data, k):
     if k < 0:
         raise nk.InputError("ridge constant must be nonnegative")
-    xs, yc, lengths, beta_ols, s2 = data
-    p = xs.shape[1]
-    beta, w, q1 = _shrink(xs, yc, np.sqrt(k) * np.eye(p), np.zeros(p))
-    b = w @ q1.T
+    r, lengths, beta_ols, s2 = data
+    p = r.shape[0]
+    beta, _, bt = _shrink(r, np.sqrt(k) * np.eye(p), np.zeros(p))
     return RidgeResult(k=float(k), beta=beta, beta_original=beta / lengths,
-                       cov=s2 * (b @ b.T), beta_ols=beta_ols, s2=s2)
+                       cov=s2 * (bt.T @ bt), beta_ols=beta_ols, s2=s2)
 
 
 def ridge(x, y, k):
@@ -408,8 +396,8 @@ def bayes_posterior(x, y, beta_prior, a_mat):
     if a_mat.shape != (p, p):
         raise nk.InputError(f"prior precision must have shape {(p, p)}")
     root, _ = nk.psd_sqrt(a_mat)
-    xs, yc, _, beta_ols, s2 = _standardized_ols(x, y)
-    beta, w, _ = _shrink(xs, yc, root, np.ravel(beta_prior).astype(float))
+    r, _, beta_ols, s2 = _standardized_ols(x, y)
+    beta, w, _ = _shrink(r, root, np.ravel(beta_prior).astype(float))
     cov_unit = w @ w.T
     return {"beta_post": beta, "beta_ols": beta_ols,
             "cov_unit": cov_unit, "cov": s2 * cov_unit, "s2": s2}
@@ -428,11 +416,11 @@ class MixedSpec:
     Construction sorts the rows, and their labels in groups, by label
     (statellipse.group_rows). labels are then the distinct labels in that
     order and ends[k] is where the rows of cluster labels[k] end. It then
-    factors every cluster once, X_k = Q_k R_k, one stacked QR per distinct
-    cluster size: r[k] is R_k and qty[k] is Q_k'y_k, both padded with zero
-    rows to p rows when n_k < p; rss[k] is the residual sum of squares of
-    y_k on the column space of X_k; full[k] says whether X_k has full
-    column rank (see numkernel.RANK_TOL).
+    factors every cluster once, X_k = Q_k R_k, from the R of one stacked
+    QR of [X_k | y_k] per distinct cluster size: r[k] is R_k and qty[k]
+    is Q_k'y_k, its column p, both padded with zero rows to p rows when
+    n_k < p; rss[k] is the residual sum of squares of y_k on the column
+    space of X_k; full[k] says whether X_k has full column rank.
     """
     x: np.ndarray               # n x p
     y: np.ndarray               # n
@@ -457,19 +445,18 @@ class MixedSpec:
         x, y = x[rows], y[rows]
         counts = np.diff(ends, prepend=0)
         k, p = len(labels), x.shape[1]
+        xy = np.column_stack([x, y])
         r = np.zeros((k, p, p))
         qty = np.zeros((k, p))
         rss = np.empty(k)
         for size in sorted(set(counts.tolist())):
             idx = np.flatnonzero(counts == size)
             at = (ends[idx] - size)[:, None] + np.arange(size)
-            y_k = y[at]
-            q, r_k = np.linalg.qr(x[at])
-            c = (y_k[:, None, :] @ q)[:, 0]
-            resid = y_k - (q @ c[..., None])[..., 0]
-            r[idx, :r_k.shape[1]] = r_k
-            qty[idx, :r_k.shape[1]] = c
-            rss[idx] = np.einsum("kn,kn->k", resid, resid)
+            r_k = np.linalg.qr(xy[at], mode="r")
+            m = min(size, p)
+            r[idx, :m] = r_k[:, :m, :p]
+            qty[idx, :m] = r_k[:, :m, p]
+            rss[idx] = r_k[:, p, p] ** 2 if size > p else 0.0
         norms = np.linalg.norm(r, axis=1)
         scaled = r / np.where(norms > 0, norms, 1.0)[:, None, :]
         u, sv, _ = np.linalg.svd(scaled)
@@ -502,16 +489,15 @@ class MixedSpec:
 def _gls(blocks):
     """GLS pool of a list of stacks (X_i, Sigma_i, y_i): beta and its cov.
 
-    Least squares on the whitened blocks L_i^{-1} [X_i, y_i], L_i L_i' =
-    Sigma_i, through one thin QR of their stack, Q R: beta = R^{-1} Q'z
-    and cov = W W' with W = R^{-1}. The normal equations
-    sum X_i' Sigma_i^{-1} X_i would square the condition of the design.
+    numkernel.qr_lstsq on the stack of whitened blocks L_i^{-1} [X_i, y_i],
+    L_i L_i' = Sigma_i: cov = W W'. The normal equations sum X_i'
+    Sigma_i^{-1} X_i would square the condition of the design.
     """
     white = np.concatenate([
         np.linalg.solve(np.linalg.cholesky(sigma),
                         np.concatenate([x, y[..., None]], axis=-1))
         .reshape(-1, x.shape[-1] + 1) for x, sigma, y in blocks])
-    beta, w, _ = _lstsq(white[:, :-1], white[:, -1])
+    beta, w, _ = nk.qr_lstsq(white[:, :-1], white[:, -1])
     return {"beta": beta, "cov": w @ w.T}
 
 
@@ -578,8 +564,13 @@ def blup(beta_blue, s_mat, beta_gls, g_mat):
     g_mat = nk.check_symmetric(g_mat)
     beta_gls = np.asarray(beta_gls, dtype=float)
     total = s_mat + g_mat
-    # b is a stack of matrices, not of vectors, on numpy 1.x too
-    gain = np.linalg.solve(total, np.broadcast_to(g_mat, total.shape))
+    # solve with S + G and G each divided by d d', d = sqrt(diag(S + G)),
+    # and scale back, so that the LU's pivots do not follow the units of
+    # x; b is a stack of matrices, not of vectors, on numpy 1.x too
+    d = np.sqrt(np.diagonal(total, axis1=-2, axis2=-1))
+    d = np.where(d > 0, d, 1.0)[..., None]
+    dd = d * d.swapaxes(-1, -2)
+    gain = np.linalg.solve(total / dd, g_mat / dd) * d.swapaxes(-1, -2) / d
     gain = gain.swapaxes(-1, -2)
     beta = beta_gls + np.einsum("...ij,...j->...i", gain,
                                 np.asarray(beta_blue, dtype=float) - beta_gls)

@@ -43,7 +43,7 @@ def ols_fit(x, y, names=None):
 
     Rejects rank-deficient designs, reporting the offending singular
     value. The verdict is on the design's unit-length columns, so the
-    units of a predictor do not change it.
+    units of a predictor change it no more than numkernel.qr_lstsq's fit.
     """
     xd = design_matrix(x)
     y = np.asarray(y, dtype=float).ravel()
@@ -52,16 +52,11 @@ def ols_fit(x, y, names=None):
         raise nk.InputError("x and y lengths differ")
     if n <= q:
         raise nk.InputError(f"need n > {q} observations")
-    _, sv, vt = np.linalg.svd(xd, full_matrices=False)
-    nk.require_full_rank(xd, sv)
-    # (X'X)^{-1} = V diag(s^-2) V^T, formed as W W^T with W = V diag(1/s):
-    # symmetric by construction. Inverting X'X itself leaves an asymmetry
-    # beyond SYM_TOL when X is ill-conditioned (Longley: cond(X'X) 5.7e14).
-    w = vt.T / sv
-    coef, _, _, _ = np.linalg.lstsq(xd, y, rcond=None)
+    coef, w, _ = nk.qr_lstsq(xd, y)
     fitted = xd @ coef
     resid = y - fitted
     df = n - q
+    # not R_yy^2: coef's error moves resid'resid only to second order
     s2 = float(resid @ resid / df)
     if names is None:
         names = ["intercept"] + [f"x{i}" for i in range(1, q)]
@@ -194,7 +189,7 @@ def avp(x, y, k):
         raise ValueError("predictor k is collinear with the others")
     slope = float(x_star @ y_star / sxx)
     resid = y_star - slope * x_star
-    denom = float(np.sqrt(sxx * (y_star @ y_star)))
+    denom = float(np.sqrt(sxx) * np.sqrt(y_star @ y_star))
     partial_corr = float(x_star @ y_star / denom) if denom > 0 else 0.0
     full = ols_fit(x, y)
     marg = np.column_stack([x[:, k] - x[:, k].mean(), y - y.mean()])

@@ -86,7 +86,10 @@ def cov_to_corr(s, undefined=np.nan):
     d = np.diag(s)
     ok = d > 0
     out = np.full(s.shape, float(undefined))
-    return np.divide(s, np.sqrt(np.outer(d, d)), out=out,
+    root = np.sqrt(np.where(ok, d, 0.0))
+    # outer(root, root), not sqrt(outer(d, d)): the product of two
+    # variances over- or underflows where their roots do not
+    return np.divide(s, np.outer(root, root), out=out,
                      where=np.outer(ok, ok))
 
 
@@ -215,11 +218,11 @@ def require_pd(w):
     return lam, vecs
 
 
-def require_full_rank(x, sv=None):
-    """Raise ValueError unless the design x has full column rank (RANK_TOL);
-    sv, when given, are the singular values of x, descending."""
-    if sv is None:
-        sv = np.linalg.svd(x, compute_uv=False)
+def require_full_rank(x):
+    """Raise ValueError unless the design x has full column rank (RANK_TOL)."""
+    if x.shape[0] < x.shape[1]:
+        raise ValueError("design is rank deficient: fewer rows than columns")
+    sv = np.linalg.svd(x, compute_uv=False)
     # with unit-length columns the condition number is at most sqrt(q)
     # times this one (van der Sluis): only a design near the threshold
     # needs them
@@ -231,6 +234,22 @@ def require_full_rank(x, sv=None):
     if unit[-1] <= RANK_TOL * unit[0]:
         raise ValueError("design is rank deficient: min singular value "
                          f"{unit[-1]:.3e} of its unit-length columns")
+
+
+def qr_lstsq(x, y):
+    """The one least-squares kernel: y, a vector or each column of a
+    matrix, on the columns of x, from the R = [[R_x, R_xy], [0, R_yy]] of
+    one Householder QR of the raw [x | y], backward stable column by
+    column, so a column's units change nothing beyond rounding. Returns
+    (coef, W, R): coef = W R_xy, W = R_x^{-1}, so (x'x)^{-1} = W W' is
+    symmetric by construction; R_yy' R_yy is the residual cross-products.
+    R_x has the singular values of x and is the rank verdict's input."""
+    q = x.shape[1]
+    r = np.linalg.qr(np.concatenate([x, y.reshape(len(y), -1)], axis=1),
+                     mode="r")
+    require_full_rank(r[:q, :q])
+    w = np.linalg.inv(r[:q, :q])
+    return (w @ r[:q, q:]).reshape((q,) + y.shape[1:]), w, r
 
 
 def clip_psd(w):

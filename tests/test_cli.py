@@ -188,6 +188,24 @@ def test_data_ellipse_of_a_constant_column(tmp_path, capsys):
     assert svg.read_text().count("<polyline") == 1
 
 
+@pytest.mark.parametrize("log_s", [-100.0, 100.0])
+def test_data_ellipse_r_in_any_units(tmp_path, log_s):
+    # galton in units 1e-100 and 1e100: the product of the two variances
+    # under- and overflows, the product of their roots does not
+    rows = list(csv.reader(io.StringIO(datasets.fixture_csv_text("galton"))))
+    data = tmp_path / "g.csv"
+    data.write_text("\n".join([",".join(rows[0])] + [
+        ",".join(repr(float(v) * 10.0 ** log_s) for v in r)
+        for r in rows[1:]]) + "\n")
+    out, base = tmp_path / "g.json", tmp_path / "base.json"
+    assert run_cli(["data-ellipse", "--data", "galton", "--json",
+                    str(base)]) == 0
+    assert run_cli(["data-ellipse", "--data", str(data), "--json",
+                    str(out)]) == 0
+    assert read_json(out)["r"] == pytest.approx(read_json(base)["r"],
+                                                rel=1e-11)
+
+
 @pytest.mark.parametrize("to_file", [True, False], ids=["json", "stdout"])
 def test_failed_render_writes_nothing(tmp_path, capsys, monkeypatch,
                                       to_file):
@@ -681,6 +699,24 @@ def test_blup_factors_each_cluster_once(tmp_path, monkeypatch, extra):
     assert sum(s[0] * s[1] for s in stacked) == \
         cli.resolve_data("hsb-sample").n
     assert len({s[1] for s in stacked}) == len(stacked)
+
+
+@pytest.mark.parametrize("argv", [
+    ["betaspace", "--data", "synthetic-coffee", "--response", "Heart"],
+    ["avp", "--data", "synthetic-coffee", "--response", "Heart", "--k",
+     "Coffee"],
+    ["ridge-trace", "--data", "longley", "--response", "Employed"],
+    ["bayes", "--data", "longley", "--response", "Employed"],
+    BLUP_HSB,
+    ["meta", "--data", "berkey", "--model", "random"],
+], ids=["betaspace", "avp", "ridge-trace", "bayes", "blup", "meta"])
+def test_fits_do_not_call_lstsq(tmp_path, monkeypatch, argv):
+    # numkernel.qr_lstsq is the one least-squares kernel; only mlm_fit
+    # still calls lstsq
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert run_cli(argv + ["--json", str(tmp_path / "o.json")]) == 0
 
 
 def test_avp_regresses_three_times(tmp_path, monkeypatch):

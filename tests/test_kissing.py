@@ -340,11 +340,20 @@ def test_lda_boundary_tangent_to_osculating_family():
 
 # ------------------------------------------------------------------ ridge
 
+def _ridge_scale(x, y):
+    """(xs, yc, lengths): the data on the ridge scale, centered with
+    unit-length predictor columns, as kissing.ridge standardizes them."""
+    x = np.asarray(x, dtype=float)
+    xc = x - x.mean(axis=0)
+    lengths = np.linalg.norm(xc, axis=0)
+    return xc / lengths, y - y.mean(), lengths
+
+
 def test_ridge_zero_equals_ols(longley):
     _, x, y = longley
     r = ki.ridge(x, y, 0.0)
     assert np.abs(r.beta - r.beta_ols).max() < 1e-10
-    xs, yc, *_ = ki._standardized_ols(x, y)
+    xs, yc, _ = _ridge_scale(x, y)
     direct = np.linalg.solve(xs.T @ xs, xs.T @ yc)
     assert r.beta == pytest.approx(direct, rel=1e-9)
     assert r.cov == pytest.approx(r.s2 * np.linalg.inv(xs.T @ xs),
@@ -407,7 +416,7 @@ def test_ridge_kiss_condition_two_predictors(longley):
     # to the gradient of the squared-norm constraint
     _, x, y = longley
     x2 = x[:, [1, 2]]                   # GNP, Unemployed
-    xs, yc, *_ = ki._standardized_ols(x2, y)
+    xs, yc, _ = _ridge_scale(x2, y)
     for k in (0.005, 0.01, 0.02, 0.04, 0.08):
         r = ki.ridge(x2, y, k)
         grad_rss = 2.0 * (xs.T @ xs @ r.beta - xs.T @ yc)
@@ -437,7 +446,7 @@ def test_ridge_equals_ols_on_supplemented_data(longley):
     # appending q fictitious orthogonal observations sqrt(k) I with zero
     # responses turns plain OLS into the ridge solution
     _, x, y = longley
-    xs, yc, *_ = ki._standardized_ols(x, y)
+    xs, yc, _ = _ridge_scale(x, y)
     for k in (0.01, 0.08):
         x_aug = np.vstack([xs, np.sqrt(k) * np.eye(6)])
         y_aug = np.concatenate([yc, np.zeros(6)])
@@ -474,7 +483,7 @@ def test_bayes_residual_identity(longley):
     prior = rng.standard_normal(6)
     a_mat = random_pd(rng, 6, scale=0.1)
     out = ki.bayes_posterior(x, y, prior, a_mat)
-    xs, yc, *_ = ki._standardized_ols(x, y)
+    xs, yc, _ = _ridge_scale(x, y)
     resid = xs.T @ xs @ (out["beta_post"] - out["beta_ols"]) \
         + a_mat @ (out["beta_post"] - prior)
     assert np.abs(resid).max() < 1e-9
@@ -591,7 +600,7 @@ def _bayes_normal_equations(xs, yc, prior, a_mat):
 def test_ridge_matches_exact_least_squares(seed, q, extra, log_cond,
                                            log_noise, k):
     _, x, y = _regression(seed, q + extra, q, log_cond, log_noise)
-    xs, yc, lengths, *_ = ki._standardized_ols(x, y)
+    xs, yc, lengths = _ridge_scale(x, y)
     root = np.sqrt(k) * np.eye(q)
     verdict = _verdict(xs, root)
     assume(verdict is not None)
@@ -629,7 +638,7 @@ def test_bayes_posterior_matches_exact_solution(seed, q, extra, log_cond,
     factor = rng.standard_normal((q, min(rank, q)))
     a_mat = nk.check_symmetric(10.0 ** log_scale * (factor @ factor.T))
     prior = rng.standard_normal(q)
-    xs, yc, *_ = ki._standardized_ols(x, y)
+    xs, yc, _ = _ridge_scale(x, y)
     root, _ = nk.psd_sqrt(a_mat)
     verdict = _verdict(xs, root)
     assume(verdict is not None)
@@ -1024,6 +1033,7 @@ def _moment_raw_g(spec):
 @given(seed=hs.integers(0, 2 ** 32 - 1),
        log_s=hs.floats(-150.0, 150.0),
        moment=hs.booleans())
+@example(seed=141337, log_s=-6.0, moment=False)
 def test_mixed_fits_scale_with_x(seed, log_s, moment):
     # x -> s x scales each slope by 1/s and the G and GLS covariances by
     # D^-1 . D^-1 with D = diag(1, s); sigma^2 does not move
@@ -1048,8 +1058,9 @@ def test_mixed_fits_scale_with_x(seed, log_s, moment):
     _close(got["g_mat"] * np.outer(d, d), base["g_mat"], 2e-14)
     _close(got["gls"] * d, base["gls"], 2e-14)
     _close(got["gls_cov"] * np.outer(d, d), base["gls_cov"], 2e-14)
-    # the LU of the graded S + G pivots differently as s varies
-    _close(got["blups"] * d, base["blups"], 1e-13)
+    # S + G is equilibrated before its LU, so the pivots do not follow s;
+    # without it the pinned example's BLUPs are 1.66e-11 apart
+    _close(got["blups"] * d, base["blups"], 2e-14)
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from ellipstat import cli
 from ellipstat import distributions as dist
 from ellipstat import gellipsoid as ge
 from ellipstat import linmod
@@ -504,3 +505,70 @@ def test_added_variable_laws(design, data):
     simple = linmod.ols_fit(x[:, k], y).coef[1]
     assert abs(res["marginal_slope"] - simple) <= 1e-12 * (
         abs(simple) + y_size / np.linalg.norm(xc))
+
+
+def _coffee():
+    table = cli.resolve_data("synthetic-coffee")
+    return (np.column_stack([table.numeric("Coffee"),
+                             table.numeric("Stress")]),
+            table.numeric("Heart"))
+
+
+def _unit_cond(x):
+    xd = linmod.design_matrix(x)
+    return np.linalg.cond(xd / np.linalg.norm(xd, axis=0))
+
+
+@pytest.mark.parametrize("log_s", [-30.0, -14.0, 14.0, 30.0])
+def test_fits_keep_their_answers_in_any_units(log_s):
+    # synthetic-coffee with every column, the response too, times s: the
+    # slopes, their SEs, the avp slope and the partial correlation do not
+    # move, and the intercept and its SE scale by s, to eps times the
+    # condition number of the design with unit-length columns. (A solve
+    # that truncates the raw design's small singular values gives the avp
+    # slope -0.795 for -0.394 at s = 1e30.)
+    x, y = _coffee()
+    s = 10.0 ** log_s
+    tol = 64 * EPS * _unit_cond(x)
+    base, got = linmod.ols_fit(x, y), linmod.ols_fit(s * x, s * y)
+    units = np.array([s, 1.0, 1.0])
+    assert got.coef / units == pytest.approx(base.coef, rel=tol)
+    assert got.se() / units == pytest.approx(base.se(), rel=tol)
+    assert got.s2 / s ** 2 == pytest.approx(base.s2, rel=tol)
+    want, res = linmod.avp(x, y, 0), linmod.avp(s * x, s * y, 0)
+    for key in ("slope", "partial_corr", "full_model_coef"):
+        assert res[key] == pytest.approx(want[key], rel=tol), key
+
+
+@pytest.mark.parametrize("log_s", [-100.0, 100.0])
+def test_partial_correlation_in_any_units(log_s):
+    # sqrt(sxx) sqrt(y*'y*): the product sxx y*'y* under- and overflows at
+    # s = 1e-100 and 1e100, where it would give a partial correlation of 0
+    x, y = _coffee()
+    s = 10.0 ** log_s
+    want = linmod.avp(x, y, 0)["partial_corr"]
+    assert linmod.avp(s * x, s * y, 0)["partial_corr"] == \
+        pytest.approx(want, rel=1e-13)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(strategies.regression_designs(), hs.data())
+def test_ols_fit_is_equivariant_under_column_units(design, data):
+    # each predictor column in its own units, up to 1e60 apart, and the
+    # response in units of its own: each coefficient and SE scales as its
+    # column's units say, to eps cond^2 of the unit-column design (the
+    # least-squares perturbation bound)
+    x, y = design
+    logs = data.draw(hs.lists(hs.floats(-30.0, 30.0), min_size=x.shape[1],
+                              max_size=x.shape[1]))
+    log_y = data.draw(hs.floats(-30.0, 30.0))
+    units, s_y = 10.0 ** np.array(logs), 10.0 ** log_y
+    base = linmod.ols_fit(x, y)
+    got = linmod.ols_fit(x * units, y * s_y)
+    norms = np.linalg.norm(linmod.design_matrix(x), axis=0)
+    back = np.concatenate([[s_y], s_y / units])
+    kappa = _unit_cond(x)
+    tol = 64 * EPS * kappa * kappa * (np.linalg.norm(base.coef * norms)
+                                      + np.linalg.norm(y))
+    assert np.abs((got.coef / back - base.coef) * norms).max() <= tol
+    assert np.abs((got.se() / back - base.se()) * norms).max() <= tol

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,3 +358,39 @@ def test_stacked_kernels_match_one_matrix_at_a_time(kernel, case):
         for (want, e), m in zip(loop, stack):
             if e is None:
                 assert want == _bits(*_sym_eig_by_argsort(m))
+
+
+@pytest.mark.parametrize("log_s", [-100.0, 0.0, 100.0])
+def test_cov_to_corr_in_any_units(log_s):
+    # the covariance of data in units 10^log_s: s_ii s_jj under- and
+    # overflows at 1e-400 and 1e400, where sqrt(s_ii) sqrt(s_jj) does not
+    cov = np.array([[4.0, 1.2, 0.0], [1.2, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        corr = nk.cov_to_corr(10.0 ** (2 * log_s) * cov, undefined=0.0)
+    assert corr == pytest.approx(np.array(
+        [[1.0, 0.6, 0.0], [0.6, 1.0, 0.0], [0.0, 0.0, 0.0]]), rel=1e-15)
+
+
+def test_qr_lstsq_reads_everything_from_r():
+    # coef, (X'X)^{-1} = W W' and the residual cross-products R_yy'R_yy of
+    # two responses, against the normal equations of a well-conditioned x
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((30, 3))
+    y = x @ rng.standard_normal((3, 2)) + rng.standard_normal((30, 2))
+    coef, w, r = nk.qr_lstsq(x, y)
+    assert coef.shape == (3, 2) and r.shape == (5, 5)
+    assert coef == pytest.approx(np.linalg.solve(x.T @ x, x.T @ y),
+                                 rel=1e-12)
+    xtx_inv = w @ w.T
+    assert np.array_equal(xtx_inv, xtx_inv.T)
+    assert xtx_inv == pytest.approx(np.linalg.inv(x.T @ x), rel=1e-12)
+    resid = y - x @ coef
+    assert r[3:, 3:].T @ r[3:, 3:] == pytest.approx(resid.T @ resid,
+                                                    rel=1e-12)
+    vec, _, _ = nk.qr_lstsq(x, y[:, 0])
+    assert vec.shape == (3,) and vec == pytest.approx(coef[:, 0], rel=1e-14)
+    with pytest.raises(ValueError, match="rank deficient"):
+        nk.qr_lstsq(x[:, [0, 1, 0]], y)
+    with pytest.raises(ValueError, match="fewer rows than columns"):
+        nk.qr_lstsq(x[:2], y[:2])
