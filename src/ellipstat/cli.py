@@ -55,43 +55,87 @@ class DataTable:
                 if isinstance(self.columns[h], np.ndarray)]
 
 
-def _parse_table(text, source):
-    rows = list(csv.reader(io.StringIO(text)))
+def _split_plain(text):
+    """(header, columns, n) of text read as plain comma-separated lines,
+    without csv.reader, or None unless that provably reads the text as
+    csv.reader does: None on a quote, a CR not followed by LF, an empty
+    header, no data rows, a blank line, a line whose comma count is not
+    the header's, or a line longer than csv.field_size_limit()."""
+    if '"' in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    head, _, body = text.partition("\n")
+    body = body.removesuffix("\n")
+    limit = csv.field_size_limit()
+    if not head or not body or len(head) > limit:
+        return None
+    header = head.split(",")
+    width = len(header)
+    # ',' and '\n' are single bytes in UTF-8 and occur in no other
+    # character's encoding, so the line lengths in bytes bound those in
+    # characters from above
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.concatenate([np.flatnonzero(raw == 10), [raw.size]])
+    commas = np.searchsorted(np.flatnonzero(raw == 44), ends)
+    lengths = np.diff(ends, prepend=-1) - 1
+    if ((np.diff(commas, prepend=0) != width - 1).any()
+            or lengths.min() == 0 or lengths.max() > limit):
+        return None
+    cells = body.replace("\n", ",").split(",")
+    return header, [cells[j::width] for j in range(width)], ends.size
+
+
+def _split_csv(text, source):
+    """(header, columns, n) of text as csv.reader reads it."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise InputError(f"{source}: line {reader.line_num}: {exc}") from None
     if not rows or not rows[0]:
         raise InputError(f"{source}: empty file")
-    header = rows[0]
-    width = len(header)
-    data = rows[1:]
+    header, data = rows[0], rows[1:]
     if not data:
         raise InputError(f"{source}: no data rows")
-    for lineno, row in enumerate(data, start=2):
-        if len(row) != width:
-            raise InputError(
-                f"{source}: line {lineno} has {len(row)} fields, "
-                f"expected {width}")
+    width = len(header)
+    if set(map(len, data)) != {width}:
+        lineno, row = next((i, row) for i, row in enumerate(data, start=2)
+                           if len(row) != width)
+        raise InputError(f"{source}: line {lineno} has {len(row)} fields, "
+                         f"expected {width}")
+    return header, zip(*data), len(data)
+
+
+def _parse_table(text, source):
+    """The DataTable of CSV text: a column of numbers as floats, any other
+    as text. csv.reader decides what the text means; lines it would read
+    as plain comma-separated cells are split in bulk instead."""
+    header, raws, n = _split_plain(text) or _split_csv(text, source)
     columns = {}
-    for j, name in enumerate(header):
-        raw = [row[j] for row in data]
+    for name, raw in zip(header, raws):
         try:
-            vals = np.array([float(v) for v in raw])
+            vals = np.fromiter(map(float, raw), float, n)
         except ValueError:
-            columns[name] = raw
+            columns[name] = list(raw)
             continue
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0]) + 2
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
             raise InputError(
                 f"{source}: column {name!r} has a non-finite value "
-                f"at line {bad}")
+                f"at line {bad[0] + 2}")
         columns[name] = vals
-    return DataTable(header=header, columns=columns, n=len(data))
+    return DataTable(header=header, columns=columns, n=n)
 
 
 def load_csv(path):
-    """Load a CSV file: header row, comma separators, '.' decimals."""
+    """Load a UTF-8 CSV file: header row, comma separators, '.' decimals."""
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return _parse_table(text, path)
 
@@ -105,7 +149,7 @@ def resolve_data(name_or_path):
     if base in datasets.list_fixtures():
         try:
             text = datasets.fixture_csv_text(base)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"fixture {base!r}: {exc}") from exc
         return _parse_table(text, f"fixture:{base}")
     raise InputError(f"no such file or fixture: {name_or_path}")

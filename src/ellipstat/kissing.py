@@ -4,6 +4,7 @@
 # GLS/BLUE/BLUP, and multivariate meta-analysis.
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -296,7 +297,7 @@ def _standardized_ols(x, y):
     lengths = np.linalg.norm(xc, axis=0)
     if np.any(lengths <= 0):
         raise ValueError("constant predictor column")
-    beta_ols, _, r = nk.qr_lstsq(xc / lengths, y - y.mean())
+    beta_ols, _, r, _ = nk.qr_lstsq(xc / lengths, y - y.mean())
     s2 = float(r[-1, -1] ** 2 / (y.size - r.shape[1]))
     return r[:-1], lengths, beta_ols, s2
 
@@ -306,11 +307,11 @@ def _shrink(r, root, prior_mean):
     [A^{1/2} | A^{1/2} beta_0]: (beta_post, W, B') with (X'X + A)^{-1} =
     W W' and B' = R_x W W', so (X'X + A)^{-1} X'X (X'X + A)^{-1} = B B'.
     X'X + A is singular when lam_min <= 1e-12 lam_max of R'R, read from
-    the singular values of W = R^{-1}."""
+    the singular values of the pooled R that qr_lstsq's rank verdict
+    takes."""
     p = root.shape[0]
-    beta, w, _ = nk.qr_lstsq(np.vstack([r[:, :p], root]),
-                             np.concatenate([r[:, p], root @ prior_mean]))
-    sv = np.linalg.svd(w, compute_uv=False)
+    beta, w, _, sv = nk.qr_lstsq(np.vstack([r[:, :p], root]),
+                                 np.concatenate([r[:, p], root @ prior_mean]))
     if sv[-1] ** 2 <= 1e-12 * sv[0] ** 2:
         raise ValueError("X'X + A is singular")
     return beta, w, r[:, :p] @ w @ w.T
@@ -466,7 +467,8 @@ class MixedSpec:
         # residual too
         lost = np.einsum("kij,ki->kj", u, qty)
         rss += np.where(dropped, lost * lost, 0.0).sum(axis=1)
-        groups = tuple(self.groups[i] for i in rows)
+        groups = tuple(chain.from_iterable(
+            repeat(lab, n_i) for lab, n_i in zip(labels, counts.tolist())))
         for name, value in (("x", x), ("y", y), ("groups", groups),
                             ("labels", tuple(labels)), ("ends", ends),
                             ("r", r), ("qty", qty), ("rss", rss),
@@ -497,7 +499,7 @@ def _gls(blocks):
         np.linalg.solve(np.linalg.cholesky(sigma),
                         np.concatenate([x, y[..., None]], axis=-1))
         .reshape(-1, x.shape[-1] + 1) for x, sigma, y in blocks])
-    beta, w, _ = nk.qr_lstsq(white[:, :-1], white[:, -1])
+    beta, w, _, _ = nk.qr_lstsq(white[:, :-1], white[:, -1])
     return {"beta": beta, "cov": w @ w.T}
 
 

@@ -52,7 +52,7 @@ def ols_fit(x, y, names=None):
         raise nk.InputError("x and y lengths differ")
     if n <= q:
         raise nk.InputError(f"need n > {q} observations")
-    coef, w, _ = nk.qr_lstsq(xd, y)
+    coef, w, _, _ = nk.qr_lstsq(xd, y)
     fitted = xd @ coef
     resid = y - fitted
     df = n - q

@@ -219,7 +219,8 @@ def require_pd(w):
 
 
 def require_full_rank(x):
-    """Raise ValueError unless the design x has full column rank (RANK_TOL)."""
+    """The singular values of the design x, descending; raises ValueError
+    unless x has full column rank (RANK_TOL)."""
     if x.shape[0] < x.shape[1]:
         raise ValueError("design is rank deficient: fewer rows than columns")
     sv = np.linalg.svd(x, compute_uv=False)
@@ -227,13 +228,14 @@ def require_full_rank(x):
     # times this one (van der Sluis): only a design near the threshold
     # needs them
     if sv[-1] > np.sqrt(x.shape[1]) * RANK_TOL * sv[0]:
-        return
+        return sv
     norms = np.linalg.norm(x, axis=0)
     unit = np.linalg.svd(x / np.where(norms > 0, norms, 1.0),
                          compute_uv=False)
     if unit[-1] <= RANK_TOL * unit[0]:
         raise ValueError("design is rank deficient: min singular value "
                          f"{unit[-1]:.3e} of its unit-length columns")
+    return sv
 
 
 def qr_lstsq(x, y):
@@ -241,15 +243,16 @@ def qr_lstsq(x, y):
     matrix, on the columns of x, from the R = [[R_x, R_xy], [0, R_yy]] of
     one Householder QR of the raw [x | y], backward stable column by
     column, so a column's units change nothing beyond rounding. Returns
-    (coef, W, R): coef = W R_xy, W = R_x^{-1}, so (x'x)^{-1} = W W' is
+    (coef, W, R, sv): coef = W R_xy, W = R_x^{-1}, so (x'x)^{-1} = W W' is
     symmetric by construction; R_yy' R_yy is the residual cross-products.
-    R_x has the singular values of x and is the rank verdict's input."""
+    R_x has the singular values sv of x, descending, and is the rank
+    verdict's input; W's are 1 / sv reversed."""
     q = x.shape[1]
     r = np.linalg.qr(np.concatenate([x, y.reshape(len(y), -1)], axis=1),
                      mode="r")
-    require_full_rank(r[:q, :q])
+    sv = require_full_rank(r[:q, :q])
     w = np.linalg.inv(r[:q, :q])
-    return (w @ r[:q, q:]).reshape((q,) + y.shape[1:]), w, r
+    return (w @ r[:q, q:]).reshape((q,) + y.shape[1:]), w, r, sv
 
 
 def clip_psd(w):

@@ -47,19 +47,18 @@ def group_rows(labels):
     sorted order, the row indices ordered by label (input order within a
     label), and where each label's rows end. Labels that are all finite
     numbers, or their text, sort by value, so "2" comes before "10"."""
-    by = {}
-    for i, lab in enumerate(labels):
-        by.setdefault(lab, []).append(i)
+    distinct = dict.fromkeys(labels)
     try:
-        value = {lab: float(lab) for lab in by}
+        value = {lab: float(lab) for lab in distinct}
         numeric = all(map(math.isfinite, value.values()))
     except (TypeError, ValueError):
         numeric = False
-    names = (sorted(by, key=lambda lab: (value[lab], lab)) if numeric
-             else sorted(by))
-    rows = chain.from_iterable(by[lab] for lab in names)
-    return (names, np.fromiter(rows, np.intp, len(labels)),
-            np.cumsum([len(by[lab]) for lab in names]))
+    names = (sorted(distinct, key=lambda lab: (value[lab], lab)) if numeric
+             else sorted(distinct))
+    code = dict(zip(names, range(len(names))))
+    codes = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
+    return (names, np.argsort(codes, kind="stable"),
+            np.cumsum(np.bincount(codes, minlength=len(names))))
 
 
 @dataclass(frozen=True)

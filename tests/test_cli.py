@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ellipstat import cli, datasets, kissing, linmod, mlm, render
 from ellipstat import distributions as dist
@@ -57,6 +59,150 @@ def test_load_csv_empty_file(tmp_path):
     p.write_text("")
     with pytest.raises(cli.InputError, match="empty"):
         cli.load_csv(str(p))
+
+
+def test_load_csv_not_utf8_is_input_error(tmp_path, capsys):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"a,b\n1,2\n3,\xff4\n")
+    with pytest.raises(cli.InputError, match="latin.csv"):
+        cli.load_csv(str(p))
+    assert run_cli(["data-ellipse", "--data", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: cannot read" in err and "utf-8" in err
+
+
+def test_oversized_field_is_input_error(tmp_path, capsys):
+    p = tmp_path / "big.csv"
+    p.write_text("a,b\n1,2\n3,"
+                 + "4" * (csv.field_size_limit() + 1) + "\n5,6\n")
+    with pytest.raises(cli.InputError, match="line 3: field larger"):
+        cli.load_csv(str(p))
+    assert run_cli(["data-ellipse", "--data", str(p)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def _reader_table(text, source):
+    """The table as csv.reader reads it, row by row: the oracle of the
+    bulk split (a csv.Error becomes an InputError at the reader's line)."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise cli.InputError(f"{source}: line {reader.line_num}: {exc}")
+    if not rows or not rows[0]:
+        raise cli.InputError(f"{source}: empty file")
+    header, data = rows[0], rows[1:]
+    if not data:
+        raise cli.InputError(f"{source}: no data rows")
+    for lineno, row in enumerate(data, start=2):
+        if len(row) != len(header):
+            raise cli.InputError(f"{source}: line {lineno} has {len(row)} "
+                                 f"fields, expected {len(header)}")
+    columns = {}
+    for j, name in enumerate(header):
+        raw = [row[j] for row in data]
+        try:
+            vals = np.array([float(v) for v in raw])
+        except ValueError:
+            columns[name] = raw
+            continue
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0]) + 2
+            raise cli.InputError(f"{source}: column {name!r} has a "
+                                 f"non-finite value at line {bad}")
+        columns[name] = vals
+    return cli.DataTable(header=header, columns=columns, n=len(data))
+
+
+def _outcome(parse, text):
+    try:
+        table = parse(text, "t.csv")
+    except cli.InputError as exc:
+        return str(exc)
+    return (table.header, table.n,
+            [(name, col.dtype.str, col.tobytes())
+             if isinstance(col, np.ndarray) else (name, col)
+             for name, col in table.columns.items()])
+
+
+NUMBERS = hs.one_of(
+    hs.floats(allow_nan=False, allow_infinity=False).map(repr),
+    hs.integers(-10 ** 6, 10 ** 6).map(str),
+    hs.sampled_from(["1_000", "٣", "١.٥", " 4 ", "\t5", "1e3", "-0", ".5"]))
+NON_FINITE = hs.sampled_from(["nan", "inf", "-Infinity", "1e400", " NaN"])
+PLAIN = hs.one_of(
+    hs.sampled_from(["x", "a b", "é", "", "\x00", "0x1", "2"]),
+    hs.text(hs.characters(blacklist_characters='",\r\n'), max_size=4))
+QUOTED = hs.one_of(
+    hs.sampled_from(['"', '"q"', 'a"b']),
+    hs.text(max_size=3).map(lambda s: '"' + s.replace('"', '""') + '"'))
+BROKEN = hs.one_of(hs.sampled_from(["1,5", "2\r3", "4\n", "\r\n", "x\r"]),
+                   hs.text(max_size=4))
+RARELY = hs.sampled_from([False, False, True])
+
+
+@hs.composite
+def csv_texts(draw):
+    """CSV text with number and text columns, LF or CRLF line ends, a
+    header only now and then, and, each in some files only: quotes, cells
+    holding a comma or a line break, a lone CR or a blank row as a line
+    end, ragged rows and non-finite cells; with a lowered field size limit
+    to read it under, or None for the default."""
+    def now_and_then(usual, *odd):
+        return hs.one_of(usual, usual, usual,
+                         *(s for s in odd if draw(RARELY)))
+
+    width = draw(hs.integers(1, 4))
+    text = now_and_then(PLAIN, QUOTED, BROKEN)
+    number = now_and_then(NUMBERS, NON_FINITE)
+    cells = {"number": number, "text": text, "any": hs.one_of(number, text)}
+    kinds = draw(hs.lists(hs.sampled_from(sorted(cells)),
+                          min_size=width + 1, max_size=width + 1))
+    eol = draw(hs.sampled_from(["\n", "\r\n"]))
+    ends = now_and_then(hs.just(eol), hs.just("\r"), hs.just(eol + eol))
+    sizes = now_and_then(hs.just(width),
+                         hs.sampled_from([width - 1, width + 1]))
+    header = draw(hs.lists(hs.one_of(hs.sampled_from(["a", "b", "a"]), text),
+                           min_size=width, max_size=width))
+    lines = [",".join(header) + draw(ends)]
+    n_rows = draw(hs.integers(1, 6))
+    for _ in range(0 if draw(hs.sampled_from([False] * 9 + [True]))
+                   else n_rows):
+        row = [draw(cells[kinds[j]]) for j in range(draw(sizes))]
+        lines.append(",".join(row) + draw(ends))
+    lines[-1] = lines[-1].rstrip("\r\n") + draw(
+        hs.sampled_from(["", eol, eol, eol + eol]))
+    limit = draw(hs.one_of(hs.none(), hs.none(), hs.integers(1, 24)))
+    return "".join(lines), limit
+
+
+@given(csv_texts())
+@settings(max_examples=400, deadline=None, database=None)
+def test_bulk_split_reads_as_csv_reader(case):
+    text, limit = case
+    old = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        assert _outcome(cli._parse_table, text) == \
+            _outcome(_reader_table, text)
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("text", [
+    'a,b\n1,"2"\n', "a,b\n1,2\r3,4\n", "a,b\r\n1,2\r", "\na\n1\n",
+    "a,b\n", "a\n1\n\n2\n", "a,b\n1,2\n\n", "a,b\n1,2,3\n", "a,b\n1\n"])
+def test_bulk_split_falls_back(text):
+    assert cli._split_plain(text) is None
+
+
+@pytest.mark.parametrize("name", datasets.list_fixtures())
+def test_bulk_split_reads_every_fixture(name):
+    # LF and CRLF fixtures alike take the bulk split
+    text = datasets.fixture_csv_text(name)
+    assert cli._split_plain(text) is not None
+    assert _outcome(cli._parse_table, text) == _outcome(_reader_table, text)
 
 
 def test_fixture_table_shapes():

@@ -686,6 +686,30 @@ def test_singular_verdict_threshold(ratio):
         ki.bayes_posterior(x, y, np.zeros(2), np.zeros((2, 2)))
 
 
+def test_singular_verdict_with_a_prior_along_the_wrong_axis():
+    # X'X has eigenvalues 1 + c and 1 - c = 2e-14 / (1 + 1e-14) on
+    # (1, 1) / sqrt(2) and (1, -1) / sqrt(2). A prior precision on the
+    # first axis only leaves X'X + A singular by the 1e-12 rule, though the
+    # pooled R is above the design rank threshold; one on the second axis
+    # makes it regular, as does ridge's k I
+    ratio = 1e-14
+    rng = np.random.default_rng(6)
+    z = rng.standard_normal((12, 2))
+    u, _ = np.linalg.qr(z - z.mean(axis=0))
+    x = np.column_stack([u[:, 0], ((1 - ratio) * u[:, 0]
+                                   + 2 * np.sqrt(ratio) * u[:, 1])
+                         / (1 + ratio)])
+    y = rng.standard_normal(12)
+    along, across = np.full((2, 2), 0.5), np.array([[0.5, -0.5],
+                                                    [-0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"^X'X \+ A is singular$"):
+        ki.bayes_posterior(x, y, np.zeros(2), along)
+    with pytest.raises(ValueError, match=r"^X'X \+ A is singular$"):
+        ki.ridge(x, y, 0.0)
+    ki.bayes_posterior(x, y, np.zeros(2), across)
+    ki.ridge(x, y, 1e-3)
+
+
 # ------------------------------------------------------------------ mixed
 
 def _toy_clusters(rng, m=8, beta=(1.0, 2.0), g_scale=0.5, n_range=(8, 15)):

@@ -378,8 +378,10 @@ def test_qr_lstsq_reads_everything_from_r():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((30, 3))
     y = x @ rng.standard_normal((3, 2)) + rng.standard_normal((30, 2))
-    coef, w, r = nk.qr_lstsq(x, y)
+    coef, w, r, sv = nk.qr_lstsq(x, y)
     assert coef.shape == (3, 2) and r.shape == (5, 5)
+    assert sv == pytest.approx(np.linalg.svd(x, compute_uv=False),
+                               rel=1e-12)
     assert coef == pytest.approx(np.linalg.solve(x.T @ x, x.T @ y),
                                  rel=1e-12)
     xtx_inv = w @ w.T
@@ -388,7 +390,7 @@ def test_qr_lstsq_reads_everything_from_r():
     resid = y - x @ coef
     assert r[3:, 3:].T @ r[3:, 3:] == pytest.approx(resid.T @ resid,
                                                     rel=1e-12)
-    vec, _, _ = nk.qr_lstsq(x, y[:, 0])
+    vec, _, _, _ = nk.qr_lstsq(x, y[:, 0])
     assert vec.shape == (3,) and vec == pytest.approx(coef[:, 0], rel=1e-14)
     with pytest.raises(ValueError, match="rank deficient"):
         nk.qr_lstsq(x[:, [0, 1, 0]], y)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,43 @@ def test_interleaving_of_the_rows_changes_nothing(gs, seed):
     assert labels_a == labels_b
     for field in ("coef", "e_mat", "xtx_inv", "y_mean"):
         assert np.array_equal(getattr(fit_a, field), getattr(fit_b, field))
+
+
+def _group_rows_by_dict(labels):
+    """The grouping rule row by row, one list of rows per label: the
+    oracle of group_rows."""
+    by = {}
+    for i, lab in enumerate(labels):
+        by.setdefault(lab, []).append(i)
+    try:
+        value = {lab: float(lab) for lab in by}
+        numeric = all(map(math.isfinite, value.values()))
+    except (TypeError, ValueError):
+        numeric = False
+    names = (sorted(by, key=lambda lab: (value[lab], lab)) if numeric
+             else sorted(by))
+    return (names, [i for lab in names for i in by[lab]],
+            np.cumsum([len(by[lab]) for lab in names]).tolist())
+
+
+LABELS = hs.one_of(
+    hs.lists(hs.one_of(hs.sampled_from(["2", "10", "1.0", "1", "-3",
+                                        "1e3", " 2", "nan", "inf"]),
+                       hs.text(max_size=3)), max_size=60),
+    hs.lists(hs.sampled_from(["2", "10", "1.0", "1", "-3", "1e3", " 2"]),
+             max_size=60),
+    hs.lists(hs.sampled_from(["2", "10", "-3", "nan", "-inf"]), max_size=60),
+    hs.lists(hs.integers(-4, 12), max_size=60))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(LABELS)
+def test_group_rows_is_the_dict_rule(labels):
+    # strings sort as text, numeric strings ("2" before "10") and ints by
+    # value; rows keep their order within a label
+    names, rows, ends = st.group_rows(labels)
+    assert (names, rows.tolist(), ends.tolist()) == \
+        _group_rows_by_dict(labels)
 
 
 def test_marginal_decomposition_demo():
