@@ -33,7 +33,7 @@ print(f"correlation r = {r:.3f}")
 
 # coverage radii: c^2 is a chi-square_2 quantile
 for level in (0.40, 0.68, 0.95):
-    c = st.coverage_radius(2, sample.n, st.CoverageSpec.chisq(level))
+    c = st.coverage_radius(2, st.CoverageSpec.chisq(level))
     print(f"{level:.0%} ellipse: c^2 = {c * c:.3f}")
 
 # the 40% ellipse has radius ~1, so its axis shadows are ~1 sd each way

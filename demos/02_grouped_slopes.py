@@ -34,7 +34,7 @@ for sign, label in ((+1, "positive"), (-1, "negative")):
     # the grand mean, and the between-means ellipse
     layers = [render.AxisLayer(label_x="x", label_y="y")]
     grand, _ = st.mean_cov(st.Sample(gs.data))
-    c2 = st.coverage_radius(2, gs.total_n, st.CoverageSpec.chisq(0.68)) ** 2
+    c2 = st.coverage_radius(2, st.CoverageSpec.chisq(0.68)) ** 2
     for i, rows in enumerate(gs.split()):
         color = render.PALETTE["groups"][i % 6]
         layers.append(render.PointsLayer(

@@ -287,7 +287,7 @@ def cmd_data_ellipse(args):
     names, mat = _xy_columns(table, args)
     sample = st.Sample(mat, tuple(names))
     mean, cov = st.mean_cov(sample)
-    c = st.coverage_radius(2, sample.n, st.CoverageSpec.chisq(args.level))
+    c = st.coverage_radius(2, st.CoverageSpec.chisq(args.level))
     ell = st.data_ellipsoid(sample, st.CoverageSpec.stddev(c))
     sh_x = st.univariate_shadow(ell, np.array([1.0, 0.0]))
     sh_y = st.univariate_shadow(ell, np.array([0.0, 1.0]))
@@ -385,7 +385,7 @@ def cmd_avp(args):
     marg = res["marginal"]
     cond = np.column_stack([res["x_star"], res["y_star"]])
     half = st.CoverageSpec.stddev(
-        st.coverage_radius(2, len(marg), st.CoverageSpec.chisq(0.50)))
+        st.coverage_radius(2, st.CoverageSpec.chisq(0.50)))
     scene = render.build_avp_marginal_overlay(
         marg, cond, st.data_ellipsoid(st.Sample(marg, names), half),
         st.data_ellipsoid(st.Sample(cond, names), half),

@@ -33,8 +33,13 @@ class GEllipsoid:
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).ravel()
         frame = np.asarray(self.frame, dtype=float)
-        radii = np.asarray(self.radii, dtype=float).ravel()
+        radii = np.array(self.radii, dtype=float).ravel()
         _check(center, frame, radii)
+        # zero is decided here, once: a radius at or below ZERO_RADIUS_TOL
+        # times the largest finite one is roundoff, and every other
+        # function counts exact zeros
+        top = radii[np.isfinite(radii)].max(initial=0.0)
+        radii[radii <= ZERO_RADIUS_TOL * top] = 0.0
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "radii", radii)
@@ -77,13 +82,6 @@ def _checked(center, frame, radii):
     return e
 
 
-def _sorted_frame(frame, radii):
-    # inf sorts first, then finite descending, zeros last
-    key = np.where(np.isinf(radii), np.inf, radii)
-    order = np.argsort(-key, kind="stable")
-    return frame[:, order], radii[order]
-
-
 def from_moments(ws, centers=None):
     """from_moment of each PSD matrix of a stack (k, p, p) about its center
     (k, p), the origin if omitted: a list of k ellipsoids from one
@@ -110,21 +108,13 @@ def from_moment(w, center=None):
 
 
 def from_precision(c, center=None):
-    """Ellipsoid {x: (x-mu)^T C (x-mu) <= 1}: radii 1/sqrt(eig(C)).
+    """Ellipsoid {x: (x-mu)^T C (x-mu) <= 1}, the dual of C's moment
+    ellipsoid: radii 1/sqrt(eig(C)).
 
     A zero eigenvalue of C leaves the ellipsoid unbounded along that
     eigenvector.
     """
-    lam, vecs = nk.psd_eigvals(c)
-    p = lam.size
-    if center is None:
-        center = np.zeros(p)
-    radii = np.empty(p)
-    zero = lam <= ZERO_RADIUS_TOL * lam[0]
-    radii[~zero] = 1.0 / np.sqrt(lam[~zero])
-    radii[zero] = np.inf
-    vecs, radii = _sorted_frame(vecs, radii)
-    return GEllipsoid(center=center, frame=vecs, radii=radii)
+    return dual(from_moment(c, center))
 
 
 def from_generator(a, center=None):
@@ -142,29 +132,26 @@ def from_generator(a, center=None):
     radii = np.zeros(p)
     k = min(p, dec.singulars.size)
     radii[:k] = dec.singulars[:k]
-    radii[radii <= ZERO_RADIUS_TOL * radii[0]] = 0.0
     return GEllipsoid(center=center, frame=dec.left, radii=radii)
 
 
 def dual(e):
-    """Elementwise radius inversion (1/0 = inf, 1/inf = 0); an involution."""
-    radii = e.radii
-    inv = np.empty_like(radii)
-    inv[radii == 0] = np.inf
-    inv[np.isinf(radii)] = 0.0
-    finite_pos = (radii > 0) & np.isfinite(radii)
-    inv[finite_pos] = 1.0 / radii[finite_pos]
-    frame, inv = _sorted_frame(e.frame, inv)
-    return GEllipsoid(center=e.center, frame=frame, radii=inv)
+    """Elementwise radius inversion (1/0 = inf, 1/inf = 0); an involution.
+
+    The dual of a valid ellipsoid needs no check: its positive radii lie
+    in (1e-12 r_max, r_max], so the dual's lie in [1/r_max, 1/r_min) with
+    1/r_max above 1e-12 / r_min, and the zero rule holds for it too.
+    """
+    with np.errstate(divide="ignore"):
+        radii = 1.0 / e.radii
+    order = np.argsort(-radii, kind="stable")
+    return _checked(e.center, e.frame[:, order], radii[order])
 
 
 def signature(e):
-    radii = e.radii
-    finite = radii[np.isfinite(radii)]
-    scale = finite.max(initial=0.0)
-    n_inf = int(np.sum(np.isinf(radii)))
-    n_zero = int(np.sum(radii <= ZERO_RADIUS_TOL * scale))
-    return Signature(n_pos=radii.size - n_inf - n_zero, n_zero=n_zero,
+    n_zero = int(np.count_nonzero(e.radii == 0))
+    n_inf = int(np.count_nonzero(np.isinf(e.radii)))
+    return Signature(n_pos=e.radii.size - n_inf - n_zero, n_zero=n_zero,
                      n_inf=n_inf)
 
 
@@ -230,9 +217,8 @@ def scaled_sq_distance(e, x, tol=1e-9):
         raise nk.InputError("point must be finite")
     z = e.frame.T @ (x - e.center)
     finite = np.isfinite(e.radii)
-    scale = e.radii[finite].max(initial=0.0)
-    flat = e.radii <= ZERO_RADIUS_TOL * scale
-    if np.any(np.abs(z[flat]) > tol * scale):
+    flat = e.radii == 0
+    if np.any(np.abs(z[flat]) > tol * e.radii[finite].max(initial=0.0)):
         return math.inf
     pos = finite & ~flat
     return float(np.sum((z[pos] / e.radii[pos]) ** 2))
@@ -382,7 +368,10 @@ def boundary_points(e, n=256, seed=0):
     """Deterministic boundary sample of a bounded ellipsoid.
 
     2D uses equally spaced angles; higher dimensions use a Fibonacci-style
-    lattice mapped through the frame.
+    lattice mapped through the frame. Nothing in the package draws with
+    it: it is kept as the boundary sampler that the tests of the image law
+    (boundary points map onto the image's boundary) and of tangent planes
+    check against.
     """
     if np.any(np.isinf(e.radii)):
         raise nk.InputError("boundary sampling requires a bounded ellipsoid")

@@ -240,8 +240,11 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
     antiparallel (ellipses touching from outside, as on the branch
     running between the centers); the first one closest in f1-level, in
     polyline order, is polished with a 2 x 2 Newton iteration on
-    (cross_field, f1 - radius1^2). Returns the point and the f2 radius at
-    which the families touch there.
+    (cross_field, f1 - radius1^2). Where a coarse locus offers no
+    candidate, or the polish lands on an internal kiss point, and the
+    level lies below f1(m2), the polish starts instead from the point of
+    that level on the branch, found by bisection. Returns the point and
+    the f2 radius at which the families touch there.
     """
     if locus is None:
         if bbox is None:
@@ -250,13 +253,24 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
     verts = locus["vertices"]
     d1 = verts - f1.m
     g1 = d1 @ f1.a_mat
-    external = np.einsum("ij,ij->i", g1, (verts - f2.m) @ f2.a_mat) < 0
-    err = np.where(external,
-                   np.abs(np.einsum("ij,ij->i", g1, d1) - radius1 ** 2),
-                   np.inf)
-    if not external.any():
+    level = np.einsum("ij,ij->i", g1, d1)
+    # a vertex at m1 to roundoff has no f1 gradient to follow: Newton from
+    # level eps r1^2 overshoots and needs log2(1/eps) / 2 steps to return
+    external = ((np.einsum("ij,ij->i", g1, (verts - f2.m) @ f2.a_mat) < 0)
+                & (level > 1e-12 * radius1 ** 2))
+    x = None
+    if external.any():
+        err = np.where(external, np.abs(level - radius1 ** 2), np.inf)
+        x = _polish(f1, f2, radius1, verts[np.argmin(err)].copy())
+    if (x is None or f1.gradient(x) @ f2.gradient(x) >= 0) and \
+            radius1 ** 2 < f1.value(f2.m):
+        x = _polish(f1, f2, radius1, _branch_point(f1, f2, radius1))
+    if x is None:
         raise ValueError("no external osculation candidates on the locus")
-    x = verts[np.argmin(err)].copy()
+    return x, float(np.sqrt(f2.value(x)))
+
+
+def _polish(f1, f2, radius1, x):
     for _ in range(40):
         r = np.array([cross_field(f1, f2, x),
                       f1.value(x) - radius1 ** 2])
@@ -268,7 +282,26 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
         x = x - step
         if np.linalg.norm(step) < 1e-14 * (1 + np.linalg.norm(x)):
             break
-    return x, float(np.sqrt(f2.value(x)))
+    return x
+
+
+def _branch_point(f1, f2, radius1):
+    """The point of level radius1^2 < f1(m2) on the branch between the
+    centres, x(t) = ((1-t) B1 + t B2)^-1 ((1-t) B1 m1 + t B2 m2) for t in
+    [0, 1] and B_i = A_i / |A_i|, where f1 rises from 0 to f1(m2):
+    bisection on t, to the last bit."""
+    b1 = f1.a_mat / np.linalg.norm(f1.a_mat)
+    b2 = f2.a_mat / np.linalg.norm(f2.a_mat)
+    lo, hi = 0.0, 1.0
+    while lo < 0.5 * (lo + hi) < hi:
+        t = 0.5 * (lo + hi)
+        x = np.linalg.solve((1 - t) * b1 + t * b2,
+                            (1 - t) * b1 @ f1.m + t * b2 @ f2.m)
+        if f1.value(x) < radius1 ** 2:
+            lo = t
+        else:
+            hi = t
+    return x
 
 
 def lda_axis(m1, m2, s_pooled):
@@ -421,7 +454,7 @@ class MixedSpec:
     QR of [X_k | y_k] per distinct cluster size: r[k] is R_k and qty[k]
     is Q_k'y_k, its column p, both padded with zero rows to p rows when
     n_k < p; rss[k] is the residual sum of squares of y_k on the column
-    space of X_k; full[k] says whether X_k has full column rank.
+    space of X_k, and rank[k] the rank of X_k.
     """
     x: np.ndarray               # n x p
     y: np.ndarray               # n
@@ -431,7 +464,7 @@ class MixedSpec:
     r: np.ndarray = field(init=False, repr=False)
     qty: np.ndarray = field(init=False, repr=False)
     rss: np.ndarray = field(init=False, repr=False)
-    full: np.ndarray = field(init=False, repr=False)
+    rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -472,7 +505,7 @@ class MixedSpec:
         for name, value in (("x", x), ("y", y), ("groups", groups),
                             ("labels", tuple(labels)), ("ends", ends),
                             ("r", r), ("qty", qty), ("rss", rss),
-                            ("full", ~dropped[:, -1])):
+                            ("rank", p - dropped.sum(axis=1))):
             object.__setattr__(self, name, value)
 
     @property
@@ -481,8 +514,9 @@ class MixedSpec:
 
     def error_variance(self):
         """sigma^2: the clusters' pooled residual sum of squares over
-        n - k p degrees of freedom."""
-        df = self.y.size - self.r.shape[0] * self.r.shape[2]
+        n - sum_k rank(X_k) degrees of freedom, each cluster's residual
+        having n_k - rank(X_k)."""
+        df = self.y.size - int(self.rank.sum())
         if df <= 0:
             raise nk.InputError("no residual degrees of freedom for sigma^2")
         return float(self.rss.sum()) / df
@@ -544,12 +578,13 @@ def cluster_blues(spec):
     Rank-deficient clusters are skipped and reported rather than fitted.
     """
     s2 = spec.error_variance()
-    idx = np.flatnonzero(spec.full)
+    full = spec.rank == spec.r.shape[2]
+    idx = np.flatnonzero(full)
     w = np.linalg.inv(spec.r[idx])
     beta = np.einsum("kij,kj->ki", w, spec.qty[idx])
     s_mat = s2 * (w @ w.swapaxes(1, 2))
     return {"index": idx.tolist(), "beta": beta, "s_mat": s_mat,
-            "skipped": np.flatnonzero(~spec.full).tolist(), "sigma2": s2}
+            "skipped": np.flatnonzero(~full).tolist(), "sigma2": s2}
 
 
 def blup(beta_blue, s_mat, beta_gls, g_mat):

@@ -140,11 +140,6 @@ def _ellipse_paths(ellipses, n):
     return centers + (circle * radii) @ frames.swapaxes(1, 2)
 
 
-def ellipse_path(e, n=64):
-    """Closed boundary polygon of a bounded 2D ellipsoid in data space."""
-    return _ellipse_paths([e], n)[0]
-
-
 def _scene_parts(layers):
     """What a scene draws all at once: its EllipseLayers and ArrowLayers,
     in order, the ends of the arrows as one array (tail, head, tail,
@@ -197,12 +192,6 @@ class Transform:
         px[:, 0] = self.x0 + self.sx * pts[:, 0]
         px[:, 1] = self.height - (self.y0 + self.sy * pts[:, 1])
         return px
-
-    def to_data(self, pix):
-        pix = np.atleast_2d(np.asarray(pix, dtype=float))
-        x = (pix[:, 0] - self.x0) / self.sx
-        y = (self.height - pix[:, 1] - self.y0) / self.sy
-        return np.column_stack([x, y])
 
 
 MARGIN = {"left": 54.0, "right": 16.0, "top": 28.0, "bottom": 44.0}

@@ -118,11 +118,11 @@ class GroupedSample:
 
 @dataclass(frozen=True)
 class CoverageSpec:
-    kind: str       # 'chisq' | 'f_small_sample' | 'stddev_multiple'
-    value: float    # coverage level for quantile kinds, else the multiple
+    kind: str       # 'chisq' | 'stddev_multiple'
+    value: float    # coverage level for 'chisq', else the multiple
 
     def __post_init__(self):
-        if self.kind in ("chisq", "f_small_sample"):
+        if self.kind == "chisq":
             if not 0.0 < self.value < 1.0:
                 raise nk.InputError("coverage level must be in (0, 1)")
         elif self.kind == "stddev_multiple":
@@ -134,10 +134,6 @@ class CoverageSpec:
     @classmethod
     def chisq(cls, level):
         return cls("chisq", level)
-
-    @classmethod
-    def small_sample(cls, level):
-        return cls("f_small_sample", level)
 
     @classmethod
     def stddev(cls, multiple=1.0):
@@ -167,30 +163,17 @@ def regression_slopes(s):
             s[0, 1] / s[1, 1] if s[1, 1] > 0 else np.nan)
 
 
-def mahalanobis(y, ybar, s_mat):
-    """Squared Mahalanobis distance (y - ybar)^T S^{-1} (y - ybar)."""
-    s_mat = nk.check_symmetric(s_mat)
-    nk.require_pd(s_mat)
-    d = np.asarray(y, dtype=float) - np.asarray(ybar, dtype=float)
-    return float(d @ np.linalg.solve(s_mat, d))
-
-
-def coverage_radius(p, n, spec):
+def coverage_radius(p, spec):
     """Radius c of the coverage ellipsoid; c^2 is the reference quantile."""
     if spec.kind == "chisq":
         return float(np.sqrt(dist.chi2_quantile(spec.value, p)))
-    if spec.kind == "f_small_sample":
-        if n <= p:
-            raise nk.InputError("small-sample radius needs n > p")
-        f_q = dist.f_quantile(spec.value, p, n - p)
-        return float(np.sqrt(p * (n - 1) / (n - p) * f_q))
     return float(spec.value)
 
 
 def data_ellipsoid(sample, spec=CoverageSpec.stddev(1.0)):
     """Data ellipsoid of radius c: the mean +/- c S^{1/2} contour."""
     ybar, s = mean_cov(sample)
-    c = coverage_radius(sample.p, sample.n, spec)
+    c = coverage_radius(sample.p, spec)
     return ge.from_moment(c * c * s, ybar)
 
 

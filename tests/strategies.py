@@ -36,6 +36,24 @@ def pd_matrices(draw, p=hs.integers(1, 4), log_cond=hs.floats(0.0, 8.0),
 
 
 @hs.composite
+def psd_matrices(draw, p=hs.integers(1, 4), log_cond=hs.floats(0.0, 8.0),
+                 log_scale=hs.floats(-100.0, 100.0)):
+    """(w, rank): a p x p positive-semidefinite matrix of any rank 0..p in a
+    random frame, whose nonzero eigenvalues fall geometrically from scale
+    to scale / cond; the null eigenvalues are exact zeros before the frame
+    turns them into roundoff."""
+    p = draw(p)
+    rank = draw(hs.integers(0, p))
+    cond, scale = 10.0 ** draw(log_cond), 10.0 ** draw(log_scale)
+    rng = np.random.default_rng(draw(seeds))
+    frame = orthogonal(rng, p)
+    lam = np.zeros(p)
+    lam[:rank] = scale * np.logspace(0.0, -np.log10(cond), rank)
+    w = (frame * lam) @ frame.T
+    return 0.5 * (w + w.T), rank
+
+
+@hs.composite
 def ellipsoids(draw, p=hs.integers(1, 4)):
     """A generalized ellipsoid of any signature: infinite, positive and zero
     radii in a random orthonormal or coordinate-permutation frame."""

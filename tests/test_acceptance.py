@@ -48,8 +48,8 @@ def test_acceptance_01_galton_correlation(tmp_path):
 
 @criterion(2, "coverage constants c^2 = 5.99 / 2.28 (+/- 0.01)")
 def test_acceptance_02_coverage_constants():
-    c95 = st.coverage_radius(2, 10 ** 6, st.CoverageSpec.chisq(0.95))
-    c68 = st.coverage_radius(2, 10 ** 6, st.CoverageSpec.chisq(0.68))
+    c95 = st.coverage_radius(2, st.CoverageSpec.chisq(0.95))
+    c68 = st.coverage_radius(2, st.CoverageSpec.chisq(0.68))
     assert abs(c95 ** 2 - 5.99) <= 0.01
     assert abs(c68 ** 2 - 2.28) <= 0.01
 

@@ -447,13 +447,23 @@ def test_parser_defaults_immutable():
             assert _immutable(value), (name, dest)
 
 
+def _cold_ellip(argv):
+    """`python -m ellipstat argv` in a fresh process that imports the
+    package these tests import, whatever PYTHONPATH the run was given."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "ellipstat", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_kiss_defaults_after_custom_kiss(tmp_path):
     # a reused parser hands its defaults to every call: a custom kiss must
     # leave the defaults of the next call as a fresh process sees them
     base = ["kiss", "--resolution", "48", "--json"]
     fresh = tmp_path / "fresh.json"
-    proc = subprocess.run([sys.executable, "-m", "ellipstat", *base,
-                           str(fresh)], capture_output=True, text=True)
+    proc = _cold_ellip(base + [str(fresh)])
     assert proc.returncode == 0, proc.stderr
     custom, after = tmp_path / "custom.json", tmp_path / "after.json"
     assert run_cli(["kiss", "--resolution", "48", "--m1=-1,1",
@@ -1122,9 +1132,7 @@ def test_generated_fixtures_made_once(tmp_path, monkeypatch):
 
 def test_console_entrypoint_smoke(tmp_path):
     out = tmp_path / "s.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "ellipstat", "data-ellipse", "--data",
-         "galton", "--json", str(out)],
-        capture_output=True, text=True)
+    proc = _cold_ellip(["data-ellipse", "--data", "galton", "--json",
+                        str(out)])
     assert proc.returncode == 0
     assert out.exists()

@@ -408,17 +408,128 @@ def test_ascending_radii_are_rejected_at_any_scale(radii):
 @given(hs.lists(hs.floats(0.0, 1e3), min_size=1, max_size=4),
        hs.integers(0, 2), hs.floats(-150.0, 150.0))
 def test_sorted_radii_are_accepted_at_any_scale(radii, n_inf, log_s):
-    # descending finite radii, zeros included, behind any infinite ones;
-    # reversed, a spread of more than 1e-9 of the largest is rejected
+    # descending finite radii, zeros included, behind any infinite ones,
+    # are stored as given but for those at or below 1e-12 of the largest
+    # finite radius, which are roundoff and stored as 0; reversed, a
+    # spread of more than 1e-9 of the largest is rejected
     s = 10.0 ** log_s
     finite = s * np.sort(radii)[::-1]
     p = n_inf + finite.size
     radii = np.concatenate([np.full(n_inf, np.inf), finite])
     e = ge.GEllipsoid(np.zeros(p), np.eye(p), radii)
-    assert np.array_equal(e.radii, radii)
+    assert np.array_equal(
+        e.radii, np.where(radii <= 1e-12 * finite[0], 0.0, radii))
     if finite[0] - finite[-1] > 1e-9 * finite[0]:
         with pytest.raises(nk.InputError, match="sorted descending"):
             ge.GEllipsoid(np.zeros(p), np.eye(p), radii[::-1])
+
+
+def test_a_zeroed_radius_may_sit_before_a_positive_one():
+    # [1, 1e-13, 5e-10] is sorted to within the 1e-9 slack; 1e-13 is
+    # roundoff and stored as 0, and 5e-10 stays a positive radius behind it
+    e = ge.GEllipsoid(np.zeros(3), np.eye(3), [1.0, 1e-13, 5e-10])
+    assert e.radii.tolist() == [1.0, 0.0, 5e-10]
+    assert ge.signature(e).as_tuple() == (2, 1, 0)
+    assert ge.contains(e, [0.0, 0.0, 2.5e-10]) == "inside"
+    assert ge.contains(e, [0.0, 1e-6, 0.0]) == "outside"
+    d = ge.dual(e)
+    assert d.radii.tolist() == [np.inf, 1.0 / 5e-10, 1.0]
+    assert np.array_equal(d.frame, np.eye(3)[:, [1, 2, 0]])
+    assert ge.signature(d).as_tuple() == (2, 0, 1)
+
+
+@pytest.mark.parametrize("radii, sig, dual_sig", [
+    ([np.inf, 1.0, 1e-17], (1, 1, 1), (1, 1, 1)),
+    ([1e17, 1.0], (1, 1, 0), (1, 0, 1)),
+])
+def test_roundoff_radii_keep_the_duality_law(radii, sig, dual_sig):
+    # a radius below 1e-12 of the largest finite one is 0, so its dual is
+    # unbounded, and the dual of the largest is then the only finite one
+    e = ge.GEllipsoid(np.zeros(len(radii)), np.eye(len(radii)), radii)
+    assert ge.signature(e).as_tuple() == sig
+    assert ge.signature(ge.dual(e)).as_tuple() == dual_sig
+
+
+# ------------------------------------------------- duality (Dempster 1969)
+
+def _swapped(sig):
+    return (sig.n_pos, sig.n_inf, sig.n_zero)
+
+
+def _assert_valid(e):
+    # the parts pass GEllipsoid's checks, sorting included, and its zero
+    # rule leaves them as they are
+    again = ge.GEllipsoid(e.center, e.frame, e.radii)
+    assert np.array_equal(again.radii, e.radii)
+
+
+@hs.composite
+def _roundoff_ellipsoids(draw):
+    """(e, sig): an ellipsoid hand-built from infinite, positive, roundoff
+    and zero radii, the roundoff ones 1e-30 to 1e-12.5 of the largest
+    finite radius, and the signature it should have, roundoff counted as
+    zero."""
+    n_inf, n_pos, n_tiny, n_zero = (draw(hs.integers(0, 2)),
+                                    draw(hs.integers(1, 3)),
+                                    draw(hs.integers(1, 2)),
+                                    draw(hs.integers(0, 1)))
+    p = n_inf + n_pos + n_tiny + n_zero
+    rng = np.random.default_rng(draw(strategies.seeds))
+    top = 10.0 ** draw(hs.floats(-100.0, 100.0))
+    pos = top * np.concatenate([[1.0], 10.0 ** rng.uniform(-6, 0, n_pos - 1)])
+    tiny = top * 10.0 ** rng.uniform(-30.0, -12.5, n_tiny)
+    radii = np.concatenate([np.full(n_inf, np.inf), np.sort(pos)[::-1],
+                            np.sort(tiny)[::-1], np.zeros(n_zero)])
+    e = ge.GEllipsoid(rng.standard_normal(p), strategies.orthogonal(rng, p),
+                      radii)
+    return e, (n_pos, n_tiny + n_zero, n_inf)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(hs.one_of(strategies.ellipsoids().map(
+    lambda e: (e, ge.signature(e).as_tuple())), _roundoff_ellipsoids()))
+def test_dual_swaps_zero_and_infinite_radii(e_sig):
+    e, sig = e_sig
+    assert ge.signature(e).as_tuple() == sig
+    d = ge.dual(e)
+    _assert_valid(d)
+    assert ge.signature(d).as_tuple() == _swapped(ge.signature(e))
+    assert np.array_equal(d.center, e.center)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(hs.one_of(strategies.ellipsoids(), _roundoff_ellipsoids().map(
+    lambda e_sig: e_sig[0])))
+def test_dual_of_dual_is_the_identity(e):
+    # the frame comes back exactly, ties in order, and each radius to
+    # within the rounding of two reciprocals
+    d = ge.dual(e)
+    _assert_valid(d)
+    back = ge.dual(d)
+    assert np.array_equal(back.frame, e.frame)
+    assert np.array_equal(back.center, e.center)
+    assert np.array_equal(np.isinf(back.radii), np.isinf(e.radii))
+    assert np.array_equal(back.radii == 0, e.radii == 0)
+    pos = (e.radii > 0) & np.isfinite(e.radii)
+    assert np.abs(back.radii[pos] / e.radii[pos] - 1.0).max(initial=0.0) \
+        <= 4 * np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(strategies.psd_matrices(), strategies.seeds)
+def test_precision_ellipsoid_is_the_dual_of_the_moment_one(w_rank, seed):
+    # a singular C bounds nothing along its null space: the null
+    # eigenvalues, roundoff after the frame turn, are zero radii of the
+    # moment ellipsoid and infinite radii of the precision one
+    c, rank = w_rank
+    center = np.random.default_rng(seed).standard_normal(len(c))
+    moment, precision = ge.from_moment(c, center), \
+        ge.from_precision(c, center)
+    _assert_valid(precision)
+    assert ge.signature(moment).as_tuple() == (rank, len(c) - rank, 0)
+    assert ge.signature(precision).as_tuple() == \
+        _swapped(ge.signature(moment))
+    assert np.array_equal(precision.center, center)
 
 
 # ------------------------------------- closure under linear maps (Dempster)

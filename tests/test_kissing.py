@@ -287,6 +287,47 @@ def test_osculation_points_lie_on_locus_and_levels():
         assert DEMO_F2.value(pt) == pytest.approx(r2 ** 2, rel=1e-10)
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(strategies.pd_matrices(p=hs.just(2), log_cond=hs.floats(0.0, 2.0),
+                              log_scale=hs.floats(-50.0, 50.0)),
+       strategies.pd_matrices(p=hs.just(2), log_cond=hs.floats(0.0, 2.0),
+                              log_scale=hs.floats(-50.0, 50.0)),
+       strategies.seeds, hs.floats(0.2, 0.8))
+# pinned: a locus vertex at m1, and a coarse locus from whose nearest
+# vertex Newton lands on the internal kiss point
+@example(a1=(np.eye(2), 1.0, 1.0), a2=(np.eye(2), 1.0, 1.0), seed=92,
+         t=0.203125)
+@example(a1=(np.array([[0.05558849, -0.20749528],
+                       [-0.20749528, 0.95441151]]), 100.0, 1.0),
+         a2=(np.array([[0.57015553, 0.44954839],
+                       [0.44954839, 0.52984447]]), 10.0, 1.0),
+         seed=1554, t=0.5)
+def test_cross_field_vanishes_at_each_kiss_point(a1, a2, seed, t):
+    # the kiss point on the f1 level t^2 f1(m2) lies between the centres,
+    # on the level and on the zero set of the cross field, to roundoff of
+    # the product of the gradients; the grid is centred on m1, so a vertex
+    # can sit there
+    rng = np.random.default_rng(seed)
+    m1 = rng.standard_normal(2)
+    m2 = m1 + 10.0 ** rng.uniform(-1.0, 1.0) * \
+        strategies.orthogonal(rng, 2)[0]
+    f1, f2 = ki.QuadFamily(m1, a1[0]), ki.QuadFamily(m2, a2[0])
+    # the branch between the centres stays within sqrt(cond(A1)) <= 10
+    # centre distances of m1
+    reach = 11.0 * np.linalg.norm(m2 - m1)
+    bbox = (m1[0] - reach, m1[0] + reach, m1[1] - reach, m1[1] + reach)
+    locus = ki.trace_locus(f1, f2, bbox, 96)
+    r1 = t * np.sqrt(f1.value(m2))
+    x, r2 = ki.osculation_point(f1, f2, r1, locus=locus)
+    g1 = f1.a_mat @ (x - m1)
+    g2 = f2.a_mat @ (x - m2)
+    assert abs(ki.cross_field(f1, f2, x)) <= \
+        1e-12 * np.linalg.norm(g1) * np.linalg.norm(g2)
+    assert g1 @ g2 < 0
+    assert f1.value(x) == pytest.approx(r1 ** 2, rel=1e-12)
+    assert f2.value(x) == pytest.approx(r2 ** 2, rel=1e-12)
+
+
 def test_osculation_recovers_published_drawing_radii():
     # under the moment drawing convention (x-m)^T A^{-1} (x-m) = r^2 the
     # trial-and-error radii pair as (2 -> 3.1) and (3 -> 1.74)
@@ -914,7 +955,8 @@ def _reference_mixed(blocks, g_mat=None):
         coef, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
         r = y - x @ coef
         rss += float(r @ r)
-        df += len(y) - x.shape[1]
+        sv = np.linalg.svd(x, compute_uv=False)
+        df += len(y) - int(np.sum(sv > 1e-10 * sv[0]))
     if df <= 0:
         raise ValueError("no residual degrees of freedom for sigma^2")
     s2 = rss / df
@@ -997,6 +1039,27 @@ def _mixed_clusters(rng, sizes, centre, spread, slope_sd, constant=()):
         xs.append(np.column_stack([np.ones(n), x]))
         groups += [i] * int(n)
     return np.vstack(xs), np.concatenate(ys), groups
+
+
+@pytest.mark.parametrize("size, constant", [(1, False), (3, True)])
+def test_error_variance_charges_each_cluster_its_rank(size, constant):
+    # 9 rows in two full-rank clusters leave 9 - 2 - 2 = 5 degrees of
+    # freedom. A one-row cluster has rank 1 and residual 0, so it leaves
+    # sigma^2 as it was; a cluster with one x value has rank 1 and adds
+    # n_k - 1 degrees of freedom and its residual about its mean
+    rng = np.random.default_rng(7)
+    x, y, groups = _mixed_clusters(rng, [4, 5], 1.0, 2.0, 0.5)
+    base = ki.MixedSpec(x, y, groups).error_variance()
+    rss = 5 * base
+    x2, y2, _ = _mixed_clusters(rng, [size], 1.0, 2.0, 0.5,
+                                constant=(0,) if constant else ())
+    spec = ki.MixedSpec(np.vstack([x, x2]), np.concatenate([y, y2]),
+                        groups + [2] * size)
+    assert spec.rank.tolist() == [2, 2, 1]
+    want = (rss + float(((y2 - y2.mean()) ** 2).sum())) / (5 + size - 1)
+    assert spec.error_variance() == pytest.approx(want, rel=1e-12)
+    if size == 1:
+        assert spec.error_variance() == base
 
 
 def _rank_ratio(x, scaled):

@@ -8,7 +8,6 @@ from hypothesis import strategies as hs
 from ellipstat import gellipsoid as ge
 from ellipstat import kissing as ki
 from ellipstat import numkernel as nk
-from ellipstat import statellipse as st
 
 from conftest import random_pd
 
@@ -228,7 +227,6 @@ PD_SITES = {
     "lda_axis": lambda w: ki.lda_axis([1.0, 0.0], [0.0, 1.0], w),
     # every S_i of a stack is checked in one call, where it is built
     "StudyStack": lambda w: ki.StudyStack([[0.0, 0.0]], [w]),
-    "mahalanobis": lambda w: st.mahalanobis([1.0, 0.0], [0.0, 0.0], w),
     "gen_eig": lambda w: nk.gen_eig(np.eye(2), w),
     "conjugate_axes": lambda w: ge.conjugate_axes(w, "principal"),
 }

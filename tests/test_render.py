@@ -31,11 +31,11 @@ def test_ellipse_path_square_vertices():
     # vertex set {(1,0), (0,1), (-1,0), (0,-1)}; order depends on the
     # (deterministic) tie-breaking of the equal radii
     circle = ge.from_moment(np.eye(2))
-    pts = render.ellipse_path(circle, 4)
+    pts = render._ellipse_paths([circle], 4)[0]
     got = sorted((round(p[0], 12), round(p[1], 12)) for p in pts)
     assert got == [(-1.0, -0.0), (-0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
     scaled = ge.from_moment(np.diag([4.0, 1.0]))
-    pts = render.ellipse_path(scaled, 4)
+    pts = render._ellipse_paths([scaled], 4)[0]
     assert pts == pytest.approx(np.array([[2.0, 0.0], [0.0, 1.0],
                                           [-2.0, 0.0], [0.0, -1.0]]),
                                 abs=1e-12)
@@ -45,14 +45,14 @@ def test_ellipse_path_vertices_on_boundary():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((2, 2))
     e = ge.from_moment(a @ a.T + np.eye(2), rng.standard_normal(2))
-    for v in render.ellipse_path(e, 64):
+    for v in render._ellipse_paths([e], 64)[0]:
         assert ge.contains(e, v, tol=1e-10) == "boundary"
 
 
 def test_ellipse_path_rejects_unbounded():
     cyl = ge.from_precision(np.diag([1.0, 0.0]))
     with pytest.raises(ValueError):
-        render.ellipse_path(cyl)
+        render._ellipse_paths([cyl], 64)
 
 
 def test_render_empty_scene_axes_only():
@@ -84,7 +84,8 @@ def test_unit_circle_pixel_bounding_box():
         layers=[render.EllipseLayer(ge.from_moment(np.eye(2)))],
         viewport=(-1.0, 1.0, -1.0, 1.0), size=(400, 400), aspect="equal")
     tr, viewport = _transform(scene)
-    pts = tr.to_pixel(render.ellipse_path(ge.from_moment(np.eye(2)), 256))
+    circle = ge.from_moment(np.eye(2))
+    pts = tr.to_pixel(render._ellipse_paths([circle], 256)[0])
     # data square maps into the margins-adjusted box
     assert pts[:, 0].min() == pytest.approx(
         tr.to_pixel([[-1.0, 0.0]])[0][0], abs=1e-9)
@@ -94,19 +95,10 @@ def test_unit_circle_pixel_bounding_box():
     assert tr.sx == pytest.approx(tr.sy)
 
 
-def test_transform_roundtrip(iris_grouped):
-    scene = iris_he_scene(iris_grouped)
-    tr, _ = _transform(scene)
-    rng = np.random.default_rng(2)
-    pts = rng.uniform(-10, 10, size=(200, 2))
-    back = tr.to_data(tr.to_pixel(pts))
-    assert np.abs(back - pts).max() < 1e-9
-
-
 def test_nested_coverage_ellipses_nest(galton_sample):
     inner = st.data_ellipsoid(galton_sample, st.CoverageSpec.chisq(0.40))
     outer = st.data_ellipsoid(galton_sample, st.CoverageSpec.chisq(0.95))
-    for v in render.ellipse_path(inner, 64):
+    for v in render._ellipse_paths([inner], 64)[0]:
         assert ge.contains(outer, v) == "inside"
 
 

@@ -11,7 +11,7 @@ from ellipstat import mlm
 from ellipstat import statellipse as st
 
 import strategies
-from conftest import grouped, random_pd
+from conftest import grouped
 
 
 def test_mean_cov_two_points():
@@ -34,39 +34,14 @@ def test_galton_correlation(galton_sample):
     assert r == pytest.approx(0.46, abs=0.005)
 
 
-def test_mahalanobis_against_2x2_inverse():
-    rng = np.random.default_rng(4)
-    s_mat = random_pd(rng, 2)
-    ybar = rng.standard_normal(2)
-    y = rng.standard_normal(2)
-    d = y - ybar
-    a, b, c = s_mat[0, 0], s_mat[0, 1], s_mat[1, 1]
-    det = a * c - b * b
-    manual = (c * d[0] ** 2 - 2 * b * d[0] * d[1] + a * d[1] ** 2) / det
-    assert st.mahalanobis(y, ybar, s_mat) == pytest.approx(manual, rel=1e-12)
-    assert st.mahalanobis(ybar, ybar, s_mat) == 0.0
-    assert st.mahalanobis(y, ybar, np.eye(2)) == pytest.approx(d @ d)
-
-
-def test_mahalanobis_rejects_singular():
-    with pytest.raises(Exception):
-        st.mahalanobis([1.0, 0.0], [0.0, 0.0], np.diag([1.0, 0.0]))
-
-
 def test_coverage_radius_kinds():
-    assert st.coverage_radius(2, 50, st.CoverageSpec.chisq(0.95)) ** 2 == \
+    assert st.coverage_radius(2, st.CoverageSpec.chisq(0.95)) ** 2 == \
         pytest.approx(5.99, abs=0.01)
-    assert st.coverage_radius(2, 50, st.CoverageSpec.chisq(0.68)) ** 2 == \
+    assert st.coverage_radius(2, st.CoverageSpec.chisq(0.68)) ** 2 == \
         pytest.approx(2.28, abs=0.01)
-    assert st.coverage_radius(2, 50, st.CoverageSpec.chisq(0.40)) ** 2 == \
+    assert st.coverage_radius(2, st.CoverageSpec.chisq(0.40)) ** 2 == \
         pytest.approx(1.0, abs=0.05)
-    assert st.coverage_radius(3, 99, st.CoverageSpec.stddev(1.5)) == 1.5
-    # small-sample radius exceeds the asymptotic one
-    small = st.coverage_radius(2, 12, st.CoverageSpec.small_sample(0.95))
-    asym = st.coverage_radius(2, 12, st.CoverageSpec.chisq(0.95))
-    assert small > asym
-    with pytest.raises(ValueError):
-        st.coverage_radius(5, 5, st.CoverageSpec.small_sample(0.95))
+    assert st.coverage_radius(3, st.CoverageSpec.stddev(1.5)) == 1.5
 
 
 def test_data_ellipsoid_shadows_are_standard_intervals(galton_sample):
@@ -102,8 +77,7 @@ def test_shadow_diagonal_direction_closed_form():
 
 def test_galton_95_coverage(galton_sample):
     mean, cov = st.mean_cov(galton_sample)
-    c2 = st.coverage_radius(2, galton_sample.n,
-                            st.CoverageSpec.chisq(0.95)) ** 2
+    c2 = st.coverage_radius(2, st.CoverageSpec.chisq(0.95)) ** 2
     inv = np.linalg.inv(cov)
     dev = galton_sample.data - mean
     d2 = np.einsum("ij,jk,ik->i", dev, inv, dev)
@@ -310,7 +284,7 @@ def test_data_ellipse_shadows_are_mean_plus_minus_c_sd(pd, n, level, seed):
     sample = st.Sample(rng.standard_normal((n, p)) @ np.linalg.cholesky(w).T
                        + rng.standard_normal(p) * np.sqrt(w.trace()))
     spec = st.CoverageSpec.chisq(level)
-    c = st.coverage_radius(p, n, spec)
+    c = st.coverage_radius(p, spec)
     assert dist.chi2_cdf(c * c, p) == pytest.approx(level, rel=1e-13)
     ell = st.data_ellipsoid(sample, spec)
     mean, cov = st.mean_cov(sample)
