@@ -1,18 +1,22 @@
-# Bundled example data and seeded generators. CSV fixtures ship with the
-# package; the generated fixtures are deterministic functions of their
-# seeds, materialized on first demand and kept for the process (their
-# text is immutable). ELLIP_FIXTURES overrides the directory searched for
-# the CSV files, so those are read afresh on every call.
+# Bundled example data, seeded generators and the one CSV reader. CSV
+# fixtures ship with the package; the generated fixtures are deterministic
+# functions of their seeds, materialized on first demand and kept for the
+# process (their text is immutable). ELLIP_FIXTURES overrides the
+# directory searched for the CSV files, so those are read afresh on every
+# call. _parse_table reads any CSV text, a fixture's or a --data file's,
+# into a DataTable.
 
 import csv
 import functools
 import io
 import os
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import statellipse as st
+from .numkernel import InputError
 
 _FIXTURES = {
     "galton": "Galton 1886 parent/child heights, 928 pairs expanded from "
@@ -31,6 +35,118 @@ _FIXTURES = {
                         "conditional coffee slope (not paper data)",
 }
 
+
+# ------------------------------------------------------------- CSV tables
+
+@dataclass
+class DataTable:
+    header: list
+    columns: dict      # name -> float ndarray or list[str]
+    n: int
+
+    def numeric(self, name):
+        col = self._get(name)
+        if not isinstance(col, np.ndarray):
+            raise InputError(f"column {name!r} is not numeric")
+        return col
+
+    def categorical(self, name):
+        """The column's entries as text; a column of numbers gives each in
+        its shortest form, a whole number without a decimal point ("1",
+        "2.5")."""
+        col = self._get(name)
+        if isinstance(col, np.ndarray):
+            return [repr(v).removesuffix(".0") for v in col.tolist()]
+        return col
+
+    def _get(self, name):
+        try:
+            return self.columns[name]
+        except KeyError:
+            raise InputError(
+                f"no column {name!r}; have {self.header}") from None
+
+    def numeric_names(self):
+        return [h for h in self.header
+                if isinstance(self.columns[h], np.ndarray)]
+
+
+def _split_plain(text):
+    """(header, columns, n) of text read as plain comma-separated lines,
+    without csv.reader, or None unless that provably reads the text as
+    csv.reader does: None on a quote, a CR not followed by LF, an empty
+    header, no data rows, a blank line, a line whose comma count is not
+    the header's, or a line longer than csv.field_size_limit()."""
+    if '"' in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    head, _, body = text.partition("\n")
+    body = body.removesuffix("\n")
+    limit = csv.field_size_limit()
+    if not head or not body or len(head) > limit:
+        return None
+    header = head.split(",")
+    width = len(header)
+    # ',' and '\n' are single bytes in UTF-8 and occur in no other
+    # character's encoding, so the line lengths in bytes bound those in
+    # characters from above
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.concatenate([np.flatnonzero(raw == 10), [raw.size]])
+    commas = np.searchsorted(np.flatnonzero(raw == 44), ends)
+    lengths = np.diff(ends, prepend=-1) - 1
+    if ((np.diff(commas, prepend=0) != width - 1).any()
+            or lengths.min() == 0 or lengths.max() > limit):
+        return None
+    cells = body.replace("\n", ",").split(",")
+    return header, [cells[j::width] for j in range(width)], ends.size
+
+
+def _split_csv(text, source):
+    """(header, columns, n) of text as csv.reader reads it."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise InputError(f"{source}: line {reader.line_num}: {exc}") from None
+    if not rows or not rows[0]:
+        raise InputError(f"{source}: empty file")
+    header, data = rows[0], rows[1:]
+    if not data:
+        raise InputError(f"{source}: no data rows")
+    width = len(header)
+    if set(map(len, data)) != {width}:
+        lineno, row = next((i, row) for i, row in enumerate(data, start=2)
+                           if len(row) != width)
+        raise InputError(f"{source}: line {lineno} has {len(row)} fields, "
+                         f"expected {width}")
+    return header, zip(*data), len(data)
+
+
+def _parse_table(text, source):
+    """The DataTable of CSV text: a column of numbers as floats, any other
+    as text. csv.reader decides what the text means; lines it would read
+    as plain comma-separated cells are split in bulk instead."""
+    header, raws, n = _split_plain(text) or _split_csv(text, source)
+    columns = {}
+    for name, raw in zip(header, raws):
+        try:
+            vals = np.fromiter(map(float, raw), float, n)
+        except ValueError:
+            columns[name] = list(raw)
+            continue
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise InputError(
+                f"{source}: column {name!r} has a non-finite value "
+                f"at line {bad[0] + 2}")
+        columns[name] = vals
+    return DataTable(header=header, columns=columns, n=n)
+
+
+# ------------------------------------------------------------ fixtures
 
 def list_fixtures():
     """Fixture names with one-line provenance strings."""
@@ -119,6 +235,7 @@ def fixture_csv_text(name):
 
 def load_iris_grouped():
     """The iris fixture as a GroupedSample of the species."""
-    hdr, *rows = csv.reader(io.StringIO(fixture_csv_text("iris")))
-    return st.GroupedSample([[float(v) for v in r[:4]] for r in rows],
-                            [r[4] for r in rows], tuple(hdr[:4]))
+    table = _parse_table(fixture_csv_text("iris"), "fixture:iris")
+    names = table.header[:4]
+    return st.GroupedSample(np.column_stack([table.numeric(h) for h in names]),
+                            table.categorical(table.header[4]), tuple(names))

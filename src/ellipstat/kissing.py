@@ -241,11 +241,17 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
     running between the centers); the first one closest in f1-level, in
     polyline order, is polished with a 2 x 2 Newton iteration on
     (cross_field, f1 - radius1^2). Where a coarse locus offers no
-    candidate, or the polish lands on an internal kiss point, and the
-    level lies below f1(m2), the polish starts instead from the point of
-    that level on the branch, found by bisection. Returns the point and
-    the f2 radius at which the families touch there.
+    candidate, or the polish lands on an internal kiss point, the polish
+    starts instead from the point of that level on the branch, found by
+    bisection. Returns the point and the f2 radius at which the families
+    touch there. A level at or beyond f1(m2) has no external kiss point,
+    an InputError.
     """
+    reach = f1.value(f2.m)
+    if not radius1 ** 2 < reach:
+        raise nk.InputError(
+            f"mark radius {radius1:g} has no external kiss point: it must "
+            f"be below sqrt(f1(m2)) = {np.sqrt(reach):g}")
     if locus is None:
         if bbox is None:
             raise nk.InputError("need a traced locus or a bbox")
@@ -262,11 +268,8 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
     if external.any():
         err = np.where(external, np.abs(level - radius1 ** 2), np.inf)
         x = _polish(f1, f2, radius1, verts[np.argmin(err)].copy())
-    if (x is None or f1.gradient(x) @ f2.gradient(x) >= 0) and \
-            radius1 ** 2 < f1.value(f2.m):
+    if x is None or f1.gradient(x) @ f2.gradient(x) >= 0:
         x = _polish(f1, f2, radius1, _branch_point(f1, f2, radius1))
-    if x is None:
-        raise ValueError("no external osculation candidates on the locus")
     return x, float(np.sqrt(f2.value(x)))
 
 

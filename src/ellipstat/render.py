@@ -2,11 +2,11 @@
 # primitives (ellipses, points, polylines, arrows, text, axes) plus a
 # viewport; rendering applies one affine data-to-pixel transform (y
 # flipped) and writes plain SVG 1.1 text. Identical input produces
-# byte-identical output. Coordinates are transformed and formatted a
-# column at a time, per layer (all the arrows of a scene at once, and all
-# its ellipses, traced with one matmul per vertex count), with the same
-# float operations and the same per-number rule (_fmt) as one element at
-# a time, so the output is unchanged. The scene builders draw
+# byte-identical output. A scene's coordinates are transformed in bulk
+# (its ellipses traced with one matmul per vertex count, all its arrows
+# at once) with the same float operations as one element at a time, and
+# formatted in one exact pass (_fmt_all) that prints what the per-number
+# rule (_fmt) prints, so the output is unchanged. The scene builders draw
 # the ellipsoids, intervals and quantiles they are given and compute no
 # statistics; gellipsoid is the only package module imported here.
 
@@ -112,11 +112,58 @@ def _fmt(v):
     return "0.0000" if s == "-0.0000" else s
 
 
+# _DIGITS[:, m] is the four ASCII digits of m, "0000" to "9999", most
+# significant first: the digit of place 10^p cycles through "0" to "9",
+# each held for 10^p numbers (built in bytes, with no wide temporaries).
+# _POW10 holds 10^1 to 10^9.
+_DIGITS = np.array([np.repeat(np.tile(np.arange(48, 58, dtype=np.uint8),
+                                      10 ** (3 - p)), 10 ** p)
+                    for p in (3, 2, 1, 0)])
+_POW10 = 10 ** np.arange(1, 10)
+
+
 def _fmt_all(values):
-    """_fmt of every element of a float array, in row-major order."""
-    toks = [f"{v:.4f}" for v in np.ravel(values).tolist()]
-    if "-0.0000" in toks:
-        toks = ["0.0000" if s == "-0.0000" else s for s in toks]
+    """_fmt of every element of a float array, in row-major order.
+
+    f"{v:.4f}" is correctly rounded: it prints K / 10^4 for the integer K
+    nearest the exact x = v 10^4, ties to even. 1e4 is a double, so
+    y = fl(v * 1e4) is x rounded once. If |y| < 2^43 then |x| <= 2^43, and
+    doubles below 2^43 are 2^-10 apart, so |y - x| <= 2^-11. Hence for
+    k = rint(y) with |y - k| < 1/2 - 2^-10, |x - k| < 1/2: k is K, with no
+    tie to break, and it is exact in int64. Such an element is written
+    from k's digits: a sign only if k < 0 (a K of 0 prints 0.0000, _fmt's
+    rule for -0.0000), k // 10^4, the point and the four digits of
+    k % 10^4. Every other element (ties, |y| >= 2^43, nan, inf) is _fmt's.
+    """
+    v = np.ravel(values).astype(float, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = v * 1e4
+        k = np.rint(y)
+        exact = (np.abs(y - k) < 0.5 - 2.0 ** -10) & (np.abs(y) < 2.0 ** 43)
+    odd = np.flatnonzero(~exact)
+    k[odd] = 0.0
+    a = k.astype(np.int64)
+    neg = np.flatnonzero(a < 0)
+    np.abs(a, out=a)
+    q, r = np.divmod(a, 10000)
+    # column j of chars is token j, right-aligned in nd + 7 chars: a space,
+    # the sign's place, the nd digits of q, the point, the digits of r
+    nd = int(np.searchsorted(_POW10, q.max(initial=0), "right")) + 1
+    chars = np.empty((nd + 7, v.size), np.uint8)
+    chars[:2] = 32
+    chars[nd + 2] = 46
+    np.take(_DIGITS, r, axis=1, out=chars[nd + 3:])
+    rest, end = q, nd + 2
+    while end > 6:                      # q's digits, four at a time
+        np.take(_DIGITS, rest % 10000, axis=1, out=chars[end - 4:end])
+        rest, end = rest // 10000, end - 4
+    np.take(_DIGITS[6 - end:], rest, axis=1, out=chars[2:end])
+    for p in range(1, nd):              # leading zeros become spaces
+        np.copyto(chars[nd + 1 - p], 32, where=q < _POW10[p - 1])
+    chars[nd - np.searchsorted(_POW10, q[neg], "right"), neg] = 45
+    toks = chars.T.tobytes().decode("ascii").split()
+    for i in odd.tolist():
+        toks[i] = _fmt(v[i])
     return toks
 
 
@@ -158,7 +205,7 @@ def _scene_parts(layers):
 def _auto_viewport(layers, ellipses, arrow_ends):
     """The padded bounds of the points of every layer but the axes, an
     ellipse's being the vertices of its 32-vertex path."""
-    pts = [np.asarray(l.points, dtype=float).reshape(-1, 2) for l in layers
+    pts = [_xy(l.points) for l in layers
            if isinstance(l, (PointsLayer, PolylineLayer))]
     pts += [np.array([l.pos], dtype=float) for l in layers
             if isinstance(l, TextLayer)]
@@ -294,44 +341,9 @@ def _polyline_svg(toks, style_svg, closed):
     return f'<{tag} points="{coords}" {style_svg}/>'
 
 
-def _render_ellipses(layers, tr):
-    """Yield the polygon of each EllipseLayer, in order: the layers of one
-    vertex count traced with one matmul, all transformed and formatted at
-    once."""
-    groups = {}
-    for layer in layers:
-        groups.setdefault(layer.n, []).append(layer.ellipse)
-    paths = {n: iter(_ellipse_paths(group, n)) for n, group in groups.items()}
-    toks = _fmt_all(tr.to_pixel(np.concatenate(
-        [next(paths[layer.n]) for layer in layers])))
-    styles = _style_svgs(layers)
-    at = 0
-    for layer in layers:
-        yield _polyline_svg(toks[at:at + 2 * layer.n],
-                            styles[id(layer.style)], closed=True)
-        at += 2 * layer.n
-
-
 def _filled(style):
     """The stroke colour as a fill: the style of dots and arrow tips."""
     return Style(stroke="none", fill=style.stroke, opacity=style.opacity)
-
-
-def _render_points(layer, tr, out):
-    r = layer.size
-    pts = tr.to_pixel(layer.points)
-    if layer.marker == "square":
-        toks = _fmt_all(pts - r)
-        rest = (f'" width="{_fmt(2 * r)}" height="{_fmt(2 * r)}" '
-                f'{layer.style.svg()}/>')
-        out.extend([f'<rect x="{x}" y="{y}{rest}'
-                    for x, y in zip(toks[0::2], toks[1::2])])
-        return
-    style = _filled(layer.style) if layer.marker == "dot" else layer.style
-    toks = _fmt_all(pts)
-    rest = f'" r="{_fmt(r)}" {style.svg()}/>'
-    out.extend([f'<circle cx="{x}" cy="{y}{rest}'
-                for x, y in zip(toks[0::2], toks[1::2])])
 
 
 def _style_svgs(layers):
@@ -340,11 +352,52 @@ def _style_svgs(layers):
     return {key: style.svg() for key, style in styles.items()}
 
 
-def _render_arrows(arrows, counts, ends, tr):
-    """Yield the SVG of the arrows of each ArrowLayer, in order: per arrow
-    its shaft, then its tip unless it is shorter than 1e-9 px. Elementwise
-    the same float operations as one arrow at a time."""
-    px = tr.to_pixel(ends)
+def _xy(points):
+    """The two columns of a layer's points that are drawn, the first two."""
+    pts = np.asarray(points, dtype=float)
+    return (pts if pts.ndim == 2 else pts.reshape(1, -1))[:, :2]
+
+
+def _layer_pixels(layers, ellipses, tr):
+    """The pixel coordinates the layers print, but the arrows' and axes',
+    in layer order as one array: the vertices of each ellipse (the
+    ellipses of one vertex count traced with one matmul), the points of
+    each polyline of two or more, each point layer's points (less the
+    marker size for squares) and each text position. Also the number of
+    rows each layer takes."""
+    groups = {}
+    for layer in ellipses:
+        groups.setdefault(layer.n, []).append(layer.ellipse)
+    paths = {n: iter(_ellipse_paths(group, n)) for n, group in groups.items()}
+    blocks, squares = [], []
+    for layer in layers:
+        if isinstance(layer, EllipseLayer):
+            pts = next(paths[layer.n])
+        elif isinstance(layer, PolylineLayer):
+            pts = _xy(layer.points)
+            pts = pts if len(pts) >= 2 else pts[:0]
+        elif isinstance(layer, PointsLayer):
+            pts = _xy(layer.points)
+            if layer.marker == "square":
+                squares.append((len(blocks), layer.size))
+        elif isinstance(layer, TextLayer):
+            pts = _xy([layer.pos])
+        else:
+            pts = np.empty((0, 2))
+        blocks.append(pts)
+    rows = [len(pts) for pts in blocks]
+    px = tr.to_pixel(np.concatenate(blocks) if blocks else np.empty((0, 2)))
+    starts = list(itertools.accumulate(rows, initial=0))
+    for i, r in squares:
+        px[starts[i]:starts[i + 1]] -= r
+    return px, rows
+
+
+def _arrow_barbs(px):
+    """The barbs of the arrows whose (tail, head, tail, head, ...) pixels
+    are px, as (left, right) rows of the arrows longer than 1e-9 px, and
+    which arrows those are. Elementwise the float operations of one arrow
+    at a time."""
     tail, head = px[0::2], px[1::2]
     d = head - tail
     nrm = np.hypot(d[:, 0], d[:, 1])
@@ -352,32 +405,32 @@ def _render_arrows(arrows, counts, ends, tr):
     u = d[has_tip] / nrm[has_tip, None]
     normal = 3.5 * np.column_stack([-u[:, 1], u[:, 0]])
     back = head[has_tip] - 7.0 * u
-    it = iter(_fmt_all(np.column_stack([back + normal, back - normal])))
-    xy = map(",".join, zip(it, it))
-    barbs = map(" ".join, zip(xy, xy))          # left, right
-    shafts = _style_svgs(arrows)
-    tips = {id(a.style): _filled(a.style).svg() for a in arrows}
-    coords = iter(_fmt_all(px))
-    ends_tip = zip(coords, coords, coords, coords, has_tip.tolist())
-    for arrow, k in zip(arrows, counts):
-        shaft_svg, tip_svg = shafts[id(arrow.style)], tips[id(arrow.style)]
-        elements = []
-        for x1, y1, x2, y2, tip in itertools.islice(ends_tip, k):
-            elements.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
-                            f'y2="{y2}" {shaft_svg}/>')
-            if tip:
-                elements.append(f'<polygon points="{x2},{y2} '
-                                f'{next(barbs)}" {tip_svg}/>')
-        yield elements
+    return np.column_stack([back + normal, back - normal]), has_tip
 
 
 def render_scene(scene):
-    """Render a scene to SVG 1.1 text (pure function of its input)."""
+    """Render a scene to SVG 1.1 text (pure function of its input).
+
+    Every pixel coordinate the layers print is formatted by one _fmt_all
+    call: the layers' own, then the arrow ends, then the arrow barbs."""
     parts = _scene_parts(scene.layers)
     ellipses, arrows, ends, counts = parts
     tr, viewport = _scene_transform(scene, parts)
-    arrow_svg = _render_arrows(arrows, counts, ends, tr)
-    ellipse_svg = _render_ellipses(ellipses, tr)
+    px, rows = _layer_pixels(scene.layers, ellipses, tr)
+    ends = tr.to_pixel(ends)
+    barbs, has_tip = _arrow_barbs(ends)
+    toks = _fmt_all(np.concatenate([px.ravel(), ends.ravel(),
+                                    barbs.ravel()]))
+    at = 2 * len(px)
+    coords = iter(toks[at:at + 2 * len(ends)])
+    it = iter(toks[at + 2 * len(ends):])
+    barbs = zip(it, it, it, it)                    # left x, y, right x, y
+    ends_tip = zip(coords, coords, coords, coords, has_tip.tolist())
+    counts = iter(counts)
+    styles = _style_svgs([l for l in scene.layers
+                          if not isinstance(l, (AxisLayer, TextLayer))])
+    tips = {key: _filled(style).svg()
+            for key, style in {id(a.style): a.style for a in arrows}.items()}
     w, h = scene.size
     out = ['<?xml version="1.0" encoding="UTF-8" standalone="no"?>',
            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -389,23 +442,43 @@ def render_scene(scene):
         out.append(f'<text x="{_fmt(w / 2)}" y="18" text-anchor="middle" '
                    f'font-family="monospace" font-size="13" fill="#000000">'
                    f'{_escape(scene.title)}</text>')
-    for layer in scene.layers:
+    at = 0
+    for layer, n in zip(scene.layers, rows):
+        mine, at = toks[at:at + 2 * n], at + 2 * n
         if isinstance(layer, AxisLayer):
             _render_axis(layer, tr, viewport, out)
         elif isinstance(layer, EllipseLayer):
-            out.append(next(ellipse_svg))
+            out.append(_polyline_svg(mine, styles[id(layer.style)], True))
         elif isinstance(layer, PolylineLayer):
-            pts = np.asarray(layer.points, dtype=float)
-            if len(pts) >= 2:
-                out.append(_polyline_svg(_fmt_all(tr.to_pixel(pts)),
-                                         layer.style.svg(), layer.closed))
+            if n:
+                out.append(_polyline_svg(mine, styles[id(layer.style)],
+                                         layer.closed))
         elif isinstance(layer, PointsLayer):
-            _render_points(layer, tr, out)
+            r = layer.size
+            if layer.marker == "square":
+                rest = (f'" width="{_fmt(2 * r)}" height="{_fmt(2 * r)}" '
+                        f'{styles[id(layer.style)]}/>')
+                out.extend([f'<rect x="{x}" y="{y}{rest}'
+                            for x, y in zip(mine[0::2], mine[1::2])])
+                continue
+            style_svg = (_filled(layer.style).svg() if layer.marker == "dot"
+                         else styles[id(layer.style)])
+            rest = f'" r="{_fmt(r)}" {style_svg}/>'
+            out.extend([f'<circle cx="{x}" cy="{y}{rest}'
+                        for x, y in zip(mine[0::2], mine[1::2])])
         elif isinstance(layer, ArrowLayer):
-            out.extend(next(arrow_svg))
+            shaft_svg, tip_svg = styles[id(layer.style)], tips[id(layer.style)]
+            for x1, y1, x2, y2, tip in itertools.islice(ends_tip,
+                                                        next(counts)):
+                out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
+                           f'y2="{y2}" {shaft_svg}/>')
+                if tip:
+                    lx, ly, rx, ry = next(barbs)
+                    out.append(f'<polygon points="{x2},{y2} {lx},{ly} '
+                               f'{rx},{ry}" {tip_svg}/>')
         elif isinstance(layer, TextLayer):
-            p = tr.to_pixel([layer.pos])[0]
-            out.append(f'<text x="{_fmt(p[0])}" y="{_fmt(p[1])}" '
+            x, y = mine
+            out.append(f'<text x="{x}" y="{y}" '
                        f'text-anchor="{layer.anchor}" '
                        f'font-family="monospace" '
                        f'font-size="{_fmt(layer.size)}" '

@@ -111,7 +111,7 @@ def _reader_table(text, source):
             raise cli.InputError(f"{source}: column {name!r} has a "
                                  f"non-finite value at line {bad}")
         columns[name] = vals
-    return cli.DataTable(header=header, columns=columns, n=len(data))
+    return datasets.DataTable(header=header, columns=columns, n=len(data))
 
 
 def _outcome(parse, text):
@@ -184,7 +184,7 @@ def test_bulk_split_reads_as_csv_reader(case):
     if limit is not None:
         csv.field_size_limit(limit)
     try:
-        assert _outcome(cli._parse_table, text) == \
+        assert _outcome(datasets._parse_table, text) == \
             _outcome(_reader_table, text)
     finally:
         csv.field_size_limit(old)
@@ -194,15 +194,16 @@ def test_bulk_split_reads_as_csv_reader(case):
     'a,b\n1,"2"\n', "a,b\n1,2\r3,4\n", "a,b\r\n1,2\r", "\na\n1\n",
     "a,b\n", "a\n1\n\n2\n", "a,b\n1,2\n\n", "a,b\n1,2,3\n", "a,b\n1\n"])
 def test_bulk_split_falls_back(text):
-    assert cli._split_plain(text) is None
+    assert datasets._split_plain(text) is None
 
 
 @pytest.mark.parametrize("name", datasets.list_fixtures())
 def test_bulk_split_reads_every_fixture(name):
     # LF and CRLF fixtures alike take the bulk split
     text = datasets.fixture_csv_text(name)
-    assert cli._split_plain(text) is not None
-    assert _outcome(cli._parse_table, text) == _outcome(_reader_table, text)
+    assert datasets._split_plain(text) is not None
+    assert _outcome(datasets._parse_table, text) == \
+        _outcome(_reader_table, text)
 
 
 def test_fixture_table_shapes():
@@ -781,6 +782,24 @@ def test_avp_synthetic_coffee(tmp_path):
     assert d["slope_matches_full_model"] < 1e-10
 
 
+def test_canonical_draws_three_score_columns(tmp_path):
+    # 5 groups of 3 responses give (5, 3) group means, 15 numbers that do
+    # not pair up: the plot draws, and its viewport bounds, their first two
+    # columns
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((50, 3)) + np.arange(50)[:, None] % 5
+    p = tmp_path / "five.csv"
+    p.write_text("g,a,b,c\n" + "".join(
+        f"g{i % 5},{a!r},{b!r},{c!r}\n"
+        for i, (a, b, c) in enumerate(data.tolist())), encoding="utf-8")
+    svg = tmp_path / "can.svg"
+    out = tmp_path / "o.json"
+    assert run_cli(["canonical", "--data", str(p), "--group", "g",
+                    "--svg", str(svg), "--json", str(out)]) == 0
+    assert len(read_json(out)["percent"]) == 3
+    assert svg.read_text(encoding="utf-8").count('r="2.5000"') == 5
+
+
 def test_canonical_computed_once(tmp_path, monkeypatch):
     calls = []
     canonical = mlm.canonical
@@ -958,7 +977,7 @@ def test_grouped_matches_row_by_row_grouping(tmp_path, monkeypatch):
     text = "grp,u,v,w\n" + "".join(
         f"{lab},{a!r},{b!r},{c!r}\n"
         for lab, (a, b, c) in zip(labels, vals.tolist()))
-    table = cli._parse_table(text, "test")
+    table = datasets._parse_table(text, "test")
     gs = cli._grouped(table, argparse.Namespace(group="grp", columns="w,u"))
     # reference: one list of rows per label, labels sorted
     mat = np.column_stack([table.numeric("w"), table.numeric("u")])

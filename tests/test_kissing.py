@@ -287,6 +287,29 @@ def test_osculation_points_lie_on_locus_and_levels():
         assert DEMO_F2.value(pt) == pytest.approx(r2 ** 2, rel=1e-10)
 
 
+@pytest.mark.parametrize("r1", [10.0, 7.49])
+def test_osculation_at_or_beyond_the_second_centre_is_an_input_error(r1):
+    # f1(m2) = 56 for the demo families: an f1 level through or beyond m2
+    # holds m2, so no f2 level touches it from outside
+    locus = ki.trace_locus(DEMO_F1, DEMO_F2, DEMO_BBOX, 96)
+    with pytest.raises(nk.InputError, match=r"sqrt\(f1\(m2\)\) = 7\.48331"):
+        ki.osculation_point(DEMO_F1, DEMO_F2, r1, locus=locus)
+    # just inside the reach the kiss is external
+    x, _ = ki.osculation_point(DEMO_F1, DEMO_F2, 7.48, locus=locus)
+    assert DEMO_F1.gradient(x) @ DEMO_F2.gradient(x) < 0
+
+
+def test_kiss_mark_beyond_the_second_centre_is_exit_2(tmp_path, capsys):
+    # radius 10 is beyond the reach sqrt(56): the locus offers it only the
+    # internal kiss point (2.960, 7.626), where the gradients agree
+    out = tmp_path / "out.json"
+    assert cli.main(["kiss", "--mark", "5,10", "--json", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: mark radius 10 has no external kiss point" in err
+    assert "sqrt(f1(m2)) = 7.48331" in err
+    assert not out.exists()
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(strategies.pd_matrices(p=hs.just(2), log_cond=hs.floats(0.0, 2.0),
                               log_scale=hs.floats(-50.0, 50.0)),

@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 
 from ellipstat import cli
@@ -197,6 +197,55 @@ def test_style_table_and_escape():
     assert "a &lt; b &amp; c" in svg
 
 
+# ------------------------------------------------------ bulk number format
+# .4f rounds the exact v * 10^4 to even on a tie, so an odd multiple of
+# 1/32 (an exact decimal tie at the fifth place) must print as Python
+# prints it, as must the doubles on either side of each rounding boundary
+# (m + 0.5) / 1e4, where fl(v * 1e4) can fall on the wrong side.
+TIES = [0.03125, -2.96875, 54.03125]
+BOUNDARIES = [(m + 0.5) / 1e4 for m in (0, 1, 2, 7, 12345, -3, -99999)]
+NEIGHBOURS = [float(np.nextafter(b, side)) for b in BOUNDARIES
+              for side in (-np.inf, np.inf)]
+OUTSIDE = [-0.00004, 1e12, 2.0 ** 53, 1e300]
+
+
+@hs.composite
+def _near_boundary(draw):
+    m = draw(hs.integers(-10 ** 13, 10 ** 13))
+    x = (m + 0.5) / 1e4
+    for _ in range(draw(hs.integers(0, 3))):
+        x = np.nextafter(x, draw(hs.sampled_from([-np.inf, np.inf])))
+    return float(x)
+
+
+_numbers = hs.one_of(
+    hs.floats(),                        # the whole line: nan, inf, subnormals
+    hs.floats(-2e3, 2e3),
+    hs.integers(-2 ** 40, 2 ** 40).map(lambda j: (2 * j + 1) / 32),
+    _near_boundary(),
+    hs.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2 ** 43 / 1e4,
+                     -2 ** 43 / 1e4, np.nextafter(2 ** 43 / 1e4, 0)]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(hs.lists(_numbers, max_size=40))
+@example(TIES + NEIGHBOURS + OUTSIDE)
+@example(TIES)
+@example(NEIGHBOURS)
+@example(OUTSIDE)
+@example([-0.00004])
+@example([])
+def test_fmt_all_prints_what_fmt_prints(xs):
+    assert render._fmt_all(np.array(xs, dtype=float)) == \
+        [render._fmt(v) for v in xs]
+
+
+def test_fmt_all_keeps_row_major_order():
+    xs = np.array([[1.5, -2.0, 1e300], [np.nan, 0.03125, -0.00004]])
+    assert render._fmt_all(xs) == ["1.5000", "-2.0000", render._fmt(1e300),
+                                   "nan", "0.0312", "0.0000"]
+
+
 # ------------------------------------------- per-element reference renderer
 # The renderer as it was when it formatted one element at a time: every
 # number through render._fmt, one to_pixel per arrow, one bound per arrow,
@@ -362,8 +411,17 @@ def reference_render_scene(scene):
 FREE_VIEWPORT = (0.0, 410.0, 0.0, 408.0)
 NEAR_ZERO = [-54.00001, -54.00004, -54.0, 436.00002, 436.00004, 436.0]
 
+# Coordinates whose pixels, in the free viewport, are exact .4f ties
+# (odd multiples of 1/32: x + 54 and 392 - y keep them so) or lie beyond
+# the exact window of _fmt_all (|pixel| >= 2^43 / 1e4). FAR stays below
+# 2^43, where an auto viewport's 5% pad of a lone point is still
+# resolved.
+PIXEL_TIES = [t - 54.0 for t in (0.03125, -2.96875, 54.03125, 100.46875)]
+FAR = [1e9, -3e12, 5e12]
+
 _coord = hs.one_of(hs.floats(-80.0, 500.0, allow_nan=False),
-                   hs.sampled_from(NEAR_ZERO))
+                   hs.sampled_from(NEAR_ZERO), hs.sampled_from(PIXEL_TIES),
+                   hs.sampled_from(FAR))
 _point = hs.tuples(_coord, _coord)
 _styles = hs.builds(render.Style,
                     stroke=hs.sampled_from(["#000000", "#b2182b", "none"]),
@@ -379,6 +437,18 @@ _style = hs.one_of(_styles, hs.just(SHARED))
 def _points(min_size, max_size):
     return hs.lists(_point, min_size=min_size, max_size=max_size).map(
         lambda pts: np.array(pts, dtype=float).reshape(-1, 2))
+
+
+@hs.composite
+def _wide_points(draw):
+    # (n, 3) or (n, 4) points, as canonical's group means: only the first
+    # two columns are drawn, and only they bound the viewport
+    pts = draw(_points(0, 6))
+    extra = draw(hs.lists(hs.floats(-1e4, 1e4), min_size=2 * len(pts),
+                          max_size=2 * len(pts)))
+    width = draw(hs.sampled_from([1, 2]))
+    extra = np.array(extra).reshape(len(pts), 2)[:, :width]
+    return np.column_stack([pts, extra])
 
 
 @hs.composite
@@ -423,8 +493,8 @@ def _arrow_array(draw):
 
 _layer = hs.one_of(
     _ellipse_layer(),
-    hs.builds(render.PointsLayer, _points(0, 6), _style,
-              marker=hs.sampled_from(["circle", "dot", "square"]),
+    hs.builds(render.PointsLayer, hs.one_of(_points(0, 6), _wide_points()),
+              _style, marker=hs.sampled_from(["circle", "dot", "square"]),
               size=hs.sampled_from([2.5, 3, 0.0, 1.2])),
     hs.builds(render.PolylineLayer, _points(0, 5), _style,
               closed=hs.booleans()),
@@ -477,3 +547,35 @@ def test_render_negative_zero_tokens():
     # a tip only on the arrow longer than 1e-9 px
     assert svg.count("<line") == 3
     assert svg.count('<polygon points="0.0000,0.0000') == 1
+
+
+def test_render_scene_formats_once(monkeypatch):
+    # every pixel coordinate of a scene goes through one _fmt_all call,
+    # whatever its layers
+    calls = []
+    fmt_all = render._fmt_all
+
+    def counted(values):
+        calls.append(np.size(values))
+        return fmt_all(values)
+
+    monkeypatch.setattr(render, "_fmt_all", counted)
+    e = ge.from_moment(np.array([[2.0, 0.3], [0.3, 1.0]]), [1.0, 2.0])
+    pts = np.array([[0.0, 1.0], [2.0, 3.0]])
+    scene = render.Scene([
+        render.AxisLayer(label_x="x", label_y="y"),
+        render.EllipseLayer(e, n=16),
+        render.EllipseLayer(e, n=32),
+        render.PointsLayer(pts, marker="circle"),
+        render.PointsLayer(pts, marker="dot"),
+        render.PointsLayer(np.column_stack([pts, pts]), marker="square"),
+        render.PolylineLayer(pts),
+        render.ArrowLayer((0.0, 0.0), (1.0, 1.0)),
+        render.ArrowLayer(pts, pts[::-1]),
+        render.TextLayer((1.0, 1.0), "t"),
+    ], title="all layers")
+    svg = render.render_scene(scene)
+    # 48 ellipse vertices, 6 points, 2 polyline points, 1 text position,
+    # 3 arrows' ends and 3 tips' barbs, two numbers each
+    assert calls == [2 * (48 + 6 + 2 + 1 + 6 + 6)]
+    assert svg == reference_render_scene(scene)
