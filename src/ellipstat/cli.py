@@ -12,9 +12,8 @@ import sys
 
 import numpy as np
 
-from . import datasets, gellipsoid as ge, kissing, linmod, mlm, render
-from . import distributions as dist
-from . import statellipse as st
+# Every other ellipstat module is imported inside the function that uses
+# it, so a command loads only the modules it runs.
 from .numkernel import InputError, cov_to_corr
 
 
@@ -22,6 +21,7 @@ from .numkernel import InputError, cov_to_corr
 
 def load_csv(path):
     """Load a UTF-8 CSV file: header row, comma separators, '.' decimals."""
+    from . import datasets
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -32,6 +32,7 @@ def load_csv(path):
 
 def resolve_data(name_or_path):
     """A file path if it exists, otherwise a bundled/generated fixture."""
+    from . import datasets
     if os.path.exists(name_or_path):
         return load_csv(name_or_path)
     base = os.path.basename(name_or_path)
@@ -80,6 +81,7 @@ def _emit(args, payload, scene=None):
     # fails leaves no output behind
     texts = [(getattr(args, "json", None), dump_json(payload))]
     if scene is not None and getattr(args, "svg", None):
+        from . import render
         texts.append((args.svg, render.render_scene(scene)))
     for path, text in texts:
         if not path:
@@ -128,6 +130,9 @@ def _matrix_arg(value):
 def _coords(names, value, default):
     """Positions in names of the two names listed in --coords, else default."""
     if not value:
+        if max(default) >= len(names):
+            raise InputError(f"the panel needs two columns of "
+                             f"{list(names[min(default):])}")
         return default
     wanted = _columns_arg(value)
     if len(wanted) != 2 or not set(wanted) <= set(names):
@@ -142,8 +147,9 @@ def _xy_columns(table, args, need=2):
         names = _columns_arg(args.x)
     else:
         names = table.numeric_names()[:need]
-    if len(names) < need:
-        raise InputError(f"need {need} numeric columns")
+    if len(names) != need:
+        raise InputError(f"need {need} numeric columns (--x X --y Y, or "
+                         f"--x X,Y), got {names}")
     return names, np.column_stack([table.numeric(c) for c in names])
 
 
@@ -151,8 +157,13 @@ def _grouped(table, args, count=None):
     """The GroupedSample of the --columns, by default the first count
     numeric columns other than --group (all when count is None), grouped
     by --group."""
+    from . import statellipse as st
     names = (_columns_arg(args.columns) if args.columns else
              [c for c in table.numeric_names() if c != args.group][:count])
+    need = count or 1
+    if len(names) < need:
+        raise InputError(f"need {need} numeric columns other than --group "
+                         f"{args.group!r}, got {names}")
     groups = table.categorical(args.group)
     return st.GroupedSample(
         np.column_stack([table.numeric(c) for c in names]), groups,
@@ -173,6 +184,7 @@ def _design_response(table, args):
 # ------------------------------------------------------------ subcommands
 
 def cmd_data_ellipse(args):
+    from . import gellipsoid as ge, render, statellipse as st
     table = resolve_data(args.data)
     names, mat = _xy_columns(table, args)
     sample = st.Sample(mat, tuple(names))
@@ -205,6 +217,7 @@ def cmd_data_ellipse(args):
 
 
 def cmd_decompose(args):
+    from . import statellipse as st
     table = resolve_data(args.data)
     gs = _grouped(table, args, 2)
     out = st.marginal_decomposition(gs, 0, 1)
@@ -216,6 +229,7 @@ def cmd_decompose(args):
 
 
 def cmd_betaspace(args):
+    from . import gellipsoid as ge, linmod, render
     table = resolve_data(args.data)
     x_names, x, y = _design_response(table, args)
     fit = linmod.ols_fit(x, y, names=["intercept"] + x_names)
@@ -254,6 +268,7 @@ def cmd_betaspace(args):
 
 
 def cmd_avp(args):
+    from . import linmod, render, statellipse as st
     table = resolve_data(args.data)
     x_names, x, y = _design_response(table, args)
     if args.k not in x_names:
@@ -286,6 +301,7 @@ def cmd_avp(args):
 
 
 def cmd_measure_error(args):
+    from . import linmod
     table = resolve_data(args.data)
     x = table.numeric(args.x)
     y = table.numeric(args.response)
@@ -300,6 +316,7 @@ def cmd_measure_error(args):
 
 
 def _manova_pieces(table, args):
+    from . import mlm
     gs = _grouped(table, args)
     fit, labels = mlm.manova_fit(gs)
     hyp = mlm.overall_hypothesis(gs.g)
@@ -308,6 +325,7 @@ def _manova_pieces(table, args):
 
 
 def cmd_heplot(args):
+    from . import mlm, render, statellipse as st
     table = resolve_data(args.data)
     names, gs, fit, labels, h, e = _manova_pieces(table, args)
     res = mlm.test_stats(h, e, df_h=gs.g - 1, df_e=fit.df_e)
@@ -346,6 +364,7 @@ def cmd_heplot(args):
 
 
 def cmd_contrasts(args):
+    from . import mlm
     table = resolve_data(args.data)
     names, gs, fit, labels, h, e = _manova_pieces(table, args)
     if not args.contrast:
@@ -374,6 +393,7 @@ def cmd_contrasts(args):
 
 
 def cmd_canonical(args):
+    from . import mlm, render
     table = resolve_data(args.data)
     gs = _grouped(table, args)
     can = mlm.canonical(gs)
@@ -397,6 +417,7 @@ def cmd_canonical(args):
 
 
 def cmd_kiss(args):
+    from . import kissing, render
     f1 = kissing.QuadFamily(args.m1, args.a1)
     f2 = kissing.QuadFamily(args.m2, args.a2)
     bbox = tuple(args.bbox) if args.bbox else kissing.default_bbox(f1, f2)
@@ -421,6 +442,7 @@ def cmd_kiss(args):
 
 
 def cmd_lda(args):
+    from . import kissing, statellipse as st
     table = resolve_data(args.data)
     gs = _grouped(table, args)
     if gs.g != 2:
@@ -442,6 +464,7 @@ def cmd_lda(args):
 
 
 def cmd_ridge_trace(args):
+    from . import kissing, render
     table = resolve_data(args.data)
     x_names, x, y = _design_response(table, args)
     ks = args.ks or [0.0, 0.005, 0.01, 0.02, 0.04, 0.08]
@@ -464,6 +487,7 @@ def cmd_ridge_trace(args):
 
 
 def cmd_bayes(args):
+    from . import kissing
     table = resolve_data(args.data)
     x_names, x, y = _design_response(table, args)
     q = len(x_names)
@@ -493,6 +517,7 @@ def cmd_bayes(args):
 
 
 def cmd_blup(args):
+    from . import kissing
     table = resolve_data(args.data)
     y = table.numeric(args.response)
     x = table.numeric(args.x)
@@ -533,6 +558,7 @@ def cmd_blup(args):
 
 
 def _berkey_studies(table):
+    from . import kissing
     # a missing column is an input error that names it
     y_pd, y_al, v_pd, cov, v_al = (table.numeric(c) for c in (
         "effect_PD", "effect_AL", "var_PD", "cov_PD_AL", "var_AL"))
@@ -542,6 +568,7 @@ def _berkey_studies(table):
 
 
 def cmd_meta(args):
+    from . import distributions as dist, kissing, render
     table = resolve_data(args.data)
     stack = _berkey_studies(table)
     fixed = kissing.meta_fixed(stack)
@@ -579,6 +606,7 @@ def cmd_meta(args):
 
 
 def cmd_gell(args):
+    from . import gellipsoid as ge
     mat = args.matrix
     center = np.array(args.center) if args.center else None
     if args.form == "moment":
@@ -619,6 +647,7 @@ def cmd_gell(args):
 
 
 def cmd_fixtures(args):
+    from . import datasets
     payload = {"fixtures": [{"name": k, "provenance": v}
                             for k, v in datasets.list_fixtures().items()],
                "directory": datasets.fixture_dir()}

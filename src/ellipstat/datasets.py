@@ -15,7 +15,6 @@ from importlib import resources
 
 import numpy as np
 
-from . import statellipse as st
 from .numkernel import InputError
 
 _FIXTURES = {
@@ -235,6 +234,7 @@ def fixture_csv_text(name):
 
 def load_iris_grouped():
     """The iris fixture as a GroupedSample of the species."""
+    from . import statellipse as st
     table = _parse_table(fixture_csv_text("iris"), "fixture:iris")
     names = table.header[:4]
     return st.GroupedSample(np.column_stack([table.numeric(h) for h in names]),

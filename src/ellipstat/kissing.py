@@ -245,8 +245,10 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
     starts instead from the point of that level on the branch, found by
     bisection. Returns the point and the f2 radius at which the families
     touch there. A level at or beyond f1(m2) has no external kiss point,
-    an InputError.
+    an InputError, and so is a negative radius1.
     """
+    if radius1 < 0:
+        raise nk.InputError(f"mark radius {radius1:g} must be >= 0")
     reach = f1.value(f2.m)
     if not radius1 ** 2 < reach:
         raise nk.InputError(

@@ -247,6 +247,8 @@ def attenuation_curve(x, y, deltas, reps=100, seed=0):
     """
     if reps < 1:
         raise nk.InputError("reps must be >= 1")
+    if any(d < 0 for d in deltas):
+        raise nk.InputError("deltas are noise scales and must be >= 0")
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     xc = x - x.mean()

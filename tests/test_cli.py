@@ -256,9 +256,13 @@ BLUP_HSB = ["blup", "--data", "hsb-sample", "--group", "school", "--x",
     BLUP_HSB + ["--g-diag=inf,1"],
     ["bayes", "--data", "longley", "--response", "Employed",
      "--precision=-5"],
+    ["measure-error", "--data", "galton", "--response", "child",
+     "--x", "parent", "--deltas=-0.5,0.5"],
+    ["kiss", "--mark=-1"],
 ], ids=["level", "resolution", "reps", "ridge-k", "asymmetric", "coords",
         "one-coord", "precision-shape", "delta-shape", "negative-g",
-        "nan-matrix", "inf-floats", "negative-precision"])
+        "nan-matrix", "inf-floats", "negative-precision", "negative-delta",
+        "negative-mark"])
 def test_bad_argument_is_exit_2(tmp_path, capsys, argv):
     try:
         code = run_cli(argv + ["--json", str(tmp_path / "out.json")])
@@ -269,6 +273,27 @@ def test_bad_argument_is_exit_2(tmp_path, capsys, argv):
         return
     assert code == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--data", "iris", "--group", "Species",
+      "--columns", "SepalLength"],
+     "need 2 numeric columns other than --group 'Species', "
+     "got ['SepalLength']"),
+    (["decompose", "--data", "galton", "--group", "parent"],
+     "need 2 numeric columns other than --group 'parent', got ['child']"),
+    (["heplot", "--data", "iris", "--group", "Species",
+      "--columns", "SepalLength"],
+     "the panel needs two columns of ['SepalLength']"),
+    (["data-ellipse", "--data", "galton", "--x", "parent,child,parent"],
+     "need 2 numeric columns (--x X --y Y, or --x X,Y), "
+     "got ['parent', 'child', 'parent']"),
+], ids=["decompose-columns", "decompose-group", "heplot", "data-ellipse"])
+def test_wrong_column_count_is_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert run_cli(argv + ["--json", str(out)]) == 2
+    assert capsys.readouterr().err == f"ellip: input error: {message}\n"
+    assert not out.exists()
 
 
 def test_singular_cholesky_is_exit_3(tmp_path, capsys):

@@ -37,13 +37,17 @@ print(json.dumps([payloads, sorted(m for m in sys.modules
 """
 
 
-def _fresh_run(argvs):
-    """(stdout payloads, scipy modules) of argvs in a fresh interpreter."""
+def _fresh_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def _fresh_run(argvs):
+    """(stdout payloads, scipy modules) of argvs in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=_fresh_env(),
                           check=True)
     return json.loads(proc.stdout)
 
@@ -108,6 +112,102 @@ def test_no_subcommand_loads_scipy(tmp_path):
         assert fresh == out.getvalue(), argv[0]
 
 
+# Runs `ellip` as `python -m ellipstat` does, and at exit prints the
+# ellipstat modules it loaded on one line.
+_COLD_ELLIP = """
+import atexit, runpy, sys
+
+
+def loaded():
+    print(" ".join(sorted(m.partition(".")[2] for m in sys.modules
+                          if m.startswith("ellipstat."))))
+
+
+atexit.register(loaded)
+sys.argv = ["ellip"] + sys.argv[1:]
+runpy.run_module("ellipstat", run_name="__main__", alter_sys=True)
+"""
+
+_BARE_IMPORT = """
+import json, sys
+import ellipstat
+loaded = sorted(m for m in sys.modules
+                if m.startswith("ellipstat.") or m.split(".")[0] == "numpy")
+listed = dir(ellipstat)
+resolved = {name: type(getattr(ellipstat, name)).__name__
+            for name in ellipstat.__all__}
+print(json.dumps([loaded, listed, resolved]))
+"""
+
+
+def test_bare_import_loads_nothing():
+    # the package resolves its modules and re-exported names on first use
+    proc = subprocess.run([sys.executable, "-c", _BARE_IMPORT],
+                          capture_output=True, text=True, env=_fresh_env(),
+                          check=True)
+    loaded, listed, resolved = json.loads(proc.stdout)
+    assert loaded == []
+    assert set(ellipstat.__all__) <= set(listed)
+    assert list(resolved) == ellipstat.__all__
+    assert {resolved[name] for name in ellipstat.__all__[:10]} == {"module"}
+    assert ellipstat.GEllipsoid is ellipstat.gellipsoid.GEllipsoid
+    assert ellipstat.CoverageSpec is ellipstat.statellipse.CoverageSpec
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        ellipstat.nosuch
+
+
+# The ellipstat modules a cold `ellip <subcommand>` loads besides cli and
+# numkernel: those the subcommand runs and those they import.
+_STATS = {"distributions", "gellipsoid", "statellipse"}
+LOADED = {
+    "data-ellipse": {"datasets", "render"} | _STATS,
+    "decompose": {"datasets"} | _STATS,
+    "betaspace": {"datasets", "distributions", "gellipsoid", "linmod",
+                  "render"},
+    "avp": {"datasets", "linmod", "render"} | _STATS,
+    "measure-error": {"datasets", "distributions", "gellipsoid", "linmod"},
+    "heplot": {"datasets", "mlm", "render"} | _STATS,
+    "contrasts": {"datasets", "mlm"} | _STATS,
+    "canonical": {"datasets", "mlm", "render"} | _STATS,
+    "kiss": {"kissing", "render"} | _STATS,
+    "lda": {"datasets", "kissing"} | _STATS,
+    "ridge-trace": {"datasets", "kissing", "render"} | _STATS,
+    "bayes": {"datasets", "kissing"} | _STATS,
+    "blup": {"datasets", "kissing"} | _STATS,
+    "meta": {"datasets", "kissing", "render"} | _STATS,
+    "gell": {"gellipsoid"},
+    "fixtures": {"datasets"},
+}
+
+
+@pytest.fixture(scope="module")
+def two_species(tmp_path_factory):
+    lines = datasets.fixture_csv_text("iris").splitlines()
+    path = tmp_path_factory.mktemp("data") / "two_species.csv"
+    path.write_text("\n".join([lines[0]] + [r for r in lines[1:]
+                                             if "setosa" not in r]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: a[0])
+def test_subcommand_loads_only_what_it_runs(argv, two_species, tmp_path):
+    # a cold process, as the `ellip` command runs it; the module list is
+    # printed when the interpreter exits
+    argv = [a.format(two_species=two_species) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _COLD_ELLIP, *argv],
+                          capture_output=True, text=True, env=_fresh_env(),
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert loaded - {"__main__"} == {"cli", "numkernel"} | LOADED[argv[0]]
+
+
+def test_cli_imports_only_numkernel_at_module_level():
+    # every other module is imported by the command that runs it
+    assert _package_imports(PACKAGE / "cli.py", top_level=True) \
+        == {"numkernel"}
+
+
 def test_runtime_dependency_is_numpy_alone():
     meta = tomllib.loads((PACKAGE.parent.parent / "pyproject.toml")
                          .read_text(encoding="utf-8"))["project"]
@@ -133,10 +233,12 @@ def test_no_top_level_scipy_import(path):
             f"{path.name}:{node.lineno} imports scipy"
 
 
-def _package_imports(path):
-    """Names of the ellipstat modules that the module at path imports."""
+def _package_imports(path, top_level=False):
+    """Names of the ellipstat modules that the module at path imports,
+    anywhere in it or at its top level only."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in tree.body if top_level else ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level == 0:         # absolute: only ellipstat counts
@@ -157,10 +259,10 @@ def test_render_imports_only_gellipsoid():
     assert _package_imports(PACKAGE / "render.py") == {"gellipsoid"}
 
 
-def test_only_cli_and_init_import_render():
+def test_only_cli_imports_render():
     importers = {path.name for path in PACKAGE.glob("*.py")
                  if "render" in _package_imports(path)}
-    assert importers == {"cli.py", "__init__.py"}
+    assert importers == {"cli.py"}
 
 
 def _raised_names(path):

@@ -299,6 +299,16 @@ def test_osculation_at_or_beyond_the_second_centre_is_an_input_error(r1):
     assert DEMO_F1.gradient(x) @ DEMO_F2.gradient(x) < 0
 
 
+def test_negative_osculation_radius_is_an_input_error():
+    # radius 0 kisses at m1; -r is no level, not the level of r
+    locus = ki.trace_locus(DEMO_F1, DEMO_F2, DEMO_BBOX, 96)
+    with pytest.raises(nk.InputError, match="mark radius -1 must be >= 0"):
+        ki.osculation_point(DEMO_F1, DEMO_F2, -1.0, locus=locus)
+    x, r2 = ki.osculation_point(DEMO_F1, DEMO_F2, 0.0, locus=locus)
+    assert np.allclose(x, DEMO_F1.m, rtol=0.0, atol=1e-12)
+    assert r2 == pytest.approx(np.sqrt(DEMO_F2.value(DEMO_F1.m)), rel=1e-12)
+
+
 def test_kiss_mark_beyond_the_second_centre_is_exit_2(tmp_path, capsys):
     # radius 10 is beyond the reach sqrt(56): the locus offers it only the
     # internal kiss point (2.960, 7.626), where the gradients agree

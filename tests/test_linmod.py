@@ -9,6 +9,7 @@ from ellipstat import cli
 from ellipstat import distributions as dist
 from ellipstat import gellipsoid as ge
 from ellipstat import linmod
+from ellipstat import numkernel as nk
 from ellipstat import statellipse as st
 
 import strategies
@@ -343,6 +344,14 @@ def test_attenuation_curve_matches_refit_per_draw(data_seed, n, x_mean,
     got = linmod.attenuation_curve(x, y, deltas, reps=reps, seed=seed)
     want = _attenuation_ratios_exact(x, y, deltas, reps, seed)
     assert got["mean_ratio"] == pytest.approx(want, rel=1e-12)
+
+
+def test_attenuation_curve_rejects_a_negative_delta():
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal(50)
+    y = 2.0 * x + rng.standard_normal(50)
+    with pytest.raises(nk.InputError, match="deltas .* must be >= 0"):
+        linmod.attenuation_curve(x, y, [-0.5, 0.5], reps=5)
 
 
 def test_attenuation_curve_fits_ols_once(monkeypatch):
