@@ -78,11 +78,12 @@ def dump_json(obj):
 
 def _emit(args, payload, scene=None):
     # every text is made before any is written, so an operation that
-    # fails leaves no output behind
+    # fails leaves no output behind; scene, a zero-argument builder, is
+    # called only when an SVG is written
     texts = [(getattr(args, "json", None), dump_json(payload))]
     if scene is not None and getattr(args, "svg", None):
         from . import render
-        texts.append((args.svg, render.render_scene(scene)))
+        texts.append((args.svg, render.render_scene(scene())))
     for path, text in texts:
         if not path:
             sys.stdout.write(text)
@@ -184,7 +185,7 @@ def _design_response(table, args):
 # ------------------------------------------------------------ subcommands
 
 def cmd_data_ellipse(args):
-    from . import gellipsoid as ge, render, statellipse as st
+    from . import gellipsoid as ge, statellipse as st
     table = resolve_data(args.data)
     names, mat = _xy_columns(table, args)
     sample = st.Sample(mat, tuple(names))
@@ -206,12 +207,15 @@ def cmd_data_ellipse(args):
         "shadow_y": sh_y,
         "area": ge.volume(ell),
     }
-    ellipses = [ell if level == args.level
-                else st.data_ellipsoid(sample, st.CoverageSpec.chisq(level))
-                for level in sorted({0.40, 0.68, args.level})]
-    scene = render.build_data_ellipse_panel(
-        sample, mean, st.regression_slopes(cov), ellipses,
-        title=f"data ellipses: {names[0]} vs {names[1]}")
+
+    def scene():
+        from . import render
+        ellipses = [ell if level == args.level else
+                    st.data_ellipsoid(sample, st.CoverageSpec.chisq(level))
+                    for level in sorted({0.40, 0.68, args.level})]
+        return render.build_data_ellipse_panel(
+            sample, mean, st.regression_slopes(cov), ellipses,
+            title=f"data ellipses: {names[0]} vs {names[1]}")
     _emit(args, payload, scene)
     return 0
 
@@ -229,7 +233,7 @@ def cmd_decompose(args):
 
 
 def cmd_betaspace(args):
-    from . import gellipsoid as ge, linmod, render
+    from . import gellipsoid as ge, linmod
     table = resolve_data(args.data)
     x_names, x, y = _design_response(table, args)
     fit = linmod.ols_fit(x, y, names=["intercept"] + x_names)
@@ -260,15 +264,18 @@ def cmd_betaspace(args):
         "scheffe_intervals": scheffe,
         "joint_test_rejects_zero": not inside,
     }
-    scene = render.build_beta_space_panel(
-        joint, ci, [ci_ival[name] for name in names], names,
-        title=f"coefficient space: {args.response}")
+
+    def scene():
+        from . import render
+        return render.build_beta_space_panel(
+            joint, ci, [ci_ival[name] for name in names], names,
+            title=f"coefficient space: {args.response}")
     _emit(args, payload, scene)
     return 0
 
 
 def cmd_avp(args):
-    from . import linmod, render, statellipse as st
+    from . import linmod, statellipse as st
     table = resolve_data(args.data)
     x_names, x, y = _design_response(table, args)
     if args.k not in x_names:
@@ -286,16 +293,19 @@ def cmd_avp(args):
         "vif_algebraic": res["vif"]["algebraic"],
         "vif_geometric": res["vif"]["geometric"],
     }
-    names = (args.k, args.response)
-    marg = res["marginal"]
-    cond = np.column_stack([res["x_star"], res["y_star"]])
-    half = st.CoverageSpec.stddev(
-        st.coverage_radius(2, st.CoverageSpec.chisq(0.50)))
-    scene = render.build_avp_marginal_overlay(
-        marg, cond, st.data_ellipsoid(st.Sample(marg, names), half),
-        st.data_ellipsoid(st.Sample(cond, names), half),
-        res["marginal_slope"], res["slope"], names=names,
-        title=f"added-variable: {args.k}")
+
+    def scene():
+        from . import render
+        names = (args.k, args.response)
+        marg = res["marginal"]
+        cond = np.column_stack([res["x_star"], res["y_star"]])
+        half = st.CoverageSpec.stddev(
+            st.coverage_radius(2, st.CoverageSpec.chisq(0.50)))
+        return render.build_avp_marginal_overlay(
+            marg, cond, st.data_ellipsoid(st.Sample(marg, names), half),
+            st.data_ellipsoid(st.Sample(cond, names), half),
+            res["marginal_slope"], res["slope"], names=names,
+            title=f"added-variable: {args.k}")
     _emit(args, payload, scene)
     return 0
 
@@ -325,7 +335,7 @@ def _manova_pieces(table, args):
 
 
 def cmd_heplot(args):
-    from . import mlm, render, statellipse as st
+    from . import mlm, statellipse as st
     table = resolve_data(args.data)
     names, gs, fit, labels, h, e = _manova_pieces(table, args)
     res = mlm.test_stats(h, e, df_h=gs.g - 1, df_e=fit.df_e)
@@ -351,14 +361,17 @@ def cmd_heplot(args):
         "mtest_geometry": geometry,
     }
     coords = _coords(names, args.coords, [0, 1])
-    ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=coords,
-                                   center=fit.y_mean, scaling=args.scaling,
-                                   crit=crit)
-    _, means, _ = st.group_means(gs)
-    scene = render.build_he_plot(
-        ell_h, ell_e, names=(names[coords[0]], names[coords[1]]),
-        means=means[:, coords], labels=labels,
-        title=f"HE plot ({args.scaling} scaling)")
+
+    def scene():
+        from . import render
+        ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=coords,
+                                       center=fit.y_mean,
+                                       scaling=args.scaling, crit=crit)
+        _, means, _ = st.group_means(gs)
+        return render.build_he_plot(
+            ell_h, ell_e, names=(names[coords[0]], names[coords[1]]),
+            means=means[:, coords], labels=labels,
+            title=f"HE plot ({args.scaling} scaling)")
     _emit(args, payload, scene)
     return 0
 
@@ -393,7 +406,7 @@ def cmd_contrasts(args):
 
 
 def cmd_canonical(args):
-    from . import mlm, render
+    from . import mlm
     table = resolve_data(args.data)
     gs = _grouped(table, args)
     can = mlm.canonical(gs)
@@ -407,17 +420,18 @@ def cmd_canonical(args):
         "group_means": {lab: can.group_means[i]
                         for i, lab in enumerate(can.group_labels)},
     }
-    scene = None
-    if can.scores.shape[1] >= 2:
+
+    def scene():
+        from . import render
         ell_h, ell_e = mlm.canonical_he_ellipses(gs, can)
-        scene = render.build_canonical_he(ell_h, ell_e, can, gs.names,
-                                          title="canonical HE plot")
-    _emit(args, payload, scene)
+        return render.build_canonical_he(ell_h, ell_e, can, gs.names,
+                                         title="canonical HE plot")
+    _emit(args, payload, scene if can.scores.shape[1] >= 2 else None)
     return 0
 
 
 def cmd_kiss(args):
-    from . import kissing, render
+    from . import kissing
     f1 = kissing.QuadFamily(args.m1, args.a1)
     f2 = kissing.QuadFamily(args.m2, args.a2)
     bbox = tuple(args.bbox) if args.bbox else kissing.default_bbox(f1, f2)
@@ -435,8 +449,12 @@ def cmd_kiss(args):
         "osculation": [{"radius1": r1, "point": pt, "radius2": r2}
                        for r1, (pt, r2) in zip(args.mark, kisses)],
     }
-    scene = render.build_kiss_locus(f1, f2, bbox, locus=locus, kisses=kisses,
-                                    title="locus of osculation")
+
+    def scene():
+        from . import render
+        return render.build_kiss_locus(f1, f2, bbox, locus=locus,
+                                       kisses=kisses,
+                                       title="locus of osculation")
     _emit(args, payload, scene)
     return 0
 
@@ -464,7 +482,7 @@ def cmd_lda(args):
 
 
 def cmd_ridge_trace(args):
-    from . import kissing, render
+    from . import kissing
     table = resolve_data(args.data)
     x_names, x, y = _design_response(table, args)
     ks = args.ks or [0.0, 0.005, 0.01, 0.02, 0.04, 0.08]
@@ -479,9 +497,12 @@ def cmd_ridge_trace(args):
         "beta_original_units": [t["result"].beta_original for t in trace],
         **kissing.ridge_path_summary(trace),
     }
-    scene = render.build_ridge_trace(
-        trace, names=(x_names[coords[0]], x_names[coords[1]]),
-        title="bivariate ridge trace")
+
+    def scene():
+        from . import render
+        return render.build_ridge_trace(
+            trace, names=(x_names[coords[0]], x_names[coords[1]]),
+            title="bivariate ridge trace")
     _emit(args, payload, scene)
     return 0
 
@@ -568,7 +589,7 @@ def _berkey_studies(table):
 
 
 def cmd_meta(args):
-    from . import distributions as dist, kissing, render
+    from . import kissing
     table = resolve_data(args.data)
     stack = _berkey_studies(table)
     fixed = kissing.meta_fixed(stack)
@@ -578,12 +599,10 @@ def cmd_meta(args):
         "beta_fixed": fixed["beta"],
         "cov_fixed": fixed["cov"],
     }
-    c2 = dist.chi2_quantile(0.40, 2)    # 40% coverage: radius ~1 ellipses
     if args.model == "fixed":
         payload.update(beta=fixed["beta"], cov=fixed["cov"])
-        scene = render.build_meta_panel(stack, fixed, c2,
-                                        names=("PD effect", "AL effect"),
-                                        title="fixed-effect pooling")
+        pooled, blups, delta = fixed, None, None
+        title = "fixed-effect pooling"
     else:
         delta = args.delta if args.delta is not None \
             else kissing.estimate_delta_mom(stack)
@@ -597,10 +616,15 @@ def cmd_meta(args):
             "blups": [{"label": lab, "beta": b, "cov": c} for lab, b, c
                       in zip(stack.labels, blups["beta"], blups["cov"])],
         })
-        scene = render.build_meta_panel(stack, re, c2, blups=blups,
-                                        delta=delta,
-                                        names=("PD effect", "AL effect"),
-                                        title="random-effects pooling")
+        pooled, title = re, "random-effects pooling"
+
+    def scene():
+        from . import distributions as dist, render
+        c2 = dist.chi2_quantile(0.40, 2)   # 40% coverage: radius ~1 ellipses
+        return render.build_meta_panel(stack, pooled, c2, blups=blups,
+                                       delta=delta,
+                                       names=("PD effect", "AL effect"),
+                                       title=title)
     _emit(args, payload, scene)
     return 0
 

@@ -42,6 +42,16 @@ class QuadFamily:
         """The level set f(x) = radius^2 as an ellipsoid."""
         return ge.from_precision(self.a_mat / radius ** 2, self.m)
 
+    def level_ellipses(self, radii):
+        """[level_ellipse(r) for r in radii], from one stacked
+        eigen-decomposition; each matrix is level_ellipse's own scalar
+        expression, so each level is the same to the bit."""
+        mats = [self.a_mat / r ** 2 for r in radii]
+        if not mats:
+            return []
+        return [ge.dual(e) for e in ge.from_moments(
+            np.stack(mats), np.tile(self.m, (len(mats), 1)))]
+
 
 def cross_field(f1, f2, x):
     """Cross product of the two gradients at x (zero iff they are parallel).
@@ -57,6 +67,22 @@ def cross_field(f1, f2, x):
     if x.ndim == 1:
         return float(d2 @ b @ d1)
     return np.einsum("...i,ij,...j->...", d2, b, d1)
+
+
+def _grid_field(f1, f2, xs, ys):
+    """cross_field at each node (xs[i], ys[j]) of a grid, bit for bit.
+
+    The form factors by axis: with d2 = (a0_i, a1_j) and d1 = (c0_i, c1_j),
+    einsum's terms (d2_k b_kl) d1_l depend on i, on j, or on both through
+    an outer product. They are summed in einsum's own order, k-major and
+    left to right, so each node gets the value cross_field gives it on the
+    stacked grid, with no (n, n, 2) temporaries.
+    """
+    b = f2.a_mat.T @ SKEW @ f1.a_mat
+    a0, a1 = xs - f2.m[0], ys - f2.m[1]
+    c0, c1 = xs - f1.m[0], ys - f1.m[1]
+    return ((((a0 * b[0, 0]) * c0)[:, None] + np.outer(a0 * b[0, 1], c1))
+            + np.outer(c0, a1 * b[1, 0])) + ((a1 * b[1, 1]) * c1)[None, :]
 
 
 def _cross_gradient(f1, f2, x):
@@ -140,9 +166,18 @@ def _chain(keys):
         head, tail = keys[start]
         front, back = [], []
         while True:
-            s = min((s for s in touching[tail] + touching[head]
-                     if not used[s]), default=None)
-            if s is None:
+            # each touching list ascends, so its first unused is its least
+            s = -1
+            for t in touching[tail]:
+                if not used[t]:
+                    s = t
+                    break
+            for t in touching[head]:
+                if not used[t]:
+                    if s < 0 or t < s:
+                        s = t
+                    break
+            if s < 0:
                 break
             used[s] = True
             c, d = keys[s]
@@ -178,14 +213,15 @@ def _newton_rows(f1, f2, x, steps):
 def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
     """Zero contour of the cross field by marching squares.
 
-    bbox is (xmin, xmax, ymin, ymax). Only cells whose corners change sign
-    or touch a zero are visited (see _cell_segments), so beyond one
-    vectorized pass over the grid the cost grows with the cells the locus
-    crosses. Segments are chained through endpoint identity, not
-    distance: a crossing is its grid edge, a zero corner its node. Each
-    polyline starts from the last unused segment and grows by the
-    lowest-numbered unused segment touching its tail or its head, the tail
-    first. Every vertex then gets newton_steps Newton steps onto the exact
+    bbox is (xmin, xmax, ymin, ymax), with xmin < xmax and ymin < ymax.
+    The grid values come from their 1-D factors (see _grid_field). Only
+    cells whose corners change sign or touch a zero are visited (see
+    _cell_segments), so beyond one vectorized pass over the grid the cost
+    grows with the cells the locus crosses. Segments are chained through
+    endpoint identity, not distance: a crossing is its grid edge, a zero
+    corner its node. Each polyline starts from the last unused segment and
+    grows by the lowest-numbered unused segment touching its tail or its
+    head, the tail first. Every vertex then gets newton_steps Newton steps onto the exact
     zero set, and the polylines are stably sorted longest first. Returns
     {'polylines': [...], 'vertices': ..., 'scale': ...}: the polylines,
     their vertices stacked in one (m, 2) array, and the max |g| over the
@@ -194,10 +230,12 @@ def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
     if resolution < 32:
         raise nk.InputError("resolution must be >= 32")
     xmin, xmax, ymin, ymax = bbox
+    if not (xmin < xmax and ymin < ymax):
+        raise nk.InputError(f"bbox {tuple(bbox)} needs xmin < xmax and "
+                            "ymin < ymax")
     xs = np.linspace(xmin, xmax, resolution + 1)
     ys = np.linspace(ymin, ymax, resolution + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    vals = cross_field(f1, f2, np.stack([gx, gy], axis=-1))
+    vals = _grid_field(f1, f2, xs, ys)
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         return {"polylines": [], "scale": 0.0, "vertices": np.empty((0, 2))}

@@ -676,14 +676,12 @@ def build_kiss_locus(f1, f2, bbox, locus, kisses=(), radii1=(1.0, 2.0, 3.0),
     levels drawn default to 1 and the radii of the kisses.
     """
     layers = [AxisLayer()]
-    for r in radii1:
-        layers.append(EllipseLayer(f1.level_ellipse(r),
-                                   Style(stroke=PALETTE["h"], width=1.1)))
+    layers.extend(EllipseLayer(e, Style(stroke=PALETTE["h"], width=1.1))
+                  for e in f1.level_ellipses(radii1))
     if radii2 is None:
         radii2 = [1.0] + [float(r2) for _, r2 in kisses]
-    for r in radii2:
-        layers.append(EllipseLayer(f2.level_ellipse(r),
-                                   Style(stroke=PALETTE["e"], width=1.1)))
+    layers.extend(EllipseLayer(e, Style(stroke=PALETTE["e"], width=1.1))
+                  for e in f2.level_ellipses(radii2))
     for pl in locus["polylines"]:
         layers.append(PolylineLayer(pl, Style(stroke=PALETTE["data"],
                                               width=1.8)))

@@ -259,11 +259,20 @@ BLUP_HSB = ["blup", "--data", "hsb-sample", "--group", "school", "--x",
     ["measure-error", "--data", "galton", "--response", "child",
      "--x", "parent", "--deltas=-0.5,0.5"],
     ["kiss", "--mark=-1"],
+    # a bbox without area, with and without a figure to draw
+    ["kiss", "--bbox=1,0,0,1"],
+    ["kiss", "--bbox=1,0,0,1", "--svg", "{svg}"],
+    ["kiss", "--bbox=0,1,0,0"],
+    ["kiss", "--bbox=0,1,0,0", "--svg", "{svg}"],
+    ["kiss", "--bbox=4,-4,-4,8"],
+    ["kiss", "--bbox=4,-4,-4,8", "--svg", "{svg}"],
 ], ids=["level", "resolution", "reps", "ridge-k", "asymmetric", "coords",
         "one-coord", "precision-shape", "delta-shape", "negative-g",
         "nan-matrix", "inf-floats", "negative-precision", "negative-delta",
-        "negative-mark"])
+        "negative-mark", "reversed-bbox", "reversed-bbox-svg", "flat-bbox",
+        "flat-bbox-svg", "mirrored-bbox", "mirrored-bbox-svg"])
 def test_bad_argument_is_exit_2(tmp_path, capsys, argv):
+    argv = [a.format(svg=tmp_path / "out.svg") for a in argv]
     try:
         code = run_cli(argv + ["--json", str(tmp_path / "out.json")])
     except SystemExit as exc:

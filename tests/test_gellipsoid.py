@@ -570,6 +570,20 @@ def test_image_of_image_is_image_of_product(data):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(hs.data())
+def test_projection_keeps_the_signature_sums(data):
+    # the shadow P E spans P times the span of E's nonzero axes: its
+    # n_pos + n_inf is that rank, and n_zero makes up the dimension
+    e = data.draw(strategies.ellipsoids())
+    p_mat = data.draw(strategies.projections(e.dim))
+    sig = ge.signature(ge.project(e, p_mat))
+    span = e.frame[:, e.radii > 0]
+    rank = np.linalg.matrix_rank(p_mat @ span) if span.size else 0
+    assert sig.n_pos + sig.n_inf == rank
+    assert sig.n_pos + sig.n_zero + sig.n_inf == e.dim
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(hs.data())
 def test_projection_keeps_the_rank_of_the_unbounded_directions(data):
     # n_inf(P E) = rank(P U_inf): a coordinate frame puts exact zero
     # columns in P U_inf, which a rank count must see past

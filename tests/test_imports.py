@@ -157,24 +157,24 @@ def test_bare_import_loads_nothing():
 
 
 # The ellipstat modules a cold `ellip <subcommand>` loads besides cli and
-# numkernel: those the subcommand runs and those they import.
+# numkernel: those the subcommand runs and those they import. None of
+# these runs writes an SVG, so none builds a scene or loads render.
 _STATS = {"distributions", "gellipsoid", "statellipse"}
 LOADED = {
-    "data-ellipse": {"datasets", "render"} | _STATS,
+    "data-ellipse": {"datasets"} | _STATS,
     "decompose": {"datasets"} | _STATS,
-    "betaspace": {"datasets", "distributions", "gellipsoid", "linmod",
-                  "render"},
-    "avp": {"datasets", "linmod", "render"} | _STATS,
+    "betaspace": {"datasets", "distributions", "gellipsoid", "linmod"},
+    "avp": {"datasets", "linmod"} | _STATS,
     "measure-error": {"datasets", "distributions", "gellipsoid", "linmod"},
-    "heplot": {"datasets", "mlm", "render"} | _STATS,
+    "heplot": {"datasets", "mlm"} | _STATS,
     "contrasts": {"datasets", "mlm"} | _STATS,
-    "canonical": {"datasets", "mlm", "render"} | _STATS,
-    "kiss": {"kissing", "render"} | _STATS,
+    "canonical": {"datasets", "mlm"} | _STATS,
+    "kiss": {"kissing"} | _STATS,
     "lda": {"datasets", "kissing"} | _STATS,
-    "ridge-trace": {"datasets", "kissing", "render"} | _STATS,
+    "ridge-trace": {"datasets", "kissing"} | _STATS,
     "bayes": {"datasets", "kissing"} | _STATS,
     "blup": {"datasets", "kissing"} | _STATS,
-    "meta": {"datasets", "kissing", "render"} | _STATS,
+    "meta": {"datasets", "kissing"} | _STATS,
     "gell": {"gellipsoid"},
     "fixtures": {"datasets"},
 }

@@ -259,6 +259,106 @@ def test_trace_locus_resolution_384():
     assert np.linalg.norm(verts - DEMO_F2.m, axis=1).min() < cell
 
 
+# ------------------------------------------- exactness of the fast paths
+
+@hs.composite
+def _scaled_family(draw):
+    # a PD family whose entries are scaled by 10^-30 .. 10^30
+    a, _, _ = draw(strategies.pd_matrices(p=hs.just(2),
+                                          log_cond=hs.floats(0.0, 6.0),
+                                          log_scale=hs.floats(-30.0, 30.0)))
+    coord = hs.floats(-10.0, 10.0)
+    return ki.QuadFamily([draw(coord), draw(coord)], a)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_scaled_family(), _scaled_family(), hs.floats(-10.0, 10.0),
+       hs.floats(-10.0, 10.0), hs.floats(0.01, 30.0), hs.floats(0.01, 30.0),
+       hs.integers(32, 300))
+def test_grid_field_is_cross_field_on_the_stacked_grid(f1, f2, x0, y0, w, h,
+                                                        resolution):
+    # trace_locus's separable grid is the 3-operand einsum on the stacked
+    # meshgrid to the bit, so every sign, crossing and scale is unchanged
+    xs = np.linspace(x0, x0 + w, resolution + 1)
+    ys = np.linspace(y0, y0 + h, resolution + 1)
+    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    assert np.array_equal(ki._grid_field(f1, f2, xs, ys),
+                          ki.cross_field(f1, f2, grid))
+
+
+def _reference_chain(keys):
+    # the chaining that _chain replaced, step for step: the least unused
+    # segment of the tail's and the head's touching lists joined
+    touching = {}
+    for s, ends in enumerate(keys):
+        for k in ends:
+            touching.setdefault(k, []).append(s)
+    used = [False] * len(keys)
+    chains = []
+    for start in range(len(keys) - 1, -1, -1):
+        if used[start]:
+            continue
+        used[start] = True
+        head, tail = keys[start]
+        front, back = [], []
+        while True:
+            s = min((s for s in touching[tail] + touching[head]
+                     if not used[s]), default=None)
+            if s is None:
+                break
+            used[s] = True
+            c, d = keys[s]
+            if c == tail:
+                back.append(2 * s + 1)
+                tail = d
+            elif d == tail:
+                back.append(2 * s)
+                tail = c
+            elif c == head:
+                front.append(2 * s + 1)
+                head = d
+            else:
+                front.append(2 * s)
+                head = c
+        chains.append(front[::-1] + [2 * start, 2 * start + 1] + back)
+    return chains
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(hs.integers(1, 12).flatmap(lambda n_keys: hs.lists(
+    hs.lists(hs.integers(0, n_keys - 1), min_size=2, max_size=2),
+    max_size=40)))
+# a cycle, a loop on one key, and a zero node shared by four segments
+@example([[0, 1], [1, 2], [2, 0]])
+@example([[3, 3], [3, 4]])
+@example([[0, 9], [1, 9], [9, 2], [9, 3], [3, 0]])
+def test_chain_joins_as_the_reference(keys):
+    # few distinct keys give cycles and keys shared by 3-4 segments, as
+    # zero nodes are
+    assert ki._chain(keys) == _reference_chain(keys)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_scaled_family(), hs.lists(hs.floats(0.01, 50.0), max_size=6))
+# on glibc, Python's 7.964 ** 2 (pow) is 63.425296, while numpy's array
+# square of the same value (x * x) is 63.42529600000001
+@example(DEMO_F1, [7.964])
+def test_level_ellipses_are_each_level_ellipse(f, radii):
+    radii = [1.0, 7.964] + radii
+    for got, want in zip(f.level_ellipses(radii),
+                         [f.level_ellipse(r) for r in radii], strict=True):
+        for name in ("center", "frame", "radii"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert f.level_ellipses([]) == []
+
+
+def test_degenerate_bbox_is_an_input_error():
+    for bbox in [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0),
+                 (4.0, -4.0, -4.0, 8.0), (0.0, 1.0, np.nan, 1.0)]:
+        with pytest.raises(nk.InputError, match=r"bbox \("):
+            ki.trace_locus(DEMO_F1, DEMO_F2, bbox, 32)
+
+
 def test_kiss_traces_once_and_solves_each_mark_once(monkeypatch, tmp_path):
     calls = {"trace_locus": 0, "osculation_point": 0}
 

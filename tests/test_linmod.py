@@ -346,6 +346,42 @@ def test_attenuation_curve_matches_refit_per_draw(data_seed, n, x_mean,
     assert got["mean_ratio"] == pytest.approx(want, rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(strategies.seeds, hs.floats(-6.0, 6.0), hs.floats(-6.0, 6.0),
+       hs.floats(0.5, 0.95), hs.booleans(),
+       hs.lists(hs.floats(0.1, 2.0), min_size=1, max_size=3), strategies.seeds)
+def test_attenuation_factor_is_the_reliability(data_seed, x_mean, log_sd,
+                                               rho, negative, deltas, seed):
+    # noise of sd delta * sd(x) leaves the reliability
+    # var(x) / (var(x) + var(noise)) = 1 / (1 + delta^2), and the slope
+    # shrinks by that factor, in any units of x. With q = 1 + delta^2, a
+    # draw's ratio has a relative sd of at most
+    # (delta / |r| + (2 delta + 1.5 delta^2) / q) / sqrt(n - 1) (the noise
+    # against y, against x, and its own square) and a relative bias of
+    # O(((4 delta^2 + 2 delta^4) / q^2 + 2 delta^2 / q) / n): the mean of
+    # reps draws is held to six standard errors plus three such biases
+    n, reps = 4000, 50
+    # a stream apart from the noise's default_rng(seed): with one seed for
+    # both, the first noise draw would be x's own z, not independent of x
+    rng = np.random.default_rng([data_seed, 1])
+    z = rng.standard_normal((2, n))
+    x = x_mean * 10.0 ** log_sd + 10.0 ** log_sd * z[0]
+    rho = -rho if negative else rho
+    y = 3.0 + rho * z[0] + np.sqrt(1.0 - rho ** 2) * z[1]
+    r = abs(np.corrcoef(x, y)[0, 1])
+    sd = x.std(ddof=1)
+    out = linmod.attenuation_curve(x, y, deltas, reps=reps, seed=seed)
+    for d, got, expected in zip(deltas, out["mean_ratio"],
+                                out["expected_ratio"], strict=True):
+        reliability = sd ** 2 / (sd ** 2 + (d * sd) ** 2)
+        assert expected == pytest.approx(reliability, rel=1e-14)
+        q = 1.0 + d ** 2
+        se = (d / r + (2 * d + 1.5 * d ** 2) / q) / np.sqrt((n - 1) * reps)
+        bias = 3 * ((4 * d ** 2 + 2 * d ** 4) / q ** 2 + 2 * d ** 2 / q) \
+            / (n - 1)
+        assert abs(got / reliability - 1.0) <= 6 * se + bias
+
+
 def test_attenuation_curve_rejects_a_negative_delta():
     rng = np.random.default_rng(25)
     x = rng.standard_normal(50)
