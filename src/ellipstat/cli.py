@@ -421,12 +421,17 @@ def cmd_canonical(args):
                         for i, lab in enumerate(can.group_labels)},
     }
 
+    if args.svg and can.scores.shape[1] < 2:
+        raise InputError(f"the canonical HE plot needs two canonical "
+                         f"dimensions, found {can.scores.shape[1]} "
+                         f"({gs.g} groups)")
+
     def scene():
         from . import render
         ell_h, ell_e = mlm.canonical_he_ellipses(gs, can)
         return render.build_canonical_he(ell_h, ell_e, can, gs.names,
                                          title="canonical HE plot")
-    _emit(args, payload, scene if can.scores.shape[1] >= 2 else None)
+    _emit(args, payload, scene)
     return 0
 
 

@@ -6,8 +6,11 @@
 # (its ellipses traced with one matmul per vertex count, all its arrows
 # at once) with the same float operations as one element at a time, and
 # formatted in one exact pass (_fmt_all) that prints what the per-number
-# rule (_fmt) prints, so the output is unchanged. The scene builders draw
-# the ellipsoids, intervals and quantiles they are given and compute no
+# rule (_fmt) prints, so the output is unchanged. The points, arrows,
+# ellipses and polylines are then written without a Python step per
+# element: _stamp lays each kind's rows out as fixed-width byte fields
+# and literals and drops the padding. The scene builders draw the
+# ellipsoids, intervals and quantiles they are given and compute no
 # statistics; gellipsoid is the only package module imported here.
 
 import itertools
@@ -112,59 +115,135 @@ def _fmt(v):
     return "0.0000" if s == "-0.0000" else s
 
 
-# _DIGITS[:, m] is the four ASCII digits of m, "0000" to "9999", most
-# significant first: the digit of place 10^p cycles through "0" to "9",
-# each held for 10^p numbers (built in bytes, with no wide temporaries).
-# _POW10 holds 10^1 to 10^9.
-_DIGITS = np.array([np.repeat(np.tile(np.arange(48, 58, dtype=np.uint8),
-                                      10 ** (3 - p)), 10 ** p)
-                    for p in (3, 2, 1, 0)])
-_POW10 = 10 ** np.arange(1, 10)
+# The digits of m = 0 to 9999 in four places: _DIGITS[k][m] is the last
+# k of "0000" to "9999" (the digit of place 10^p cycles through "0" to
+# "9", each held for 10^p numbers) and _LEAD[k][m] the same with m's
+# leading zeros NUL (the places of 7 are "\0\0\0" "7", of 0 "\0\0\0" "0"),
+# as bytes items.
+_DIGITS = np.column_stack([np.repeat(np.tile(np.arange(48, 58,
+                                                       dtype=np.uint8),
+                                             10 ** (3 - p)), 10 ** p)
+                           for p in (3, 2, 1, 0)])
+_LEAD = _DIGITS.copy()
+for _p in (1, 2, 3):
+    _LEAD[:10 ** _p, 3 - _p] = 0
+_DIGITS, _LEAD = ({k: np.ascontiguousarray(t[:, 4 - k:]).view(f"S{k}").ravel()
+                   for k in (1, 2, 3, 4)} for t in (_DIGITS, _LEAD))
+_BLOCK = 4096       # rows per _stamp block
 
 
 def _fmt_all(values):
-    """_fmt of every element of a float array, in row-major order.
+    """_fmt of every element of a float array, in row-major order, as a
+    table (see _table): entry i prints element i once its NULs are
+    dropped, and one more entry, all NULs, prints nothing.
 
     f"{v:.4f}" is correctly rounded: it prints K / 10^4 for the integer K
     nearest the exact x = v 10^4, ties to even. 1e4 is a double, so
     y = fl(v * 1e4) is x rounded once. If |y| < 2^43 then |x| <= 2^43, and
     doubles below 2^43 are 2^-10 apart, so |y - x| <= 2^-11. Hence for
     k = rint(y) with |y - k| < 1/2 - 2^-10, |x - k| < 1/2: k is K, with no
-    tie to break, and it is exact in int64. Such an element is written
-    from k's digits: a sign only if k < 0 (a K of 0 prints 0.0000, _fmt's
-    rule for -0.0000), k // 10^4, the point and the four digits of
-    k % 10^4. Every other element (ties, |y| >= 2^43, nan, inf) is _fmt's.
+    tie to break. As |k| < 2^43, floor(|k| / 10^4) is |k| // 10^4 exactly
+    (the quotient's rounding error is below 10^-4). Such an element is
+    written from k's digits: a sign only if k < 0 (a K of 0 prints 0.0000,
+    _fmt's rule for -0.0000), |k| // 10^4, the point and the four digits
+    of |k| % 10^4. Every other element (ties, |y| >= 2^43, nan, inf) is
+    _fmt's. An entry is a sign's place (if any element has a sign), the nd
+    places of the longest |k| // 10^4 in groups of four (leading zeros
+    NUL), the point and the four digits, widened by NULs to hold the
+    longest of _fmt's strings.
     """
     v = np.ravel(values).astype(float, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):
         y = v * 1e4
         k = np.rint(y)
-        exact = (np.abs(y - k) < 0.5 - 2.0 ** -10) & (np.abs(y) < 2.0 ** 43)
+        exact = np.abs(y) < 2.0 ** 43
+        y -= k
+        exact &= np.abs(y, out=y) < 0.5 - 2.0 ** -10
     odd = np.flatnonzero(~exact)
     k[odd] = 0.0
-    a = k.astype(np.int64)
-    neg = np.flatnonzero(a < 0)
-    np.abs(a, out=a)
-    q, r = np.divmod(a, 10000)
-    # column j of chars is token j, right-aligned in nd + 7 chars: a space,
-    # the sign's place, the nd digits of q, the point, the digits of r
-    nd = int(np.searchsorted(_POW10, q.max(initial=0), "right")) + 1
-    chars = np.empty((nd + 7, v.size), np.uint8)
-    chars[:2] = 32
-    chars[nd + 2] = 46
-    np.take(_DIGITS, r, axis=1, out=chars[nd + 3:])
-    rest, end = q, nd + 2
-    while end > 6:                      # q's digits, four at a time
-        np.take(_DIGITS, rest % 10000, axis=1, out=chars[end - 4:end])
-        rest, end = rest // 10000, end - 4
-    np.take(_DIGITS[6 - end:], rest, axis=1, out=chars[2:end])
-    for p in range(1, nd):              # leading zeros become spaces
-        np.copyto(chars[nd + 1 - p], 32, where=q < _POW10[p - 1])
-    chars[nd - np.searchsorted(_POW10, q[neg], "right"), neg] = 45
-    toks = chars.T.tobytes().decode("ascii").split()
-    for i in odd.tolist():
-        toks[i] = _fmt(v[i])
-    return toks
+    neg = k < 0
+    np.abs(k, out=k)
+    q = np.floor(k / 1e4)               # exact, as k is an integer < 2^43
+    k -= q * 1e4
+    q, r = q.astype(np.intp), k.astype(np.intp)
+    nd = len(str(q.max(initial=0)))
+    toks = [_fmt(x).encode() for x in v[odd].tolist()]
+    groups = [(f"g{j}", min(4, nd - 4 * j)) for j in range((nd + 3) // 4)]
+    width = nd + 5 + bool(neg.any())
+    pad = max([width, *map(len, toks)]) - width
+    table = np.zeros(v.size + 1, [("pad", f"S{pad}")] * bool(pad) +
+                     [("sign", "S1")] * (width > nd + 5) +
+                     [(g, f"S{n}") for g, n in groups[::-1]] +
+                     [("point", "S1"), ("frac", "S4")])
+    entries = table[:-1]
+    if width > nd + 5:
+        entries["sign"][neg] = b"-"
+    rest = q
+    for j, (g, n) in enumerate(groups):
+        part = rest % 10000 if j + 1 < len(groups) else rest
+        entries[g] = _LEAD[n][part]
+        if j:                           # no digit above the first
+            entries[g][q < 10 ** (4 * j)] = b""
+        if j + 1 < len(groups):         # zeros below a higher digit
+            high = q >= 10 ** (4 * j + 4)
+            entries[g][high] = _DIGITS[n][part[high]]
+            rest = rest // 10000
+    entries["point"] = b"."
+    entries["frac"] = _DIGITS[4][r]
+    table = table.view(f"S{width + pad}")
+    table[odd] = toks
+    return table
+
+
+def _table(texts):
+    """Strings as a table: the UTF-8 of each, NUL-padded to one width, as
+    the bytes items of an array."""
+    raw = [t.encode() for t in texts]
+    return np.array(raw, dtype=f"S{max(map(len, raw), default=0) or 1}")
+
+
+def _stamp(parts, cuts):
+    """The text of rows made of parts side by side, cut into pieces.
+
+    A part is a literal (bytes), the same in every row, or (table, codes):
+    row i takes entry codes[i] of the table. The NULs that pad table
+    entries are dropped. Piece j is the text of rows cuts[j] to
+    cuts[j + 1] - 1, as a list of strings: the rows are stamped _BLOCK at
+    a time, so that the buffers of one block are small and reused."""
+    rows = np.dtype([(f"f{j}", f"S{len(p)}" if isinstance(p, bytes)
+                      else p[0].dtype) for j, p in enumerate(parts)])
+    pieces = [[] for _ in cuts[1:]]
+    first = 0
+    for lo in range(0, cuts[-1], _BLOCK):
+        hi = min(lo + _BLOCK, cuts[-1])
+        block = np.empty(hi - lo, rows)
+        for name, part in zip(rows.names, parts):
+            block[name] = (part if isinstance(part, bytes)
+                           else part[0][part[1][lo:hi]])
+        text = block.tobytes()
+        while cuts[first + 1] <= lo:
+            first += 1
+        for j in range(first, len(pieces)):
+            if cuts[j] >= hi:
+                break
+            i, k = max(cuts[j], lo) - lo, min(cuts[j + 1], hi) - lo
+            pieces[j].append(text[i * rows.itemsize:k * rows.itemsize]
+                             .replace(b"\0", b"").decode())
+    return pieces
+
+
+def _tokens(fields, idx):
+    """The strings of entries idx of a _fmt_all table."""
+    return (b" ".join(fields[idx].tolist()).replace(b"\0", b"").decode()
+            .split())
+
+
+# Tables of byte literals: the two before a marker's x and y (circle,
+# square), and the literals of an arrow's tip, blank (entry 0) for an
+# arrow without one.
+_HEADS = _table(['<circle cx="', '<rect x="']), _table(['" cy="', '" y="'])
+_TIPPED = {text: _table(["", text]) for text in ('<polygon points="', ",",
+                                                 " ")}
 
 
 def _escape(text):
@@ -214,7 +293,8 @@ def _auto_viewport(layers, ellipses, arrow_ends):
     pts = np.concatenate(pts)
     if pts.size == 0:
         return (0.0, 1.0, 0.0, 1.0)
-    (xmin, ymin), (xmax, ymax) = pts.min(axis=0), pts.max(axis=0)
+    xs, ys = pts[:, 0], pts[:, 1]       # a column at a time is ~10x faster
+    xmin, xmax, ymin, ymax = xs.min(), xs.max(), ys.min(), ys.max()
     dx = (xmax - xmin) or 1.0
     dy = (ymax - ymin) or 1.0
     pad = 0.05
@@ -279,12 +359,12 @@ def _nice_ticks(lo, hi, n):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
-    while t <= hi + 1e-9 * span:
+    last, t = -math.inf, math.ceil(lo / step) * step
+    # a step below half an ulp of t no longer moves it: stop there
+    while last < t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
-        t += step
+        last, t = t, t + step
     return ticks
 
 
@@ -294,51 +374,58 @@ def _tick_label(v):
     return f"{v:g}"
 
 
-def _render_axis(layer, tr, viewport, out):
+def _axis_numbers(layer, tr, viewport):
+    """The x and y ticks of an axis layer and the pixel numbers it prints:
+    the frame's x, y, width and height, per x tick its x, y, y + 5 and
+    y + 18, per y tick its x, y, x - 5, x - 8 and y + 3, then the x
+    label's x and y and the y label's x and y."""
     xmin, xmax, ymin, ymax = viewport
-    corners = tr.to_pixel([[xmin, ymin], [xmax, ymax]])
-    (x0, y0), (x1, y1) = corners
-    out.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y1)}" '
-               f'width="{_fmt(x1 - x0)}" height="{_fmt(y0 - y1)}" '
-               f'{layer.style.svg()}/>')
-    for t in _nice_ticks(xmin, xmax, layer.ticks):
-        px = tr.to_pixel([[t, ymin]])[0]
-        out.append(f'<line x1="{_fmt(px[0])}" y1="{_fmt(px[1])}" '
-                   f'x2="{_fmt(px[0])}" y2="{_fmt(px[1] + 5)}" '
-                   f'{layer.style.svg()}/>')
-        out.append(f'<text x="{_fmt(px[0])}" y="{_fmt(px[1] + 18)}" '
-                   f'text-anchor="middle" font-family="monospace" '
-                   f'font-size="10" fill="#333333">'
-                   f'{_escape(_tick_label(t))}</text>')
-    for t in _nice_ticks(ymin, ymax, layer.ticks):
-        px = tr.to_pixel([[xmin, t]])[0]
-        out.append(f'<line x1="{_fmt(px[0])}" y1="{_fmt(px[1])}" '
-                   f'x2="{_fmt(px[0] - 5)}" y2="{_fmt(px[1])}" '
-                   f'{layer.style.svg()}/>')
-        out.append(f'<text x="{_fmt(px[0] - 8)}" y="{_fmt(px[1] + 3)}" '
-                   f'text-anchor="end" font-family="monospace" '
-                   f'font-size="10" fill="#333333">'
-                   f'{_escape(_tick_label(t))}</text>')
+    xt = _nice_ticks(xmin, xmax, layer.ticks)
+    yt = _nice_ticks(ymin, ymax, layer.ticks)
+    (x0, y0), (x1, y1), *px = tr.to_pixel(
+        [[xmin, ymin], [xmax, ymax], *([t, ymin] for t in xt),
+         *([xmin, t] for t in yt)]).tolist()
+    nums = [x0, y1, x1 - x0, y0 - y1]
+    for x, y in px[:len(xt)]:
+        nums += [x, y, y + 5, y + 18]
+    for x, y in px[len(xt):]:
+        nums += [x, y, x - 5, x - 8, y + 3]
+    return xt, yt, nums + [0.5 * (x0 + x1), y0 + 34, x0 - 38,
+                           0.5 * (y0 + y1)]
+
+
+def _axis_lines(layer, xt, yt, toks):
+    """The elements of an axis layer, its numbers printed as toks (in
+    _axis_numbers' order)."""
+    style = layer.style.svg()
+    x, y, w, h = toks[:4]
+    out = [f'<rect x="{x}" y="{y}" width="{w}" height="{h}" {style}/>\n']
+    at = 4
+    for t in xt:
+        x, y, y5, y18 = toks[at:at + 4]
+        at += 4
+        out.append(f'<line x1="{x}" y1="{y}" x2="{x}" y2="{y5}" {style}/>\n')
+        out.append(f'<text x="{x}" y="{y18}" text-anchor="middle" '
+                   f'font-family="monospace" font-size="10" fill="#333333">'
+                   f'{_escape(_tick_label(t))}</text>\n')
+    for t in yt:
+        x, y, x5, x8, y3 = toks[at:at + 5]
+        at += 5
+        out.append(f'<line x1="{x}" y1="{y}" x2="{x5}" y2="{y}" {style}/>\n')
+        out.append(f'<text x="{x8}" y="{y3}" text-anchor="end" '
+                   f'font-family="monospace" font-size="10" fill="#333333">'
+                   f'{_escape(_tick_label(t))}</text>\n')
+    cx, y34, x38, cy = toks[at:]
     if layer.label_x:
-        cx = 0.5 * (x0 + x1)
-        out.append(f'<text x="{_fmt(cx)}" y="{_fmt(y0 + 34)}" '
-                   f'text-anchor="middle" font-family="monospace" '
-                   f'font-size="12" fill="#000000">'
-                   f'{_escape(layer.label_x)}</text>')
+        out.append(f'<text x="{cx}" y="{y34}" text-anchor="middle" '
+                   f'font-family="monospace" font-size="12" fill="#000000">'
+                   f'{_escape(layer.label_x)}</text>\n')
     if layer.label_y:
-        cy = 0.5 * (y0 + y1)
-        out.append(f'<text x="{_fmt(x0 - 38)}" y="{_fmt(cy)}" '
-                   f'text-anchor="middle" font-family="monospace" '
-                   f'font-size="12" fill="#000000" '
-                   f'transform="rotate(-90 {_fmt(x0 - 38)} {_fmt(cy)})">'
-                   f'{_escape(layer.label_y)}</text>')
-
-
-def _polyline_svg(toks, style_svg, closed):
-    it = iter(toks)
-    coords = " ".join(map(",".join, zip(it, it)))
-    tag = "polygon" if closed else "polyline"
-    return f'<{tag} points="{coords}" {style_svg}/>'
+        out.append(f'<text x="{x38}" y="{cy}" text-anchor="middle" '
+                   f'font-family="monospace" font-size="12" fill="#000000" '
+                   f'transform="rotate(-90 {x38} {cy})">'
+                   f'{_escape(layer.label_y)}</text>\n')
+    return out
 
 
 def _filled(style):
@@ -408,86 +495,158 @@ def _arrow_barbs(px):
     return np.column_stack([back + normal, back - normal]), has_tip
 
 
+def _rows_of(starts, picked):
+    """The pixel rows of the picked layers, in order, and the cuts between
+    layers in that list of rows."""
+    cuts = [0, *itertools.accumulate(starts[i + 1] - starts[i]
+                                     for i in picked)]
+    shift = np.subtract([starts[i] for i in picked], cuts[:-1])
+    return np.arange(cuts[-1]) + np.repeat(shift, np.diff(cuts)), cuts
+
+
+def _path_lines(layers, rows, starts, styles, fields):
+    """The element of each EllipseLayer and of each PolylineLayer of two
+    or more points: its vertices' x and y joined by "," and " "."""
+    picked = [i for i, l in enumerate(layers)
+              if isinstance(l, EllipseLayer)
+              or isinstance(l, PolylineLayer) and rows[i]]
+    if not picked:
+        return []
+    at, cuts = _rows_of(starts, picked)
+    coords = _stamp([(fields, 2 * at), b",", (fields, 2 * at + 1), b" "],
+                    cuts)
+    tags = ["polyline" if isinstance(layers[i], PolylineLayer)
+            and not layers[i].closed else "polygon" for i in picked]
+    return [f'<{tag} points="{"".join(c)[:-1]}" '
+            f'{styles[id(layers[i].style)]}/>\n'
+            for i, tag, c in zip(picked, tags, coords)]
+
+
+def _marker_lines(layers, starts, styles, fields):
+    """The elements of each PointsLayer, one string per layer."""
+    picked = [i for i, l in enumerate(layers) if isinstance(l, PointsLayer)]
+    if not picked:
+        return []
+    squares, tails = [], []
+    for layer in (layers[i] for i in picked):
+        r = layer.size
+        squares.append(layer.marker == "square")
+        if squares[-1]:
+            tails.append(f'" width="{_fmt(2 * r)}" height="{_fmt(2 * r)}" '
+                         f'{styles[id(layer.style)]}/>\n')
+            continue
+        style_svg = (_filled(layer.style).svg() if layer.marker == "dot"
+                     else styles[id(layer.style)])
+        tails.append(f'" r="{_fmt(r)}" {style_svg}/>\n')
+    at, cuts = _rows_of(starts, picked)
+    code = np.repeat(np.arange(len(picked)), np.diff(cuts))
+    x, y = (head[np.array(squares, dtype=np.intp)] for head in _HEADS)
+    return _stamp([(x, code), (fields, 2 * at), (y, code),
+                   (fields, 2 * at + 1), (_table(tails), code)], cuts)
+
+
+def _arrow_lines(arrows, counts, has_tip, styles, fields, at):
+    """The elements of each ArrowLayer, one string per layer: per arrow
+    its shaft and its tip, a polygon blanked out of the arrows without
+    one. Fields at, at + 1, ... are the arrows' ends (x1, y1, x2, y2 per
+    arrow) and after them the tips' barbs (left x, y, right x, y)."""
+    if not arrows:
+        return []
+    k = len(has_tip)
+    blank = len(fields) - 1             # the entry that prints nothing
+    end = at + np.arange(4 * k).reshape(k, 4)
+    barb = np.full((k, 4), blank)
+    barb[has_tip] = at + 4 * k + np.arange(4 * has_tip.sum()).reshape(-1, 4)
+    head = np.where(has_tip[:, None], end[:, 2:], blank)
+    tip = has_tip.astype(np.intp)
+    kinds = {id(a.style): a.style for a in arrows}
+    index = {key: i for i, key in enumerate(kinds)}
+    code = np.repeat(np.array([index[id(a.style)] for a in arrows],
+                              dtype=np.intp), counts)
+    shafts = _table([f'" {styles[key]}/>\n' for key in kinds])
+    tails = _table([*(f'" {_filled(style).svg()}/>\n'
+                      for style in kinds.values()), ""])
+    comma, space = (_TIPPED[","], tip), (_TIPPED[" "], tip)
+    return _stamp([b'<line x1="', (fields, end[:, 0]), b'" y1="',
+                   (fields, end[:, 1]), b'" x2="', (fields, end[:, 2]),
+                   b'" y2="', (fields, end[:, 3]), (shafts, code),
+                   (_TIPPED['<polygon points="'], tip), (fields, head[:, 0]),
+                   comma, (fields, head[:, 1]), space, (fields, barb[:, 0]),
+                   comma, (fields, barb[:, 1]), space, (fields, barb[:, 2]),
+                   comma, (fields, barb[:, 3]),
+                   (tails, np.where(has_tip, code, len(kinds)))],
+                  [0, *itertools.accumulate(counts)])
+
+
 def render_scene(scene):
     """Render a scene to SVG 1.1 text (pure function of its input).
 
-    Every pixel coordinate the layers print is formatted by one _fmt_all
-    call: the layers' own, then the arrow ends, then the arrow barbs."""
-    parts = _scene_parts(scene.layers)
+    Every pixel number the layers print is formatted by one _fmt_all
+    call: the layers' own, then the arrow ends, the arrow barbs and the
+    axes' numbers. The ellipses and polylines, the points and the arrows
+    are each stamped from those fields and byte literals in one _stamp."""
+    layers = scene.layers
+    parts = _scene_parts(layers)
     ellipses, arrows, ends, counts = parts
     tr, viewport = _scene_transform(scene, parts)
-    px, rows = _layer_pixels(scene.layers, ellipses, tr)
+    px, rows = _layer_pixels(layers, ellipses, tr)
     ends = tr.to_pixel(ends)
     barbs, has_tip = _arrow_barbs(ends)
-    toks = _fmt_all(np.concatenate([px.ravel(), ends.ravel(),
-                                    barbs.ravel()]))
-    at = 2 * len(px)
-    coords = iter(toks[at:at + 2 * len(ends)])
-    it = iter(toks[at + 2 * len(ends):])
-    barbs = zip(it, it, it, it)                    # left x, y, right x, y
-    ends_tip = zip(coords, coords, coords, coords, has_tip.tolist())
-    counts = iter(counts)
-    styles = _style_svgs([l for l in scene.layers
+    axes = [_axis_numbers(l, tr, viewport) for l in layers
+            if isinstance(l, AxisLayer)]
+    fields = _fmt_all(np.concatenate([px.ravel(), ends.ravel(),
+                                      barbs.ravel(),
+                                      *(nums for *_, nums in axes)]))
+    starts = list(itertools.accumulate(rows, initial=0))
+    styles = _style_svgs([l for l in layers
                           if not isinstance(l, (AxisLayer, TextLayer))])
-    tips = {key: _filled(style).svg()
-            for key, style in {id(a.style): a.style for a in arrows}.items()}
+    paths = iter(_path_lines(layers, rows, starts, styles, fields))
+    marks = iter(_marker_lines(layers, starts, styles, fields))
+    shafts = iter(_arrow_lines(arrows, counts, has_tip, styles, fields,
+                               2 * len(px)))
+    texts = [2 * starts[i] + j for i, l in enumerate(layers)
+             if isinstance(l, TextLayer) for j in (0, 1)]
+    toks = _tokens(fields, np.concatenate([
+        np.array(texts, dtype=np.intp),
+        np.arange(2 * len(px) + ends.size + barbs.size, len(fields) - 1)]))
+    pos, toks = iter(toks[:len(texts)]), iter(toks[len(texts):])
+    axes = iter(axes)
     w, h = scene.size
-    out = ['<?xml version="1.0" encoding="UTF-8" standalone="no"?>',
+    out = ['<?xml version="1.0" encoding="UTF-8" standalone="no"?>\n',
            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
            f'width="{_fmt(w)}" height="{_fmt(h)}" '
-           f'viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
+           f'viewBox="0 0 {_fmt(w)} {_fmt(h)}">\n',
            f'<rect x="0" y="0" width="{_fmt(w)}" height="{_fmt(h)}" '
-           f'fill="#ffffff"/>']
+           f'fill="#ffffff"/>\n']
     if scene.title:
         out.append(f'<text x="{_fmt(w / 2)}" y="18" text-anchor="middle" '
                    f'font-family="monospace" font-size="13" fill="#000000">'
-                   f'{_escape(scene.title)}</text>')
-    at = 0
-    for layer, n in zip(scene.layers, rows):
-        mine, at = toks[at:at + 2 * n], at + 2 * n
+                   f'{_escape(scene.title)}</text>\n')
+    for layer, n in zip(layers, rows):
         if isinstance(layer, AxisLayer):
-            _render_axis(layer, tr, viewport, out)
+            xt, yt, nums = next(axes)
+            out.extend(_axis_lines(layer, xt, yt,
+                                   list(itertools.islice(toks, len(nums)))))
         elif isinstance(layer, EllipseLayer):
-            out.append(_polyline_svg(mine, styles[id(layer.style)], True))
+            out.append(next(paths))
         elif isinstance(layer, PolylineLayer):
             if n:
-                out.append(_polyline_svg(mine, styles[id(layer.style)],
-                                         layer.closed))
+                out.append(next(paths))
         elif isinstance(layer, PointsLayer):
-            r = layer.size
-            if layer.marker == "square":
-                rest = (f'" width="{_fmt(2 * r)}" height="{_fmt(2 * r)}" '
-                        f'{styles[id(layer.style)]}/>')
-                out.extend([f'<rect x="{x}" y="{y}{rest}'
-                            for x, y in zip(mine[0::2], mine[1::2])])
-                continue
-            style_svg = (_filled(layer.style).svg() if layer.marker == "dot"
-                         else styles[id(layer.style)])
-            rest = f'" r="{_fmt(r)}" {style_svg}/>'
-            out.extend([f'<circle cx="{x}" cy="{y}{rest}'
-                        for x, y in zip(mine[0::2], mine[1::2])])
+            out.extend(next(marks))
         elif isinstance(layer, ArrowLayer):
-            shaft_svg, tip_svg = styles[id(layer.style)], tips[id(layer.style)]
-            for x1, y1, x2, y2, tip in itertools.islice(ends_tip,
-                                                        next(counts)):
-                out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
-                           f'y2="{y2}" {shaft_svg}/>')
-                if tip:
-                    lx, ly, rx, ry = next(barbs)
-                    out.append(f'<polygon points="{x2},{y2} {lx},{ly} '
-                               f'{rx},{ry}" {tip_svg}/>')
+            out.extend(next(shafts))
         elif isinstance(layer, TextLayer):
-            x, y = mine
-            out.append(f'<text x="{x}" y="{y}" '
+            out.append(f'<text x="{next(pos)}" y="{next(pos)}" '
                        f'text-anchor="{layer.anchor}" '
                        f'font-family="monospace" '
                        f'font-size="{_fmt(layer.size)}" '
                        f'fill="{layer.style.fill}">'
-                       f'{_escape(layer.text)}</text>')
+                       f'{_escape(layer.text)}</text>\n')
         else:
             raise ValueError(f"unknown layer type {type(layer).__name__}")
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "".join(out)
 
 
 # ------------------------------------------------------------- builders

@@ -834,6 +834,36 @@ def test_canonical_draws_three_score_columns(tmp_path):
     assert svg.read_text(encoding="utf-8").count('r="2.5000"') == 5
 
 
+def test_canonical_figure_of_two_groups_is_exit_2(tmp_path, capsys):
+    # two groups give one canonical dimension: the JSON is still there
+    # without --svg, but a figure cannot be drawn and nothing is written
+    rows = datasets.fixture_csv_text("iris").splitlines()
+    p = tmp_path / "two.csv"
+    p.write_text("\n".join([rows[0]] + [r for r in rows[1:]
+                                        if not r.endswith("setosa")]) + "\n",
+                 encoding="utf-8")
+    svg, out = tmp_path / "c.svg", tmp_path / "c.json"
+    argv = ["canonical", "--data", str(p), "--group", "Species",
+            "--json", str(out)]
+    assert run_cli(argv + ["--svg", str(svg)]) == 2
+    assert capsys.readouterr().err == (
+        "ellip: input error: the canonical HE plot needs two canonical "
+        "dimensions, found 1 (2 groups)\n")
+    assert not svg.exists() and not out.exists()
+    assert run_cli(argv) == 0
+    assert len(read_json(out)["lambdas"]) == 1
+
+
+def test_kiss_figure_with_ticks_finer_than_an_ulp(tmp_path):
+    # the x axis spans one ulp of 1e17: its tick step no longer moves a
+    # tick, and drawing the figure used to loop for ever
+    svg = tmp_path / "k.svg"
+    assert run_cli(["kiss", "--bbox=1e17,1.0000000000000002e17,0,1",
+                    "--svg", str(svg),
+                    "--json", str(tmp_path / "k.json")]) == 0
+    assert svg.read_text(encoding="utf-8").count(">1e+17</text>") == 1
+
+
 def test_canonical_computed_once(tmp_path, monkeypatch):
     calls = []
     canonical = mlm.canonical

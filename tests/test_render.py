@@ -236,21 +236,27 @@ _numbers = hs.one_of(
 @example([-0.00004])
 @example([])
 def test_fmt_all_prints_what_fmt_prints(xs):
-    assert render._fmt_all(np.array(xs, dtype=float)) == \
-        [render._fmt(v) for v in xs]
+    assert _printed(render._fmt_all(np.array(xs, dtype=float))) == \
+        [render._fmt(v) for v in xs] + [""]
 
 
 def test_fmt_all_keeps_row_major_order():
     xs = np.array([[1.5, -2.0, 1e300], [np.nan, 0.03125, -0.00004]])
-    assert render._fmt_all(xs) == ["1.5000", "-2.0000", render._fmt(1e300),
-                                   "nan", "0.0312", "0.0000"]
+    assert _printed(render._fmt_all(xs)) == [
+        "1.5000", "-2.0000", render._fmt(1e300), "nan", "0.0312", "0.0000",
+        ""]
+
+
+def _printed(table):
+    # what each entry of a _fmt_all table prints: its bytes less the NULs
+    return [e.replace(b"\0", b"").decode() for e in table.tolist()]
 
 
 # ------------------------------------------- per-element reference renderer
 # The renderer as it was when it formatted one element at a time: every
-# number through render._fmt, one to_pixel per arrow, one bound per arrow,
-# one path per ellipse and per bound. render_scene must reproduce its
-# output byte for byte.
+# number through render._fmt, one to_pixel per arrow and per axis tick,
+# one bound per arrow, one path per ellipse and per bound. render_scene
+# must reproduce its output byte for byte.
 
 def _ref_ellipse_path(e, n):
     theta = 2.0 * np.pi * np.arange(n) / n
@@ -364,6 +370,47 @@ def _ref_render_arrow(tail, head, style, tr, out):
         out.append(f'<polygon points="{pts}" {tip.svg()}/>')
 
 
+def _ref_render_axis(layer, tr, viewport, out):
+    fmt, escape, label = render._fmt, render._escape, render._tick_label
+    xmin, xmax, ymin, ymax = viewport
+    corners = tr.to_pixel([[xmin, ymin], [xmax, ymax]])
+    (x0, y0), (x1, y1) = corners
+    out.append(f'<rect x="{fmt(x0)}" y="{fmt(y1)}" '
+               f'width="{fmt(x1 - x0)}" height="{fmt(y0 - y1)}" '
+               f'{layer.style.svg()}/>')
+    for t in render._nice_ticks(xmin, xmax, layer.ticks):
+        px = tr.to_pixel([[t, ymin]])[0]
+        out.append(f'<line x1="{fmt(px[0])}" y1="{fmt(px[1])}" '
+                   f'x2="{fmt(px[0])}" y2="{fmt(px[1] + 5)}" '
+                   f'{layer.style.svg()}/>')
+        out.append(f'<text x="{fmt(px[0])}" y="{fmt(px[1] + 18)}" '
+                   f'text-anchor="middle" font-family="monospace" '
+                   f'font-size="10" fill="#333333">'
+                   f'{escape(label(t))}</text>')
+    for t in render._nice_ticks(ymin, ymax, layer.ticks):
+        px = tr.to_pixel([[xmin, t]])[0]
+        out.append(f'<line x1="{fmt(px[0])}" y1="{fmt(px[1])}" '
+                   f'x2="{fmt(px[0] - 5)}" y2="{fmt(px[1])}" '
+                   f'{layer.style.svg()}/>')
+        out.append(f'<text x="{fmt(px[0] - 8)}" y="{fmt(px[1] + 3)}" '
+                   f'text-anchor="end" font-family="monospace" '
+                   f'font-size="10" fill="#333333">'
+                   f'{escape(label(t))}</text>')
+    if layer.label_x:
+        cx = 0.5 * (x0 + x1)
+        out.append(f'<text x="{fmt(cx)}" y="{fmt(y0 + 34)}" '
+                   f'text-anchor="middle" font-family="monospace" '
+                   f'font-size="12" fill="#000000">'
+                   f'{escape(layer.label_x)}</text>')
+    if layer.label_y:
+        cy = 0.5 * (y0 + y1)
+        out.append(f'<text x="{fmt(x0 - 38)}" y="{fmt(cy)}" '
+                   f'text-anchor="middle" font-family="monospace" '
+                   f'font-size="12" fill="#000000" '
+                   f'transform="rotate(-90 {fmt(x0 - 38)} {fmt(cy)})">'
+                   f'{escape(layer.label_y)}</text>')
+
+
 def reference_render_scene(scene):
     fmt = render._fmt
     tr, viewport = _ref_scene_transform(scene)
@@ -380,7 +427,7 @@ def reference_render_scene(scene):
                    f'{render._escape(scene.title)}</text>')
     for layer in scene.layers:
         if isinstance(layer, render.AxisLayer):
-            render._render_axis(layer, tr, viewport, out)
+            _ref_render_axis(layer, tr, viewport, out)
         elif isinstance(layer, render.EllipseLayer):
             pts = tr.to_pixel(_ref_ellipse_path(layer.ellipse, layer.n))
             out.append(_ref_polyline_svg(pts, layer.style, closed=True))
@@ -575,7 +622,84 @@ def test_render_scene_formats_once(monkeypatch):
         render.TextLayer((1.0, 1.0), "t"),
     ], title="all layers")
     svg = render.render_scene(scene)
+    _, (xmin, xmax, ymin, ymax) = _transform(scene)
+    nx = len(render._nice_ticks(xmin, xmax, 5))
+    ny = len(render._nice_ticks(ymin, ymax, 5))
     # 48 ellipse vertices, 6 points, 2 polyline points, 1 text position,
-    # 3 arrows' ends and 3 tips' barbs, two numbers each
-    assert calls == [2 * (48 + 6 + 2 + 1 + 6 + 6)]
+    # 3 arrows' ends and 3 tips' barbs, two numbers each; then the axis:
+    # its frame, 4 numbers per x tick, 5 per y tick, the labels' places
+    assert calls == [2 * (48 + 6 + 2 + 1 + 6 + 6) + 4 + 4 * nx + 5 * ny + 4]
     assert svg == reference_render_scene(scene)
+
+
+def _dense_coords(rng, n):
+    # (n, 2) points over FREE_VIEWPORT and beyond, one coordinate in ten
+    # swapped for a pixel tie or a pixel just below zero
+    pts = rng.uniform(-80.0, 500.0, (n, 2))
+    swap = rng.random((n, 2)) < 0.1
+    pts[swap] = rng.choice(NEAR_ZERO + PIXEL_TIES, swap.sum())
+    return pts
+
+
+def _dense_layers(rng):
+    shared = render.Style(stroke="#888888", width=0.6)
+    arrow = render.Style(stroke="#1b7837", width=0.9, opacity=0.5)
+    tails = _dense_coords(rng, 2000)
+    heads = tails + rng.normal(0.0, 20.0, tails.shape)
+    kind = rng.integers(0, 10, len(tails))
+    heads[kind == 0] = tails[kind == 0]                 # no tip, and none
+    heads[kind == 1] = tails[kind == 1] + [1e-12, 0.0]  # under 1e-9 px
+    layers = [render.AxisLayer(label_x="x", label_y="y"),
+              render.PointsLayer(_dense_coords(rng, 3000), shared),
+              render.PointsLayer(_dense_coords(rng, 2500), shared,
+                                 marker="dot", size=2.5),
+              render.PointsLayer(_dense_coords(rng, 2500),
+                                 render.Style(width=1.4), marker="square",
+                                 size=3.5),
+              render.ArrowLayer(tails, heads, arrow),
+              render.PolylineLayer(_dense_coords(rng, 5000),
+                                   render.Style(dash="4,3")),
+              render.PolylineLayer(_dense_coords(rng, 1500), shared,
+                                   closed=True),
+              render.PolylineLayer(_dense_coords(rng, 1))]
+    for center in _dense_coords(rng, 300):
+        a = rng.normal(0.0, 10.0, (2, 2))
+        ell = ge.from_moment(a @ a.T + np.eye(2), center)
+        layers.append(render.EllipseLayer(ell, shared,
+                                          n=int(rng.choice([64, 32, 7]))))
+        if rng.random() < 0.2:
+            tail = _dense_coords(rng, 1)[0]
+            layers += [render.ArrowLayer(tail, center, arrow),
+                       render.ArrowLayer(tail, tail, arrow),
+                       render.TextLayer(tuple(center), "e")]
+    return layers
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_render_scene_matches_per_element_renderer_on_dense_scenes(seed):
+    # thousands of elements per layer, across many _stamp blocks, with
+    # pixel ties and pixels just below zero, and the same layers in an
+    # auto viewport
+    layers = _dense_layers(np.random.default_rng(seed))
+    for scene in (render.Scene(layers, viewport=FREE_VIEWPORT,
+                               aspect="free", title="dense"),
+                  render.Scene(layers, size=(640, 400))):
+        svg = render.render_scene(scene)
+        want = reference_render_scene(scene)
+        same = svg == want                  # no pytest diff of 2 MB texts
+        assert same, next((a, b) for a, b in zip(svg.splitlines(),
+                                                 want.splitlines()) if a != b)
+    # and the background and the axis frame
+    assert svg.count("<circle") == 5500 and svg.count("<rect") == 2 + 2500
+
+
+def test_nice_ticks_end_when_a_step_no_longer_moves_them():
+    # a tick step of 5 is below half an ulp (16) of 1e17: one tick, where
+    # the loop used to append 1e17 for ever
+    assert render._nice_ticks(1e17, 1.0000000000000002e17, 5) == [1e17]
+    for lo, hi in [(1e17, 1e17 + 64), (-3.0, 7.0), (0.1, 0.3), (0.0, 1.0)]:
+        ticks = render._nice_ticks(lo, hi, 5)
+        assert ticks and all(a < b for a, b in zip(ticks, ticks[1:]))
+        assert lo <= ticks[0] and ticks[-1] <= hi + 1e-9 * (hi - lo)
+    assert render._nice_ticks(0.0, 1.0, 5) == [0.0, 0.2, 0.4,
+                                                0.2 + 0.2 + 0.2, 0.8, 1.0]
