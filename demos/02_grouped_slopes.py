@@ -40,13 +40,13 @@ for sign, label in ((+1, "positive"), (-1, "negative")):
         layers.append(render.PointsLayer(
             rows, render.Style(stroke=color, width=0.6), size=1.6))
         layers.append(render.EllipseLayer(
-            st.data_ellipsoid(st.Sample(rows), st.CoverageSpec.chisq(0.68)),
+            [st.data_ellipsoid(st.Sample(rows), st.CoverageSpec.chisq(0.68))],
             render.Style(stroke=color, width=1.0, dash="4,3")))
     layers.append(render.EllipseLayer(
-        ge.from_moment(c2 * st.pooled_within_cov(gs), grand),
+        [ge.from_moment(c2 * st.pooled_within_cov(gs), grand)],
         render.Style(stroke=render.PALETTE["accent"], width=1.8)))
     layers.append(render.EllipseLayer(
-        ge.from_moment(c2 * st.between_cov(gs), grand),
+        [ge.from_moment(c2 * st.between_cov(gs), grand)],
         render.Style(stroke=render.PALETTE["h"], width=1.8)))
     scene = render.Scene(layers=layers,
                          title=f"within (green) vs between (red), "

@@ -362,35 +362,3 @@ def tangent_plane(e, x_boundary, tol=1e-9):
     normal = c_mat @ (x - e.center)
     normal = normal / np.linalg.norm(normal)
     return normal, float(normal @ x)
-
-
-def boundary_points(e, n=256, seed=0):
-    """Deterministic boundary sample of a bounded ellipsoid.
-
-    2D uses equally spaced angles; higher dimensions use a Fibonacci-style
-    lattice mapped through the frame. Nothing in the package draws with
-    it: it is kept as the boundary sampler that the tests of the image law
-    (boundary points map onto the image's boundary) and of tangent planes
-    check against.
-    """
-    if np.any(np.isinf(e.radii)):
-        raise nk.InputError("boundary sampling requires a bounded ellipsoid")
-    p = e.dim
-    if p == 1:
-        sphere = np.array([[1.0], [-1.0]])
-    elif p == 2:
-        theta = 2 * np.pi * np.arange(n) / n
-        sphere = np.column_stack([np.cos(theta), np.sin(theta)])
-    elif p == 3:
-        i = np.arange(n) + 0.5
-        phi = np.arccos(1 - 2 * i / n)
-        golden = np.pi * (1 + 5 ** 0.5)
-        theta = golden * i
-        sphere = np.column_stack([np.cos(theta) * np.sin(phi),
-                                  np.sin(theta) * np.sin(phi),
-                                  np.cos(phi)])
-    else:
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, p))
-        sphere = z / np.linalg.norm(z, axis=1, keepdims=True)
-    return e.center + sphere * e.radii @ e.frame.T

@@ -288,7 +288,8 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
     if radius1 < 0:
         raise nk.InputError(f"mark radius {radius1:g} must be >= 0")
     reach = f1.value(f2.m)
-    if not radius1 ** 2 < reach:
+    # from 2^512 up a square overflows: such a mark is beyond any reach
+    if not (radius1 < 2.0 ** 512 and radius1 ** 2 < reach):
         raise nk.InputError(
             f"mark radius {radius1:g} has no external kiss point: it must "
             f"be below sqrt(f1(m2)) = {np.sqrt(reach):g}")

@@ -91,6 +91,8 @@ def manova_fit(gs):
 
 def overall_hypothesis(n_groups):
     """Successive-difference contrasts spanning 'all group means equal'."""
+    if n_groups < 2:
+        raise nk.InputError("the overall hypothesis needs two groups or more")
     return Hypothesis(np.eye(n_groups - 1, n_groups)
                       - np.eye(n_groups - 1, n_groups, 1), label="overall")
 

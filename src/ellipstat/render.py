@@ -1,21 +1,21 @@
-# Deterministic SVG emission. Scenes are ordered lists of data-space
-# primitives (ellipses, points, polylines, arrows, text, axes) plus a
-# viewport; rendering applies one affine data-to-pixel transform (y
-# flipped) and writes plain SVG 1.1 text. Identical input produces
-# byte-identical output. A scene's coordinates are transformed in bulk
-# (its ellipses traced with one matmul per vertex count, all its arrows
-# at once) with the same float operations as one element at a time, and
-# formatted in one exact pass (_fmt_all) that prints what the per-number
-# rule (_fmt) prints, so the output is unchanged. The points, arrows,
-# ellipses and polylines are then written without a Python step per
-# element: _stamp lays each kind's rows out as fixed-width byte fields
-# and literals and drops the padding. The scene builders draw the
+# Deterministic SVG emission. Scenes are ordered lists of layers, each a
+# stack of data-space primitives of one kind in one style (ellipses,
+# points, polylines, arrows, text, axes), plus a viewport; rendering
+# applies one affine data-to-pixel transform (y flipped) and writes plain
+# SVG 1.1 text. Identical input produces byte-identical output. A scene's
+# coordinates are transformed in bulk (its ellipses traced with one
+# matmul per vertex count, all its arrows at once) with the same float
+# operations as one element at a time, and formatted in one exact pass
+# (_fmt_all) that prints what the per-number rule (_fmt) prints, so the
+# output is unchanged. _stamp then lays each kind's rows out as byte
+# fields and literals and drops the padding (no Python step per point or
+# arrow, one string per ellipse or polyline). The scene builders draw the
 # ellipsoids, intervals and quantiles they are given and compute no
 # statistics; gellipsoid is the only package module imported here.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,9 +55,29 @@ class Style:
 
 @dataclass(frozen=True)
 class EllipseLayer:
-    ellipse: ge.GEllipsoid
+    """k >= 0 bounded 2D ellipsoids in one style, each drawn as the
+    polygon of n points on its boundary. Construction stacks their
+    centres (k, 2), frames (k, 2, 2) and radii (k, 2), once."""
+    ellipses: tuple
     style: Style = Style()
     n: int = 64
+    centers: np.ndarray = field(init=False, repr=False)
+    frames: np.ndarray = field(init=False, repr=False)
+    radii: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for e in self.ellipses:
+            if e.dim != 2:
+                raise ValueError("ellipse paths are two-dimensional")
+            if e.radii[0] == np.inf:    # radii descend, inf the largest
+                raise ValueError("cannot close the path of an unbounded "
+                                 "ellipsoid")
+        object.__setattr__(self, "centers", np.array(
+            [e.center for e in self.ellipses]).reshape(-1, 2))
+        object.__setattr__(self, "frames", np.array(
+            [e.frame for e in self.ellipses]).reshape(-1, 2, 2))
+        object.__setattr__(self, "radii", np.array(
+            [e.radii for e in self.ellipses]).reshape(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -86,11 +106,17 @@ class ArrowLayer:
 
 @dataclass(frozen=True)
 class TextLayer:
-    pos: tuple
-    text: str
+    """k texts in one style, text i at row i of the (k, 2) positions pos
+    (one (x, y) pair for one text)."""
+    pos: np.ndarray
+    texts: tuple
     style: Style = Style(stroke="none", fill="#000000")
     size: float = 11.0
     anchor: str = "start"
+
+    def __post_init__(self):
+        object.__setattr__(self, "pos", np.asarray(
+            self.pos, dtype=float).reshape(len(self.texts), 2))
 
 
 @dataclass(frozen=True)
@@ -251,45 +277,46 @@ def _escape(text):
             .replace(">", "&gt;"))
 
 
-def _ellipse_paths(ellipses, n):
-    """The n-vertex boundary polygons of bounded 2D ellipsoids, shape
-    (k, n, 2), from one matmul."""
-    if any(e.dim != 2 for e in ellipses):
-        raise ValueError("ellipse paths are two-dimensional")
-    radii = np.array([e.radii for e in ellipses]).reshape(-1, 1, 2)
-    if np.isinf(radii).any():
-        raise ValueError("cannot close the path of an unbounded ellipsoid")
-    centers = np.array([e.center for e in ellipses]).reshape(-1, 1, 2)
-    frames = np.array([e.frame for e in ellipses]).reshape(-1, 2, 2)
+def _ellipse_paths(centers, frames, radii, n):
+    """The n-vertex boundary polygons, shape (k, n, 2), of the ellipses of
+    centres (k, 2), frames (k, 2, 2) and radii (k, 2), from one matmul."""
     theta = 2.0 * np.pi * np.arange(n) / n
     circle = np.column_stack([np.cos(theta), np.sin(theta)])
-    return centers + (circle * radii) @ frames.swapaxes(1, 2)
+    return centers[:, None] + (circle * radii[:, None]) @ frames.swapaxes(1, 2)
+
+
+def _trace(layers, n):
+    """The vertices of the n-vertex polygons of each EllipseLayer of a
+    non-empty list, (k n, 2) per layer, from one _ellipse_paths of their
+    stacks joined."""
+    paths = _ellipse_paths(*(np.concatenate([getattr(l, name) for l in layers])
+                             for name in ("centers", "frames", "radii")), n)
+    return np.split(paths.reshape(-1, 2),
+                    np.cumsum([n * len(l.centers) for l in layers])[:-1])
 
 
 def _scene_parts(layers):
-    """What a scene draws all at once: its EllipseLayers and ArrowLayers,
-    in order, the ends of the arrows as one array (tail, head, tail,
-    head, ...) and the number of arrows in each ArrowLayer."""
-    ellipses = [l for l in layers if isinstance(l, EllipseLayer)]
+    """What a scene draws all at once: its ArrowLayers, in order, the ends
+    of the arrows as one array (tail, head, tail, head, ...) and the number
+    of arrows in each ArrowLayer."""
     arrows = [l for l in layers if isinstance(l, ArrowLayer)]
     if not arrows:
-        return ellipses, arrows, np.empty((0, 2)), []
+        return arrows, np.empty((0, 2)), []
     tails = [np.reshape(a.tail, (-1, 2)) for a in arrows]
     heads = [np.reshape(a.head, (-1, 2)) for a in arrows]
     ends = np.concatenate([np.concatenate(tails, dtype=float),
                            np.concatenate(heads, dtype=float)], axis=1)
-    return ellipses, arrows, ends.reshape(-1, 2), [len(t) for t in tails]
+    return arrows, ends.reshape(-1, 2), [len(t) for t in tails]
 
 
-def _auto_viewport(layers, ellipses, arrow_ends):
+def _auto_viewport(layers, arrow_ends):
     """The padded bounds of the points of every layer but the axes, an
     ellipse's being the vertices of its 32-vertex path."""
     pts = [_xy(l.points) for l in layers
            if isinstance(l, (PointsLayer, PolylineLayer))]
-    pts += [np.array([l.pos], dtype=float) for l in layers
-            if isinstance(l, TextLayer)]
-    pts += [_ellipse_paths([l.ellipse for l in ellipses], 32).reshape(-1, 2),
-            arrow_ends]
+    pts += [l.pos for l in layers if isinstance(l, TextLayer)] + [arrow_ends]
+    ellipses = [l for l in layers if isinstance(l, EllipseLayer)]
+    pts += _trace(ellipses, 32) if ellipses else []
     pts = np.concatenate(pts)
     if pts.size == 0:
         return (0.0, 1.0, 0.0, 1.0)
@@ -324,10 +351,8 @@ class Transform:
 MARGIN = {"left": 54.0, "right": 16.0, "top": 28.0, "bottom": 44.0}
 
 
-def _scene_transform(scene, parts):
-    ellipses, _, arrow_ends, _ = parts
-    viewport = scene.viewport or _auto_viewport(scene.layers, ellipses,
-                                                arrow_ends)
+def _scene_transform(scene, arrow_ends):
+    viewport = scene.viewport or _auto_viewport(scene.layers, arrow_ends)
     xmin, xmax, ymin, ymax = (float(v) for v in viewport)
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"viewport has no area: {viewport}")
@@ -433,29 +458,22 @@ def _filled(style):
     return Style(stroke="none", fill=style.stroke, opacity=style.opacity)
 
 
-def _style_svgs(layers):
-    """Style.svg() of each distinct style instance of layers, by id."""
-    styles = {id(layer.style): layer.style for layer in layers}
-    return {key: style.svg() for key, style in styles.items()}
-
-
 def _xy(points):
     """The two columns of a layer's points that are drawn, the first two."""
     pts = np.asarray(points, dtype=float)
     return (pts if pts.ndim == 2 else pts.reshape(1, -1))[:, :2]
 
 
-def _layer_pixels(layers, ellipses, tr):
+def _layer_pixels(layers, tr):
     """The pixel coordinates the layers print, but the arrows' and axes',
     in layer order as one array: the vertices of each ellipse (the
     ellipses of one vertex count traced with one matmul), the points of
     each polyline of two or more, each point layer's points (less the
-    marker size for squares) and each text position. Also the number of
-    rows each layer takes."""
-    groups = {}
-    for layer in ellipses:
-        groups.setdefault(layer.n, []).append(layer.ellipse)
-    paths = {n: iter(_ellipse_paths(group, n)) for n, group in groups.items()}
+    marker size for squares) and each text position. Also where each
+    layer's rows start, and where the last ends."""
+    ellipses = [l for l in layers if isinstance(l, EllipseLayer)]
+    paths = {n: iter(_trace([l for l in ellipses if l.n == n], n))
+             for n in dict.fromkeys(l.n for l in ellipses)}
     blocks, squares = [], []
     for layer in layers:
         if isinstance(layer, EllipseLayer):
@@ -468,16 +486,15 @@ def _layer_pixels(layers, ellipses, tr):
             if layer.marker == "square":
                 squares.append((len(blocks), layer.size))
         elif isinstance(layer, TextLayer):
-            pts = _xy([layer.pos])
+            pts = layer.pos
         else:
             pts = np.empty((0, 2))
         blocks.append(pts)
-    rows = [len(pts) for pts in blocks]
     px = tr.to_pixel(np.concatenate(blocks) if blocks else np.empty((0, 2)))
-    starts = list(itertools.accumulate(rows, initial=0))
+    starts = list(itertools.accumulate(map(len, blocks), initial=0))
     for i, r in squares:
         px[starts[i]:starts[i + 1]] -= r
-    return px, rows
+    return px, starts
 
 
 def _arrow_barbs(px):
@@ -495,38 +512,46 @@ def _arrow_barbs(px):
     return np.column_stack([back + normal, back - normal]), has_tip
 
 
-def _rows_of(starts, picked):
-    """The pixel rows of the picked layers, in order, and the cuts between
-    layers in that list of rows."""
+def _rows_of(layers, starts, kind):
+    """Which layers are of a kind, their pixel rows, in order, and the cuts
+    between layers in that list of rows."""
+    picked = [i for i, l in enumerate(layers) if isinstance(l, kind)]
     cuts = [0, *itertools.accumulate(starts[i + 1] - starts[i]
                                      for i in picked)]
-    shift = np.subtract([starts[i] for i in picked], cuts[:-1])
-    return np.arange(cuts[-1]) + np.repeat(shift, np.diff(cuts)), cuts
+    shift = np.array([starts[i] - c for i, c in zip(picked, cuts)], np.intp)
+    return picked, np.arange(cuts[-1]) + np.repeat(shift, np.diff(cuts)), cuts
 
 
-def _path_lines(layers, rows, starts, styles, fields):
-    """The element of each EllipseLayer and of each PolylineLayer of two
-    or more points: its vertices' x and y joined by "," and " "."""
-    picked = [i for i, l in enumerate(layers)
-              if isinstance(l, EllipseLayer)
-              or isinstance(l, PolylineLayer) and rows[i]]
-    if not picked:
-        return []
-    at, cuts = _rows_of(starts, picked)
-    coords = _stamp([(fields, 2 * at), b",", (fields, 2 * at + 1), b" "],
-                    cuts)
-    tags = ["polyline" if isinstance(layers[i], PolylineLayer)
-            and not layers[i].closed else "polygon" for i in picked]
-    return [f'<{tag} points="{"".join(c)[:-1]}" '
-            f'{styles[id(layers[i].style)]}/>\n'
-            for i, tag, c in zip(picked, tags, coords)]
+def _path_lines(layers, starts, styles, fields):
+    """The elements of each EllipseLayer and PolylineLayer, one list per
+    layer: a polygon per ellipse, and one element for a polyline of two or
+    more points, its vertices' x and y joined by "," and " "."""
+    picked, at, cuts = _rows_of(layers, starts, (EllipseLayer, PolylineLayer))
+    drawn = [layers[i] for i in picked]
+    sizes = [[l.n] * len(l.centers) if isinstance(l, EllipseLayer)
+             else [rows] * bool(rows) for l, rows in zip(drawn, np.diff(cuts))]
+    coords = iter(_stamp([(fields, 2 * at), b",", (fields, 2 * at + 1), b" "],
+                         [0, *itertools.accumulate(itertools.chain(*sizes))]))
+    tags = ["polyline" if isinstance(l, PolylineLayer) and not l.closed
+            else "polygon" for l in drawn]
+    return [[f'<{tag} points="{"".join(c)[:-1]}" {styles[id(l.style)]}/>\n'
+             for c in itertools.islice(coords, len(size))]
+            for l, tag, size in zip(drawn, tags, sizes)]
+
+
+def _text_lines(layers, starts, fields):
+    """The elements of each TextLayer, one list per layer."""
+    picked, at, _ = _rows_of(layers, starts, TextLayer)
+    pos = iter(_tokens(fields, np.column_stack([2 * at, 2 * at + 1]).ravel()))
+    return [[f'<text x="{next(pos)}" y="{next(pos)}" text-anchor="{l.anchor}" '
+             f'font-family="monospace" font-size="{_fmt(l.size)}" '
+             f'fill="{l.style.fill}">{_escape(text)}</text>\n'
+             for text in l.texts] for l in (layers[i] for i in picked)]
 
 
 def _marker_lines(layers, starts, styles, fields):
     """The elements of each PointsLayer, one string per layer."""
-    picked = [i for i, l in enumerate(layers) if isinstance(l, PointsLayer)]
-    if not picked:
-        return []
+    picked, at, cuts = _rows_of(layers, starts, PointsLayer)
     squares, tails = [], []
     for layer in (layers[i] for i in picked):
         r = layer.size
@@ -538,7 +563,6 @@ def _marker_lines(layers, starts, styles, fields):
         style_svg = (_filled(layer.style).svg() if layer.marker == "dot"
                      else styles[id(layer.style)])
         tails.append(f'" r="{_fmt(r)}" {style_svg}/>\n')
-    at, cuts = _rows_of(starts, picked)
     code = np.repeat(np.arange(len(picked)), np.diff(cuts))
     x, y = (head[np.array(squares, dtype=np.intp)] for head in _HEADS)
     return _stamp([(x, code), (fields, 2 * at), (y, code),
@@ -586,31 +610,30 @@ def render_scene(scene):
     axes' numbers. The ellipses and polylines, the points and the arrows
     are each stamped from those fields and byte literals in one _stamp."""
     layers = scene.layers
-    parts = _scene_parts(layers)
-    ellipses, arrows, ends, counts = parts
-    tr, viewport = _scene_transform(scene, parts)
-    px, rows = _layer_pixels(layers, ellipses, tr)
+    arrows, ends, counts = _scene_parts(layers)
+    tr, viewport = _scene_transform(scene, ends)
+    px, starts = _layer_pixels(layers, tr)
     ends = tr.to_pixel(ends)
     barbs, has_tip = _arrow_barbs(ends)
-    axes = [_axis_numbers(l, tr, viewport) for l in layers
-            if isinstance(l, AxisLayer)]
+    axes = [l for l in layers if isinstance(l, AxisLayer)]
+    numbers = [_axis_numbers(l, tr, viewport) for l in axes]
     fields = _fmt_all(np.concatenate([px.ravel(), ends.ravel(),
                                       barbs.ravel(),
-                                      *(nums for *_, nums in axes)]))
-    starts = list(itertools.accumulate(rows, initial=0))
-    styles = _style_svgs([l for l in layers
-                          if not isinstance(l, (AxisLayer, TextLayer))])
-    paths = iter(_path_lines(layers, rows, starts, styles, fields))
-    marks = iter(_marker_lines(layers, starts, styles, fields))
-    shafts = iter(_arrow_lines(arrows, counts, has_tip, styles, fields,
-                               2 * len(px)))
-    texts = [2 * starts[i] + j for i, l in enumerate(layers)
-             if isinstance(l, TextLayer) for j in (0, 1)]
-    toks = _tokens(fields, np.concatenate([
-        np.array(texts, dtype=np.intp),
-        np.arange(2 * len(px) + ends.size + barbs.size, len(fields) - 1)]))
-    pos, toks = iter(toks[:len(texts)]), iter(toks[len(texts):])
-    axes = iter(axes)
+                                      *(nums for *_, nums in numbers)]))
+    styles = {id(l.style): l.style for l in layers     # each one once
+              if not isinstance(l, (AxisLayer, TextLayer))}
+    styles = {key: style.svg() for key, style in styles.items()}
+    toks = iter(_tokens(fields, np.arange(
+        2 * len(px) + ends.size + barbs.size, len(fields) - 1)))
+    paths = iter(_path_lines(layers, starts, styles, fields))
+    lines = {AxisLayer: iter([_axis_lines(l, xt, yt, list(
+                 itertools.islice(toks, len(nums))))
+                 for l, (xt, yt, nums) in zip(axes, numbers)]),
+             EllipseLayer: paths, PolylineLayer: paths,
+             PointsLayer: iter(_marker_lines(layers, starts, styles, fields)),
+             ArrowLayer: iter(_arrow_lines(arrows, counts, has_tip, styles,
+                                           fields, 2 * len(px))),
+             TextLayer: iter(_text_lines(layers, starts, fields))}
     w, h = scene.size
     out = ['<?xml version="1.0" encoding="UTF-8" standalone="no"?>\n',
            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -622,29 +645,10 @@ def render_scene(scene):
         out.append(f'<text x="{_fmt(w / 2)}" y="18" text-anchor="middle" '
                    f'font-family="monospace" font-size="13" fill="#000000">'
                    f'{_escape(scene.title)}</text>\n')
-    for layer, n in zip(layers, rows):
-        if isinstance(layer, AxisLayer):
-            xt, yt, nums = next(axes)
-            out.extend(_axis_lines(layer, xt, yt,
-                                   list(itertools.islice(toks, len(nums)))))
-        elif isinstance(layer, EllipseLayer):
-            out.append(next(paths))
-        elif isinstance(layer, PolylineLayer):
-            if n:
-                out.append(next(paths))
-        elif isinstance(layer, PointsLayer):
-            out.extend(next(marks))
-        elif isinstance(layer, ArrowLayer):
-            out.extend(next(shafts))
-        elif isinstance(layer, TextLayer):
-            out.append(f'<text x="{next(pos)}" y="{next(pos)}" '
-                       f'text-anchor="{layer.anchor}" '
-                       f'font-family="monospace" '
-                       f'font-size="{_fmt(layer.size)}" '
-                       f'fill="{layer.style.fill}">'
-                       f'{_escape(layer.text)}</text>\n')
-        else:
+    for layer in layers:
+        if type(layer) not in lines:
             raise ValueError(f"unknown layer type {type(layer).__name__}")
+        out.extend(next(lines[type(layer)]))
     out.append("</svg>\n")
     return "".join(out)
 
@@ -671,9 +675,8 @@ def build_data_ellipse_panel(sample, mean, slopes, ellipses, title=""):
     layers.append(PointsLayer(sample.data,
                               Style(stroke=PALETTE["muted"], width=0.6),
                               marker="circle", size=2.0))
-    for ell in ellipses:
-        layers.append(EllipseLayer(ell, Style(stroke=PALETTE["e"],
-                                              width=1.4)))
+    layers.append(EllipseLayer(ellipses, Style(stroke=PALETTE["e"],
+                                               width=1.4)))
     span = ellipses[-1].radii[0]
     b_yx, b_xy = slopes              # x on y is drawn in the same panel
     if not np.isnan(b_yx):
@@ -722,12 +725,9 @@ def build_scatterplot_matrix(gs, ellipses, show_points=True, title=""):
                                                      width=0.7),
                                         closed=True))
             if i == j:
-                layers.append(TextLayer((origin[0] + size / 2,
-                                         origin[1] + size / 2),
-                                        gs.names[i],
-                                        Style(stroke="none",
-                                              fill="#000000"),
-                                        size=12.0, anchor="middle"))
+                layers.append(TextLayer(np.add(origin, size / 2),
+                                        [gs.names[i]], size=12.0,
+                                        anchor="middle"))
                 continue
             cols = (j, i)
             lo = gs.data[:, cols].min(axis=0)
@@ -747,8 +747,8 @@ def build_scatterplot_matrix(gs, ellipses, show_points=True, title=""):
                 moved = ge.linear_image(ell, mat)
                 moved = ge.GEllipsoid(center=moved.center + off,
                                       frame=moved.frame, radii=moved.radii)
-                layers.append(EllipseLayer(moved, Style(stroke=color,
-                                                        width=1.1)))
+                layers.append(EllipseLayer([moved], Style(stroke=color,
+                                                          width=1.1)))
     return Scene(layers=layers, viewport=(-0.05, p + 0.05, -0.05, p + 0.05),
                  size=(640, 640), title=title)
 
@@ -758,22 +758,20 @@ def build_he_plot(ell_h, ell_e, names=("y1", "y2"), means=None, labels=None,
     """HE plot: the H ellipse over the E ellipse (mlm.he_ellipses), with
     the group means, given in the plot's two coordinates, as dots."""
     layers = [AxisLayer(label_x=names[0], label_y=names[1]),
-              EllipseLayer(ell_e, Style(stroke=PALETTE["e"], width=1.6)),
-              EllipseLayer(ell_h, Style(stroke=PALETTE["h"], width=1.6)),
-              TextLayer(tuple(ell_e.center), "E",
+              EllipseLayer([ell_e], Style(stroke=PALETTE["e"], width=1.6)),
+              EllipseLayer([ell_h], Style(stroke=PALETTE["h"], width=1.6)),
+              TextLayer(ell_e.center, ["E"],
                         Style(stroke="none", fill=PALETTE["e"]), size=12.0),
-              TextLayer(tuple(ell_h.center + ell_h.radii[0] *
-                              ell_h.frame[:, 0] * 0.7), "H",
+              TextLayer(ell_h.center + ell_h.radii[0] *
+                        ell_h.frame[:, 0] * 0.7, ["H"],
                         Style(stroke="none", fill=PALETTE["h"]), size=12.0)]
     if means is not None:
         pts = np.asarray(means, dtype=float)
         layers.append(PointsLayer(pts, Style(stroke=PALETTE["data"]),
                                   marker="dot", size=2.5))
         if labels is not None:
-            for lab, pt in zip(labels, pts):
-                layers.append(TextLayer((pt[0], pt[1]), str(lab),
-                                        Style(stroke="none",
-                                              fill="#000000"), size=10.0))
+            layers.append(TextLayer(pts[:, :2], [str(lab) for lab in labels],
+                                    size=10.0))
     return Scene(layers=layers, title=title)
 
 
@@ -788,21 +786,19 @@ def build_canonical_he(ell_h, ell_e, can, names, vector_scale=None,
         vector_scale = 0.9 * float(ell_h.radii[0])
     layers = [AxisLayer(label_x=f"canonical 1 ({can.percent[0]:.1f}%)",
                         label_y=f"canonical 2 ({can.percent[1]:.1f}%)"),
-              EllipseLayer(ell_e, Style(stroke=PALETTE["e"], width=1.6)),
-              EllipseLayer(ell_h, Style(stroke=PALETTE["h"], width=1.6))]
+              EllipseLayer([ell_e], Style(stroke=PALETTE["e"], width=1.6)),
+              EllipseLayer([ell_h], Style(stroke=PALETTE["h"], width=1.6))]
     layers.append(PointsLayer(can.group_means,
                               Style(stroke=PALETTE["data"]), marker="dot",
                               size=2.5))
-    for lab, pt in zip(can.group_labels, can.group_means):
-        layers.append(TextLayer((pt[0], pt[1]), str(lab),
-                                Style(stroke="none", fill="#000000"),
-                                size=10.0))
+    layers.append(TextLayer(can.group_means[:, :2],
+                            [str(lab) for lab in can.group_labels], size=10.0))
     for name, row in zip(names, can.structure):
         head = (vector_scale * row[0], vector_scale * row[1])
         layers.append(ArrowLayer((0.0, 0.0), head,
                                  Style(stroke=PALETTE["accent"],
                                        width=1.2)))
-        layers.append(TextLayer(head, name,
+        layers.append(TextLayer(head, [name],
                                 Style(stroke="none",
                                       fill=PALETTE["accent"]), size=10.0))
     return Scene(layers=layers, title=title)
@@ -817,12 +813,10 @@ def build_ridge_trace(trace, names=("b1", "b2"), title=""):
     layers.append(PointsLayer(path, Style(stroke=PALETTE["data"]),
                               marker="dot", size=2.0))
     for t in trace:
-        layers.append(EllipseLayer(t["ellipse"],
+        layers.append(EllipseLayer([t["ellipse"]],
                                    Style(stroke=PALETTE["e"], width=1.2)))
         layers.append(TextLayer((t["beta"][0], t["beta"][1]),
-                                f' k={t["k"]:g}',
-                                Style(stroke="none", fill="#000000"),
-                                size=9.0))
+                                [f' k={t["k"]:g}'], size=9.0))
     return Scene(layers=layers, title=title)
 
 
@@ -835,12 +829,12 @@ def build_kiss_locus(f1, f2, bbox, locus, kisses=(), radii1=(1.0, 2.0, 3.0),
     levels drawn default to 1 and the radii of the kisses.
     """
     layers = [AxisLayer()]
-    layers.extend(EllipseLayer(e, Style(stroke=PALETTE["h"], width=1.1))
-                  for e in f1.level_ellipses(radii1))
+    layers.append(EllipseLayer(f1.level_ellipses(radii1),
+                               Style(stroke=PALETTE["h"], width=1.1)))
     if radii2 is None:
         radii2 = [1.0] + [float(r2) for _, r2 in kisses]
-    layers.extend(EllipseLayer(e, Style(stroke=PALETTE["e"], width=1.1))
-                  for e in f2.level_ellipses(radii2))
+    layers.append(EllipseLayer(f2.level_ellipses(radii2),
+                               Style(stroke=PALETTE["e"], width=1.1)))
     for pl in locus["polylines"]:
         layers.append(PolylineLayer(pl, Style(stroke=PALETTE["data"],
                                               width=1.8)))
@@ -867,23 +861,21 @@ def build_meta_panel(stack, pooled, c2, blups=None, delta=None,
     """
     layers = [AxisLayer(label_x=names[0], label_y=names[1])]
     study = Style(stroke=PALETTE["h"], width=1.0, dash="5,3")
-    layers.extend(EllipseLayer(e, study)
-                  for e in ge.from_moments(c2 * stack.s_mat, stack.y))
+    layers.append(EllipseLayer(ge.from_moments(c2 * stack.s_mat, stack.y),
+                               study))
     layers.append(PointsLayer(stack.y, Style(stroke=PALETTE["h"]),
                               marker="dot", size=2.5))
-    for y, label in zip(stack.y, stack.labels):
-        if label:
-            layers.append(TextLayer((y[0], y[1]), " " + label,
-                                    Style(stroke="none", fill="#000000"),
-                                    size=9.0))
+    named = [i for i, label in enumerate(stack.labels) if label]
+    layers.append(TextLayer(stack.y[named],
+                            [" " + stack.labels[i] for i in named], size=9.0))
     beta = np.asarray(pooled["beta"], dtype=float)
-    layers.append(EllipseLayer(ge.from_moment(c2 * pooled["cov"], beta),
+    layers.append(EllipseLayer([ge.from_moment(c2 * pooled["cov"], beta)],
                                Style(stroke=PALETTE["e"], width=1.8)))
     layers.append(PointsLayer(np.array([beta]),
                               Style(stroke=PALETTE["e"]), marker="dot",
                               size=3.0))
     if delta is not None:
-        layers.append(EllipseLayer(ge.from_moment(c2 * delta, beta),
+        layers.append(EllipseLayer([ge.from_moment(c2 * delta, beta)],
                                    Style(stroke=PALETTE["accent"],
                                          width=1.4, dash="2,3")))
     if blups is not None:
@@ -893,7 +885,7 @@ def build_meta_panel(stack, pooled, c2, blups=None, delta=None,
         for y, beta, e in zip(stack.y, betas,
                               ge.from_moments(c2 * blups["cov"], betas)):
             layers.append(ArrowLayer(y, beta, arrow))
-            layers.append(EllipseLayer(e, shrunk))
+            layers.append(EllipseLayer([e], shrunk))
     return Scene(layers=layers, title=title)
 
 
@@ -915,10 +907,10 @@ def build_avp_marginal_overlay(marg, cond, ell_m, ell_c, slope_m, slope_c,
                               marker="circle", size=2.2))
     layers.append(PointsLayer(cond, Style(stroke=PALETTE["h"]),
                               marker="dot", size=2.2))
-    layers.append(EllipseLayer(ell_m, Style(stroke=PALETTE["e"],
-                                            width=1.5)))
-    layers.append(EllipseLayer(ell_c, Style(stroke=PALETTE["h"],
-                                            width=1.5)))
+    layers.append(EllipseLayer([ell_m], Style(stroke=PALETTE["e"],
+                                              width=1.5)))
+    layers.append(EllipseLayer([ell_c], Style(stroke=PALETTE["h"],
+                                              width=1.5)))
     span = float(ell_m.radii[0]) * 1.1
     layers.append(PolylineLayer(
         np.array([[-span, -span * slope_m], [span, span * slope_m]]),
@@ -937,9 +929,9 @@ def build_beta_space_panel(joint, ci, shadows, names, title=""):
     and left of the joint ellipse.
     """
     layers = [AxisLayer(label_x=names[0], label_y=names[1]),
-              EllipseLayer(joint, Style(stroke=PALETTE["accent"],
-                                        width=1.6)),
-              EllipseLayer(ci, Style(stroke=PALETTE["h"], width=1.6)),
+              EllipseLayer([joint], Style(stroke=PALETTE["accent"],
+                                          width=1.6)),
+              EllipseLayer([ci], Style(stroke=PALETTE["h"], width=1.6)),
               PointsLayer(np.array([joint.center]),
                           Style(stroke=PALETTE["data"]), marker="dot",
                           size=2.5),

@@ -1,4 +1,5 @@
-"""Hypothesis strategies shared by the property tests.
+"""Hypothesis strategies shared by the property tests, and the boundary
+sampler that tests of ellipsoid images and tangent planes check against.
 
 Each strategy draws a seed and the sizes, then builds the arrays with a
 seeded numpy generator, so a failing example shrinks to small sizes and
@@ -10,6 +11,7 @@ from hypothesis import strategies as hs
 
 from ellipstat import gellipsoid as ge
 from ellipstat import kissing as ki
+from ellipstat import numkernel as nk
 from ellipstat import statellipse as st
 
 seeds = hs.integers(0, 2 ** 32 - 1)
@@ -179,3 +181,34 @@ def clustered_data(draw, k=hs.integers(2, 10),
     labels = [str(i + 1) if numbered else f"c{i}" for i in rng.permutation(k)]
     return (np.column_stack([np.ones(codes.size), x]), y,
             [labels[c] for c in codes])
+
+
+def boundary_points(e, n=256, seed=0):
+    """Deterministic boundary sample of a bounded ellipsoid, the sampler
+    that the tests of the image law (boundary points map onto the image's
+    boundary) and of tangent planes check against.
+
+    2D uses equally spaced angles; higher dimensions use a Fibonacci-style
+    lattice mapped through the frame.
+    """
+    if np.any(np.isinf(e.radii)):
+        raise nk.InputError("boundary sampling requires a bounded ellipsoid")
+    p = e.dim
+    if p == 1:
+        sphere = np.array([[1.0], [-1.0]])
+    elif p == 2:
+        theta = 2 * np.pi * np.arange(n) / n
+        sphere = np.column_stack([np.cos(theta), np.sin(theta)])
+    elif p == 3:
+        i = np.arange(n) + 0.5
+        phi = np.arccos(1 - 2 * i / n)
+        golden = np.pi * (1 + 5 ** 0.5)
+        theta = golden * i
+        sphere = np.column_stack([np.cos(theta) * np.sin(phi),
+                                  np.sin(theta) * np.sin(phi),
+                                  np.cos(phi)])
+    else:
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, p))
+        sphere = z / np.linalg.norm(z, axis=1, keepdims=True)
+    return e.center + sphere * e.radii @ e.frame.T

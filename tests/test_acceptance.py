@@ -14,6 +14,7 @@ from ellipstat import linmod, mlm
 from ellipstat import numkernel as nk
 from ellipstat import statellipse as st
 
+import strategies
 from conftest import grouped
 
 
@@ -205,7 +206,7 @@ def test_acceptance_12_avp_identities():
         ell_m = st.data_ellipsoid(st.Sample(marg), spec)
         ell_c = st.data_ellipsoid(st.Sample(cond), spec)
         m_prec = (ell_m.frame / ell_m.radii ** 2) @ ell_m.frame.T
-        pts = ge.boundary_points(ell_c, 256)
+        pts = strategies.boundary_points(ell_c, 256)
         norms = np.einsum("ij,jk,ik->i", pts, m_prec, pts)
         assert norms.max() <= 1.0 + 1e-8
         c_mom = (ell_c.frame * ell_c.radii ** 2) @ ell_c.frame.T

@@ -571,7 +571,11 @@ def test_meta_geometry_runs_once_per_stack(tmp_path, monkeypatch):
     # per vertex count: 32 to bound the scene, 64 to draw it. The S_i are
     # checked once, in one require_pd call on their stack; the other six
     # eigh calls are Delta's clip and check and the four ellipse stacks
-    # of the scene (studies, pool, Delta, BLUPs)
+    # of the scene (studies, pool, Delta, BLUPs). The study ellipses and
+    # their labels are one layer each, so the scene has 2k + 7 layers:
+    # the axes, the studies' ellipses, points and labels, the pool's
+    # ellipse and point, Delta's ellipse and an arrow and an ellipse per
+    # BLUP, in that order
     eighs = _count_calls(monkeypatch, np.linalg, "eigh")
     checked = []
     require_pd = nk.require_pd
@@ -583,15 +587,23 @@ def test_meta_geometry_runs_once_per_stack(tmp_path, monkeypatch):
     traced = []
     trace = render._ellipse_paths
 
-    def counting_trace(ellipses, n):
-        traced.append((n, len(ellipses)))
-        return trace(ellipses, n)
+    def counting_trace(centers, frames, radii, n):
+        traced.append((n, len(centers)))
+        return trace(centers, frames, radii, n)
     monkeypatch.setattr(render, "_ellipse_paths", counting_trace)
+    scenes = []
+    render_scene = render.render_scene
+
+    def recording_render(scene):
+        scenes.append(scene)
+        return render_scene(scene)
+    monkeypatch.setattr(render, "render_scene", recording_render)
     counts = {}
     for n in (20, 200):
         eighs.clear()
         traced.clear()
         checked.clear()
+        scenes.clear()
         svg = tmp_path / f"m{n}.svg"
         assert run_cli(["meta", "--data", _meta_table(tmp_path / f"m{n}.csv",
                                                       n),
@@ -602,6 +614,10 @@ def test_meta_geometry_runs_once_per_stack(tmp_path, monkeypatch):
         assert n_ellipses == 2 * n + 2      # studies, BLUPs, pool, Delta
         assert sorted(traced) == [(32, n_ellipses), (64, n_ellipses)]
         assert checked == [(n, 2, 2)]
+        [scene] = scenes
+        assert len(scene.layers) == 2 * n + 7
+        assert [type(l).__name__ for l in scene.layers[7:9]] == \
+            ["ArrowLayer", "EllipseLayer"]
         counts[n] = len(eighs)
     assert counts == {20: 7, 200: 7}
 
@@ -832,6 +848,21 @@ def test_canonical_draws_three_score_columns(tmp_path):
                     "--svg", str(svg), "--json", str(out)]) == 0
     assert len(read_json(out)["percent"]) == 3
     assert svg.read_text(encoding="utf-8").count('r="2.5000"') == 5
+
+
+@pytest.mark.parametrize("argv", [["heplot"], ["contrasts", "--contrast=1"]])
+def test_one_group_is_exit_2(tmp_path, capsys, argv):
+    # the overall hypothesis of one group has no contrast row: its SVD
+    # used to raise IndexError (exit 1); now nothing is written
+    p = tmp_path / "one.csv"
+    p.write_text("a,b,g\n1,2,x\n2,3,x\n4,1,x\n", encoding="utf-8")
+    svg, out = tmp_path / "h.svg", tmp_path / "h.json"
+    files = ["--json", str(out)] + ["--svg", str(svg)] * (argv[0] == "heplot")
+    assert run_cli(argv + ["--data", str(p), "--group", "g"] + files) == 2
+    assert capsys.readouterr().err == (
+        "ellip: input error: the overall hypothesis needs two groups or "
+        "more\n")
+    assert not svg.exists() and not out.exists()
 
 
 def test_canonical_figure_of_two_groups_is_exit_2(tmp_path, capsys):

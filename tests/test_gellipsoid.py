@@ -145,7 +145,7 @@ def test_image_law_on_boundary_points():
         e = ge.from_moment(random_pd(rng, p), rng.standard_normal(p))
         l_mat = rng.standard_normal((p, p))
         img = ge.linear_image(e, l_mat)
-        pts = ge.boundary_points(e, 256 if p == 2 else 1024)
+        pts = strategies.boundary_points(e, 256 if p == 2 else 1024)
         mapped = pts @ l_mat.T
         for x in mapped[::8]:
             assert ge.contains(img, x, tol=1e-8) == "boundary"
@@ -311,9 +311,9 @@ def test_tangent_plane_sphere_and_conjugate():
 
 def test_tangent_plane_touches_once():
     e = ge.from_moment(W_DEMO)
-    x = ge.boundary_points(e, 64)[5]
+    x = strategies.boundary_points(e, 64)[5]
     normal, offset = ge.tangent_plane(e, x)
-    values = ge.boundary_points(e, 512) @ normal - offset
+    values = strategies.boundary_points(e, 512) @ normal - offset
     assert values.max() <= 1e-8
     assert (values > -1e-6).sum() <= 3   # only a neighborhood of x touches
 

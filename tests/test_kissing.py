@@ -420,6 +420,29 @@ def test_kiss_mark_beyond_the_second_centre_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_kiss_mark_whose_square_overflows_is_exit_2(tmp_path, capsys):
+    # the square of 1e155 is beyond the doubles, where it used to raise
+    # OverflowError (exit 1); it is refused as any mark beyond the reach
+    out, svg = tmp_path / "out.json", tmp_path / "out.svg"
+    for mark in ("1e155", "1e300"):
+        assert cli.main(["kiss", f"--mark={mark}", "--json", str(out),
+                         "--svg", str(svg)]) == 2
+        err = capsys.readouterr().err
+        assert f"mark radius {float(mark):g} has no external kiss point" \
+            in err and "sqrt(f1(m2)) = 7.48331" in err
+        assert not out.exists() and not svg.exists()
+    # about the reach sqrt(f1(m2)) = sqrt(56) the verdict is still that of
+    # r^2 < f1(m2): the double below it is accepted, it and above refused
+    reach = DEMO_F1.value(DEMO_F2.m)
+    r = np.sqrt(reach)
+    for mark, status in ((np.nextafter(r, 0.0), 0), (r, 2),
+                         (np.nextafter(r, np.inf), 2)):
+        assert (float(mark) ** 2 < reach) == (status == 0)
+        assert cli.main(["kiss", f"--mark={float(mark)!r}",
+                         "--json", str(out)]) == status
+        capsys.readouterr()
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(strategies.pd_matrices(p=hs.just(2), log_cond=hs.floats(0.0, 2.0),
                               log_scale=hs.floats(-50.0, 50.0)),

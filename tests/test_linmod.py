@@ -458,7 +458,7 @@ def test_avp_ellipse_contained_in_marginal_with_tangency():
         ell_c = st.data_ellipsoid(st.Sample(cond), spec)
         # sampled boundary points of the AVP ellipse stay inside-or-on
         m_mat = (ell_m.frame / ell_m.radii ** 2) @ ell_m.frame.T
-        pts = ge.boundary_points(ell_c, 256)
+        pts = strategies.boundary_points(ell_c, 256)
         norms = np.einsum("ij,jk,ik->i", pts, m_mat, pts)
         assert norms.max() <= 1.0 + 1e-8
         # rank-one moment difference: tangency at exactly two points

@@ -27,15 +27,21 @@ def iris_he_scene(iris_grouped):
         means=means[:, [0, 2]], labels=labels, title="iris HE")
 
 
+def _paths(ellipses, n):
+    # the n-vertex polygons of ellipses, traced from an EllipseLayer's stacks
+    layer = render.EllipseLayer(ellipses)
+    return render._ellipse_paths(layer.centers, layer.frames, layer.radii, n)
+
+
 def test_ellipse_path_square_vertices():
     # vertex set {(1,0), (0,1), (-1,0), (0,-1)}; order depends on the
     # (deterministic) tie-breaking of the equal radii
     circle = ge.from_moment(np.eye(2))
-    pts = render._ellipse_paths([circle], 4)[0]
+    pts = _paths([circle], 4)[0]
     got = sorted((round(p[0], 12), round(p[1], 12)) for p in pts)
     assert got == [(-1.0, -0.0), (-0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
     scaled = ge.from_moment(np.diag([4.0, 1.0]))
-    pts = render._ellipse_paths([scaled], 4)[0]
+    pts = _paths([scaled], 4)[0]
     assert pts == pytest.approx(np.array([[2.0, 0.0], [0.0, 1.0],
                                           [-2.0, 0.0], [0.0, -1.0]]),
                                 abs=1e-12)
@@ -45,14 +51,18 @@ def test_ellipse_path_vertices_on_boundary():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((2, 2))
     e = ge.from_moment(a @ a.T + np.eye(2), rng.standard_normal(2))
-    for v in render._ellipse_paths([e], 64)[0]:
+    for v in _paths([e], 64)[0]:
         assert ge.contains(e, v, tol=1e-10) == "boundary"
 
 
 def test_ellipse_path_rejects_unbounded():
+    # an EllipseLayer refuses an unbounded ellipsoid, and a stack that
+    # holds one of three dimensions
     cyl = ge.from_precision(np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        render._ellipse_paths([cyl], 64)
+    ball = ge.from_moment(np.eye(3))
+    for ellipses in ([cyl], [ge.from_moment(np.eye(2)), ball]):
+        with pytest.raises(ValueError):
+            render.EllipseLayer(ellipses)
 
 
 def test_render_empty_scene_axes_only():
@@ -76,16 +86,16 @@ def test_render_rejects_zero_area_viewport():
 def _transform(scene):
     # the transform and viewport render_scene draws the scene with
     return render._scene_transform(scene,
-                                   render._scene_parts(scene.layers))
+                                   render._scene_parts(scene.layers)[1])
 
 
 def test_unit_circle_pixel_bounding_box():
     scene = render.Scene(
-        layers=[render.EllipseLayer(ge.from_moment(np.eye(2)))],
+        layers=[render.EllipseLayer([ge.from_moment(np.eye(2))])],
         viewport=(-1.0, 1.0, -1.0, 1.0), size=(400, 400), aspect="equal")
     tr, viewport = _transform(scene)
     circle = ge.from_moment(np.eye(2))
-    pts = tr.to_pixel(render._ellipse_paths([circle], 256)[0])
+    pts = tr.to_pixel(_paths([circle], 256)[0])
     # data square maps into the margins-adjusted box
     assert pts[:, 0].min() == pytest.approx(
         tr.to_pixel([[-1.0, 0.0]])[0][0], abs=1e-9)
@@ -98,7 +108,7 @@ def test_unit_circle_pixel_bounding_box():
 def test_nested_coverage_ellipses_nest(galton_sample):
     inner = st.data_ellipsoid(galton_sample, st.CoverageSpec.chisq(0.40))
     outer = st.data_ellipsoid(galton_sample, st.CoverageSpec.chisq(0.95))
-    for v in render._ellipse_paths([inner], 64)[0]:
+    for v in _paths([inner], 64)[0]:
         assert ge.contains(outer, v) == "inside"
 
 
@@ -190,7 +200,7 @@ def test_style_table_and_escape():
     text = s.svg()
     assert 'stroke="#ff0000"' in text and 'stroke-dasharray="4,2"' in text
     scene = render.Scene(layers=[
-        render.TextLayer((0.5, 0.5), "a < b & c",
+        render.TextLayer((0.5, 0.5), ["a < b & c"],
                          render.Style(stroke="none", fill="#000000"))],
         viewport=(0.0, 1.0, 0.0, 1.0))
     svg = render.render_scene(scene)
@@ -272,13 +282,14 @@ def _ref_arrows(layer):
 
 def _ref_layer_bounds(layer):
     if isinstance(layer, render.EllipseLayer):
-        pts = _ref_ellipse_path(layer.ellipse, 32)
+        pts = np.array([_ref_ellipse_path(e, 32)
+                        for e in layer.ellipses]).reshape(-1, 2)
     elif isinstance(layer, (render.PointsLayer, render.PolylineLayer)):
         pts = np.asarray(layer.points, dtype=float)
     elif isinstance(layer, render.ArrowLayer):
         pts = np.array(_ref_arrows(layer), dtype=float).reshape(-1, 2)
     elif isinstance(layer, render.TextLayer):
-        pts = np.array([layer.pos], dtype=float)
+        pts = np.array(layer.pos, dtype=float).reshape(-1, 2)
     else:
         return None
     if pts.size == 0:
@@ -429,8 +440,9 @@ def reference_render_scene(scene):
         if isinstance(layer, render.AxisLayer):
             _ref_render_axis(layer, tr, viewport, out)
         elif isinstance(layer, render.EllipseLayer):
-            pts = tr.to_pixel(_ref_ellipse_path(layer.ellipse, layer.n))
-            out.append(_ref_polyline_svg(pts, layer.style, closed=True))
+            for e in layer.ellipses:
+                pts = tr.to_pixel(_ref_ellipse_path(e, layer.n))
+                out.append(_ref_polyline_svg(pts, layer.style, closed=True))
         elif isinstance(layer, render.PolylineLayer):
             pts = np.asarray(layer.points, dtype=float)
             if len(pts) >= 2:
@@ -442,13 +454,14 @@ def reference_render_scene(scene):
             for tail, head in _ref_arrows(layer):
                 _ref_render_arrow(tail, head, layer.style, tr, out)
         elif isinstance(layer, render.TextLayer):
-            p = tr.to_pixel([layer.pos])[0]
-            out.append(f'<text x="{fmt(p[0])}" y="{fmt(p[1])}" '
-                       f'text-anchor="{layer.anchor}" '
-                       f'font-family="monospace" '
-                       f'font-size="{fmt(layer.size)}" '
-                       f'fill="{layer.style.fill}">'
-                       f'{render._escape(layer.text)}</text>')
+            for pos, text in zip(layer.pos, layer.texts):
+                p = tr.to_pixel([pos])[0]
+                out.append(f'<text x="{fmt(p[0])}" y="{fmt(p[1])}" '
+                           f'text-anchor="{layer.anchor}" '
+                           f'font-family="monospace" '
+                           f'font-size="{fmt(layer.size)}" '
+                           f'fill="{layer.style.fill}">'
+                           f'{render._escape(text)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -499,16 +512,31 @@ def _wide_points(draw):
 
 
 @hs.composite
-def _ellipse_layer(draw):
+def _ellipse(draw):
     a = np.array(draw(hs.lists(hs.floats(-30.0, 30.0), min_size=4,
                                max_size=4))).reshape(2, 2)
     center = np.array(draw(_point))
     if draw(hs.booleans()):
-        ell = ge.from_moment(a @ a.T + np.eye(2), center)
-    else:                               # flat: radii (r, 0)
-        ell = ge.from_moment(np.outer(a[0], a[0]), center)
+        return ge.from_moment(a @ a.T + np.eye(2), center)
+    return ge.from_moment(np.outer(a[0], a[0]), center)    # radii (r, 0)
+
+
+@hs.composite
+def _ellipse_layer(draw, max_size=1):
+    # a stack of 0 to max_size ellipses in one layer
+    ellipses = draw(hs.lists(_ellipse(), max_size=max_size))
     n = draw(hs.one_of(hs.integers(3, 40), hs.sampled_from([32, 64])))
-    return render.EllipseLayer(ell, draw(_style), n=n)
+    return render.EllipseLayer(ellipses, draw(_style), n=n)
+
+
+@hs.composite
+def _text_layer(draw):
+    # a stack of 0 to 4 texts in one layer
+    pos = draw(_points(0, 4))
+    texts = draw(hs.lists(hs.sampled_from(["a", "<b> & c"]),
+                          min_size=len(pos), max_size=len(pos)))
+    return render.TextLayer(pos, texts, size=draw(hs.sampled_from([9.0, 12])),
+                            anchor=draw(hs.sampled_from(["start", "middle"])))
 
 
 @hs.composite
@@ -540,6 +568,7 @@ def _arrow_array(draw):
 
 _layer = hs.one_of(
     _ellipse_layer(),
+    _ellipse_layer(max_size=8),
     hs.builds(render.PointsLayer, hs.one_of(_points(0, 6), _wide_points()),
               _style, marker=hs.sampled_from(["circle", "dot", "square"]),
               size=hs.sampled_from([2.5, 3, 0.0, 1.2])),
@@ -549,8 +578,7 @@ _layer = hs.one_of(
     hs.lists(_arrow(), min_size=2, max_size=6),
     _arrow_array(),
     hs.lists(_ellipse_layer(), min_size=5, max_size=40),
-    hs.builds(render.TextLayer, _point, hs.sampled_from(["a", "<b> & c"]),
-              size=hs.sampled_from([9.0, 12])),
+    _text_layer(),
     hs.just(render.AxisLayer(label_x="x", label_y="y")),
 )
 
@@ -611,15 +639,15 @@ def test_render_scene_formats_once(monkeypatch):
     pts = np.array([[0.0, 1.0], [2.0, 3.0]])
     scene = render.Scene([
         render.AxisLayer(label_x="x", label_y="y"),
-        render.EllipseLayer(e, n=16),
-        render.EllipseLayer(e, n=32),
+        render.EllipseLayer([e], n=16),
+        render.EllipseLayer([e], n=32),
         render.PointsLayer(pts, marker="circle"),
         render.PointsLayer(pts, marker="dot"),
         render.PointsLayer(np.column_stack([pts, pts]), marker="square"),
         render.PolylineLayer(pts),
         render.ArrowLayer((0.0, 0.0), (1.0, 1.0)),
         render.ArrowLayer(pts, pts[::-1]),
-        render.TextLayer((1.0, 1.0), "t"),
+        render.TextLayer((1.0, 1.0), ["t"]),
     ], title="all layers")
     svg = render.render_scene(scene)
     _, (xmin, xmax, ymin, ymax) = _transform(scene)
@@ -665,13 +693,20 @@ def _dense_layers(rng):
     for center in _dense_coords(rng, 300):
         a = rng.normal(0.0, 10.0, (2, 2))
         ell = ge.from_moment(a @ a.T + np.eye(2), center)
-        layers.append(render.EllipseLayer(ell, shared,
+        layers.append(render.EllipseLayer([ell], shared,
                                           n=int(rng.choice([64, 32, 7]))))
         if rng.random() < 0.2:
             tail = _dense_coords(rng, 1)[0]
             layers += [render.ArrowLayer(tail, center, arrow),
                        render.ArrowLayer(tail, tail, arrow),
-                       render.TextLayer(tuple(center), "e")]
+                       render.TextLayer(center, ["e"])]
+    # and stacks of many ellipses and texts in one layer each
+    centers = _dense_coords(rng, 400)
+    a = rng.normal(0.0, 10.0, (len(centers), 2, 2))
+    layers += [render.EllipseLayer(ge.from_moments(
+                   a @ a.swapaxes(1, 2) + np.eye(2), centers), shared, n=n)
+               for n in (64, 5)]
+    layers.append(render.TextLayer(centers, ["<e>"] * len(centers)))
     return layers
 
 
