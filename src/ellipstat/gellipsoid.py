@@ -9,8 +9,13 @@ import numpy as np
 
 from . import numkernel as nk
 
-ZERO_RADIUS_TOL = 1e-12
-FRAME_TOL = 1e-10
+ZERO_RADIUS_TOL = 1e-12   # of the largest finite radius, a radius is 0
+FRAME_TOL = 1e-10         # max |U'U - I| of an orthogonal frame
+# relative to the largest finite radius: radii out of order, a point off
+# the boundary or off a flat
+BOUNDARY_TOL = 1e-9
+IDEMPOTENT_TOL = 1e-10    # max |P^2 - P| over max(1, max|P|) of a projection
+FACTOR_TOL = 1e-8         # max |A A' - W| over max|W| of a given factor
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,9 @@ class GEllipsoid:
 def _check(centers, frames, radii):
     """Raise InputError unless each (center, frame, radii) of the stacks
     (..., p), (..., p, p) and (..., p) is a generalized ellipsoid: an
-    orthogonal frame and radii in [0, inf], descending to within 1e-9 of
-    its largest finite radius (inf counts as the largest)."""
+    orthogonal frame and radii in [0, inf], descending to within
+    BOUNDARY_TOL of its largest finite radius (inf counts as the
+    largest)."""
     p = centers.shape[-1]
     if frames.shape != centers.shape + (p,):
         raise nk.InputError(
@@ -71,7 +77,7 @@ def _check(centers, frames, radii):
         top = np.where(np.isfinite(radii), radii, 0.0).max(axis=-1,
                                                             keepdims=True)
         rise = np.diff(np.minimum(radii, np.finfo(float).max), axis=-1)
-        if (rise > 1e-9 * top).any():
+        if (rise > BOUNDARY_TOL * top).any():
             raise nk.InputError("radii must be sorted descending")
 
 
@@ -88,8 +94,9 @@ def from_moments(ws, centers=None):
     eigen-decomposition and one check of the stack."""
     lam, vecs = nk.psd_eigvals(ws)
     radii = np.sqrt(lam)
-    # lam is descending, so zeroing its small tail keeps the radii sorted
-    radii[lam <= ZERO_RADIUS_TOL * lam[..., :1]] = 0.0
+    # lam is descending, so zeroing its negligible tail keeps the radii
+    # sorted
+    radii[nk.negligible_eig(lam, lam[..., :1])] = 0.0
     centers = np.zeros_like(radii) if centers is None else \
         np.asarray(centers, dtype=float)
     if centers.size == radii.size:
@@ -196,16 +203,16 @@ def linear_image(e, l_mat):
     return GEllipsoid(center=center, frame=frame, radii=radii)
 
 
-def project(e, p_mat, tol=1e-10):
+def project(e, p_mat):
     """Image under an idempotent matrix (orthogonal shadow if symmetric)."""
     p_mat = nk.as_matrix(p_mat)
     dev = np.abs(p_mat @ p_mat - p_mat).max()
-    if dev > tol * max(1.0, np.abs(p_mat).max()):
+    if dev > IDEMPOTENT_TOL * max(1.0, np.abs(p_mat).max()):
         raise nk.InputError(f"matrix is not idempotent: |P^2 - P| = {dev:.2e}")
     return linear_image(e, p_mat)
 
 
-def scaled_sq_distance(e, x, tol=1e-9):
+def scaled_sq_distance(e, x, tol=BOUNDARY_TOL):
     """Sum of (z_i / r_i)^2 over the positive finite radii r_i, z the
     coordinates of x - center in the frame: at most 1 inside the ellipsoid.
 
@@ -224,7 +231,7 @@ def scaled_sq_distance(e, x, tol=1e-9):
     return float(np.sum((z[pos] / e.radii[pos]) ** 2))
 
 
-def contains(e, x, tol=1e-9):
+def contains(e, x, tol=BOUNDARY_TOL):
     """Classify a point as 'inside', 'boundary' or 'outside' by its
     scaled_sq_distance, to within tol."""
     norm = math.sqrt(scaled_sq_distance(e, x, tol))
@@ -333,7 +340,7 @@ def conjugate_axes(w, kind="principal", given=None):
         a = nk.as_matrix(given)
         resid = (np.abs(a @ a.T - w).max() if a.shape == w.shape
                  else np.inf)
-        if resid > 1e-8 * max(np.abs(w).max(), 1e-300):
+        if resid > FACTOR_TOL * max(np.abs(w).max(), nk.TINY):
             raise nk.InputError(
                 f"given factor does not reproduce W ({resid:.2e})")
     elif kind == "cholesky":
@@ -346,7 +353,7 @@ def conjugate_axes(w, kind="principal", given=None):
     return ConjugateAxes(axes=a, kind=kind)
 
 
-def tangent_plane(e, x_boundary, tol=1e-9):
+def tangent_plane(e, x_boundary):
     """Tangent hyperplane to a proper ellipsoid at a boundary point.
 
     Returns (normal, offset) with normal^T x = offset on the plane; the
@@ -354,7 +361,7 @@ def tangent_plane(e, x_boundary, tol=1e-9):
     """
     if signature(e).as_tuple() != (e.dim, 0, 0):
         raise nk.InputError("tangent plane requires a proper ellipsoid")
-    status = contains(e, x_boundary, tol)
+    status = contains(e, x_boundary)
     if status != "boundary":
         raise nk.InputError(f"point is {status}, not on the boundary")
     x = np.asarray(x_boundary, dtype=float).ravel()

@@ -3,7 +3,9 @@
 # axis, ridge regression, Bayes posterior combination, mixed-model
 # GLS/BLUE/BLUP, and multivariate meta-analysis.
 
+import math
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import chain, repeat
 
 import numpy as np
@@ -13,6 +15,11 @@ from . import numkernel as nk
 from . import statellipse as st
 
 SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
+NEWTON_STOP = 1e-14     # a kiss point's Newton step below this, relative
+# a locus vertex at or below this f1 level, relative to the mark's, is at
+# m1 to roundoff
+LOCUS_LEVEL_TOL = 1e-12
+RIDGE_NORM_TOL = 1e-12  # a ridge norm may rise this much, relative
 
 
 @dataclass(frozen=True)
@@ -210,29 +217,49 @@ def _newton_rows(f1, f2, x, steps):
     return x
 
 
+def _in_range(message):
+    """Decorate a function so that a numpy overflow, invalid value or
+    division by zero in it raises InputError(message)."""
+    def decorate(fn):
+        @wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                with np.errstate(over="raise", invalid="raise",
+                                 divide="raise"):
+                    return fn(*args, **kwargs)
+            except FloatingPointError:
+                raise nk.InputError(message) from None
+        return guarded
+    return decorate
+
+
+@_in_range("the cross field of a1 and a2 overflows on this bbox: a1, a2 or "
+           "the bbox is too large")
 def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
     """Zero contour of the cross field by marching squares.
 
-    bbox is (xmin, xmax, ymin, ymax), with xmin < xmax and ymin < ymax.
-    The grid values come from their 1-D factors (see _grid_field). Only
-    cells whose corners change sign or touch a zero are visited (see
-    _cell_segments), so beyond one vectorized pass over the grid the cost
-    grows with the cells the locus crosses. Segments are chained through
-    endpoint identity, not distance: a crossing is its grid edge, a zero
-    corner its node. Each polyline starts from the last unused segment and
+    bbox is (xmin, xmax, ymin, ymax), with xmin < xmax and ymin < ymax and
+    a finite width and height. The grid values come from their 1-D factors
+    (see _grid_field). Only cells whose corners change sign or touch a zero
+    are visited (see _cell_segments), so beyond one vectorized pass over
+    the grid the cost grows with the cells the locus crosses. Segments are
+    chained through endpoint identity, not distance: a crossing is its
+    grid edge, a zero corner its node. Each polyline starts from the last unused segment and
     grows by the lowest-numbered unused segment touching its tail or its
     head, the tail first. Every vertex then gets newton_steps Newton steps onto the exact
     zero set, and the polylines are stably sorted longest first. Returns
     {'polylines': [...], 'vertices': ..., 'scale': ...}: the polylines,
     their vertices stacked in one (m, 2) array, and the max |g| over the
-    grid (the reference for vertex residuals).
+    grid (the reference for vertex residuals). A field or Newton step that
+    overflows is an InputError.
     """
     if resolution < 32:
         raise nk.InputError("resolution must be >= 32")
-    xmin, xmax, ymin, ymax = bbox
+    box = xmin, xmax, ymin, ymax = tuple(map(float, bbox))
     if not (xmin < xmax and ymin < ymax):
-        raise nk.InputError(f"bbox {tuple(bbox)} needs xmin < xmax and "
-                            "ymin < ymax")
+        raise nk.InputError(f"bbox {box} needs xmin < xmax and ymin < ymax")
+    if not math.isfinite(xmax - xmin) or not math.isfinite(ymax - ymin):
+        raise nk.InputError(f"bbox {box} needs a finite width and height")
     xs = np.linspace(xmin, xmax, resolution + 1)
     ys = np.linspace(ymin, ymax, resolution + 1)
     vals = _grid_field(f1, f2, xs, ys)
@@ -248,6 +275,7 @@ def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
             "vertices": np.vstack(polylines or [np.empty((0, 2))])}
 
 
+@_in_range("m1 and m2 are too far apart for a finite default bbox")
 def default_bbox(f1, f2):
     """(xmin, xmax, ymin, ymax): a square about the midpoint of the centres,
     reaching |m2 - m1| + 4 from it each way."""
@@ -270,6 +298,8 @@ def locus_summary(f1, f2, locus):
             "dist_to_m2": float(d2.min(initial=np.inf))}
 
 
+@_in_range("the kiss point leaves the double range: a1 and a2, m1 and m2 "
+           "or the mark is too large or too small")
 def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
     """External kiss point of the level ellipse f1 = radius1^2 with the
     f2 family.
@@ -304,7 +334,7 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
     # a vertex at m1 to roundoff has no f1 gradient to follow: Newton from
     # level eps r1^2 overshoots and needs log2(1/eps) / 2 steps to return
     external = ((np.einsum("ij,ij->i", g1, (verts - f2.m) @ f2.a_mat) < 0)
-                & (level > 1e-12 * radius1 ** 2))
+                & (level > LOCUS_LEVEL_TOL * radius1 ** 2))
     x = None
     if external.any():
         err = np.where(external, np.abs(level - radius1 ** 2), np.inf)
@@ -324,7 +354,7 @@ def _polish(f1, f2, radius1, x):
         except np.linalg.LinAlgError:
             break
         x = x - step
-        if np.linalg.norm(step) < 1e-14 * (1 + np.linalg.norm(x)):
+        if np.linalg.norm(step) < NEWTON_STOP * (1 + np.linalg.norm(x)):
             break
     return x
 
@@ -383,13 +413,13 @@ def _shrink(r, root, prior_mean):
     """The data block r = [R_x | R_xy] pooled with the prior's rows
     [A^{1/2} | A^{1/2} beta_0]: (beta_post, W, B') with (X'X + A)^{-1} =
     W W' and B' = R_x W W', so (X'X + A)^{-1} X'X (X'X + A)^{-1} = B B'.
-    X'X + A is singular when lam_min <= 1e-12 lam_max of R'R, read from
-    the singular values of the pooled R that qr_lstsq's rank verdict
-    takes."""
+    X'X + A is singular when the smallest eigenvalue of R'R is negligible
+    (numkernel.negligible_eig), read from the singular values of the
+    pooled R that qr_lstsq's rank verdict takes."""
     p = root.shape[0]
     beta, w, _, sv = nk.qr_lstsq(np.vstack([r[:, :p], root]),
                                  np.concatenate([r[:, p], root @ prior_mean]))
-    if sv[-1] ** 2 <= 1e-12 * sv[0] ** 2:
+    if nk.negligible_eig(sv[-1] ** 2, sv[0] ** 2):
         raise ValueError("X'X + A is singular")
     return beta, w, r[:, :p] @ w @ w.T
 
@@ -446,17 +476,18 @@ def ridge_trace(x, y, ks, coords=(0, 1)):
 
 def ridge_path_summary(trace):
     """The coefficient norms |beta(k)| and generalized variances det cov(k)
-    of a ridge_trace, and whether the norms never rise (to within 1e-12 of
-    the previous norm) and the generalized variances strictly fall. The
-    second verdict is on log-determinants, so that it holds where det
-    itself overflows or underflows."""
+    of a ridge_trace, and whether the norms never rise (to within
+    RIDGE_NORM_TOL of the previous norm) and the generalized variances
+    strictly fall. The second verdict is on log-determinants, so that it
+    holds where det itself overflows or underflows."""
     norms = [float(np.linalg.norm(t["result"].beta)) for t in trace]
     covs = np.array([t["result"].cov for t in trace])
     signs, logdets = np.linalg.slogdet(covs)
     return {"coef_norms": norms,
             "cov_generalized_variance": np.linalg.det(covs).tolist(),
             "norm_monotone_nonincreasing":
-                all(b <= a + 1e-12 * a for a, b in zip(norms, norms[1:])),
+                all(b <= a + RIDGE_NORM_TOL * a
+                    for a, b in zip(norms, norms[1:])),
             "genvar_strictly_decreasing":
                 bool((signs > 0).all() and (np.diff(logdets) < 0).all())}
 
@@ -535,10 +566,8 @@ class MixedSpec:
             r[idx, :m] = r_k[:, :m, :p]
             qty[idx, :m] = r_k[:, :m, p]
             rss[idx] = r_k[:, p, p] ** 2 if size > p else 0.0
-        norms = np.linalg.norm(r, axis=1)
-        scaled = r / np.where(norms > 0, norms, 1.0)[:, None, :]
-        u, sv, _ = np.linalg.svd(scaled)
-        dropped = sv <= nk.RANK_TOL * sv[:, :1]
+        u, sv, _ = np.linalg.svd(nk.unit_columns(r))
+        dropped = nk.rank_drops(sv)
         # Q_k spans more than the columns of a rank-deficient X_k: the part
         # of Q_k'y_k along the left singular vectors dropped from R_k is
         # residual too
@@ -590,8 +619,8 @@ def gls_fixed(spec, g_mat, sigma2=None):
     = R_i'M_i^{-1}Q_i'y_i with the p x p M_i = sigma^2 I + R_i G R_i', so
     the GLS pool of the p-row blocks (R_i, M_i, Q_i'y_i) is that of the
     clusters. V_i has the eigenvalues of M_i and, when n_i > p, sigma^2;
-    it is singular when the smallest magnitude is at most 1e-12 times the
-    largest, and the error names the cluster's label.
+    it is singular when the smallest magnitude is negligible
+    (numkernel.negligible_eig), and the error names the cluster's label.
     """
     g_mat = nk.check_symmetric(g_mat)
     nk.psd_eigvals(g_mat)       # rejects a materially indefinite G
@@ -606,7 +635,8 @@ def gls_fixed(spec, g_mat, sigma2=None):
     m[:, d, d] = np.where(d >= n[:, None], m[:, :1, 0], m[:, d, d])
     lam = np.abs(np.linalg.eigvalsh(m))
     lam = np.column_stack([lam, np.where(n > p, abs(s2), lam[:, 0])])
-    singular = np.flatnonzero(lam.min(axis=1) <= 1e-12 * lam.max(axis=1))
+    singular = np.flatnonzero(nk.negligible_eig(lam.min(axis=1),
+                                                lam.max(axis=1)))
     if singular.size:
         raise ValueError(f"cluster {spec.labels[singular[0]]}: "
                          "V is singular")

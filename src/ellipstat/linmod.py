@@ -11,6 +11,10 @@ from . import distributions as dist
 from . import gellipsoid as ge
 from . import numkernel as nk
 
+# x_k lies in the span of the other predictors when its residual sum of
+# squares is at most VIF_TOL times its total: the VIFs are infinite
+VIF_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class LinearFit:
@@ -226,7 +230,7 @@ def _inflation(xk, x_star):
     rss = float((x_star ** 2).sum())
     if tss <= 0:
         raise ValueError("x_k has zero variance")
-    if rss <= 1e-14 * tss:
+    if rss <= VIF_TOL * tss:
         return {"algebraic": np.inf, "geometric": np.inf,
                 "r_squared": 1.0}
     r2 = 1.0 - rss / tss

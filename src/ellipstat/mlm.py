@@ -13,6 +13,10 @@ from . import gellipsoid as ge
 from . import numkernel as nk
 from . import statellipse as st
 
+# two contrasts are orthogonal when max |L_i L_j'| is at most this times
+# |L_i| |L_j| (Frobenius norms), so the verdict is free of their units
+ORTHOGONAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MlmFit:
@@ -34,8 +38,9 @@ class Hypothesis:
 
     def __post_init__(self):
         l_mat = np.atleast_2d(np.asarray(self.l_mat, dtype=float))
-        sv = np.linalg.svd(l_mat, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
+        # the rows' rank, on the scale where each row has unit length
+        if l_mat.shape[0] > l_mat.shape[1] or nk.rank_drops(np.linalg.svd(
+                nk.unit_columns(l_mat.T), compute_uv=False))[-1]:
             raise nk.InputError("contrast rows are linearly dependent")
         object.__setattr__(self, "l_mat", l_mat)
 
@@ -239,14 +244,17 @@ def contrast_decompose(fit, hyps, overall=None):
 
     Pairwise orthogonal rank-one contrasts in a balanced design decompose
     the overall hypothesis SSCP additively; otherwise only the residual
-    norm is reported (with a warning). 'residual' is max |sum H_i - H|,
+    norm is reported (with a warning). Orthogonality is relative to the
+    contrasts' norms (ORTHOGONAL_TOL). 'residual' is max |sum H_i - H|,
     and 'relative' is that over max |H|.
     """
     h_list = [hypothesis_matrices(fit, hyp)[0] for hyp in hyps]
+    norms = [np.linalg.norm(hyp.l_mat) for hyp in hyps]
     orthogonal = True
     for i in range(len(hyps)):
         for j in range(i + 1, len(hyps)):
-            if np.abs(hyps[i].l_mat @ hyps[j].l_mat.T).max() > 1e-10:
+            if np.abs(hyps[i].l_mat @ hyps[j].l_mat.T).max() \
+                    > ORTHOGONAL_TOL * norms[i] * norms[j]:
                 orthogonal = False
     if overall is None:
         overall = Hypothesis(np.vstack([hyp.l_mat for hyp in hyps]),

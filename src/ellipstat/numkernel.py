@@ -8,11 +8,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SYM_TOL = 1e-12        # relative asymmetry accepted by sym_eig
+# The matrix verdicts. Each bound is relative to the matrix's own scale,
+# floored at TINY, so no verdict changes when the matrix is scaled.
+SYM_TOL = 1e-12        # relative asymmetry accepted by check_symmetric
 PSD_CLIP = 1e-10       # eigenvalues in [-PSD_CLIP*lam_max, 0] clip to zero
+NEGLIGIBLE_EIG = 1e-12  # see negligible_eig
+PIVOT_TOL = 1e-14      # a Cholesky pivot at or below PIVOT_TOL*max|w| fails
 # A design has full column rank when, with its columns scaled to unit
 # length, its smallest singular value exceeds RANK_TOL times its largest.
 RANK_TOL = 1e-10
+TINY = 1e-300
 
 
 class InputError(ValueError):
@@ -98,16 +103,16 @@ def _first(bad):
     return np.unravel_index(np.argmax(bad), bad.shape)
 
 
-def check_symmetric(m, tol=SYM_TOL):
+def check_symmetric(m):
     """The symmetric part of a square matrix, or of each in a stack of them,
-    after checking that its asymmetry is within tol of its own scale."""
+    after checking that its asymmetry is within SYM_TOL of its own scale."""
     a = as_matrix(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
     at = a.swapaxes(-1, -2)
-    scale = np.abs(a).max(axis=(-2, -1), initial=1e-300)
+    scale = np.abs(a).max(axis=(-2, -1), initial=TINY)
     asym = np.abs(a - at).max(axis=(-2, -1))
-    bad = asym > tol * scale
+    bad = asym > SYM_TOL * scale
     if bad.any():
         first = _first(bad)
         raise NotSymmetricError(asym[first], scale[first], first)
@@ -127,10 +132,10 @@ def fix_signs(vecs):
     return vecs * signs[..., None, :], signs
 
 
-def sym_eig(m, tol=SYM_TOL):
+def sym_eig(m):
     """Spectral decomposition of a symmetric matrix, or of each in a stack
     (..., p, p), eigenvalues descending."""
-    w, v = np.linalg.eigh(check_symmetric(m, tol))
+    w, v = np.linalg.eigh(check_symmetric(m))
     v, _ = fix_signs(v[..., ::-1])          # eigh's order is ascending
     return SpectralDecomp(eigvals=w[..., ::-1].copy(), eigvecs=v)
 
@@ -151,13 +156,13 @@ def svd(a):
 def cholesky(w):
     """Lower-triangular B with B @ B.T = w, from LAPACK.
 
-    A pivot B[j, j]^2 at or below 1e-14 * max|w| is rejected and reported
+    A pivot B[j, j]^2 at or below PIVOT_TOL * max|w| is rejected and reported
     by its index j. LAPACK accepts any positive pivot, so the elimination
     is redone by hand, to find the failing pivot, only when LAPACK fails
     or leaves a diagonal that small.
     """
     a = check_symmetric(w)
-    tol = 1e-14 * max(np.abs(a).max(), 1e-300)
+    tol = PIVOT_TOL * max(np.abs(a).max(), TINY)
     try:
         b = np.linalg.cholesky(a)
         if np.all(np.diag(b) ** 2 > tol):
@@ -195,7 +200,7 @@ def psd_eigvals(w):
     """
     dec = sym_eig(w)
     lam = dec.eigvals
-    bad = lam[..., -1] < -PSD_CLIP * np.maximum(lam[..., 0], 1e-300)
+    bad = lam[..., -1] < -PSD_CLIP * np.maximum(lam[..., 0], TINY)
     if bad.any():
         at = _first(bad)
         raise IndefiniteError(lam[at][-1], at)
@@ -206,16 +211,41 @@ def require_pd(w):
     """psd_eigvals(w) of a positive-definite w: (eigvals descending, eigvecs).
 
     Raises NotPositiveDefiniteError, naming the smallest eigenvalue, when
-    lam_min <= 1e-12 * lam_max, for the first such matrix of a stack. The
-    threshold is relative, so the verdict does not change when w is scaled.
+    it is negligible, for the first such matrix of a stack.
     """
     lam, vecs = psd_eigvals(w)
-    bad = lam[..., -1] <= 1e-12 * np.maximum(lam[..., 0], 1e-300)
+    bad = negligible_eig(lam[..., -1], lam[..., 0])
     if bad.any():
         at = _first(bad)
         raise NotPositiveDefiniteError(int(np.argmin(lam[at])), lam[at][-1],
                                        "eigenvalue", at)
     return lam, vecs
+
+
+def negligible_eig(lam, lam_max):
+    """Whether each eigenvalue lam (>= 0) of a PSD matrix whose largest is
+    lam_max is zero to rounding: lam <= NEGLIGIBLE_EIG * max(lam_max,
+    TINY). The one rule for a singular matrix, also applied to the squared
+    singular values of R for R'R."""
+    return lam <= NEGLIGIBLE_EIG * np.maximum(lam_max, TINY)
+
+
+def unit_columns(x):
+    """x, or each matrix of a stack, with its nonzero columns scaled to
+    unit length. A column is first scaled by the power of two that brings
+    its largest entry into [0.5, 1): that changes no bit where the raw
+    squares stay in the double range, and keeps them in it elsewhere."""
+    _, e = np.frexp(np.abs(x).max(axis=-2, keepdims=True, initial=0.0))
+    x = np.ldexp(x, -e)
+    norms = np.linalg.norm(x, axis=-2, keepdims=True)
+    return x / np.where(norms > 0, norms, 1.0)
+
+
+def rank_drops(sv):
+    """Which singular values (descending, last axis) of a matrix with
+    unit-length columns are at or below RANK_TOL times the largest: the
+    one rank rule."""
+    return sv <= RANK_TOL * sv[..., :1]
 
 
 def require_full_rank(x):
@@ -229,10 +259,8 @@ def require_full_rank(x):
     # needs them
     if sv[-1] > np.sqrt(x.shape[1]) * RANK_TOL * sv[0]:
         return sv
-    norms = np.linalg.norm(x, axis=0)
-    unit = np.linalg.svd(x / np.where(norms > 0, norms, 1.0),
-                         compute_uv=False)
-    if unit[-1] <= RANK_TOL * unit[0]:
+    unit = np.linalg.svd(unit_columns(x), compute_uv=False)
+    if rank_drops(unit)[-1]:
         raise ValueError("design is rank deficient: min singular value "
                          f"{unit[-1]:.3e} of its unit-length columns")
     return sv

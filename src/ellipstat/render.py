@@ -15,11 +15,19 @@
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gellipsoid as ge
+
+# Drawing rules, relative to the axis span or in pixels: a tick may stand
+# TICK_END past the span's end, a tick within TICK_ZERO of zero is drawn
+# as 0, and an arrow shorter than ARROW_TIP_PX pixels gets no barbs.
+TICK_END = 1e-9
+TICK_ZERO = 1e-12
+ARROW_TIP_PX = 1e-9
 
 # Default palette: hypothesis ellipses red, error ellipses blue (the HE
 # convention used throughout), groups cycled blue/red/green/....
@@ -272,9 +280,16 @@ _TIPPED = {text: _table(["", text]) for text in ('<polygon points="', ",",
                                                  " ")}
 
 
+# the characters XML 1.0 forbids: the C0 controls but tab, LF and CR, the
+# surrogates and U+FFFE, U+FFFF
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _escape(text):
-    return (str(text).replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;"))
+    """text as SVG character data: &, < and > escaped, and each character
+    XML forbids written as U+FFFD."""
+    return _NOT_XML.sub("\ufffd", str(text).replace("&", "&amp;")
+                        .replace("<", "&lt;").replace(">", "&gt;"))
 
 
 def _ellipse_paths(centers, frames, radii, n):
@@ -387,8 +402,8 @@ def _nice_ticks(lo, hi, n):
     ticks = []
     last, t = -math.inf, math.ceil(lo / step) * step
     # a step below half an ulp of t no longer moves it: stop there
-    while last < t <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(t) < 1e-12 * span else t)
+    while last < t <= hi + TICK_END * span:
+        ticks.append(0.0 if abs(t) < TICK_ZERO * span else t)
         last, t = t, t + step
     return ticks
 
@@ -499,13 +514,13 @@ def _layer_pixels(layers, tr):
 
 def _arrow_barbs(px):
     """The barbs of the arrows whose (tail, head, tail, head, ...) pixels
-    are px, as (left, right) rows of the arrows longer than 1e-9 px, and
-    which arrows those are. Elementwise the float operations of one arrow
-    at a time."""
+    are px, as (left, right) rows of the arrows longer than ARROW_TIP_PX,
+    and which arrows those are. Elementwise the float operations of one
+    arrow at a time."""
     tail, head = px[0::2], px[1::2]
     d = head - tail
     nrm = np.hypot(d[:, 0], d[:, 1])
-    has_tip = nrm > 1e-9
+    has_tip = nrm > ARROW_TIP_PX
     u = d[has_tip] / nrm[has_tip, None]
     normal = 3.5 * np.column_stack([-u[:, 1], u[:, 0]])
     back = head[has_tip] - 7.0 * u

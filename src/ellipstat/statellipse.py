@@ -12,6 +12,11 @@ from . import distributions as dist
 from . import gellipsoid as ge
 from . import numkernel as nk
 
+UNIT_TOL = 1e-8     # absolute tolerance of np.isclose on a unit norm
+# a frame component at or below this (of a unit direction) is no part of
+# the direction along an infinite radius
+INF_COMPONENT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -194,11 +199,11 @@ def univariate_shadow(e, direction):
     """
     d = np.asarray(direction, dtype=float).ravel()
     nrm = np.linalg.norm(d)
-    if not np.isclose(nrm, 1.0, atol=1e-8):
+    if not np.isclose(nrm, 1.0, atol=UNIT_TOL):
         raise nk.InputError("direction must be a unit vector")
     comps = e.frame.T @ d
     inf_mask = np.isinf(e.radii)
-    if np.any(inf_mask & (np.abs(comps) > 1e-12)):
+    if np.any(inf_mask & (np.abs(comps) > INF_COMPONENT_TOL)):
         return (-np.inf, np.inf)
     half = float(np.linalg.norm(e.radii[~inf_mask] * comps[~inf_mask]))
     mid = float(e.center @ d)

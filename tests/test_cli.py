@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import numpy as np
@@ -893,6 +894,60 @@ def test_kiss_figure_with_ticks_finer_than_an_ulp(tmp_path):
                     "--svg", str(svg),
                     "--json", str(tmp_path / "k.json")]) == 0
     assert svg.read_text(encoding="utf-8").count(">1e+17</text>") == 1
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--m1=1e200,0", "m1"),
+    ("--a1=1e200,0;0,1e200", "a1"),
+    ("--bbox=-1e300,1e300,-1e300,1e300", "bbox"),
+    ("--bbox=-1e308,1e308,0,1", "bbox"),
+])
+def test_kiss_out_of_double_range_is_an_input_error(flag, name, tmp_path,
+                                                    capsys):
+    # a bbox or cross field beyond the double range exits 2 with one
+    # message naming the flag, no numpy warning and no file
+    out, svg = tmp_path / "k.json", tmp_path / "k.svg"
+    assert run_cli(["kiss", flag, "--json", str(out),
+                    "--svg", str(svg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ellip: input error: ") and err.count("\n") == 1
+    assert f" {name} " in err
+    assert not out.exists() and not svg.exists()
+
+
+def test_svg_of_a_label_with_a_control_character_parses(tmp_path):
+    # XML 1.0 forbids NUL: the label is drawn with U+FFFD in its place
+    path = tmp_path / "t.csv"
+    path.write_text("trial,effect_PD,effect_AL,var_PD,cov_PD_AL,var_AL\n"
+                    "t\0x,0.3,-0.4,0.02,0.005,0.03\n"
+                    "t2,0.2,-0.3,0.01,0.002,0.015\n"
+                    "t3,0.4,-0.5,0.03,0.004,0.02\n")
+    svg = tmp_path / "m.svg"
+    assert run_cli(["meta", "--data", str(path), "--svg", str(svg),
+                    "--json", str(tmp_path / "m.json")]) == 0
+    texts = [t.text for t in ET.parse(svg).iter("{http://www.w3.org/2000/svg}"
+                                                "text")]
+    assert " t\ufffdx" in texts
+
+
+@pytest.mark.parametrize("unit", [1e-6, 1.0, 1e6])
+def test_contrast_orthogonality_is_free_of_units(unit, tmp_path):
+    # the test is relative to |L_i| |L_j|, so the products of these rows,
+    # 1e-12 in units of 1e-6, give the verdict they give in any units
+    def contrasts(*rows):
+        out = tmp_path / "ct.json"
+        argv = ["contrasts", "--data", "iris", "--group", "Species",
+                "--json", str(out)]
+        argv += [f"--contrast={','.join(f'{unit * v:g}' for v in row)}"
+                 for row in rows]
+        assert run_cli(argv) == 0
+        return read_json(out)["orthogonal"]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert contrasts((-2, 1, 1), (0, 1, -1)) is True
+    with pytest.warns(UserWarning, match="not pairwise orthogonal"):
+        assert contrasts((1, -1, 0), (1, 0, -1)) is False
 
 
 def test_canonical_computed_once(tmp_path, monkeypatch):

@@ -89,6 +89,20 @@ def test_mlm_rank_verdict_ignores_the_units_of_the_columns():
 def test_hypothesis_rejects_dependent_rows():
     with pytest.raises(ValueError):
         mlm.Hypothesis([[1.0, -1.0, 0.0], [2.0, -2.0, 0.0]])
+    # more rows than columns cannot be independent
+    with pytest.raises(nk.InputError, match="linearly dependent"):
+        mlm.Hypothesis([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def test_hypothesis_rank_is_free_of_row_units():
+    # the rank is taken with each row scaled to unit length: two
+    # independent rows in units 1e22 apart are independent, and a row
+    # and its multiple are dependent in any units
+    mlm.Hypothesis([[1.0, 0.0, 0.0], [1e-11, 1e-11, 0.0]])
+    mlm.Hypothesis([[1e200, 0.0, 0.0], [0.0, 1e-200, 0.0]])
+    for unit in (1e-150, 1.0, 1e150):
+        with pytest.raises(nk.InputError):
+            mlm.Hypothesis([[unit, -unit, 0.0], [2.0, -2.0, 0.0]])
 
 
 def test_stats_trivial_values():
