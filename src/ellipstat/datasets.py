@@ -70,12 +70,17 @@ class DataTable:
                 if isinstance(self.columns[h], np.ndarray)]
 
 
+_DECIMAL = b"0123456789.+-eE,\n"
+
+
 def _split_plain(text):
     """(header, columns, n) of text read as plain comma-separated lines,
     without csv.reader, or None unless that provably reads the text as
     csv.reader does: None on a quote, a CR not followed by LF, an empty
     header, no data rows, a blank line, a line whose comma count is not
-    the header's, or a line longer than csv.field_size_limit()."""
+    the header's, or a line longer than csv.field_size_limit(). A body of
+    decimal numbers only is read in one np.loadtxt pass, into one float
+    array per column, when numpy reads it whole."""
     if '"' in text:
         return None
     if "\r" in text:
@@ -92,12 +97,28 @@ def _split_plain(text):
     # ',' and '\n' are single bytes in UTF-8 and occur in no other
     # character's encoding, so the line lengths in bytes bound those in
     # characters from above
-    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    data = body.encode("utf-8", "surrogatepass")
+    raw = np.frombuffer(data, np.uint8)
     ends = np.concatenate([np.flatnonzero(raw == 10), [raw.size]])
-    commas = np.searchsorted(np.flatnonzero(raw == 44), ends)
     lengths = np.diff(ends, prepend=-1) - 1
-    if ((np.diff(commas, prepend=0) != width - 1).any()
-            or lengths.min() == 0 or lengths.max() > limit):
+    if lengths.min() == 0 or lengths.max() > limit:
+        return None
+    # loadtxt and float() parse these bytes with the one C routine
+    # (PyOS_string_to_double); the first row decides most text tables.
+    # loadtxt reads rows of one field count only, so (n, width) rows
+    # pass the comma count below
+    if not (data[:ends[0]].translate(None, _DECIMAL)
+            or data.translate(None, _DECIMAL)):
+        try:
+            table = np.loadtxt(io.StringIO(body), delimiter=",",
+                               comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        if table is not None and table.shape == (ends.size, width):
+            return header, [table[:, j].copy() for j in range(width)], \
+                ends.size
+    commas = np.searchsorted(np.flatnonzero(raw == 44), ends)
+    if (np.diff(commas, prepend=0) != width - 1).any():
         return None
     cells = body.replace("\n", ",").split(",")
     return header, [cells[j::width] for j in range(width)], ends.size
@@ -132,7 +153,8 @@ def _parse_table(text, source):
     columns = {}
     for name, raw in zip(header, raws):
         try:
-            vals = np.fromiter(map(float, raw), float, n)
+            vals = raw if isinstance(raw, np.ndarray) else \
+                np.fromiter(map(float, raw), float, n)
         except ValueError:
             columns[name] = list(raw)
             continue

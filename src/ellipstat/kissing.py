@@ -643,6 +643,8 @@ def gls_fixed(spec, g_mat, sigma2=None):
     return _gls([(spec.r, m, spec.qty)])
 
 
+@_in_range("the variances of the cluster BLUEs overflow: the units of x "
+           "and the response are too far apart")
 def cluster_blues(spec):
     """Per-cluster OLS estimates beta_i = R_i^{-1} Q_i'y_i with
     S_i = sigma^2 W_i W_i', W_i = R_i^{-1} (symmetric by construction),
@@ -693,10 +695,12 @@ def relative_shrinkage(blues, blups):
     """Per coefficient, mean |BLUE - BLUP| over the sd of the BLUEs, for
     stacks (k, p) of cluster BLUEs and their BLUPs.
 
-    nan where the BLUEs have no spread: an sd below FLAT_SPREAD_TOL times
-    the largest |BLUE| is rounding noise, and so would be the ratio.
+    nan where the BLUEs have no spread: one BLUE has none, and an sd below
+    FLAT_SPREAD_TOL times the largest |BLUE| is rounding noise, and so
+    would be the ratio.
     """
-    spread = blues.std(axis=0, ddof=1)
+    spread = blues.std(axis=0, ddof=1) if len(blues) > 1 else \
+        np.full(blues.shape[1], np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.abs(blues - blups).mean(axis=0) / spread
     rel[spread <= FLAT_SPREAD_TOL * np.abs(blues).max(axis=0)] = np.nan

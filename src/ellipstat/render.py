@@ -128,6 +128,21 @@ class TextLayer:
 
 
 @dataclass(frozen=True)
+class Interleave:
+    """Arrow, ellipse and text layers of k elements each, drawn element by
+    element: element 0 of each member in order, then element 1 of each,
+    and so on. In all else the members are drawn as if one followed the
+    other in the scene."""
+    members: tuple
+
+    def __post_init__(self):
+        if not all(isinstance(m, (ArrowLayer, EllipseLayer, TextLayer))
+                   for m in self.members):
+            raise ValueError("an Interleave holds arrow, ellipse and text "
+                             "layers")
+
+
+@dataclass(frozen=True)
 class AxisLayer:
     style: Style = Style(stroke="#333333", width=1.0)
     ticks: int = 5
@@ -137,7 +152,7 @@ class AxisLayer:
 
 @dataclass(frozen=True)
 class Scene:
-    layers: list
+    layers: list                # layers and Interleaves, drawn in order
     viewport: tuple = None      # (xmin, xmax, ymin, ymax); auto if None
     size: tuple = (480, 480)
     aspect: str = "equal"       # 'equal' | 'free'
@@ -366,8 +381,15 @@ class Transform:
 MARGIN = {"left": 54.0, "right": 16.0, "top": 28.0, "bottom": 44.0}
 
 
-def _scene_transform(scene, arrow_ends):
-    viewport = scene.viewport or _auto_viewport(scene.layers, arrow_ends)
+def _flat(entries):
+    """The layers of a scene's entries, each Interleave's members in its
+    place."""
+    return [m for e in entries
+            for m in (e.members if isinstance(e, Interleave) else (e,))]
+
+
+def _scene_transform(scene, layers, arrow_ends):
+    viewport = scene.viewport or _auto_viewport(layers, arrow_ends)
     xmin, xmax, ymin, ymax = (float(v) for v in viewport)
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"viewport has no area: {viewport}")
@@ -558,10 +580,13 @@ def _text_lines(layers, starts, fields):
     """The elements of each TextLayer, one list per layer."""
     picked, at, _ = _rows_of(layers, starts, TextLayer)
     pos = iter(_tokens(fields, np.column_stack([2 * at, 2 * at + 1]).ravel()))
-    return [[f'<text x="{next(pos)}" y="{next(pos)}" text-anchor="{l.anchor}" '
-             f'font-family="monospace" font-size="{_fmt(l.size)}" '
-             f'fill="{l.style.fill}">{_escape(text)}</text>\n'
-             for text in l.texts] for l in (layers[i] for i in picked)]
+    out = []
+    for l in (layers[i] for i in picked):
+        attrs = (f'text-anchor="{l.anchor}" font-family="monospace" '
+                 f'font-size="{_fmt(l.size)}" fill="{l.style.fill}">')
+        out.append([f'<text x="{next(pos)}" y="{next(pos)}" {attrs}'
+                    f'{_escape(text)}</text>\n' for text in l.texts])
+    return out
 
 
 def _marker_lines(layers, starts, styles, fields):
@@ -584,11 +609,12 @@ def _marker_lines(layers, starts, styles, fields):
                    (fields, 2 * at + 1), (_table(tails), code)], cuts)
 
 
-def _arrow_lines(arrows, counts, has_tip, styles, fields, at):
-    """The elements of each ArrowLayer, one string per layer: per arrow
-    its shaft and its tip, a polygon blanked out of the arrows without
-    one. Fields at, at + 1, ... are the arrows' ends (x1, y1, x2, y2 per
-    arrow) and after them the tips' barbs (left x, y, right x, y)."""
+def _arrow_lines(arrows, counts, has_tip, styles, fields, at, apart):
+    """The elements of each ArrowLayer, one list of strings per layer, one
+    string per arrow for the layers whose ids are in apart: per arrow its
+    shaft and its tip, a polygon blanked out of the arrows without one.
+    Fields at, at + 1, ... are the arrows' ends (x1, y1, x2, y2 per arrow)
+    and after them the tips' barbs (left x, y, right x, y)."""
     if not arrows:
         return []
     k = len(has_tip)
@@ -606,7 +632,9 @@ def _arrow_lines(arrows, counts, has_tip, styles, fields, at):
     tails = _table([*(f'" {_filled(style).svg()}/>\n'
                       for style in kinds.values()), ""])
     comma, space = (_TIPPED[","], tip), (_TIPPED[" "], tip)
-    return _stamp([b'<line x1="', (fields, end[:, 0]), b'" y1="',
+    sizes = [[1] * c if id(a) in apart else [c]
+             for a, c in zip(arrows, counts)]
+    pieces = iter(_stamp([b'<line x1="', (fields, end[:, 0]), b'" y1="',
                    (fields, end[:, 1]), b'" x2="', (fields, end[:, 2]),
                    b'" y2="', (fields, end[:, 3]), (shafts, code),
                    (_TIPPED['<polygon points="'], tip), (fields, head[:, 0]),
@@ -614,7 +642,10 @@ def _arrow_lines(arrows, counts, has_tip, styles, fields, at):
                    comma, (fields, barb[:, 1]), space, (fields, barb[:, 2]),
                    comma, (fields, barb[:, 3]),
                    (tails, np.where(has_tip, code, len(kinds)))],
-                  [0, *itertools.accumulate(counts)])
+                  [0, *itertools.accumulate(itertools.chain(*sizes))]))
+    return [[*map("".join, itertools.islice(pieces, len(size)))]
+            if id(a) in apart else next(pieces)
+            for a, size in zip(arrows, sizes)]
 
 
 def render_scene(scene):
@@ -623,10 +654,11 @@ def render_scene(scene):
     Every pixel number the layers print is formatted by one _fmt_all
     call: the layers' own, then the arrow ends, the arrow barbs and the
     axes' numbers. The ellipses and polylines, the points and the arrows
-    are each stamped from those fields and byte literals in one _stamp."""
-    layers = scene.layers
+    are each stamped from those fields and byte literals in one _stamp.
+    An Interleave's members take their elements' strings in turns."""
+    layers = _flat(scene.layers)
     arrows, ends, counts = _scene_parts(layers)
-    tr, viewport = _scene_transform(scene, ends)
+    tr, viewport = _scene_transform(scene, layers, ends)
     px, starts = _layer_pixels(layers, tr)
     ends = tr.to_pixel(ends)
     barbs, has_tip = _arrow_barbs(ends)
@@ -646,8 +678,10 @@ def render_scene(scene):
                  for l, (xt, yt, nums) in zip(axes, numbers)]),
              EllipseLayer: paths, PolylineLayer: paths,
              PointsLayer: iter(_marker_lines(layers, starts, styles, fields)),
-             ArrowLayer: iter(_arrow_lines(arrows, counts, has_tip, styles,
-                                           fields, 2 * len(px))),
+             ArrowLayer: iter(_arrow_lines(
+                 arrows, counts, has_tip, styles, fields, 2 * len(px),
+                 {id(m) for e in scene.layers if isinstance(e, Interleave)
+                  for m in e.members})),
              TextLayer: iter(_text_lines(layers, starts, fields))}
     w, h = scene.size
     out = ['<?xml version="1.0" encoding="UTF-8" standalone="no"?>\n',
@@ -660,10 +694,15 @@ def render_scene(scene):
         out.append(f'<text x="{_fmt(w / 2)}" y="18" text-anchor="middle" '
                    f'font-family="monospace" font-size="13" fill="#000000">'
                    f'{_escape(scene.title)}</text>\n')
-    for layer in layers:
-        if type(layer) not in lines:
-            raise ValueError(f"unknown layer type {type(layer).__name__}")
-        out.extend(next(lines[type(layer)]))
+    for entry in scene.layers:
+        if isinstance(entry, Interleave):
+            out.extend(itertools.chain(*zip(*(next(lines[type(m)])
+                                              for m in entry.members),
+                                            strict=True)))
+        elif type(entry) in lines:
+            out.extend(next(lines[type(entry)]))
+        else:
+            raise ValueError(f"unknown layer type {type(entry).__name__}")
     out.append("</svg>\n")
     return "".join(out)
 
@@ -808,14 +847,12 @@ def build_canonical_he(ell_h, ell_e, can, names, vector_scale=None,
                               size=2.5))
     layers.append(TextLayer(can.group_means[:, :2],
                             [str(lab) for lab in can.group_labels], size=10.0))
-    for name, row in zip(names, can.structure):
-        head = (vector_scale * row[0], vector_scale * row[1])
-        layers.append(ArrowLayer((0.0, 0.0), head,
-                                 Style(stroke=PALETTE["accent"],
-                                       width=1.2)))
-        layers.append(TextLayer(head, [name],
-                                Style(stroke="none",
-                                      fill=PALETTE["accent"]), size=10.0))
+    heads = vector_scale * can.structure[:, :2]
+    layers.append(Interleave((
+        ArrowLayer(np.zeros_like(heads), heads,
+                   Style(stroke=PALETTE["accent"], width=1.2)),
+        TextLayer(heads, list(names),
+                  Style(stroke="none", fill=PALETTE["accent"]), size=10.0))))
     return Scene(layers=layers, title=title)
 
 
@@ -827,11 +864,11 @@ def build_ridge_trace(trace, names=("b1", "b2"), title=""):
                                             width=1.0, dash="4,3")))
     layers.append(PointsLayer(path, Style(stroke=PALETTE["data"]),
                               marker="dot", size=2.0))
-    for t in trace:
-        layers.append(EllipseLayer([t["ellipse"]],
-                                   Style(stroke=PALETTE["e"], width=1.2)))
-        layers.append(TextLayer((t["beta"][0], t["beta"][1]),
-                                [f' k={t["k"]:g}'], size=9.0))
+    layers.append(Interleave((
+        EllipseLayer([t["ellipse"] for t in trace],
+                     Style(stroke=PALETTE["e"], width=1.2)),
+        TextLayer([t["beta"][:2] for t in trace],
+                  [f' k={t["k"]:g}' for t in trace], size=9.0))))
     return Scene(layers=layers, title=title)
 
 
@@ -897,10 +934,9 @@ def build_meta_panel(stack, pooled, c2, blups=None, delta=None,
         arrow = Style(stroke=PALETTE["muted"], width=0.9)
         shrunk = Style(stroke=PALETTE["h"], width=1.0)
         betas = blups["beta"]
-        for y, beta, e in zip(stack.y, betas,
-                              ge.from_moments(c2 * blups["cov"], betas)):
-            layers.append(ArrowLayer(y, beta, arrow))
-            layers.append(EllipseLayer([e], shrunk))
+        layers.append(Interleave((
+            ArrowLayer(stack.y, betas, arrow),
+            EllipseLayer(ge.from_moments(c2 * blups["cov"], betas), shrunk))))
     return Scene(layers=layers, title=title)
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as hs
 
 from ellipstat import cli, datasets, kissing, linmod, mlm, render
 from ellipstat import distributions as dist
+from ellipstat import gellipsoid as ge
 from ellipstat import numkernel as nk
 from ellipstat import statellipse as st
 
@@ -126,10 +127,16 @@ def _outcome(parse, text):
              for name, col in table.columns.items()])
 
 
+# 20-digit mantissas, with and without a point, and an exponent
+_LONG = hs.tuples(hs.integers(10 ** 19, 10 ** 20 - 1).map(str),
+                  hs.sampled_from(["", "."]), hs.integers(-30, 30)).map(
+    lambda t: f"{t[0][:1]}{t[1]}{t[0][1:]}e{t[2]}")
 NUMBERS = hs.one_of(
     hs.floats(allow_nan=False, allow_infinity=False).map(repr),
-    hs.integers(-10 ** 6, 10 ** 6).map(str),
-    hs.sampled_from(["1_000", "٣", "١.٥", " 4 ", "\t5", "1e3", "-0", ".5"]))
+    hs.floats(-1e6, 1e6).map("%.6f".__mod__),
+    hs.integers(-10 ** 6, 10 ** 6).map(str), _LONG,
+    hs.sampled_from(["1_000", "٣", "١.٥", " 4 ", "\t5", "1e3", "-0", ".5",
+                     "1E5", "+1", "-.5", "5.", "1e400", "e", "-", "."]))
 NON_FINITE = hs.sampled_from(["nan", "inf", "-Infinity", "1e400", " NaN"])
 PLAIN = hs.one_of(
     hs.sampled_from(["x", "a b", "é", "", "\x00", "0x1", "2"]),
@@ -196,6 +203,33 @@ def test_bulk_split_reads_as_csv_reader(case):
     "a,b\n", "a\n1\n\n2\n", "a,b\n1,2\n\n", "a,b\n1,2,3\n", "a,b\n1\n"])
 def test_bulk_split_falls_back(text):
     assert datasets._split_plain(text) is None
+
+
+@pytest.mark.parametrize("text, numeric", [
+    ("a,b\n1.5,2\n-3e2,+4\n5.,-.5\n", True),
+    ("a\n12345678901234567890\n1E5\n", True),
+    ("a,b\n1,2\n1e400,3\n", True),           # the non-finite message
+    ("a,b\n1,e\n2,-\n", True),               # loadtxt refuses: text
+    ("a,b\n1,2\n3,4,5\n", True),             # a ragged row: the error
+    ("a,b,g\n1.5,2,x\n-3e2,+4,y\n", False),  # a text column
+    ("a,b\n1,2\n3,x\n", False)])             # text after the first row
+def test_numeric_plain_table_is_read_by_loadtxt(monkeypatch, text, numeric):
+    # a plain table of decimal bytes only is read in one np.loadtxt pass,
+    # into contiguous columns; any other is split and read with float()
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    assert _outcome(datasets._parse_table, text) == \
+        _outcome(_reader_table, text)
+    assert len(calls) == numeric
+    if numeric and not isinstance(_outcome(datasets._parse_table, text), str):
+        table = datasets._parse_table(text, "t.csv")
+        assert all(col.flags.c_contiguous for col in table.columns.values()
+                   if isinstance(col, np.ndarray))
 
 
 @pytest.mark.parametrize("name", datasets.list_fixtures())
@@ -616,9 +650,13 @@ def test_meta_geometry_runs_once_per_stack(tmp_path, monkeypatch):
         assert sorted(traced) == [(32, n_ellipses), (64, n_ellipses)]
         assert checked == [(n, 2, 2)]
         [scene] = scenes
-        assert len(scene.layers) == 2 * n + 7
-        assert [type(l).__name__ for l in scene.layers[7:9]] == \
+        # the n arrows and BLUP ellipses are one Interleave of two layers
+        # of n elements, after the 7 entries of the studies and the pool
+        assert len(scene.layers) == 8
+        [arrows, shrunk] = scene.layers[7].members
+        assert [type(arrows).__name__, type(shrunk).__name__] == \
             ["ArrowLayer", "EllipseLayer"]
+        assert np.shape(arrows.tail) == (n, 2) and len(shrunk.centers) == n
         counts[n] = len(eighs)
     assert counts == {20: 7, 200: 7}
 
@@ -799,6 +837,41 @@ def test_blup_relative_shrinkage_nan_without_spread(tmp_path):
                for c in d["clusters"])
     assert d["relative_shrinkage_slope"] == "nan"
     assert 0.0 <= d["relative_shrinkage_intercept"] < 1.0
+
+
+def test_blup_on_one_cluster_has_no_shrinkage(tmp_path):
+    # one cluster's BLUE has no spread: both ratios are nan, with no numpy
+    # warning (a given G, as the moment G needs two clusters)
+    src = tmp_path / "one.csv"
+    src.write_text("school,cses,mathach\nt1,0.13,12.69\nt1,1.30,16.45\n"
+                   "t1,0.10,11.55\n")
+    out = tmp_path / "b.json"
+    assert run_cli(["blup", "--data", str(src), "--group", "school", "--x",
+                    "cses", "--response", "mathach", "--g-diag", "6.25,0.64",
+                    "--json", str(out)]) == 0
+    d = read_json(out)
+    assert d["n_clusters"] == 1
+    assert d["relative_shrinkage_intercept"] == "nan"
+    assert d["relative_shrinkage_slope"] == "nan"
+
+
+@pytest.mark.parametrize("g_diag", [[], ["--g-diag", "6.25,0.64"]])
+def test_blup_refuses_blue_variances_beyond_the_double_range(tmp_path,
+                                                             capsys, g_diag):
+    # x near 1e-150 and y near 1e21: a slope variance near 1e342 is exit 2
+    # with one message, where numpy used to warn of an overflow
+    src = tmp_path / "far.csv"
+    src.write_text("school,cses,mathach\n"
+                   "t1,1.257302210933933e-151,1.2690538476594164e+21\n"
+                   "t1,1.3040000451301373e-150,1.6450426803276834e+21\n"
+                   "t1,1.0490011715303971e-151,1.1552506601469862e+21\n")
+    out = tmp_path / "b.json"
+    assert run_cli(["blup", "--data", str(src), "--group", "school", "--x",
+                    "cses", "--response", "mathach", *g_diag, "--json",
+                    str(out)]) == 2
+    assert "the variances of the cluster BLUEs overflow" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_blup_moment_g_matches_formula(tmp_path):
@@ -1059,11 +1132,14 @@ def test_avp_regresses_three_times(tmp_path, monkeypatch):
 
 
 def test_figure_statistics_computed_once(tmp_path, monkeypatch):
-    # the scene reuses the payload's ellipsoids instead of refitting them
-    ells = _count_calls(monkeypatch, st, "data_ellipsoid")
+    # the scene reuses the payload's moments and ellipsoid instead of
+    # refitting them
+    moments = _count_calls(monkeypatch, st, "mean_cov")
+    ells = _count_calls(monkeypatch, ge, "from_moment")
     assert run_cli(["data-ellipse", "--data", "galton", "--level", "0.95",
                     "--json", str(tmp_path / "d.json"),
                     "--svg", str(tmp_path / "d.svg")]) == 0
+    assert len(moments) == 1
     assert len(ells) == 3               # one per drawn level
     conf = _count_calls(monkeypatch, linmod, "confidence_ellipsoid")
     assert run_cli(["betaspace", "--data", "synthetic-coffee", "--response",

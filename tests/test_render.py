@@ -85,8 +85,9 @@ def test_render_rejects_zero_area_viewport():
 
 def _transform(scene):
     # the transform and viewport render_scene draws the scene with
-    return render._scene_transform(scene,
-                                   render._scene_parts(scene.layers)[1])
+    layers = render._flat(scene.layers)
+    return render._scene_transform(scene, layers,
+                                   render._scene_parts(layers)[1])
 
 
 def test_unit_circle_pixel_bounding_box():
@@ -313,9 +314,15 @@ def _ref_auto_viewport(layers):
             ymax + pad * dy)
 
 
+def _ref_layers(scene):
+    """The scene's layers, each Interleave's members in its place."""
+    return [m for entry in scene.layers
+            for m in getattr(entry, "members", [entry])]
+
+
 def _ref_scene_transform(scene):
     margin = render.MARGIN
-    viewport = scene.viewport or _ref_auto_viewport(scene.layers)
+    viewport = scene.viewport or _ref_auto_viewport(_ref_layers(scene))
     xmin, xmax, ymin, ymax = (float(v) for v in viewport)
     w, h = scene.size
     avail_w = w - margin["left"] - margin["right"]
@@ -422,6 +429,33 @@ def _ref_render_axis(layer, tr, viewport, out):
                    f'{escape(layer.label_y)}</text>')
 
 
+def _ref_elements(layer, tr):
+    """The lines of each element of an ellipse, arrow or text layer: one
+    polygon per ellipse, a shaft and maybe a tip per arrow, one text per
+    text."""
+    fmt = render._fmt
+    if isinstance(layer, render.EllipseLayer):
+        return [[_ref_polyline_svg(tr.to_pixel(_ref_ellipse_path(e, layer.n)),
+                                   layer.style, closed=True)]
+                for e in layer.ellipses]
+    if isinstance(layer, render.ArrowLayer):
+        elements = []
+        for tail, head in _ref_arrows(layer):
+            elements.append([])
+            _ref_render_arrow(tail, head, layer.style, tr, elements[-1])
+        return elements
+    elements = []
+    for pos, text in zip(layer.pos, layer.texts):
+        p = tr.to_pixel([pos])[0]
+        elements.append([f'<text x="{fmt(p[0])}" y="{fmt(p[1])}" '
+                         f'text-anchor="{layer.anchor}" '
+                         f'font-family="monospace" '
+                         f'font-size="{fmt(layer.size)}" '
+                         f'fill="{layer.style.fill}">'
+                         f'{render._escape(text)}</text>'])
+    return elements
+
+
 def reference_render_scene(scene):
     fmt = render._fmt
     tr, viewport = _ref_scene_transform(scene)
@@ -439,10 +473,15 @@ def reference_render_scene(scene):
     for layer in scene.layers:
         if isinstance(layer, render.AxisLayer):
             _ref_render_axis(layer, tr, viewport, out)
-        elif isinstance(layer, render.EllipseLayer):
-            for e in layer.ellipses:
-                pts = tr.to_pixel(_ref_ellipse_path(e, layer.n))
-                out.append(_ref_polyline_svg(pts, layer.style, closed=True))
+        elif isinstance(layer, (render.EllipseLayer, render.ArrowLayer,
+                                render.TextLayer)):
+            for lines in _ref_elements(layer, tr):
+                out.extend(lines)
+        elif isinstance(layer, render.Interleave):
+            # element 0 of each member, then element 1 of each, ...
+            for turn in zip(*(_ref_elements(m, tr) for m in layer.members)):
+                for lines in turn:
+                    out.extend(lines)
         elif isinstance(layer, render.PolylineLayer):
             pts = np.asarray(layer.points, dtype=float)
             if len(pts) >= 2:
@@ -450,18 +489,6 @@ def reference_render_scene(scene):
                                              layer.closed))
         elif isinstance(layer, render.PointsLayer):
             _ref_render_points(layer, tr, out)
-        elif isinstance(layer, render.ArrowLayer):
-            for tail, head in _ref_arrows(layer):
-                _ref_render_arrow(tail, head, layer.style, tr, out)
-        elif isinstance(layer, render.TextLayer):
-            for pos, text in zip(layer.pos, layer.texts):
-                p = tr.to_pixel([pos])[0]
-                out.append(f'<text x="{fmt(p[0])}" y="{fmt(p[1])}" '
-                           f'text-anchor="{layer.anchor}" '
-                           f'font-family="monospace" '
-                           f'font-size="{fmt(layer.size)}" '
-                           f'fill="{layer.style.fill}">'
-                           f'{render._escape(text)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -566,7 +593,33 @@ def _arrow_array(draw):
     return render.ArrowLayer(tails, heads, draw(_style))
 
 
+@hs.composite
+def _interleave(draw):
+    # two or three layers of k elements each, drawn element by element:
+    # arrows with ellipses, ellipses with texts, arrows with texts, or all
+    k = draw(hs.integers(0, 8))
+    arrows = draw(hs.lists(_arrow_ends(), min_size=k, max_size=k))
+    pos = draw(_points(k, k))
+    layers = {
+        "arrow": render.ArrowLayer(
+            np.array([t for t, _ in arrows], dtype=float).reshape(-1, 2),
+            np.array([h for _, h in arrows], dtype=float).reshape(-1, 2),
+            draw(_style)),
+        "ellipse": render.EllipseLayer(
+            draw(hs.lists(_ellipse(), min_size=k, max_size=k)), draw(_style),
+            n=draw(hs.sampled_from([5, 32, 64]))),
+        "text": render.TextLayer(pos, draw(hs.lists(
+            hs.sampled_from(["a", "<b> & c"]), min_size=k, max_size=k)),
+            size=draw(hs.sampled_from([9.0, 12])))}
+    kinds = draw(hs.sampled_from([("arrow", "ellipse"), ("ellipse", "text"),
+                                  ("arrow", "text"),
+                                  ("arrow", "ellipse", "text")]))
+    return render.Interleave(tuple(layers[kind]
+                                   for kind in draw(hs.permutations(kinds))))
+
+
 _layer = hs.one_of(
+    _interleave(),
     _ellipse_layer(),
     _ellipse_layer(max_size=8),
     hs.builds(render.PointsLayer, hs.one_of(_points(0, 6), _wide_points()),
