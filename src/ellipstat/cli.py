@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 from json.encoder import encode_basestring_ascii as _json_str
@@ -23,13 +24,17 @@ from .numkernel import InputError, cov_to_corr
 # ------------------------------------------------------------- data table
 
 def load_csv(path):
-    """Load a UTF-8 CSV file: header row, comma separators, '.' decimals."""
+    """Load a UTF-8 CSV file: header row, comma separators, '.' decimals.
+    The file is opened with newline="", as csv.reader needs, so a quoted
+    CR LF stays in its cell; a CR alone ends a line, as an LF does."""
     from . import datasets
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", newline="") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:   # the CSV reader takes text whose lines end in LF
+        text = re.sub("\r(?!\n)", "\n", text)
     return datasets._parse_table(text, path)
 
 
@@ -132,15 +137,19 @@ def _emit(args, payload, scene=None):
     # fails leaves no output behind; scene, a zero-argument builder, is
     # called only when an SVG is written
     texts = [(getattr(args, "json", None), dump_json(payload))]
-    if scene is not None and getattr(args, "svg", None):
+    svg = getattr(args, "svg", None)
+    if scene is not None and svg:
         from . import render
-        texts.append((args.svg, render.render_scene(scene())))
+        texts.append((svg, render.render_scene(scene())))
     for path, text in texts:
         if not path:
             sys.stdout.write(text)
             continue
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
+    if scene is None and svg:
+        print(f"ellip: {args.command} draws no figure; --svg {svg} not "
+              f"written", file=sys.stderr)
 
 
 def _ellipsoid_payload(e):

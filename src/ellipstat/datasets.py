@@ -1,11 +1,11 @@
 # Bundled example data, seeded generators and the one CSV reader. CSV
-# fixtures ship with the package; the generated fixtures are deterministic
-# functions of their seeds, materialized on first demand and kept for the
-# process (their text is immutable). ELLIP_FIXTURES overrides the
-# directory searched for the CSV files, so those are read afresh on every
-# call. _parse_table reads any CSV text, a fixture's or a --data file's,
-# into a DataTable.
+# fixtures ship with the package; generated fixtures are deterministic in
+# their seeds, made on first demand and kept (their text is immutable).
+# The CSV files are read on every call, as ELLIP_FIXTURES may move them.
+# _parse_table reads any CSV text, a fixture's or a --data file's, into a
+# DataTable: a plain table in one typed np.loadtxt pass, else csv.reader.
 
+import contextlib
 import csv
 import functools
 import io
@@ -70,7 +70,11 @@ class DataTable:
                 if isinstance(self.columns[h], np.ndarray)]
 
 
-_DECIMAL = b"0123456789.+-eE,\n"
+def _float_or_object(cell):
+    try:
+        return type(float(cell))
+    except ValueError:
+        return object
 
 
 def _split_plain(text):
@@ -78,9 +82,9 @@ def _split_plain(text):
     without csv.reader, or None unless that provably reads the text as
     csv.reader does: None on a quote, a CR not followed by LF, an empty
     header, no data rows, a blank line, a line whose comma count is not
-    the header's, or a line longer than csv.field_size_limit(). A body of
-    decimal numbers only is read in one np.loadtxt pass, into one float
-    array per column, when numpy reads it whole."""
+    the header's, or a line longer than csv.field_size_limit(). One typed
+    np.loadtxt pass reads a column as floats where float() reads its first
+    cell, as text otherwise; on any error the lines are split instead."""
     if '"' in text:
         return None
     if "\r" in text:
@@ -97,26 +101,22 @@ def _split_plain(text):
     # ',' and '\n' are single bytes in UTF-8 and occur in no other
     # character's encoding, so the line lengths in bytes bound those in
     # characters from above
-    data = body.encode("utf-8", "surrogatepass")
-    raw = np.frombuffer(data, np.uint8)
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
     ends = np.concatenate([np.flatnonzero(raw == 10), [raw.size]])
     lengths = np.diff(ends, prepend=-1) - 1
     if lengths.min() == 0 or lengths.max() > limit:
         return None
-    # loadtxt and float() parse these bytes with the one C routine
-    # (PyOS_string_to_double); the first row decides most text tables.
-    # loadtxt reads rows of one field count only, so (n, width) rows
-    # pass the comma count below
-    if not (data[:ends[0]].translate(None, _DECIMAL)
-            or data.translate(None, _DECIMAL)):
-        try:
-            table = np.loadtxt(io.StringIO(body), delimiter=",",
-                               comments=None, ndmin=2)
-        except ValueError:
-            table = None
-        if table is not None and table.shape == (ends.size, width):
-            return header, [table[:, j].copy() for j in range(width)], \
-                ends.size
+    # numpy reads a number as float() does (PyOS_string_to_double), but
+    # also strips \x1c-\x1f; what only float() reads (1_000, ٣) raises
+    first = body.partition("\n")[0].split(",")
+    if len(first) == width and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        dtype = [(f"f{j}", _float_or_object(c)) for j, c in enumerate(first)]
+        with contextlib.suppress(ValueError):
+            table = np.loadtxt(io.StringIO(body), dtype, delimiter=",",
+                               comments=None, quotechar=None, ndmin=1)
+            if table.shape == (ends.size,):
+                return header, [table[f].copy() if k is float else
+                                table[f].tolist() for f, k in dtype], ends.size
     commas = np.searchsorted(np.flatnonzero(raw == 44), ends)
     if (np.diff(commas, prepend=0) != width - 1).any():
         return None

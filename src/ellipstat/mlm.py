@@ -3,8 +3,9 @@
 # and Roy-significance), additive contrast decomposition, and canonical
 # discriminant projections.
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,8 +91,20 @@ def manova_design(gs):
 
 
 def manova_fit(gs):
-    """The one-way MANOVA fit of a grouped sample, and its group labels."""
-    return mlm_fit(manova_design(gs), gs.data, names=gs.names), list(gs.labels)
+    """The one-way MANOVA fit of a grouped sample, and its group labels.
+
+    A constant response gets its exact fit, its value as every group mean
+    and no residual, which rounding in the solve would blur into an SSCP
+    that looks positive definite.
+    """
+    fit = mlm_fit(manova_design(gs), gs.data, names=gs.names)
+    const = (gs.data == gs.data[0]).all(axis=0)
+    if const.any():
+        coef, e_mat = fit.coef.copy(), fit.e_mat.copy()
+        coef[:, const] = gs.data[0, const]
+        e_mat[const] = e_mat[:, const] = 0.0
+        fit = replace(fit, coef=coef, e_mat=e_mat)
+    return fit, list(gs.labels)
 
 
 def overall_hypothesis(n_groups):
@@ -261,11 +274,14 @@ def contrast_decompose(fit, hyps, overall=None):
                              label="overall")
     h_all, _ = hypothesis_matrices(fit, overall)
     resid = float(np.abs(sum(h_list) - h_all).max())
+    scale = float(np.abs(h_all).max())
     if not orthogonal:
         warnings.warn("contrasts are not pairwise orthogonal; "
                       "additivity is not guaranteed", stacklevel=2)
+    # parts of a zero H add up to it only when they are zero themselves
     return {"h_parts": h_list, "h_overall": h_all, "residual": resid,
-            "relative": resid / float(np.abs(h_all).max()),
+            "relative": resid / scale if scale else
+            math.inf if resid else 0.0,
             "orthogonal": orthogonal}
 
 

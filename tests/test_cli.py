@@ -42,6 +42,21 @@ def test_load_csv_types(tmp_path):
     assert table.categorical("c") == ["2.5", "3.5"]
 
 
+def test_load_csv_keeps_a_quoted_crlf(tmp_path):
+    # the file is opened with newline="", as csv.reader needs: a quoted
+    # CR LF stays in its cell, and LF, CR LF and lone CR line ends read
+    # alike, in a plain table and in a quoted one
+    p = tmp_path / "q.csv"
+    p.write_bytes(b'a,b\n1,"x\r\ny"\n2,z\n')
+    assert cli.load_csv(str(p)).categorical("b") == ["x\r\ny", "z"]
+    for lf in ("a,b\n1,x\n2,y\n", 'a,b\n1,"x,y"\n2,z\n'):
+        want = _outcome(datasets._parse_table, lf)
+        for eol in ("\n", "\r\n", "\r"):
+            p.write_bytes(lf.replace("\n", eol).encode())
+            assert _outcome(lambda text, source: cli.load_csv(str(p)),
+                            None) == want
+
+
 def test_load_csv_ragged_row_reports_line(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1,2\n3\n")
@@ -205,28 +220,36 @@ def test_bulk_split_falls_back(text):
     assert datasets._split_plain(text) is None
 
 
-@pytest.mark.parametrize("text, numeric", [
-    ("a,b\n1.5,2\n-3e2,+4\n5.,-.5\n", True),
-    ("a\n12345678901234567890\n1E5\n", True),
-    ("a,b\n1,2\n1e400,3\n", True),           # the non-finite message
-    ("a,b\n1,e\n2,-\n", True),               # loadtxt refuses: text
-    ("a,b\n1,2\n3,4,5\n", True),             # a ragged row: the error
-    ("a,b,g\n1.5,2,x\n-3e2,+4,y\n", False),  # a text column
-    ("a,b\n1,2\n3,x\n", False)])             # text after the first row
-def test_numeric_plain_table_is_read_by_loadtxt(monkeypatch, text, numeric):
-    # a plain table of decimal bytes only is read in one np.loadtxt pass,
-    # into contiguous columns; any other is split and read with float()
-    calls = []
+@pytest.mark.parametrize("text, calls", [
+    ("a,b\n1.5,2\n-3e2,+4\n5.,-.5\n", 1),
+    ("a\n12345678901234567890\n1E5\n", 1),
+    ("a,b\n1,2\n1e400,3\n", 1),           # the non-finite message
+    ("a,b\n1,e\n2,-\n", 1),               # a text column
+    ("g,a,b\nx,1.5,2\ny,-3e2,+4\n", 1),   # the text column first,
+    ("a,g,b\n1.5,x,2\n-3e2,y,+4\n", 1),   # in the middle
+    ("a,b,g\n1.5,2,x\n-3e2,+4,y\n", 1),   # and last
+    ("a,g\n1.5,1\n-3e2,2\n4,1\n", 1),     # numeric group labels
+    ("a,b\n1,2\n3,4,5\n", 1),             # a ragged row: the error
+    ("a,b\n1,2\n3,x\n", 1),               # text after the first row
+    ("a,b\n1_000,2\n3,4\n", 1),           # float() reads, numpy does not
+    ("a,b\n\u0663,2\n3,4\n", 1),
+    ("a,b\n 4 ,2\n3,\t5\n", 1),           # both strip the blanks
+    ("a,b\n1,2\n3,\x1c4\n", 0)])          # numpy alone strips \x1c
+def test_every_plain_table_is_read_by_one_loadtxt(monkeypatch, text, calls):
+    # a plain table is read in one typed np.loadtxt pass, float columns
+    # contiguous; on an error it is split and read with float(), and the
+    # outcome is csv.reader's either way
+    seen = []
     loadtxt = np.loadtxt
 
     def spy(*args, **kwargs):
-        calls.append(args)
+        seen.append(args)
         return loadtxt(*args, **kwargs)
     monkeypatch.setattr(np, "loadtxt", spy)
-    assert _outcome(datasets._parse_table, text) == \
-        _outcome(_reader_table, text)
-    assert len(calls) == numeric
-    if numeric and not isinstance(_outcome(datasets._parse_table, text), str):
+    outcome = _outcome(datasets._parse_table, text)
+    assert outcome == _outcome(_reader_table, text)
+    assert len(seen) == calls
+    if not isinstance(outcome, str):
         table = datasets._parse_table(text, "t.csv")
         assert all(col.flags.c_contiguous for col in table.columns.values()
                    if isinstance(col, np.ndarray))
@@ -939,17 +962,22 @@ def test_one_group_is_exit_2(tmp_path, capsys, argv):
     assert not svg.exists() and not out.exists()
 
 
-def test_canonical_figure_of_two_groups_is_exit_2(tmp_path, capsys):
-    # two groups give one canonical dimension: the JSON is still there
-    # without --svg, but a figure cannot be drawn and nothing is written
+def _two_species(tmp_path):
+    """The path of the iris rows other than setosa's."""
     rows = datasets.fixture_csv_text("iris").splitlines()
     p = tmp_path / "two.csv"
     p.write_text("\n".join([rows[0]] + [r for r in rows[1:]
                                         if not r.endswith("setosa")]) + "\n",
                  encoding="utf-8")
+    return str(p)
+
+
+def test_canonical_figure_of_two_groups_is_exit_2(tmp_path, capsys):
+    # two groups give one canonical dimension: the JSON is still there
+    # without --svg, but a figure cannot be drawn and nothing is written
     svg, out = tmp_path / "c.svg", tmp_path / "c.json"
-    argv = ["canonical", "--data", str(p), "--group", "Species",
-            "--json", str(out)]
+    argv = ["canonical", "--data", _two_species(tmp_path), "--group",
+            "Species", "--json", str(out)]
     assert run_cli(argv + ["--svg", str(svg)]) == 2
     assert capsys.readouterr().err == (
         "ellip: input error: the canonical HE plot needs two canonical "
@@ -957,6 +985,30 @@ def test_canonical_figure_of_two_groups_is_exit_2(tmp_path, capsys):
     assert not svg.exists() and not out.exists()
     assert run_cli(argv) == 0
     assert len(read_json(out)["lambdas"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--data", "iris", "--group", "Species"],
+    ["measure-error", "--data", "galton", "--response", "child", "--x",
+     "parent", "--reps", "2"],
+    ["contrasts", "--data", "iris", "--group", "Species",
+     "--contrast=1,-1,0"],
+    ["lda", "--group", "Species"],
+    ["bayes", "--data", "galton", "--response", "child"],
+    ["blup", "--data", "hsb-sample", "--group", "school", "--x", "cses",
+     "--response", "mathach", "--g-diag", "6.25,0.64"],
+    ["gell", "--matrix", "2,1;1,2"],
+    ["fixtures"]], ids=lambda argv: argv[0])
+def test_svg_without_a_figure_is_noted(tmp_path, capsys, argv):
+    # the eight subcommands that draw no figure keep --svg, exit 0 and
+    # write the JSON, and say on stderr that they wrote no SVG
+    if argv[0] == "lda":
+        argv = [*argv, "--data", _two_species(tmp_path)]
+    svg, out = tmp_path / "f.svg", tmp_path / "f.json"
+    assert run_cli([*argv, "--json", str(out), "--svg", str(svg)]) == 0
+    assert capsys.readouterr().err == (
+        f"ellip: {argv[0]} draws no figure; --svg {svg} not written\n")
+    assert out.exists() and not svg.exists()
 
 
 def test_kiss_figure_with_ticks_finer_than_an_ulp(tmp_path):

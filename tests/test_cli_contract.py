@@ -1,11 +1,15 @@
-"""The CLI contract as a property, for `meta` and `blup`: every generated
-table exits 0, 2 or 3 within a bound and without a traceback, a call that
-does not exit 0 writes no file, and an exit-0 JSON has no bare NaN or
-Infinity token.
+"""The CLI contract as a property, for `meta`, `blup` and the grouped
+subcommands `heplot`, `contrasts`, `canonical`, `lda` and `decompose`:
+every generated table exits 0, 2 or 3 within a bound and without a
+traceback, a call that does not exit 0 writes no file, an exit-0 JSON has
+no bare NaN or Infinity token, and on exit 0 a subcommand with a figure
+writes its SVG while one without says on stderr that it wrote none.
 
 The tables have 1 to 30 studies or clusters, magnitudes from 1e-150 to
 1e150, repeated and numeric labels and, now and then, a covariance that is
-not positive definite or a cluster of one row.
+not positive definite or a cluster of one row; the grouped tables have
+the group column in any position, text or numeric labels, one group or
+more, and now and then a constant column.
 """
 
 import contextlib
@@ -69,6 +73,37 @@ def blup_tables(draw):
                                            *rows]) + "\n"
 
 
+@hs.composite
+def grouped_tables(draw):
+    """A table of 1 to 4 responses and a group column in any position, and
+    its number of groups."""
+    p = draw(hs.integers(1, 4))
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    names = draw(hs.lists(LABELS, min_size=1, max_size=5, unique=True))
+    sizes = draw(hs.lists(hs.sampled_from([1] + [*range(2, 13)] * 3),
+                          min_size=len(names), max_size=len(names)))
+    groups = rng.permutation(np.repeat(np.arange(len(names)), sizes))
+    # one unit for all columns, or now and then one unit per column
+    scales = np.array(draw(hs.one_of(
+        _scales.map(lambda s: [s] * p), _scales.map(lambda s: [s] * p),
+        hs.lists(_scales, min_size=p, max_size=p))))
+    shift = rng.normal(0.0, 1.0, (len(names), p))
+    y = (shift[groups] + rng.normal(0.0, 1.0, (groups.size, p))) * scales
+    for j in range(p):
+        if draw(hs.sampled_from([False] * 5 + [True])):
+            y[:, j] = y[0, j]           # a constant column
+    at = draw(hs.integers(0, p))        # the group column's position
+    header = [f"y{j + 1}" for j in range(p)]
+    header.insert(at, "grp")
+    rows = []
+    for k, row in zip(groups, y):
+        cells = _cells(row)
+        cells.insert(at, names[k])
+        rows.append(cells)
+    text = "\n".join(",".join(r) for r in [header, *rows]) + "\n"
+    return text, len(names)
+
+
 def _refuse(token):
     raise ValueError(f"bare {token} in the JSON")
 
@@ -105,6 +140,10 @@ def _check_contract(tmp_path, argv, table, figure=True):
     if figure:
         assert out_svg.read_text(encoding="utf-8").rstrip().endswith(
             "</svg>")
+    else:
+        assert not out_svg.exists()
+        assert err.getvalue() == (f"ellip: {argv[0]} draws no figure; "
+                                  f"--svg {out_svg} not written\n")
 
 
 _SETTINGS = settings(max_examples=200, deadline=None, database=None,
@@ -123,7 +162,18 @@ def test_meta_keeps_the_cli_contract(tmp_path, table, model):
 @given(blup_tables(), hs.sampled_from([[], ["--g-diag", "6.25,0.64"],
                                        ["--g-diag", "0,0"]]))
 def test_blup_keeps_the_cli_contract(tmp_path, table, g_diag):
-    # blup draws no figure
     _check_contract(tmp_path, ["blup", "--group", "school", "--x", "cses",
                                "--response", "mathach", *g_diag], table,
                     figure=False)
+
+
+@_SETTINGS
+@given(grouped_tables(), hs.sampled_from(["heplot", "canonical", "contrasts",
+                                          "lda", "decompose"]))
+def test_grouped_subcommands_keep_the_cli_contract(tmp_path, case, command):
+    table, g = case
+    argv = [command, "--group", "grp"]
+    if command == "contrasts":          # one weight per group
+        argv.append("--contrast=" + ",".join(["1", "-1", "0", "0", "0"][:g]))
+    _check_contract(tmp_path, argv, table,
+                    figure=command in ("heplot", "canonical"))

@@ -248,6 +248,34 @@ def test_single_contrast_identity(iris_fit):
     assert dec["residual"] == pytest.approx(0.0, abs=1e-10)
 
 
+def test_constant_response_is_fitted_exactly():
+    # rounding in the solve used to leave a constant response a residual
+    # SSCP near 1e-32 that passed as positive definite, and group means
+    # off by an ulp: the tests of H against E then read noise
+    gs = grouped({"a": np.full((3, 2), [0.1, 7.0]),
+                  "b": np.column_stack([np.full(4, 0.1), np.arange(4.0)])})
+    fit, _ = mlm.manova_fit(gs)
+    assert (fit.coef[:, 0] == 0.1).all()
+    assert (fit.e_mat[0] == 0).all() and (fit.e_mat[:, 0] == 0).all()
+    h, e = mlm.hypothesis_matrices(fit, mlm.overall_hypothesis(2))
+    assert (h[0] == 0).all()
+    with pytest.raises(nk.NotPositiveDefiniteError):
+        mlm.test_stats(h, e, 1, fit.df_e)
+
+
+def test_contrast_parts_of_a_zero_h():
+    # every group mean equal: H is zero, so its parts add up to it only
+    # when they are zero too (relative 0), else relative is inf; it used
+    # to divide by max|H| = 0
+    gs = grouped({"a": np.full((3, 1), 1e-150), "b": np.full((4, 1), 1e-150)})
+    fit, _ = mlm.manova_fit(gs)
+    zero = mlm.contrast_decompose(fit, [mlm.Hypothesis([[1.0, -1.0]])])
+    assert (zero["h_overall"] == 0).all() and zero["relative"] == 0.0
+    mean = mlm.contrast_decompose(fit, [mlm.Hypothesis([[1.0, 1.0]])],
+                                  overall=mlm.overall_hypothesis(2))
+    assert mean["residual"] > 0 and mean["relative"] == np.inf
+
+
 def test_permuted_group_labels_same_overall_h(iris_grouped):
     relabeled = grouped(dict(zip(["z", "m", "a"], iris_grouped.split())))
     fit1, _ = mlm.manova_fit(iris_grouped)
