@@ -93,16 +93,17 @@ def manova_design(gs):
 def manova_fit(gs):
     """The one-way MANOVA fit of a grouped sample, and its group labels.
 
-    A constant response gets its exact fit, its value as every group mean
-    and no residual, which rounding in the solve would blur into an SSCP
-    that looks positive definite.
+    A response constant within each group gets its exact fit, each
+    group's value as its mean and no residual, which rounding in the solve
+    would blur into an SSCP that looks positive definite.
     """
     fit = mlm_fit(manova_design(gs), gs.data, names=gs.names)
-    const = (gs.data == gs.data[0]).all(axis=0)
-    if const.any():
+    first = gs.data[gs.ends - gs.counts]
+    exact = (gs.data == np.repeat(first, gs.counts, axis=0)).all(axis=0)
+    if exact.any():
         coef, e_mat = fit.coef.copy(), fit.e_mat.copy()
-        coef[:, const] = gs.data[0, const]
-        e_mat[const] = e_mat[:, const] = 0.0
+        coef[:, exact] = first[:, exact]
+        e_mat[exact] = e_mat[:, exact] = 0.0
         fit = replace(fit, coef=coef, e_mat=e_mat)
     return fit, list(gs.labels)
 

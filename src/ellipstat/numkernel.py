@@ -230,13 +230,19 @@ def negligible_eig(lam, lam_max):
     return lam <= NEGLIGIBLE_EIG * np.maximum(lam_max, TINY)
 
 
+def pow2_scaled(x, axis=-2):
+    """x with each slice along axis (by default each column) scaled by the
+    power of two that brings its largest entry into [0.5, 1): that changes
+    no bit of a product or ratio where the raw squares stay in the double
+    range, and keeps them in it elsewhere. A zero slice stays as it is."""
+    _, e = np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))
+    return np.ldexp(x, -e)
+
+
 def unit_columns(x):
     """x, or each matrix of a stack, with its nonzero columns scaled to
-    unit length. A column is first scaled by the power of two that brings
-    its largest entry into [0.5, 1): that changes no bit where the raw
-    squares stay in the double range, and keeps them in it elsewhere."""
-    _, e = np.frexp(np.abs(x).max(axis=-2, keepdims=True, initial=0.0))
-    x = np.ldexp(x, -e)
+    unit length, after pow2_scaled."""
+    x = pow2_scaled(x)
     norms = np.linalg.norm(x, axis=-2, keepdims=True)
     return x / np.where(norms > 0, norms, 1.0)
 

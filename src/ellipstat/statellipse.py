@@ -3,8 +3,7 @@
 # decompositions and the within/between/marginal slope triad.
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain, repeat
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -70,30 +69,28 @@ def group_rows(labels):
 class GroupedSample:
     """A sample whose rows carry group labels, held as one matrix.
 
-    Construction sorts the rows of data, and their labels in groups, by
-    label (group_rows). labels are then the distinct labels in that order
-    and ends[k] is where the rows of group labels[k] end. Every group needs
-    at least two rows.
+    Construction sorts the rows of data by their labels in groups
+    (group_rows), which are not kept. labels are then the distinct labels
+    in that order and ends[k] is where the rows of group labels[k] end.
+    Every group needs at least two rows.
     """
     data: np.ndarray            # n x p
-    groups: tuple               # one label per row
+    groups: InitVar[tuple]      # one label per row
     names: tuple = ()
     labels: tuple = field(init=False)
     ends: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        if len(self.groups) != len(self.data):
+    def __post_init__(self, groups):
+        if len(groups) != len(self.data):
             raise nk.InputError("need one group label per row")
-        labels, rows, ends = group_rows(self.groups)
+        labels, rows, ends = group_rows(groups)
         counts = np.diff(ends, prepend=0).tolist()
         for lab, n_i in zip(labels, counts):
             if n_i < 2:
                 raise nk.InputError(f"group {str(lab)!r} has 1 row; "
                                     "a group needs at least two")
         whole = Sample(self.data, self.names)
-        groups = tuple(chain.from_iterable(
-            repeat(lab, n_i) for lab, n_i in zip(labels, counts)))
-        for name, value in (("data", whole.data[rows]), ("groups", groups),
+        for name, value in (("data", whole.data[rows]),
                             ("names", whole.names), ("labels", tuple(labels)),
                             ("ends", ends)):
             object.__setattr__(self, name, value)

@@ -289,6 +289,38 @@ def test_numerical_failure_is_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_canonical_of_a_response_constant_within_groups_is_exit_3(
+        tmp_path, capsys):
+    # E is exactly zero: this used to exit 0 with lambdas near 2e30
+    data = tmp_path / "steps.csv"
+    data.write_text("y1,grp\n1,a\n1,a\n2,b\n2,b\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    code = run_cli(["canonical", "--data", str(data), "--group", "grp",
+                    "--json", str(out)])
+    assert code == 3 and not out.exists()
+    assert "not positive definite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e160, 1e-160])
+def test_measure_error_is_free_of_the_units_of_x(tmp_path, scale):
+    # the ratios are unit-free; x in units of 1e160 used to give nan
+    # ratios, and in units of 1e-160 ratios wrong in the 5th digit
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=50)
+    y = 2 * x + rng.normal(size=50)
+    data, out = tmp_path / "units.csv", tmp_path / "out.json"
+    ratios = []
+    for s in (1.0, scale):
+        data.write_text("u,v\n" + "".join(
+            f"{float(a * s)!r},{float(b)!r}\n" for a, b in zip(x, y)),
+            encoding="utf-8")
+        assert run_cli(["measure-error", "--data", str(data), "--x", "u",
+                        "--response", "v", "--json", str(out)]) == 0
+        ratios.append(json.loads(out.read_text(encoding="utf-8"))[
+            "mean_ratio"])
+    assert ratios[1] == ratios[0]
+
+
 BLUP_HSB = ["blup", "--data", "hsb-sample", "--group", "school", "--x",
             "cses", "--response", "mathach"]
 
@@ -316,6 +348,9 @@ BLUP_HSB = ["blup", "--data", "hsb-sample", "--group", "school", "--x",
      "--precision=-5"],
     ["measure-error", "--data", "galton", "--response", "child",
      "--x", "parent", "--deltas=-0.5,0.5"],
+    # its square overflowed: exit 1 with a traceback
+    ["measure-error", "--data", "galton", "--response", "child",
+     "--x", "parent", "--deltas=0,1e160"],
     ["kiss", "--mark=-1"],
     # a bbox without area, with and without a figure to draw
     ["kiss", "--bbox=1,0,0,1"],
@@ -327,7 +362,7 @@ BLUP_HSB = ["blup", "--data", "hsb-sample", "--group", "school", "--x",
 ], ids=["level", "resolution", "reps", "ridge-k", "asymmetric", "coords",
         "one-coord", "precision-shape", "delta-shape", "negative-g",
         "nan-matrix", "inf-floats", "negative-precision", "negative-delta",
-        "negative-mark", "reversed-bbox", "reversed-bbox-svg", "flat-bbox",
+        "huge-delta", "negative-mark", "reversed-bbox", "reversed-bbox-svg", "flat-bbox",
         "flat-bbox-svg", "mirrored-bbox", "mirrored-bbox-svg"])
 def test_bad_argument_is_exit_2(tmp_path, capsys, argv):
     argv = [a.format(svg=tmp_path / "out.svg") for a in argv]

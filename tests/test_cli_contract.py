@@ -1,15 +1,17 @@
-"""The CLI contract as a property, for `meta`, `blup` and the grouped
-subcommands `heplot`, `contrasts`, `canonical`, `lda` and `decompose`:
-every generated table exits 0, 2 or 3 within a bound and without a
-traceback, a call that does not exit 0 writes no file, an exit-0 JSON has
-no bare NaN or Infinity token, and on exit 0 a subcommand with a figure
-writes its SVG while one without says on stderr that it wrote none.
+"""The CLI contract as a property, for `meta`, `blup`, `measure-error` and
+the grouped subcommands `heplot`, `contrasts`, `canonical`, `lda` and
+`decompose`: every generated table exits 0, 2 or 3 within a bound and
+without a traceback, a call that does not exit 0 writes no file, an exit-0
+JSON has no bare NaN or Infinity token, and on exit 0 a subcommand with a
+figure writes its SVG while one without says on stderr that it wrote none.
 
 The tables have 1 to 30 studies or clusters, magnitudes from 1e-150 to
 1e150, repeated and numeric labels and, now and then, a covariance that is
 not positive definite or a cluster of one row; the grouped tables have
 the group column in any position, text or numeric labels, one group or
-more, and now and then a constant column.
+more, and now and then a constant column. The `measure-error` tables have
+2 to 300 rows, one unit per column from 1e-150 to 1e150 and, now and then,
+a constant column.
 """
 
 import contextlib
@@ -104,6 +106,20 @@ def grouped_tables(draw):
     return text, len(names)
 
 
+@hs.composite
+def measure_error_tables(draw):
+    n = draw(hs.integers(2, 300))
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    sx, sy = (10.0 ** draw(hs.floats(-150.0, 150.0)) for _ in range(2))
+    x = rng.normal(0.0, 1.0, n)
+    y = 1.0 + rng.normal() * x + rng.normal(0.0, 1.0, n)
+    for col in (x, y):
+        if draw(hs.sampled_from([False] * 5 + [True])):
+            col[:] = col[0]             # a constant column
+    rows = [_cells([a * sx, b * sy]) for a, b in zip(x, y)]
+    return "\n".join(",".join(r) for r in [["u", "v"], *rows]) + "\n"
+
+
 def _refuse(token):
     raise ValueError(f"bare {token} in the JSON")
 
@@ -135,8 +151,9 @@ def _check_contract(tmp_path, argv, table, figure=True):
     assert "Traceback" not in err.getvalue()
     if code:
         assert not out_json.exists() and not out_svg.exists()
-        return
-    json.loads(out_json.read_text(encoding="utf-8"), parse_constant=_refuse)
+        return None
+    text = out_json.read_text(encoding="utf-8")
+    json.loads(text, parse_constant=_refuse)
     if figure:
         assert out_svg.read_text(encoding="utf-8").rstrip().endswith(
             "</svg>")
@@ -144,6 +161,7 @@ def _check_contract(tmp_path, argv, table, figure=True):
         assert not out_svg.exists()
         assert err.getvalue() == (f"ellip: {argv[0]} draws no figure; "
                                   f"--svg {out_svg} not written\n")
+    return text
 
 
 _SETTINGS = settings(max_examples=200, deadline=None, database=None,
@@ -177,3 +195,18 @@ def test_grouped_subcommands_keep_the_cli_contract(tmp_path, case, command):
         argv.append("--contrast=" + ",".join(["1", "-1", "0", "0", "0"][:g]))
     _check_contract(tmp_path, argv, table,
                     figure=command in ("heplot", "canonical"))
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(measure_error_tables(),
+       hs.lists(hs.one_of(hs.sampled_from([0.0, 1e3]), hs.floats(0.0, 1e3)),
+                min_size=1, max_size=4),
+       hs.integers(1, 50), hs.integers(0, 2 ** 32 - 1))
+def test_measure_error_keeps_the_cli_contract(tmp_path, table, deltas, reps,
+                                              seed):
+    text = _check_contract(tmp_path, [
+        "measure-error", "--x", "u", "--response", "v",
+        "--deltas=" + ",".join(map(repr, deltas)), "--reps", str(reps),
+        "--seed", str(seed)], table, figure=False)
+    assert text is None or '"nan"' not in text

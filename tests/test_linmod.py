@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -405,6 +406,53 @@ def test_attenuation_curve_fits_ols_once(monkeypatch):
         calls.clear()
         linmod.attenuation_curve(x, y, [0.0, 0.5, 1.0], reps=reps, seed=3)
         assert len(calls) == 1
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(hs.integers(0, 2 ** 32 - 1), hs.integers(5, 3000),
+       hs.floats(-100.0, 100.0), hs.integers(3, 7),
+       hs.lists(hs.sampled_from([0.0, 0.5, 2.0]), min_size=1, max_size=2),
+       hs.integers(0, 2 ** 32 - 1))
+@example(1, 3000, 40.0, 3, [2.0], 2)
+def test_attenuation_curve_is_free_of_its_block_shape(data_seed, n, x_mean,
+                                                      reps, deltas, seed):
+    # blocks of one row, of every replicate at once, and of two rows with
+    # a short last block (reps odd) or three rows, draw the same stream
+    rng = np.random.default_rng(data_seed)
+    x = x_mean + rng.standard_normal(n)
+    y = 1.0 + 2.0 * x + rng.standard_normal(n)
+    got = []
+    for budget in (1, n * reps, n * (2 if reps % 2 else 3)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linmod, "_DRAW_BUDGET", budget)
+            got.append(linmod.attenuation_curve(x, y, deltas, reps=reps,
+                                                seed=seed)["mean_ratio"])
+    for other in got[1:]:
+        assert other == pytest.approx(got[0], rel=1e-14)
+    want = _attenuation_ratios_exact(x, y, deltas, reps, seed)
+    assert got[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_attenuation_curve_memory_is_one_block_of_draws():
+    # the draws of 100 replicates of 20000 rows would take 16 MB; one
+    # reused block takes at most _DRAW_BUDGET doubles (512 KB)
+    n = 20000
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal(n)
+    y = 2.0 * x + rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        linmod.attenuation_curve(x, y, [0.0, 0.5, 1.0], reps=100, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * linmod._DRAW_BUDGET + 12 * 8 * n
+
+
+def test_attenuation_curve_of_a_constant_response_is_refused():
+    x = np.arange(10.0)
+    with pytest.raises(ValueError, match="slope without noise is 0"):
+        linmod.attenuation_curve(x, np.full(10, 3.0), [0.0, 0.5], reps=5)
 
 
 def test_confidence_ellipse_dual_of_data_ellipse():

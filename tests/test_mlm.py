@@ -263,6 +263,21 @@ def test_constant_response_is_fitted_exactly():
         mlm.test_stats(h, e, 1, fit.df_e)
 
 
+def test_response_constant_within_groups_is_fitted_exactly():
+    # a response constant within each group has no residual either: the
+    # solve left it an SSCP near 1e-32, and an HE test of H against it
+    # read lambdas near 1e30
+    gs = grouped({"a": np.column_stack([np.full(3, 0.1), np.arange(3.0)]),
+                  "b": np.column_stack([np.full(4, 0.7), np.arange(4.0)])})
+    fit, _ = mlm.manova_fit(gs)
+    assert fit.coef[:, 0].tolist() == [0.1, 0.7]
+    assert (fit.e_mat[0] == 0).all() and (fit.e_mat[:, 0] == 0).all()
+    assert fit.e_mat[1, 1] > 0
+    h, e = mlm.hypothesis_matrices(fit, mlm.overall_hypothesis(2))
+    with pytest.raises(nk.NotPositiveDefiniteError):
+        mlm.test_stats(h, e, 1, fit.df_e)
+
+
 def test_contrast_parts_of_a_zero_h():
     # every group mean equal: H is zero, so its parts add up to it only
     # when they are zero too (relative 0), else relative is inf; it used
