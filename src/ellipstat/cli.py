@@ -176,6 +176,17 @@ def _floats_arg(value):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _seed_arg(value):
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value!r}")
+    return seed
+
+
 def _matrix_arg(value):
     try:
         rows = [[_finite(v) for v in row.split(",")]
@@ -807,7 +818,7 @@ def build_parser():
     p.add_argument("--x", required=True)
     p.add_argument("--deltas", type=_floats_arg)
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
 
     p = add("heplot", cmd_heplot, help="hypothesis-error test summary")
     p.add_argument("--data", required=True)

@@ -10,8 +10,8 @@ import csv
 import functools
 import io
 import os
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ _FIXTURES = {
 
 # ------------------------------------------------------------- CSV tables
 
-@dataclass
-class DataTable:
+class DataTable(NamedTuple):
     header: list
     columns: dict      # name -> float ndarray or list[str]
     n: int

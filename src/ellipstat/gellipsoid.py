@@ -3,7 +3,7 @@
 # (cylinder) cases, closed under duality, linear images and projections.
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ IDEMPOTENT_TOL = 1e-10    # max |P^2 - P| over max(1, max|P|) of a projection
 FACTOR_TOL = 1e-8         # max |A A' - W| over max|W| of a given factor
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Counts of positive, zero and infinite radii; always sums to p."""
     n_pos: int
     n_zero: int
@@ -29,25 +28,21 @@ class Signature:
         return (self.n_pos, self.n_zero, self.n_inf)
 
 
-@dataclass(frozen=True)
-class GEllipsoid:
-    center: np.ndarray
-    frame: np.ndarray   # orthogonal, columns are principal axes
-    radii: np.ndarray   # descending, entries in [0, inf]
+class GEllipsoid(nk.Frozen):
+    """center, frame (orthogonal, columns are principal axes) and radii
+    (descending, entries in [0, inf])."""
 
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).ravel()
-        frame = np.asarray(self.frame, dtype=float)
-        radii = np.array(self.radii, dtype=float).ravel()
+    def __init__(self, center, frame, radii):
+        center = np.asarray(center, dtype=float).ravel()
+        frame = np.asarray(frame, dtype=float)
+        radii = np.array(radii, dtype=float).ravel()
         _check(center, frame, radii)
         # zero is decided here, once: a radius at or below ZERO_RADIUS_TOL
         # times the largest finite one is roundoff, and every other
         # function counts exact zeros
         top = radii[np.isfinite(radii)].max(initial=0.0)
         radii[radii <= ZERO_RADIUS_TOL * top] = 0.0
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "radii", radii)
+        self.__dict__.update(center=center, frame=frame, radii=radii)
 
     @property
     def dim(self):
@@ -279,8 +274,7 @@ def volume(e):
                  / math.gamma(p / 2.0 + 1.0))
 
 
-@dataclass(frozen=True)
-class ConjugateAxes:
+class ConjugateAxes(NamedTuple):
     axes: np.ndarray    # columns a_i with A A^T = W
     kind: str           # 'given' | 'cholesky' | 'principal'
 

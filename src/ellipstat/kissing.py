@@ -4,9 +4,9 @@
 # GLS/BLUE/BLUP, and multivariate meta-analysis.
 
 import math
-from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,20 +22,16 @@ LOCUS_LEVEL_TOL = 1e-12
 RIDGE_NORM_TOL = 1e-12  # a ridge norm may rise this much, relative
 
 
-@dataclass(frozen=True)
-class QuadFamily:
+class QuadFamily(nk.Frozen):
     """Concentric elliptical level sets f(x) = (x - m)^T A (x - m)."""
-    m: np.ndarray
-    a_mat: np.ndarray
 
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float).ravel()
-        a = nk.check_symmetric(self.a_mat)
+    def __init__(self, m, a_mat):
+        m = np.asarray(m, dtype=float).ravel()
+        a = nk.check_symmetric(a_mat)
         if m.size != 2 or a.shape != (2, 2):
             raise nk.InputError("quad families are two-dimensional")
         nk.require_pd(a)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a_mat", a)
+        self.__dict__.update(m=m, a_mat=a)
 
     def value(self, x):
         d = np.asarray(x, dtype=float) - self.m
@@ -415,17 +411,22 @@ def _shrink(r, root, prior_mean):
     W W' and B' = R_x W W', so (X'X + A)^{-1} X'X (X'X + A)^{-1} = B B'.
     X'X + A is singular when the smallest eigenvalue of R'R is negligible
     (numkernel.negligible_eig), read from the singular values of the
-    pooled R that qr_lstsq's rank verdict takes."""
+    pooled R that qr_lstsq's rank verdict takes.
+
+    R_x W is the top block of the Q factor of the pooled block, whose R
+    has the inverse W. It is read from that QR: the product R_x W would
+    carry an error of about |R_x| |W| eps, which W' then multiplies."""
     p = root.shape[0]
-    beta, w, _, sv = nk.qr_lstsq(np.vstack([r[:, :p], root]),
-                                 np.concatenate([r[:, p], root @ prior_mean]))
+    pooled = np.vstack([r, np.column_stack([root, root @ prior_mean])])
+    beta, w, _, sv = nk.qr_lstsq(pooled[:, :p], pooled[:, p])
     if nk.negligible_eig(sv[-1] ** 2, sv[0] ** 2):
         raise ValueError("X'X + A is singular")
-    return beta, w, r[:, :p] @ w @ w.T
+    # the QR of the block qr_lstsq factored, so its R is the one W inverts
+    q = np.linalg.qr(pooled)[0]
+    return beta, w, q[:p, :p] @ w.T
 
 
-@dataclass(frozen=True)
-class RidgeResult:
+class RidgeResult(NamedTuple):
     k: float
     beta: np.ndarray          # standardized scale
     beta_original: np.ndarray  # original predictor units
@@ -517,8 +518,7 @@ def bayes_posterior(x, y, beta_prior, a_mat):
 FLAT_SPREAD_TOL = 1e-10     # relative sd of cluster BLUEs taken as zero
 
 
-@dataclass(frozen=True)
-class MixedSpec:
+class MixedSpec(nk.Frozen):
     """Clustered regression y_i = X_i (beta + u_i) + e_i, held as one stack:
     the design x (n, p), the response y (n,) and one cluster label per row.
 
@@ -531,26 +531,17 @@ class MixedSpec:
     n_k < p; rss[k] is the residual sum of squares of y_k on the column
     space of X_k, and rank[k] the rank of X_k.
     """
-    x: np.ndarray               # n x p
-    y: np.ndarray               # n
-    groups: tuple               # one label per row
-    labels: tuple = field(init=False)
-    ends: np.ndarray = field(init=False)
-    r: np.ndarray = field(init=False, repr=False)
-    qty: np.ndarray = field(init=False, repr=False)
-    rss: np.ndarray = field(init=False, repr=False)
-    rank: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float).ravel()
+    def __init__(self, x, y, groups):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float).ravel()
         if x.ndim != 2 or x.shape[0] != y.size:
             raise nk.InputError("design and response rows disagree")
-        if len(self.groups) != y.size:
+        if len(groups) != y.size:
             raise nk.InputError("need one cluster label per row")
         if y.size == 0:
             raise nk.InputError("need at least one cluster")
-        labels, rows, ends = st.group_rows(self.groups)
+        labels, rows, ends = st.group_rows(groups)
         x, y = x[rows], y[rows]
         counts = np.diff(ends, prepend=0)
         k, p = len(labels), x.shape[1]
@@ -575,11 +566,9 @@ class MixedSpec:
         rss += np.where(dropped, lost * lost, 0.0).sum(axis=1)
         groups = tuple(chain.from_iterable(
             repeat(lab, n_i) for lab, n_i in zip(labels, counts.tolist())))
-        for name, value in (("x", x), ("y", y), ("groups", groups),
-                            ("labels", tuple(labels)), ("ends", ends),
-                            ("r", r), ("qty", qty), ("rss", rss),
-                            ("rank", p - dropped.sum(axis=1))):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(x=x, y=y, groups=groups, labels=tuple(labels),
+                             ends=ends, r=r, qty=qty, rss=rss,
+                             rank=p - dropped.sum(axis=1))
 
     @property
     def counts(self):
@@ -721,30 +710,25 @@ def estimate_g_moments(blues):
 
 # ------------------------------------------------------------------ meta
 
-@dataclass(frozen=True)
-class StudyStack:
+class StudyStack(nk.Frozen):
     """k studies of p outcomes: effects y (k, p), within-study covariances
     S (k, p, p), designs X (k, p, q), the identity when omitted, and
     labels, study1 to studyk when omitted. Every S_i is symmetrised and
     checked positive definite here, once per stack; a bad S_i is named by
     its study's label."""
-    y: np.ndarray
-    s_mat: np.ndarray
-    x_mat: np.ndarray = None
-    labels: tuple = None
 
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        s = np.asarray(self.s_mat, dtype=float)
+    def __init__(self, y, s_mat, x_mat=None, labels=None):
+        y = np.asarray(y, dtype=float)
+        s = np.asarray(s_mat, dtype=float)
         if y.ndim != 2 or not y.size or s.shape != y.shape + y.shape[1:]:
             raise nk.InputError("need y (k, p), k > 0, and S (k, p, p)")
         k, p = y.shape
-        x = np.broadcast_to(np.eye(p), (k, p, p)) if self.x_mat is None \
-            else np.asarray(self.x_mat, dtype=float)
+        x = np.broadcast_to(np.eye(p), (k, p, p)) if x_mat is None \
+            else np.asarray(x_mat, dtype=float)
         if x.ndim != 3 or x.shape[:2] != (k, p):
             raise nk.InputError("design rows must match the outcome length")
         labels = tuple(f"study{i + 1}" for i in range(k)) \
-            if self.labels is None else tuple(self.labels)
+            if labels is None else tuple(labels)
         if len(labels) != k:
             raise nk.InputError("need one label per study")
         try:
@@ -753,9 +737,7 @@ class StudyStack:
         except nk.MatrixError as err:
             err.name = f"S_i of study {labels[err.at[0]]}"
             raise
-        for name, value in (("y", y), ("s_mat", s), ("x_mat", x),
-                            ("labels", labels)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(y=y, s_mat=s, x_mat=x, labels=labels)
 
 
 def meta_fixed(stack, *more):

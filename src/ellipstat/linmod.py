@@ -4,7 +4,7 @@
 # (attenuation) studies.
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ _DRAW_BUDGET = 2 ** 16
 DELTA_MAX = 1e150
 
 
-@dataclass(frozen=True)
-class LinearFit:
+class LinearFit(NamedTuple):
     coef: np.ndarray        # includes the intercept as coefficient 0
     xtx_inv: np.ndarray
     s2: float               # residual variance, RSS / df
@@ -75,20 +74,19 @@ def ols_fit(x, y, names=None):
                      residuals=resid, fitted=fitted)
 
 
-@dataclass(frozen=True)
-class ConfidenceSpec:
-    kind: str = "joint"     # 'joint' | 'ci' | 'scheffe' | 'bonferroni'
-    alpha: float = 0.05
-    d: int = 2              # simultaneous dimensions for joint/scheffe
-    m: int = 1              # comparisons for bonferroni
+class ConfidenceSpec(nk.Frozen):
+    """kind 'joint', 'ci', 'scheffe' or 'bonferroni' at level 1 - alpha,
+    over d simultaneous dimensions (joint, scheffe) or m comparisons
+    (bonferroni)."""
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
+    def __init__(self, kind="joint", alpha=0.05, d=2, m=1):
+        if not 0.0 < alpha < 1.0:
             raise nk.InputError("alpha must be in (0, 1)")
-        if self.d < 1 or self.m < 1:
+        if d < 1 or m < 1:
             raise nk.InputError("d and m must be >= 1")
-        if self.kind not in ("joint", "ci", "scheffe", "bonferroni"):
-            raise nk.InputError(f"unknown kind {self.kind!r}")
+        if kind not in ("joint", "ci", "scheffe", "bonferroni"):
+            raise nk.InputError(f"unknown kind {kind!r}")
+        self.__dict__.update(kind=kind, alpha=alpha, d=d, m=m)
 
     def radius(self, df):
         if self.kind in ("joint", "scheffe"):

@@ -5,7 +5,7 @@
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from . import statellipse as st
 ORTHOGONAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MlmFit:
+class MlmFit(NamedTuple):
     coef: np.ndarray        # q x p
     e_mat: np.ndarray       # p x p residual SSCP
     df_e: int
@@ -32,26 +31,24 @@ class MlmFit:
     names: tuple            # response names
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    l_mat: np.ndarray       # h x q contrast matrix
-    label: str = ""
+class Hypothesis(nk.Frozen):
+    """An h x q contrast matrix of linearly independent rows, and a
+    label."""
 
-    def __post_init__(self):
-        l_mat = np.atleast_2d(np.asarray(self.l_mat, dtype=float))
+    def __init__(self, l_mat, label=""):
+        l_mat = np.atleast_2d(np.asarray(l_mat, dtype=float))
         # the rows' rank, on the scale where each row has unit length
         if l_mat.shape[0] > l_mat.shape[1] or nk.rank_drops(np.linalg.svd(
                 nk.unit_columns(l_mat.T), compute_uv=False))[-1]:
             raise nk.InputError("contrast rows are linearly dependent")
-        object.__setattr__(self, "l_mat", l_mat)
+        self.__dict__.update(l_mat=l_mat, label=label)
 
     @property
     def df(self):
         return self.l_mat.shape[0]
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     lambdas: np.ndarray
     rhos: np.ndarray
     wilks: float
@@ -104,7 +101,7 @@ def manova_fit(gs):
         coef, e_mat = fit.coef.copy(), fit.e_mat.copy()
         coef[:, exact] = first[:, exact]
         e_mat[exact] = e_mat[:, exact] = 0.0
-        fit = replace(fit, coef=coef, e_mat=e_mat)
+        fit = fit._replace(coef=coef, e_mat=e_mat)
     return fit, list(gs.labels)
 
 
@@ -286,8 +283,7 @@ def contrast_decompose(fit, hyps, overall=None):
             "orthogonal": orthogonal}
 
 
-@dataclass(frozen=True)
-class CanonicalResult:
+class CanonicalResult(NamedTuple):
     scores: np.ndarray      # n x s, pooled within-group covariance = I
     coeffs: np.ndarray      # p x s projection applied to centered Y
     lambdas: np.ndarray

@@ -4,7 +4,7 @@
 # and sign conventions everything downstream relies on.
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,14 +64,38 @@ class IndefiniteError(MatrixError):
             f"is materially indefinite: eigenvalue {value:.3e}", at)
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
+class Frozen:
+    """Base of a value whose __init__ checks its arguments and sets its
+    attributes once, through __dict__: assigning or deleting one afterwards
+    raises AttributeError. Two values of one class are equal when their
+    attributes are, and hash by them."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}"
+                             f".{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class SpectralDecomp(NamedTuple):
     eigvals: np.ndarray    # descending
     eigvecs: np.ndarray    # orthogonal, columns are eigenvectors
 
 
-@dataclass(frozen=True)
-class SvdDecomp:
+class SvdDecomp(NamedTuple):
     left: np.ndarray
     singulars: np.ndarray  # nonnegative, descending
     right: np.ndarray      # A = left @ diag(singulars) @ right.T

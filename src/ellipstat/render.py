@@ -16,7 +16,7 @@
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ PALETTE = {
 }
 
 
-@dataclass(frozen=True)
-class Style:
+class Style(NamedTuple):
     stroke: str = "#000000"
     width: float = 1.0
     fill: str = "none"
@@ -61,97 +60,79 @@ class Style:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class EllipseLayer:
+class EllipseLayer(ge.nk.Frozen):
     """k >= 0 bounded 2D ellipsoids in one style, each drawn as the
     polygon of n points on its boundary. Construction stacks their
     centres (k, 2), frames (k, 2, 2) and radii (k, 2), once."""
-    ellipses: tuple
-    style: Style = Style()
-    n: int = 64
-    centers: np.ndarray = field(init=False, repr=False)
-    frames: np.ndarray = field(init=False, repr=False)
-    radii: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        for e in self.ellipses:
+    def __init__(self, ellipses, style=Style(), n=64):
+        for e in ellipses:
             if e.dim != 2:
                 raise ValueError("ellipse paths are two-dimensional")
             if e.radii[0] == np.inf:    # radii descend, inf the largest
                 raise ValueError("cannot close the path of an unbounded "
                                  "ellipsoid")
-        object.__setattr__(self, "centers", np.array(
-            [e.center for e in self.ellipses]).reshape(-1, 2))
-        object.__setattr__(self, "frames", np.array(
-            [e.frame for e in self.ellipses]).reshape(-1, 2, 2))
-        object.__setattr__(self, "radii", np.array(
-            [e.radii for e in self.ellipses]).reshape(-1, 2))
+        self.__dict__.update(
+            ellipses=ellipses, style=style, n=n,
+            centers=np.array([e.center for e in ellipses]).reshape(-1, 2),
+            frames=np.array([e.frame for e in ellipses]).reshape(-1, 2, 2),
+            radii=np.array([e.radii for e in ellipses]).reshape(-1, 2))
 
 
-@dataclass(frozen=True)
-class PointsLayer:
-    points: np.ndarray
-    style: Style = Style()
-    marker: str = "circle"      # 'circle' | 'dot' | 'square'
-    size: float = 3.0
+class PointsLayer(ge.nk.Frozen):
+    """points (k, 2) drawn as markers 'circle', 'dot' or 'square'."""
+
+    def __init__(self, points, style=Style(), marker="circle", size=3.0):
+        self.__dict__.update(points=points, style=style, marker=marker,
+                             size=size)
 
 
-@dataclass(frozen=True)
-class PolylineLayer:
-    points: np.ndarray
-    style: Style = Style()
-    closed: bool = False
+class PolylineLayer(ge.nk.Frozen):
+    def __init__(self, points, style=Style(), closed=False):
+        self.__dict__.update(points=points, style=style, closed=closed)
 
 
-@dataclass(frozen=True)
-class ArrowLayer:
+class ArrowLayer(ge.nk.Frozen):
     """One arrow from tail to head, or k arrows from the rows of (k, 2)
     tail and head arrays, all in one style."""
-    tail: tuple
-    head: tuple
-    style: Style = Style()
+
+    def __init__(self, tail, head, style=Style()):
+        self.__dict__.update(tail=tail, head=head, style=style)
 
 
-@dataclass(frozen=True)
-class TextLayer:
+class TextLayer(ge.nk.Frozen):
     """k texts in one style, text i at row i of the (k, 2) positions pos
     (one (x, y) pair for one text)."""
-    pos: np.ndarray
-    texts: tuple
-    style: Style = Style(stroke="none", fill="#000000")
-    size: float = 11.0
-    anchor: str = "start"
 
-    def __post_init__(self):
-        object.__setattr__(self, "pos", np.asarray(
-            self.pos, dtype=float).reshape(len(self.texts), 2))
+    def __init__(self, pos, texts, style=Style(stroke="none", fill="#000000"),
+                 size=11.0, anchor="start"):
+        self.__dict__.update(
+            pos=np.asarray(pos, dtype=float).reshape(len(texts), 2),
+            texts=texts, style=style, size=size, anchor=anchor)
 
 
-@dataclass(frozen=True)
-class Interleave:
+class Interleave(ge.nk.Frozen):
     """Arrow, ellipse and text layers of k elements each, drawn element by
     element: element 0 of each member in order, then element 1 of each,
     and so on. In all else the members are drawn as if one followed the
     other in the scene."""
-    members: tuple
 
-    def __post_init__(self):
+    def __init__(self, members):
         if not all(isinstance(m, (ArrowLayer, EllipseLayer, TextLayer))
-                   for m in self.members):
+                   for m in members):
             raise ValueError("an Interleave holds arrow, ellipse and text "
                              "layers")
+        self.__dict__.update(members=members)
 
 
-@dataclass(frozen=True)
-class AxisLayer:
-    style: Style = Style(stroke="#333333", width=1.0)
-    ticks: int = 5
-    label_x: str = ""
-    label_y: str = ""
+class AxisLayer(ge.nk.Frozen):
+    def __init__(self, style=Style(stroke="#333333", width=1.0), ticks=5,
+                 label_x="", label_y=""):
+        self.__dict__.update(style=style, ticks=ticks, label_x=label_x,
+                             label_y=label_y)
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     layers: list                # layers and Interleaves, drawn in order
     viewport: tuple = None      # (xmin, xmax, ymin, ymax); auto if None
     size: tuple = (480, 480)
@@ -359,8 +340,7 @@ def _auto_viewport(layers, arrow_ends):
             ymax + pad * dy)
 
 
-@dataclass(frozen=True)
-class Transform:
+class Transform(NamedTuple):
     """Affine data-to-pixel map with the y axis flipped."""
     x0: float
     y0: float

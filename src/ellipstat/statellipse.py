@@ -3,7 +3,6 @@
 # decompositions and the within/between/marginal slope triad.
 
 import math
-from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -17,25 +16,23 @@ UNIT_TOL = 1e-8     # absolute tolerance of np.isclose on a unit norm
 INF_COMPONENT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Sample:
-    data: np.ndarray            # n x p
-    names: tuple = ()
+class Sample(nk.Frozen):
+    """n x p data (a vector is one column) and one name per column, x1 to
+    xp when names is empty."""
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+    def __init__(self, data, names=()):
+        data = np.asarray(data, dtype=float)
         if data.ndim == 1:
             data = data[:, None]
         if not np.all(np.isfinite(data)):
             raise ValueError("sample has non-finite entries")
         if data.shape[0] < 2:
             raise nk.InputError("a sample needs at least two rows")
-        names = tuple(self.names) if self.names else tuple(
+        names = tuple(names) if names else tuple(
             f"x{i + 1}" for i in range(data.shape[1]))
         if len(names) != data.shape[1]:
             raise nk.InputError("names length does not match columns")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "names", names)
+        self.__dict__.update(data=data, names=names)
 
     @property
     def n(self):
@@ -65,23 +62,18 @@ def group_rows(labels):
             np.cumsum(np.bincount(codes, minlength=len(names))))
 
 
-@dataclass(frozen=True)
-class GroupedSample:
-    """A sample whose rows carry group labels, held as one matrix.
+class GroupedSample(nk.Frozen):
+    """A sample whose rows carry group labels, held as one matrix: data
+    (n x p), one label per row in groups, and names as Sample's.
 
     Construction sorts the rows of data by their labels in groups
     (group_rows), which are not kept. labels are then the distinct labels
     in that order and ends[k] is where the rows of group labels[k] end.
     Every group needs at least two rows.
     """
-    data: np.ndarray            # n x p
-    groups: InitVar[tuple]      # one label per row
-    names: tuple = ()
-    labels: tuple = field(init=False)
-    ends: np.ndarray = field(init=False)
 
-    def __post_init__(self, groups):
-        if len(groups) != len(self.data):
+    def __init__(self, data, groups, names=()):
+        if len(groups) != len(data):
             raise nk.InputError("need one group label per row")
         labels, rows, ends = group_rows(groups)
         counts = np.diff(ends, prepend=0).tolist()
@@ -89,11 +81,9 @@ class GroupedSample:
             if n_i < 2:
                 raise nk.InputError(f"group {str(lab)!r} has 1 row; "
                                     "a group needs at least two")
-        whole = Sample(self.data, self.names)
-        for name, value in (("data", whole.data[rows]),
-                            ("names", whole.names), ("labels", tuple(labels)),
-                            ("ends", ends)):
-            object.__setattr__(self, name, value)
+        whole = Sample(data, names)
+        self.__dict__.update(data=whole.data[rows], names=whole.names,
+                             labels=tuple(labels), ends=ends)
 
     @property
     def g(self):
@@ -118,20 +108,20 @@ class GroupedSample:
         return [rows[a:b] for a, b in zip(self.ends - self.counts, self.ends)]
 
 
-@dataclass(frozen=True)
-class CoverageSpec:
-    kind: str       # 'chisq' | 'stddev_multiple'
-    value: float    # coverage level for 'chisq', else the multiple
+class CoverageSpec(nk.Frozen):
+    """kind 'chisq' with value the coverage level, or 'stddev_multiple'
+    with value the multiple."""
 
-    def __post_init__(self):
-        if self.kind == "chisq":
-            if not 0.0 < self.value < 1.0:
+    def __init__(self, kind, value):
+        if kind == "chisq":
+            if not 0.0 < value < 1.0:
                 raise nk.InputError("coverage level must be in (0, 1)")
-        elif self.kind == "stddev_multiple":
-            if self.value <= 0:
+        elif kind == "stddev_multiple":
+            if value <= 0:
                 raise nk.InputError("multiple must be positive")
         else:
-            raise nk.InputError(f"unknown coverage kind {self.kind!r}")
+            raise nk.InputError(f"unknown coverage kind {kind!r}")
+        self.__dict__.update(kind=kind, value=value)
 
     @classmethod
     def chisq(cls, level):

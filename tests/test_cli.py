@@ -359,18 +359,25 @@ BLUP_HSB = ["blup", "--data", "hsb-sample", "--group", "school", "--x",
     ["kiss", "--bbox=0,1,0,0", "--svg", "{svg}"],
     ["kiss", "--bbox=4,-4,-4,8"],
     ["kiss", "--bbox=4,-4,-4,8", "--svg", "{svg}"],
+    # numpy's default_rng refused it: exit 3, "numerical failure"
+    ["measure-error", "--data", "galton", "--response", "child",
+     "--x", "parent", "--seed", "-1"],
 ], ids=["level", "resolution", "reps", "ridge-k", "asymmetric", "coords",
         "one-coord", "precision-shape", "delta-shape", "negative-g",
         "nan-matrix", "inf-floats", "negative-precision", "negative-delta",
-        "huge-delta", "negative-mark", "reversed-bbox", "reversed-bbox-svg", "flat-bbox",
-        "flat-bbox-svg", "mirrored-bbox", "mirrored-bbox-svg"])
+        "huge-delta", "negative-mark", "reversed-bbox", "reversed-bbox-svg",
+        "flat-bbox", "flat-bbox-svg", "mirrored-bbox", "mirrored-bbox-svg",
+        "negative-seed"])
 def test_bad_argument_is_exit_2(tmp_path, capsys, argv):
     argv = [a.format(svg=tmp_path / "out.svg") for a in argv]
     try:
         code = run_cli(argv + ["--json", str(tmp_path / "out.json")])
     except SystemExit as exc:
-        # a non-finite number is rejected while the flags are parsed
-        assert "non-finite number" in capsys.readouterr().err
+        # a non-finite number or a negative seed is rejected while the
+        # flags are parsed
+        err = capsys.readouterr().err
+        assert "non-finite number" in err or \
+            "--seed: expected a non-negative integer" in err
         assert exc.code == 2
         return
     assert code == 2

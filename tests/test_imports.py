@@ -113,7 +113,8 @@ def test_no_subcommand_loads_scipy(tmp_path):
 
 
 # Runs `ellip` as `python -m ellipstat` does, and at exit prints the
-# ellipstat modules it loaded on one line.
+# ellipstat modules it loaded on one line, and whether dataclasses was
+# loaded on the next.
 _COLD_ELLIP = """
 import atexit, runpy, sys
 
@@ -121,6 +122,7 @@ import atexit, runpy, sys
 def loaded():
     print(" ".join(sorted(m.partition(".")[2] for m in sys.modules
                           if m.startswith("ellipstat."))))
+    print("dataclasses" in sys.modules)
 
 
 atexit.register(loaded)
@@ -198,8 +200,11 @@ def test_subcommand_loads_only_what_it_runs(argv, two_species, tmp_path):
                           capture_output=True, text=True, env=_fresh_env(),
                           cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.splitlines()[-1].split())
-    assert loaded - {"__main__"} == {"cli", "numkernel"} | LOADED[argv[0]]
+    *_, modules, dataclasses = proc.stdout.splitlines()
+    assert set(modules.split()) - {"__main__"} \
+        == {"cli", "numkernel"} | LOADED[argv[0]]
+    # its classes are written out, so no code is generated for them
+    assert dataclasses == "False"
 
 
 def test_cli_imports_only_numkernel_at_module_level():
@@ -218,10 +223,9 @@ def test_runtime_dependency_is_numpy_alone():
         == ["test"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
-def test_no_top_level_scipy_import(path):
-    # nor anywhere else in the module: function bodies are banned too
+def _imported_roots(path):
+    """(line, top-level package) of each module the module at path imports,
+    anywhere in it."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
@@ -229,8 +233,24 @@ def test_no_top_level_scipy_import(path):
             names = [node.module or ""]
         else:
             continue
-        assert not any(n.split(".")[0] == "scipy" for n in names), \
-            f"{path.name}:{node.lineno} imports scipy"
+        yield from ((node.lineno, n.split(".")[0]) for n in names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_top_level_scipy_import(path):
+    # nor anywhere else in the module: function bodies are banned too
+    for line, root in _imported_roots(path):
+        assert root != "scipy", f"{path.name}:{line} imports scipy"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    # a dataclass generates and compiles its methods when its module is
+    # imported, a cost every cold `ellip` process would pay
+    for line, root in _imported_roots(path):
+        assert root != "dataclasses", f"{path.name}:{line} imports dataclasses"
 
 
 def _package_imports(path, top_level=False):

@@ -794,6 +794,8 @@ def _bayes_normal_equations(xs, yc, prior, a_mat):
        log_noise=hs.floats(-6.0, 0.0),
        k=hs.one_of(hs.just(0.0),
                    hs.floats(-8.0, 3.0).map(lambda e: 10.0 ** e)))
+# B' formed as the product R_x W W' missed the cov bound by 1.8x here
+@example(seed=0, q=2, extra=2, log_cond=6.0, log_noise=0.0, k=1e-4)
 def test_ridge_matches_exact_least_squares(seed, q, extra, log_cond,
                                            log_noise, k):
     _, x, y = _regression(seed, q + extra, q, log_cond, log_noise)
