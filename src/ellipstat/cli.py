@@ -212,15 +212,15 @@ def _coords(names, value, default):
     return [names.index(c) for c in wanted]
 
 
-def _xy_columns(table, args, need=2):
+def _xy_columns(table, args):
     if args.x and args.y:
         names = [args.x, args.y]
     elif args.x:
         names = _columns_arg(args.x)
     else:
-        names = table.numeric_names()[:need]
-    if len(names) != need:
-        raise InputError(f"need {need} numeric columns (--x X --y Y, or "
+        names = table.numeric_names()[:2]
+    if len(names) != 2:
+        raise InputError(f"need 2 numeric columns (--x X --y Y, or "
                          f"--x X,Y), got {names}")
     return names, np.column_stack([table.numeric(c) for c in names])
 

@@ -5,7 +5,6 @@
 # _parse_table reads any CSV text, a fixture's or a --data file's, into a
 # DataTable: a plain table in one typed np.loadtxt pass, else csv.reader.
 
-import contextlib
 import csv
 import functools
 import io
@@ -77,13 +76,12 @@ def _float_or_object(cell):
 
 
 def _split_plain(text):
-    """(header, columns, n) of text read as plain comma-separated lines,
-    without csv.reader, or None unless that provably reads the text as
-    csv.reader does: None on a quote, a CR not followed by LF, an empty
-    header, no data rows, a blank line, a line whose comma count is not
-    the header's, or a line longer than csv.field_size_limit(). One typed
-    np.loadtxt pass reads a column as floats where float() reads its first
-    cell, as text otherwise; on any error the lines are split instead."""
+    """(header, columns, n) of text read as plain comma-separated lines by
+    one typed np.loadtxt pass, or None unless that provably reads the text
+    as csv.reader does: None on a quote, a CR not followed by LF, an empty
+    header, no data rows, a blank line, a line longer than
+    csv.field_size_limit(), or any line np.loadtxt refuses. A column is
+    read as floats where float() reads its first cell, as text otherwise."""
     if '"' in text:
         return None
     if "\r" in text:
@@ -96,10 +94,9 @@ def _split_plain(text):
     if not head or not body or len(head) > limit:
         return None
     header = head.split(",")
-    width = len(header)
-    # ',' and '\n' are single bytes in UTF-8 and occur in no other
-    # character's encoding, so the line lengths in bytes bound those in
-    # characters from above
+    # '\n' is a single byte in UTF-8 and occurs in no other character's
+    # encoding, so the line lengths in bytes bound those in characters
+    # from above
     raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
     ends = np.concatenate([np.flatnonzero(raw == 10), [raw.size]])
     lengths = np.diff(ends, prepend=-1) - 1
@@ -108,19 +105,19 @@ def _split_plain(text):
     # numpy reads a number as float() does (PyOS_string_to_double), but
     # also strips \x1c-\x1f; what only float() reads (1_000, ٣) raises
     first = body.partition("\n")[0].split(",")
-    if len(first) == width and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
-        dtype = [(f"f{j}", _float_or_object(c)) for j, c in enumerate(first)]
-        with contextlib.suppress(ValueError):
-            table = np.loadtxt(io.StringIO(body), dtype, delimiter=",",
-                               comments=None, quotechar=None, ndmin=1)
-            if table.shape == (ends.size,):
-                return header, [table[f].copy() if k is float else
-                                table[f].tolist() for f, k in dtype], ends.size
-    commas = np.searchsorted(np.flatnonzero(raw == 44), ends)
-    if (np.diff(commas, prepend=0) != width - 1).any():
+    if len(first) != len(header) or any(c in body
+                                        for c in "\x1c\x1d\x1e\x1f"):
         return None
-    cells = body.replace("\n", ",").split(",")
-    return header, [cells[j::width] for j in range(width)], ends.size
+    dtype = [(f"f{j}", _float_or_object(c)) for j, c in enumerate(first)]
+    try:
+        table = np.loadtxt(io.StringIO(body), dtype, delimiter=",",
+                           comments=None, quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    if table.shape != (ends.size,):
+        return None
+    return header, [table[f].copy() if k is float else table[f].tolist()
+                    for f, k in dtype], ends.size
 
 
 def _split_csv(text, source):
@@ -147,7 +144,7 @@ def _split_csv(text, source):
 def _parse_table(text, source):
     """The DataTable of CSV text: a column of numbers as floats, any other
     as text. csv.reader decides what the text means; lines it would read
-    as plain comma-separated cells are split in bulk instead."""
+    as plain comma-separated cells are read by np.loadtxt instead."""
     header, raws, n = _split_plain(text) or _split_csv(text, source)
     columns = {}
     for name, raw in zip(header, raws):

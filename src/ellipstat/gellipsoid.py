@@ -278,19 +278,6 @@ class ConjugateAxes(NamedTuple):
     axes: np.ndarray    # columns a_i with A A^T = W
     kind: str           # 'given' | 'cholesky' | 'principal'
 
-    def parallelogram(self, center=None):
-        """Vertices of the bounding tangent parallelepiped (2^p corners)."""
-        p = self.axes.shape[0]
-        if center is None:
-            center = np.zeros(p)
-        center = np.asarray(center, dtype=float)
-        corners = []
-        for mask in range(2 ** p):
-            signs = np.array([1.0 if mask >> i & 1 else -1.0
-                              for i in range(p)])
-            corners.append(center + self.axes @ signs)
-        return np.array(corners)
-
     def gram_residual(self, w):
         """max |A' W^-1 A - I| for the W that A factors: zero for conjugate
         axes, up to rounding."""

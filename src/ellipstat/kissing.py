@@ -5,7 +5,6 @@
 
 import math
 from functools import wraps
-from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +19,7 @@ NEWTON_STOP = 1e-14     # a kiss point's Newton step below this, relative
 # m1 to roundoff
 LOCUS_LEVEL_TOL = 1e-12
 RIDGE_NORM_TOL = 1e-12  # a ridge norm may rise this much, relative
+LOCUS_NEWTON_STEPS = 3  # Newton steps of each traced locus vertex
 
 
 class QuadFamily(nk.Frozen):
@@ -200,11 +200,12 @@ def _chain(keys):
     return chains
 
 
-def _newton_rows(f1, f2, x, steps):
-    # Newton steps of each row of x onto the zero set of the cross field;
-    # a row stops for good where the field's gradient vanishes.
+def _newton_rows(f1, f2, x):
+    # LOCUS_NEWTON_STEPS Newton steps of each row of x onto the zero set of
+    # the cross field; a row stops for good where the field's gradient
+    # vanishes.
     live = np.ones(len(x), dtype=bool)
-    for _ in range(steps):
+    for _ in range(LOCUS_NEWTON_STEPS):
         g = cross_field(f1, f2, x)
         grad = _cross_gradient(f1, f2, x)
         nrm2 = np.einsum("ij,ij->i", grad, grad)
@@ -231,7 +232,7 @@ def _in_range(message):
 
 @_in_range("the cross field of a1 and a2 overflows on this bbox: a1, a2 or "
            "the bbox is too large")
-def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
+def trace_locus(f1, f2, bbox, resolution=64):
     """Zero contour of the cross field by marching squares.
 
     bbox is (xmin, xmax, ymin, ymax), with xmin < xmax and ymin < ymax and
@@ -240,10 +241,11 @@ def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
     are visited (see _cell_segments), so beyond one vectorized pass over
     the grid the cost grows with the cells the locus crosses. Segments are
     chained through endpoint identity, not distance: a crossing is its
-    grid edge, a zero corner its node. Each polyline starts from the last unused segment and
-    grows by the lowest-numbered unused segment touching its tail or its
-    head, the tail first. Every vertex then gets newton_steps Newton steps onto the exact
-    zero set, and the polylines are stably sorted longest first. Returns
+    grid edge, a zero corner its node. Each polyline starts from the last
+    unused segment and grows by the lowest-numbered unused segment
+    touching its tail or its head, the tail first. Every vertex then gets
+    LOCUS_NEWTON_STEPS Newton steps onto the exact zero set, and the
+    polylines are stably sorted longest first. Returns
     {'polylines': [...], 'vertices': ..., 'scale': ...}: the polylines,
     their vertices stacked in one (m, 2) array, and the max |g| over the
     grid (the reference for vertex residuals). A field or Newton step that
@@ -264,7 +266,7 @@ def trace_locus(f1, f2, bbox, resolution=64, newton_steps=3):
         return {"polylines": [], "scale": 0.0, "vertices": np.empty((0, 2))}
     points, keys = _cell_segments(f1, f2, xs, ys, vals)
     flat = points.reshape(-1, 2)
-    polylines = [_newton_rows(f1, f2, flat[chain], newton_steps)
+    polylines = [_newton_rows(f1, f2, flat[chain])
                  for chain in _chain(keys.tolist())]
     polylines.sort(key=len, reverse=True)
     return {"polylines": polylines, "scale": scale,
@@ -296,20 +298,21 @@ def locus_summary(f1, f2, locus):
 
 @_in_range("the kiss point leaves the double range: a1 and a2, m1 and m2 "
            "or the mark is too large or too small")
-def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
+def osculation_point(f1, f2, radius1, locus):
     """External kiss point of the level ellipse f1 = radius1^2 with the
-    f2 family.
+    f2 family, from a trace_locus result.
 
     Candidate vertices are locus points where the two gradients are
     antiparallel (ellipses touching from outside, as on the branch
     running between the centers); the first one closest in f1-level, in
     polyline order, is polished with a 2 x 2 Newton iteration on
     (cross_field, f1 - radius1^2). Where a coarse locus offers no
-    candidate, or the polish lands on an internal kiss point, the polish
-    starts instead from the point of that level on the branch, found by
-    bisection. Returns the point and the f2 radius at which the families
-    touch there. A level at or beyond f1(m2) has no external kiss point,
-    an InputError, and so is a negative radius1.
+    candidate, or the polish does not converge (NEWTON_STOP) or lands on
+    an internal kiss point, the polish starts instead from the point of
+    that level on the branch, found by bisection. Returns the point and
+    the f2 radius at which the families touch there. A level at or beyond
+    f1(m2) has no external kiss point, an InputError, and so is a negative
+    radius1.
     """
     if radius1 < 0:
         raise nk.InputError(f"mark radius {radius1:g} must be >= 0")
@@ -319,10 +322,6 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
         raise nk.InputError(
             f"mark radius {radius1:g} has no external kiss point: it must "
             f"be below sqrt(f1(m2)) = {np.sqrt(reach):g}")
-    if locus is None:
-        if bbox is None:
-            raise nk.InputError("need a traced locus or a bbox")
-        locus = trace_locus(f1, f2, bbox, resolution)
     verts = locus["vertices"]
     d1 = verts - f1.m
     g1 = d1 @ f1.a_mat
@@ -331,16 +330,18 @@ def osculation_point(f1, f2, radius1, locus=None, bbox=None, resolution=96):
     # level eps r1^2 overshoots and needs log2(1/eps) / 2 steps to return
     external = ((np.einsum("ij,ij->i", g1, (verts - f2.m) @ f2.a_mat) < 0)
                 & (level > LOCUS_LEVEL_TOL * radius1 ** 2))
-    x = None
+    done = False
     if external.any():
         err = np.where(external, np.abs(level - radius1 ** 2), np.inf)
-        x = _polish(f1, f2, radius1, verts[np.argmin(err)].copy())
-    if x is None or f1.gradient(x) @ f2.gradient(x) >= 0:
-        x = _polish(f1, f2, radius1, _branch_point(f1, f2, radius1))
+        x, done = _polish(f1, f2, radius1, verts[np.argmin(err)].copy())
+    if not done or f1.gradient(x) @ f2.gradient(x) >= 0:
+        x, _ = _polish(f1, f2, radius1, _branch_point(f1, f2, radius1))
     return x, float(np.sqrt(f2.value(x)))
 
 
 def _polish(f1, f2, radius1, x):
+    """Newton's iterate from x on (cross_field, f1 - radius1^2), and
+    whether its last step fell below NEWTON_STOP."""
     for _ in range(40):
         r = np.array([cross_field(f1, f2, x),
                       f1.value(x) - radius1 ** 2])
@@ -351,8 +352,8 @@ def _polish(f1, f2, radius1, x):
             break
         x = x - step
         if np.linalg.norm(step) < NEWTON_STOP * (1 + np.linalg.norm(x)):
-            break
-    return x
+            return x, True
+    return x, False
 
 
 def _branch_point(f1, f2, radius1):
@@ -522,14 +523,14 @@ class MixedSpec(nk.Frozen):
     """Clustered regression y_i = X_i (beta + u_i) + e_i, held as one stack:
     the design x (n, p), the response y (n,) and one cluster label per row.
 
-    Construction sorts the rows, and their labels in groups, by label
-    (statellipse.group_rows). labels are then the distinct labels in that
-    order and ends[k] is where the rows of cluster labels[k] end. It then
-    factors every cluster once, X_k = Q_k R_k, from the R of one stacked
-    QR of [X_k | y_k] per distinct cluster size: r[k] is R_k and qty[k]
-    is Q_k'y_k, its column p, both padded with zero rows to p rows when
-    n_k < p; rss[k] is the residual sum of squares of y_k on the column
-    space of X_k, and rank[k] the rank of X_k.
+    Construction sorts the rows by label (statellipse.group_rows). labels
+    are then the distinct labels in that order and ends[k] is where the
+    rows of cluster labels[k] end. It then factors every cluster once,
+    X_k = Q_k R_k, from the R of one stacked QR of [X_k | y_k] per distinct
+    cluster size: r[k] is R_k and qty[k] is Q_k'y_k, its column p, both
+    padded with zero rows to p rows when n_k < p; rss[k] is the residual
+    sum of squares of y_k on the column space of X_k, and rank[k] the rank
+    of X_k.
     """
 
     def __init__(self, x, y, groups):
@@ -564,9 +565,7 @@ class MixedSpec(nk.Frozen):
         # residual too
         lost = np.einsum("kij,ki->kj", u, qty)
         rss += np.where(dropped, lost * lost, 0.0).sum(axis=1)
-        groups = tuple(chain.from_iterable(
-            repeat(lab, n_i) for lab, n_i in zip(labels, counts.tolist())))
-        self.__dict__.update(x=x, y=y, groups=groups, labels=tuple(labels),
+        self.__dict__.update(x=x, y=y, labels=tuple(labels),
                              ends=ends, r=r, qty=qty, rss=rss,
                              rank=p - dropped.sum(axis=1))
 
@@ -766,29 +765,24 @@ def meta_random(stack, delta):
 
 
 def meta_blup(stack, beta_re, v_cov, delta):
-    """Per-study BLUPs beta_re + Delta Sigma_i^{-1} (y_i - X_i beta_re),
+    """Per-study BLUPs: blup of each y_i, with S_i, toward X_i beta_re
+    with G = Delta, so beta_re + Delta Sigma_i^{-1} (y_i - X_i beta_re),
     stacked: beta (k, p) and cov (k, p, p), for the pool beta_re and its
     q x q covariance V.
 
-    Each covariance is X_i V X_i' + (Delta - Delta Sigma_i^{-1} Delta),
-    never smaller than X_i V X_i', the covariance of X_i beta_re, in the
-    PSD order.
+    Each covariance is X_i V X_i' plus blup's Delta - Delta Sigma_i^{-1}
+    Delta, never smaller than X_i V X_i', the covariance of X_i beta_re,
+    in the PSD order.
     """
     delta = _delta(stack, delta)
     q = stack.x_mat.shape[2]
     if np.shape(v_cov) != (q, q):
         raise nk.InputError(f"V must be {q} x {q}, as the designs have "
                             f"{q} columns")
-    beta_re = np.asarray(beta_re, dtype=float).ravel()
-    sigma = stack.s_mat + delta
-    mean = stack.x_mat @ beta_re
-    sol = np.linalg.solve(sigma, np.concatenate(
-        [np.broadcast_to(delta, sigma.shape), (stack.y - mean)[..., None]],
-        axis=-1))
-    beta = mean + np.einsum("ij,nj->ni", delta, sol[..., -1])
-    cov = stack.x_mat @ v_cov @ stack.x_mat.swapaxes(1, 2) + delta \
-        - delta @ sol[..., :-1]
-    return {"beta": beta, "cov": 0.5 * (cov + cov.swapaxes(1, 2))}
+    mean = stack.x_mat @ np.asarray(beta_re, dtype=float).ravel()
+    fit = blup(stack.y, stack.s_mat, mean, delta)
+    cov = stack.x_mat @ v_cov @ stack.x_mat.swapaxes(1, 2) + fit["cov"]
+    return {"beta": fit["beta"], "cov": 0.5 * (cov + cov.swapaxes(1, 2))}
 
 
 def estimate_delta_mom(stack):
@@ -803,5 +797,4 @@ def estimate_delta_mom(stack):
     if stack.x_mat.shape[2] != p or np.any(stack.x_mat != np.eye(p)):
         raise nk.InputError("the moment estimate of Delta needs identity "
                             "designs")
-    dev = stack.y - stack.y.mean(axis=0)
-    return nk.clip_psd(dev.T @ dev / (g - 1) - stack.s_mat.sum(axis=0) / g)
+    return estimate_g_moments({"beta": stack.y, "s_mat": stack.s_mat})

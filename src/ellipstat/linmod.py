@@ -131,13 +131,13 @@ def shadow_interval(fit, combo, spec=None, radius=None):
     return (mid - half, mid + half)
 
 
-def visual_ci_slope(x, y, alpha=0.05):
+def visual_ci_slope(x, y):
     """Visual slope interval for simple regression.
 
     The tangent parallelogram of the standard data ellipse has diagonals
     with slopes b +/- s_e/s_x; shrinking toward the fitted line by 2/sqrt(n)
-    approximates the 95% interval. The exact t interval is returned for
-    comparison (alpha only affects the exact interval).
+    approximates the 95% interval. The exact 95% t interval is returned
+    for comparison.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -152,7 +152,7 @@ def visual_ci_slope(x, y, alpha=0.05):
     se_resid = float(np.sqrt(fit.s2))
     spread = se_resid / sx
     shrink = 2.0 / np.sqrt(n)
-    t_half = dist.t_quantile(1 - alpha / 2, fit.df) * fit.se()[1]
+    t_half = dist.t_quantile(0.975, fit.df) * fit.se()[1]
     return {
         "slope": b,
         "diagonal_slopes": (b - spread, b + spread),

@@ -189,15 +189,13 @@ def test_stats(h, e, df_h, df_e):
                       partial_eta2=eta2, s=s)
 
 
-def roy_critical(df_h, df_e, p, alpha=0.05, strict_paper=False):
-    """Critical value of Roy's largest root at level alpha.
-
-    Default degrees of freedom df1 = max(p, df_h); strict_paper=True uses
-    df1 = max(df_h, df_e) exactly as printed in the source formula.
+def roy_critical(df_h, df_e, p, alpha=0.05):
+    """Critical value of Roy's largest root at level alpha, with degrees
+    of freedom df1 = max(p, df_h) and df2 = df_e - df1 + df_h.
     """
     if df_h < 1 or df_e < 1:
         raise nk.InputError("degrees of freedom must be positive")
-    df1 = max(df_h, df_e) if strict_paper else max(p, df_h)
+    df1 = max(p, df_h)
     df2 = df_e - df1 + df_h
     if df2 <= 0:
         raise nk.InputError(f"df2 = {df2} is not positive")
@@ -216,14 +214,14 @@ def protrusion_ratio(h, e, df_h, df_e, alpha=0.05):
 
 
 def he_ellipses(h, e, df_e, coords=(0, 1), center=None, scaling="significance",
-                alpha=0.05, df_h=None, level=0.68, crit=None):
+                df_h=None, crit=None):
     """H and E ellipses for one coordinate pair of an HE plot.
 
-    E is drawn as the level-coverage ellipse of E/df_e at the response
+    E is drawn as the 68% coverage ellipse of E/df_e at the response
     means. H uses the same radius on H/df_e (effect scaling) or
     H/(lam_alpha df_e) (significance scaling, so protrusion outside E is
-    Roy's test). lam_alpha is roy_critical(df_h, df_e, p, alpha), or crit
-    when the caller already holds it.
+    Roy's test). lam_alpha is roy_critical(df_h, df_e, p) at its level
+    0.05, or crit when the caller already holds it.
     """
     coords = list(coords)
     if len(coords) != 2:
@@ -232,12 +230,12 @@ def he_ellipses(h, e, df_e, coords=(0, 1), center=None, scaling="significance",
     if center is None:
         center = np.zeros(p)
     center = np.asarray(center, dtype=float)
-    c = np.sqrt(2 * dist.f_quantile(level, 2, df_e))
+    c = np.sqrt(2 * dist.f_quantile(0.68, 2, df_e))
     if scaling == "significance":
         if crit is None:
             if df_h is None:
                 raise nk.InputError("significance scaling needs df_h")
-            crit = roy_critical(df_h, df_e, p, alpha)
+            crit = roy_critical(df_h, df_e, p)
         h_scaled = h / (crit * df_e)
     elif scaling == "effect":
         h_scaled = h / df_e
@@ -333,7 +331,7 @@ def canonical(gs):
                            df_e=fit.df_e)
 
 
-def canonical_he_ellipses(gs, can, level=0.68):
+def canonical_he_ellipses(gs, can):
     """Effect-scaled H and E ellipses of the first two canonical scores.
 
     can is the canonical result of gs; the scores are refitted on the
@@ -345,7 +343,7 @@ def canonical_he_ellipses(gs, can, level=0.68):
     hyp = overall_hypothesis(gs.g)
     h_z, e_z = hypothesis_matrices(fit_z, hyp)
     return he_ellipses(h_z, e_z, fit_z.df_e, coords=(0, 1),
-                       center=fit_z.y_mean, scaling="effect", level=level)
+                       center=fit_z.y_mean, scaling="effect")
 
 
 def mtest_geometry(lam1, lam2):

@@ -13,7 +13,6 @@ import numpy as np
 SYM_TOL = 1e-12        # relative asymmetry accepted by check_symmetric
 PSD_CLIP = 1e-10       # eigenvalues in [-PSD_CLIP*lam_max, 0] clip to zero
 NEGLIGIBLE_EIG = 1e-12  # see negligible_eig
-PIVOT_TOL = 1e-14      # a Cholesky pivot at or below PIVOT_TOL*max|w| fails
 # A design has full column rank when, with its columns scaled to unit
 # length, its smallest singular value exceeds RANK_TOL times its largest.
 RANK_TOL = 1e-10
@@ -50,11 +49,12 @@ class NotSymmetricError(InputError, MatrixError):
 
 
 class NotPositiveDefiniteError(MatrixError):
-    def __init__(self, index, value, kind="pivot", at=()):
+    def __init__(self, index, value, at=()):
         self.index = index
         self.value = value
         super().__init__(
-            f"is not positive definite: {kind} {index} is {value:.3e}", at)
+            f"is not positive definite: eigenvalue {index} is {value:.3e}",
+            at)
 
 
 class IndefiniteError(MatrixError):
@@ -178,29 +178,11 @@ def svd(a):
 
 
 def cholesky(w):
-    """Lower-triangular B with B @ B.T = w, from LAPACK.
-
-    A pivot B[j, j]^2 at or below PIVOT_TOL * max|w| is rejected and reported
-    by its index j. LAPACK accepts any positive pivot, so the elimination
-    is redone by hand, to find the failing pivot, only when LAPACK fails
-    or leaves a diagonal that small.
-    """
+    """Lower-triangular B with B @ B.T = w, from LAPACK, for a w that
+    require_pd accepts."""
     a = check_symmetric(w)
-    tol = PIVOT_TOL * max(np.abs(a).max(), TINY)
-    try:
-        b = np.linalg.cholesky(a)
-        if np.all(np.diag(b) ** 2 > tol):
-            return b
-    except np.linalg.LinAlgError:
-        pass
-    b = np.zeros_like(a)
-    for j in range(a.shape[0]):
-        d = a[j, j] - b[j, :j] @ b[j, :j]
-        if d <= tol:
-            raise NotPositiveDefiniteError(j, d)
-        b[j, j] = np.sqrt(d)
-        b[j + 1:, j] = (a[j + 1:, j] - b[j + 1:, :j] @ b[j, :j]) / b[j, j]
-    return b
+    require_pd(a)
+    return np.linalg.cholesky(a)
 
 
 def psd_sqrt(w):
@@ -242,7 +224,7 @@ def require_pd(w):
     if bad.any():
         at = _first(bad)
         raise NotPositiveDefiniteError(int(np.argmin(lam[at])), lam[at][-1],
-                                       "eigenvalue", at)
+                                       at)
     return lam, vecs
 
 

@@ -387,6 +387,9 @@ def _scene_transform(scene, layers, arrow_ends):
     else:
         sx = avail_w / (xmax - xmin)
         sy = avail_h / (ymax - ymin)
+    if not (math.isfinite(sx) and math.isfinite(sy)):
+        raise ge.nk.InputError(f"viewport {viewport} is too small to draw: "
+                               "its pixel scale overflows")
     tr = Transform(x0=MARGIN["left"] - sx * xmin,
                    y0=MARGIN["bottom"] - sy * ymin,
                    sx=sx, sy=sy, height=float(h))
@@ -736,7 +739,7 @@ def _cell_map(data_bounds, cell_origin, cell_size):
     return mat, off
 
 
-def build_scatterplot_matrix(gs, ellipses, show_points=True, title=""):
+def build_scatterplot_matrix(gs, ellipses, title=""):
     """All pairwise panels with per-group coverage ellipses.
 
     ellipses[(j, i)] lists the groups' ellipses on columns j (x) and i
@@ -773,11 +776,9 @@ def build_scatterplot_matrix(gs, ellipses, show_points=True, title=""):
             for gidx, (rows, ell) in enumerate(zip(gs.split(),
                                                    ellipses[cols])):
                 color = PALETTE["groups"][gidx % len(PALETTE["groups"])]
-                if show_points:
-                    pts = rows[:, cols] @ mat.T + off
-                    layers.append(PointsLayer(pts, Style(stroke=color,
-                                                         width=0.5),
-                                              marker="circle", size=1.2))
+                pts = rows[:, cols] @ mat.T + off
+                layers.append(PointsLayer(pts, Style(stroke=color, width=0.5),
+                                          marker="circle", size=1.2))
                 moved = ge.linear_image(ell, mat)
                 moved = ge.GEllipsoid(center=moved.center + off,
                                       frame=moved.frame, radii=moved.radii)
@@ -809,15 +810,13 @@ def build_he_plot(ell_h, ell_e, names=("y1", "y2"), means=None, labels=None,
     return Scene(layers=layers, title=title)
 
 
-def build_canonical_he(ell_h, ell_e, can, names, vector_scale=None,
-                       title=""):
+def build_canonical_he(ell_h, ell_e, can, names, title=""):
     """HE plot in canonical score space plus structure-coefficient vectors.
 
     can is an mlm.canonical result, names its response names, and ell_h,
     ell_e its score-space H and E ellipses (mlm.canonical_he_ellipses).
+    The structure vectors reach 0.9 of the H ellipse's major radius.
     """
-    if vector_scale is None:
-        vector_scale = 0.9 * float(ell_h.radii[0])
     layers = [AxisLayer(label_x=f"canonical 1 ({can.percent[0]:.1f}%)",
                         label_y=f"canonical 2 ({can.percent[1]:.1f}%)"),
               EllipseLayer([ell_e], Style(stroke=PALETTE["e"], width=1.6)),
@@ -827,7 +826,7 @@ def build_canonical_he(ell_h, ell_e, can, names, vector_scale=None,
                               size=2.5))
     layers.append(TextLayer(can.group_means[:, :2],
                             [str(lab) for lab in can.group_labels], size=10.0))
-    heads = vector_scale * can.structure[:, :2]
+    heads = 0.9 * float(ell_h.radii[0]) * can.structure[:, :2]
     layers.append(Interleave((
         ArrowLayer(np.zeros_like(heads), heads,
                    Style(stroke=PALETTE["accent"], width=1.2)),
@@ -852,19 +851,18 @@ def build_ridge_trace(trace, names=("b1", "b2"), title=""):
     return Scene(layers=layers, title=title)
 
 
-def build_kiss_locus(f1, f2, bbox, locus, kisses=(), radii1=(1.0, 2.0, 3.0),
-                     radii2=None, title=""):
+def build_kiss_locus(f1, f2, bbox, locus, kisses=(), title=""):
     """Two concentric families, a traced locus, and marked kiss points.
 
     locus is a kissing.trace_locus result over bbox, the viewport; kisses
-    are (point, f2 radius) pairs from kissing.osculation_point. The f2
-    levels drawn default to 1 and the radii of the kisses.
+    are (point, f2 radius) pairs from kissing.osculation_point. The f1
+    levels drawn are 1, 2 and 3, the f2 levels 1 and the radii of the
+    kisses.
     """
     layers = [AxisLayer()]
-    layers.append(EllipseLayer(f1.level_ellipses(radii1),
+    layers.append(EllipseLayer(f1.level_ellipses((1.0, 2.0, 3.0)),
                                Style(stroke=PALETTE["h"], width=1.1)))
-    if radii2 is None:
-        radii2 = [1.0] + [float(r2) for _, r2 in kisses]
+    radii2 = [1.0] + [float(r2) for _, r2 in kisses]
     layers.append(EllipseLayer(f2.level_ellipses(radii2),
                                Style(stroke=PALETTE["e"], width=1.1)))
     for pl in locus["polylines"]:

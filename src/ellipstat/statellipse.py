@@ -144,10 +144,6 @@ def _mean_cov(y):
     return ybar, 0.5 * (s + s.T)
 
 
-def correlation(sample):
-    return nk.cov_to_corr(mean_cov(sample)[1])
-
-
 def regression_slopes(s):
     """Slopes (y on x, x on y) of a 2 x 2 covariance of (x, y): s_xy / s_xx
     and s_xy / s_yy, nan where the regressor has no variance."""

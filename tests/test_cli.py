@@ -100,7 +100,8 @@ def test_oversized_field_is_input_error(tmp_path, capsys):
 
 def _reader_table(text, source):
     """The table as csv.reader reads it, row by row: the oracle of the
-    bulk split (a csv.Error becomes an InputError at the reader's line)."""
+    np.loadtxt read (a csv.Error becomes an InputError at the reader's
+    line)."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)
@@ -237,8 +238,8 @@ def test_bulk_split_falls_back(text):
     ("a,b\n1,2\n3,\x1c4\n", 0)])          # numpy alone strips \x1c
 def test_every_plain_table_is_read_by_one_loadtxt(monkeypatch, text, calls):
     # a plain table is read in one typed np.loadtxt pass, float columns
-    # contiguous; on an error it is split and read with float(), and the
-    # outcome is csv.reader's either way
+    # contiguous; on an error csv.reader reads it, and the outcome is
+    # csv.reader's either way
     seen = []
     loadtxt = np.loadtxt
 
@@ -257,7 +258,7 @@ def test_every_plain_table_is_read_by_one_loadtxt(monkeypatch, text, calls):
 
 @pytest.mark.parametrize("name", datasets.list_fixtures())
 def test_bulk_split_reads_every_fixture(name):
-    # LF and CRLF fixtures alike take the bulk split
+    # LF and CRLF fixtures alike take the np.loadtxt read
     text = datasets.fixture_csv_text(name)
     assert datasets._split_plain(text) is not None
     assert _outcome(datasets._parse_table, text) == \

@@ -344,3 +344,60 @@ def test_demos_compute_no_statistics_by_hand(path):
     for line, name, _ in _numpy_chains(path):
         assert name.split(".")[1] not in ("linalg", "cov", "var"), \
             f"{path.name}:{line} uses {name}"
+
+
+# Definitions kept without a caller in the program, each for its reason.
+UNCALLED = {
+    "mlm.protrusion_ratio": "acceptance criterion 5 reads the protrusion "
+                            "ratio of the iris HE plot from it",
+    "kissing.QuadFamily.level_ellipse": "the one-level reference that "
+                                        "level_ellipses matches bit for bit",
+}
+
+
+def _definitions(tree, module):
+    """(qualified name, node) of every function, class and method in a
+    module, dunder methods aside: Python calls those itself."""
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if not child.name.startswith("__"):
+                    yield f"{prefix}.{child.name}", child
+                yield from visit(child, f"{prefix}.{child.name}")
+            else:
+                yield from visit(child, prefix)
+    return visit(tree, module)
+
+
+def _references(tree):
+    """(name, ids of the definitions enclosing it) of every name and
+    attribute a module reads."""
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {id(node)}
+        if isinstance(node, ast.Name):
+            yield node.id, enclosing
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, enclosing
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, enclosing)
+    return visit(tree, frozenset())
+
+
+def test_every_definition_has_a_caller():
+    # a function, class or method that nothing in the program names
+    # outside its own body is dead code, or an option nothing sets
+    root = PACKAGE.parent.parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*sorted(PACKAGE.glob("*.py")),
+                          *(root / "demos").glob("*.py"),
+                          *(root / "bench").glob("*.py")]}
+    refs = {}
+    for tree in trees.values():
+        for name, enclosing in _references(tree):
+            refs.setdefault(name, []).append(enclosing)
+    uncalled = [
+        qual for path, tree in trees.items() if path.parent == PACKAGE
+        for qual, node in _definitions(tree, path.stem)
+        if all(id(node) in enclosing for enclosing in refs.get(node.name, ()))]
+    assert sorted(uncalled) == sorted(UNCALLED)

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import mpmath as mp
 import numpy as np
@@ -458,6 +459,15 @@ def test_kiss_mark_whose_square_overflows_is_exit_2(tmp_path, capsys):
          a2=(np.array([[0.57015553, 0.44954839],
                        [0.44954839, 0.52984447]]), 10.0, 1.0),
          seed=1554, t=0.5)
+# a coarse locus from whose nearest vertex Newton cycles without meeting
+# NEWTON_STOP
+@example(a1=(np.array([[0.24024028526267988, -0.3981195534880054],
+                       [-0.3981195534880054, 0.7913824913390038]]),
+             31.622776601683793, 1.0),
+         a2=(np.array([[0.06756178223833775, 0.1830598327431989],
+                       [0.1830598327431989, 0.9640609943633457]]),
+             31.622776601683793, 1.0),
+         seed=110, t=0.5)
 def test_cross_field_vanishes_at_each_kiss_point(a1, a2, seed, t):
     # the kiss point on the f1 level t^2 f1(m2) lies between the centres,
     # on the level and on the zero set of the cross field, to roundoff of
@@ -482,6 +492,27 @@ def test_cross_field_vanishes_at_each_kiss_point(a1, a2, seed, t):
     assert g1 @ g2 < 0
     assert f1.value(x) == pytest.approx(r1 ** 2, rel=1e-12)
     assert f2.value(x) == pytest.approx(r2 ** 2, rel=1e-12)
+
+
+def test_kiss_point_from_an_unconverged_polish_is_replaced(tmp_path):
+    # from the nearest vertex of this coarse locus Newton cycles for all
+    # its steps, and its last iterate, off the mark's level, used to be
+    # reported; the branch point's polish gives the kiss point
+    out = tmp_path / "out.json"
+    assert cli.main([
+        "kiss", "--m1=0.25186555969015784,0.13608411110288918",
+        "--m2=-2.302705226526791,-0.608998001107241",
+        "--a1=0.24024028526267988,-0.3981195534880054;"
+        "-0.3981195534880054,0.7913824913390038",
+        "--a2=0.06756178223833775,0.1830598327431989;"
+        "0.1830598327431989,0.9640609943633457",
+        "--mark=0.3505595413310587",
+        "--bbox=-29.01925484837006,29.52298596775038,"
+        "-29.13503629695733,29.40720451916311",
+        "--resolution", "96", "--json", str(out)]) == 0
+    kiss, = json.loads(out.read_text())["osculation"]
+    assert kiss["point"] == pytest.approx([-1.50108, -0.75731], abs=1e-5)
+    assert kiss["radius2"] == pytest.approx(0.14523, abs=1e-5)
 
 
 def test_osculation_recovers_published_drawing_radii():

@@ -166,11 +166,8 @@ def test_roy_critical_modes_and_limits():
     from ellipstat import distributions as dist
     lam = mlm.roy_critical(1, 20, 1, alpha=0.05)
     assert lam == pytest.approx(dist.f_quantile(0.95, 1, 20) / 20)
-    strict = mlm.roy_critical(2, 147, 4, strict_paper=True)
-    corrected = mlm.roy_critical(2, 147, 4)
-    assert strict != corrected
     with pytest.raises(ValueError):
-        mlm.roy_critical(2, 3, 10)      # df2 <= 0 in corrected mode
+        mlm.roy_critical(2, 3, 10)      # df2 = 3 - 10 + 2 <= 0
 
 
 def test_iris_roy_critical_golden():
@@ -218,8 +215,7 @@ def test_he_ellipses_effect_scaling_is_fitted_data_ellipse(iris_grouped,
                                                            iris_fit):
     fit, _, h, e = iris_fit
     ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=(0, 1),
-                                   center=fit.y_mean, scaling="effect",
-                                   level=0.68)
+                                   center=fit.y_mean, scaling="effect")
     # moment of the H ellipse is c^2 H/df_e restricted to the pair
     from ellipstat import distributions as dist
     c2 = 2 * dist.f_quantile(0.68, 2, fit.df_e)

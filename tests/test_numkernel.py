@@ -78,23 +78,26 @@ def test_cholesky_demo_matrix_forward_substitution():
 
 
 def test_cholesky_reports_failing_pivot():
+    # the verdict is require_pd's: an indefinite matrix names its
+    # negative eigenvalue
     bad = np.array([[1.0, 0.0, 0.0],
                     [0.0, -2.0, 0.0],
                     [0.0, 0.0, 3.0]])
-    with pytest.raises(nk.NotPositiveDefiniteError) as err:
+    with pytest.raises(nk.IndefiniteError) as err:
         nk.cholesky(bad)
-    assert err.value.index == 1
+    assert err.value.value == -2.0
 
 
 def test_cholesky_rejects_a_small_pivot_lapack_accepts():
     # the second pivot is 1 + 1e-15 - 1, rounded: positive, so LAPACK
-    # factors the matrix, but under 1e-14 * max|w|
+    # factors the matrix, but the smallest eigenvalue, about 5.6e-16, is
+    # negligible against the largest, 2 (require_pd)
     w = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
     assert np.linalg.cholesky(w)[1, 1] > 0
     with pytest.raises(nk.NotPositiveDefiniteError) as err:
         nk.cholesky(w)
     assert err.value.index == 1
-    assert 0 < err.value.value <= 1e-14
+    assert 0 < err.value.value <= nk.NEGLIGIBLE_EIG * 2.0
 
 
 def test_psd_sqrt_boundary_and_identity():
@@ -229,6 +232,7 @@ PD_SITES = {
     "StudyStack": lambda w: ki.StudyStack([[0.0, 0.0]], [w]),
     "gen_eig": lambda w: nk.gen_eig(np.eye(2), w),
     "conjugate_axes": lambda w: ge.conjugate_axes(w, "principal"),
+    "cholesky": nk.cholesky,
 }
 
 

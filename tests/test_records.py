@@ -97,8 +97,10 @@ def test_record_constructor_and_immutability(cls, fields, defaults,
                                              derived):
     by_position = cls(*fields.values())
     by_keyword = cls(**fields)
-    # a GroupedSample sorts its rows by their groups and keeps the labels
-    kept = [n for n in fields if (cls, n) != (st.GroupedSample, "groups")]
+    # a GroupedSample or MixedSpec sorts its rows by their groups and
+    # keeps the labels
+    kept = [n for n in fields if n != "groups"
+            or cls not in (st.GroupedSample, ki.MixedSpec)]
     for obj in (by_position, by_keyword):
         for name in kept:
             assert _same(getattr(obj, name), fields[name]), name

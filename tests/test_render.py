@@ -652,7 +652,17 @@ def _scenes(draw):
 @settings(max_examples=300, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_scenes())
+# pinned: an arrow of subnormal extent, whose auto viewport's pixel scale
+# overflows
+@example(render.Scene([render.ArrowLayer(
+    (0.0, 0.0), (2.225073858507e-311, 2.225073858507e-311),
+    render.Style(stroke="#888888", width=0.9))]))
 def test_render_scene_matches_per_element_renderer(scene):
+    tr, _ = _ref_scene_transform(scene)
+    if not np.isfinite([tr.sx, tr.sy]).all():
+        with pytest.raises(ge.nk.InputError, match="pixel scale overflows"):
+            render.render_scene(scene)
+        return
     assert render.render_scene(scene) == reference_render_scene(scene)
 
 

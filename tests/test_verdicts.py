@@ -172,29 +172,6 @@ def check_symmetric_case(draw):
 
 
 @hs.composite
-def cholesky_case(draw):
-    # w = L D L' with L unit lower triangular and D = (1, ..., 1, 0),
-    # plus ratio * max|w| on its last diagonal entry: that is its last pivot
-    p = draw(hs.integers(2, 4))
-    ratio, below = _off(nk.PIVOT_TOL, draw)
-    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
-    lower = np.tril(0.5 * rng.standard_normal((p, p)), -1) + np.eye(p)
-    w = (lower * np.append(np.ones(p - 1), 0.0)) @ lower.T
-    w = 0.5 * (w + w.T)
-    w[-1, -1] += ratio * np.abs(w).max()
-    return (10.0 ** draw(magnitudes) * w,), p - 1 if below else None, \
-        ratio
-
-
-def _cholesky_verdict(w):
-    try:
-        nk.cholesky(w)
-    except nk.NotPositiveDefiniteError as err:
-        return err.index
-    return None
-
-
-@hs.composite
 def require_full_rank_case(draw):
     # columns in units 10^-3 to 10^3 apart; the last is the first plus a
     # step t off its span, and the verdict is the unit-column ratio's
@@ -221,7 +198,6 @@ VERDICTS = {
         nk.IndefiniteError, nk.psd_eigvals, w)),
     "check_symmetric": (check_symmetric_case, lambda w: _raises(
         nk.NotSymmetricError, nk.check_symmetric, w)),
-    "cholesky": (cholesky_case, _cholesky_verdict),
     "require_full_rank": (require_full_rank_case, lambda x: _raises(
         ValueError, nk.require_full_rank, x)),
 }
