@@ -33,16 +33,16 @@ print(f"correlation r = {r:.3f}")
 
 # coverage radii: c^2 is a chi-square_2 quantile
 for level in (0.40, 0.68, 0.95):
-    c = st.coverage_radius(2, st.CoverageSpec.chisq(level))
+    c = st.coverage_radius(level, 2)
     print(f"{level:.0%} ellipse: c^2 = {c * c:.3f}")
 
 # the 40% ellipse has radius ~1, so its axis shadows are ~1 sd each way
-ell = st.data_ellipsoid(sample, st.CoverageSpec.stddev(1.0))
+ell = st.data_ellipsoid(sample, 1.0)
 lo, hi = st.univariate_shadow(ell, np.array([1.0, 0.0]))
 print(f"radius-1 shadow on the parent axis: half-width "
       f"{(hi - lo) / 2:.3f} (= sd)")
 
-ellipses = [st.data_ellipsoid(sample, st.CoverageSpec.chisq(level))
+ellipses = [st.data_ellipsoid(sample, st.coverage_radius(level, 2))
             for level in (0.40, 0.68, 0.95)]
 scene = render.build_data_ellipse_panel(
     sample, mean, st.regression_slopes(cov), ellipses,

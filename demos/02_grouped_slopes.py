@@ -34,13 +34,14 @@ for sign, label in ((+1, "positive"), (-1, "negative")):
     # the grand mean, and the between-means ellipse
     layers = [render.AxisLayer(label_x="x", label_y="y")]
     grand, _ = st.mean_cov(st.Sample(gs.data))
-    c2 = st.coverage_radius(2, st.CoverageSpec.chisq(0.68)) ** 2
+    c68 = st.coverage_radius(0.68, 2)
+    c2 = c68 ** 2
     for i, rows in enumerate(gs.split()):
         color = render.PALETTE["groups"][i % 6]
         layers.append(render.PointsLayer(
             rows, render.Style(stroke=color, width=0.6), size=1.6))
         layers.append(render.EllipseLayer(
-            [st.data_ellipsoid(st.Sample(rows), st.CoverageSpec.chisq(0.68))],
+            [st.data_ellipsoid(st.Sample(rows), c68)],
             render.Style(stroke=color, width=1.0, dash="4,3")))
     layers.append(render.EllipseLayer(
         [ge.from_moment(c2 * st.pooled_within_cov(gs), grand)],

@@ -32,17 +32,19 @@ fit = linmod.ols_fit(x, heart, names=["intercept", "Coffee", "Stress"])
 print(f"marginal slopes: coffee {marg_c:+.3f}, stress {marg_s:+.3f}")
 print(f"joint model:     coffee {fit.coef[1]:+.3f}, "
       f"stress {fit.coef[2]:+.3f}")
+r_ci = linmod.ci_radius(0.05, fit.df)
 cis = []
 for j, name in ((1, "Coffee"), (2, "Stress")):
     c = np.zeros(3)
     c[j] = 1.0
-    lo, hi = linmod.shadow_interval(fit, c, linmod.ConfidenceSpec("ci"))
+    lo, hi = linmod.shadow_interval(fit, c, r_ci)
     cis.append((lo, hi))
     verdict = "excludes" if lo > 0 or hi < 0 else "covers"
     print(f"  95% CI for {name}: [{lo:+.3f}, {hi:+.3f}] ({verdict} 0)")
 
-joint = linmod.confidence_ellipsoid(fit, [1, 2])
-ci = linmod.confidence_ellipsoid(fit, [1, 2], linmod.ConfidenceSpec("ci"))
+joint = linmod.confidence_ellipsoid(fit, [1, 2],
+                                    linmod.joint_radius(0.05, 2, fit.df))
+ci = linmod.confidence_ellipsoid(fit, [1, 2], r_ci)
 scene = render.build_beta_space_panel(
     joint, ci, cis, ("Coffee", "Stress"),
     title="joint 95% (green) and CI (red) ellipses")
@@ -52,7 +54,7 @@ with open(os.path.join(OUT, "coffee_beta_space.svg"), "w") as f:
 res = linmod.avp(x, heart, 0)
 marg = res["marginal"]
 cond = np.column_stack([res["x_star"], res["y_star"]])
-half = st.CoverageSpec.chisq(0.50)
+half = st.coverage_radius(0.50, 2)
 scene = render.build_avp_marginal_overlay(
     marg, cond, st.data_ellipsoid(st.Sample(marg), half),
     st.data_ellipsoid(st.Sample(cond), half), res["marginal_slope"],

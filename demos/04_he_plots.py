@@ -33,8 +33,8 @@ print(f"Roy critical value at 0.05: {crit:.4f}; protrusion ratio "
       f"{res.roy / crit:.1f} (H sticks far outside E)")
 
 _, means, _ = st.group_means(gs)
-ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=(0, 2),
-                               center=fit.y_mean, df_h=gs.g - 1)
+ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, crit, coords=(0, 2),
+                               center=fit.y_mean)
 scene = render.build_he_plot(ell_h, ell_e, names=(gs.names[0], gs.names[2]),
                              means=means[:, [0, 2]], labels=labels,
                              title="iris HE plot (Roy significance scaling)")
@@ -61,7 +61,7 @@ with open(os.path.join(OUT, "iris_canonical.svg"), "w") as f:
     f.write(render.render_scene(scene))
 
 scene = render.build_scatterplot_matrix(
-    gs, st.pairwise_data_ellipsoids(gs, st.CoverageSpec.chisq(0.68)),
+    gs, st.pairwise_data_ellipsoids(gs, st.coverage_radius(0.68, 2)),
     title="iris pairwise 68% ellipses by species")
 with open(os.path.join(OUT, "iris_pairs.svg"), "w") as f:
     f.write(render.render_scene(scene))

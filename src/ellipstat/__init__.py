@@ -23,9 +23,8 @@ _REEXPORTS = {
     "gellipsoid": ("GEllipsoid", "Signature", "conjugate_axes", "dual",
                    "from_generator", "from_moment", "from_precision",
                    "linear_image", "project", "signature", "volume"),
-    "statellipse": ("CoverageSpec", "GroupedSample", "Sample",
-                    "coverage_radius", "data_ellipsoid",
-                    "marginal_decomposition", "mean_cov",
+    "statellipse": ("GroupedSample", "Sample", "coverage_radius",
+                    "data_ellipsoid", "marginal_decomposition", "mean_cov",
                     "pooled_within_cov"),
 }
 _SOURCE = {name: module for module, names in _REEXPORTS.items()

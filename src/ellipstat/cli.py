@@ -262,14 +262,11 @@ def cmd_data_ellipse(args):
     sample = st.Sample(mat, tuple(names))
     mean, cov = st.mean_cov(sample)
 
-    def radius(level):
-        return st.coverage_radius(2, st.CoverageSpec.chisq(level))
-
     def ellipse(c):
         # st.data_ellipsoid of radius c, on the moments read once
         return ge.from_moment(c * c * cov, mean)
 
-    c = radius(args.level)
+    c = st.coverage_radius(args.level, 2)
     ell = ellipse(c)
     sh_x = st.univariate_shadow(ell, np.array([1.0, 0.0]))
     sh_y = st.univariate_shadow(ell, np.array([0.0, 1.0]))
@@ -289,7 +286,8 @@ def cmd_data_ellipse(args):
 
     def scene():
         from . import render
-        ellipses = [ell if level == args.level else ellipse(radius(level))
+        ellipses = [ell if level == args.level
+                    else ellipse(st.coverage_radius(level, 2))
                     for level in sorted({0.40, 0.68, args.level})]
         return render.build_data_ellipse_panel(
             sample, mean, st.regression_slopes(cov), ellipses,
@@ -317,17 +315,16 @@ def cmd_betaspace(args):
     fit = linmod.ols_fit(x, y, names=["intercept"] + x_names)
     coords = _coords(fit.names, args.coords, [1, 2])
     names = [fit.names[c] for c in coords]
-    r_joint = linmod.ConfidenceSpec("joint", args.alpha, d=2).radius(fit.df)
-    r_ci = linmod.ConfidenceSpec("ci", args.alpha).radius(fit.df)
-    joint = linmod.confidence_ellipsoid(fit, coords, radius=r_joint)
-    ci = linmod.confidence_ellipsoid(fit, coords, radius=r_ci)
+    r_joint = linmod.joint_radius(args.alpha, 2, fit.df)
+    r_ci = linmod.ci_radius(args.alpha, fit.df)
+    joint = linmod.confidence_ellipsoid(fit, coords, r_joint)
+    ci = linmod.confidence_ellipsoid(fit, coords, r_ci)
     ci_ival = {}
     scheffe = {}
     for c in coords:
         e_c = [1.0 if i == c else 0.0 for i in range(fit.q)]
-        ci_ival[fit.names[c]] = linmod.shadow_interval(fit, e_c, radius=r_ci)
-        scheffe[fit.names[c]] = linmod.shadow_interval(fit, e_c,
-                                                       radius=r_joint)
+        ci_ival[fit.names[c]] = linmod.shadow_interval(fit, e_c, r_ci)
+        scheffe[fit.names[c]] = linmod.shadow_interval(fit, e_c, r_joint)
     inside = ge.scaled_sq_distance(joint, np.zeros(2)) <= 1.0
     payload = {
         "response": args.response,
@@ -377,8 +374,7 @@ def cmd_avp(args):
         names = (args.k, args.response)
         marg = res["marginal"]
         cond = np.column_stack([res["x_star"], res["y_star"]])
-        half = st.CoverageSpec.stddev(
-            st.coverage_radius(2, st.CoverageSpec.chisq(0.50)))
+        half = st.coverage_radius(0.50, 2)
         return render.build_avp_marginal_overlay(
             marg, cond, st.data_ellipsoid(st.Sample(marg, names), half),
             st.data_ellipsoid(st.Sample(cond, names), half),
@@ -442,9 +438,9 @@ def cmd_heplot(args):
 
     def scene():
         from . import render
-        ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=coords,
-                                       center=fit.y_mean,
-                                       scaling=args.scaling, crit=crit)
+        ell_h, ell_e = mlm.he_ellipses(
+            h, e, fit.df_e, crit if args.scaling == "significance" else 1.0,
+            coords=coords, center=fit.y_mean)
         _, means, _ = st.group_means(gs)
         return render.build_he_plot(
             ell_h, ell_e, names=(names[coords[0]], names[coords[1]]),

@@ -711,21 +711,17 @@ def estimate_g_moments(blues):
 
 class StudyStack(nk.Frozen):
     """k studies of p outcomes: effects y (k, p), within-study covariances
-    S (k, p, p), designs X (k, p, q), the identity when omitted, and
-    labels, study1 to studyk when omitted. Every S_i is symmetrised and
-    checked positive definite here, once per stack; a bad S_i is named by
-    its study's label."""
+    S (k, p, p) and labels, study1 to studyk when omitted. Each study
+    estimates the pooled effect itself (its design is the identity). Every
+    S_i is symmetrised and checked positive definite here, once per stack;
+    a bad S_i is named by its study's label."""
 
-    def __init__(self, y, s_mat, x_mat=None, labels=None):
+    def __init__(self, y, s_mat, labels=None):
         y = np.asarray(y, dtype=float)
         s = np.asarray(s_mat, dtype=float)
         if y.ndim != 2 or not y.size or s.shape != y.shape + y.shape[1:]:
             raise nk.InputError("need y (k, p), k > 0, and S (k, p, p)")
-        k, p = y.shape
-        x = np.broadcast_to(np.eye(p), (k, p, p)) if x_mat is None \
-            else np.asarray(x_mat, dtype=float)
-        if x.ndim != 3 or x.shape[:2] != (k, p):
-            raise nk.InputError("design rows must match the outcome length")
+        k = len(y)
         labels = tuple(f"study{i + 1}" for i in range(k)) \
             if labels is None else tuple(labels)
         if len(labels) != k:
@@ -736,13 +732,19 @@ class StudyStack(nk.Frozen):
         except nk.MatrixError as err:
             err.name = f"S_i of study {labels[err.at[0]]}"
             raise
-        self.__dict__.update(y=y, s_mat=s, x_mat=x, labels=labels)
+        self.__dict__.update(y=y, s_mat=s, labels=labels)
 
 
-def meta_fixed(stack, *more):
-    """Fixed-effect GLS pool of one or more study stacks (one per design
-    shape): inverse-variance weighting by S_i alone."""
-    return _gls([(s.x_mat, s.s_mat, s.y) for s in (stack, *more)])
+def _pool(stack, sigma):
+    """GLS pool of the studies' effects with covariances sigma (k, p, p)."""
+    k, p = stack.y.shape
+    return _gls([(np.broadcast_to(np.eye(p), (k, p, p)), sigma, stack.y)])
+
+
+def meta_fixed(stack):
+    """Fixed-effect GLS pool of a study stack: inverse-variance weighting
+    by S_i alone."""
+    return _pool(stack, stack.s_mat)
 
 
 def _delta(stack, delta):
@@ -761,40 +763,33 @@ def meta_random(stack, delta):
     """
     delta = _delta(stack, delta)
     nk.psd_eigvals(delta)       # rejects a materially indefinite Delta
-    return _gls([(stack.x_mat, stack.s_mat + delta, stack.y)])
+    return _pool(stack, stack.s_mat + delta)
 
 
 def meta_blup(stack, beta_re, v_cov, delta):
-    """Per-study BLUPs: blup of each y_i, with S_i, toward X_i beta_re
-    with G = Delta, so beta_re + Delta Sigma_i^{-1} (y_i - X_i beta_re),
-    stacked: beta (k, p) and cov (k, p, p), for the pool beta_re and its
-    q x q covariance V.
+    """Per-study BLUPs: blup of each y_i, with S_i, toward beta_re with
+    G = Delta, so beta_re + Delta Sigma_i^{-1} (y_i - beta_re), stacked:
+    beta (k, p) and cov (k, p, p), for the pool beta_re and its p x p
+    covariance V.
 
-    Each covariance is X_i V X_i' plus blup's Delta - Delta Sigma_i^{-1}
-    Delta, never smaller than X_i V X_i', the covariance of X_i beta_re,
-    in the PSD order.
+    Each covariance is V plus blup's Delta - Delta Sigma_i^{-1} Delta,
+    never smaller than V, the covariance of beta_re, in the PSD order.
     """
     delta = _delta(stack, delta)
-    q = stack.x_mat.shape[2]
-    if np.shape(v_cov) != (q, q):
-        raise nk.InputError(f"V must be {q} x {q}, as the designs have "
-                            f"{q} columns")
-    mean = stack.x_mat @ np.asarray(beta_re, dtype=float).ravel()
-    fit = blup(stack.y, stack.s_mat, mean, delta)
-    cov = stack.x_mat @ v_cov @ stack.x_mat.swapaxes(1, 2) + fit["cov"]
+    p = stack.y.shape[1]
+    if np.shape(v_cov) != (p, p):
+        raise nk.InputError(f"V must be {p} x {p}, as Delta is")
+    fit = blup(stack.y, stack.s_mat, np.asarray(beta_re, dtype=float).ravel(),
+               delta)
+    cov = v_cov + fit["cov"]
     return {"beta": fit["beta"], "cov": 0.5 * (cov + cov.swapaxes(1, 2))}
 
 
 def estimate_delta_mom(stack):
     """Method-of-moments between-study covariance, eigen-clipped to PSD.
 
-    (g-1)^{-1} sum (y_i - ybar)(y_i - ybar)^T - g^{-1} sum S_i, for
-    intercept-only designs: a stack with other designs is an InputError.
+    (g-1)^{-1} sum (y_i - ybar)(y_i - ybar)^T - g^{-1} sum S_i.
     """
-    g, p = stack.y.shape
-    if g < 2:
+    if len(stack.y) < 2:
         raise nk.InputError("need at least two studies")
-    if stack.x_mat.shape[2] != p or np.any(stack.x_mat != np.eye(p)):
-        raise nk.InputError("the moment estimate of Delta needs identity "
-                            "designs")
     return estimate_g_moments({"beta": stack.y, "s_mat": stack.s_mat})

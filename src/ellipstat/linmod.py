@@ -74,58 +74,48 @@ def ols_fit(x, y, names=None):
                      residuals=resid, fitted=fitted)
 
 
-class ConfidenceSpec(nk.Frozen):
-    """kind 'joint', 'ci', 'scheffe' or 'bonferroni' at level 1 - alpha,
-    over d simultaneous dimensions (joint, scheffe) or m comparisons
-    (bonferroni)."""
-
-    def __init__(self, kind="joint", alpha=0.05, d=2, m=1):
-        if not 0.0 < alpha < 1.0:
-            raise nk.InputError("alpha must be in (0, 1)")
-        if d < 1 or m < 1:
-            raise nk.InputError("d and m must be >= 1")
-        if kind not in ("joint", "ci", "scheffe", "bonferroni"):
-            raise nk.InputError(f"unknown kind {kind!r}")
-        self.__dict__.update(kind=kind, alpha=alpha, d=d, m=m)
-
-    def radius(self, df):
-        if self.kind in ("joint", "scheffe"):
-            return float(np.sqrt(
-                self.d * dist.f_quantile(1 - self.alpha, self.d, df)))
-        if self.kind == "ci":
-            return float(dist.t_quantile(1 - self.alpha / 2, df))
-        return float(dist.t_quantile(1 - self.alpha / (2 * self.m), df))
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise nk.InputError("alpha must be in (0, 1)")
 
 
-def confidence_ellipsoid(fit, coords, spec=None, radius=None):
+def joint_radius(alpha, d, df):
+    """Radius of the joint 1 - alpha confidence ellipsoid of d
+    coefficients, sqrt(d F_{1-alpha}(d, df)); its shadows are the Scheffe
+    intervals."""
+    _check_alpha(alpha)
+    return float(np.sqrt(d * dist.f_quantile(1 - alpha, d, df)))
+
+
+def ci_radius(alpha, df):
+    """Radius of a one-at-a-time 1 - alpha interval, t_{1-alpha/2}(df)."""
+    _check_alpha(alpha)
+    return float(dist.t_quantile(1 - alpha / 2, df))
+
+
+def confidence_ellipsoid(fit, coords, radius):
     """Confidence ellipsoid for selected coefficients.
 
     Centered at the estimates, with moment matrix
-    radius^2 * s^2 * (X^T X)^{-1}[coords, coords]; the radius follows the
-    spec kind (joint F, per-coordinate t, or Bonferroni t). A caller that
-    already holds spec.radius(fit.df) passes it as radius instead.
+    radius^2 * s^2 * (X^T X)^{-1}[coords, coords]: joint_radius gives the
+    joint region, ci_radius the ellipse whose shadows are t intervals.
     """
     coords = list(coords)
     if any(c < 0 or c >= fit.q for c in coords):
         raise nk.InputError(f"coordinates out of range 0..{fit.q - 1}")
-    if radius is None:
-        spec = spec or ConfidenceSpec(kind="joint", d=len(coords))
-        radius = spec.radius(fit.df)
     sub = fit.xtx_inv[np.ix_(coords, coords)]
     return ge.from_moment(radius * radius * fit.s2 * sub, fit.coef[coords])
 
 
-def shadow_interval(fit, combo, spec=None, radius=None):
+def shadow_interval(fit, combo, radius):
     """Confidence interval for a linear combination c^T beta.
 
-    Equals the shadow of the matching confidence ellipsoid along c. A
-    caller that already holds spec.radius(fit.df) passes it as radius.
+    Equals the shadow along c of the confidence ellipsoid of the same
+    radius.
     """
     c = np.asarray(combo, dtype=float).ravel()
     if c.size != fit.q or not np.any(c):
         raise nk.InputError("combination must be a nonzero q-vector")
-    if radius is None:
-        radius = (spec or ConfidenceSpec(kind="ci")).radius(fit.df)
     mid = float(c @ fit.coef)
     half = radius * float(np.sqrt(fit.s2 * c @ fit.xtx_inv @ c))
     return (mid - half, mid + half)

@@ -213,15 +213,13 @@ def protrusion_ratio(h, e, df_h, df_e, alpha=0.05):
     return float(lam[0] / crit)
 
 
-def he_ellipses(h, e, df_e, coords=(0, 1), center=None, scaling="significance",
-                df_h=None, crit=None):
+def he_ellipses(h, e, df_e, crit, coords=(0, 1), center=None):
     """H and E ellipses for one coordinate pair of an HE plot.
 
     E is drawn as the 68% coverage ellipse of E/df_e at the response
-    means. H uses the same radius on H/df_e (effect scaling) or
-    H/(lam_alpha df_e) (significance scaling, so protrusion outside E is
-    Roy's test). lam_alpha is roy_critical(df_h, df_e, p) at its level
-    0.05, or crit when the caller already holds it.
+    means, and H with the same radius on H/(crit df_e). crit is Roy's
+    lam_alpha (roy_critical) for significance scaling, so that H pokes
+    outside E exactly when Roy's test rejects, or 1 for effect scaling.
     """
     coords = list(coords)
     if len(coords) != 2:
@@ -231,16 +229,7 @@ def he_ellipses(h, e, df_e, coords=(0, 1), center=None, scaling="significance",
         center = np.zeros(p)
     center = np.asarray(center, dtype=float)
     c = np.sqrt(2 * dist.f_quantile(0.68, 2, df_e))
-    if scaling == "significance":
-        if crit is None:
-            if df_h is None:
-                raise nk.InputError("significance scaling needs df_h")
-            crit = roy_critical(df_h, df_e, p)
-        h_scaled = h / (crit * df_e)
-    elif scaling == "effect":
-        h_scaled = h / df_e
-    else:
-        raise nk.InputError(f"unknown scaling {scaling!r}")
+    h_scaled = h / (crit * df_e)
     e_scaled = e / df_e
     sub = np.ix_(coords, coords)
     ell_h = ge.from_moment(c * c * h_scaled[sub], center[coords])
@@ -342,8 +331,8 @@ def canonical_he_ellipses(gs, can):
     fit_z = mlm_fit(manova_design(gs), can.scores, names=("can1", "can2"))
     hyp = overall_hypothesis(gs.g)
     h_z, e_z = hypothesis_matrices(fit_z, hyp)
-    return he_ellipses(h_z, e_z, fit_z.df_e, coords=(0, 1),
-                       center=fit_z.y_mean, scaling="effect")
+    return he_ellipses(h_z, e_z, fit_z.df_e, 1.0, coords=(0, 1),
+                       center=fit_z.y_mean)
 
 
 def mtest_geometry(lam1, lam2):

@@ -67,8 +67,9 @@ class IndefiniteError(MatrixError):
 class Frozen:
     """Base of a value whose __init__ checks its arguments and sets its
     attributes once, through __dict__: assigning or deleting one afterwards
-    raises AttributeError. Two values of one class are equal when their
-    attributes are, and hash by them."""
+    raises AttributeError. A value equals only itself and hashes by
+    identity, as a plain object does: its attributes may be arrays, which
+    have no truth value to compare by."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}"
@@ -76,14 +77,6 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(other) == vars(self)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())

@@ -4,12 +4,12 @@
 # applies one affine data-to-pixel transform (y flipped) and writes plain
 # SVG 1.1 text. Identical input produces byte-identical output. A scene's
 # coordinates are transformed in bulk (its ellipses traced with one
-# matmul per vertex count, all its arrows at once) with the same float
-# operations as one element at a time, and formatted in one exact pass
-# (_fmt_all) that prints what the per-number rule (_fmt) prints, so the
-# output is unchanged. _stamp then lays each kind's rows out as byte
-# fields and literals and drops the padding (no Python step per point or
-# arrow, one string per ellipse or polyline). The scene builders draw the
+# matmul, all its arrows at once) with the same float operations as one
+# element at a time, and formatted in one exact pass (_fmt_all) that
+# prints what the per-number rule (_fmt) prints, so the output is
+# unchanged. _stamp then lays each kind's rows out as byte fields and
+# literals and drops the padding (no Python step per point or arrow, one
+# string per ellipse or polyline). The scene builders draw the
 # ellipsoids, intervals and quantiles they are given and compute no
 # statistics; gellipsoid is the only package module imported here.
 
@@ -28,6 +28,8 @@ from . import gellipsoid as ge
 TICK_END = 1e-9
 TICK_ZERO = 1e-12
 ARROW_TIP_PX = 1e-9
+# the vertices of each drawn ellipse's polygon
+ELLIPSE_VERTICES = 64
 
 # Default palette: hypothesis ellipses red, error ellipses blue (the HE
 # convention used throughout), groups cycled blue/red/green/....
@@ -46,15 +48,12 @@ class Style(NamedTuple):
     stroke: str = "#000000"
     width: float = 1.0
     fill: str = "none"
-    opacity: float = 1.0
     dash: str = ""
 
     def svg(self):
         parts = [f'stroke="{self.stroke}"',
                  f'stroke-width="{_fmt(self.width)}"',
                  f'fill="{self.fill}"']
-        if self.opacity != 1.0:
-            parts.append(f'opacity="{_fmt(self.opacity)}"')
         if self.dash:
             parts.append(f'stroke-dasharray="{self.dash}"')
         return " ".join(parts)
@@ -62,10 +61,11 @@ class Style(NamedTuple):
 
 class EllipseLayer(ge.nk.Frozen):
     """k >= 0 bounded 2D ellipsoids in one style, each drawn as the
-    polygon of n points on its boundary. Construction stacks their
-    centres (k, 2), frames (k, 2, 2) and radii (k, 2), once."""
+    polygon of ELLIPSE_VERTICES points on its boundary. Construction
+    stacks their centres (k, 2), frames (k, 2, 2) and radii (k, 2),
+    once."""
 
-    def __init__(self, ellipses, style=Style(), n=64):
+    def __init__(self, ellipses, style=Style()):
         for e in ellipses:
             if e.dim != 2:
                 raise ValueError("ellipse paths are two-dimensional")
@@ -73,7 +73,7 @@ class EllipseLayer(ge.nk.Frozen):
                 raise ValueError("cannot close the path of an unbounded "
                                  "ellipsoid")
         self.__dict__.update(
-            ellipses=ellipses, style=style, n=n,
+            ellipses=ellipses, style=style,
             centers=np.array([e.center for e in ellipses]).reshape(-1, 2),
             frames=np.array([e.frame for e in ellipses]).reshape(-1, 2, 2),
             radii=np.array([e.radii for e in ellipses]).reshape(-1, 2))
@@ -126,17 +126,16 @@ class Interleave(ge.nk.Frozen):
 
 
 class AxisLayer(ge.nk.Frozen):
-    def __init__(self, style=Style(stroke="#333333", width=1.0), ticks=5,
-                 label_x="", label_y=""):
-        self.__dict__.update(style=style, ticks=ticks, label_x=label_x,
-                             label_y=label_y)
+    style = Style(stroke="#333333", width=1.0)
+
+    def __init__(self, ticks=5, label_x="", label_y=""):
+        self.__dict__.update(ticks=ticks, label_x=label_x, label_y=label_y)
 
 
 class Scene(NamedTuple):
     layers: list                # layers and Interleaves, drawn in order
     viewport: tuple = None      # (xmin, xmax, ymin, ymax); auto if None
-    size: tuple = (480, 480)
-    aspect: str = "equal"       # 'equal' | 'free'
+    size: tuple = (480, 480)    # drawn at one scale on both axes
     title: str = ""
 
 
@@ -341,11 +340,11 @@ def _auto_viewport(layers, arrow_ends):
 
 
 class Transform(NamedTuple):
-    """Affine data-to-pixel map with the y axis flipped."""
+    """Affine data-to-pixel map with the y axis flipped, one scale for
+    both axes."""
     x0: float
     y0: float
-    sx: float
-    sy: float
+    scale: float
     height: float
 
     def to_pixel(self, pts):
@@ -353,8 +352,8 @@ class Transform(NamedTuple):
         if pts.ndim < 2:
             pts = pts.reshape(1, -1)
         px = np.empty((len(pts), 2))
-        px[:, 0] = self.x0 + self.sx * pts[:, 0]
-        px[:, 1] = self.height - (self.y0 + self.sy * pts[:, 1])
+        px[:, 0] = self.x0 + self.scale * pts[:, 0]
+        px[:, 1] = self.height - (self.y0 + self.scale * pts[:, 1])
         return px
 
 
@@ -376,23 +375,18 @@ def _scene_transform(scene, layers, arrow_ends):
     w, h = scene.size
     avail_w = w - MARGIN["left"] - MARGIN["right"]
     avail_h = h - MARGIN["top"] - MARGIN["bottom"]
-    if scene.aspect == "equal":
-        s = min(avail_w / (xmax - xmin), avail_h / (ymax - ymin))
-        # widen the shorter viewport side so the drawing stays centered
-        extra_x = (avail_w / s - (xmax - xmin)) / 2.0
-        extra_y = (avail_h / s - (ymax - ymin)) / 2.0
-        xmin, xmax = xmin - extra_x, xmax + extra_x
-        ymin, ymax = ymin - extra_y, ymax + extra_y
-        sx = sy = s
-    else:
-        sx = avail_w / (xmax - xmin)
-        sy = avail_h / (ymax - ymin)
-    if not (math.isfinite(sx) and math.isfinite(sy)):
+    s = min(avail_w / (xmax - xmin), avail_h / (ymax - ymin))
+    # widen the shorter viewport side so the drawing stays centered
+    extra_x = (avail_w / s - (xmax - xmin)) / 2.0
+    extra_y = (avail_h / s - (ymax - ymin)) / 2.0
+    xmin, xmax = xmin - extra_x, xmax + extra_x
+    ymin, ymax = ymin - extra_y, ymax + extra_y
+    if not math.isfinite(s):
         raise ge.nk.InputError(f"viewport {viewport} is too small to draw: "
                                "its pixel scale overflows")
-    tr = Transform(x0=MARGIN["left"] - sx * xmin,
-                   y0=MARGIN["bottom"] - sy * ymin,
-                   sx=sx, sy=sy, height=float(h))
+    tr = Transform(x0=MARGIN["left"] - s * xmin,
+                   y0=MARGIN["bottom"] - s * ymin,
+                   scale=s, height=float(h))
     return tr, (xmin, xmax, ymin, ymax)
 
 
@@ -475,7 +469,7 @@ def _axis_lines(layer, xt, yt, toks):
 
 def _filled(style):
     """The stroke colour as a fill: the style of dots and arrow tips."""
-    return Style(stroke="none", fill=style.stroke, opacity=style.opacity)
+    return Style(stroke="none", fill=style.stroke)
 
 
 def _xy(points):
@@ -486,18 +480,17 @@ def _xy(points):
 
 def _layer_pixels(layers, tr):
     """The pixel coordinates the layers print, but the arrows' and axes',
-    in layer order as one array: the vertices of each ellipse (the
-    ellipses of one vertex count traced with one matmul), the points of
-    each polyline of two or more, each point layer's points (less the
-    marker size for squares) and each text position. Also where each
-    layer's rows start, and where the last ends."""
+    in layer order as one array: the vertices of each ellipse (all
+    traced with one matmul), the points of each polyline of two or more,
+    each point layer's points (less the marker size for squares) and each
+    text position. Also where each layer's rows start, and where the last
+    ends."""
     ellipses = [l for l in layers if isinstance(l, EllipseLayer)]
-    paths = {n: iter(_trace([l for l in ellipses if l.n == n], n))
-             for n in dict.fromkeys(l.n for l in ellipses)}
+    paths = iter(_trace(ellipses, ELLIPSE_VERTICES) if ellipses else ())
     blocks, squares = [], []
     for layer in layers:
         if isinstance(layer, EllipseLayer):
-            pts = next(paths[layer.n])
+            pts = next(paths)
         elif isinstance(layer, PolylineLayer):
             pts = _xy(layer.points)
             pts = pts if len(pts) >= 2 else pts[:0]
@@ -548,7 +541,8 @@ def _path_lines(layers, starts, styles, fields):
     more points, its vertices' x and y joined by "," and " "."""
     picked, at, cuts = _rows_of(layers, starts, (EllipseLayer, PolylineLayer))
     drawn = [layers[i] for i in picked]
-    sizes = [[l.n] * len(l.centers) if isinstance(l, EllipseLayer)
+    sizes = [[ELLIPSE_VERTICES] * len(l.centers)
+             if isinstance(l, EllipseLayer)
              else [rows] * bool(rows) for l, rows in zip(drawn, np.diff(cuts))]
     coords = iter(_stamp([(fields, 2 * at), b",", (fields, 2 * at + 1), b" "],
                          [0, *itertools.accumulate(itertools.chain(*sizes))]))

@@ -108,30 +108,6 @@ class GroupedSample(nk.Frozen):
         return [rows[a:b] for a, b in zip(self.ends - self.counts, self.ends)]
 
 
-class CoverageSpec(nk.Frozen):
-    """kind 'chisq' with value the coverage level, or 'stddev_multiple'
-    with value the multiple."""
-
-    def __init__(self, kind, value):
-        if kind == "chisq":
-            if not 0.0 < value < 1.0:
-                raise nk.InputError("coverage level must be in (0, 1)")
-        elif kind == "stddev_multiple":
-            if value <= 0:
-                raise nk.InputError("multiple must be positive")
-        else:
-            raise nk.InputError(f"unknown coverage kind {kind!r}")
-        self.__dict__.update(kind=kind, value=value)
-
-    @classmethod
-    def chisq(cls, level):
-        return cls("chisq", level)
-
-    @classmethod
-    def stddev(cls, multiple=1.0):
-        return cls("stddev_multiple", multiple)
-
-
 def mean_cov(sample):
     """Column means and the n-1 divisor covariance matrix."""
     return _mean_cov(sample.data)
@@ -151,25 +127,25 @@ def regression_slopes(s):
             s[0, 1] / s[1, 1] if s[1, 1] > 0 else np.nan)
 
 
-def coverage_radius(p, spec):
-    """Radius c of the coverage ellipsoid; c^2 is the reference quantile."""
-    if spec.kind == "chisq":
-        return float(np.sqrt(dist.chi2_quantile(spec.value, p)))
-    return float(spec.value)
+def coverage_radius(level, p):
+    """Radius c of the p-dimensional coverage ellipsoid at a level in
+    (0, 1): c^2 is the chi-square(p) quantile."""
+    if not 0.0 < level < 1.0:
+        raise nk.InputError("coverage level must be in (0, 1)")
+    return float(np.sqrt(dist.chi2_quantile(level, p)))
 
 
-def data_ellipsoid(sample, spec=CoverageSpec.stddev(1.0)):
+def data_ellipsoid(sample, c):
     """Data ellipsoid of radius c: the mean +/- c S^{1/2} contour."""
     ybar, s = mean_cov(sample)
-    c = coverage_radius(sample.p, spec)
     return ge.from_moment(c * c * s, ybar)
 
 
-def pairwise_data_ellipsoids(gs, spec):
-    """{(j, i): the groups' data ellipses on columns j and i, in group
-    order} for every ordered pair of distinct columns."""
+def pairwise_data_ellipsoids(gs, c):
+    """{(j, i): the groups' data ellipses of radius c on columns j and i,
+    in group order} for every ordered pair of distinct columns."""
     return {(j, i): [data_ellipsoid(Sample(y[:, (j, i)],
-                                           (gs.names[j], gs.names[i])), spec)
+                                           (gs.names[j], gs.names[i])), c)
                      for y in gs.split()]
             for i in range(gs.p) for j in range(gs.p) if i != j}
 

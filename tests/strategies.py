@@ -112,24 +112,18 @@ def regression_designs(draw, n=hs.integers(6, 40), q=hs.integers(2, 4),
 @hs.composite
 def study_stacks(draw, k=hs.integers(1, 12), p=hs.integers(1, 3),
                  log_cond=hs.floats(0.0, 6.0),
-                 log_scale=hs.floats(-100.0, 100.0),
-                 design=hs.sampled_from(["identity", "square", "tall"])):
+                 log_scale=hs.floats(-100.0, 100.0)):
     """A kissing.StudyStack of k studies of p outcomes. Each S_i lies in
     its own random frame, with eigenvalues falling geometrically from
-    scale to scale / cond; the effects are of the S_i's root scale. The
-    designs are the identity, random square p x p, or random p x q with
-    q <= p."""
+    scale to scale / cond; the effects are of the S_i's root scale."""
     k, p = draw(k), draw(p)
     cond, scale = 10.0 ** draw(log_cond), 10.0 ** draw(log_scale)
-    design = draw(design)
     rng = np.random.default_rng(draw(seeds))
     lam = scale * np.logspace(0.0, -np.log10(cond), p)
     s_mats = np.array([(f * lam) @ f.T for f in
                        (orthogonal(rng, p) for _ in range(k))])
     y = np.sqrt(scale) * rng.standard_normal((k, p))
-    q = p if design == "square" else int(rng.integers(1, p + 1))
-    x = None if design == "identity" else rng.standard_normal((k, p, q))
-    return ki.StudyStack(y, 0.5 * (s_mats + s_mats.swapaxes(1, 2)), x,
+    return ki.StudyStack(y, 0.5 * (s_mats + s_mats.swapaxes(1, 2)),
                          [f"s{i}" for i in range(k)])
 
 

@@ -49,8 +49,8 @@ def test_acceptance_01_galton_correlation(tmp_path):
 
 @criterion(2, "coverage constants c^2 = 5.99 / 2.28 (+/- 0.01)")
 def test_acceptance_02_coverage_constants():
-    c95 = st.coverage_radius(2, st.CoverageSpec.chisq(0.95))
-    c68 = st.coverage_radius(2, st.CoverageSpec.chisq(0.68))
+    c95 = st.coverage_radius(0.95, 2)
+    c68 = st.coverage_radius(0.68, 2)
     assert abs(c95 ** 2 - 5.99) <= 0.01
     assert abs(c68 ** 2 - 2.28) <= 0.01
 
@@ -202,9 +202,9 @@ def test_acceptance_12_avp_identities():
         res = linmod.avp(x, y, k)
         marg = np.column_stack([x[:, k] - x[:, k].mean(), y - y.mean()])
         cond = np.column_stack([res["x_star"], res["y_star"]])
-        spec = st.CoverageSpec.chisq(0.50)
-        ell_m = st.data_ellipsoid(st.Sample(marg), spec)
-        ell_c = st.data_ellipsoid(st.Sample(cond), spec)
+        c = st.coverage_radius(0.50, 2)
+        ell_m = st.data_ellipsoid(st.Sample(marg), c)
+        ell_c = st.data_ellipsoid(st.Sample(cond), c)
         m_prec = (ell_m.frame / ell_m.radii ** 2) @ ell_m.frame.T
         pts = strategies.boundary_points(ell_c, 256)
         norms = np.einsum("ij,jk,ik->i", pts, m_prec, pts)

@@ -363,12 +363,19 @@ BLUP_HSB = ["blup", "--data", "hsb-sample", "--group", "school", "--x",
     # numpy's default_rng refused it: exit 3, "numerical failure"
     ["measure-error", "--data", "galton", "--response", "child",
      "--x", "parent", "--seed", "-1"],
+    # an alpha outside (0, 1)
+    ["betaspace", "--data", "synthetic-coffee", "--response", "Heart",
+     "--alpha", "1.5"],
+    ["betaspace", "--data", "synthetic-coffee", "--response", "Heart",
+     "--alpha", "0"],
+    ["heplot", "--data", "iris", "--group", "Species", "--alpha", "0"],
 ], ids=["level", "resolution", "reps", "ridge-k", "asymmetric", "coords",
         "one-coord", "precision-shape", "delta-shape", "negative-g",
         "nan-matrix", "inf-floats", "negative-precision", "negative-delta",
         "huge-delta", "negative-mark", "reversed-bbox", "reversed-bbox-svg",
         "flat-bbox", "flat-bbox-svg", "mirrored-bbox", "mirrored-bbox-svg",
-        "negative-seed"])
+        "negative-seed", "betaspace-alpha-above-1", "betaspace-alpha-0",
+        "heplot-alpha-0"])
 def test_bad_argument_is_exit_2(tmp_path, capsys, argv):
     argv = [a.format(svg=tmp_path / "out.svg") for a in argv]
     try:

@@ -153,7 +153,7 @@ def test_bare_import_loads_nothing():
     assert list(resolved) == ellipstat.__all__
     assert {resolved[name] for name in ellipstat.__all__[:10]} == {"module"}
     assert ellipstat.GEllipsoid is ellipstat.gellipsoid.GEllipsoid
-    assert ellipstat.CoverageSpec is ellipstat.statellipse.CoverageSpec
+    assert ellipstat.coverage_radius is ellipstat.statellipse.coverage_radius
     with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
         ellipstat.nosuch
 
@@ -401,3 +401,111 @@ def test_every_definition_has_a_caller():
         for qual, node in _definitions(tree, path.stem)
         if all(id(node) in enclosing for enclosing in refs.get(node.name, ()))]
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+# Options kept with no setter in the program, each for its reason.
+UNSET = {
+    "datasets.hsb_sample.n_schools": "the fixture generator's size: the "
+                                     "bundled table is its default",
+    "datasets.hsb_sample.seed": "the fixture generator's seed: the bundled "
+                                "table is its default",
+    "datasets.synthetic_coffee.n": "the fixture generator's size: the "
+                                   "bundled table is its default",
+    "datasets.synthetic_coffee.seed": "the fixture generator's seed: the "
+                                      "bundled table is its default",
+    "statellipse.grouped_slopes_demo.n_groups": "the demo generator's size",
+    "statellipse.grouped_slopes_demo.n_per_group": "the demo generator's "
+                                                   "size",
+    "statellipse.grouped_slopes_demo.seed": "the demo generator's seed",
+    "gellipsoid.contains.tol": "the boundary band a caller may widen; the "
+                               "default is the package's named rule",
+    "mlm.protrusion_ratio.alpha": "acceptance criterion 5 reads the "
+                                  "protrusion ratio at the default level",
+}
+
+
+def _callee(call):
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else
+            func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def _options(tree, module):
+    """(qualified name, callee, parameter, positional index or None) of
+    every parameter with a default of a function, method or class in a
+    module, and of every field with a default of a NamedTuple there. A
+    class is called by its name; a method's index does not count self, and
+    a keyword-only parameter has none."""
+    def params(fn, qual, callee, skip):
+        args = fn.args
+        pos = [*args.posonlyargs, *args.args][skip:]
+        first = len(pos) - len(args.defaults)
+        for i, arg in enumerate(pos[first:], first):
+            yield f"{qual}.{arg.arg}", callee, arg.arg, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{qual}.{arg.arg}", callee, arg.arg, None
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            qual = f"{prefix}.{getattr(child, 'name', '')}"
+            if isinstance(child, ast.ClassDef):
+                if any(ast.unparse(b).endswith("NamedTuple")
+                       for b in child.bases):
+                    fields = [s for s in child.body
+                              if isinstance(s, ast.AnnAssign)]
+                    for i, field in enumerate(fields):
+                        if field.value is not None:
+                            yield (f"{qual}.{field.target.id}", child.name,
+                                   field.target.id, i)
+                yield from visit(child, qual, child)
+            elif isinstance(child, ast.FunctionDef):
+                if cls is not None and child.name == "__init__":
+                    yield from params(child, prefix, cls.name, 1)
+                else:
+                    static = any(ast.unparse(d) == "staticmethod"
+                                 for d in child.decorator_list)
+                    yield from params(child, qual, child.name,
+                                      int(cls is not None and not static))
+                yield from visit(child, qual, None)
+    return visit(tree, module, None)
+
+
+def _calls(tree):
+    """(callee, call) of every call in a module; super().__init__(...)
+    inside a class calls each of its bases."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield _callee(node), node
+        if isinstance(node, ast.ClassDef):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and _callee(call) == "__init__" \
+                        and isinstance(call.func.value, ast.Call) \
+                        and _callee(call.func.value) == "super":
+                    for base in node.bases:
+                        yield ast.unparse(base).rpartition(".")[2], call
+
+
+def _sets(call, name, index):
+    # by keyword, by position, or through *args or **kwargs
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or index is not None and len(call.args) > index)
+
+
+def test_every_option_has_a_setter():
+    # a parameter or field with a default that no call in the program
+    # gives a value is an option only tests set: a constant, or gone
+    root = PACKAGE.parent.parent
+    calls = {}
+    for path in [*sorted(PACKAGE.glob("*.py")), *(root / "demos").glob("*.py"),
+                 *(root / "bench").glob("*.py")]:
+        for callee, call in _calls(ast.parse(path.read_text(
+                encoding="utf-8"))):
+            calls.setdefault(callee, []).append(call)
+    unset = [
+        qual for path in sorted(PACKAGE.glob("*.py"))
+        for qual, callee, name, index in _options(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        if not any(_sets(call, name, index) for call in calls.get(callee, ()))]
+    assert sorted(unset) == sorted(UNSET)

@@ -1523,6 +1523,13 @@ def test_meta_blup_degenerate_cases(berkey_studies):
     assert out["beta"][0] == pytest.approx([5.0, -1.0], abs=1e-9)
 
 
+def test_meta_blup_rejects_a_v_of_another_size(berkey_studies):
+    # V is the p x p covariance of the pooled effect, as Delta is
+    re = ki.meta_fixed(berkey_studies)
+    with pytest.raises(nk.InputError, match="V must be 2 x 2"):
+        ki.meta_blup(berkey_studies, re["beta"], np.eye(1), np.eye(2))
+
+
 def test_study_stack_names_a_bad_study():
     s_mats = np.array([np.eye(2), [[0.01, 0.01], [0.01, 0.01]], np.eye(2)])
     with pytest.raises(nk.NotPositiveDefiniteError,
@@ -1542,8 +1549,7 @@ def test_study_stack_names_a_bad_study():
     ({"y": np.zeros(2), "s_mat": np.eye(2)[None]}, "y \\(k, p\\)"),
     ({"y": np.zeros((0, 2)), "s_mat": np.zeros((0, 2, 2))}, "k > 0"),
     ({"y": np.zeros((3, 2)), "s_mat": np.eye(2)[None]}, "S \\(k, p, p\\)"),
-    ({"y": np.zeros((1, 2)), "s_mat": np.eye(2)[None],
-      "x_mat": np.eye(3)[None]}, "design rows"),
+    ({"y": np.zeros((1, 2)), "s_mat": np.eye(3)[None]}, "S \\(k, p, p\\)"),
     ({"y": np.zeros((1, 2)), "s_mat": np.eye(2)[None],
       "labels": ["a", "b"]}, "one label per study"),
 ])
@@ -1552,108 +1558,53 @@ def test_study_stack_rejects_misshapen_input(kwargs, message):
         ki.StudyStack(**kwargs)
 
 
-def test_meta_blup_maps_v_through_a_design_of_fewer_columns():
-    # V is q x q and Delta p x p: the fixed part X_i beta_re of a BLUP has
-    # covariance X_i V X_i', p x p; a V of any other shape is rejected
-    stack = ki.StudyStack([[1.0, 2.0], [0.5, 1.0]], [np.eye(2), np.eye(2)],
-                          x_mat=np.ones((2, 2, 1)))
-    pool = ki.meta_random(stack, np.eye(2))
-    out = ki.meta_blup(stack, pool["beta"], pool["cov"], 1e-12 * np.eye(2))
-    assert out["cov"] == pytest.approx(
-        np.broadcast_to(pool["cov"][0, 0], (2, 2, 2)), rel=1e-9)
-    with pytest.raises(nk.InputError, match="V must be 1 x 1"):
-        ki.meta_blup(stack, pool["beta"], np.eye(2), np.eye(2))
-
-
-def test_meta_blup_covariance_of_a_square_design():
-    # X_i = 2I, S_i = 0.2I and Delta ~ 0: each BLUP is 2 beta_re, with
-    # covariance 4V
-    rng = np.random.default_rng(29)
-    stack = ki.StudyStack(rng.standard_normal((6, 2)),
-                          np.broadcast_to(0.2 * np.eye(2), (6, 2, 2)),
-                          x_mat=np.broadcast_to(2.0 * np.eye(2), (6, 2, 2)))
-    delta = 1e-12 * np.eye(2)
-    pool = ki.meta_random(stack, delta)
-    out = ki.meta_blup(stack, pool["beta"], pool["cov"], delta)
-    assert pool["cov"] == pytest.approx(0.2 / 24 * np.eye(2), rel=1e-9)
-    for beta, cov in zip(out["beta"], out["cov"]):
-        assert beta == pytest.approx(2.0 * pool["beta"], abs=1e-10)
-        assert cov == pytest.approx(4.0 * pool["cov"], rel=1e-9)
-
-
-def test_estimate_delta_mom_needs_identity_designs():
-    # 40 studies y_i = X_i beta + 0.01 e_i with random designs and no
-    # between-study spread: the spread of the y_i is that of X_i beta, not
-    # Delta, so the moment estimate is refused
-    rng = np.random.default_rng(31)
-    x_mats = rng.standard_normal((40, 2, 2))
-    ys = x_mats @ np.ones(2) + 0.01 * rng.standard_normal((40, 2))
-    s_mats = np.broadcast_to(1e-4 * np.eye(2), (40, 2, 2))
-    with pytest.raises(nk.InputError, match="identity designs"):
-        ki.estimate_delta_mom(ki.StudyStack(ys, s_mats, x_mats))
-    explicit = ki.StudyStack(ys, s_mats, np.broadcast_to(np.eye(2),
-                                                         (40, 2, 2)))
-    assert ki.estimate_delta_mom(explicit).tobytes() == \
-        ki.estimate_delta_mom(ki.StudyStack(ys, s_mats)).tobytes()
-
-
 # Slow per-study copies of the meta-analysis GLS and BLUPs as they were
 # before the stacked solves: the oracle for the rewrite.
 
-def _reference_meta_gls(stacks, extra=None):
-    a = None
-    b = None
-    for stack in stacks:
-        for y, s_mat, x_mat in zip(stack.y, stack.s_mat, stack.x_mat):
-            sigma = s_mat if extra is None else s_mat + extra
-            si_x = np.linalg.solve(sigma, x_mat)
-            if a is None:
-                k = x_mat.shape[1]
-                a = np.zeros((k, k))
-                b = np.zeros(k)
-            a += x_mat.T @ si_x
-            b += si_x.T @ y
+def _reference_meta_gls(stack, extra=None):
+    p = stack.y.shape[1]
+    a = np.zeros((p, p))
+    b = np.zeros(p)
+    for y, s_mat in zip(stack.y, stack.s_mat):
+        sigma = s_mat if extra is None else s_mat + extra
+        si = np.linalg.solve(sigma, np.eye(p))
+        a += si
+        b += si.T @ y
     cov = np.linalg.inv(a)
     return {"beta": cov @ b, "cov": 0.5 * (cov + cov.T)}
 
 
 def _reference_meta_blup(stack, beta_re, v_cov, delta):
     out = []
-    for y, s_mat, x_mat in zip(stack.y, stack.s_mat, stack.x_mat):
+    for y, s_mat in zip(stack.y, stack.s_mat):
         sigma = s_mat + delta
-        mean_i = x_mat @ beta_re
-        adj = delta @ np.linalg.solve(sigma, y - mean_i)
-        cov_i = x_mat @ v_cov @ x_mat.T + delta \
+        adj = delta @ np.linalg.solve(sigma, y - beta_re)
+        cov_i = v_cov + delta \
             - delta @ np.linalg.solve(sigma, delta)
-        out.append({"beta": mean_i + adj, "cov": 0.5 * (cov_i + cov_i.T)})
+        out.append({"beta": beta_re + adj, "cov": 0.5 * (cov_i + cov_i.T)})
     return out
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(seed=hs.integers(0, 2 ** 32 - 1), n=hs.integers(1, 10),
-       p=hs.integers(1, 3), design=hs.booleans(),
+       p=hs.integers(1, 3),
        delta_kind=hs.sampled_from(["zero", "singular", "pd"]))
-def test_meta_fits_match_per_study_reference(seed, n, p, design,
-                                             delta_kind):
+def test_meta_fits_match_per_study_reference(seed, n, p, delta_kind):
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, p + 1)) if design else p
-    ys, s_mats, x_mats = [], [], []
+    ys, s_mats = [], []
     for _ in range(n):
         ys.append(2.0 * rng.standard_normal(p))
         s_mats.append(random_pd(rng, p, scale=0.3))
-        if design:
-            x_mats.append(rng.standard_normal((p, k)))
-    stack = ki.StudyStack(ys, s_mats, x_mats if design else None)
-    assume(n * p >= k)
+    stack = ki.StudyStack(ys, s_mats)
     root = rng.standard_normal((p, 1 if delta_kind == "singular" else p))
     delta = 0.0 if delta_kind == "zero" else 1.0
     delta = delta * root @ root.T
     # a pooled estimate near zero is the difference of larger effects
     size = np.abs(stack.y).max()
     for got, want in ((ki.meta_fixed(stack),
-                       _reference_meta_gls([stack])),
+                       _reference_meta_gls(stack)),
                       (ki.meta_random(stack, delta),
-                       _reference_meta_gls([stack], delta))):
+                       _reference_meta_gls(stack, delta))):
         cond = np.linalg.cond(want["cov"])
         assume(cond < 1e8)
         _close(got["beta"], want["beta"], 1e-13 * cond, size)
@@ -1666,11 +1617,9 @@ def test_meta_fits_match_per_study_reference(seed, n, p, design,
         _close(got["cov"][i], w["cov"], 1e-10)
 
 
-# The meta laws on generated stacks: S_i of set condition number and scale,
-# with identity or random designs
+# The meta laws on generated stacks: S_i of set condition number and scale
 
 EPS = np.finfo(float).eps
-SQUARE_DESIGNS = hs.sampled_from(["identity", "square"])
 
 
 def _between_study(data, stack, log_cond=hs.floats(0.0, 3.0)):
@@ -1698,15 +1647,15 @@ def test_meta_random_with_zero_delta_is_meta_fixed(stack):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(strategies.study_stacks(design=SQUARE_DESIGNS), hs.data())
+@given(strategies.study_stacks(), hs.data())
 def test_meta_blup_limits_in_the_scale_of_delta(stack, data):
-    # with Delta = t D the BLUP moves from X_i beta_re (t -> 0) to y_i
-    # (t -> infinity): |BLUP_i - X_i beta_re| <= t |D| |S_i^-1| |r_i| and
-    # |BLUP_i - y_i| <= |S_i| |r_i| / (t lam_min(D)), r_i = y_i - X_i
-    # beta_re, up to rounding in the solve with S_i + t D
+    # with Delta = t D the BLUP moves from beta_re (t -> 0) to y_i
+    # (t -> infinity): |BLUP_i - beta_re| <= t |D| |S_i^-1| |r_i| and
+    # |BLUP_i - y_i| <= |S_i| |r_i| / (t lam_min(D)), r_i = y_i - beta_re,
+    # up to rounding in the solve with S_i + t D
     d_mat = _between_study(data, stack)
     re = ki.meta_random(stack, d_mat)
-    mean = stack.x_mat @ re["beta"]
+    mean = re["beta"]
     r = _norms(stack.y - mean)
     lam_s = np.linalg.eigvalsh(stack.s_mat)
     lam_d = np.linalg.eigvalsh(d_mat)
@@ -1723,38 +1672,18 @@ def test_meta_blup_limits_in_the_scale_of_delta(stack, data):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(strategies.study_stacks(design=SQUARE_DESIGNS), hs.data())
+@given(strategies.study_stacks(), hs.data())
 def test_meta_blup_covariance_dominates_v(stack, data):
-    # cov_i - X_i V X_i' = Delta - Delta Sigma_i^-1 Delta is PSD, Sigma_i
-    # = S_i + Delta, up to rounding in X_i V X_i' + Delta and in the solve
-    # with Sigma_i
+    # cov_i - V = Delta - Delta Sigma_i^-1 Delta is PSD, Sigma_i = S_i +
+    # Delta, up to rounding in V + Delta and in the solve with Sigma_i
     d_mat = _between_study(data, stack, log_cond=hs.floats(0.0, 6.0))
     re = ki.meta_random(stack, d_mat)
     cov = ki.meta_blup(stack, re["beta"], re["cov"], d_mat)["cov"]
-    xvx = stack.x_mat @ re["cov"] @ stack.x_mat.swapaxes(1, 2)
-    lam = np.linalg.eigvalsh(cov - xvx)[:, 0]
+    lam = np.linalg.eigvalsh(cov - re["cov"])[:, 0]
     norm_d = np.linalg.norm(d_mat, 2)
-    tol = 16 * EPS * (np.linalg.norm(xvx, 2, axis=(1, 2)) + norm_d
+    tol = 16 * EPS * (np.linalg.norm(re["cov"], 2) + norm_d
                       * np.linalg.cond(stack.s_mat + d_mat))
     assert np.all(lam >= -tol)
-
-
-def test_meta_fixed_studies_of_different_lengths():
-    # studies reporting one or two outcomes on a common two-column design:
-    # one stack per outcome length
-    rng = np.random.default_rng(17)
-    draws = [(rng.standard_normal(2), random_pd(rng, 2)),
-             rng.standard_normal(1),
-             (rng.standard_normal(2), random_pd(rng, 2)),
-             rng.standard_normal(1)]
-    long_ = ki.StudyStack([draws[0][0], draws[2][0]],
-                          [draws[0][1], draws[2][1]])
-    short = ki.StudyStack([draws[1], draws[3]], [[[0.5]], [[0.7]]],
-                          x_mat=[[[1.0, 0.0]], [[0.0, 1.0]]])
-    got = ki.meta_fixed(long_, short)
-    want = _reference_meta_gls([long_, short])
-    _close(got["beta"], want["beta"], 1e-12)
-    _close(got["cov"], want["cov"], 1e-12)
 
 
 RANDOM_EFFECTS_FITS = {

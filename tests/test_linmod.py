@@ -86,8 +86,8 @@ def test_confidence_ellipsoid_ci_shadow_is_t_interval():
     rng = np.random.default_rng(2)
     x, y = _random_regression(rng)
     fit = linmod.ols_fit(x, y)
-    spec = linmod.ConfidenceSpec(kind="ci", alpha=0.05)
-    ell = linmod.confidence_ellipsoid(fit, [1, 2], spec)
+    ell = linmod.confidence_ellipsoid(fit, [1, 2],
+                                      linmod.ci_radius(0.05, fit.df))
     lo, hi = st.univariate_shadow(ell, np.array([1.0, 0.0]))
     t_crit = dist.t_quantile(0.975, fit.df)
     half = t_crit * fit.se()[1]
@@ -99,28 +99,27 @@ def test_scheffe_wider_than_ci():
     rng = np.random.default_rng(3)
     x, y = _random_regression(rng)
     fit = linmod.ols_fit(x, y)
-    joint = linmod.confidence_ellipsoid(
-        fit, [1, 2], linmod.ConfidenceSpec(kind="joint", d=2))
-    ci = linmod.confidence_ellipsoid(
-        fit, [1, 2], linmod.ConfidenceSpec(kind="ci"))
+    r_joint = linmod.joint_radius(0.05, 2, fit.df)
+    r_ci = linmod.ci_radius(0.05, fit.df)
+    assert r_joint > r_ci
+    # d = 1: sqrt(F(1, df)) is |t|, so the joint radius of one coefficient
+    # is the t radius
+    assert linmod.joint_radius(0.05, 1, fit.df) == pytest.approx(r_ci,
+                                                                  rel=1e-12)
+    joint = linmod.confidence_ellipsoid(fit, [1, 2], r_joint)
+    ci = linmod.confidence_ellipsoid(fit, [1, 2], r_ci)
     for d in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
         j_lo, j_hi = st.univariate_shadow(joint, d)
         c_lo, c_hi = st.univariate_shadow(ci, d)
         assert j_hi - j_lo > c_hi - c_lo
 
 
-def test_bonferroni_radius_between_ci_and_scheffe():
-    rng = np.random.default_rng(30)
-    x, y = _random_regression(rng)
-    fit = linmod.ols_fit(x, y)
-    r_ci = linmod.ConfidenceSpec("ci").radius(fit.df)
-    r_bon = linmod.ConfidenceSpec("bonferroni", m=2).radius(fit.df)
-    r_joint = linmod.ConfidenceSpec("joint", d=2).radius(fit.df)
-    assert r_ci < r_bon < r_joint
-    # m = 1 collapses to the plain t radius
-    assert linmod.ConfidenceSpec("bonferroni", m=1).radius(fit.df) == \
-        pytest.approx(r_ci)
-    assert r_bon == pytest.approx(dist.t_quantile(1 - 0.05 / 4, fit.df))
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
+def test_radii_refuse_alpha_outside_the_unit_interval(alpha):
+    with pytest.raises(nk.InputError, match="alpha must be in"):
+        linmod.joint_radius(alpha, 2, 10)
+    with pytest.raises(nk.InputError, match="alpha must be in"):
+        linmod.ci_radius(alpha, 10)
 
 
 def test_zero_noise_limit_point_ellipse():
@@ -128,7 +127,8 @@ def test_zero_noise_limit_point_ellipse():
     x = rng.standard_normal((30, 2))
     y = 2.0 + x @ np.array([1.0, -3.0])
     fit = linmod.ols_fit(x, y)
-    ell = linmod.confidence_ellipsoid(fit, [1, 2])
+    ell = linmod.confidence_ellipsoid(fit, [1, 2],
+                                      linmod.joint_radius(0.05, 2, fit.df))
     assert ell.radii == pytest.approx([0.0, 0.0], abs=1e-8)
 
 
@@ -136,10 +136,9 @@ def test_shadow_interval_reductions():
     rng = np.random.default_rng(5)
     x, y = _random_regression(rng)
     fit = linmod.ols_fit(x, y)
-    spec = linmod.ConfidenceSpec(kind="ci")
     e1 = np.zeros(fit.q)
     e1[1] = 1.0
-    lo, hi = linmod.shadow_interval(fit, e1, spec)
+    lo, hi = linmod.shadow_interval(fit, e1, linmod.ci_radius(0.05, fit.df))
     t_crit = dist.t_quantile(0.975, fit.df)
     assert lo == pytest.approx(fit.coef[1] - t_crit * fit.se()[1])
     assert hi == pytest.approx(fit.coef[1] + t_crit * fit.se()[1])
@@ -153,7 +152,7 @@ def test_shadow_interval_duplicate_predictors_symmetry():
     y = x.sum(axis=1) + rng.standard_normal(60)
     fit = linmod.ols_fit(x, y)
     c = np.array([0.0, 1.0, -1.0])
-    lo, hi = linmod.shadow_interval(fit, c, linmod.ConfidenceSpec("ci"))
+    lo, hi = linmod.shadow_interval(fit, c, linmod.ci_radius(0.05, fit.df))
     # interval for the difference of exchangeable slopes straddles zero
     assert lo < 0 < hi
 
@@ -165,7 +164,7 @@ def test_shadow_excludes_zero_iff_t_exceeds_critical():
         fit = linmod.ols_fit(x, y)
         c = rng.standard_normal(3)
         lo, hi = linmod.shadow_interval(fit, c,
-                                        linmod.ConfidenceSpec("ci"))
+                                        linmod.ci_radius(0.05, fit.df))
         t_stat = (c @ fit.coef) / np.sqrt(fit.s2 * c @ fit.xtx_inv @ c)
         t_crit = dist.t_quantile(0.975, fit.df)
         assert (lo > 0 or hi < 0) == (abs(t_stat) > t_crit)
@@ -464,8 +463,8 @@ def test_confidence_ellipse_dual_of_data_ellipse():
     y = x @ np.array([1.0, -1.0]) + rng.standard_normal(60)
     fit = linmod.ols_fit(x, y)
     conf = linmod.confidence_ellipsoid(fit, [1, 2],
-                                       linmod.ConfidenceSpec("joint", d=2))
-    data_ell = st.data_ellipsoid(st.Sample(x), st.CoverageSpec.stddev(1.0))
+                                       linmod.joint_radius(0.05, 2, fit.df))
+    data_ell = st.data_ellipsoid(st.Sample(x), 1.0)
     # frames agree with columns reversed (up to sign)
     for i in range(2):
         dot = abs(conf.frame[:, i] @ data_ell.frame[:, 1 - i])
@@ -501,9 +500,9 @@ def test_avp_ellipse_contained_in_marginal_with_tangency():
         res = linmod.avp(x, y, k)
         marg = np.column_stack([x[:, k] - x[:, k].mean(), y - y.mean()])
         cond = np.column_stack([res["x_star"], res["y_star"]])
-        spec = st.CoverageSpec.chisq(0.50)
-        ell_m = st.data_ellipsoid(st.Sample(marg), spec)
-        ell_c = st.data_ellipsoid(st.Sample(cond), spec)
+        c = st.coverage_radius(0.50, 2)
+        ell_m = st.data_ellipsoid(st.Sample(marg), c)
+        ell_c = st.data_ellipsoid(st.Sample(cond), c)
         # sampled boundary points of the AVP ellipse stay inside-or-on
         m_mat = (ell_m.frame / ell_m.radii ** 2) @ ell_m.frame.T
         pts = strategies.boundary_points(ell_c, 256)
@@ -526,7 +525,7 @@ def test_joint_ellipse_test_equals_f_test():
         y = 0.3 * rng.standard_normal() * x[:, 0] + rng.standard_normal(n)
         fit = linmod.ols_fit(x, y)
         ell = linmod.confidence_ellipsoid(
-            fit, [1, 2], linmod.ConfidenceSpec("joint", alpha=0.05, d=2))
+            fit, [1, 2], linmod.joint_radius(0.05, 2, fit.df))
         z = ell.frame.T @ (np.zeros(2) - ell.center)
         outside = float(np.sum((z / ell.radii) ** 2)) > 1.0
         sub = np.linalg.inv(fit.xtx_inv[1:, 1:])
@@ -550,18 +549,17 @@ def test_confidence_ellipsoid_shadows_are_the_intervals(design, data):
     u /= np.linalg.norm(u)
     combo = np.zeros(fit.q)
     combo[coords] = u
-    for spec in (linmod.ConfidenceSpec("joint", alpha, d=d),
-                 linmod.ConfidenceSpec("ci", alpha)):
-        ell = linmod.confidence_ellipsoid(fit, coords, spec)
+    r_joint = linmod.joint_radius(alpha, d, fit.df)
+    r_t = linmod.ci_radius(alpha, fit.df)
+    for radius in (r_joint, r_t):
+        ell = linmod.confidence_ellipsoid(fit, coords, radius)
         top = ell.radii.max()
         shadow = st.univariate_shadow(ell, u)
-        interval = linmod.shadow_interval(fit, combo, spec)
+        interval = linmod.shadow_interval(fit, combo, radius)
         assert np.abs(np.subtract(shadow, interval)).max() <= \
             1e-9 * (top + abs(interval[0] + interval[1]))
-    r_joint = linmod.ConfidenceSpec("joint", alpha, d=d).radius(fit.df)
     assert dist.f_cdf(r_joint ** 2 / d, d, fit.df, upper=True) == \
         pytest.approx(alpha, rel=1e-12)
-    r_t = linmod.ConfidenceSpec("ci", alpha).radius(fit.df)
     assert dist.t_cdf(r_t, fit.df, upper=True) == \
         pytest.approx(alpha / 2, rel=1e-12)
 

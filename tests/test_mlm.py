@@ -214,8 +214,8 @@ def test_he_ellipses_boundary_case():
 def test_he_ellipses_effect_scaling_is_fitted_data_ellipse(iris_grouped,
                                                            iris_fit):
     fit, _, h, e = iris_fit
-    ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=(0, 1),
-                                   center=fit.y_mean, scaling="effect")
+    ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, 1.0, coords=(0, 1),
+                                   center=fit.y_mean)
     # moment of the H ellipse is c^2 H/df_e restricted to the pair
     from ellipstat import distributions as dist
     c2 = 2 * dist.f_quantile(0.68, 2, fit.df_e)

@@ -18,9 +18,9 @@ def iris_he_scene(iris_grouped):
     fit, labels = mlm.manova_fit(iris_grouped)
     hyp = mlm.overall_hypothesis(iris_grouped.g)
     h, e = mlm.hypothesis_matrices(fit, hyp)
-    ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, coords=(0, 2),
-                                   center=fit.y_mean,
-                                   df_h=iris_grouped.g - 1)
+    crit = mlm.roy_critical(iris_grouped.g - 1, fit.df_e, iris_grouped.p)
+    ell_h, ell_e = mlm.he_ellipses(h, e, fit.df_e, crit, coords=(0, 2),
+                                   center=fit.y_mean)
     _, means, _ = st.group_means(iris_grouped)
     return render.build_he_plot(
         ell_h, ell_e, names=(iris_grouped.names[0], iris_grouped.names[2]),
@@ -93,7 +93,7 @@ def _transform(scene):
 def test_unit_circle_pixel_bounding_box():
     scene = render.Scene(
         layers=[render.EllipseLayer([ge.from_moment(np.eye(2))])],
-        viewport=(-1.0, 1.0, -1.0, 1.0), size=(400, 400), aspect="equal")
+        viewport=(-1.0, 1.0, -1.0, 1.0), size=(400, 400))
     tr, viewport = _transform(scene)
     circle = ge.from_moment(np.eye(2))
     pts = tr.to_pixel(_paths([circle], 256)[0])
@@ -102,13 +102,15 @@ def test_unit_circle_pixel_bounding_box():
         tr.to_pixel([[-1.0, 0.0]])[0][0], abs=1e-9)
     assert pts[:, 0].max() == pytest.approx(
         tr.to_pixel([[1.0, 0.0]])[0][0], abs=1e-9)
-    # equal aspect: one data unit spans the same pixels both ways
-    assert tr.sx == pytest.approx(tr.sy)
+    # one data unit spans the same pixels both ways
+    (x0, y0), (x1, _), (_, y1) = tr.to_pixel([[0.0, 0.0], [1.0, 0.0],
+                                              [0.0, 1.0]])
+    assert x1 - x0 == pytest.approx(y0 - y1, rel=1e-12)
 
 
 def test_nested_coverage_ellipses_nest(galton_sample):
-    inner = st.data_ellipsoid(galton_sample, st.CoverageSpec.chisq(0.40))
-    outer = st.data_ellipsoid(galton_sample, st.CoverageSpec.chisq(0.95))
+    inner = st.data_ellipsoid(galton_sample, st.coverage_radius(0.40, 2))
+    outer = st.data_ellipsoid(galton_sample, st.coverage_radius(0.95, 2))
     for v in _paths([inner], 64)[0]:
         assert ge.contains(outer, v) == "inside"
 
@@ -161,11 +163,11 @@ def test_figure_builders_produce_valid_scenes(iris_grouped, galton_sample,
     scenes = [
         render.build_data_ellipse_panel(
             galton_sample, mean, st.regression_slopes(cov),
-            [st.data_ellipsoid(galton_sample, st.CoverageSpec.chisq(lv))
+            [st.data_ellipsoid(galton_sample, st.coverage_radius(lv, 2))
              for lv in (0.40, 0.68, 0.95)]),
         render.build_scatterplot_matrix(
             iris_grouped, st.pairwise_data_ellipsoids(
-                iris_grouped, st.CoverageSpec.chisq(0.68))),
+                iris_grouped, st.coverage_radius(0.68, 2))),
         render.build_canonical_he(ell_h, ell_e, can, iris_grouped.names),
         render.build_ridge_trace(
             ki.ridge_trace(x, y, [0.0, 0.01, 0.08], coords=(1, 2)),
@@ -180,14 +182,16 @@ def test_figure_builders_produce_valid_scenes(iris_grouped, galton_sample,
     res = linmod.avp(x2, y2, 0)
     marg = np.column_stack([x2[:, 0] - x2[:, 0].mean(), y2 - y2.mean()])
     cond = np.column_stack([res["x_star"], res["y_star"]])
-    half = st.CoverageSpec.chisq(0.50)
+    half = st.coverage_radius(0.50, 2)
     scenes.append(render.build_avp_marginal_overlay(
         marg, cond, st.data_ellipsoid(st.Sample(marg), half),
         st.data_ellipsoid(st.Sample(cond), half), 1.0, res["slope"]))
     fit = linmod.ols_fit(x2, y2)
-    ci = linmod.confidence_ellipsoid(fit, [1, 2], linmod.ConfidenceSpec("ci"))
+    ci = linmod.confidence_ellipsoid(fit, [1, 2],
+                                     linmod.ci_radius(0.05, fit.df))
     scenes.append(render.build_beta_space_panel(
-        linmod.confidence_ellipsoid(fit, [1, 2]), ci,
+        linmod.confidence_ellipsoid(fit, [1, 2],
+                                    linmod.joint_radius(0.05, 2, fit.df)), ci,
         [st.univariate_shadow(ci, d) for d in np.eye(2)], ("b1", "b2")))
     for scene in scenes:
         svg = render.render_scene(scene)
@@ -197,7 +201,7 @@ def test_figure_builders_produce_valid_scenes(iris_grouped, galton_sample,
 
 
 def test_style_table_and_escape():
-    s = render.Style(stroke="#ff0000", width=2.0, dash="4,2", opacity=0.5)
+    s = render.Style(stroke="#ff0000", width=2.0, dash="4,2")
     text = s.svg()
     assert 'stroke="#ff0000"' in text and 'stroke-dasharray="4,2"' in text
     scene = render.Scene(layers=[
@@ -327,19 +331,14 @@ def _ref_scene_transform(scene):
     w, h = scene.size
     avail_w = w - margin["left"] - margin["right"]
     avail_h = h - margin["top"] - margin["bottom"]
-    if scene.aspect == "equal":
-        s = min(avail_w / (xmax - xmin), avail_h / (ymax - ymin))
-        extra_x = (avail_w / s - (xmax - xmin)) / 2.0
-        extra_y = (avail_h / s - (ymax - ymin)) / 2.0
-        xmin, xmax = xmin - extra_x, xmax + extra_x
-        ymin, ymax = ymin - extra_y, ymax + extra_y
-        sx = sy = s
-    else:
-        sx = avail_w / (xmax - xmin)
-        sy = avail_h / (ymax - ymin)
-    tr = render.Transform(x0=margin["left"] - sx * xmin,
-                          y0=margin["bottom"] - sy * ymin,
-                          sx=sx, sy=sy, height=float(h))
+    s = min(avail_w / (xmax - xmin), avail_h / (ymax - ymin))
+    extra_x = (avail_w / s - (xmax - xmin)) / 2.0
+    extra_y = (avail_h / s - (ymax - ymin)) / 2.0
+    xmin, xmax = xmin - extra_x, xmax + extra_x
+    ymin, ymax = ymin - extra_y, ymax + extra_y
+    tr = render.Transform(x0=margin["left"] - s * xmin,
+                          y0=margin["bottom"] - s * ymin,
+                          scale=s, height=float(h))
     return tr, (xmin, xmax, ymin, ymax)
 
 
@@ -360,8 +359,7 @@ def _ref_render_points(layer, tr, out):
                        f'width="{fmt(2 * r)}" height="{fmt(2 * r)}" '
                        f'{layer.style.svg()}/>')
         elif layer.marker == "dot":
-            st_ = render.Style(stroke="none", fill=layer.style.stroke,
-                               opacity=layer.style.opacity)
+            st_ = render.Style(stroke="none", fill=layer.style.stroke)
             out.append(f'<circle cx="{fmt(p[0])}" cy="{fmt(p[1])}" '
                        f'r="{fmt(r)}" {st_.svg()}/>')
         else:
@@ -381,8 +379,7 @@ def _ref_render_arrow(tail, head, style, tr, out):
         u = d / nrm
         left = head - 7.0 * u + 3.5 * np.array([-u[1], u[0]])
         right = head - 7.0 * u - 3.5 * np.array([-u[1], u[0]])
-        tip = render.Style(stroke="none", fill=style.stroke,
-                           opacity=style.opacity)
+        tip = render.Style(stroke="none", fill=style.stroke)
         pts = " ".join(f"{fmt(p[0])},{fmt(p[1])}"
                        for p in (head, left, right))
         out.append(f'<polygon points="{pts}" {tip.svg()}/>')
@@ -435,8 +432,8 @@ def _ref_elements(layer, tr):
     text."""
     fmt = render._fmt
     if isinstance(layer, render.EllipseLayer):
-        return [[_ref_polyline_svg(tr.to_pixel(_ref_ellipse_path(e, layer.n)),
-                                   layer.style, closed=True)]
+        return [[_ref_polyline_svg(tr.to_pixel(_ref_ellipse_path(
+                     e, render.ELLIPSE_VERTICES)), layer.style, closed=True)]
                 for e in layer.ellipses]
     if isinstance(layer, render.ArrowLayer):
         elements = []
@@ -493,12 +490,13 @@ def reference_render_scene(scene):
     return "\n".join(out) + "\n"
 
 
-# With this viewport, size and free aspect the transform is x + 54 and
-# 436 - y exactly, so these coordinates land on -0.0000 or 0 pixels.
+# This viewport fills the 480 x 480 drawing area at one pixel per unit,
+# so the transform is x + 54 and 436 - y exactly, and these coordinates
+# land on -0.0000 or 0 pixels.
 FREE_VIEWPORT = (0.0, 410.0, 0.0, 408.0)
 NEAR_ZERO = [-54.00001, -54.00004, -54.0, 436.00002, 436.00004, 436.0]
 
-# Coordinates whose pixels, in the free viewport, are exact .4f ties
+# Coordinates whose pixels, in that viewport, are exact .4f ties
 # (odd multiples of 1/32: x + 54 and 392 - y keep them so) or lie beyond
 # the exact window of _fmt_all (|pixel| >= 2^43 / 1e4). FAR stays below
 # 2^43, where an auto viewport's 5% pad of a lone point is still
@@ -514,7 +512,6 @@ _styles = hs.builds(render.Style,
                     stroke=hs.sampled_from(["#000000", "#b2182b", "none"]),
                     width=hs.sampled_from([1.0, 0.7, 2.5, -0.0]),
                     fill=hs.sampled_from(["none", "#2166ac"]),
-                    opacity=hs.sampled_from([1.0, 0.5, 0.25, 1e-6]),
                     dash=hs.sampled_from(["", "4,3", "2,3"]))
 # one shared instance next to equal fresh ones, as the figure builders do
 SHARED = render.Style(stroke="#888888", width=0.9)
@@ -552,8 +549,7 @@ def _ellipse(draw):
 def _ellipse_layer(draw, max_size=1):
     # a stack of 0 to max_size ellipses in one layer
     ellipses = draw(hs.lists(_ellipse(), max_size=max_size))
-    n = draw(hs.one_of(hs.integers(3, 40), hs.sampled_from([32, 64])))
-    return render.EllipseLayer(ellipses, draw(_style), n=n)
+    return render.EllipseLayer(ellipses, draw(_style))
 
 
 @hs.composite
@@ -606,8 +602,8 @@ def _interleave(draw):
             np.array([h for _, h in arrows], dtype=float).reshape(-1, 2),
             draw(_style)),
         "ellipse": render.EllipseLayer(
-            draw(hs.lists(_ellipse(), min_size=k, max_size=k)), draw(_style),
-            n=draw(hs.sampled_from([5, 32, 64]))),
+            draw(hs.lists(_ellipse(), min_size=k, max_size=k)),
+            draw(_style)),
         "text": render.TextLayer(pos, draw(hs.lists(
             hs.sampled_from(["a", "<b> & c"]), min_size=k, max_size=k)),
             size=draw(hs.sampled_from([9.0, 12])))}
@@ -642,11 +638,10 @@ def _scenes(draw):
     for item in draw(hs.lists(_layer, max_size=12)):
         layers.extend(item if isinstance(item, list) else [item])
     if draw(hs.booleans()):
-        return render.Scene(layers, viewport=FREE_VIEWPORT, aspect="free",
+        return render.Scene(layers, viewport=FREE_VIEWPORT,
                             title=draw(hs.sampled_from(["", "t"])))
     return render.Scene(layers, size=draw(hs.sampled_from([(480, 480),
-                                                            (640, 400)])),
-                        aspect=draw(hs.sampled_from(["equal", "free"])))
+                                                            (640, 400)])))
 
 
 @settings(max_examples=300, deadline=None, database=None,
@@ -659,7 +654,7 @@ def _scenes(draw):
     render.Style(stroke="#888888", width=0.9))]))
 def test_render_scene_matches_per_element_renderer(scene):
     tr, _ = _ref_scene_transform(scene)
-    if not np.isfinite([tr.sx, tr.sy]).all():
+    if not np.isfinite(tr.scale):
         with pytest.raises(ge.nk.InputError, match="pixel scale overflows"):
             render.render_scene(scene)
         return
@@ -676,8 +671,8 @@ def test_render_negative_zero_tokens():
         render.PolylineLayer(np.array([[x, y], [x, 0.0]])),
         render.ArrowLayer((x, y), (x, y), shared),
         render.ArrowLayer((x, y + 10.0), (x, y), shared),
-        render.ArrowLayer((x, y), (x + 1e-12, y), render.Style(opacity=0.5)),
-    ], viewport=FREE_VIEWPORT, aspect="free")
+        render.ArrowLayer((x, y), (x + 1e-12, y), render.Style(dash="4,3")),
+    ], viewport=FREE_VIEWPORT)
     svg = render.render_scene(scene)
     assert svg == reference_render_scene(scene)
     assert "-0.0000" not in svg
@@ -702,8 +697,8 @@ def test_render_scene_formats_once(monkeypatch):
     pts = np.array([[0.0, 1.0], [2.0, 3.0]])
     scene = render.Scene([
         render.AxisLayer(label_x="x", label_y="y"),
-        render.EllipseLayer([e], n=16),
-        render.EllipseLayer([e], n=32),
+        render.EllipseLayer([e]),
+        render.EllipseLayer([e], render.Style(width=2.0)),
         render.PointsLayer(pts, marker="circle"),
         render.PointsLayer(pts, marker="dot"),
         render.PointsLayer(np.column_stack([pts, pts]), marker="square"),
@@ -716,10 +711,11 @@ def test_render_scene_formats_once(monkeypatch):
     _, (xmin, xmax, ymin, ymax) = _transform(scene)
     nx = len(render._nice_ticks(xmin, xmax, 5))
     ny = len(render._nice_ticks(ymin, ymax, 5))
-    # 48 ellipse vertices, 6 points, 2 polyline points, 1 text position,
+    # 128 ellipse vertices, 6 points, 2 polyline points, 1 text position,
     # 3 arrows' ends and 3 tips' barbs, two numbers each; then the axis:
     # its frame, 4 numbers per x tick, 5 per y tick, the labels' places
-    assert calls == [2 * (48 + 6 + 2 + 1 + 6 + 6) + 4 + 4 * nx + 5 * ny + 4]
+    assert calls == [2 * (128 + 6 + 2 + 1 + 6 + 6) + 4 + 4 * nx + 5 * ny
+                     + 4]
     assert svg == reference_render_scene(scene)
 
 
@@ -734,7 +730,7 @@ def _dense_coords(rng, n):
 
 def _dense_layers(rng):
     shared = render.Style(stroke="#888888", width=0.6)
-    arrow = render.Style(stroke="#1b7837", width=0.9, opacity=0.5)
+    arrow = render.Style(stroke="#1b7837", width=0.9, dash="2,3")
     tails = _dense_coords(rng, 2000)
     heads = tails + rng.normal(0.0, 20.0, tails.shape)
     kind = rng.integers(0, 10, len(tails))
@@ -756,8 +752,7 @@ def _dense_layers(rng):
     for center in _dense_coords(rng, 300):
         a = rng.normal(0.0, 10.0, (2, 2))
         ell = ge.from_moment(a @ a.T + np.eye(2), center)
-        layers.append(render.EllipseLayer([ell], shared,
-                                          n=int(rng.choice([64, 32, 7]))))
+        layers.append(render.EllipseLayer([ell], shared))
         if rng.random() < 0.2:
             tail = _dense_coords(rng, 1)[0]
             layers += [render.ArrowLayer(tail, center, arrow),
@@ -767,8 +762,8 @@ def _dense_layers(rng):
     centers = _dense_coords(rng, 400)
     a = rng.normal(0.0, 10.0, (len(centers), 2, 2))
     layers += [render.EllipseLayer(ge.from_moments(
-                   a @ a.swapaxes(1, 2) + np.eye(2), centers), shared, n=n)
-               for n in (64, 5)]
+                   a @ a.swapaxes(1, 2) + np.eye(2), centers), style)
+               for style in (shared, render.Style(width=0.4))]
     layers.append(render.TextLayer(centers, ["<e>"] * len(centers)))
     return layers
 
@@ -780,7 +775,7 @@ def test_render_scene_matches_per_element_renderer_on_dense_scenes(seed):
     # auto viewport
     layers = _dense_layers(np.random.default_rng(seed))
     for scene in (render.Scene(layers, viewport=FREE_VIEWPORT,
-                               aspect="free", title="dense"),
+                               title="dense"),
                   render.Scene(layers, size=(640, 400))):
         svg = render.render_scene(scene)
         want = reference_render_scene(scene)

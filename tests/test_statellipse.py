@@ -36,19 +36,18 @@ def test_galton_correlation(galton_sample):
 
 
 def test_coverage_radius_kinds():
-    assert st.coverage_radius(2, st.CoverageSpec.chisq(0.95)) ** 2 == \
-        pytest.approx(5.99, abs=0.01)
-    assert st.coverage_radius(2, st.CoverageSpec.chisq(0.68)) ** 2 == \
-        pytest.approx(2.28, abs=0.01)
-    assert st.coverage_radius(2, st.CoverageSpec.chisq(0.40)) ** 2 == \
-        pytest.approx(1.0, abs=0.05)
-    assert st.coverage_radius(3, st.CoverageSpec.stddev(1.5)) == 1.5
+    assert st.coverage_radius(0.95, 2) ** 2 == pytest.approx(5.99, abs=0.01)
+    assert st.coverage_radius(0.68, 2) ** 2 == pytest.approx(2.28, abs=0.01)
+    assert st.coverage_radius(0.40, 2) ** 2 == pytest.approx(1.0, abs=0.05)
+    for level in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(nk.InputError, match="level must be in"):
+            st.coverage_radius(level, 2)
 
 
 def test_data_ellipsoid_shadows_are_standard_intervals(galton_sample):
     # the radius-1 (40%) ellipse projects to mean +/- 1 sd on each axis
     mean, cov = st.mean_cov(galton_sample)
-    ell = st.data_ellipsoid(galton_sample, st.CoverageSpec.stddev(1.0))
+    ell = st.data_ellipsoid(galton_sample, 1.0)
     lo, hi = st.univariate_shadow(ell, np.array([1.0, 0.0]))
     assert (hi - lo) / 2 == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-9)
     lo, hi = st.univariate_shadow(ell, np.array([0.0, 1.0]))
@@ -59,7 +58,7 @@ def test_data_ellipsoid_shadows_are_standard_intervals(galton_sample):
 def test_shadow_of_any_linear_combination(galton_sample):
     # half-width of the radius-1 shadow equals the sd of the combination
     _, cov = st.mean_cov(galton_sample)
-    ell = st.data_ellipsoid(galton_sample, st.CoverageSpec.stddev(1.0))
+    ell = st.data_ellipsoid(galton_sample, 1.0)
     rng = np.random.default_rng(8)
     for _ in range(20):
         d = rng.standard_normal(2)
@@ -78,7 +77,7 @@ def test_shadow_diagonal_direction_closed_form():
 
 def test_galton_95_coverage(galton_sample):
     mean, cov = st.mean_cov(galton_sample)
-    c2 = st.coverage_radius(2, st.CoverageSpec.chisq(0.95)) ** 2
+    c2 = st.coverage_radius(0.95, 2) ** 2
     inv = np.linalg.inv(cov)
     dev = galton_sample.data - mean
     d2 = np.einsum("ij,jk,ik->i", dev, inv, dev)
@@ -88,7 +87,7 @@ def test_galton_95_coverage(galton_sample):
 def test_unit_covariance_sample_shadow():
     rng = np.random.default_rng(77)
     data = rng.standard_normal((4000, 2))
-    ell = st.data_ellipsoid(st.Sample(data), st.CoverageSpec.stddev(1.0))
+    ell = st.data_ellipsoid(st.Sample(data), 1.0)
     lo, hi = st.univariate_shadow(ell, np.array([1.0, 0.0]))
     assert (hi - lo) / 2 == pytest.approx(1.0, abs=0.05)
 
@@ -255,9 +254,9 @@ def test_data_ellipsoid_affine_equivariance():
                                                     [0.0, 0.8]])
     a_mat = np.array([[2.0, 0.5], [-0.3, 1.2]])
     b_vec = np.array([3.0, -1.0])
-    spec = st.CoverageSpec.chisq(0.68)
-    direct = st.data_ellipsoid(st.Sample(data @ a_mat.T + b_vec), spec)
-    mapped = ge.linear_image(st.data_ellipsoid(st.Sample(data), spec), a_mat)
+    c = st.coverage_radius(0.68, 2)
+    direct = st.data_ellipsoid(st.Sample(data @ a_mat.T + b_vec), c)
+    mapped = ge.linear_image(st.data_ellipsoid(st.Sample(data), c), a_mat)
     assert direct.radii == pytest.approx(mapped.radii, rel=1e-9)
     assert direct.center == pytest.approx(mapped.center + b_vec, rel=1e-9)
 
@@ -284,10 +283,9 @@ def test_data_ellipse_shadows_are_mean_plus_minus_c_sd(pd, n, level, seed):
     rng = np.random.default_rng(seed)
     sample = st.Sample(rng.standard_normal((n, p)) @ np.linalg.cholesky(w).T
                        + rng.standard_normal(p) * np.sqrt(w.trace()))
-    spec = st.CoverageSpec.chisq(level)
-    c = st.coverage_radius(p, spec)
+    c = st.coverage_radius(level, p)
     assert dist.chi2_cdf(c * c, p) == pytest.approx(level, rel=1e-13)
-    ell = st.data_ellipsoid(sample, spec)
+    ell = st.data_ellipsoid(sample, c)
     mean, cov = st.mean_cov(sample)
     sd = np.sqrt(np.diag(cov))
     for j in range(p):
